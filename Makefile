@@ -3,9 +3,9 @@
 GO ?= go
 DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build test race bench bench-smoke bench-compare fuzz smoke cover test-flaky chaos fmt vet lint
+.PHONY: all build test race bench bench-module bench-smoke bench-compare fuzz smoke cover test-flaky chaos fmt vet lint
 
-all: build test
+all: build test bench-module
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench-module vets and tests the nested benchmark module (the perf
+# ledger BENCHMARK.json runs). It has its own go.mod, so the ./...
+# patterns above never reach it; it compiles against internal/ APIs, so
+# it must be built whenever they change.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the tracked hot-path benchmarks (bench/) with -benchmem and
 # records the medians as BENCH_<date>.json. Compare two runs with

@@ -78,8 +78,8 @@ func BenchmarkServerCount(b *testing.B) {
 	bounds := srv.Tree().Bounds()
 	var reqs [][]byte
 	for _, q := range bounds.Grid(4) {
-		reqs = append(reqs, wire.EncodeCount(q))
-		reqs = append(reqs, wire.EncodeRangeCount(q.Center(), 300))
+		reqs = append(reqs, wire.AppendCount(nil, q))
+		reqs = append(reqs, wire.AppendRangeCount(nil, q.Center(), 300))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -196,7 +196,7 @@ func BenchmarkWireBatchCodec(b *testing.B) {
 	w := geom.R(1000, 1000, 5000, 5000)
 	subs := make([][]byte, 16)
 	for i := range subs {
-		subs[i] = wire.EncodeCount(w)
+		subs[i] = wire.AppendCount(nil, w)
 	}
 	var views [][]byte
 	b.ReportAllocs()

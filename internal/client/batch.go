@@ -167,24 +167,14 @@ func (c *Call) Frame() ([]byte, error) { return c.frame() }
 // Objects waits and decodes an OBJECTS response (WINDOW / RANGE probes).
 func (c *Call) Objects() ([]geom.Object, error) {
 	resp, err := c.frame()
-	if err != nil {
-		return nil, err
-	}
-	objs, err := wire.DecodeObjects(resp)
-	putFrame(resp)
-	return objs, err
+	return reply(resp, err, wire.DecodeObjects)
 }
 
 // Count waits and decodes a COUNT-REPLY response (COUNT / RANGE-COUNT
 // probes).
 func (c *Call) Count() (int, error) {
 	resp, err := c.frame()
-	if err != nil {
-		return 0, err
-	}
-	n, err := wire.DecodeCountReply(resp)
-	putFrame(resp)
-	return int(n), err
+	return reply(resp, err, decodeCount)
 }
 
 // cutReason records which trigger dispatched a batch, driving the
@@ -602,7 +592,7 @@ func (b *batcher) dispatch(batch []*Call, reason cutReason) {
 		if ctx == nil {
 			ctx = context.Background()
 		}
-		resp, err := b.rem.roundTrip(ctx, c.req)
+		resp, err := b.rem.Do(ctx, c.req)
 		c.req = nil
 		c.complete(resp, err)
 		return
@@ -623,7 +613,7 @@ func (b *batcher) dispatch(batch []*Call, reason cutReason) {
 		bufpool.Put(c.req)
 		c.req = nil
 	}
-	resp, err := b.rem.roundTrip(ctx, frame)
+	resp, err := b.rem.Do(ctx, frame)
 	if err != nil {
 		for _, c := range batch {
 			c.complete(nil, err)
@@ -767,7 +757,7 @@ func (r *Remote) GoBatch(ctx context.Context, reqs [][]byte) []*Call {
 		for _, c := range calls {
 			c := c
 			go func() {
-				resp, err := r.roundTrip(c.ctx, c.req)
+				resp, err := r.Do(c.ctx, c.req)
 				c.req = nil
 				c.complete(resp, err)
 			}()

@@ -190,6 +190,45 @@ func TestRoundTripFailureRecyclesFrames(t *testing.T) {
 	}
 }
 
+// TestTypedAdaptorAddsNoAllocs measures the interface hop the shared
+// typed adaptor adds on a bare Remote: a typed Count (Typed.Count → Doer
+// → Remote.Do → decode) must allocate no more than the same request
+// hand-rolled against Do.
+func TestTypedAdaptorAddsNoAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	objs := dataset.Uniform(200, dataset.World, 17)
+	r, err := NewRemote("A", netsim.Serve(server.New("A", objs)), netsim.DefaultLink(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ctx, w := context.Background(), dataset.World
+	raw := func() {
+		resp, err := r.Do(ctx, wire.AppendCount(bufpool.Get(), w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := wire.DecodeCountReply(resp); err != nil || n != int64(len(objs)) {
+			t.Fatalf("count = %d, %v", n, err)
+		}
+		bufpool.Put(resp)
+	}
+	typed := func() {
+		if n, err := r.Count(ctx, w); err != nil || n != len(objs) {
+			t.Fatalf("count = %d, %v", n, err)
+		}
+	}
+	raw() // warm the pool
+	typed()
+	base, got := testing.AllocsPerRun(200, raw), testing.AllocsPerRun(200, typed)
+	t.Logf("allocs/op: raw Do %.1f, typed %.1f", base, got)
+	if got > base {
+		t.Errorf("typed Count allocates %.1f/op, raw Do %.1f/op: the adaptor must add none", got, base)
+	}
+}
+
 // TestBatchDispatchBounded pins the bounded-spawn fix: size-triggered
 // cuts used to launch one goroutine each with no limit, so a burst of
 // submissions against a slow link stacked goroutines without bound. Now

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
-	"repro/internal/geom"
 	"repro/internal/netsim"
 	"repro/internal/wire"
 )
@@ -99,10 +98,12 @@ func WithScheduler(s *Scheduler) Option {
 }
 
 // Remote is the client-side proxy to one dataset server over a metered
-// transport. All methods are strictly request/response and carry a
-// context: cancellation or an expired deadline abandons the round trip
-// promptly, even against a hung server. A Remote is safe for concurrent
-// use: metering is atomic and both transports accept concurrent in-flight
+// transport: the leaf of the request/reply seam. Do is its one query
+// path; the typed calls are the embedded Typed adaptor bound to it. All
+// methods are strictly request/response and carry a context:
+// cancellation or an expired deadline abandons the round trip promptly,
+// even against a hung server. A Remote is safe for concurrent use:
+// metering is atomic and both transports accept concurrent in-flight
 // round trips, so the concurrent executor may issue several queries to
 // the same server at once.
 //
@@ -113,6 +114,8 @@ func WithScheduler(s *Scheduler) Option {
 // frames rather than echoing request bytes — true of the dataset server,
 // whose replies are always freshly encoded.
 type Remote struct {
+	Typed
+
 	name     string
 	conn     netsim.RoundTripper
 	m        *netsim.Meter
@@ -137,6 +140,7 @@ func NewRemote(name string, rt netsim.RoundTripper, link netsim.LinkConfig, pric
 	conn := netsim.NewMetered(rt, m)
 	r := &Remote{name: name, conn: conn, m: m,
 		lat: NewLatencyTracker(0), stats: &netsim.LinkStats{}}
+	r.Typed = NewTyped(r)
 	conn.SetStats(r.stats)
 	for _, o := range opts {
 		o(r)
@@ -207,10 +211,11 @@ func retryable(err error) bool {
 	return !errors.Is(err, netsim.ErrClosed)
 }
 
-// roundTrip sends a pooled request frame and returns the response frame,
-// re-issuing the request per the retry policy on transient transport
-// failures. Ownership of the request buffer ends here: it is recycled on
-// success and on every failure whose attempts all ran to completion. An
+// Do is the seam call (see Doer): it sends a pooled request frame and
+// returns the response frame, re-issuing the request per the retry policy
+// on transient transport failures. Ownership of the request buffer ends
+// here: it is recycled on success and on every failure whose attempts
+// all ran to completion. An
 // abandoned attempt — one whose error carries the netsim.ErrFrameRetained
 // mark (per-try timeout, cancellation, a transport shutdown mid-service)
 // — may leave the frame referenced by an in-flight server worker that is
@@ -219,13 +224,13 @@ func retryable(err error) bool {
 // cleanly — recycling it would hand a buffer that is still being read to
 // the next encoder. Retries themselves are safe: both the retry and the
 // abandoned worker only read the frame. The caller owns the returned
-// response frame and must release it with putFrame after decoding.
+// response frame and must release it with bufpool.Put after decoding.
 //
 // The dataset server always encodes responses into fresh buffers, but a
 // custom in-process Handler could echo the request frame back; the
 // aliasing guard makes sure the shared backing is then released exactly
 // once (as the response), never double-Put.
-func (r *Remote) roundTrip(ctx context.Context, req []byte) ([]byte, error) {
+func (r *Remote) Do(ctx context.Context, req []byte) ([]byte, error) {
 	if r.ledger != nil {
 		// Quota admission: a tenant over its fleet-wide byte budget is
 		// rejected before any bytes are committed to the link. The frame
@@ -310,132 +315,4 @@ func (r *Remote) roundTrip(ctx context.Context, req []byte) ([]byte, error) {
 		bufpool.Put(req)
 	}
 	return nil, fmt.Errorf("%s: %w", r.name, last)
-}
-
-// putFrame releases a decoded response frame back to the pool.
-func putFrame(resp []byte) { bufpool.Put(resp) }
-
-// Window returns all objects intersecting w.
-func (r *Remote) Window(ctx context.Context, w geom.Rect) ([]geom.Object, error) {
-	resp, err := r.roundTrip(ctx, wire.AppendWindow(bufpool.Get(), w))
-	if err != nil {
-		return nil, err
-	}
-	objs, err := wire.DecodeObjects(resp)
-	putFrame(resp)
-	return objs, err
-}
-
-// Count returns the number of objects intersecting w.
-func (r *Remote) Count(ctx context.Context, w geom.Rect) (int, error) {
-	resp, err := r.roundTrip(ctx, wire.AppendCount(bufpool.Get(), w))
-	if err != nil {
-		return 0, err
-	}
-	n, err := wire.DecodeCountReply(resp)
-	putFrame(resp)
-	return int(n), err
-}
-
-// AvgArea returns the mean MBR area of objects intersecting w.
-func (r *Remote) AvgArea(ctx context.Context, w geom.Rect) (float64, error) {
-	resp, err := r.roundTrip(ctx, wire.AppendAvgArea(bufpool.Get(), w))
-	if err != nil {
-		return 0, err
-	}
-	f, err := wire.DecodeFloatReply(resp)
-	putFrame(resp)
-	return f, err
-}
-
-// Range returns the objects within distance eps of p.
-func (r *Remote) Range(ctx context.Context, p geom.Point, eps float64) ([]geom.Object, error) {
-	resp, err := r.roundTrip(ctx, wire.AppendRange(bufpool.Get(), p, eps))
-	if err != nil {
-		return nil, err
-	}
-	objs, err := wire.DecodeObjects(resp)
-	putFrame(resp)
-	return objs, err
-}
-
-// RangeCount returns the number of objects within distance eps of p.
-func (r *Remote) RangeCount(ctx context.Context, p geom.Point, eps float64) (int, error) {
-	resp, err := r.roundTrip(ctx, wire.AppendRangeCount(bufpool.Get(), p, eps))
-	if err != nil {
-		return 0, err
-	}
-	n, err := wire.DecodeCountReply(resp)
-	putFrame(resp)
-	return int(n), err
-}
-
-// BucketRange submits many ε-range probes at once and returns one result
-// group per probe, in probe order.
-func (r *Remote) BucketRange(ctx context.Context, pts []geom.Point, eps float64) ([][]geom.Object, error) {
-	resp, err := r.roundTrip(ctx, wire.AppendBucketRange(bufpool.Get(), pts, eps))
-	if err != nil {
-		return nil, err
-	}
-	groups, err := wire.DecodeBucketObjects(resp)
-	putFrame(resp)
-	return groups, err
-}
-
-// BucketRangeCount submits many aggregate ε-range probes at once.
-func (r *Remote) BucketRangeCount(ctx context.Context, pts []geom.Point, eps float64) ([]int64, error) {
-	resp, err := r.roundTrip(ctx, wire.AppendBucketRangeCount(bufpool.Get(), pts, eps))
-	if err != nil {
-		return nil, err
-	}
-	ns, err := wire.DecodeCountsReply(resp)
-	putFrame(resp)
-	return ns, err
-}
-
-// Info returns the server's advertised metadata.
-func (r *Remote) Info(ctx context.Context) (wire.Info, error) {
-	resp, err := r.roundTrip(ctx, wire.AppendInfo(bufpool.Get()))
-	if err != nil {
-		return wire.Info{}, err
-	}
-	info, err := wire.DecodeInfoReply(resp)
-	putFrame(resp)
-	return info, err
-}
-
-// LevelMBRs returns the MBRs of one R-tree level (SemiJoin only; the
-// server refuses unless it publishes its index).
-func (r *Remote) LevelMBRs(ctx context.Context, level int) ([]geom.Rect, error) {
-	resp, err := r.roundTrip(ctx, wire.AppendMBRLevel(bufpool.Get(), level))
-	if err != nil {
-		return nil, err
-	}
-	rects, err := wire.DecodeRects(resp)
-	putFrame(resp)
-	return rects, err
-}
-
-// MBRMatch returns the distinct objects intersecting (within eps of) any
-// of the rects (SemiJoin only).
-func (r *Remote) MBRMatch(ctx context.Context, rects []geom.Rect, eps float64) ([]geom.Object, error) {
-	resp, err := r.roundTrip(ctx, wire.AppendMBRMatch(bufpool.Get(), rects, eps))
-	if err != nil {
-		return nil, err
-	}
-	objs, err := wire.DecodeObjects(resp)
-	putFrame(resp)
-	return objs, err
-}
-
-// UploadJoin ships objects to the server, which joins them against its
-// dataset and returns pairs with the uploaded ID first (SemiJoin only).
-func (r *Remote) UploadJoin(ctx context.Context, objs []geom.Object, eps float64) ([]geom.Pair, error) {
-	resp, err := r.roundTrip(ctx, wire.AppendUploadJoin(bufpool.Get(), objs, eps))
-	if err != nil {
-		return nil, err
-	}
-	pairs, err := wire.DecodePairs(resp)
-	putFrame(resp)
-	return pairs, err
 }

@@ -30,7 +30,7 @@ func newScripted(t *testing.T, resp []byte) *Remote {
 }
 
 func TestRemoteWrapsServerErrors(t *testing.T) {
-	r := newScripted(t, wire.EncodeError("nope"))
+	r := newScripted(t, wire.AppendError(nil, "nope"))
 	_, err := r.Count(context.Background(), geom.R(0, 0, 1, 1))
 	if err == nil || !strings.Contains(err.Error(), "scripted") || !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("err = %v, want wrapped server error", err)
@@ -43,14 +43,14 @@ func TestRemoteWrapsServerErrors(t *testing.T) {
 
 func TestRemoteRejectsWrongReplyType(t *testing.T) {
 	// Server answers a COUNT with an OBJECTS frame: decode must fail.
-	r := newScripted(t, wire.EncodeObjects(nil))
+	r := newScripted(t, wire.AppendObjects(nil, nil))
 	if _, err := r.Count(context.Background(), geom.R(0, 0, 1, 1)); err == nil {
 		t.Fatal("type-mismatched reply should fail")
 	}
 }
 
 func TestRemoteClosedTransport(t *testing.T) {
-	tr := netsim.Serve(scriptedHandler{resp: wire.EncodeCountReply(1)})
+	tr := netsim.Serve(scriptedHandler{resp: wire.AppendCountReply(nil, 1)})
 	r, err := NewRemote("gone", tr, netsim.DefaultLink(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestRemoteClosedTransport(t *testing.T) {
 }
 
 func TestRemoteMetersFailedCallsUplinkOnly(t *testing.T) {
-	tr := netsim.Serve(scriptedHandler{resp: wire.EncodeError("x")})
+	tr := netsim.Serve(scriptedHandler{resp: wire.AppendError(nil, "x")})
 	r, err := NewRemote("err", tr, netsim.DefaultLink(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestRemoteMetersFailedCallsUplinkOnly(t *testing.T) {
 }
 
 func TestRemoteName(t *testing.T) {
-	r := newScripted(t, wire.EncodeCountReply(0))
+	r := newScripted(t, wire.AppendCountReply(nil, 0))
 	if r.Name() != "scripted" {
 		t.Fatalf("name = %q", r.Name())
 	}

@@ -142,7 +142,7 @@ func TestDetachedCall(t *testing.T) {
 	c := NewDetachedCall("probe")
 	done := make(chan struct{})
 	go func() {
-		c.CompleteFrame(wire.EncodeCountReply(7), nil)
+		c.CompleteFrame(wire.AppendCountReply(nil, 7), nil)
 		close(done)
 	}()
 	<-done

@@ -32,7 +32,7 @@ func (f *flakyTransport) RoundTrip(ctx context.Context, req []byte) ([]byte, err
 func (f *flakyTransport) Close() error { return f.rt.Close() }
 
 func TestNewRemoteRejectsInvalidLink(t *testing.T) {
-	tr := netsim.Serve(scriptedHandler{resp: wire.EncodeCountReply(1)})
+	tr := netsim.Serve(scriptedHandler{resp: wire.AppendCountReply(nil, 1)})
 	defer tr.Close()
 	if _, err := NewRemote("bad", tr, netsim.LinkConfig{MTU: 10, HeaderBytes: 40}, 1); err == nil {
 		t.Fatal("invalid link must fail NewRemote, not panic later")
@@ -40,7 +40,7 @@ func TestNewRemoteRejectsInvalidLink(t *testing.T) {
 }
 
 func TestRetryRecoversFromTransientFaults(t *testing.T) {
-	inner := netsim.Serve(scriptedHandler{resp: wire.EncodeCountReply(9)})
+	inner := netsim.Serve(scriptedHandler{resp: wire.AppendCountReply(nil, 9)})
 	fl := &flakyTransport{rt: inner, failures: 2, err: netsim.ErrInjectedDrop}
 	r, err := NewRemote("flaky", fl, netsim.DefaultLink(), 1,
 		WithRetry(RetryPolicy{MaxAttempts: 4}))
@@ -70,7 +70,7 @@ func TestRetryRecoversFromTransientFaults(t *testing.T) {
 }
 
 func TestRetryExhaustionReportsLastError(t *testing.T) {
-	inner := netsim.Serve(scriptedHandler{resp: wire.EncodeCountReply(1)})
+	inner := netsim.Serve(scriptedHandler{resp: wire.AppendCountReply(nil, 1)})
 	fl := &flakyTransport{rt: inner, failures: 1 << 30, err: netsim.ErrInjectedSever}
 	r, err := NewRemote("dead", fl, netsim.DefaultLink(), 1,
 		WithRetry(RetryPolicy{MaxAttempts: 3}))
@@ -87,7 +87,7 @@ func TestRetryExhaustionReportsLastError(t *testing.T) {
 }
 
 func TestRetryDoesNotRetryClosedTransport(t *testing.T) {
-	inner := netsim.Serve(scriptedHandler{resp: wire.EncodeCountReply(1)})
+	inner := netsim.Serve(scriptedHandler{resp: wire.AppendCountReply(nil, 1)})
 	fl := &flakyTransport{rt: inner, failures: 1 << 30, err: netsim.ErrClosed}
 	r, err := NewRemote("closed", fl, netsim.DefaultLink(), 1,
 		WithRetry(RetryPolicy{MaxAttempts: 5}))
@@ -104,7 +104,7 @@ func TestRetryDoesNotRetryClosedTransport(t *testing.T) {
 }
 
 func TestRetryStopsOnCanceledContext(t *testing.T) {
-	inner := netsim.Serve(scriptedHandler{resp: wire.EncodeCountReply(1)})
+	inner := netsim.Serve(scriptedHandler{resp: wire.AppendCountReply(nil, 1)})
 	fl := &flakyTransport{rt: inner, failures: 1 << 30, err: netsim.ErrInjectedDrop}
 	r, err := NewRemote("canceled", fl, netsim.DefaultLink(), 1,
 		WithRetry(RetryPolicy{MaxAttempts: 100, Backoff: time.Hour}))
@@ -129,7 +129,7 @@ func TestRetryStopsOnCanceledContext(t *testing.T) {
 func TestRetryServerErrorIsTerminal(t *testing.T) {
 	// A server that answers with a protocol error has spoken: re-asking
 	// an idempotent query cannot change the verdict.
-	inner := netsim.Serve(scriptedHandler{resp: wire.EncodeError("no")})
+	inner := netsim.Serve(scriptedHandler{resp: wire.AppendError(nil, "no")})
 	fl := &flakyTransport{rt: inner}
 	r, err := NewRemote("refused", fl, netsim.DefaultLink(), 1,
 		WithRetry(RetryPolicy{MaxAttempts: 5}))
@@ -173,7 +173,7 @@ func (h *slowFirstHandler) Handle(req []byte) []byte {
 // succeed without ever returning that frame to the pool (the worker may
 // still be reading it).
 func TestRetryAbandonedAttemptDoesNotRecycleFrame(t *testing.T) {
-	h := &slowFirstHandler{resp: wire.EncodeCountReply(5)}
+	h := &slowFirstHandler{resp: wire.AppendCountReply(nil, 5)}
 	tr := netsim.Serve(h) // one worker: attempt 1 occupies it, then attempt 2 lands
 	r, err := NewRemote("slowstart", tr, netsim.DefaultLink(), 1,
 		WithRetry(RetryPolicy{MaxAttempts: 4, PerTryTimeout: 5 * time.Millisecond, Backoff: 20 * time.Millisecond}))

@@ -14,11 +14,14 @@ import (
 )
 
 // Probe is the query surface of one logical relation: everything the
-// algorithms need from a dataset endpoint. It is satisfied by
-// *client.Remote (one server, one metered link — the paper's setting)
-// and by *shard.Router (one relation partitioned across many servers,
-// scatter–gathered behind the same surface), so every algorithm runs
-// unmodified against either. The semantic contract is the one the
+// algorithms need from a dataset endpoint. The typed calls are
+// implemented once — client.Typed, encode → Do → decode over the
+// request/reply seam client.Doer — and every layer that embeds it
+// satisfies Probe by implementing the seam: *client.Remote (one server,
+// one metered link — the paper's setting), *shard.Router (one relation
+// partitioned across many servers, scatter–gathered), and the wrappers
+// stacked on them. Every algorithm therefore runs unmodified against any
+// of them. The semantic contract is the one the
 // dataset server implements: COUNT/RANGE-COUNT answer exact
 // cardinalities, WINDOW/RANGE return each qualifying object exactly
 // once, bucket queries answer probe-by-probe in submission order, and

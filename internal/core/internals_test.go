@@ -225,7 +225,7 @@ func TestAlgorithmsSurfaceMidJoinFailures(t *testing.T) {
 type refusingHandler struct{}
 
 func (refusingHandler) Handle(req []byte) []byte {
-	return wire.EncodeError("service unavailable")
+	return wire.AppendError(nil, "service unavailable")
 }
 
 func TestAlgorithmsSurfaceServerRefusal(t *testing.T) {

@@ -23,19 +23,19 @@ func TestHandleAppendMatchesHandle(t *testing.T) {
 	up := objs[:50]
 
 	reqs := [][]byte{
-		wire.EncodeWindow(w),
-		wire.EncodeCount(w),
-		wire.EncodeAvgArea(w),
-		wire.EncodeRange(geom.Pt(4000, 4000), 500),
-		wire.EncodeRangeCount(geom.Pt(4000, 4000), 500),
-		wire.EncodeBucketRange(pts, 400),
-		wire.EncodeBucketRangeCount(pts, 400),
-		wire.EncodeInfo(),
-		wire.EncodeMBRLevel(0),
-		wire.EncodeMBRMatch([]geom.Rect{w, geom.R(0, 0, 100, 100)}, 50),
-		wire.EncodeUploadJoin(up, 200),
-		{byte(wire.MsgInvalid)},  // unsupported type
-		wire.EncodeWindow(w)[:5], // malformed frame
+		wire.AppendWindow(nil, w),
+		wire.AppendCount(nil, w),
+		wire.AppendAvgArea(nil, w),
+		wire.AppendRange(nil, geom.Pt(4000, 4000), 500),
+		wire.AppendRangeCount(nil, geom.Pt(4000, 4000), 500),
+		wire.AppendBucketRange(nil, pts, 400),
+		wire.AppendBucketRangeCount(nil, pts, 400),
+		wire.AppendInfo(nil),
+		wire.AppendMBRLevel(nil, 0),
+		wire.AppendMBRMatch(nil, []geom.Rect{w, geom.R(0, 0, 100, 100)}, 50),
+		wire.AppendUploadJoin(nil, up, 200),
+		{byte(wire.MsgInvalid)},       // unsupported type
+		wire.AppendWindow(nil, w)[:5], // malformed frame
 	}
 	for round := 0; round < 3; round++ { // reuse scratch across rounds
 		for i, req := range reqs {
@@ -64,7 +64,7 @@ func TestMBRMatchSparseIDs(t *testing.T) {
 	}
 	srv := New("sparse", objs, PublishIndex())
 	// Overlapping rects so both matching objects are seen twice.
-	req := wire.EncodeMBRMatch([]geom.Rect{geom.R(0, 0, 20, 20), geom.R(4, 4, 16, 16)}, 0)
+	req := wire.AppendMBRMatch(nil, []geom.Rect{geom.R(0, 0, 20, 20), geom.R(4, 4, 16, 16)}, 0)
 	for round := 0; round < 2; round++ { // second round reuses scratch
 		got, err := wire.DecodeObjects(srv.Handle(req))
 		if err != nil {
@@ -88,9 +88,9 @@ func TestHandleAppendSteadyStateAllocs(t *testing.T) {
 	}
 	objs := dataset.GaussianClusters(5000, 4, 300, dataset.World, 43)
 	srv := New("S", objs)
-	countReq := wire.EncodeCount(geom.R(2000, 2000, 7000, 7000))
-	rangeReq := wire.EncodeRangeCount(geom.Pt(4000, 4000), 600)
-	windowReq := wire.EncodeWindow(geom.R(3000, 3000, 6000, 6000))
+	countReq := wire.AppendCount(nil, geom.R(2000, 2000, 7000, 7000))
+	rangeReq := wire.AppendRangeCount(nil, geom.Pt(4000, 4000), 600)
+	windowReq := wire.AppendWindow(nil, geom.R(3000, 3000, 6000, 6000))
 	dst := make([]byte, 0, 1<<20)
 	// Warm the scratch pool and high-water marks.
 	for i := 0; i < 8; i++ {

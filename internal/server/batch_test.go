@@ -20,15 +20,15 @@ func TestHandleBatchMatchesIndividualReplies(t *testing.T) {
 	bounds := srv.Tree().Bounds()
 
 	reqs := [][]byte{
-		wire.EncodeCount(bounds),
-		wire.EncodeWindow(bounds),
-		wire.EncodeRange(bounds.Center(), 400),
-		wire.EncodeRangeCount(bounds.Center(), 400),
-		wire.EncodeAvgArea(bounds),
-		wire.EncodeInfo(),
-		wire.EncodeBucketRange([]geom.Point{bounds.Center(), {X: 0, Y: 0}}, 250),
+		wire.AppendCount(nil, bounds),
+		wire.AppendWindow(nil, bounds),
+		wire.AppendRange(nil, bounds.Center(), 400),
+		wire.AppendRangeCount(nil, bounds.Center(), 400),
+		wire.AppendAvgArea(nil, bounds),
+		wire.AppendInfo(nil),
+		wire.AppendBucketRange(nil, []geom.Point{bounds.Center(), {X: 0, Y: 0}}, 250),
 	}
-	resp := srv.Handle(wire.EncodeBatch(reqs))
+	resp := srv.Handle(wire.AppendBatch(nil, reqs))
 	subs, err := wire.DecodeBatch(resp, wire.MsgBatchReply)
 	if err != nil {
 		t.Fatal(err)
@@ -54,13 +54,13 @@ func TestHandleBatchPerSubErrors(t *testing.T) {
 	w := srv.Tree().Bounds().Expand(1)
 
 	reqs := [][]byte{
-		wire.EncodeCount(w),
-		{byte(wire.MsgWindow), 1, 2},                  // truncated window
-		wire.EncodeMBRLevel(0),                        // refused: index not published
-		wire.EncodeBatch([][]byte{wire.EncodeInfo()}), // nested batch
-		wire.EncodeCount(w),
+		wire.AppendCount(nil, w),
+		{byte(wire.MsgWindow), 1, 2},                          // truncated window
+		wire.AppendMBRLevel(nil, 0),                           // refused: index not published
+		wire.AppendBatch(nil, [][]byte{wire.AppendInfo(nil)}), // nested batch
+		wire.AppendCount(nil, w),
 	}
-	resp := srv.Handle(wire.EncodeBatch(reqs))
+	resp := srv.Handle(wire.AppendBatch(nil, reqs))
 	subs, err := wire.DecodeBatch(resp, wire.MsgBatchReply)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestHandleBatchMalformedEnvelope(t *testing.T) {
 // TestHandleBatchEmpty: an empty batch is answered with an empty reply.
 func TestHandleBatchEmpty(t *testing.T) {
 	srv := New("R", dataset.Uniform(10, dataset.World, 1))
-	resp := srv.Handle(wire.EncodeBatch(nil))
+	resp := srv.Handle(wire.AppendBatch(nil, nil))
 	subs, err := wire.DecodeBatch(resp, wire.MsgBatchReply)
 	if err != nil || len(subs) != 0 {
 		t.Fatalf("empty batch: subs %d, err %v", len(subs), err)

@@ -18,14 +18,14 @@ func FuzzHandleAppend(f *testing.F) {
 	srv := New("F", objs, PublishIndex())
 	bounds := srv.Tree().Bounds()
 
-	f.Add(wire.EncodeCount(bounds))
-	f.Add(wire.EncodeWindow(bounds))
-	f.Add(wire.EncodeRange(bounds.Center(), 100))
-	f.Add(wire.EncodeBucketRangeCount([]geom.Point{bounds.Center()}, 50))
-	f.Add(wire.EncodeMBRLevel(1))
-	f.Add(wire.EncodeInfo())
-	f.Add(wire.EncodeBatch([][]byte{wire.EncodeCount(bounds), wire.EncodeInfo()}))
-	f.Add(wire.EncodeBatch([][]byte{wire.EncodeBatch(nil)}))
+	f.Add(wire.AppendCount(nil, bounds))
+	f.Add(wire.AppendWindow(nil, bounds))
+	f.Add(wire.AppendRange(nil, bounds.Center(), 100))
+	f.Add(wire.AppendBucketRangeCount(nil, []geom.Point{bounds.Center()}, 50))
+	f.Add(wire.AppendMBRLevel(nil, 1))
+	f.Add(wire.AppendInfo(nil))
+	f.Add(wire.AppendBatch(nil, [][]byte{wire.AppendCount(nil, bounds), wire.AppendInfo(nil)}))
+	f.Add(wire.AppendBatch(nil, [][]byte{wire.AppendBatch(nil, nil)}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		resp := srv.Handle(frame)

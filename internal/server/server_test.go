@@ -209,8 +209,8 @@ func TestMalformedRequestsReturnErrors(t *testing.T) {
 		{byte(wire.MsgCount), 1, 2},    // truncated
 		{byte(wire.MsgBucketRange), 0}, // truncated
 		{200},                          // unknown type
-		wire.EncodeObjects(nil),        // response type as request
-		append(wire.EncodeWindow(geom.R(0, 0, 1, 1)), 0xFF), // trailing byte
+		wire.AppendObjects(nil, nil),   // response type as request
+		append(wire.AppendWindow(nil, geom.R(0, 0, 1, 1)), 0xFF), // trailing byte
 	}
 	for i, req := range cases {
 		resp := srv.Handle(req)

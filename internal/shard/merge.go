@@ -9,13 +9,11 @@ import (
 	"repro/internal/wire"
 )
 
-// This file holds the gather-side merge logic shared by the flat Router
-// and the tree Aggregator. Both shapes assemble the same logical answers
-// from per-shard partial replies — COUNT sums, ID-ordered object lists,
-// (RID, SID)-ordered pair lists, merged INFO metadata — so the code lives
-// in one place and the two paths cannot diverge: a tree of any depth is
-// bit-identical to the flat scatter because every level runs exactly
-// these functions.
+// This file holds the value-level folds the routing table's merge
+// functions (route.go) are built from: ID-ordered object lists, (RID,
+// SID)-ordered pair lists, merged INFO metadata. The flat router and
+// every tree level run exactly these functions, so a tree of any depth is
+// bit-identical to the flat scatter.
 
 // sortObjects puts a gathered object list into deterministic ID order.
 // IDs are unique within a relation and each lives on exactly one shard,
@@ -131,21 +129,16 @@ func MergeObjects(dst []geom.Object, parts [][]geom.Object) []geom.Object {
 	return dst
 }
 
-// mergePairs concatenates per-shard pair lists into deterministic
+// sortPairs puts concatenated per-shard pair lists into deterministic
 // (uploaded ID, matched ID) order. Duplicate-free by construction: the
 // joined-side objects are disjoint across shards.
-func mergePairs(parts [][]geom.Pair) []geom.Pair {
-	var out []geom.Pair
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	slices.SortFunc(out, func(a, b geom.Pair) int {
+func sortPairs(pairs []geom.Pair) {
+	slices.SortFunc(pairs, func(a, b geom.Pair) int {
 		if a.RID != b.RID {
 			return cmp.Compare(a.RID, b.RID)
 		}
 		return cmp.Compare(a.SID, b.SID)
 	})
-	return out
 }
 
 // mergeInfos folds per-shard metadata into the relation's: cardinalities

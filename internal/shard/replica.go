@@ -9,10 +9,8 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/client"
-	"repro/internal/geom"
 	"repro/internal/health"
 	"repro/internal/netsim"
-	"repro/internal/wire"
 )
 
 // This file makes each shard a replica set. A ReplicaSet presents N
@@ -39,12 +37,12 @@ import (
 //     re-issued on the next untried replica. Only terminal failures
 //     (parent context cancelled, transport closed by us) propagate.
 //
-// A ReplicaSet implements the same query surface as client.Remote
-// (core.Probe / shard.Endpoint), so it slots under the scatter–gather
-// Router unchanged: a fleet of S shards × R replicas serves every
-// algorithm unmodified. With a single replica every call delegates
-// verbatim to the one Remote — bit-identical on the wire, pinned by the
-// goldens.
+// A ReplicaSet is an Endpoint — it implements the seam call Do at the
+// frame level and embeds client.Typed for the query surface — so it
+// slots under the scatter–gather Router unchanged: a fleet of S shards ×
+// R replicas serves every algorithm unmodified. With a single replica
+// every frame goes verbatim to the one Remote — bit-identical on the
+// wire, pinned by the goldens.
 
 // ReplicaConfig parameterizes a ReplicaSet.
 type ReplicaConfig struct {
@@ -99,9 +97,10 @@ type ReplicaStats struct {
 	Failovers int64
 }
 
-// ReplicaSet serves one shard from several identical replica servers,
-// implementing the full Endpoint/core.Probe query surface.
+// ReplicaSet serves one shard from several identical replica servers.
 type ReplicaSet struct {
+	client.Typed
+
 	name     string
 	replicas []*client.Remote
 	cfg      ReplicaConfig
@@ -134,6 +133,7 @@ func NewReplicaSet(name string, replicas []*client.Remote, cfg ReplicaConfig) (*
 	}
 	rs := &ReplicaSet{name: name, replicas: replicas, cfg: cfg,
 		lat: client.NewLatencyTracker(0)}
+	rs.Typed = client.NewTyped(rs)
 	n := int64(len(replicas))
 	rs.next.Store(uint64(((cfg.Seed % n) + n) % n))
 	if cfg.Health != nil {
@@ -295,14 +295,15 @@ func failoverable(err error) bool {
 	return !errors.Is(err, netsim.ErrClosed)
 }
 
-// probe runs one idempotent query against the set: primary by rotation,
-// hedged after the threshold, failed over on transport faults. The
-// winning reply is consumed exactly once; the losing attempt is
-// cancelled when probe returns (the deferred cancel — the PR 3 context
-// plumbing reaches every transport) and its buffered completion is
-// dropped, so no goroutine outlives the probe beyond its cancellation.
-func probe[T any](ctx context.Context, rs *ReplicaSet, f func(ctx context.Context, rem *client.Remote) (T, error)) (T, error) {
-	var zero T
+// Do runs one idempotent request frame against the set: primary by
+// rotation, hedged after the threshold, failed over on transport faults.
+// Every attempt sends its own pooled copy of req (a Remote consumes the
+// frame it is given); req itself is recycled on return. The winning
+// reply is consumed exactly once; the losing attempt is cancelled when Do
+// returns (the deferred cancel reaches every transport) and its buffered
+// completion is dropped, so no goroutine outlives the probe beyond its
+// cancellation.
+func (rs *ReplicaSet) Do(ctx context.Context, req []byte) ([]byte, error) {
 	if rs.cfg.Budget > 0 {
 		// One deadline for the whole probe: primary, failovers, and the
 		// hedge all spend from it, so the probe's worst case is Budget
@@ -314,31 +315,31 @@ func probe[T any](ctx context.Context, rs *ReplicaSet, f func(ctx context.Contex
 	n := len(rs.replicas)
 	if n == 1 {
 		if rs.brk == nil {
-			return f(ctx, rs.replicas[0])
+			return rs.replicas[0].Do(ctx, req)
 		}
 		// A lone replica is probed regardless of its breaker (there is
 		// nowhere else to go), but the outcome still feeds the score so
 		// Healthy() and the recovery prober see reality.
 		t0 := time.Now()
-		v, err := f(ctx, rs.replicas[0])
+		resp, err := rs.replicas[0].Do(ctx, req)
 		rs.score(0, err, time.Since(t0), ctx)
-		return v, err
+		return resp, err
 	}
+	defer bufpool.Put(req)
 	if err := ctx.Err(); err != nil {
-		return zero, fmt.Errorf("%s: %w", rs.name, err)
+		return nil, fmt.Errorf("%s: %w", rs.name, err)
 	}
 	start := int(rs.next.Add(1)-1) % n
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	type outcome struct {
-		val    T
+		resp   []byte
 		err    error
-		idx    int
 		hedged bool
 	}
 	// Buffered to the attempt budget: a losing attempt's completion
-	// never blocks its goroutine, even after probe has returned.
+	// never blocks its goroutine, even after Do has returned.
 	ch := make(chan outcome, n)
 	tried, inflight := 0, 0
 	// forced queues the breaker-open replicas a primary or failover may
@@ -387,21 +388,21 @@ func probe[T any](ctx context.Context, rs *ReplicaSet, f func(ctx context.Contex
 		if idx < 0 {
 			return false
 		}
-		rem := rs.replicas[idx]
 		inflight++
 		actx := pctx
 		if hedged {
 			actx = netsim.WithHedged(pctx)
 			rs.hedges.Add(1)
 		}
+		frame := clone(req)
 		go func() {
 			t0 := time.Now()
-			v, err := f(actx, rem)
+			resp, err := rs.replicas[idx].Do(actx, frame)
 			if err == nil && !hedged {
 				rs.lat.Add(time.Since(t0))
 			}
 			rs.score(idx, err, time.Since(t0), actx)
-			ch <- outcome{val: v, err: err, idx: idx, hedged: hedged}
+			ch <- outcome{resp: resp, err: err, hedged: hedged}
 		}()
 		return true
 	}
@@ -436,7 +437,7 @@ func probe[T any](ctx context.Context, rs *ReplicaSet, f func(ctx context.Contex
 					// exactly once.
 					rs.hedgeLosses.Add(1)
 				}
-				return out.val, nil
+				return out.resp, nil
 			}
 			if out.hedged {
 				hedgeResolved = true
@@ -450,93 +451,10 @@ func probe[T any](ctx context.Context, rs *ReplicaSet, f func(ctx context.Contex
 				rs.failovers.Add(1)
 			}
 			if inflight == 0 {
-				return zero, firstErr
+				return nil, firstErr
 			}
 		}
 	}
-}
-
-// --- the Endpoint / core.Probe query surface ------------------------------
-
-// Info returns the shard's advertised metadata (replicas are identical,
-// so any replica's answer is the shard's).
-func (rs *ReplicaSet) Info(ctx context.Context) (wire.Info, error) {
-	return probe(ctx, rs, func(ctx context.Context, rem *client.Remote) (wire.Info, error) {
-		return rem.Info(ctx)
-	})
-}
-
-// Count returns the number of objects intersecting w.
-func (rs *ReplicaSet) Count(ctx context.Context, w geom.Rect) (int, error) {
-	return probe(ctx, rs, func(ctx context.Context, rem *client.Remote) (int, error) {
-		return rem.Count(ctx, w)
-	})
-}
-
-// Window returns all objects intersecting w.
-func (rs *ReplicaSet) Window(ctx context.Context, w geom.Rect) ([]geom.Object, error) {
-	return probe(ctx, rs, func(ctx context.Context, rem *client.Remote) ([]geom.Object, error) {
-		return rem.Window(ctx, w)
-	})
-}
-
-// AvgArea returns the mean MBR area of objects intersecting w.
-func (rs *ReplicaSet) AvgArea(ctx context.Context, w geom.Rect) (float64, error) {
-	return probe(ctx, rs, func(ctx context.Context, rem *client.Remote) (float64, error) {
-		return rem.AvgArea(ctx, w)
-	})
-}
-
-// Range returns the objects within distance eps of p.
-func (rs *ReplicaSet) Range(ctx context.Context, p geom.Point, eps float64) ([]geom.Object, error) {
-	return probe(ctx, rs, func(ctx context.Context, rem *client.Remote) ([]geom.Object, error) {
-		return rem.Range(ctx, p, eps)
-	})
-}
-
-// RangeCount returns the number of objects within distance eps of p.
-func (rs *ReplicaSet) RangeCount(ctx context.Context, p geom.Point, eps float64) (int, error) {
-	return probe(ctx, rs, func(ctx context.Context, rem *client.Remote) (int, error) {
-		return rem.RangeCount(ctx, p, eps)
-	})
-}
-
-// BucketRange submits many ε-range probes at once.
-func (rs *ReplicaSet) BucketRange(ctx context.Context, pts []geom.Point, eps float64) ([][]geom.Object, error) {
-	return probe(ctx, rs, func(ctx context.Context, rem *client.Remote) ([][]geom.Object, error) {
-		return rem.BucketRange(ctx, pts, eps)
-	})
-}
-
-// BucketRangeCount is the aggregate variant of BucketRange.
-func (rs *ReplicaSet) BucketRangeCount(ctx context.Context, pts []geom.Point, eps float64) ([]int64, error) {
-	return probe(ctx, rs, func(ctx context.Context, rem *client.Remote) ([]int64, error) {
-		return rem.BucketRangeCount(ctx, pts, eps)
-	})
-}
-
-// LevelMBRs returns the MBRs of one R-tree level (SemiJoin only).
-func (rs *ReplicaSet) LevelMBRs(ctx context.Context, level int) ([]geom.Rect, error) {
-	return probe(ctx, rs, func(ctx context.Context, rem *client.Remote) ([]geom.Rect, error) {
-		return rem.LevelMBRs(ctx, level)
-	})
-}
-
-// MBRMatch returns the distinct objects intersecting (within eps of)
-// any of the rects (SemiJoin only).
-func (rs *ReplicaSet) MBRMatch(ctx context.Context, rects []geom.Rect, eps float64) ([]geom.Object, error) {
-	return probe(ctx, rs, func(ctx context.Context, rem *client.Remote) ([]geom.Object, error) {
-		return rem.MBRMatch(ctx, rects, eps)
-	})
-}
-
-// UploadJoin ships objects to the shard and returns the join pairs
-// (SemiJoin only; a pure query server-side, so it is as idempotent as
-// the rest of the protocol).
-func (rs *ReplicaSet) UploadJoin(ctx context.Context, objs []geom.Object, eps float64) ([]geom.Pair, error) {
-	return probe(ctx, rs, func(ctx context.Context, rem *client.Remote) ([]geom.Pair, error) {
-		return rem.UploadJoin(ctx, objs, eps)
-	})
 }
 
 // GoBatch routes each pre-encoded probe frame to its rotation-selected
@@ -560,7 +478,7 @@ func (rs *ReplicaSet) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call
 		start := rs.batchStart(n)
 		// Private copy for failover: submitting a frame passes its
 		// ownership to the batcher, so a retry on a sibling needs its own.
-		spare := append(bufpool.Get(), req...)
+		spare := clone(req)
 		sub := rs.replicas[start].GoBatch(ctx, [][]byte{req})[0]
 		go func() {
 			resp, err := sub.Frame()
@@ -571,7 +489,7 @@ func (rs *ReplicaSet) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call
 				if k == n-1 {
 					frame, spare = spare, nil // last attempt consumes the spare
 				} else {
-					frame = append(bufpool.Get(), spare...)
+					frame = clone(spare)
 				}
 				idx := (start + k) % n
 				rem := rs.replicas[idx]

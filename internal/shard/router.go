@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bufpool"
 	"repro/internal/client"
 	"repro/internal/geom"
 	"repro/internal/health"
@@ -16,26 +15,18 @@ import (
 	"repro/internal/wire"
 )
 
-// Endpoint is the query surface the router scatters over — the same
-// method set client.Remote exposes (and core.Probe demands). Two
-// implementations exist: *client.Remote (one shard behind one metered
-// link, the PR 5 shape) and *ReplicaSet (one shard behind N replica
-// links with load balancing, hedging, and failover). The router is
-// indifferent: scatter–gather, routing pruning, and batched multiplexing
-// compose identically over either.
+// Endpoint is what the router scatters over: the request/reply seam
+// (client.Doer — one frame in, one frame out) plus the batcher and meter
+// accessors. It declares no typed query: a layer that needs one binds
+// client.NewTyped to the endpoint. Three implementations exist:
+// *client.Remote (one shard behind one metered link), *ReplicaSet (one
+// shard behind N replica links with load balancing, hedging, and
+// failover) and *Aggregator (a subtree behind a metered uplink). The
+// router is indifferent: scatter–gather, routing pruning, and batched
+// multiplexing compose identically over any of them.
 type Endpoint interface {
 	Name() string
-	Info(ctx context.Context) (wire.Info, error)
-	Count(ctx context.Context, w geom.Rect) (int, error)
-	Window(ctx context.Context, w geom.Rect) ([]geom.Object, error)
-	AvgArea(ctx context.Context, w geom.Rect) (float64, error)
-	Range(ctx context.Context, p geom.Point, eps float64) ([]geom.Object, error)
-	RangeCount(ctx context.Context, p geom.Point, eps float64) (int, error)
-	BucketRange(ctx context.Context, pts []geom.Point, eps float64) ([][]geom.Object, error)
-	BucketRangeCount(ctx context.Context, pts []geom.Point, eps float64) ([]int64, error)
-	LevelMBRs(ctx context.Context, level int) ([]geom.Rect, error)
-	MBRMatch(ctx context.Context, rects []geom.Rect, eps float64) ([]geom.Object, error)
-	UploadJoin(ctx context.Context, objs []geom.Object, eps float64) ([]geom.Pair, error)
+	client.Doer
 	GoBatch(ctx context.Context, reqs [][]byte) []*client.Call
 	Flush()
 	Usage() netsim.Usage
@@ -54,38 +45,20 @@ func Remotes(rems []*client.Remote) []Endpoint {
 	return out
 }
 
-// Router presents N shard servers as one logical relation: it implements
-// the same query surface as client.Remote (core.Probe), so every core
-// algorithm runs unmodified against a sharded relation. Queries scatter
-// to the shards whose advertised bounds can contribute and the replies
-// gather into one logical answer:
+// Router presents N shard servers as one logical relation. It implements
+// the seam call Do — resolve the request against the routing table,
+// scatter the per-shard sub-frames, merge the reply frames into one
+// (route.go holds all three, and GoBatch runs the same plans through the
+// shard batchers) — and embeds client.Typed bound to itself, so it
+// satisfies core.Probe and every core algorithm runs unmodified against
+// a sharded relation.
 //
-//   - COUNT / RANGE-COUNT fan out to the overlapping shards and sum.
-//     Because Assign places each object on exactly one shard, per-shard
-//     counts are disjoint and the sum is the exact unsharded answer.
-//   - WINDOW / RANGE / MBR-MATCH scatter–gather and merge the object
-//     lists in deterministic (ID) order; no deduplication is needed, for
-//     the same disjointness reason.
-//   - Bucket queries ship to each shard only the probes within reach of
-//     its bounds and reassemble the per-probe groups in probe order,
-//     summing counts (aggregate buckets) or merging objects.
-//   - UPLOAD-JOIN uploads to each shard only the objects within ε of its
-//     bounds; the per-shard pair lists concatenate without duplicates.
-//   - INFO fans out once, caches the per-shard metadata for routing, and
-//     merges it (count-sum, bounds-union, min tree height).
-//
-// A Router over exactly one shard is a pure pass-through: every call
-// delegates verbatim to the single Remote, so a 1-sharded relation is
-// bit-identical on the wire to the unsharded protocol (the golden tests
-// pin this).
-//
-// Scatter requests to different shards run concurrently (bounded by
-// WithParallelism); the first failure cancels the sibling sub-queries
-// and surfaces the root-cause error. Per-shard-link resilience and
-// batching come from the shard Remotes themselves: construct them with
-// client.WithRetry / client.WithBatch and the router's scatter rides on
-// both.
+// Per-shard-link resilience and batching come from the shard endpoints
+// themselves: construct the Remotes with client.WithRetry /
+// client.WithBatch and the router's scatter rides on both.
 type Router struct {
+	client.Typed
+
 	name     string
 	relation string // logical relation gaps are reported under; defaults to name
 	shards   []Endpoint
@@ -106,7 +79,6 @@ type Router struct {
 	infoOK      []bool
 	infoErr     []error
 	infoRetryAt []time.Time
-	merged      wire.Info
 }
 
 // infoRetryCooldown spaces INFO re-probes of a dead shard under partial
@@ -165,6 +137,7 @@ func NewRouter(name string, shards []Endpoint, opts ...RouterOption) (*Router, e
 		}
 	}
 	r := &Router{name: name, relation: name, shards: shards}
+	r.Typed = client.NewTyped(r)
 	for _, o := range opts {
 		o(r)
 	}
@@ -267,10 +240,8 @@ func (r *Router) LinkStats() netsim.LinkSnapshot {
 // uniformity assumption at the fleet level, exactly like a dense
 // quadrant does at the window level.
 func (r *Router) ShardInfos(ctx context.Context) ([]wire.Info, error) {
-	if err := r.ensureInfo(ctx); err != nil {
-		return nil, err
-	}
-	return r.snapshotInfos(), nil
+	infos, err := r.routingInfos(ctx)
+	return slices.Clone(infos), err
 }
 
 // Retries sums the re-issued attempts across all shard links.
@@ -296,23 +267,25 @@ func (r *Router) Close() error {
 // solo reports whether this router is a single-shard pass-through.
 func (r *Router) solo() bool { return len(r.shards) == 1 }
 
-// ensureInfo fetches every shard's INFO once (concurrently, all metered)
-// and caches the per-shard metadata that routing decisions read. Safe
-// for concurrent callers; a failure leaves the router un-poisoned so the
-// next call retries.
+// routingInfos returns the per-shard metadata routing decisions read,
+// fetching every shard's INFO once (concurrently, all metered) and
+// caching it. Safe for concurrent callers; a failure leaves the router
+// un-poisoned so the next call retries. The returned slice is never
+// written again: the complete cache is immutable, and an incomplete one
+// is handed out as a copy.
 //
 // Under partial mode (a health.Report in ctx) a shard whose INFO fails
 // is absorbed instead of failing the fetch: the live shards' metadata is
-// cached and served, the dead shard is reported as a gap by every query
-// until it answers, and its INFO is re-probed after infoRetryCooldown so
-// a revived shard rejoins routing without each query paying the
-// discovery.
-func (r *Router) ensureInfo(ctx context.Context) error {
+// cached and served, the dead shard holds the zero Info — pruned like an
+// empty one — and is reported as a gap by every query until it answers,
+// and its INFO is re-probed after infoRetryCooldown so a revived shard
+// rejoins routing without each query paying the discovery.
+func (r *Router) routingInfos(ctx context.Context) ([]wire.Info, error) {
 	rep := health.ReportFrom(ctx)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.ready {
-		return nil
+		return r.infos, nil
 	}
 	n := len(r.shards)
 	if r.infos == nil {
@@ -341,7 +314,7 @@ func (r *Router) ensureInfo(ctx context.Context) error {
 		// Every dead shard is cooling down: serve the cached partial
 		// metadata; the dead shards' absence is a gap for this query.
 		r.recordInfoGapsLocked(rep)
-		return nil
+		return slices.Clone(r.infos), nil
 	}
 	// Per-index slots written by the scatter goroutines, folded into the
 	// shared cache only after scatter has joined (r.mu is held, but the
@@ -349,8 +322,9 @@ func (r *Router) ensureInfo(ctx context.Context) error {
 	got := make([]wire.Info, n)
 	ok := make([]bool, n)
 	errs := make([]error, n)
-	scatterErr := r.scatter(ctx, missing, func(ctx context.Context, i int) error {
-		info, err := r.shards[i].Info(ctx)
+	scatterErr := r.scatter(ctx, len(missing), func(ctx context.Context, k int) error {
+		i := missing[k]
+		info, err := client.NewTyped(r.shards[i]).Info(ctx)
 		if err != nil {
 			if rep != nil && ctx.Err() == nil {
 				errs[i] = err // absorbed: the sibling INFOs continue
@@ -362,7 +336,7 @@ func (r *Router) ensureInfo(ctx context.Context) error {
 		return nil
 	})
 	if scatterErr != nil {
-		return scatterErr
+		return nil, scatterErr
 	}
 	for _, i := range missing {
 		if ok[i] {
@@ -373,22 +347,11 @@ func (r *Router) ensureInfo(ctx context.Context) error {
 			r.infoRetryAt[i] = time.Now().Add(infoRetryCooldown)
 		}
 	}
-	// Dead shards hold the zero Info (count 0), so merging the whole
-	// cache covers exactly the shards that answered.
-	r.merged = mergeInfos(r.infos)
-	allOK := true
-	for _, okNow := range r.infoOK {
-		if !okNow {
-			allOK = false
-			break
-		}
-	}
-	if allOK {
-		r.ready = true
-		return nil
+	if r.ready = !slices.Contains(r.infoOK, false); r.ready {
+		return r.infos, nil
 	}
 	r.recordInfoGapsLocked(rep)
-	return nil
+	return slices.Clone(r.infos), nil
 }
 
 // recordInfoGapsLocked records one gap per INFO-dead shard for the
@@ -411,16 +374,6 @@ func (r *Router) recordInfoGapsLocked(rep *health.Report) {
 		}
 		rep.Record(r.relation, r.shards[i].Name(), geom.Rect{}, 0, reason)
 	}
-}
-
-// snapshotInfos returns a stable copy of the per-shard routing metadata.
-// Under partial mode the cache mutates between queries (dead shards
-// re-probe after the cooldown), so routing works on a snapshot instead
-// of racing the refresh.
-func (r *Router) snapshotInfos() []wire.Info {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return slices.Clone(r.infos)
 }
 
 // gap records shard i's missing contribution for one sub-query, with
@@ -480,71 +433,18 @@ func (r *Router) recordLeafGaps(rep *health.Report, relation string, err error) 
 	}
 }
 
-// absorb wraps a per-shard scatter func for partial mode: a shard whose
-// every replica is open-circuit is skipped before any probe is spent on
-// it, and a sub-query failure (parent context still alive) records a
-// completeness gap instead of cancelling the sibling sub-queries. With
-// no collector in ctx it returns f unchanged, so the fail-fast path is
-// exactly the pre-partial code.
-func (r *Router) absorb(rep *health.Report, f func(ctx context.Context, i int) error) func(ctx context.Context, i int) error {
-	if rep == nil {
-		return f
-	}
-	return func(ctx context.Context, i int) error {
-		if h, ok := r.shards[i].(healthChecked); ok && !h.Healthy() {
-			h.RoutedAround()
-			r.gap(rep, i, errAllOpen)
-			return nil
-		}
-		err := f(ctx, i)
-		if err == nil || ctx.Err() != nil {
-			return err
-		}
-		r.gap(rep, i, err)
-		return nil
-	}
-}
-
-// soloSkip reports whether the lone shard of a pass-through router is
-// known-dead under partial mode (gap recorded, probe saved).
-func (r *Router) soloSkip(rep *health.Report) bool {
-	if rep == nil {
-		return false
-	}
-	h, ok := r.shards[0].(healthChecked)
-	if !ok || h.Healthy() {
-		return false
-	}
-	h.RoutedAround()
-	r.gap(rep, 0, errAllOpen)
-	return true
-}
-
-// soloErr absorbs a solo pass-through failure under partial mode: the
-// gap is recorded and the query answers empty instead of failing.
-func (r *Router) soloErr(ctx context.Context, rep *health.Report, err error) error {
-	if err == nil || rep == nil || ctx.Err() != nil {
-		return err
-	}
-	r.gap(rep, 0, err)
-	return nil
-}
-
-// scatter runs f for every target shard, concurrently up to the router's
+// scatter runs f(ctx, 0) … f(ctx, n-1), concurrently up to the router's
 // parallelism bound. The first failure cancels the sibling sub-queries
 // still in flight; scatter joins every goroutine before returning and
 // reports the root cause (a real error is preferred over the secondary
 // context.Canceled it provoked).
-func (r *Router) scatter(ctx context.Context, targets []int, f func(ctx context.Context, shard int) error) error {
-	if len(targets) == 0 {
-		return nil
-	}
-	if len(targets) == 1 || r.par == 1 {
-		for _, t := range targets {
+func (r *Router) scatter(ctx context.Context, n int, f func(ctx context.Context, k int) error) error {
+	if n <= 1 || r.par == 1 {
+		for k := 0; k < n; k++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := f(ctx, t); err != nil {
+			if err := f(ctx, k); err != nil {
 				return err
 			}
 		}
@@ -553,7 +453,7 @@ func (r *Router) scatter(ctx context.Context, targets []int, f func(ctx context.
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var slots chan struct{}
-	if r.par > 1 && r.par < len(targets) {
+	if r.par > 1 && r.par < n {
 		slots = make(chan struct{}, r.par)
 	}
 	var (
@@ -572,8 +472,7 @@ func (r *Router) scatter(ctx context.Context, targets []int, f func(ctx context.
 		mu.Unlock()
 		cancel()
 	}
-	for _, t := range targets {
-		t := t
+	for k := 0; k < n; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -585,724 +484,11 @@ func (r *Router) scatter(ctx context.Context, targets []int, f func(ctx context.
 				record(err)
 				return
 			}
-			record(f(sctx, t))
+			record(f(sctx, k))
 		}()
 	}
 	wg.Wait()
 	return first
-}
-
-// rectTargets returns the shards whose advertised bounds intersect w
-// (empty shards never qualify). Pruned shards cannot hold a qualifying
-// object, so skipping them is exact — and free: no bytes cross their
-// links. The helpers take an infos snapshot (see snapshotInfos) so
-// routing never races a partial-mode cache refresh; an INFO-dead shard
-// holds the zero Info and is pruned like an empty one (its gap was
-// already recorded by ensureInfo).
-func rectTargets(infos []wire.Info, w geom.Rect) []int {
-	var out []int
-	for i, info := range infos {
-		if info.Count > 0 && info.Bounds.Intersects(w) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// pointTargets returns the shards whose bounds lie within eps of p.
-func pointTargets(infos []wire.Info, p geom.Point, eps float64) []int {
-	var out []int
-	for i, info := range infos {
-		if info.Count > 0 && info.Bounds.DistToPoint(p) <= eps {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// nonEmptyTargets returns every shard holding at least one object.
-func nonEmptyTargets(infos []wire.Info) []int {
-	var out []int
-	for i, info := range infos {
-		if info.Count > 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Info returns the merged relation metadata (fetching and caching the
-// per-shard INFOs on first use).
-func (r *Router) Info(ctx context.Context) (wire.Info, error) {
-	if r.solo() {
-		rep := health.ReportFrom(ctx)
-		if r.soloSkip(rep) {
-			return wire.Info{}, nil
-		}
-		info, err := r.shards[0].Info(ctx)
-		if err := r.soloErr(ctx, rep, err); err != nil {
-			return wire.Info{}, err
-		}
-		return info, nil
-	}
-	if err := r.ensureInfo(ctx); err != nil {
-		return wire.Info{}, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.merged, nil
-}
-
-// Count returns the number of objects intersecting w: the sum of the
-// overlapping shards' disjoint COUNT answers.
-func (r *Router) Count(ctx context.Context, w geom.Rect) (int, error) {
-	if r.solo() {
-		rep := health.ReportFrom(ctx)
-		if r.soloSkip(rep) {
-			return 0, nil
-		}
-		n, err := r.shards[0].Count(ctx, w)
-		if err := r.soloErr(ctx, rep, err); err != nil {
-			return 0, err
-		}
-		return n, nil
-	}
-	rep := health.ReportFrom(ctx)
-	if err := r.ensureInfo(ctx); err != nil {
-		return 0, err
-	}
-	targets := rectTargets(r.snapshotInfos(), w)
-	counts := make([]int, len(r.shards))
-	err := r.scatter(ctx, targets, r.absorb(rep, func(ctx context.Context, i int) error {
-		n, err := r.shards[i].Count(ctx, w)
-		counts[i] = n
-		return err
-	}))
-	if err != nil {
-		return 0, err
-	}
-	sum := 0
-	for _, n := range counts {
-		sum += n
-	}
-	return sum, nil
-}
-
-// Window returns all objects intersecting w, gathered from the
-// overlapping shards and merged in ID order.
-func (r *Router) Window(ctx context.Context, w geom.Rect) ([]geom.Object, error) {
-	if r.solo() {
-		rep := health.ReportFrom(ctx)
-		if r.soloSkip(rep) {
-			return nil, nil
-		}
-		objs, err := r.shards[0].Window(ctx, w)
-		if err := r.soloErr(ctx, rep, err); err != nil {
-			return nil, err
-		}
-		return objs, nil
-	}
-	rep := health.ReportFrom(ctx)
-	if err := r.ensureInfo(ctx); err != nil {
-		return nil, err
-	}
-	targets := rectTargets(r.snapshotInfos(), w)
-	parts := make([][]geom.Object, len(r.shards))
-	err := r.scatter(ctx, targets, r.absorb(rep, func(ctx context.Context, i int) error {
-		objs, err := r.shards[i].Window(ctx, w)
-		parts[i] = objs
-		return err
-	}))
-	if err != nil {
-		return nil, err
-	}
-	return MergeObjects(nil, parts), nil
-}
-
-// AvgArea returns the mean MBR area over the objects intersecting w. The
-// per-shard means are weighted by per-shard COUNTs (one extra aggregate
-// query per overlapping shard — the only merged statistic that needs a
-// companion query).
-func (r *Router) AvgArea(ctx context.Context, w geom.Rect) (float64, error) {
-	if r.solo() {
-		rep := health.ReportFrom(ctx)
-		if r.soloSkip(rep) {
-			return 0, nil
-		}
-		a, err := r.shards[0].AvgArea(ctx, w)
-		if err := r.soloErr(ctx, rep, err); err != nil {
-			return 0, err
-		}
-		return a, nil
-	}
-	rep := health.ReportFrom(ctx)
-	if err := r.ensureInfo(ctx); err != nil {
-		return 0, err
-	}
-	targets := rectTargets(r.snapshotInfos(), w)
-	counts := make([]int, len(r.shards))
-	avgs := make([]float64, len(r.shards))
-	err := r.scatter(ctx, targets, r.absorb(rep, func(ctx context.Context, i int) error {
-		n, err := r.shards[i].Count(ctx, w)
-		if err != nil {
-			return err
-		}
-		a, err := r.shards[i].AvgArea(ctx, w)
-		if err != nil {
-			return err
-		}
-		counts[i], avgs[i] = n, a
-		return nil
-	}))
-	if err != nil {
-		return 0, err
-	}
-	total, weighted := 0, 0.0
-	for i := range r.shards {
-		total += counts[i]
-		weighted += float64(counts[i]) * avgs[i]
-	}
-	if total == 0 {
-		return 0, nil
-	}
-	return weighted / float64(total), nil
-}
-
-// Range returns the objects within eps of p, merged in ID order.
-func (r *Router) Range(ctx context.Context, p geom.Point, eps float64) ([]geom.Object, error) {
-	if r.solo() {
-		rep := health.ReportFrom(ctx)
-		if r.soloSkip(rep) {
-			return nil, nil
-		}
-		objs, err := r.shards[0].Range(ctx, p, eps)
-		if err := r.soloErr(ctx, rep, err); err != nil {
-			return nil, err
-		}
-		return objs, nil
-	}
-	rep := health.ReportFrom(ctx)
-	if err := r.ensureInfo(ctx); err != nil {
-		return nil, err
-	}
-	targets := pointTargets(r.snapshotInfos(), p, eps)
-	parts := make([][]geom.Object, len(r.shards))
-	err := r.scatter(ctx, targets, r.absorb(rep, func(ctx context.Context, i int) error {
-		objs, err := r.shards[i].Range(ctx, p, eps)
-		parts[i] = objs
-		return err
-	}))
-	if err != nil {
-		return nil, err
-	}
-	return MergeObjects(nil, parts), nil
-}
-
-// RangeCount returns the number of objects within eps of p: the sum over
-// the shards within reach.
-func (r *Router) RangeCount(ctx context.Context, p geom.Point, eps float64) (int, error) {
-	if r.solo() {
-		rep := health.ReportFrom(ctx)
-		if r.soloSkip(rep) {
-			return 0, nil
-		}
-		n, err := r.shards[0].RangeCount(ctx, p, eps)
-		if err := r.soloErr(ctx, rep, err); err != nil {
-			return 0, err
-		}
-		return n, nil
-	}
-	rep := health.ReportFrom(ctx)
-	if err := r.ensureInfo(ctx); err != nil {
-		return 0, err
-	}
-	targets := pointTargets(r.snapshotInfos(), p, eps)
-	counts := make([]int, len(r.shards))
-	err := r.scatter(ctx, targets, r.absorb(rep, func(ctx context.Context, i int) error {
-		n, err := r.shards[i].RangeCount(ctx, p, eps)
-		counts[i] = n
-		return err
-	}))
-	if err != nil {
-		return 0, err
-	}
-	sum := 0
-	for _, n := range counts {
-		sum += n
-	}
-	return sum, nil
-}
-
-// BucketRange submits many ε-range probes at once. Each shard receives
-// only the probes within eps of its bounds; the per-probe result groups
-// reassemble in probe order, each group merged in ID order.
-func (r *Router) BucketRange(ctx context.Context, pts []geom.Point, eps float64) ([][]geom.Object, error) {
-	if r.solo() {
-		rep := health.ReportFrom(ctx)
-		if r.soloSkip(rep) {
-			return make([][]geom.Object, len(pts)), nil
-		}
-		groups, err := r.shards[0].BucketRange(ctx, pts, eps)
-		if err := r.soloErr(ctx, rep, err); err != nil {
-			return nil, err
-		}
-		if groups == nil {
-			groups = make([][]geom.Object, len(pts))
-		}
-		return groups, nil
-	}
-	rep := health.ReportFrom(ctx)
-	if err := r.ensureInfo(ctx); err != nil {
-		return nil, err
-	}
-	targets, idxs := bucketTargets(r.snapshotInfos(), pts, eps)
-	out := make([][]geom.Object, len(pts))
-	var mu sync.Mutex
-	err := r.scatter(ctx, targets, r.absorb(rep, func(ctx context.Context, i int) error {
-		sub := make([]geom.Point, len(idxs[i]))
-		for k, pi := range idxs[i] {
-			sub[k] = pts[pi]
-		}
-		groups, err := r.shards[i].BucketRange(ctx, sub, eps)
-		if err != nil {
-			return err
-		}
-		if len(groups) != len(sub) {
-			return fmt.Errorf("shard: %s: bucket reply carries %d groups, want %d",
-				r.shards[i].Name(), len(groups), len(sub))
-		}
-		mu.Lock()
-		for k, g := range groups {
-			out[idxs[i][k]] = append(out[idxs[i][k]], g...)
-		}
-		mu.Unlock()
-		return nil
-	}))
-	if err != nil {
-		return nil, err
-	}
-	for _, g := range out {
-		sortObjects(g)
-	}
-	return out, nil
-}
-
-// BucketRangeCount is the aggregate variant of BucketRange: per-probe
-// counts summed across the shards within reach of each probe.
-func (r *Router) BucketRangeCount(ctx context.Context, pts []geom.Point, eps float64) ([]int64, error) {
-	if r.solo() {
-		rep := health.ReportFrom(ctx)
-		if r.soloSkip(rep) {
-			return make([]int64, len(pts)), nil
-		}
-		ns, err := r.shards[0].BucketRangeCount(ctx, pts, eps)
-		if err := r.soloErr(ctx, rep, err); err != nil {
-			return nil, err
-		}
-		if ns == nil {
-			ns = make([]int64, len(pts))
-		}
-		return ns, nil
-	}
-	rep := health.ReportFrom(ctx)
-	if err := r.ensureInfo(ctx); err != nil {
-		return nil, err
-	}
-	targets, idxs := bucketTargets(r.snapshotInfos(), pts, eps)
-	out := make([]int64, len(pts))
-	var mu sync.Mutex
-	err := r.scatter(ctx, targets, r.absorb(rep, func(ctx context.Context, i int) error {
-		sub := make([]geom.Point, len(idxs[i]))
-		for k, pi := range idxs[i] {
-			sub[k] = pts[pi]
-		}
-		ns, err := r.shards[i].BucketRangeCount(ctx, sub, eps)
-		if err != nil {
-			return err
-		}
-		if len(ns) != len(sub) {
-			return fmt.Errorf("shard: %s: bucket reply carries %d counts, want %d",
-				r.shards[i].Name(), len(ns), len(sub))
-		}
-		mu.Lock()
-		for k, n := range ns {
-			out[idxs[i][k]] += n
-		}
-		mu.Unlock()
-		return nil
-	}))
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// bucketTargets plans a bucket scatter: for each shard, the indices of
-// the probes within eps of its bounds; targets lists the shards with at
-// least one probe to answer.
-func bucketTargets(infos []wire.Info, pts []geom.Point, eps float64) (targets []int, idxs [][]int) {
-	idxs = make([][]int, len(infos))
-	for i, info := range infos {
-		if info.Count == 0 {
-			continue
-		}
-		for pi, p := range pts {
-			if info.Bounds.DistToPoint(p) <= eps {
-				idxs[i] = append(idxs[i], pi)
-			}
-		}
-		if len(idxs[i]) > 0 {
-			targets = append(targets, i)
-		}
-	}
-	return targets, idxs
-}
-
-// LevelMBRs returns the concatenated MBRs of one R-tree level across the
-// non-empty shards, in shard order. The level is clamped per shard to
-// its published height, so the "second-to-last level" derived from the
-// merged (minimum) height is valid everywhere.
-func (r *Router) LevelMBRs(ctx context.Context, level int) ([]geom.Rect, error) {
-	if r.solo() {
-		rep := health.ReportFrom(ctx)
-		if r.soloSkip(rep) {
-			return nil, nil
-		}
-		rects, err := r.shards[0].LevelMBRs(ctx, level)
-		if err := r.soloErr(ctx, rep, err); err != nil {
-			return nil, err
-		}
-		return rects, nil
-	}
-	rep := health.ReportFrom(ctx)
-	if err := r.ensureInfo(ctx); err != nil {
-		return nil, err
-	}
-	infos := r.snapshotInfos()
-	targets := nonEmptyTargets(infos)
-	parts := make([][]geom.Rect, len(r.shards))
-	err := r.scatter(ctx, targets, r.absorb(rep, func(ctx context.Context, i int) error {
-		lvl := level
-		if h := int(infos[i].TreeHeight); h > 0 && lvl >= h {
-			lvl = h - 1
-		}
-		rects, err := r.shards[i].LevelMBRs(ctx, lvl)
-		parts[i] = rects
-		return err
-	}))
-	if err != nil {
-		return nil, err
-	}
-	var out []geom.Rect
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
-}
-
-// MBRMatch returns the distinct objects intersecting (within eps of) any
-// of the rects. Each shard is asked only about the rects within eps of
-// its bounds; the answers merge in ID order (distinct by construction:
-// every object lives on one shard, and each shard deduplicates its own
-// answer).
-func (r *Router) MBRMatch(ctx context.Context, rects []geom.Rect, eps float64) ([]geom.Object, error) {
-	if r.solo() {
-		rep := health.ReportFrom(ctx)
-		if r.soloSkip(rep) {
-			return nil, nil
-		}
-		objs, err := r.shards[0].MBRMatch(ctx, rects, eps)
-		if err := r.soloErr(ctx, rep, err); err != nil {
-			return nil, err
-		}
-		return objs, nil
-	}
-	rep := health.ReportFrom(ctx)
-	if err := r.ensureInfo(ctx); err != nil {
-		return nil, err
-	}
-	subs := make([][]geom.Rect, len(r.shards))
-	var targets []int
-	for i, info := range r.snapshotInfos() {
-		if info.Count == 0 {
-			continue
-		}
-		for _, rect := range rects {
-			if rect.WithinDist(info.Bounds, eps) {
-				subs[i] = append(subs[i], rect)
-			}
-		}
-		if len(subs[i]) > 0 {
-			targets = append(targets, i)
-		}
-	}
-	parts := make([][]geom.Object, len(r.shards))
-	err := r.scatter(ctx, targets, r.absorb(rep, func(ctx context.Context, i int) error {
-		objs, err := r.shards[i].MBRMatch(ctx, subs[i], eps)
-		parts[i] = objs
-		return err
-	}))
-	if err != nil {
-		return nil, err
-	}
-	return MergeObjects(nil, parts), nil
-}
-
-// UploadJoin ships the objects to every shard within ε reach of them and
-// concatenates the per-shard pair lists (duplicate-free: the joined-side
-// objects are disjoint across shards) in deterministic (uploaded ID,
-// matched ID) order.
-func (r *Router) UploadJoin(ctx context.Context, objs []geom.Object, eps float64) ([]geom.Pair, error) {
-	if r.solo() {
-		rep := health.ReportFrom(ctx)
-		if r.soloSkip(rep) {
-			return nil, nil
-		}
-		pairs, err := r.shards[0].UploadJoin(ctx, objs, eps)
-		if err := r.soloErr(ctx, rep, err); err != nil {
-			return nil, err
-		}
-		return pairs, nil
-	}
-	rep := health.ReportFrom(ctx)
-	if err := r.ensureInfo(ctx); err != nil {
-		return nil, err
-	}
-	subs := make([][]geom.Object, len(r.shards))
-	var targets []int
-	for i, info := range r.snapshotInfos() {
-		if info.Count == 0 {
-			continue
-		}
-		for _, o := range objs {
-			if o.MBR.WithinDist(info.Bounds, eps) {
-				subs[i] = append(subs[i], o)
-			}
-		}
-		if len(subs[i]) > 0 {
-			targets = append(targets, i)
-		}
-	}
-	parts := make([][]geom.Pair, len(r.shards))
-	err := r.scatter(ctx, targets, r.absorb(rep, func(ctx context.Context, i int) error {
-		pairs, err := r.shards[i].UploadJoin(ctx, subs[i], eps)
-		parts[i] = pairs
-		return err
-	}))
-	if err != nil {
-		return nil, err
-	}
-	return mergePairs(parts), nil
-}
-
-// --- batched probe multiplexing -------------------------------------------
-
-// GoBatch accepts the same pre-encoded probe frames client.Remote.GoBatch
-// does (the four probe types the core multiplexes: COUNT, WINDOW, RANGE,
-// RANGE-COUNT) and routes each to its overlapping shards *through the
-// shard Remotes' own batchers* — so sub-requests bound for the same shard
-// link still coalesce into MsgBatch envelopes there. Each returned Call
-// completes with the merged logical reply (summed counts, ID-ordered
-// objects), re-encoded as a response frame so the standard accessors
-// decode it. A probe with no overlapping shard completes locally with the
-// empty answer, costing zero bytes.
-//
-// Under partial mode a shard whose every replica is open-circuit is
-// dropped from each probe's target list before any frame ships (gap
-// recorded, probes saved), and a sub-call failure with the parent
-// context still alive contributes a gap instead of failing the merged
-// call — the lower-bound answer assembles from the shards that replied.
-func (r *Router) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
-	rep := health.ReportFrom(ctx)
-	if r.solo() {
-		if r.soloSkip(rep) {
-			// Known-dead lone shard: answer every probe empty locally.
-			calls := make([]*client.Call, len(reqs))
-			for i, req := range reqs {
-				calls[i] = client.NewDetachedCall(r.name)
-				buf := bufpool.Get()
-				switch wire.Type(req) {
-				case wire.MsgWindow, wire.MsgRange:
-					buf = wire.AppendObjects(buf, nil)
-				default:
-					buf = wire.AppendCountReply(buf, 0)
-				}
-				bufpool.Put(req)
-				calls[i].CompleteFrame(buf, nil)
-			}
-			return calls
-		}
-		return r.shards[0].GoBatch(ctx, reqs)
-	}
-	calls := make([]*client.Call, len(reqs))
-	for i := range calls {
-		calls[i] = client.NewDetachedCall(r.name)
-	}
-	if err := r.ensureInfo(ctx); err != nil {
-		for i, req := range reqs {
-			bufpool.Put(req)
-			calls[i].CompleteFrame(nil, err)
-		}
-		return calls
-	}
-	infos := r.snapshotInfos()
-	// Shards with no admitting replica right now: routed around for this
-	// whole batch (one gap per absorbed probe, no frames shipped).
-	down := make([]bool, len(r.shards))
-	if rep != nil {
-		for i, s := range r.shards {
-			if h, ok := s.(healthChecked); ok && !h.Healthy() {
-				down[i] = true
-			}
-		}
-	}
-	// Routing plan: per shard, the sub-request frames (private copies —
-	// one original may fan out to several shards) and the index of the
-	// router call each answers. Each wait keeps its shard index so a
-	// gather failure can be attributed as that shard's gap.
-	type subWait struct {
-		c     *client.Call
-		shard int
-	}
-	perShard := make([][][]byte, len(r.shards))
-	perShardCall := make([][]int, len(r.shards))
-	objects := make([]bool, len(reqs)) // merge mode per call: objects vs count
-	waits := make([][]subWait, len(reqs))
-	for qi, req := range reqs {
-		var targets []int
-		switch wire.Type(req) {
-		case wire.MsgCount:
-			w, err := wire.DecodeWindowLike(req, wire.MsgCount)
-			if err != nil {
-				bufpool.Put(req)
-				calls[qi].CompleteFrame(nil, fmt.Errorf("%s: %w", r.name, err))
-				continue
-			}
-			targets = rectTargets(infos, w)
-		case wire.MsgWindow:
-			w, err := wire.DecodeWindowLike(req, wire.MsgWindow)
-			if err != nil {
-				bufpool.Put(req)
-				calls[qi].CompleteFrame(nil, fmt.Errorf("%s: %w", r.name, err))
-				continue
-			}
-			objects[qi] = true
-			targets = rectTargets(infos, w)
-		case wire.MsgRange, wire.MsgRangeCount:
-			t := wire.Type(req)
-			p, eps, err := wire.DecodeRangeLike(req, t)
-			if err != nil {
-				bufpool.Put(req)
-				calls[qi].CompleteFrame(nil, fmt.Errorf("%s: %w", r.name, err))
-				continue
-			}
-			objects[qi] = t == wire.MsgRange
-			targets = pointTargets(infos, p, eps)
-		default:
-			bufpool.Put(req)
-			calls[qi].CompleteFrame(nil, fmt.Errorf("shard: %s: cannot route batched %v", r.name, wire.Type(req)))
-			continue
-		}
-		if rep != nil {
-			kept := targets[:0]
-			for _, t := range targets {
-				if down[t] {
-					if h, ok := r.shards[t].(healthChecked); ok {
-						h.RoutedAround()
-					}
-					r.gap(rep, t, errAllOpen)
-					continue
-				}
-				kept = append(kept, t)
-			}
-			targets = kept
-		}
-		if len(targets) == 0 {
-			// No shard can contribute: answer the empty result locally.
-			buf := bufpool.Get()
-			if objects[qi] {
-				buf = wire.AppendObjects(buf, nil)
-			} else {
-				buf = wire.AppendCountReply(buf, 0)
-			}
-			bufpool.Put(req)
-			calls[qi].CompleteFrame(buf, nil)
-			continue
-		}
-		for _, t := range targets {
-			perShard[t] = append(perShard[t], append(bufpool.Get(), req...))
-			perShardCall[t] = append(perShardCall[t], qi)
-		}
-		bufpool.Put(req)
-	}
-	// Submit per shard — one GoBatch per shard link, preserving request
-	// order, so the shard batcher sees the same deterministic grouping a
-	// direct client would produce.
-	for t, frames := range perShard {
-		if len(frames) == 0 {
-			continue
-		}
-		subCalls := r.shards[t].GoBatch(ctx, frames)
-		for k, c := range subCalls {
-			qi := perShardCall[t][k]
-			waits[qi] = append(waits[qi], subWait{c: c, shard: t})
-		}
-	}
-	// Gather: one goroutine per router call waits on its shard sub-calls
-	// and completes the detached call with the merged reply. Every
-	// sub-call is drained even after a failure so its pooled reply frame
-	// is recycled. Under partial mode a failed sub-call becomes its
-	// shard's gap and the merge proceeds without its contribution.
-	for qi := range reqs {
-		if len(waits[qi]) == 0 {
-			continue // already completed locally above
-		}
-		go func(qi int) {
-			var firstErr error
-			fail := func(w subWait, err error) {
-				if rep != nil && ctx.Err() == nil {
-					r.gap(rep, w.shard, err)
-					return
-				}
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
-			if objects[qi] {
-				parts := make([][]geom.Object, 0, len(waits[qi]))
-				for _, w := range waits[qi] {
-					objs, err := w.c.Objects()
-					if err != nil {
-						fail(w, err)
-						continue
-					}
-					parts = append(parts, objs)
-				}
-				if firstErr != nil {
-					calls[qi].CompleteFrame(nil, firstErr)
-					return
-				}
-				all := MergeObjects(nil, parts)
-				calls[qi].CompleteFrame(wire.AppendObjects(bufpool.Get(), all), nil)
-				return
-			}
-			sum := int64(0)
-			for _, w := range waits[qi] {
-				n, err := w.c.Count()
-				if err != nil {
-					fail(w, err)
-					continue
-				}
-				sum += int64(n)
-			}
-			if firstErr != nil {
-				calls[qi].CompleteFrame(nil, firstErr)
-				return
-			}
-			calls[qi].CompleteFrame(wire.AppendCountReply(bufpool.Get(), sum), nil)
-		}(qi)
-	}
-	return calls
 }
 
 // Flush dispatches whatever is pending in every shard link's batcher.

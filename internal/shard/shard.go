@@ -13,8 +13,13 @@
 //     fallback (FNV over the object ID) for degenerate layouts where
 //     tiling cannot spread the data.
 //
-//   - Routing (router.go): a scatter–gather Router implementing the same
-//     query surface as client.Remote (core.Probe) over the shard links.
+//   - Routing (router.go, route.go): a scatter–gather Router over the
+//     shard links. Every layer here — Router, ReplicaSet, Aggregator —
+//     implements the one request/reply seam (client.Doer: a frame in, a
+//     frame out) and gets the typed query surface core.Probe demands by
+//     embedding client.Typed; the router's routing table says, per
+//     request message, which shards a frame splits to and how the reply
+//     frames merge.
 //
 // Because the assignment places every object on exactly one shard,
 // per-shard COUNT answers are disjoint and their sum is the exact

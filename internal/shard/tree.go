@@ -7,17 +7,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bufpool"
 	"repro/internal/client"
-	"repro/internal/geom"
 	"repro/internal/netsim"
-	"repro/internal/wire"
 )
 
 // Aggregator is an interior node of a hierarchical scatter–gather tree:
-// it fronts a subtree of shard endpoints behind the same Endpoint
-// surface the router scatters over, so a parent router (or another
-// aggregator) sees it as a single fat shard. The flat router's fan-in
+// it fronts a subtree of shard endpoints behind the same Endpoint seam
+// the router scatters over, so a parent router (or another aggregator)
+// sees it as a single fat shard. The flat router's fan-in
 // wall — root-link bytes, reply frames, and merge CPU all O(N) in the
 // shard count — becomes O(fanout) at every level, because each interior
 // node *partially merges* its children's replies before forwarding up:
@@ -37,17 +34,17 @@ import (
 //   - INFO folds child metadata (count-sum, bounds-union, min height)
 //     into one subtree summary.
 //
-// The embedded Router supplies all of that: scatter, bounds-based
-// pruning, partial-mode absorption, and the shared merge layer. What the
+// The embedded Router supplies all of that: the routing table, scatter,
+// partial-mode absorption, and the shared merge layer. What the
 // Aggregator adds is the accounting and health semantics of being an
 // interior node:
 //
 //   - Its uplink — the link between this node and its parent — is a real
 //     metered link (Eq. 1: per-message overhead + payload + packets,
-//     priced like every other hop). Every delegated query charges the
-//     encoded request frame up and the partially-merged reply frame
-//     down, so LevelUsages can show the root link staying ~flat while
-//     leaf traffic grows with N, and money cost accounts every level.
+//     priced like every other hop). Every frame crossing the node charges
+//     it — the request frame up, the partially-merged reply frame down —
+//     so LevelUsages can show the root link staying ~flat while leaf
+//     traffic grows with N, and money cost accounts every level.
 //   - It folds child breaker state into a gossiped subtree health
 //     summary (see Healthy), so the parent routes around a dead subtree
 //     without paying per-query discovery.
@@ -55,6 +52,9 @@ import (
 //     shard units (recordLeafGaps), so AllowPartial composes up the
 //     tree exactly as it does flat.
 type Aggregator struct {
+	// Typed is bound to this node's Do, shadowing the embedded router's:
+	// typed calls on an aggregator cross the metered uplink.
+	client.Typed
 	*Router
 
 	// uplink meters the traffic this node exchanges with its parent,
@@ -98,7 +98,9 @@ func NewAggregator(name, relation string, children []Endpoint, link netsim.LinkC
 	if err != nil {
 		return nil, err
 	}
-	return &Aggregator{Router: r, uplink: m}, nil
+	a := &Aggregator{Router: r, uplink: m}
+	a.Typed = client.NewTyped(a)
+	return a, nil
 }
 
 // UplinkUsage returns the traffic this node has exchanged with its
@@ -175,128 +177,16 @@ func subtreeHealth(r *Router) (live, total int) {
 	return live, total
 }
 
-// charge meters one frame crossing the uplink: encode into a pooled
-// buffer (the same append-style codec the real transport uses, so the
-// size is exactly what the wire would carry), charge, recycle.
-func (a *Aggregator) charge(dir netsim.Direction, encode func([]byte) []byte) {
-	buf := encode(bufpool.Get())
-	a.uplink.Charge(len(buf), dir)
-	bufpool.Put(buf)
-}
-
-// --- Endpoint surface: delegate to the embedded router, metering the
-// partially-merged request/reply across the uplink -----------------------
-
-func (a *Aggregator) Info(ctx context.Context) (wire.Info, error) {
-	a.charge(netsim.Up, wire.AppendInfo)
-	info, err := a.Router.Info(ctx)
-	if err != nil {
-		return wire.Info{}, err
+// Do forwards one request frame into the subtree, charging the uplink
+// the frame on the way in and the partially-merged reply frame on the
+// way out — exactly the bytes a real link here would carry.
+func (a *Aggregator) Do(ctx context.Context, req []byte) ([]byte, error) {
+	a.uplink.Charge(len(req), netsim.Up)
+	resp, err := a.Router.Do(ctx, req)
+	if err == nil {
+		a.uplink.Charge(len(resp), netsim.Down)
 	}
-	a.charge(netsim.Down, func(dst []byte) []byte { return wire.AppendInfoReply(dst, info) })
-	return info, nil
-}
-
-func (a *Aggregator) Count(ctx context.Context, w geom.Rect) (int, error) {
-	a.charge(netsim.Up, func(dst []byte) []byte { return wire.AppendCount(dst, w) })
-	n, err := a.Router.Count(ctx, w)
-	if err != nil {
-		return 0, err
-	}
-	a.charge(netsim.Down, func(dst []byte) []byte { return wire.AppendCountReply(dst, int64(n)) })
-	return n, nil
-}
-
-func (a *Aggregator) Window(ctx context.Context, w geom.Rect) ([]geom.Object, error) {
-	a.charge(netsim.Up, func(dst []byte) []byte { return wire.AppendWindow(dst, w) })
-	objs, err := a.Router.Window(ctx, w)
-	if err != nil {
-		return nil, err
-	}
-	a.charge(netsim.Down, func(dst []byte) []byte { return wire.AppendObjects(dst, objs) })
-	return objs, nil
-}
-
-func (a *Aggregator) AvgArea(ctx context.Context, w geom.Rect) (float64, error) {
-	a.charge(netsim.Up, func(dst []byte) []byte { return wire.AppendAvgArea(dst, w) })
-	v, err := a.Router.AvgArea(ctx, w)
-	if err != nil {
-		return 0, err
-	}
-	a.charge(netsim.Down, func(dst []byte) []byte { return wire.AppendFloatReply(dst, v) })
-	return v, nil
-}
-
-func (a *Aggregator) Range(ctx context.Context, p geom.Point, eps float64) ([]geom.Object, error) {
-	a.charge(netsim.Up, func(dst []byte) []byte { return wire.AppendRange(dst, p, eps) })
-	objs, err := a.Router.Range(ctx, p, eps)
-	if err != nil {
-		return nil, err
-	}
-	a.charge(netsim.Down, func(dst []byte) []byte { return wire.AppendObjects(dst, objs) })
-	return objs, nil
-}
-
-func (a *Aggregator) RangeCount(ctx context.Context, p geom.Point, eps float64) (int, error) {
-	a.charge(netsim.Up, func(dst []byte) []byte { return wire.AppendRangeCount(dst, p, eps) })
-	n, err := a.Router.RangeCount(ctx, p, eps)
-	if err != nil {
-		return 0, err
-	}
-	a.charge(netsim.Down, func(dst []byte) []byte { return wire.AppendCountReply(dst, int64(n)) })
-	return n, nil
-}
-
-func (a *Aggregator) BucketRange(ctx context.Context, pts []geom.Point, eps float64) ([][]geom.Object, error) {
-	a.charge(netsim.Up, func(dst []byte) []byte { return wire.AppendBucketRange(dst, pts, eps) })
-	groups, err := a.Router.BucketRange(ctx, pts, eps)
-	if err != nil {
-		return nil, err
-	}
-	a.charge(netsim.Down, func(dst []byte) []byte { return wire.AppendBucketObjects(dst, groups) })
-	return groups, nil
-}
-
-func (a *Aggregator) BucketRangeCount(ctx context.Context, pts []geom.Point, eps float64) ([]int64, error) {
-	a.charge(netsim.Up, func(dst []byte) []byte { return wire.AppendBucketRangeCount(dst, pts, eps) })
-	ns, err := a.Router.BucketRangeCount(ctx, pts, eps)
-	if err != nil {
-		return nil, err
-	}
-	a.charge(netsim.Down, func(dst []byte) []byte { return wire.AppendCountsReply(dst, ns) })
-	return ns, nil
-}
-
-func (a *Aggregator) LevelMBRs(ctx context.Context, level int) ([]geom.Rect, error) {
-	a.charge(netsim.Up, func(dst []byte) []byte { return wire.AppendMBRLevel(dst, level) })
-	rects, err := a.Router.LevelMBRs(ctx, level)
-	if err != nil {
-		return nil, err
-	}
-	a.charge(netsim.Down, func(dst []byte) []byte { return wire.AppendRects(dst, rects) })
-	return rects, nil
-}
-
-func (a *Aggregator) MBRMatch(ctx context.Context, rects []geom.Rect, eps float64) ([]geom.Object, error) {
-	a.charge(netsim.Up, func(dst []byte) []byte { return wire.AppendMBRMatch(dst, rects, eps) })
-	objs, err := a.Router.MBRMatch(ctx, rects, eps)
-	if err != nil {
-		return nil, err
-	}
-	a.charge(netsim.Down, func(dst []byte) []byte { return wire.AppendObjects(dst, objs) })
-	return objs, nil
-}
-
-func (a *Aggregator) UploadJoin(ctx context.Context, objs []geom.Object, eps float64) ([]geom.Pair, error) {
-	// The upload crossing this uplink is the set already pruned by the
-	// level above; this node prunes further per child on the way down.
-	a.charge(netsim.Up, func(dst []byte) []byte { return wire.AppendUploadJoin(dst, objs, eps) })
-	pairs, err := a.Router.UploadJoin(ctx, objs, eps)
-	if err != nil {
-		return nil, err
-	}
-	a.charge(netsim.Down, func(dst []byte) []byte { return wire.AppendPairs(dst, pairs) })
-	return pairs, nil
+	return resp, err
 }
 
 // GoBatch forwards pre-encoded probe frames into the subtree — each

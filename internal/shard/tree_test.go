@@ -120,35 +120,17 @@ func TestTreeTopologyProperties(t *testing.T) {
 	}
 }
 
-// stubLeaf is a minimal Endpoint for topology-only assertions.
+// stubLeaf is a minimal Endpoint for topology-only assertions: the seam
+// and the meter accessors, no typed surface.
 type stubLeaf struct {
 	name  string
 	usage netsim.Usage
 }
 
-func (s *stubLeaf) Name() string                                  { return s.name }
-func (s *stubLeaf) Info(context.Context) (wire.Info, error)       { return wire.Info{}, nil }
-func (s *stubLeaf) Count(context.Context, geom.Rect) (int, error) { return 0, nil }
-func (s *stubLeaf) Window(context.Context, geom.Rect) ([]geom.Object, error) {
-	return nil, nil
-}
-func (s *stubLeaf) AvgArea(context.Context, geom.Rect) (float64, error) { return 0, nil }
-func (s *stubLeaf) Range(context.Context, geom.Point, float64) ([]geom.Object, error) {
-	return nil, nil
-}
-func (s *stubLeaf) RangeCount(context.Context, geom.Point, float64) (int, error) { return 0, nil }
-func (s *stubLeaf) BucketRange(_ context.Context, pts []geom.Point, _ float64) ([][]geom.Object, error) {
-	return make([][]geom.Object, len(pts)), nil
-}
-func (s *stubLeaf) BucketRangeCount(_ context.Context, pts []geom.Point, _ float64) ([]int64, error) {
-	return make([]int64, len(pts)), nil
-}
-func (s *stubLeaf) LevelMBRs(context.Context, int) ([]geom.Rect, error) { return nil, nil }
-func (s *stubLeaf) MBRMatch(context.Context, []geom.Rect, float64) ([]geom.Object, error) {
-	return nil, nil
-}
-func (s *stubLeaf) UploadJoin(context.Context, []geom.Object, float64) ([]geom.Pair, error) {
-	return nil, nil
+func (s *stubLeaf) Name() string { return s.name }
+func (s *stubLeaf) Do(_ context.Context, req []byte) ([]byte, error) {
+	bufpool.Put(req)
+	return nil, fmt.Errorf("%s: stub leaf answers nothing", s.name)
 }
 func (s *stubLeaf) GoBatch(context.Context, [][]byte) []*client.Call { return nil }
 func (s *stubLeaf) Flush()                                           {}

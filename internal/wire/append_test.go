@@ -7,12 +7,12 @@ import (
 	"repro/internal/geom"
 )
 
-// TestAppendEncodersMatchEncode pins the core invariant of the pooled
-// codec: every Append* form produces bytes identical to its Encode*
-// form, with or without a pre-existing prefix in the destination buffer.
-// Metered byte counts therefore cannot depend on which form a caller
-// uses.
-func TestAppendEncodersMatchEncode(t *testing.T) {
+// TestAppendEncodersPreservePrefix pins the core invariant of the pooled
+// codec: every Append* encoder produces the same frame bytes whether it
+// starts from nil or appends after a pre-existing prefix, and leaves the
+// prefix intact. Metered byte counts therefore cannot depend on what
+// buffer a caller encodes into.
+func TestAppendEncodersPreservePrefix(t *testing.T) {
 	w := geom.R(1, 2, 300, 400)
 	p := geom.Pt(7, 9)
 	pts := []geom.Point{{X: 1, Y: 2}, {X: 3, Y: 4}, {X: 5, Y: 6}}
@@ -31,38 +31,35 @@ func TestAppendEncodersMatchEncode(t *testing.T) {
 		enc    []byte
 		append func(dst []byte) []byte
 	}{
-		{"window", EncodeWindow(w), func(d []byte) []byte { return AppendWindow(d, w) }},
-		{"count", EncodeCount(w), func(d []byte) []byte { return AppendCount(d, w) }},
-		{"avgarea", EncodeAvgArea(w), func(d []byte) []byte { return AppendAvgArea(d, w) }},
-		{"range", EncodeRange(p, 2.5), func(d []byte) []byte { return AppendRange(d, p, 2.5) }},
-		{"rangecount", EncodeRangeCount(p, 2.5), func(d []byte) []byte { return AppendRangeCount(d, p, 2.5) }},
-		{"bucketrange", EncodeBucketRange(pts, 3), func(d []byte) []byte { return AppendBucketRange(d, pts, 3) }},
-		{"bucketrangecount", EncodeBucketRangeCount(pts, 3), func(d []byte) []byte { return AppendBucketRangeCount(d, pts, 3) }},
-		{"info", EncodeInfo(), AppendInfo},
-		{"mbrlevel", EncodeMBRLevel(2), func(d []byte) []byte { return AppendMBRLevel(d, 2) }},
-		{"mbrmatch", EncodeMBRMatch(rects, 1.5), func(d []byte) []byte { return AppendMBRMatch(d, rects, 1.5) }},
-		{"uploadjoin", EncodeUploadJoin(objs, 1.5), func(d []byte) []byte { return AppendUploadJoin(d, objs, 1.5) }},
-		{"objects", EncodeObjects(objs), func(d []byte) []byte { return AppendObjects(d, objs) }},
-		{"countreply", EncodeCountReply(-7), func(d []byte) []byte { return AppendCountReply(d, -7) }},
-		{"countsreply", EncodeCountsReply(ns), func(d []byte) []byte { return AppendCountsReply(d, ns) }},
-		{"floatreply", EncodeFloatReply(3.25), func(d []byte) []byte { return AppendFloatReply(d, 3.25) }},
-		{"bucketobjects", EncodeBucketObjects(groups), func(d []byte) []byte { return AppendBucketObjects(d, groups) }},
-		{"inforeply", EncodeInfoReply(info), func(d []byte) []byte { return AppendInfoReply(d, info) }},
-		{"rects", EncodeRects(rects), func(d []byte) []byte { return AppendRects(d, rects) }},
-		{"pairs", EncodePairs(pairs), func(d []byte) []byte { return AppendPairs(d, pairs) }},
-		{"error", EncodeError("boom"), func(d []byte) []byte { return AppendError(d, "boom") }},
+		{"window", AppendWindow(nil, w), func(d []byte) []byte { return AppendWindow(d, w) }},
+		{"count", AppendCount(nil, w), func(d []byte) []byte { return AppendCount(d, w) }},
+		{"avgarea", AppendAvgArea(nil, w), func(d []byte) []byte { return AppendAvgArea(d, w) }},
+		{"range", AppendRange(nil, p, 2.5), func(d []byte) []byte { return AppendRange(d, p, 2.5) }},
+		{"rangecount", AppendRangeCount(nil, p, 2.5), func(d []byte) []byte { return AppendRangeCount(d, p, 2.5) }},
+		{"bucketrange", AppendBucketRange(nil, pts, 3), func(d []byte) []byte { return AppendBucketRange(d, pts, 3) }},
+		{"bucketrangecount", AppendBucketRangeCount(nil, pts, 3), func(d []byte) []byte { return AppendBucketRangeCount(d, pts, 3) }},
+		{"info", AppendInfo(nil), AppendInfo},
+		{"mbrlevel", AppendMBRLevel(nil, 2), func(d []byte) []byte { return AppendMBRLevel(d, 2) }},
+		{"mbrmatch", AppendMBRMatch(nil, rects, 1.5), func(d []byte) []byte { return AppendMBRMatch(d, rects, 1.5) }},
+		{"uploadjoin", AppendUploadJoin(nil, objs, 1.5), func(d []byte) []byte { return AppendUploadJoin(d, objs, 1.5) }},
+		{"objects", AppendObjects(nil, objs), func(d []byte) []byte { return AppendObjects(d, objs) }},
+		{"countreply", AppendCountReply(nil, -7), func(d []byte) []byte { return AppendCountReply(d, -7) }},
+		{"countsreply", AppendCountsReply(nil, ns), func(d []byte) []byte { return AppendCountsReply(d, ns) }},
+		{"floatreply", AppendFloatReply(nil, 3.25), func(d []byte) []byte { return AppendFloatReply(d, 3.25) }},
+		{"bucketobjects", AppendBucketObjects(nil, groups), func(d []byte) []byte { return AppendBucketObjects(d, groups) }},
+		{"inforeply", AppendInfoReply(nil, info), func(d []byte) []byte { return AppendInfoReply(d, info) }},
+		{"rects", AppendRects(nil, rects), func(d []byte) []byte { return AppendRects(d, rects) }},
+		{"pairs", AppendPairs(nil, pairs), func(d []byte) []byte { return AppendPairs(d, pairs) }},
+		{"error", AppendError(nil, "boom"), func(d []byte) []byte { return AppendError(d, "boom") }},
 	}
 	for _, tc := range cases {
-		if got := tc.append(nil); !bytes.Equal(got, tc.enc) {
-			t.Errorf("%s: Append(nil) = %x, Encode = %x", tc.name, got, tc.enc)
-		}
 		prefix := []byte{0xAA, 0xBB}
 		got := tc.append(append([]byte(nil), prefix...))
 		if !bytes.Equal(got[:2], prefix) {
 			t.Errorf("%s: prefix clobbered", tc.name)
 		}
 		if !bytes.Equal(got[2:], tc.enc) {
-			t.Errorf("%s: Append(prefix) payload = %x, Encode = %x", tc.name, got[2:], tc.enc)
+			t.Errorf("%s: Append(prefix) payload = %x, Append(nil) = %x", tc.name, got[2:], tc.enc)
 		}
 	}
 }
@@ -82,7 +79,7 @@ func TestAppendBucketObjectsFlatMatchesNested(t *testing.T) {
 		lens = append(lens, len(g))
 		flat = append(flat, g...)
 	}
-	want := EncodeBucketObjects(groups)
+	want := AppendBucketObjects(nil, groups)
 	got := AppendBucketObjectsFlat(nil, lens, flat)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("flat = %x, nested = %x", got, want)
@@ -104,7 +101,7 @@ func TestScratchDecodersMatchPlain(t *testing.T) {
 
 	scratch := make([]geom.Object, 1, 8)
 	scratch[0] = geom.Object{ID: 77}
-	got, err := DecodeObjectsAppend(EncodeObjects(objs), scratch)
+	got, err := DecodeObjectsAppend(AppendObjects(nil, objs), scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,32 +109,32 @@ func TestScratchDecodersMatchPlain(t *testing.T) {
 		t.Fatalf("DecodeObjectsAppend = %+v", got)
 	}
 
-	rs, err := DecodeRectsAppend(EncodeRects(rects), nil)
+	rs, err := DecodeRectsAppend(AppendRects(nil, rects), nil)
 	if err != nil || len(rs) != 2 || rs[0] != rects[0] || rs[1] != rects[1] {
 		t.Fatalf("DecodeRectsAppend = %+v, %v", rs, err)
 	}
 
-	ps, err := DecodePairsAppend(EncodePairs(pairs), nil)
+	ps, err := DecodePairsAppend(AppendPairs(nil, pairs), nil)
 	if err != nil || len(ps) != 2 || ps[0] != pairs[0] || ps[1] != pairs[1] {
 		t.Fatalf("DecodePairsAppend = %+v, %v", ps, err)
 	}
 
-	cs, err := DecodeCountsReplyAppend(EncodeCountsReply(ns), nil)
+	cs, err := DecodeCountsReplyAppend(AppendCountsReply(nil, ns), nil)
 	if err != nil || len(cs) != 2 || cs[0] != 5 || cs[1] != -2 {
 		t.Fatalf("DecodeCountsReplyAppend = %+v, %v", cs, err)
 	}
 
-	dp, eps, err := DecodeBucketRangeLikeAppend(EncodeBucketRange(pts, 3), MsgBucketRange, nil)
+	dp, eps, err := DecodeBucketRangeLikeAppend(AppendBucketRange(nil, pts, 3), MsgBucketRange, nil)
 	if err != nil || eps != 3 || len(dp) != 2 {
 		t.Fatalf("DecodeBucketRangeLikeAppend = %+v, %v, %v", dp, eps, err)
 	}
 
-	dr, eps, err := DecodeMBRMatchAppend(EncodeMBRMatch(rects, 1.5), nil)
+	dr, eps, err := DecodeMBRMatchAppend(AppendMBRMatch(nil, rects, 1.5), nil)
 	if err != nil || eps != 1.5 || len(dr) != 2 {
 		t.Fatalf("DecodeMBRMatchAppend = %+v, %v, %v", dr, eps, err)
 	}
 
-	du, eps, err := DecodeUploadJoinAppend(EncodeUploadJoin(objs, 0), nil)
+	du, eps, err := DecodeUploadJoinAppend(AppendUploadJoin(nil, objs, 0), nil)
 	if err != nil || eps != 0 || len(du) != 2 {
 		t.Fatalf("DecodeUploadJoinAppend = %+v, %v, %v", du, eps, err)
 	}

@@ -10,12 +10,12 @@ import (
 
 func TestBatchRoundTrip(t *testing.T) {
 	subs := [][]byte{
-		EncodeCount(geom.R(0, 0, 10, 10)),
-		EncodeRange(geom.Pt(3, 4), 2.5),
-		EncodeInfo(),
-		EncodeWindow(geom.R(-5, -5, 5, 5)),
+		AppendCount(nil, geom.R(0, 0, 10, 10)),
+		AppendRange(nil, geom.Pt(3, 4), 2.5),
+		AppendInfo(nil),
+		AppendWindow(nil, geom.R(-5, -5, 5, 5)),
 	}
-	frame := EncodeBatch(subs)
+	frame := AppendBatch(nil, subs)
 	if Type(frame) != MsgBatch {
 		t.Fatalf("type = %v, want MsgBatch", Type(frame))
 	}
@@ -35,11 +35,11 @@ func TestBatchRoundTrip(t *testing.T) {
 
 func TestBatchReplyIncrementalMatchesWhole(t *testing.T) {
 	subs := [][]byte{
-		EncodeCountReply(42),
-		EncodeObjects([]geom.Object{geom.PointObject(7, geom.Pt(1, 2))}),
-		EncodeError("boom"),
+		AppendCountReply(nil, 42),
+		AppendObjects(nil, []geom.Object{geom.PointObject(7, geom.Pt(1, 2))}),
+		AppendError(nil, "boom"),
 	}
-	whole := EncodeBatchReply(subs)
+	whole := AppendBatchReply(nil, subs)
 
 	inc := AppendBatchReplyHeader(nil, len(subs))
 	for _, s := range subs {
@@ -54,7 +54,7 @@ func TestBatchReplyIncrementalMatchesWhole(t *testing.T) {
 }
 
 func TestBatchEmptyAndAppendForms(t *testing.T) {
-	empty := EncodeBatch(nil)
+	empty := AppendBatch(nil, nil)
 	subs, err := DecodeBatch(empty, MsgBatch)
 	if err != nil {
 		t.Fatal(err)
@@ -63,18 +63,18 @@ func TestBatchEmptyAndAppendForms(t *testing.T) {
 		t.Fatalf("empty batch decoded %d subs", len(subs))
 	}
 	// Append form over a prefilled buffer produces the same frame bytes.
-	pre := append([]byte("xyz"), AppendBatch(nil, [][]byte{EncodeInfo()})...)
-	app := AppendBatch([]byte("xyz"), [][]byte{EncodeInfo()})
+	pre := append([]byte("xyz"), AppendBatch(nil, [][]byte{AppendInfo(nil)})...)
+	app := AppendBatch([]byte("xyz"), [][]byte{AppendInfo(nil)})
 	if !bytes.Equal(pre, app) {
 		t.Errorf("append form differs: %x vs %x", pre, app)
 	}
 }
 
 func TestBatchDecodeRejectsMalformed(t *testing.T) {
-	good := EncodeBatch([][]byte{EncodeCount(geom.R(0, 0, 1, 1)), EncodeInfo()})
+	good := AppendBatch(nil, [][]byte{AppendCount(nil, geom.R(0, 0, 1, 1)), AppendInfo(nil)})
 	cases := map[string][]byte{
 		"empty":              {},
-		"wrong type":         EncodeInfo(),
+		"wrong type":         AppendInfo(nil),
 		"short header":       good[:3],
 		"truncated entry":    good[:len(good)-1],
 		"trailing bytes":     append(append([]byte{}, good...), 0xff),
@@ -100,8 +100,8 @@ func TestBatchDecodeRejectsMalformed(t *testing.T) {
 }
 
 func TestBatchOverheadConstants(t *testing.T) {
-	subs := [][]byte{EncodeInfo(), EncodeCountReply(1)}
-	frame := EncodeBatch(subs)
+	subs := [][]byte{AppendInfo(nil), AppendCountReply(nil, 1)}
+	frame := AppendBatch(nil, subs)
 	want := BatchHdr + 2*BatchEntryHdr + len(subs[0]) + len(subs[1])
 	if len(frame) != want {
 		t.Errorf("frame size %d, want %d", len(frame), want)

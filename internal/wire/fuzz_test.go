@@ -19,14 +19,14 @@ import (
 //	go test -run '^$' -fuzz FuzzDecodeBatch -fuzztime 60s ./internal/wire
 
 func FuzzDecodeBatch(f *testing.F) {
-	f.Add(EncodeBatch(nil))
-	f.Add(EncodeBatch([][]byte{EncodeInfo()}))
-	f.Add(EncodeBatch([][]byte{
-		EncodeCount(geom.R(0, 0, 10, 10)),
-		EncodeRange(geom.Pt(1, 2), 3),
-		EncodeBucketRange([]geom.Point{{X: 1, Y: 2}}, 5),
+	f.Add(AppendBatch(nil, nil))
+	f.Add(AppendBatch(nil, [][]byte{AppendInfo(nil)}))
+	f.Add(AppendBatch(nil, [][]byte{
+		AppendCount(nil, geom.R(0, 0, 10, 10)),
+		AppendRange(nil, geom.Pt(1, 2), 3),
+		AppendBucketRange(nil, []geom.Point{{X: 1, Y: 2}}, 5),
 	}))
-	f.Add(EncodeBatchReply([][]byte{EncodeCountReply(7), EncodeError("x")}))
+	f.Add(AppendBatchReply(nil, [][]byte{AppendCountReply(nil, 7), AppendError(nil, "x")}))
 	f.Add([]byte{byte(MsgBatch), 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		for _, want := range []MsgType{MsgBatch, MsgBatchReply} {
@@ -44,13 +44,13 @@ func FuzzDecodeBatch(f *testing.F) {
 }
 
 func FuzzDecodeRequests(f *testing.F) {
-	f.Add(EncodeWindow(geom.R(0, 0, 1, 1)))
-	f.Add(EncodeCount(geom.R(-5, -5, 5, 5)))
-	f.Add(EncodeRange(geom.Pt(3, 4), 2.5))
-	f.Add(EncodeBucketRange([]geom.Point{{X: 1, Y: 2}, {X: 3, Y: 4}}, 9))
-	f.Add(EncodeMBRMatch([]geom.Rect{{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}}, 2))
-	f.Add(EncodeUploadJoin([]geom.Object{geom.PointObject(1, geom.Pt(5, 6))}, 0))
-	f.Add(EncodeMBRLevel(2))
+	f.Add(AppendWindow(nil, geom.R(0, 0, 1, 1)))
+	f.Add(AppendCount(nil, geom.R(-5, -5, 5, 5)))
+	f.Add(AppendRange(nil, geom.Pt(3, 4), 2.5))
+	f.Add(AppendBucketRange(nil, []geom.Point{{X: 1, Y: 2}, {X: 3, Y: 4}}, 9))
+	f.Add(AppendMBRMatch(nil, []geom.Rect{{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}}, 2))
+	f.Add(AppendUploadJoin(nil, []geom.Object{geom.PointObject(1, geom.Pt(5, 6))}, 0))
+	f.Add(AppendMBRLevel(nil, 2))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		// None of these may panic, whatever the bytes.
 		DecodeWindowLike(frame, MsgWindow)
@@ -67,15 +67,15 @@ func FuzzDecodeRequests(f *testing.F) {
 }
 
 func FuzzDecodeResponses(f *testing.F) {
-	f.Add(EncodeObjects([]geom.Object{geom.PointObject(9, geom.Pt(1, 1))}))
-	f.Add(EncodeCountReply(-3))
-	f.Add(EncodeCountsReply([]int64{1, 2, 3}))
-	f.Add(EncodeFloatReply(3.14))
-	f.Add(EncodeBucketObjects([][]geom.Object{nil, {geom.PointObject(1, geom.Pt(0, 0))}}))
-	f.Add(EncodeInfoReply(Info{Count: 10, TreeHeight: 2, PointData: true}))
-	f.Add(EncodeRects([]geom.Rect{{MaxX: 1, MaxY: 1}}))
-	f.Add(EncodePairs([]geom.Pair{{RID: 1, SID: 2}}))
-	f.Add(EncodeError("boom"))
+	f.Add(AppendObjects(nil, []geom.Object{geom.PointObject(9, geom.Pt(1, 1))}))
+	f.Add(AppendCountReply(nil, -3))
+	f.Add(AppendCountsReply(nil, []int64{1, 2, 3}))
+	f.Add(AppendFloatReply(nil, 3.14))
+	f.Add(AppendBucketObjects(nil, [][]geom.Object{nil, {geom.PointObject(1, geom.Pt(0, 0))}}))
+	f.Add(AppendInfoReply(nil, Info{Count: 10, TreeHeight: 2, PointData: true}))
+	f.Add(AppendRects(nil, []geom.Rect{{MaxX: 1, MaxY: 1}}))
+	f.Add(AppendPairs(nil, []geom.Pair{{RID: 1, SID: 2}}))
+	f.Add(AppendError(nil, "boom"))
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		DecodeObjects(frame)
 		DecodeCountReply(frame)

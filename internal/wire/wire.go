@@ -194,12 +194,10 @@ func getFloat64(b []byte) float64    { return math.Float64frombits(le.Uint64(b))
 
 // --- append-style encoding ------------------------------------------------
 
-// All frame encoders come in two forms: AppendX appends the frame to a
+// Every frame encoder is append-style: AppendX appends the frame to a
 // caller-provided buffer (typically obtained from package bufpool) and
-// returns the extended slice, allocating nothing when capacity suffices;
-// EncodeX is the convenience form allocating a fresh exact-length frame.
-// Both produce bit-identical bytes, so metering never depends on which
-// form a caller uses.
+// returns the extended slice, allocating nothing when capacity suffices.
+// AppendX(nil, …) yields a fresh exact-content frame.
 
 // grow extends dst by n bytes and returns the extended slice plus the
 // n-byte window to fill.
@@ -533,12 +531,6 @@ func EndBatchEntry(dst []byte, off int) []byte {
 	return dst
 }
 
-// EncodeBatch encodes a MsgBatch request envelope.
-func EncodeBatch(subs [][]byte) []byte { return AppendBatch(nil, subs) }
-
-// EncodeBatchReply encodes a MsgBatchReply envelope.
-func EncodeBatchReply(subs [][]byte) []byte { return AppendBatchReply(nil, subs) }
-
 // AppendError appends a server-side error frame.
 func AppendError(dst []byte, msg string) []byte {
 	dst, b := grow(dst, 1+4+len(msg))
@@ -548,85 +540,6 @@ func AppendError(dst []byte, msg string) []byte {
 	return dst
 }
 
-// --- request frames -----------------------------------------------------
-
-// EncodeWindow encodes a WINDOW query for window w.
-// Frame: type + rect = 17 bytes.
-func EncodeWindow(w geom.Rect) []byte { return AppendWindow(nil, w) }
-
-// EncodeCount encodes a COUNT query for window w.
-func EncodeCount(w geom.Rect) []byte { return AppendCount(nil, w) }
-
-// EncodeAvgArea encodes an AVG-AREA aggregate query for window w.
-func EncodeAvgArea(w geom.Rect) []byte { return AppendAvgArea(nil, w) }
-
-// EncodeRange encodes an ε-RANGE query around point p.
-// Frame: type + point + eps(float32) = 13 bytes.
-func EncodeRange(p geom.Point, eps float64) []byte { return AppendRange(nil, p, eps) }
-
-// EncodeRangeCount encodes a COUNT-over-ε-range aggregate query.
-func EncodeRangeCount(p geom.Point, eps float64) []byte {
-	return AppendRangeCount(nil, p, eps)
-}
-
-// EncodeBucketRange encodes a bucket of ε-RANGE queries submitted at once
-// (§3.1, "bucket queries"). Frame: type + eps + n + n points.
-func EncodeBucketRange(pts []geom.Point, eps float64) []byte {
-	return AppendBucketRange(nil, pts, eps)
-}
-
-// EncodeBucketRangeCount is the aggregate variant of EncodeBucketRange:
-// the server answers with one count per probe point instead of objects.
-func EncodeBucketRangeCount(pts []geom.Point, eps float64) []byte {
-	return AppendBucketRangeCount(nil, pts, eps)
-}
-
-// EncodeInfo encodes a dataset-info request (cardinality and bounds).
-// Servers routinely advertise this much (it is the acknowledgment
-// metadata the paper assumes available).
-func EncodeInfo() []byte { return AppendInfo(nil) }
-
-// EncodeMBRLevel encodes a SemiJoin-only request for the MBRs of one
-// R-tree level. Level 0 is the leaf level.
-func EncodeMBRLevel(level int) []byte { return AppendMBRLevel(nil, level) }
-
-// EncodeMBRMatch encodes a SemiJoin-only batch request: return all objects
-// intersecting (or within eps of) any of the given rectangles.
-func EncodeMBRMatch(rects []geom.Rect, eps float64) []byte {
-	return AppendMBRMatch(nil, rects, eps)
-}
-
-// EncodeUploadJoin encodes a SemiJoin-only request: join the uploaded
-// objects against the server's dataset with predicate distance ≤ eps
-// (eps = 0 means MBR intersection) and return the qualifying pairs with
-// the uploaded object's ID first.
-func EncodeUploadJoin(objs []geom.Object, eps float64) []byte {
-	return AppendUploadJoin(nil, objs, eps)
-}
-
-// --- response frames ----------------------------------------------------
-
-// EncodeObjects encodes an OBJECTS response.
-func EncodeObjects(objs []geom.Object) []byte { return AppendObjects(nil, objs) }
-
-// EncodeCountReply encodes a single aggregate answer.
-func EncodeCountReply(n int64) []byte { return AppendCountReply(nil, n) }
-
-// EncodeCountsReply encodes one aggregate answer per probe of a bucket
-// aggregate request.
-func EncodeCountsReply(ns []int64) []byte { return AppendCountsReply(nil, ns) }
-
-// EncodeFloatReply encodes a floating-point aggregate answer (AVG-AREA).
-func EncodeFloatReply(f float64) []byte { return AppendFloatReply(nil, f) }
-
-// EncodeBucketObjects encodes the response to a bucket ε-RANGE request:
-// for each probe, the number of result objects followed by the objects,
-// concatenated in probe order. This matches Eq. (5): each probe's answer
-// carries an extra per-probe record (the count header).
-func EncodeBucketObjects(groups [][]geom.Object) []byte {
-	return AppendBucketObjects(nil, groups)
-}
-
 // Info is the public dataset metadata a server advertises.
 type Info struct {
 	Count      int64     // dataset cardinality
@@ -634,15 +547,3 @@ type Info struct {
 	TreeHeight int32     // R-tree height (published only for SemiJoin runs)
 	PointData  bool      // true when every object has a degenerate MBR
 }
-
-// EncodeInfoReply encodes dataset metadata.
-func EncodeInfoReply(info Info) []byte { return AppendInfoReply(nil, info) }
-
-// EncodeRects encodes a RECTS response (R-tree level MBRs).
-func EncodeRects(rects []geom.Rect) []byte { return AppendRects(nil, rects) }
-
-// EncodePairs encodes a PAIRS response (UPLOAD-JOIN results).
-func EncodePairs(pairs []geom.Pair) []byte { return AppendPairs(nil, pairs) }
-
-// EncodeError encodes a server-side error message.
-func EncodeError(msg string) []byte { return AppendError(nil, msg) }

@@ -26,7 +26,7 @@ func randObjects(r *rand.Rand, n int) []geom.Object {
 
 func TestWindowRoundTrip(t *testing.T) {
 	w := geom.R(1.5, -2.25, 100.75, 200.5)
-	frame := EncodeWindow(w)
+	frame := AppendWindow(nil, w)
 	if len(frame) != 1+RectSize {
 		t.Fatalf("frame size = %d, want %d", len(frame), 1+RectSize)
 	}
@@ -47,9 +47,9 @@ func TestCountAndAvgAreaRoundTrip(t *testing.T) {
 	for _, mt := range []MsgType{MsgCount, MsgAvgArea} {
 		var frame []byte
 		if mt == MsgCount {
-			frame = EncodeCount(w)
+			frame = AppendCount(nil, w)
 		} else {
-			frame = EncodeAvgArea(w)
+			frame = AppendAvgArea(nil, w)
 		}
 		got, err := DecodeWindowLike(frame, mt)
 		if err != nil {
@@ -63,7 +63,7 @@ func TestCountAndAvgAreaRoundTrip(t *testing.T) {
 
 func TestRangeRoundTrip(t *testing.T) {
 	p := geom.Pt(3.25, -7.5)
-	frame := EncodeRange(p, 12.5)
+	frame := AppendRange(nil, p, 12.5)
 	gotP, gotEps, err := DecodeRangeLike(frame, MsgRange)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestRangeRoundTrip(t *testing.T) {
 	if gotP != p || gotEps != 12.5 {
 		t.Fatalf("got (%v, %v), want (%v, 12.5)", gotP, gotEps, p)
 	}
-	cnt := EncodeRangeCount(p, 12.5)
+	cnt := AppendRangeCount(nil, p, 12.5)
 	if Type(cnt) != MsgRangeCount {
 		t.Fatalf("type = %v, want RANGE-COUNT", Type(cnt))
 	}
@@ -82,7 +82,7 @@ func TestRangeRoundTrip(t *testing.T) {
 
 func TestBucketRangeRoundTrip(t *testing.T) {
 	pts := []geom.Point{geom.Pt(1, 2), geom.Pt(3, 4), geom.Pt(-5.5, 6.25)}
-	frame := EncodeBucketRange(pts, 2.5)
+	frame := AppendBucketRange(nil, pts, 2.5)
 	gotPts, gotEps, err := DecodeBucketRangeLike(frame, MsgBucketRange)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestBucketRangeRoundTrip(t *testing.T) {
 }
 
 func TestBucketRangeEmpty(t *testing.T) {
-	frame := EncodeBucketRange(nil, 1)
+	frame := AppendBucketRange(nil, nil, 1)
 	pts, _, err := DecodeBucketRangeLike(frame, MsgBucketRange)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestBucketRangeEmpty(t *testing.T) {
 
 func TestObjectsRoundTrip(t *testing.T) {
 	objs := randObjects(rnd(), 57)
-	frame := EncodeObjects(objs)
+	frame := AppendObjects(nil, objs)
 	if want := 5 + ObjectSize*57; len(frame) != want {
 		t.Fatalf("frame size = %d, want %d", len(frame), want)
 	}
@@ -130,7 +130,7 @@ func TestObjectsRoundTrip(t *testing.T) {
 
 func TestCountReplyRoundTrip(t *testing.T) {
 	for _, n := range []int64{0, 1, -1, 1 << 40} {
-		got, err := DecodeCountReply(EncodeCountReply(n))
+		got, err := DecodeCountReply(AppendCountReply(nil, n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestCountReplyRoundTrip(t *testing.T) {
 
 func TestCountsReplyRoundTrip(t *testing.T) {
 	ns := []int64{5, 0, 123456789, -3}
-	got, err := DecodeCountsReply(EncodeCountsReply(ns))
+	got, err := DecodeCountsReply(AppendCountsReply(nil, ns))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestCountsReplyRoundTrip(t *testing.T) {
 }
 
 func TestFloatReplyRoundTrip(t *testing.T) {
-	got, err := DecodeFloatReply(EncodeFloatReply(3.14159))
+	got, err := DecodeFloatReply(AppendFloatReply(nil, 3.14159))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestBucketObjectsRoundTrip(t *testing.T) {
 		randObjects(r, 1),
 		randObjects(r, 10),
 	}
-	frame := EncodeBucketObjects(groups)
+	frame := AppendBucketObjects(nil, groups)
 	got, err := DecodeBucketObjects(frame)
 	if err != nil {
 		t.Fatal(err)
@@ -196,20 +196,20 @@ func TestBucketObjectsRoundTrip(t *testing.T) {
 
 func TestInfoRoundTrip(t *testing.T) {
 	info := Info{Count: 35000, Bounds: geom.R(0, 0, 10000, 10000), TreeHeight: 4}
-	got, err := DecodeInfoReply(EncodeInfoReply(info))
+	got, err := DecodeInfoReply(AppendInfoReply(nil, info))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != info {
 		t.Fatalf("got %+v, want %+v", got, info)
 	}
-	if len(EncodeInfo()) != 1 {
+	if len(AppendInfo(nil)) != 1 {
 		t.Fatal("INFO request should be a single byte")
 	}
 }
 
 func TestMBRLevelRoundTrip(t *testing.T) {
-	lvl, err := DecodeMBRLevel(EncodeMBRLevel(2))
+	lvl, err := DecodeMBRLevel(AppendMBRLevel(nil, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestMBRLevelRoundTrip(t *testing.T) {
 
 func TestMBRMatchRoundTrip(t *testing.T) {
 	rects := []geom.Rect{geom.R(0, 0, 1, 1), geom.R(5, 5, 9, 9)}
-	got, eps, err := DecodeMBRMatch(EncodeMBRMatch(rects, 0.5))
+	got, eps, err := DecodeMBRMatch(AppendMBRMatch(nil, rects, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestMBRMatchRoundTrip(t *testing.T) {
 
 func TestUploadJoinRoundTrip(t *testing.T) {
 	objs := randObjects(rnd(), 7)
-	got, eps, err := DecodeUploadJoin(EncodeUploadJoin(objs, 1.25))
+	got, eps, err := DecodeUploadJoin(AppendUploadJoin(nil, objs, 1.25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestUploadJoinRoundTrip(t *testing.T) {
 
 func TestRectsRoundTrip(t *testing.T) {
 	rects := []geom.Rect{geom.R(0, 0, 1, 1), geom.R(2, 2, 3, 3), geom.R(-1, -1, 0, 0)}
-	got, err := DecodeRects(EncodeRects(rects))
+	got, err := DecodeRects(AppendRects(nil, rects))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestRectsRoundTrip(t *testing.T) {
 
 func TestPairsRoundTrip(t *testing.T) {
 	pairs := []geom.Pair{{RID: 1, SID: 2}, {RID: 7, SID: 7}, {RID: 0, SID: 4000000000}}
-	got, err := DecodePairs(EncodePairs(pairs))
+	got, err := DecodePairs(AppendPairs(nil, pairs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestPairsRoundTrip(t *testing.T) {
 }
 
 func TestErrorRoundTrip(t *testing.T) {
-	err := DecodeError(EncodeError("window out of bounds"))
+	err := DecodeError(AppendError(nil, "window out of bounds"))
 	var se *ServerError
 	if !errors.As(err, &se) {
 		t.Fatalf("expected *ServerError, got %T", err)
@@ -289,7 +289,7 @@ func TestErrorRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsWrongType(t *testing.T) {
-	frame := EncodeCount(geom.R(0, 0, 1, 1))
+	frame := AppendCount(nil, geom.R(0, 0, 1, 1))
 	if _, err := DecodeWindowLike(frame, MsgWindow); !errors.Is(err, ErrBadType) {
 		t.Fatalf("expected ErrBadType, got %v", err)
 	}
@@ -301,12 +301,12 @@ func TestDecodeRejectsShortFrames(t *testing.T) {
 		f    func([]byte) error
 		full []byte
 	}{
-		{"objects", func(b []byte) error { _, err := DecodeObjects(b); return err }, EncodeObjects(randObjects(rnd(), 3))},
-		{"count", func(b []byte) error { _, err := DecodeCountReply(b); return err }, EncodeCountReply(9)},
-		{"rects", func(b []byte) error { _, err := DecodeRects(b); return err }, EncodeRects([]geom.Rect{geom.R(0, 0, 1, 1)})},
-		{"pairs", func(b []byte) error { _, err := DecodePairs(b); return err }, EncodePairs([]geom.Pair{{RID: 1, SID: 2}})},
-		{"window", func(b []byte) error { _, err := DecodeWindowLike(b, MsgWindow); return err }, EncodeWindow(geom.R(0, 0, 1, 1))},
-		{"bucketobjs", func(b []byte) error { _, err := DecodeBucketObjects(b); return err }, EncodeBucketObjects([][]geom.Object{randObjects(rnd(), 2)})},
+		{"objects", func(b []byte) error { _, err := DecodeObjects(b); return err }, AppendObjects(nil, randObjects(rnd(), 3))},
+		{"count", func(b []byte) error { _, err := DecodeCountReply(b); return err }, AppendCountReply(nil, 9)},
+		{"rects", func(b []byte) error { _, err := DecodeRects(b); return err }, AppendRects(nil, []geom.Rect{geom.R(0, 0, 1, 1)})},
+		{"pairs", func(b []byte) error { _, err := DecodePairs(b); return err }, AppendPairs(nil, []geom.Pair{{RID: 1, SID: 2}})},
+		{"window", func(b []byte) error { _, err := DecodeWindowLike(b, MsgWindow); return err }, AppendWindow(nil, geom.R(0, 0, 1, 1))},
+		{"bucketobjs", func(b []byte) error { _, err := DecodeBucketObjects(b); return err }, AppendBucketObjects(nil, [][]geom.Object{randObjects(rnd(), 2)})},
 	}
 	for _, c := range cases {
 		for cut := 1; cut < len(c.full); cut += 3 {
@@ -330,7 +330,7 @@ func TestQuickObjectsRoundTrip(t *testing.T) {
 	r := rnd()
 	f := func() bool {
 		objs := randObjects(r, r.Intn(64))
-		got, err := DecodeObjects(EncodeObjects(objs))
+		got, err := DecodeObjects(AppendObjects(nil, objs))
 		if err != nil || len(got) != len(objs) {
 			return false
 		}

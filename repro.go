@@ -304,10 +304,18 @@ type Session struct {
 // parameters the cost model needs. A Session owns one privately; a
 // Server shares one among all its tenants.
 type fleet struct {
-	remR, remS     core.Probe
+	remR, remS     endpoint
 	reg            *health.Registry // nil unless Breakers armed
 	link           LinkConfig
 	priceR, priceS float64
+}
+
+// endpoint is one relation of a fleet: the typed view the algorithms
+// call (core.Probe) plus the frame seam under it, which a Server's
+// tenant wrapper stamps.
+type endpoint interface {
+	core.Probe
+	client.Doer
 }
 
 // close releases the fleet (breaker probers first, so no background
@@ -360,7 +368,7 @@ func buildFleet(cfg SessionConfig, extra ...client.Option) (*fleet, error) {
 	if cfg.Breakers && cfg.Replicas > 1 {
 		reg = health.NewRegistry(cfg.Breaker)
 	}
-	var remR, remS core.Probe
+	var remR, remS endpoint
 	if cfg.Shards >= 1 || cfg.Replicas > 1 || cfg.AllowPartial {
 		// The relation is served sharded and/or replicated: partition
 		// servers behind a scatter–gather router, each shard optionally a

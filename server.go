@@ -9,9 +9,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/netsim"
-	"repro/internal/wire"
 )
 
 // This file is the multi-tenant join service: one shared serving fleet
@@ -138,9 +136,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		tenants: make(map[TenantID]*tenantState, len(cfg.Tenants)),
 	}
 	for id, tc := range cfg.Tenants {
-		env := f.newEnv(cfg.Fleet,
-			&tenantProbe{p: f.remR, id: id},
-			&tenantProbe{p: f.remS, id: id})
+		env := f.newEnv(cfg.Fleet, newTenantProbe(f.remR, id), newTenantProbe(f.remS, id))
 		ts := &tenantState{cfg: tc, env: env}
 		if tc.MaxConcurrent > 0 {
 			ts.slots = make(chan struct{}, tc.MaxConcurrent)
@@ -274,68 +270,31 @@ func (s *Server) Close() error {
 // --- tenant probe ----------------------------------------------------------
 
 // tenantProbe wraps a shared-fleet endpoint with one tenant's identity:
-// every call travels under a context stamped with the tenant (so the
+// every frame travels under a context stamped with the tenant (so the
 // meters attribute and the ledger bills it), Usage reports the tenant's
 // attributed slice (so Stats of a run cover the tenant's own traffic,
 // not the fleet's), and Close is a no-op (the fleet outlives any one
-// tenant's environment).
+// tenant's environment). The typed calls are client.Typed over Do.
 type tenantProbe struct {
-	p  core.Probe
+	client.Typed
+	p  endpoint
 	id netsim.TenantID
 }
 
-func (t *tenantProbe) tag(ctx context.Context) context.Context {
-	return netsim.WithTenant(ctx, t.id)
+func newTenantProbe(p endpoint, id netsim.TenantID) *tenantProbe {
+	t := &tenantProbe{p: p, id: id}
+	t.Typed = client.NewTyped(t)
+	return t
 }
 
 func (t *tenantProbe) Name() string { return t.p.Name() }
 
-func (t *tenantProbe) Info(ctx context.Context) (wire.Info, error) {
-	return t.p.Info(t.tag(ctx))
-}
-
-func (t *tenantProbe) Count(ctx context.Context, w geom.Rect) (int, error) {
-	return t.p.Count(t.tag(ctx), w)
-}
-
-func (t *tenantProbe) Window(ctx context.Context, w geom.Rect) ([]geom.Object, error) {
-	return t.p.Window(t.tag(ctx), w)
-}
-
-func (t *tenantProbe) AvgArea(ctx context.Context, w geom.Rect) (float64, error) {
-	return t.p.AvgArea(t.tag(ctx), w)
-}
-
-func (t *tenantProbe) Range(ctx context.Context, p geom.Point, eps float64) ([]geom.Object, error) {
-	return t.p.Range(t.tag(ctx), p, eps)
-}
-
-func (t *tenantProbe) RangeCount(ctx context.Context, p geom.Point, eps float64) (int, error) {
-	return t.p.RangeCount(t.tag(ctx), p, eps)
-}
-
-func (t *tenantProbe) BucketRange(ctx context.Context, pts []geom.Point, eps float64) ([][]geom.Object, error) {
-	return t.p.BucketRange(t.tag(ctx), pts, eps)
-}
-
-func (t *tenantProbe) BucketRangeCount(ctx context.Context, pts []geom.Point, eps float64) ([]int64, error) {
-	return t.p.BucketRangeCount(t.tag(ctx), pts, eps)
-}
-
-func (t *tenantProbe) LevelMBRs(ctx context.Context, level int) ([]geom.Rect, error) {
-	return t.p.LevelMBRs(t.tag(ctx), level)
-}
-
-func (t *tenantProbe) MBRMatch(ctx context.Context, rects []geom.Rect, eps float64) ([]geom.Object, error) {
-	return t.p.MBRMatch(t.tag(ctx), rects, eps)
-}
-
-func (t *tenantProbe) UploadJoin(ctx context.Context, objs []geom.Object, eps float64) ([]geom.Pair, error) {
-	return t.p.UploadJoin(t.tag(ctx), objs, eps)
+func (t *tenantProbe) Do(ctx context.Context, req []byte) ([]byte, error) {
+	return t.p.Do(netsim.WithTenant(ctx, t.id), req)
 }
 
 func (t *tenantProbe) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
-	return t.p.GoBatch(t.tag(ctx), reqs)
+	return t.p.GoBatch(netsim.WithTenant(ctx, t.id), reqs)
 }
 
 func (t *tenantProbe) Flush() { t.p.Flush() }
