@@ -11,6 +11,7 @@ package bench
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -104,6 +105,72 @@ func BenchmarkGridJoin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dst = memjoin.GridJoin(r, s, pred, memjoin.Options{}, dst[:0])
 		sink += len(dst)
+	}
+}
+
+// ledgerClusters reproduces the relations of the end-to-end benchmark
+// (benchmark/workload.go, seed 1): n points round-robin around eight
+// fixed centres, N(0, 250²) spread, coordinates clamped to the world and
+// snapped to float32 as the wire carries them. The nested benchmark
+// module cannot be imported from here, so the layout is restated.
+func ledgerClusters(n int, centres []geom.Point, seed int64) []geom.Object {
+	rng := rand.New(rand.NewSource(seed))
+	w := dataset.World
+	coord := func(c, lo, hi float64) float64 {
+		return float64(float32(min(max(c+rng.NormFloat64()*250, lo), hi)))
+	}
+	objs := make([]geom.Object, n)
+	for i := range objs {
+		c := centres[i%len(centres)]
+		objs[i] = geom.PointObject(uint32(i), geom.Pt(coord(c.X, w.MinX, w.MaxX), coord(c.Y, w.MinY, w.MaxY)))
+	}
+	return objs
+}
+
+// BenchmarkGridJoinClustered is the device-side join of the device-bulk
+// workload in isolation: 12000 × 12000 clustered points, ε = 75, some
+// 47 000 result pairs.
+func BenchmarkGridJoinClustered(b *testing.B) {
+	r := ledgerClusters(12000, []geom.Point{
+		{X: 1800, Y: 2100}, {X: 7600, Y: 1500}, {X: 4700, Y: 5200}, {X: 1500, Y: 7900},
+		{X: 8300, Y: 8200}, {X: 6100, Y: 3400}, {X: 3300, Y: 3900}, {X: 5600, Y: 8800},
+	}, 1)
+	s := ledgerClusters(12000, []geom.Point{
+		{X: 1568, Y: 1851}, {X: 7962, Y: 1049}, {X: 3999, Y: 4653}, {X: 2900, Y: 6500},
+		{X: 8800, Y: 5600}, {X: 6500, Y: 6900}, {X: 3600, Y: 900}, {X: 400, Y: 4700},
+	}, 2)
+	pred := memjoin.WithinDist(75)
+	var dst []geom.Pair
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = memjoin.GridJoin(r, s, pred, memjoin.Options{}, dst[:0])
+		sink += len(dst)
+	}
+	b.ReportMetric(float64(len(dst)), "pairs/op")
+}
+
+// BenchmarkDedupPairs measures result assembly: sorting and compacting a
+// run's accumulated pair list — 50 000 pairs over 12 000 ids per side, a
+// quarter of them duplicates, in the shuffled order partitions emit them.
+func BenchmarkDedupPairs(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	const n = 50000
+	src := make([]geom.Pair, n)
+	for i := range src {
+		if i >= n*3/4 {
+			src[i] = src[rng.Intn(n*3/4)]
+			continue
+		}
+		src[i] = geom.Pair{RID: uint32(rng.Intn(12000)), SID: uint32(rng.Intn(12000))}
+	}
+	rng.Shuffle(n, func(i, j int) { src[i], src[j] = src[j], src[i] })
+	buf := make([]geom.Pair, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, src)
+		sink += len(memjoin.DedupPairs(buf))
 	}
 }
 

@@ -78,7 +78,7 @@ type exec struct {
 	// sink (all fields below are guarded by mu)
 	mu     sync.Mutex
 	pairs  []geom.Pair
-	robjs  map[uint32]geom.Object // R geometry seen (for iceberg output)
+	robjs  map[uint32]geom.Object // iceberg: R geometry seen (the output is objects)
 	counts map[uint32]int         // iceberg: exact global match count per R id
 	probed map[uint32]bool        // iceberg: R ids already count-probed
 }
@@ -101,13 +101,12 @@ func newExec(ctx context.Context, env *Env, spec Spec, alg string) (*exec, error
 		return nil, err
 	}
 	x := &exec{
-		env:   env,
-		spec:  spec,
-		pred:  spec.pred(),
-		par:   newGate(env.Parallelism),
-		alg:   alg,
-		robjs: make(map[uint32]geom.Object),
-		rep:   rep,
+		env:  env,
+		spec: spec,
+		pred: spec.pred(),
+		par:  newGate(env.Parallelism),
+		alg:  alg,
+		rep:  rep,
 	}
 	// Snapshot the meters after prepare: INFO traffic belongs to the
 	// environment, not to any one run, exactly as when the algorithms
@@ -120,6 +119,7 @@ func newExec(ctx context.Context, env *Env, spec Spec, alg string) (*exec, error
 		x.window = env.Window.Expand(spec.Eps / 2)
 	}
 	if spec.Kind == IcebergSemi {
+		x.robjs = make(map[uint32]geom.Object)
 		x.counts = make(map[uint32]int)
 		x.probed = make(map[uint32]bool)
 	}
@@ -380,14 +380,18 @@ func (x *exec) quadrantCounts(d side, w geom.Rect, parent cnt) ([4]cnt, error) {
 
 // --- result sink ---------------------------------------------------------
 
-// addPairs records join pairs; R geometry is remembered for iceberg
-// output when provided. Safe for concurrent workers; result assembly
-// sorts and deduplicates, so insertion order does not matter.
-func (x *exec) addPairs(ps []geom.Pair, rGeom map[uint32]geom.Object) {
+// addPairs records join pairs. robjs are R objects the pairs may refer
+// to; their geometry is remembered only by iceberg runs, whose output is
+// objects — every other kind reports ids and never reads it. Safe for
+// concurrent workers; result assembly sorts and deduplicates, so
+// insertion order does not matter.
+func (x *exec) addPairs(ps []geom.Pair, robjs []geom.Object) {
 	x.mu.Lock()
 	x.pairs = append(x.pairs, ps...)
-	for id, o := range rGeom {
-		x.robjs[id] = o
+	if x.spec.Kind == IcebergSemi {
+		for _, o := range robjs {
+			x.robjs[o.ID] = o
+		}
 	}
 	x.mu.Unlock()
 }

@@ -11,25 +11,10 @@ import (
 	"repro/internal/wire"
 )
 
-// joinScratch is the reusable device-side state of one local join or
-// probe collection: the pair buffer handed to the grid join and the
-// R-geometry map handed to the sink. Pooled because HBSJ partitions and
-// NLSJ probes run concurrently under a parallel environment.
-type joinScratch struct {
-	pairs []geom.Pair
-	rg    map[uint32]geom.Object
-}
-
-var joinScratchPool = sync.Pool{
-	New: func() any { return &joinScratch{rg: make(map[uint32]geom.Object)} },
-}
-
-func getJoinScratch() *joinScratch {
-	sc := joinScratchPool.Get().(*joinScratch)
-	sc.pairs = sc.pairs[:0]
-	clear(sc.rg)
-	return sc
-}
+// pairScratchPool recycles the device-side pair buffer of one local join
+// or probe collection. Pooled because HBSJ partitions and NLSJ probes run
+// concurrently under a parallel environment.
+var pairScratchPool = sync.Pool{New: func() any { return new([]geom.Pair) }}
 
 // doHBSJ executes the hash-based spatial join on partition w: download
 // both windows and join on the device. When the buffer cannot hold both,
@@ -104,17 +89,13 @@ func (x *exec) doHBSJ(w geom.Rect, nr, ns cnt, depth int) error {
 
 // joinLocal joins two downloaded windows on the device and records the
 // pairs. Global dedup happens at result assembly, so the reference-point
-// rule is not needed here. The pair buffer and geometry map come from the
-// pooled scratch; addPairs copies out of both, so they are safe to reuse
-// immediately.
+// rule is not needed here. addPairs copies out of the pooled pair buffer,
+// so it is safe to reuse immediately.
 func (x *exec) joinLocal(robjs, sobjs []geom.Object) {
-	sc := getJoinScratch()
-	sc.pairs = memjoin.GridJoin(robjs, sobjs, x.pred, memjoin.Options{}, sc.pairs)
-	for _, o := range robjs {
-		sc.rg[o.ID] = o
-	}
-	x.addPairs(sc.pairs, sc.rg)
-	joinScratchPool.Put(sc)
+	buf := pairScratchPool.Get().(*[]geom.Pair)
+	*buf = memjoin.GridJoin(robjs, sobjs, x.pred, memjoin.Options{}, (*buf)[:0])
+	x.addPairs(*buf, robjs)
+	pairScratchPool.Put(buf)
 }
 
 // doNLSJ executes the nested-loop spatial join on partition w with the
@@ -292,7 +273,8 @@ func (x *exec) bucketProbes(w geom.Rect, outer, inner side, outerObjs []geom.Obj
 // Matches are filtered by the predicate (window probes over-approximate
 // distance) and by the query-window semantics.
 func (x *exec) collectProbe(w geom.Rect, outer side, o geom.Object, matches []geom.Object) {
-	sc := getJoinScratch()
+	buf := pairScratchPool.Get().(*[]geom.Pair)
+	pairs := (*buf)[:0]
 	for _, m := range matches {
 		if !x.pred.Match(o.MBR, m.MBR) {
 			continue
@@ -308,11 +290,17 @@ func (x *exec) collectProbe(w geom.Rect, outer side, o geom.Object, matches []ge
 		if p, ok := geom.RefPointEps(r.MBR, s.MBR, x.spec.Eps); !ok || !x.window.ContainsPoint(p) {
 			continue
 		}
-		sc.pairs = append(sc.pairs, geom.Pair{RID: r.ID, SID: s.ID})
-		sc.rg[r.ID] = r
+		pairs = append(pairs, geom.Pair{RID: r.ID, SID: s.ID})
 	}
-	x.addPairs(sc.pairs, sc.rg)
-	joinScratchPool.Put(sc)
+	// The R objects offered to the sink may exceed the ones paired: it
+	// only ever looks up ids that occur in pairs.
+	if outer == sideR {
+		x.addPairs(pairs, []geom.Object{o})
+	} else {
+		x.addPairs(pairs, matches)
+	}
+	*buf = pairs
+	pairScratchPool.Put(buf)
 }
 
 // icebergCountable reports whether aggregate count-probes preserve the

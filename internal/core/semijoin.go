@@ -111,13 +111,7 @@ func semiJoinRun(x *exec) error {
 		}
 	}
 
-	// R-side geometry is known only when R was the target.
-	rGeom := make(map[uint32]geom.Object, len(targetObjs))
-	if target == sideR {
-		for _, o := range targetObjs {
-			rGeom[o.ID] = o
-		}
-	}
-	x.addPairs(norm, rGeom)
+	// No R geometry to hand over: the semi-join never serves iceberg runs.
+	x.addPairs(norm, nil)
 	return nil
 }

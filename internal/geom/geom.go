@@ -156,8 +156,8 @@ func (r Rect) Expand(d float64) Rect {
 // DistToPoint returns the minimum Euclidean distance from p to r.
 // It is zero when p lies inside r.
 func (r Rect) DistToPoint(p Point) float64 {
-	dx := math.Max(0, math.Max(r.MinX-p.X, p.X-r.MaxX))
-	dy := math.Max(0, math.Max(r.MinY-p.Y, p.Y-r.MaxY))
+	dx := max(0, r.MinX-p.X, p.X-r.MaxX)
+	dy := max(0, r.MinY-p.Y, p.Y-r.MaxY)
 	return math.Hypot(dx, dy)
 }
 
@@ -175,16 +175,16 @@ func (r Rect) MaxDistToPoint(p Point) float64 {
 // MinDist returns the minimum Euclidean distance between r and s.
 // It is zero when the rectangles intersect.
 func (r Rect) MinDist(s Rect) float64 {
-	dx := math.Max(0, math.Max(s.MinX-r.MaxX, r.MinX-s.MaxX))
-	dy := math.Max(0, math.Max(s.MinY-r.MaxY, r.MinY-s.MaxY))
+	dx := max(0, s.MinX-r.MaxX, r.MinX-s.MaxX)
+	dy := max(0, s.MinY-r.MaxY, r.MinY-s.MaxY)
 	return math.Hypot(dx, dy)
 }
 
 // WithinDist reports whether the minimum distance between r and s is at
 // most eps. It avoids the square root of MinDist.
 func (r Rect) WithinDist(s Rect, eps float64) bool {
-	dx := math.Max(0, math.Max(s.MinX-r.MaxX, r.MinX-s.MaxX))
-	dy := math.Max(0, math.Max(s.MinY-r.MaxY, r.MinY-s.MaxY))
+	dx := max(0, s.MinX-r.MaxX, r.MinX-s.MaxX)
+	dy := max(0, s.MinY-r.MaxY, r.MinY-s.MaxY)
 	return dx*dx+dy*dy <= eps*eps
 }
 

@@ -411,3 +411,68 @@ func TestRefPointWithinPartitionsReportOnce(t *testing.T) {
 		t.Fatalf("pair should be reported by exactly one partition, got left=%v right=%v", nLeft, nRight)
 	}
 }
+
+// TestDistancesPinnedToMathMax pins WithinDist, MinDist and DistToPoint,
+// which clamp with the builtin max, bit for bit to the math.Max
+// formulation they were written in — over every rectangle with corners
+// from a value set holding −0, NaN and both infinities, valid or not.
+// The two clamps differ on one input only, max(+Inf, NaN) (math.Max
+// answers +Inf, the builtin NaN), which on one axis takes a rectangle
+// that is not Valid; those inputs are counted and checked to be exactly
+// that.
+func TestDistancesPinnedToMathMax(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []float64{negZero, 0, 1, -2.5, 3e300, math.NaN(), math.Inf(1), math.Inf(-1)}
+	var rects []Rect
+	for _, a := range vals {
+		for _, b := range vals {
+			for _, c := range vals[1:] {
+				for _, d := range vals[:7] {
+					rects = append(rects, Rect{MinX: a, MinY: b, MaxX: c, MaxY: d})
+				}
+			}
+		}
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b) }
+	refGaps := func(r, s Rect) (dx, dy float64) {
+		return math.Max(0, math.Max(s.MinX-r.MaxX, r.MinX-s.MaxX)), math.Max(0, math.Max(s.MinY-r.MaxY, r.MinY-s.MaxY))
+	}
+	// infNaN reports the one input class on which the clamps differ.
+	infNaN := func(u, v float64) bool { return (math.IsInf(u, 1) && v != v) || (math.IsInf(v, 1) && u != u) }
+	epss := []float64{0, negZero, 1, 2.5, math.Inf(1), math.NaN()}
+	rng := rand.New(rand.NewSource(7))
+	checked, skipped := 0, 0
+	for i := 0; i < 400000; i++ {
+		r, s := rects[rng.Intn(len(rects))], rects[rng.Intn(len(rects))]
+		if infNaN(s.MinX-r.MaxX, r.MinX-s.MaxX) || infNaN(s.MinY-r.MaxY, r.MinY-s.MaxY) {
+			if r.Valid() && s.Valid() {
+				t.Fatalf("valid rectangles %v, %v reach max(+Inf, NaN)", r, s)
+			}
+			skipped++
+			continue
+		}
+		checked++
+		dx, dy := refGaps(r, s)
+		if got, want := r.MinDist(s), math.Hypot(dx, dy); !same(got, want) {
+			t.Fatalf("MinDist(%v, %v) = %v, math.Max formulation %v", r, s, got, want)
+		}
+		for _, eps := range epss {
+			if got, want := r.WithinDist(s, eps), dx*dx+dy*dy <= eps*eps; got != want {
+				t.Fatalf("WithinDist(%v, %v, %v) = %v, math.Max formulation %v", r, s, eps, got, want)
+			}
+		}
+		// DistToPoint is MinDist to the degenerate rectangle at p.
+		p := Pt(s.MinX, s.MinY)
+		if infNaN(r.MinX-p.X, p.X-r.MaxX) || infNaN(r.MinY-p.Y, p.Y-r.MaxY) {
+			continue
+		}
+		pdx := math.Max(0, math.Max(r.MinX-p.X, p.X-r.MaxX))
+		pdy := math.Max(0, math.Max(r.MinY-p.Y, p.Y-r.MaxY))
+		if got, want := r.DistToPoint(p), math.Hypot(pdx, pdy); !same(got, want) {
+			t.Fatalf("DistToPoint(%v, %v) = %v, math.Max formulation %v", r, p, got, want)
+		}
+	}
+	if checked < 100000 || skipped == 0 {
+		t.Fatalf("checked %d pairs, skipped %d: the value set no longer covers both classes", checked, skipped)
+	}
+}

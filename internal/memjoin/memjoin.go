@@ -2,8 +2,11 @@
 // mobile device runs over downloaded partitions: a spatial-hash (grid)
 // join in the spirit of PBSM's in-memory phase, a plane-sweep join, and a
 // nested-loop join. All three produce identical result sets; the grid
-// join is the default used by HBSJ, the others serve as oracles and as
-// fallbacks for degenerate extents.
+// join is the one HBSJ runs, the others serve as oracles. The grid's
+// cells are sized from the predicate and the build side (about ε wide,
+// at most a constant number of cells and bucket entries per build
+// object), so the join is linear in its input plus its candidates; the
+// result pair list is sorted by an LSD radix sort (SortPairs).
 //
 // Join predicates are expressed as a Pred: MBR intersection (the filter
 // step of an intersection join) or within-ε distance (distance joins).
@@ -41,16 +44,15 @@ func (p Pred) Match(a, b geom.Rect) bool {
 	return a.WithinDist(b, p.Eps)
 }
 
-// refMatch applies duplicate avoidance: the pair qualifies only if the
-// reference point of the symmetrically ε/2-expanded MBR pair
-// (geom.RefPointEps) falls inside w.
+// refMatch applies duplicate avoidance on top of Match.
 func (p Pred) refMatch(a, b geom.Rect, w geom.Rect, dedup bool) bool {
-	if !p.Match(a, b) {
-		return false
-	}
-	if !dedup {
-		return true
-	}
+	return p.Match(a, b) && (!dedup || p.refInWindow(a, b, w))
+}
+
+// refInWindow is the duplicate-avoidance test of a matching pair: it
+// qualifies only if the reference point of the symmetrically
+// ε/2-expanded MBR pair (geom.RefPointEps) falls inside w.
+func (p Pred) refInWindow(a, b geom.Rect, w geom.Rect) bool {
 	rp, ok := geom.RefPointEps(a, b, p.Eps)
 	return ok && w.ContainsPoint(rp)
 }
@@ -73,10 +75,23 @@ type Options struct {
 // use; concurrent callers take one each from the pool (see GridJoin) or
 // own one per worker.
 type Joiner struct {
-	cellStart []int32 // CSR offsets: cell c's build indices at items[cellStart[c]:cellStart[c+1]]
-	cellCur   []int32 // fill cursors (pass 2 scratch)
-	items     []int32 // build indices grouped by covered cell
-	stamp     []int32 // per-build-object stamp for per-probe candidate dedup
+	// cellStart holds the CSR offsets shifted by one slot: once the grid
+	// is built, cell c's entries are at [cellStart[c], cellStart[c+1]).
+	// The extra leading slot lets the fill pass advance cellStart[c+1] as
+	// its cursor, so no second offsets array is needed.
+	cellStart []int32
+	cellOf    []int32     // point build: each build object's cell, kept between the count and fill passes
+	points    []cellPoint // point build: the build side's coordinates grouped by cell
+	items     []int32     // extent build: build indices grouped by covered cell
+	stamp     []int32     // extent build: last probe that tested each build object
+}
+
+// cellPoint is one build-side point as the probe loop reads it: packed in
+// cell order, so a probe streams its candidates' coordinates instead of
+// chasing indices into the 40-byte Objects.
+type cellPoint struct {
+	x, y float64
+	id   uint32
 }
 
 // NewJoiner returns an empty Joiner; its buffers grow to the workload's
@@ -89,9 +104,10 @@ func NewJoiner() *Joiner { return &Joiner{} }
 var joinerPool = sync.Pool{New: func() any { return NewJoiner() }}
 
 // GridJoin performs a spatial-hash join of r and s under pred, appending
-// qualifying pairs to dst. The grid resolution adapts to the input size.
-// This is the in-memory half of HBSJ. The call is backed by a pooled
-// Joiner, so its grid and stamp buffers are reused across invocations.
+// qualifying pairs to dst. The grid resolution follows the predicate and
+// the data (see grid). This is the in-memory half of HBSJ. The call is
+// backed by a pooled Joiner, so its grid buffers are reused across
+// invocations.
 func GridJoin(r, s []geom.Object, pred Pred, opt Options, dst []geom.Pair) []geom.Pair {
 	j := joinerPool.Get().(*Joiner)
 	dst = j.GridJoin(r, s, pred, opt, dst)
@@ -99,12 +115,92 @@ func GridJoin(r, s []geom.Object, pred Pred, opt Options, dst []geom.Pair) []geo
 	return dst
 }
 
-// grow32 resizes s to length n, reallocating only when capacity is short.
-func grow32(s []int32, n int) []int32 {
+// grow resizes s to length n, reallocating only when capacity is short.
+// The contents are unspecified.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// Sizing rule of the join grid: a build side of n objects gets a budget
+// of cellsPerObject·n cells and entriesPerObject·n bucket entries, so
+// grid memory and build time are linear in n whatever the extents are.
+const (
+	cellsPerObject   = 4
+	entriesPerObject = 4
+)
+
+// cellSlack widens every probe's cell range, in cells. The predicate and
+// the cell arithmetic round differently (x−ε against x−minX scaled), so a
+// build object at distance exactly ε could sit an ulp across a cell
+// border from where the probe's range ends; cell coordinates carry a
+// relative error near 2⁻⁵², far inside this margin. The cost is one more
+// column for a probe that ends within a millionth of a cell of a border.
+const cellSlack = 1.0 / (1 << 20)
+
+// grid is a kx×ky lattice of square cells anchored at the build side's
+// lower-left corner. Coordinates outside the build extent clamp to the
+// border cells, so the grid needs no ε margin.
+type grid struct {
+	minX, minY float64
+	inv        float64 // cells per coordinate unit
+	kx, ky     int
+	eps        float64 // the predicate's reach, ≥ 0
+}
+
+// newGrid sizes the grid for a build side of n objects spanning extent.
+// Cells are ε wide, so a probe's reach spans at most three per axis and
+// its candidates come from ≈9ε² of the plane rather than from a fixed
+// fraction of the world; they are wider only where ε-wide cells would
+// exceed the budget B = cellsPerObject·n, and intersection joins (ε = 0)
+// get the finest grid the budget allows. With side ≥ √(w·h/B) and
+// side ≥ (w+h)/B the grid has at most (w/side+1)·(h/side+1) ≤ 2B+1
+// cells, B for a roughly square extent. A zero-width axis gets a single
+// row or column.
+func newGrid(extent geom.Rect, n int, eps float64) grid {
+	w, h := extent.Width(), extent.Height()
+	budget := float64(cellsPerObject * n)
+	g := grid{minX: extent.MinX, minY: extent.MinY, eps: eps}
+	g.setSide(extent, max(eps, math.Sqrt(w*h/budget), (w+h)/budget))
+	return g
+}
+
+// setSide lays cells of the given side over extent. A side of zero (a
+// build side at a single location) or any non-finite product ends up as
+// one cell on that axis.
+func (g *grid) setSide(extent geom.Rect, side float64) {
+	g.inv = 1 / side
+	g.kx = cell(extent.Width()*g.inv, math.MaxInt32) + 1
+	g.ky = cell(extent.Height()*g.inv, math.MaxInt32) + 1
+}
+
+// cell maps a coordinate offset (already relative to the grid origin) to
+// a cell index in [0, k), clamping anything outside — NaN included — to
+// the border cells.
+func cell(f float64, k int) int {
+	if !(f > 0) {
+		return 0
+	}
+	if f >= float64(k) {
+		return k - 1
+	}
+	return int(f)
+}
+
+// cover returns the inclusive cell range a build-side MBR occupies.
+func (g *grid) cover(m *geom.Rect) (x0, y0, x1, y1 int) {
+	return cell((m.MinX-g.minX)*g.inv, g.kx), cell((m.MinY-g.minY)*g.inv, g.ky),
+		cell((m.MaxX-g.minX)*g.inv, g.kx), cell((m.MaxY-g.minY)*g.inv, g.ky)
+}
+
+// reach returns the inclusive cell range holding every build object that
+// can satisfy the predicate with a probe MBR: the MBR grown by ε, and by
+// cellSlack in cell space.
+func (g *grid) reach(m *geom.Rect) (x0, y0, x1, y1 int) {
+	return cell((m.MinX-g.eps-g.minX)*g.inv-cellSlack, g.kx), cell((m.MinY-g.eps-g.minY)*g.inv-cellSlack, g.ky),
+		cell((m.MaxX+g.eps-g.minX)*g.inv+cellSlack, g.kx), cell((m.MaxY+g.eps-g.minY)*g.inv+cellSlack, g.ky)
 }
 
 // GridJoin is the Joiner-owned form of the package-level GridJoin; it
@@ -121,111 +217,178 @@ func (j *Joiner) GridJoin(r, s []geom.Object, pred Pred, opt Options, dst []geom
 		swapped = true
 	}
 
-	// Grid over the union extent, expanded by eps so probes stay in range.
 	extent := build[0].MBR
-	for _, o := range build[1:] {
-		extent = extent.Union(o.MBR)
+	points := true
+	for i := range build {
+		m := &build[i].MBR
+		extent.MinX, extent.MinY = min(extent.MinX, m.MinX), min(extent.MinY, m.MinY)
+		extent.MaxX, extent.MaxY = max(extent.MaxX, m.MaxX), max(extent.MaxY, m.MaxY)
+		points = points && build[i].IsPoint()
 	}
-	if pred.Eps > 0 {
-		extent = extent.Expand(pred.Eps)
+	g := newGrid(extent, len(build), max(pred.Eps, 0))
+	if points {
+		j.bucketPoints(&g, build)
+		return j.probePoints(&g, probe, swapped, pred, opt, dst)
 	}
-	k := int(math.Sqrt(float64(len(build)))) + 1
-	if k > 64 {
-		k = 64
-	}
-	cw := extent.Width() / float64(k)
-	ch := extent.Height() / float64(k)
-	if cw <= 0 || ch <= 0 {
-		// Degenerate extent: everything in one cell — nested loop.
-		return NestedLoop(r, s, pred, opt, dst)
-	}
+	j.bucketExtents(&g, extent, build)
+	return j.probeExtents(&g, build, probe, swapped, pred, opt, dst)
+}
 
-	cellOf := func(x, y float64) (int, int) {
-		cx := int((x - extent.MinX) / cw)
-		cy := int((y - extent.MinY) / ch)
-		if cx < 0 {
-			cx = 0
-		}
-		if cx >= k {
-			cx = k - 1
-		}
-		if cy < 0 {
-			cy = 0
-		}
-		if cy >= k {
-			cy = k - 1
-		}
-		return cx, cy
-	}
+// resetCells sizes and zeroes the offsets array for g.
+func (j *Joiner) resetCells(g *grid) {
+	j.cellStart = grow(j.cellStart, g.kx*g.ky+2)
+	clear(j.cellStart)
+}
 
-	// Bucket the build side in CSR form: count per cell, prefix-sum into
-	// offsets, then fill — two passes, zero per-cell allocations, and each
-	// cell's candidate list keeps build order (the same order the old
-	// map-of-slices produced, so pair emission order is unchanged).
-	cells := k * k
-	j.cellStart = grow32(j.cellStart, cells+1)
-	for i := range j.cellStart {
-		j.cellStart[i] = 0
+// sumCells turns the per-cell counts (stored two slots up) into start
+// offsets (one slot up), ready for the fill pass.
+func (j *Joiner) sumCells() {
+	for c := 2; c < len(j.cellStart); c++ {
+		j.cellStart[c] += j.cellStart[c-1]
 	}
-	total := 0
-	for _, o := range build {
-		x0, y0 := cellOf(o.MBR.MinX, o.MBR.MinY)
-		x1, y1 := cellOf(o.MBR.MaxX, o.MBR.MaxY)
+}
+
+// bucketPoints groups a point-only build side by cell: count, prefix-sum,
+// fill — two passes over the build side, zero per-cell allocations, and
+// each cell keeps build order. A point lies in exactly one cell.
+func (j *Joiner) bucketPoints(g *grid, build []geom.Object) {
+	j.resetCells(g)
+	j.cellOf = grow(j.cellOf, len(build))
+	for i := range build {
+		m := &build[i].MBR
+		c := cell((m.MinY-g.minY)*g.inv, g.ky)*g.kx + cell((m.MinX-g.minX)*g.inv, g.kx)
+		j.cellOf[i] = int32(c)
+		j.cellStart[c+2]++
+	}
+	j.sumCells()
+	j.points = grow(j.points, len(build))
+	for i := range build {
+		at := &j.cellStart[j.cellOf[i]+1]
+		j.points[*at] = cellPoint{x: build[i].MBR.MinX, y: build[i].MBR.MinY, id: build[i].ID}
+		*at++
+	}
+}
+
+// probePoints joins the probe side against a point-only build side. No
+// build point is in two cells, so no candidate is seen twice and there is
+// no stamp pass. A point probe of a distance join — the paper's workload
+// — is decided straight off the coordinates: for two points
+// Rect.WithinDist reduces to exactly this expression (its dx is
+// |x₁−x₂|), so every pair, the ones at exactly ε included, is decided as
+// Pred.Match decides it.
+func (j *Joiner) probePoints(g *grid, probe []geom.Object, swapped bool, pred Pred, opt Options, dst []geom.Pair) []geom.Pair {
+	eps2 := pred.Eps * pred.Eps
+	for pi := range probe {
+		po := &probe[pi]
+		px, py := po.MBR.MinX, po.MBR.MinY
+		direct := pred.Eps > 0 && !opt.Dedup && po.IsPoint()
+		x0, y0, x1, y1 := g.reach(&po.MBR)
 		for cy := y0; cy <= y1; cy++ {
-			for cx := x0; cx <= x1; cx++ {
-				j.cellStart[cy*k+cx+1]++
-				total++
+			// The row's cells are adjacent in CSR order: one span.
+			span := j.points[j.cellStart[cy*g.kx+x0]:j.cellStart[cy*g.kx+x1+1]]
+			if direct {
+				for i := range span {
+					c := &span[i]
+					dx, dy := px-c.x, py-c.y
+					if dx*dx+dy*dy <= eps2 {
+						dst = appendPair(dst, c.id, po.ID, swapped)
+					}
+				}
+				continue
+			}
+			for i := range span {
+				c := &span[i]
+				cm := geom.Rect{MinX: c.x, MinY: c.y, MaxX: c.x, MaxY: c.y}
+				a, b := cm, po.MBR
+				if swapped {
+					a, b = b, a
+				}
+				if pred.refMatch(a, b, opt.Window, opt.Dedup) {
+					dst = appendPair(dst, c.id, po.ID, swapped)
+				}
 			}
 		}
 	}
-	for c := 0; c < cells; c++ {
-		j.cellStart[c+1] += j.cellStart[c]
+	return dst
+}
+
+// appendPair appends the pair of a build and a probe object, R side first.
+func appendPair(dst []geom.Pair, buildID, probeID uint32, swapped bool) []geom.Pair {
+	if swapped {
+		return append(dst, geom.Pair{RID: probeID, SID: buildID})
 	}
-	j.cellCur = grow32(j.cellCur, cells)
-	copy(j.cellCur, j.cellStart[:cells])
-	j.items = grow32(j.items, total)
-	for i, o := range build {
-		x0, y0 := cellOf(o.MBR.MinX, o.MBR.MinY)
-		x1, y1 := cellOf(o.MBR.MaxX, o.MBR.MaxY)
+	return append(dst, geom.Pair{RID: buildID, SID: probeID})
+}
+
+// bucketExtents groups a build side with extended MBRs by covered cell.
+// An MBR wider than a cell is entered in every cell it covers; when that
+// replication would exceed the entry budget the cells are doubled until
+// it fits (one cell always does), so a few large objects cannot make the
+// grid quadratic.
+func (j *Joiner) bucketExtents(g *grid, extent geom.Rect, build []geom.Object) {
+	for {
+		total := 0
+		for i := range build {
+			x0, y0, x1, y1 := g.cover(&build[i].MBR)
+			total += (x1 - x0 + 1) * (y1 - y0 + 1)
+		}
+		if total <= entriesPerObject*len(build) {
+			j.items = grow(j.items, total)
+			break
+		}
+		g.setSide(extent, 2/g.inv)
+	}
+	j.resetCells(g)
+	for i := range build {
+		x0, y0, x1, y1 := g.cover(&build[i].MBR)
 		for cy := y0; cy <= y1; cy++ {
 			for cx := x0; cx <= x1; cx++ {
-				c := cy*k + cx
-				j.items[j.cellCur[c]] = int32(i)
-				j.cellCur[c]++
+				j.cellStart[cy*g.kx+cx+2]++
 			}
 		}
 	}
-
-	// To avoid emitting a pair once per shared cell, dedup candidates per
-	// probe with a stamp array.
-	j.stamp = grow32(j.stamp, len(build))
-	for i := range j.stamp {
-		j.stamp[i] = -1
-	}
-	for pi, po := range probe {
-		q := po.MBR
-		if pred.Eps > 0 {
-			q = q.Expand(pred.Eps)
-		}
-		x0, y0 := cellOf(q.MinX, q.MinY)
-		x1, y1 := cellOf(q.MaxX, q.MaxY)
+	j.sumCells()
+	for i := range build {
+		x0, y0, x1, y1 := g.cover(&build[i].MBR)
 		for cy := y0; cy <= y1; cy++ {
 			for cx := x0; cx <= x1; cx++ {
-				c := cy*k + cx
-				for _, bi := range j.items[j.cellStart[c]:j.cellStart[c+1]] {
+				at := &j.cellStart[cy*g.kx+cx+1]
+				j.items[*at] = int32(i)
+				*at++
+			}
+		}
+	}
+}
+
+// probeExtents joins the probe side against a build side with extended
+// MBRs. A build object entered in several cells would be tested once per
+// shared cell, so candidates are deduplicated per probe with a stamp
+// array — skipped when no build object was replicated.
+func (j *Joiner) probeExtents(g *grid, build, probe []geom.Object, swapped bool, pred Pred, opt Options, dst []geom.Pair) []geom.Pair {
+	stamped := len(j.items) > len(build)
+	if stamped {
+		j.stamp = grow(j.stamp, len(build))
+		for i := range j.stamp {
+			j.stamp[i] = -1
+		}
+	}
+	for pi := range probe {
+		x0, y0, x1, y1 := g.reach(&probe[pi].MBR)
+		for cy := y0; cy <= y1; cy++ {
+			row := cy * g.kx
+			for _, bi := range j.items[j.cellStart[row+x0]:j.cellStart[row+x1+1]] {
+				if stamped {
 					if j.stamp[bi] == int32(pi) {
 						continue
 					}
 					j.stamp[bi] = int32(pi)
-					var a, b geom.Object
-					if swapped {
-						a, b = po, build[bi]
-					} else {
-						a, b = build[bi], po
-					}
-					if pred.refMatch(a.MBR, b.MBR, opt.Window, opt.Dedup) {
-						dst = append(dst, geom.Pair{RID: a.ID, SID: b.ID})
-					}
+				}
+				a, b := &build[bi], &probe[pi]
+				if swapped {
+					a, b = b, a
+				}
+				if pred.refMatch(a.MBR, b.MBR, opt.Window, opt.Dedup) {
+					dst = append(dst, geom.Pair{RID: a.ID, SID: b.ID})
 				}
 			}
 		}
@@ -287,31 +450,123 @@ func NestedLoop(r, s []geom.Object, pred Pred, opt Options, dst []geom.Pair) []g
 	return dst
 }
 
-// SortPairs orders pairs by (RID, SID); used to compare result sets.
-// slices.SortFunc avoids the reflection-based swapper of sort.Slice on
-// this extremely hot comparator (every partition's pairs pass through
-// DedupPairs).
+// radixMin is the length below which SortPairs leaves the input to the
+// comparison sort: the radix sort's fixed cost (a 256-entry histogram per
+// byte pass) pays off from about 48 pairs at four passes and about 110
+// at eight.
+const radixMin = 64
+
+// pairScratch recycles the radix sort's second buffer.
+var pairScratch = sync.Pool{New: func() any { return new([]geom.Pair) }}
+
+// key packs a pair so that (RID, SID) order is integer order. Comparing
+// keys compiles to one flag-setting compare where comparing the fields
+// branches twice, unpredictably on shuffled input.
+func key(p geom.Pair) uint64 { return uint64(p.RID)<<32 | uint64(p.SID) }
+
+// SortPairs orders pairs by (RID, SID). Result assembly sorts every
+// run's whole pair list (DedupPairs), so this is an LSD radix sort over
+// the two ids, one byte per pass, least significant first: linear in the
+// input. Input that is already in order (a single partition's sorted
+// reply, a second call) returns after one scan. A byte on which all
+// pairs agree — every byte above the largest id present, in particular —
+// needs no pass, so ids below 2¹⁶ on both sides cost four passes, not
+// eight.
 func SortPairs(ps []geom.Pair) {
-	slices.SortFunc(ps, func(a, b geom.Pair) int {
-		if c := cmp.Compare(a.RID, b.RID); c != 0 {
-			return c
+	if len(ps) < radixMin {
+		slices.SortFunc(ps, func(a, b geom.Pair) int { return cmp.Compare(key(a), key(b)) })
+		return
+	}
+	i := 1
+	for i < len(ps) && key(ps[i-1]) <= key(ps[i]) {
+		i++
+	}
+	if i == len(ps) {
+		return
+	}
+	var diffR, diffS uint32 // bits on which some pair differs from the first
+	first := ps[0]
+	for _, p := range ps {
+		diffR |= p.RID ^ first.RID
+		diffS |= p.SID ^ first.SID
+	}
+
+	bufp := pairScratch.Get().(*[]geom.Pair)
+	*bufp = grow(*bufp, len(ps))
+	src, dst := ps, *bufp
+	for shift := 0; shift < 32; shift += 8 {
+		if uint8(diffS>>shift) != 0 {
+			radixPassSID(src, dst, shift)
+			src, dst = dst, src
 		}
-		return cmp.Compare(a.SID, b.SID)
-	})
+	}
+	for shift := 0; shift < 32; shift += 8 {
+		if uint8(diffR>>shift) != 0 {
+			radixPassRID(src, dst, shift)
+			src, dst = dst, src
+		}
+	}
+	if &src[0] != &ps[0] {
+		copy(ps, src)
+	}
+	pairScratch.Put(bufp)
+}
+
+// radixPassSID is one stable counting-sort pass from src to dst on the
+// byte at shift of the SID. It is written out once per field: a single
+// function selecting the field, by flag or by closure, runs the whole
+// sort a third slower.
+func radixPassSID(src, dst []geom.Pair, shift int) {
+	var at [256]int
+	for _, p := range src {
+		at[uint8(p.SID>>shift)]++
+	}
+	sum := 0
+	for b, n := range at {
+		at[b] = sum
+		sum += n
+	}
+	for _, p := range src {
+		b := uint8(p.SID >> shift)
+		dst[at[b]] = p
+		at[b]++
+	}
+}
+
+// radixPassRID is radixPassSID on the RID.
+func radixPassRID(src, dst []geom.Pair, shift int) {
+	var at [256]int
+	for _, p := range src {
+		at[uint8(p.RID>>shift)]++
+	}
+	sum := 0
+	for b, n := range at {
+		at[b] = sum
+		sum += n
+	}
+	for _, p := range src {
+		b := uint8(p.RID >> shift)
+		dst[at[b]] = p
+		at[b]++
+	}
 }
 
 // DedupPairs sorts and removes duplicate pairs in place, returning the
 // compacted slice.
 func DedupPairs(ps []geom.Pair) []geom.Pair {
+	SortPairs(ps)
 	if len(ps) < 2 {
 		return ps
 	}
-	SortPairs(ps)
-	out := ps[:1]
+	w := 0
+	prev := key(ps[0])
 	for _, p := range ps[1:] {
-		if p != out[len(out)-1] {
-			out = append(out, p)
+		k := key(p)
+		if k != prev {
+			w++
 		}
+		ps[w] = p
+		prev = k
 	}
-	return out
+	return ps[:w+1]
 }

@@ -161,8 +161,7 @@ func TestDedupAcrossPartitionsExactlyOnce(t *testing.T) {
 }
 
 func TestGridJoinDegenerateExtent(t *testing.T) {
-	// All build objects at the same point: grid cells collapse; the
-	// implementation must fall back to nested loop.
+	// All build objects at the same point: the grid collapses to one cell.
 	r := []geom.Object{geom.PointObject(1, geom.Pt(5, 5)), geom.PointObject(2, geom.Pt(5, 5))}
 	s := []geom.Object{geom.PointObject(10, geom.Pt(5, 5))}
 	got := GridJoin(r, s, Intersection(), Options{}, nil)

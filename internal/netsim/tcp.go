@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -17,31 +18,55 @@ import (
 // The length prefix is transport plumbing, not protocol payload; metering
 // (Eq. 1) is applied to the frame itself by the Metered wrapper, exactly
 // as for the channel transport, so both transports account identically.
+//
+// A frame costs one write and, when it fits the connection's read buffer,
+// one read: with TCP_NODELAY on (Go's default) a header written on its
+// own is a segment and a peer wake-up of its own, which on the
+// thousands of tiny probe frames of a join is most of the transport's
+// time.
 
-const maxFrame = 64 << 20 // sanity bound for the length prefix
+const (
+	maxFrame  = 64 << 20 // sanity bound for the length prefix
+	frameHdr  = 4
+	coalesce  = 16 << 10 // frames up to this size are copied behind their header into one buffer
+	readAhead = 4 << 10  // per-connection read buffer: header and a small payload arrive in one read
+)
 
-func writeFrame(w io.Writer, frame []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(frame)))
-	if _, err := w.Write(hdr[:]); err != nil {
+// writeFrame sends one length-prefixed frame in a single write: small
+// frames are copied behind their header into a pooled buffer, large ones
+// go out with the header as one gathered write (writev), uncopied.
+func writeFrame(conn net.Conn, frame []byte) error {
+	if len(frame) <= coalesce {
+		buf := binary.LittleEndian.AppendUint32(bufpool.GetCap(frameHdr+len(frame)), uint32(len(frame)))
+		buf = append(buf, frame...)
+		_, err := conn.Write(buf)
+		bufpool.Put(buf)
 		return err
 	}
-	_, err := w.Write(frame)
+	var hdr [frameHdr]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(len(frame)))
+	bufs := net.Buffers{hdr[:], frame}
+	_, err := bufs.WriteTo(conn)
 	return err
 }
 
 // readFrame reads one length-prefixed frame into a pooled buffer.
 // Ownership of the returned frame passes to the caller, which should
-// bufpool.Put it once its bytes are dead.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// bufpool.Put it once its bytes are dead. Payloads beyond the read buffer
+// are read straight into the frame, not through it.
+func readFrame(r *bufio.Reader) ([]byte, error) {
+	hdr, err := r.Peek(frameHdr)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > maxFrame {
 		return nil, fmt.Errorf("netsim: frame of %d bytes exceeds limit", n)
 	}
+	r.Discard(frameHdr) // cannot fail: the bytes were just peeked
 	frame := bufpool.GetCap(int(n))[:n]
 	if _, err := io.ReadFull(r, frame); err != nil {
 		bufpool.Put(frame)
@@ -115,8 +140,9 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	ah, appendable := s.h.(AppendHandler)
+	br := bufio.NewReaderSize(conn, readAhead)
 	for {
-		req, err := readFrame(conn)
+		req, err := readFrame(br)
 		if err != nil {
 			return // client closed, broken frame, or drain poisoned the read
 		}
@@ -232,9 +258,21 @@ type TCPTransport struct {
 	slots chan struct{} // capacity = max concurrent connections
 
 	mu     sync.Mutex
-	free   []net.Conn
-	conns  map[net.Conn]struct{}
+	free   []*tcpConn
+	conns  map[*tcpConn]struct{}
 	closed bool
+}
+
+// tcpConn is one pooled client connection with its read buffer. The two
+// live and die together: a connection dropped after an interrupted round
+// trip takes whatever its reader had buffered with it.
+type tcpConn struct {
+	net.Conn
+	br *bufio.Reader
+}
+
+func newTCPConn(conn net.Conn) *tcpConn {
+	return &tcpConn{Conn: conn, br: bufio.NewReaderSize(conn, readAhead)}
 }
 
 // defaultMaxConns bounds the connections DialTCP may open on demand.
@@ -253,22 +291,23 @@ func DialTCPPool(addr string, maxConns int) (*TCPTransport, error) {
 	if maxConns < 1 {
 		maxConns = 1
 	}
-	conn, err := net.Dial("tcp", addr)
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	conn := newTCPConn(nc)
 	t := &TCPTransport{
 		addr:  addr,
 		slots: make(chan struct{}, maxConns),
-		free:  []net.Conn{conn},
-		conns: map[net.Conn]struct{}{conn: {}},
+		free:  []*tcpConn{conn},
+		conns: map[*tcpConn]struct{}{conn: {}},
 	}
 	return t, nil
 }
 
 // acquire returns a free or freshly dialed connection, waiting when
 // maxConns are already in flight. It gives up when ctx is done.
-func (t *TCPTransport) acquire(ctx context.Context) (net.Conn, error) {
+func (t *TCPTransport) acquire(ctx context.Context) (*tcpConn, error) {
 	select {
 	case t.slots <- struct{}{}:
 	case <-ctx.Done():
@@ -288,11 +327,12 @@ func (t *TCPTransport) acquire(ctx context.Context) (net.Conn, error) {
 	}
 	t.mu.Unlock()
 	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", t.addr)
+	nc, err := d.DialContext(ctx, "tcp", t.addr)
 	if err != nil {
 		<-t.slots
 		return nil, err
 	}
+	conn := newTCPConn(nc)
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -307,7 +347,7 @@ func (t *TCPTransport) acquire(ctx context.Context) (net.Conn, error) {
 
 // release returns a healthy connection to the pool; broken connections
 // are discarded (the next acquire redials).
-func (t *TCPTransport) release(conn net.Conn, healthy bool) {
+func (t *TCPTransport) release(conn *tcpConn, healthy bool) {
 	t.mu.Lock()
 	if !healthy || t.closed {
 		conn.Close()
@@ -338,9 +378,9 @@ func (t *TCPTransport) RoundTrip(ctx context.Context, req []byte) ([]byte, error
 	// Interrupt the socket when ctx is canceled mid-flight.
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(aLongTimeAgo) })
 	var resp []byte
-	err = writeFrame(conn, req)
+	err = writeFrame(conn.Conn, req) // the bare socket: gathered writes need *net.TCPConn itself
 	if err == nil {
-		resp, err = readFrame(conn)
+		resp, err = readFrame(conn.br)
 	}
 	healthy := err == nil
 	if !stop() {
@@ -379,7 +419,7 @@ func (t *TCPTransport) Close() error {
 			err = cerr
 		}
 	}
-	t.conns = map[net.Conn]struct{}{}
+	t.conns = map[*tcpConn]struct{}{}
 	t.free = nil
 	return err
 }

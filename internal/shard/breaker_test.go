@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -120,14 +121,27 @@ func TestReplicaHedgeSkipsOpenBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	rts[1].dead.Store(true)
-	for k := 0; k < 4; k++ {
+	const tripping = 4
+	for k := 0; k < tripping; k++ {
 		if _, err := rs.Count(context.Background(), w); err != nil {
 			t.Fatalf("probe %d while tripping the breaker: %v", k, err)
 		}
 	}
-	if rs.Breakers()[1].State() != health.Open {
-		t.Fatalf("replica 1 breaker %v after repeated failures, want Open", rs.Breakers()[1].State())
-	}
+	// Every probe so far attempted the dead replica, as primary or as
+	// hedge, until its breaker opened; whenever the live replica answered
+	// first, that attempt was still in flight when the probe returned.
+	// Each of them is scored as a failure once it completes (losing the
+	// race is no excuse), so the breaker opens without further probes —
+	// wait for the stragglers instead of racing them: first until every
+	// attempt launched (one primary per probe, plus hedges and failovers)
+	// has reached a transport, then until the breaker has the verdict.
+	waitFor(t, "every launched attempt to reach its transport", func() bool {
+		st := rs.Stats()
+		return rts[0].calls.Load()+rts[1].calls.Load() == 1+tripping+st.Hedges+st.Failovers
+	})
+	waitFor(t, "replica 1's breaker to open", func() bool {
+		return rs.Breakers()[1].State() == health.Open
+	})
 	hedges0 := rs.Stats().Hedges
 	deadCalls := rts[1].calls.Load()
 	for k := 0; k < 10; k++ {
@@ -146,6 +160,58 @@ func TestReplicaHedgeSkipsOpenBreaker(t *testing.T) {
 	}
 	if n := rts[1].calls.Load(); n != deadCalls {
 		t.Fatalf("open-circuit replica received %d speculative calls, want 0", n-deadCalls)
+	}
+}
+
+// waitFor polls cond until it holds; the condition must be one the code
+// under test guarantees to reach, so the deadline only bounds a failure.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestReplicaScoreClassifiesByError pins what feeds a replica's breaker:
+// the error an attempt returned decides, not the state its context has
+// reached since. A replica-down error scored after the hedge partner won
+// (attempt context cancelled) is a failure all the same; cancellation, a
+// spent budget and a transport we closed are not the endpoint's fault; a
+// timeout while the attempt still had budget is.
+func TestReplicaScoreClassifiesByError(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel2()
+	live := context.Background()
+	for _, tc := range []struct {
+		name    string
+		err     error
+		actx    context.Context
+		failure bool
+	}{
+		{"replica down, context live", errReplicaDown, live, true},
+		{"replica down, hedge partner already won", fmt.Errorf("D-r2: %w", errReplicaDown), cancelled, true},
+		{"replica down, budget since spent", errReplicaDown, expired, true},
+		{"per-try timeout inside the budget", fmt.Errorf("D-r2: %w", context.DeadlineExceeded), live, true},
+		{"per-try timeout, hedge partner already won", context.DeadlineExceeded, cancelled, true},
+		{"lost hedge race", fmt.Errorf("D-r2: %w", context.Canceled), cancelled, false},
+		{"budget spent", fmt.Errorf("D-r2: %w", context.DeadlineExceeded), expired, false},
+		{"transport closed by us", fmt.Errorf("D-r2: %w", netsim.ErrClosed), live, false},
+	} {
+		reg := health.NewRegistry(quietBreakers())
+		rs := newTestReplicaSet(t, dataset.Uniform(10, dataset.World, 1), 2, ReplicaConfig{Health: reg}, nil)
+		brk := rs.Breakers()[1]
+		for k := 0; k < 2; k++ { // quietBreakers opens on two consecutive failures
+			rs.score(1, tc.err, 0, tc.actx)
+		}
+		if got := brk.State() == health.Open; got != tc.failure {
+			t.Errorf("%s: breaker %v after two such outcomes, scored as failure = %v, want %v",
+				tc.name, brk.State(), got, tc.failure)
+		}
+		reg.Close()
 	}
 }
 

@@ -218,9 +218,13 @@ func (rs *ReplicaSet) allow(i int) bool {
 
 // score feeds one attempt outcome to replica i's breaker. Failures the
 // endpoint is innocent of are excluded: our own cancellation (a lost
-// hedge race, a spent budget — actx is the attempt's context) and a
-// transport we closed. A per-try timeout inside the Remote does count:
-// the attempt context was alive, the endpoint just never answered.
+// hedge race), a spent deadline of the attempt's own context actx (the
+// probe budget), and a transport we closed. A per-try timeout inside the
+// Remote does count: the attempt still had time, the endpoint just never
+// answered. The outcome is classified by the error the attempt returned,
+// never by whether actx has been cancelled since: a hedge partner that
+// wins cancels actx before a failure that arrived first is scored, and
+// that failure is the endpoint's.
 func (rs *ReplicaSet) score(i int, err error, d time.Duration, actx context.Context) {
 	if rs.brk == nil {
 		return
@@ -229,7 +233,8 @@ func (rs *ReplicaSet) score(i int, err error, d time.Duration, actx context.Cont
 		rs.brk[i].ReportSuccess(d)
 		return
 	}
-	if actx.Err() != nil || errors.Is(err, context.Canceled) || errors.Is(err, netsim.ErrClosed) {
+	budgetSpent := errors.Is(err, context.DeadlineExceeded) && errors.Is(actx.Err(), context.DeadlineExceeded)
+	if budgetSpent || errors.Is(err, context.Canceled) || errors.Is(err, netsim.ErrClosed) {
 		return
 	}
 	rs.brk[i].ReportFailure(err)

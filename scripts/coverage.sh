@@ -16,7 +16,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 floor="${COVER_FLOOR:-79.0}"
 
-go test -coverprofile=cover.out ./... | tee cover.txt
+# Only packages that have tests are measured: since Go 1.22 a package
+# without test files is reported at 0% instead of being left out, which
+# would count the command-line front ends (cmd/, examples/ — exercised by
+# scripts/smoke.sh, not by go test) against the library's floor.
+pkgs=$(go list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}}{{end}}' ./...)
+go test -coverprofile=cover.out $pkgs | tee cover.txt
 
 check() { # check <label> <observed> <floor>
   echo "$1 statement coverage: $2% (floor $3%)"
@@ -32,7 +37,7 @@ check "total" "$total" "$floor"
 
 # Per-package floors for the newest subsystems, parsed from the test
 # run's own "ok <pkg> ... coverage: NN.N%" lines.
-for gate in "repro/internal/health:82.0" "repro/internal/harness:80.0"; do
+for gate in "repro/internal/health:82.0" "repro/internal/harness:80.0" "repro/internal/memjoin:90.0"; do
   pkg="${gate%%:*}"
   pfloor="${gate##*:}"
   pct=$(awk -v p="$pkg" '$1 == "ok" && $2 == p { for (i = 1; i <= NF; i++) if ($i == "coverage:") { sub(/%.*/, "", $(i + 1)); print $(i + 1) } }' cover.txt)
