@@ -58,10 +58,13 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) -skip Hedged BENCH_baseline.json bench.cmp.json; \
 	  status=$$?; rm -f bench.cmp.json; exit $$status
 
-# fuzz runs every fuzz target briefly — the codec-hardening pass CI runs
-# on each push. Longer local campaigns: go test -fuzz <Target> -fuzztime 5m.
+# fuzz runs every fuzz target briefly — the hardening pass CI runs on
+# each push over the two surfaces that parse bytes from outside: the wire
+# codec with the server handler, and the daemon's JSON-lines protocol in
+# the root package. Longer local campaigns: go test -fuzz <Target>
+# -fuzztime 5m.
 fuzz:
-	@for pkg in ./internal/wire ./internal/server; do \
+	@for pkg in ./internal/wire ./internal/server .; do \
 	  for f in $$($(GO) test -list 'Fuzz.*' $$pkg | grep '^Fuzz'); do \
 	    echo "== $$pkg $$f"; \
 	    $(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s $$pkg || exit 1; \

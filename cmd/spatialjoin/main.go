@@ -56,13 +56,11 @@ import (
 	"syscall"
 	"time"
 
+	"repro"
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/costmodel"
+	"repro/internal/fleet"
 	"repro/internal/geom"
-	"repro/internal/health"
-	"repro/internal/netsim"
-	"repro/internal/shard"
 )
 
 func parseWindow(s string) (geom.Rect, error) {
@@ -82,122 +80,6 @@ func parseWindow(s string) (geom.Rect, error) {
 		v[i] = f
 	}
 	return geom.R(v[0], v[1], v[2], v[3]), nil
-}
-
-// dialProbe connects one relation's endpoint: a single server (addr), or
-// a scatter–gather router over a comma-separated shard address list.
-// Each shard entry may itself be a `+`-separated replica group
-// ("a+b,c+d" = two shards, two replicas each): the replicas are wired
-// behind a shard.ReplicaSet that load-balances, fails over, and — with
-// hedgePct > 0 — hedges straggling probes against a sibling replica.
-// With reg non-nil, replica groups get circuit breakers; budget bounds
-// each logical probe end-to-end; solo forces even a single server behind
-// a one-shard router so degraded partial-result mode has an absorbing
-// scatter layer to record gaps in. treeFanout >= 2 stacks the shard
-// endpoints under a hierarchical aggregation tree on the device: groups
-// of that many consecutive shards sit behind interior Aggregator nodes
-// that partially merge replies, so the root link carries O(fanout)
-// frames per query instead of O(shards).
-func dialProbe(name, addr, shardList string, conns, treeFanout int, price, hedgePct float64,
-	reg *health.Registry, budget time.Duration, solo bool, copts []client.Option) (core.Probe, error) {
-	dial := func(label, a string) (*client.Remote, error) {
-		tr, err := netsim.DialTCPPool(a, conns)
-		if err != nil {
-			return nil, err
-		}
-		rem, err := client.NewRemote(label, tr, netsim.DefaultLink(), price, copts...)
-		if err != nil {
-			tr.Close()
-			return nil, err
-		}
-		return rem, nil
-	}
-	if shardList == "" {
-		rem, err := dial(name+"("+addr+")", addr)
-		if err != nil || !solo {
-			return rem, err
-		}
-		router, err := shard.NewRouter(name, []shard.Endpoint{rem}, shard.WithParallelism(conns))
-		if err != nil {
-			rem.Close()
-			return nil, err
-		}
-		return router, nil
-	}
-	groups := strings.Split(shardList, ",")
-	eps := make([]shard.Endpoint, 0, len(groups))
-	closeAll := func() {
-		for _, e := range eps {
-			e.Close()
-		}
-	}
-	for i, group := range groups {
-		sname := fmt.Sprintf("%s%d/%d", name, i+1, len(groups))
-		replicas := strings.Split(group, "+")
-		rems := make([]*client.Remote, 0, len(replicas))
-		for j, a := range replicas {
-			a = strings.TrimSpace(a)
-			if a == "" {
-				closeAll()
-				return nil, fmt.Errorf("empty address in -shards-%s", strings.ToLower(name))
-			}
-			label := fmt.Sprintf("%s(%s)", sname, a)
-			if len(replicas) > 1 {
-				label = fmt.Sprintf("%s-r%d(%s)", sname, j+1, a)
-			}
-			rem, err := dial(label, a)
-			if err != nil {
-				for _, r := range rems {
-					r.Close()
-				}
-				closeAll()
-				return nil, err
-			}
-			rems = append(rems, rem)
-		}
-		if len(rems) == 1 {
-			eps = append(eps, rems[0])
-			continue
-		}
-		rset, err := shard.NewReplicaSet(sname, rems, shard.ReplicaConfig{
-			HedgePct: hedgePct,
-			Seed:     int64(i),
-			Health:   reg,
-			Budget:   budget,
-		})
-		if err != nil {
-			for _, r := range rems {
-				r.Close()
-			}
-			closeAll()
-			return nil, err
-		}
-		eps = append(eps, rset)
-	}
-	if treeFanout >= 2 {
-		return shard.NewTree(name, eps, treeFanout, netsim.DefaultLink(), shard.WithParallelism(conns))
-	}
-	return shard.NewRouter(name, eps, shard.WithParallelism(conns))
-}
-
-func algorithm(name string) (core.Algorithm, error) {
-	switch strings.ToLower(name) {
-	case "naive":
-		return core.Naive{}, nil
-	case "grid":
-		return core.Grid{}, nil
-	case "mobijoin", "mobi":
-		return core.MobiJoin{}, nil
-	case "upjoin", "up":
-		return core.UpJoin{}, nil
-	case "srjoin", "sr":
-		return core.SrJoin{}, nil
-	case "semijoin", "semi":
-		return core.SemiJoin{}, nil
-	case "auto":
-		return core.Auto{}, nil
-	}
-	return nil, fmt.Errorf("unknown algorithm %q", name)
 }
 
 func main() {
@@ -255,60 +137,34 @@ func main() {
 	if *algAlias != "" {
 		algName = *algAlias
 	}
-	a, err := algorithm(algName)
+	a, err := core.ParseAlgorithm(algName)
 	fatal(err)
 	win, err := parseWindow(*window)
 	fatal(err)
-
-	var spec core.Spec
-	switch strings.ToLower(*kind) {
-	case "intersection":
-		spec = core.Spec{Kind: core.Intersection}
-	case "distance":
-		spec = core.Spec{Kind: core.Distance, Eps: *eps}
-	case "iceberg":
-		spec = core.Spec{Kind: core.IcebergSemi, Eps: *eps, MinMatches: *m}
-	default:
-		fatal(fmt.Errorf("unknown join kind %q", *kind))
-	}
-
-	conns := *parallel
-	if conns < 1 {
-		conns = 1
-	}
-	policy := client.RetryPolicy{
-		MaxAttempts:   *retries,
-		Backoff:       5 * time.Millisecond,
-		PerTryTimeout: *tryTO,
-		Budget:        *budget,
-	}
-	copts := []client.Option{client.WithRetry(policy)}
-	if *batch > 1 {
-		copts = append(copts, client.WithBatch(client.BatchConfig{MaxBatch: *batch}))
-	}
-	var reg *health.Registry
-	if *breakers {
-		reg = health.NewRegistry(health.Config{})
-	}
-	remR, err := dialProbe("R", *rAddr, *rShards, conns, *fanout, *priceR, *hedgePct, reg, *budget, *partial, copts)
+	spec, err := core.ParseSpec(*kind, *eps, *m)
 	fatal(err)
-	defer remR.Close()
-	remS, err := dialProbe("S", *sAddr, *sShards, conns, *fanout, *priceS, *hedgePct, reg, *budget, *partial, copts)
-	fatal(err)
-	defer remS.Close()
-	if reg != nil {
-		// Deferred after the remotes so it runs first: the recovery
-		// probers must stop before the transports they probe close.
-		defer reg.Close()
-	}
 
-	model := costmodel.Default()
-	model.Bucket = *bucket
-	model.PriceR, model.PriceS = *priceR, *priceS
-	env := core.NewEnv(remR, remS, client.Device{BufferObjects: *buffer}, model, win)
-	env.Parallelism = *parallel
-	env.BatchSize = *batch
-	env.AllowPartial = *partial
+	// The flags fill the one fleet configuration; fleet.Dial turns the
+	// address lists ("a+b,c+d": shards of replica groups) into the same
+	// stack a session builds in-process.
+	addrsR, addrsS := *rShards, *sShards
+	if addrsR == "" {
+		addrsR = *rAddr
+	}
+	if addrsS == "" {
+		addrsS = *sAddr
+	}
+	f, err := fleet.Dial(fleet.Config{
+		Buffer: *buffer, Bucket: *bucket, Window: win,
+		PriceR: *priceR, PriceS: *priceS,
+		Parallelism: *parallel, BatchSize: *batch,
+		Retry:       client.RetryPolicy{MaxAttempts: *retries, Backoff: 5 * time.Millisecond, PerTryTimeout: *tryTO},
+		QueryBudget: *budget, HedgePct: *hedgePct, Breakers: *breakers,
+		TreeFanout: *fanout, AllowPartial: *partial,
+	}, addrsR, addrsS)
+	fatal(err)
+	defer f.Close()
+	env := f.NewEnv(f.R, f.S)
 
 	// -explain with a fixed algorithm streams the phase events live (the
 	// fixed algorithms build no Explain of their own); Auto's structured
@@ -354,7 +210,7 @@ func main() {
 	if len(st.RLevels) > 1 || len(st.SLevels) > 1 {
 		fmt.Printf("tree levels (wire bytes, root first): R %v / S %v\n", st.RLevels, st.SLevels)
 	}
-	if n := remR.Retries() + remS.Retries(); n > 0 {
+	if n := f.R.Retries() + f.S.Retries(); n > 0 {
 		fmt.Printf("retries: %d re-issued requests (retransmissions metered)\n", n)
 	}
 	if h := st.R.HedgedWireBytes + st.S.HedgedWireBytes; h > 0 {
@@ -385,33 +241,8 @@ func fatal(err error) {
 	}
 }
 
-// daemonRequest / daemonReply mirror spatialjoind's JSON-lines protocol.
-type daemonRequest struct {
-	Tenant     string  `json:"tenant"`
-	Alg        string  `json:"alg"`
-	Kind       string  `json:"kind"`
-	Eps        float64 `json:"eps"`
-	MinMatches int     `json:"min_matches,omitempty"`
-	Pairs      bool    `json:"pairs,omitempty"`
-}
-
-type daemonReply struct {
-	Alg        string   `json:"alg"`
-	Pairs      int      `json:"pairs"`
-	Objects    int      `json:"objects"`
-	PairList   [][2]int `json:"pair_list"`
-	ObjectList []int    `json:"object_list"`
-	WireR      int      `json:"wire_r"`
-	WireS      int      `json:"wire_s"`
-	TotalBytes int      `json:"total_bytes"`
-	Money      float64  `json:"money"`
-	Spent      int64    `json:"spent"`
-	Quota      int64    `json:"quota"`
-	Err        string   `json:"err"`
-	ErrKind    string   `json:"err_kind"`
-}
-
-// runDaemonClient submits one join to a spatialjoind daemon and prints
+// runDaemonClient submits one join to a spatialjoind daemon over its
+// JSON-lines protocol (repro.JoinRequest / repro.JoinReply) and prints
 // the reply in the same shape as a local run. Quota rejections exit 4 so
 // scripts can tell "over budget" from "broken".
 func runDaemonClient(addr, tenant, alg, algAlias, kind string, eps float64, m int, pairs bool) {
@@ -422,19 +253,22 @@ func runDaemonClient(addr, tenant, alg, algAlias, kind string, eps float64, m in
 	if algAlias != "" {
 		alg = algAlias
 	}
+	spec, err := core.ParseSpec(kind, eps, m)
+	fatal(err)
 	conn, err := net.Dial("tcp", addr)
 	fatal(err)
 	defer conn.Close()
-	req := daemonRequest{Tenant: tenant, Alg: alg, Kind: kind, Eps: eps, MinMatches: m, Pairs: pairs}
-	if err := json.NewEncoder(conn).Encode(req); err != nil {
-		fatal(err)
-	}
+	req := repro.JoinRequest{Tenant: tenant, Alg: alg, Kind: kind, Eps: eps, MinMatches: m, Pairs: pairs}
+	fatal(json.NewEncoder(conn).Encode(req))
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
+	sc.Buffer(make([]byte, 0, 64<<10), repro.MaxLine)
 	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			fatal(fmt.Errorf("reading the reply of the daemon at %s: %w", addr, err))
+		}
 		fatal(fmt.Errorf("daemon at %s closed the connection without a reply", addr))
 	}
-	var rep daemonReply
+	var rep repro.JoinReply
 	fatal(json.Unmarshal(sc.Bytes(), &rep))
 	if rep.Err != "" {
 		fmt.Fprintf(os.Stderr, "spatialjoin: daemon: %s\n", rep.Err)
@@ -445,7 +279,9 @@ func runDaemonClient(addr, tenant, alg, algAlias, kind string, eps float64, m in
 		}
 		os.Exit(1)
 	}
-	if rep.Objects > 0 && rep.Pairs == 0 {
+	// The shape follows the kind that was asked for, not the counts: an
+	// iceberg join nothing qualifies for is still an object list.
+	if spec.Kind == core.IcebergSemi {
 		fmt.Printf("%s: %d qualifying R objects\n", rep.Alg, rep.Objects)
 		for _, id := range rep.ObjectList {
 			fmt.Printf("  %d\n", id)

@@ -21,7 +21,8 @@
 // conc (max concurrent joins, 0 = unlimited). A bare name declares a
 // default-class tenant.
 //
-// Protocol: one JSON object per line. Request:
+// Protocol (repro.JoinRequest / repro.JoinReply, served by
+// repro.Server.Serve): one JSON object per line. Request:
 //
 //	{"tenant":"fast","alg":"upjoin","kind":"distance","eps":75,"pairs":true}
 //
@@ -31,14 +32,12 @@
 // spent/quota counters; the spatialjoin client maps them to exit code 4.
 //
 // On SIGINT/SIGTERM the daemon stops accepting, cancels in-flight runs,
-// and exits 0.
+// ends idle connections and exits 0 — or 1 if a connection is still
+// open five seconds later.
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -46,41 +45,11 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
-	"time"
 
 	"repro"
-	"repro/internal/core"
 	"repro/internal/dataset"
 )
-
-// joinRequest is one tenant's join submission.
-type joinRequest struct {
-	Tenant     string  `json:"tenant"`
-	Alg        string  `json:"alg"`
-	Kind       string  `json:"kind"`
-	Eps        float64 `json:"eps"`
-	MinMatches int     `json:"min_matches,omitempty"`
-	Pairs      bool    `json:"pairs,omitempty"`
-}
-
-// joinReply is the daemon's answer. Err/ErrKind are empty on success.
-type joinReply struct {
-	Alg        string   `json:"alg,omitempty"`
-	Pairs      int      `json:"pairs"`
-	Objects    int      `json:"objects"`
-	PairList   [][2]int `json:"pair_list,omitempty"`
-	ObjectList []int    `json:"object_list,omitempty"`
-	WireR      int      `json:"wire_r"`
-	WireS      int      `json:"wire_s"`
-	TotalBytes int      `json:"total_bytes"`
-	Money      float64  `json:"money"`
-	Spent      int64    `json:"spent"`
-	Quota      int64    `json:"quota,omitempty"`
-	Err        string   `json:"err,omitempty"`
-	ErrKind    string   `json:"err_kind,omitempty"`
-}
 
 // parseTenants parses the -tenants spec: "name[:k=v[,k=v...]][;...]".
 func parseTenants(spec string) (map[repro.TenantID]repro.TenantConfig, error) {
@@ -130,112 +99,6 @@ func parseTenants(spec string) (map[repro.TenantID]repro.TenantConfig, error) {
 		return nil, fmt.Errorf("no tenants declared")
 	}
 	return out, nil
-}
-
-func algorithm(name string) (core.Algorithm, error) {
-	switch strings.ToLower(name) {
-	case "", "upjoin", "up":
-		return core.UpJoin{}, nil
-	case "naive":
-		return core.Naive{}, nil
-	case "grid":
-		return core.Grid{}, nil
-	case "mobijoin", "mobi":
-		return core.MobiJoin{}, nil
-	case "srjoin", "sr":
-		return core.SrJoin{}, nil
-	case "semijoin", "semi":
-		return core.SemiJoin{}, nil
-	case "auto":
-		return core.Auto{}, nil
-	}
-	return nil, fmt.Errorf("unknown algorithm %q", name)
-}
-
-func buildSpec(req joinRequest) (repro.Spec, error) {
-	switch strings.ToLower(req.Kind) {
-	case "intersection":
-		return repro.Spec{Kind: repro.Intersection}, nil
-	case "", "distance":
-		return repro.Spec{Kind: repro.Distance, Eps: req.Eps}, nil
-	case "iceberg":
-		return repro.Spec{Kind: repro.IcebergSemi, Eps: req.Eps, MinMatches: req.MinMatches}, nil
-	}
-	return repro.Spec{}, fmt.Errorf("unknown join kind %q", req.Kind)
-}
-
-// serveConn answers one client connection: one JSON request per line,
-// one JSON reply per line, joins run under ctx (daemon shutdown cancels
-// them).
-func serveConn(ctx context.Context, conn net.Conn, srv *repro.Server) {
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 64<<10), 8<<20)
-	enc := json.NewEncoder(conn)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var req joinRequest
-		var rep joinReply
-		if err := json.Unmarshal([]byte(line), &req); err != nil {
-			rep = joinReply{Err: err.Error(), ErrKind: "bad-request"}
-		} else {
-			rep = runJoin(ctx, srv, req)
-		}
-		if err := enc.Encode(rep); err != nil {
-			return
-		}
-	}
-}
-
-func runJoin(ctx context.Context, srv *repro.Server, req joinRequest) joinReply {
-	id := repro.TenantID(req.Tenant)
-	alg, err := algorithm(req.Alg)
-	if err != nil {
-		return joinReply{Err: err.Error(), ErrKind: "bad-request"}
-	}
-	spec, err := buildSpec(req)
-	if err != nil {
-		return joinReply{Err: err.Error(), ErrKind: "bad-request"}
-	}
-	res, err := srv.Run(ctx, id, alg, spec)
-	if err != nil {
-		rep := joinReply{Alg: alg.Name(), Err: err.Error(), ErrKind: "run", Spent: srv.Spent(id)}
-		var qe *repro.QuotaError
-		switch {
-		case errors.As(err, &qe):
-			rep.ErrKind = "quota"
-			rep.Spent, rep.Quota = qe.Spent, qe.Quota
-		case errors.Is(err, repro.ErrUnknownTenant):
-			rep.ErrKind = "unknown-tenant"
-		}
-		return rep
-	}
-	st := res.Stats
-	rep := joinReply{
-		Alg:        alg.Name(),
-		Pairs:      len(res.Pairs),
-		Objects:    len(res.Objects),
-		WireR:      st.R.WireBytes,
-		WireS:      st.S.WireBytes,
-		TotalBytes: st.TotalBytes(),
-		Money:      st.MoneyCost,
-		Spent:      srv.Spent(id),
-	}
-	if req.Pairs {
-		if len(res.Pairs) > 0 {
-			rep.PairList = make([][2]int, len(res.Pairs))
-			for i, p := range res.Pairs {
-				rep.PairList[i] = [2]int{int(p.RID), int(p.SID)}
-			}
-		}
-		for _, o := range res.Objects {
-			rep.ObjectList = append(rep.ObjectList, int(o.ID))
-		}
-	}
-	return rep
 }
 
 func main() {
@@ -292,28 +155,9 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	var wg sync.WaitGroup
-	go func() {
-		<-ctx.Done()
-		ln.Close()
-	}()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			break // listener closed by shutdown
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			serveConn(ctx, conn, srv)
-		}()
-	}
-	// Give in-flight runs a moment to observe the cancellation, then go.
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
+	if err := srv.Serve(ctx, ln); err != nil {
+		fmt.Fprintf(os.Stderr, "spatialjoind: drain incomplete: %v\n", err)
+		os.Exit(1)
 	}
 	fmt.Println("drained cleanly")
 }

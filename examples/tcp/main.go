@@ -12,9 +12,8 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/dataset"
-	"repro/internal/geom"
+	"repro/internal/fleet"
 	"repro/internal/netsim"
 	"repro/internal/server"
 )
@@ -36,32 +35,16 @@ func main() {
 	defer srvS.Close()
 	fmt.Printf("serving R on %s, S on %s\n", srvR.Addr(), srvS.Addr())
 
-	// The mobile device dials both servers over metered links.
-	trR, err := netsim.DialTCP(srvR.Addr())
+	// The mobile device dials both servers over metered links. Real links
+	// lose frames; the retry policy re-dials and re-issues the idempotent
+	// query (retransmissions are metered like any frame).
+	f, err := fleet.Dial(fleet.Config{Buffer: 800, Retry: client.DefaultRetry()}, srvR.Addr(), srvS.Addr())
 	if err != nil {
 		log.Fatal(err)
 	}
-	trS, err := netsim.DialTCP(srvS.Addr())
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Real links lose frames; the retry policy re-dials and re-issues the
-	// idempotent query (retransmissions are metered like any frame).
-	remR, err := client.NewRemote("maps.example", trR, netsim.DefaultLink(), 1,
-		client.WithRetry(client.DefaultRetry()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	remS, err := client.NewRemote("guide.example", trS, netsim.DefaultLink(), 1,
-		client.WithRetry(client.DefaultRetry()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer remR.Close()
-	defer remS.Close()
+	defer f.Close()
 
-	env := core.NewEnv(remR, remS, client.Device{BufferObjects: 800},
-		costmodel.Default(), geom.Rect{})
+	env := f.NewEnv(f.R, f.S)
 	res, err := core.SrJoin{}.Run(context.Background(), env, core.Spec{Kind: core.Distance, Eps: 150})
 	if err != nil {
 		log.Fatal(err)

@@ -27,6 +27,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/geom"
 	"repro/internal/health"
@@ -158,6 +159,44 @@ type Algorithm interface {
 	// returns, and the context's error is reported. A nil ctx is treated
 	// as context.Background().
 	Run(ctx context.Context, env *Env, spec Spec) (*Result, error)
+}
+
+// ParseAlgorithm resolves an algorithm by the name the CLIs, the daemon
+// protocol and the chaos scenarios spell it with: case-insensitive, the
+// short forms up/sr/mobi/semi accepted, the empty name meaning UpJoin.
+func ParseAlgorithm(name string) (Algorithm, error) {
+	switch strings.ToLower(name) {
+	case "", "upjoin", "up":
+		return UpJoin{}, nil
+	case "naive":
+		return Naive{}, nil
+	case "grid":
+		return Grid{}, nil
+	case "mobijoin", "mobi":
+		return MobiJoin{}, nil
+	case "srjoin", "sr":
+		return SrJoin{}, nil
+	case "semijoin", "semi":
+		return SemiJoin{}, nil
+	case "auto":
+		return Auto{}, nil
+	}
+	return nil, fmt.Errorf("unknown algorithm %q", name)
+}
+
+// ParseSpec builds the Spec of a join kind named intersection, distance
+// (also the empty name) or iceberg, keeping only the parameters that
+// kind reads: eps for the two distance kinds, minMatches for iceberg.
+func ParseSpec(kind string, eps float64, minMatches int) (Spec, error) {
+	switch strings.ToLower(kind) {
+	case "intersection":
+		return Spec{Kind: Intersection}, nil
+	case "", "distance":
+		return Spec{Kind: Distance, Eps: eps}, nil
+	case "iceberg":
+		return Spec{Kind: IcebergSemi, Eps: eps, MinMatches: minMatches}, nil
+	}
+	return Spec{}, fmt.Errorf("unknown join kind %q", kind)
 }
 
 // Oracle computes the reference result locally from raw object slices,

@@ -13,8 +13,8 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/dataset"
+	"repro/internal/fleet"
 	"repro/internal/geom"
 	"repro/internal/health"
 	"repro/internal/netsim"
@@ -26,11 +26,12 @@ import (
 // plan (per-link probabilistic faults plus a timed kill/revive/hang/sever
 // schedule), one join query, and the expected outcome — complete or
 // degraded, which shards may be missing, how the wall clock must be
-// bounded, and which oracle the answer must match. RunScenario builds
-// the fleet through shard.ServeLocal (the same boot path the sessions
-// use), injects netsim.Switch kill-switches and netsim.Faulty lossy
-// links below the meters (a request that dies at a killed endpoint was
-// still charged like a real transmission), replays the schedule on the
+// bounded, and which oracle the answer must match. RunScenario maps the
+// scenario onto a fleet.Config (Scenario.fleet), builds it through
+// fleet.Serve (the same builder the sessions use), injects netsim.Switch
+// kill-switches and netsim.Faulty lossy links below the meters (a
+// request that dies at a killed endpoint was still charged like a real
+// transmission), replays the schedule on the
 // wall clock, runs the query, and checks every expectation, returning
 // the violations as data rather than asserting — the chaos test battery
 // and the CLIs share the harness.
@@ -216,41 +217,6 @@ func match(pattern, name string) bool {
 	return pattern == name
 }
 
-func (q ChaosQuery) algorithm() (core.Algorithm, error) {
-	switch strings.ToLower(q.Algorithm) {
-	case "", "upjoin":
-		return core.UpJoin{}, nil
-	case "srjoin":
-		return core.SrJoin{}, nil
-	case "grid":
-		return core.Grid{}, nil
-	case "naive":
-		return core.Naive{}, nil
-	case "mobijoin":
-		return core.MobiJoin{}, nil
-	case "semijoin":
-		return core.SemiJoin{}, nil
-	case "auto":
-		return core.Auto{}, nil
-	}
-	return nil, fmt.Errorf("harness: unknown algorithm %q", q.Algorithm)
-}
-
-func (q ChaosQuery) spec() (core.Spec, error) {
-	spec := core.Spec{Eps: q.Eps, MinMatches: q.MinMatches}
-	switch strings.ToLower(q.Kind) {
-	case "", "distance":
-		spec.Kind = core.Distance
-	case "intersection":
-		spec.Kind = core.Intersection
-	case "iceberg":
-		spec.Kind = core.IcebergSemi
-	default:
-		return core.Spec{}, fmt.Errorf("harness: unknown join kind %q", q.Kind)
-	}
-	return spec, nil
-}
-
 func (b *ChaosBreaker) config() health.Config {
 	if b == nil {
 		return health.Config{}
@@ -265,19 +231,12 @@ func (b *ChaosBreaker) config() health.Config {
 	}
 }
 
-// RunScenario executes one chaos drill and checks its expectations. The
-// returned report carries the violations as data; err is reserved for
-// harness failures (bad scenario, boot failure) — a red expectation is
-// not an error.
-func RunScenario(sc *Scenario) (*ChaosReport, error) {
-	alg, err := sc.Query.algorithm()
-	if err != nil {
-		return nil, err
-	}
-	spec, err := sc.Query.spec()
-	if err != nil {
-		return nil, err
-	}
+// fleet maps the scenario onto the one configuration type: topology →
+// shards/replicas/tree/hedging/link RTT/buffer and the seeded synthetic
+// relations, retry and budget → the per-link policy, breaker → armed
+// whenever the shards are replicated. Nothing else in this file knows
+// how a fleet is put together.
+func (sc *Scenario) fleet() fleet.Config {
 	top := sc.Topology
 	if top.Points <= 0 {
 		top.Points = 400
@@ -288,73 +247,69 @@ func RunScenario(sc *Scenario) (*ChaosReport, error) {
 	if top.Sigma <= 0 {
 		top.Sigma = 800
 	}
-	workers := max(top.Workers, 1)
-	robjs := dataset.GaussianClusters(top.Points, top.Clusters, top.Sigma, dataset.World, top.Seed)
-	sobjs := dataset.GaussianClusters(top.Points, top.Clusters, top.Sigma, dataset.World, top.Seed+1)
+	link := netsim.DefaultLink()
+	link.RTT = time.Duration(top.RTTMicros) * time.Microsecond
+	return fleet.Config{
+		R:      dataset.GaussianClusters(top.Points, top.Clusters, top.Sigma, dataset.World, top.Seed),
+		S:      dataset.GaussianClusters(top.Points, top.Clusters, top.Sigma, dataset.World, top.Seed+1),
+		Buffer: top.Buffer, Seed: top.Seed, Parallelism: top.Workers, Link: link,
+		Shards: top.Shards, Replicas: top.Replicas, TreeFanout: top.TreeFanout, HedgePct: top.HedgePct,
+		Retry: client.RetryPolicy{
+			MaxAttempts:   sc.Retry.MaxAttempts,
+			Backoff:       time.Duration(sc.Retry.BackoffMS) * time.Millisecond,
+			PerTryTimeout: time.Duration(sc.Retry.PerTryTimeoutMS) * time.Millisecond,
+		},
+		QueryBudget:  time.Duration(sc.BudgetMS) * time.Millisecond,
+		Breakers:     top.Replicas > 1,
+		Breaker:      sc.Breaker.config(),
+		AllowPartial: sc.AllowPartial,
+	}
+}
 
-	retry := client.RetryPolicy{
-		MaxAttempts:   sc.Retry.MaxAttempts,
-		Backoff:       time.Duration(sc.Retry.BackoffMS) * time.Millisecond,
-		PerTryTimeout: time.Duration(sc.Retry.PerTryTimeoutMS) * time.Millisecond,
+// RunScenario executes one chaos drill and checks its expectations. The
+// returned report carries the violations as data; err is reserved for
+// harness failures (bad scenario, boot failure) — a red expectation is
+// not an error.
+func RunScenario(sc *Scenario) (*ChaosReport, error) {
+	alg, err := core.ParseAlgorithm(sc.Query.Algorithm)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
 	}
-	budget := time.Duration(sc.BudgetMS) * time.Millisecond
-	if budget > 0 {
-		retry.Budget = budget
+	spec, err := core.ParseSpec(sc.Query.Kind, sc.Query.Eps, sc.Query.MinMatches)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
 	}
-	var reg *health.Registry
-	if top.Replicas > 1 {
-		reg = health.NewRegistry(sc.Breaker.config())
-		defer reg.Close()
-	}
+	cfg := sc.fleet()
 
 	// Every endpoint transport gets a kill switch (registered by name for
 	// the schedule) and, when a fault rule matches, a lossy link on top.
 	var swMu sync.Mutex
 	switches := map[string]*netsim.Switch{}
-	link := netsim.DefaultLink()
-	link.RTT = time.Duration(top.RTTMicros) * time.Microsecond
-	lcfg := shard.LocalConfig{
-		Shards: top.Shards, Replicas: top.Replicas, Workers: workers,
-		TreeFanout: top.TreeFanout,
-		HedgePct:   top.HedgePct, Link: link, Price: 1,
-		ClientOpts: []client.Option{client.WithRetry(retry)},
-		Health:     reg, Budget: budget,
-		WrapTransport: func(name string, rt netsim.RoundTripper) netsim.RoundTripper {
-			sw := netsim.NewSwitch(rt)
-			swMu.Lock()
-			switches[name] = sw
-			swMu.Unlock()
-			var out netsim.RoundTripper = sw
-			for _, f := range sc.Faults {
-				if match(f.Target, name) {
-					out = netsim.NewFaulty(out, netsim.FaultConfig{
-						Seed:           f.Seed,
-						DropProb:       f.DropProb,
-						SeverProb:      f.SeverProb,
-						DelayProb:      f.DelayProb,
-						Delay:          time.Duration(f.DelayMS) * time.Millisecond,
-						MaxConsecutive: f.MaxConsecutive,
-					})
-				}
+	f, err := fleet.Serve(cfg, func(name string, rt netsim.RoundTripper) netsim.RoundTripper {
+		sw := netsim.NewSwitch(rt)
+		swMu.Lock()
+		switches[name] = sw
+		swMu.Unlock()
+		var out netsim.RoundTripper = sw
+		for _, rule := range sc.Faults {
+			if match(rule.Target, name) {
+				out = netsim.NewFaulty(out, netsim.FaultConfig{
+					Seed:           rule.Seed,
+					DropProb:       rule.DropProb,
+					SeverProb:      rule.SeverProb,
+					DelayProb:      rule.DelayProb,
+					Delay:          time.Duration(rule.DelayMS) * time.Millisecond,
+					MaxConsecutive: rule.MaxConsecutive,
+				})
 			}
-			return out
-		},
-	}
-	remR, err := shard.ServeLocal("R", robjs, lcfg)
+		}
+		return out
+	})
 	if err != nil {
-		return nil, fmt.Errorf("harness: boot R: %w", err)
+		return nil, fmt.Errorf("harness: boot: %w", err)
 	}
-	defer remR.Close()
-	remS, err := shard.ServeLocal("S", sobjs, lcfg)
-	if err != nil {
-		return nil, fmt.Errorf("harness: boot S: %w", err)
-	}
-	defer remS.Close()
-
-	env := core.NewEnv(remR, remS, client.Device{BufferObjects: top.Buffer}, costmodel.Default(), geom.Rect{})
-	env.Seed = top.Seed
-	env.Parallelism = workers
-	env.AllowPartial = sc.AllowPartial
+	defer f.Close()
+	env := f.NewEnv(f.R, f.S)
 
 	apply := func(ev Event) {
 		swMu.Lock()
@@ -413,7 +368,7 @@ func RunScenario(sc *Scenario) (*ChaosReport, error) {
 		Scenario:     sc.Name,
 		Completeness: res.Completeness,
 		Wall:         wall,
-		Usage:        remR.Usage().Add(remS.Usage()),
+		Usage:        f.R.Usage().Add(f.S.Usage()),
 	}
 	rep.Pairs = len(res.Pairs)
 	if spec.Kind == core.IcebergSemi {
@@ -422,7 +377,7 @@ func RunScenario(sc *Scenario) (*ChaosReport, error) {
 
 	// Re-close check: after the schedule's last revive, the registry's
 	// probers must walk every breaker back to Closed within the window.
-	if sc.Expect.BreakerRecloses && reg != nil {
+	if reg := f.Health; sc.Expect.BreakerRecloses && reg != nil {
 		window := time.Duration(sc.Expect.ReviveWindowMS) * time.Millisecond
 		if window <= 0 {
 			window = time.Second
@@ -440,7 +395,7 @@ func RunScenario(sc *Scenario) (*ChaosReport, error) {
 		}
 	}
 
-	rep.Violations = sc.check(rep, res, spec, robjs, sobjs)
+	rep.Violations = sc.check(rep, res, spec, cfg.R, cfg.S)
 	return rep, nil
 }
 

@@ -81,20 +81,6 @@ func TestChaosScenarioValidation(t *testing.T) {
 	}
 }
 
-// TestChaosQueryAlgorithms pins the name → algorithm mapping scenario
-// files use, including the planner-driven "auto".
-func TestChaosQueryAlgorithms(t *testing.T) {
-	for _, name := range []string{"naive", "grid", "mobijoin", "upjoin", "srjoin", "semijoin", "auto"} {
-		alg, err := ChaosQuery{Algorithm: name}.algorithm()
-		if err != nil {
-			t.Fatalf("algorithm %q rejected: %v", name, err)
-		}
-		if !strings.EqualFold(alg.Name(), name) {
-			t.Errorf("algorithm %q resolved to %q", name, alg.Name())
-		}
-	}
-}
-
 // TestChaosMatch pins the target pattern semantics the scenario files
 // rely on: exact match, or prefix with a trailing '*'.
 func TestChaosMatch(t *testing.T) {

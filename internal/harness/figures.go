@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
-	"repro/internal/server"
 )
 
 // spec returns the distance-join spec used by the synthetic experiments.
@@ -29,7 +28,7 @@ func Fig6a(cfg Config) (*Table, error) {
 			k := k
 			cell, err := averageOver(cfg, func(run int) (core.Stats, int, error) {
 				robjs, sobjs := synthPair(cfg, k, run)
-				return runOnce(alg, robjs, sobjs, cfg, cfg.spec(), int64(run))
+				return runOnce(alg, cfg.fleet(robjs, sobjs, int64(run)), cfg.spec())
 			})
 			if err != nil {
 				return nil, err
@@ -58,7 +57,7 @@ func Fig6b(cfg Config) (*Table, error) {
 			k := k
 			cell, err := averageOver(cfg, func(run int) (core.Stats, int, error) {
 				robjs, sobjs := synthPair(cfg, k, run)
-				return runOnce(alg, robjs, sobjs, cfg, cfg.spec(), int64(run))
+				return runOnce(alg, cfg.fleet(robjs, sobjs, int64(run)), cfg.spec())
 			})
 			if err != nil {
 				return nil, err
@@ -86,7 +85,7 @@ func threeWay(cfg Config, id, title string) (*Table, error) {
 			k := k
 			cell, err := averageOver(cfg, func(run int) (core.Stats, int, error) {
 				robjs, sobjs := synthPair(cfg, k, run)
-				return runOnce(alg, robjs, sobjs, cfg, cfg.spec(), int64(run))
+				return runOnce(alg, cfg.fleet(robjs, sobjs, int64(run)), cfg.spec())
 			})
 			if err != nil {
 				return nil, err
@@ -154,7 +153,7 @@ func Fig8a(cfg Config) (*Table, error) {
 			k := k
 			cell, err := averageOver(cfg, func(run int) (core.Stats, int, error) {
 				_, sobjs := synthPair(cfg, k, run)
-				return runOnce(alg, rail, sobjs, cfg, cfg.spec(), int64(run))
+				return runOnce(alg, cfg.fleet(rail, sobjs, int64(run)), cfg.spec())
 			})
 			if err != nil {
 				return nil, err
@@ -185,7 +184,9 @@ func Fig8b(cfg Config) (*Table, error) {
 			k := k
 			cell, err := averageOver(cfg, func(run int) (core.Stats, int, error) {
 				_, sobjs := synthPair(cfg, k, run)
-				return runOnce(alg, rail, sobjs, cfg, cfg.spec(), int64(run), server.PublishIndex())
+				fc := cfg.fleet(rail, sobjs, int64(run))
+				fc.PublishIndexes = true
+				return runOnce(alg, fc, cfg.spec())
 			})
 			if err != nil {
 				return nil, err

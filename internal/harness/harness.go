@@ -2,7 +2,9 @@
 // figure of the evaluation section (§5) it builds the workload, executes
 // the competing algorithms over fresh in-process servers, averages the
 // metered byte counts over several seeded runs, and renders the series
-// the paper plots.
+// the paper plots. It also replays the declarative chaos scenarios
+// (chaos.go). Neither assembles a stack: Config.fleet and Scenario.fleet
+// map their inputs onto a fleet.Config and fleet.Serve builds it.
 package harness
 
 import (
@@ -12,14 +14,10 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/dataset"
+	"repro/internal/fleet"
 	"repro/internal/geom"
-	"repro/internal/netsim"
-	"repro/internal/server"
-	"repro/internal/shard"
 )
 
 // Clusters is the x-axis of all synthetic experiments (paper Figs. 6-8).
@@ -42,46 +40,6 @@ type Config struct {
 	Buffer int
 	// Bucket enables bucket query submission.
 	Bucket bool
-	// Parallelism enables the concurrent execution engine for every run
-	// (0/1 = sequential). Measured byte counts are identical either way;
-	// the knob only changes wall-clock time.
-	Parallelism int
-	// BatchSize, when > 1, multiplexes probes into MsgBatch envelopes of
-	// up to this many sub-requests per link. Unlike Parallelism this
-	// changes the framing, so measured byte counts shift (fewer frames,
-	// fewer packet headers); results are identical.
-	BatchSize int
-	// Shards, when > 1, splits each relation across this many in-process
-	// servers behind a scatter–gather shard.Router. Results are identical
-	// to the unsharded run; byte totals shift (one link per shard, its
-	// own INFO round trip, per-shard pruning).
-	Shards int
-	// TreeFanout, when >= 2, stacks the shard endpoints under a
-	// hierarchical aggregation tree with this fanout per interior node
-	// (see shard.NewTree). Results are identical to the flat scatter;
-	// byte totals additionally account the interior uplinks.
-	TreeFanout int
-	// Replicas, when > 1, serves each shard from this many identical
-	// replica servers behind a shard.ReplicaSet (round-robin load
-	// balancing with failover). Results are identical; summed byte totals
-	// match the unreplicated run when hedging stays off.
-	Replicas int
-	// HedgePct arms percentile-triggered hedged reads on the replica
-	// sets when > 0 (needs Replicas > 1). Hedge traffic costs real bytes
-	// and shifts measured totals.
-	HedgePct float64
-	// Link selects the physical link parameters of every metered link
-	// (Eq. 1). The zero value means the WiFi default (MTU 1500, BH 40);
-	// netsim.DialupLink() reproduces the paper's dial-up alternative.
-	Link netsim.LinkConfig
-}
-
-// link resolves the configured link, defaulting to WiFi.
-func (c Config) link() netsim.LinkConfig {
-	if c.Link == (netsim.LinkConfig{}) {
-		return netsim.DefaultLink()
-	}
-	return c.Link
 }
 
 // Defaults mirror §5: 1000-point datasets, buffer 800 (40% of total),
@@ -176,35 +134,25 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
+// fleet is the experiment as the one builder takes it: the paper's
+// topology (one server per relation, WiFi link, unit tariffs) over the
+// given datasets, joined across the whole data space.
+func (cfg Config) fleet(robjs, sobjs []geom.Object, seed int64) fleet.Config {
+	return fleet.Config{
+		R: robjs, S: sobjs, Buffer: cfg.Buffer, Bucket: cfg.Bucket,
+		Window: dataset.World, Seed: seed,
+	}
+}
+
 // runOnce executes one algorithm over freshly served datasets and returns
 // its stats and result size.
-func runOnce(alg core.Algorithm, robjs, sobjs []geom.Object, cfg Config, spec core.Spec, seed int64, opts ...server.Option) (core.Stats, int, error) {
-	workers := cfg.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	var copts []client.Option
-	if cfg.BatchSize > 1 {
-		copts = append(copts, client.WithBatch(client.BatchConfig{MaxBatch: cfg.BatchSize}))
-	}
-	r, err := serveSide("R", robjs, cfg, workers, opts, copts)
+func runOnce(alg core.Algorithm, fc fleet.Config, spec core.Spec) (core.Stats, int, error) {
+	f, err := fleet.Serve(fc, nil)
 	if err != nil {
 		return core.Stats{}, 0, err
 	}
-	defer r.Close()
-	s, err := serveSide("S", sobjs, cfg, workers, opts, copts)
-	if err != nil {
-		return core.Stats{}, 0, err
-	}
-	defer s.Close()
-	model := costmodel.Default()
-	model.Bucket = cfg.Bucket
-	model.Link = cfg.link()
-	env := core.NewEnv(r, s, client.Device{BufferObjects: cfg.Buffer}, model, dataset.World)
-	env.Seed = seed
-	env.Parallelism = cfg.Parallelism
-	env.BatchSize = cfg.BatchSize
-	res, err := alg.Run(context.Background(), env, spec)
+	defer f.Close()
+	res, err := alg.Run(context.Background(), f.NewEnv(f.R, f.S), spec)
 	if err != nil {
 		return core.Stats{}, 0, fmt.Errorf("%s: %w", alg.Name(), err)
 	}
@@ -213,27 +161,6 @@ func runOnce(alg core.Algorithm, robjs, sobjs []geom.Object, cfg Config, spec co
 		n = len(res.Objects)
 	}
 	return res.Stats, n, nil
-}
-
-// serveSide boots one relation's in-process serving stack: a single
-// server (the default), cfg.Shards partition servers behind a
-// scatter–gather router, and/or cfg.Replicas replica servers per shard.
-func serveSide(name string, objs []geom.Object, cfg Config, workers int, sopts []server.Option, copts []client.Option) (core.Probe, error) {
-	if cfg.Shards <= 1 && cfg.Replicas <= 1 {
-		tr := netsim.ServeParallel(server.New(name, objs, sopts...), workers)
-		rem, err := client.NewRemote(name, tr, cfg.link(), 1, copts...)
-		if err != nil {
-			tr.Close()
-			return nil, err
-		}
-		return rem, nil
-	}
-	return shard.ServeLocal(name, objs, shard.LocalConfig{
-		Shards: cfg.Shards, Replicas: cfg.Replicas, Workers: workers,
-		TreeFanout: cfg.TreeFanout,
-		HedgePct:   cfg.HedgePct, Link: cfg.link(), Price: 1,
-		ServerOpts: sopts, ClientOpts: copts,
-	})
 }
 
 // synthPair generates the run's two synthetic datasets with independent

@@ -11,7 +11,11 @@ import (
 	"repro/internal/server"
 )
 
-// LocalConfig parameterizes ServeLocal's in-process fleet.
+// LocalConfig parameterizes one relation's fleet. Local reads the
+// serving half (Shards, Replicas, Workers, Link, Price, ServerOpts,
+// ClientOpts, WrapTransport), Assemble the wiring half (Workers,
+// HedgePct, TreeFanout, Link, Health, Budget); ServeLocal is the two
+// together.
 type LocalConfig struct {
 	// Shards is the partition count (< 1 means 1: unsharded).
 	Shards int
@@ -57,61 +61,83 @@ type LocalConfig struct {
 // dataset is partitioned with Assign, each partition gets cfg.Replicas
 // identical servers (cfg.Workers goroutines each) with a metered remote
 // over cfg.Link at cfg.Price, and the endpoints are wired behind a
-// Router whose scatter parallelism is cfg.Workers. Shard servers are
-// named "<name>i/n" (plain name when n == 1, whose router is the
-// bit-identical pass-through); replica servers append "-rj", e.g.
-// "R1/2-r2". Both the repro session and the experiment harness assemble
-// their sharded relations through this one constructor, so the boot
-// sequence cannot diverge between them.
+// Router whose scatter parallelism is cfg.Workers — Local opens the
+// remotes, Assemble names and wires them.
 func ServeLocal(name string, objs []geom.Object, cfg LocalConfig) (*Router, error) {
-	shards := max(cfg.Shards, 1)
-	replicas := max(cfg.Replicas, 1)
-	workers := max(cfg.Workers, 1)
-	parts := Assign(objs, shards)
-	eps := make([]Endpoint, len(parts))
-	fail := func(err error) (*Router, error) {
-		for _, e := range eps {
-			if e != nil {
-				e.Close()
-			}
-		}
-		return nil, err
+	sizes, open := Local(objs, cfg)
+	return Assemble(name, sizes, open, cfg)
+}
+
+// OpenFunc opens the metered remote of one replica of one shard (both
+// zero-based), named label.
+type OpenFunc func(label string, shard, replica int) (*client.Remote, error)
+
+// Local partitions objs with Assign and returns the fleet shape
+// (cfg.Replicas per partition) plus the opener that boots one in-process
+// server per replica — cfg.Workers goroutines, cfg.ServerOpts, its
+// transport passed through cfg.WrapTransport — behind a metered remote
+// over cfg.Link at cfg.Price with cfg.ClientOpts.
+func Local(objs []geom.Object, cfg LocalConfig) ([]int, OpenFunc) {
+	parts := Assign(objs, max(cfg.Shards, 1))
+	sizes := make([]int, len(parts))
+	for i := range sizes {
+		sizes[i] = max(cfg.Replicas, 1)
 	}
-	boot := func(sname string, part []geom.Object) (*client.Remote, error) {
-		var rt netsim.RoundTripper = netsim.ServeParallel(server.New(sname, part, cfg.ServerOpts...), workers)
+	return sizes, func(label string, i, _ int) (*client.Remote, error) {
+		var rt netsim.RoundTripper = netsim.ServeParallel(server.New(label, parts[i], cfg.ServerOpts...), max(cfg.Workers, 1))
 		if cfg.WrapTransport != nil {
-			rt = cfg.WrapTransport(sname, rt)
+			rt = cfg.WrapTransport(label, rt)
 		}
-		rem, err := client.NewRemote(sname, rt, cfg.Link, cfg.Price, cfg.ClientOpts...)
+		rem, err := client.NewRemote(label, rt, cfg.Link, cfg.Price, cfg.ClientOpts...)
 		if err != nil {
 			rt.Close()
 			return nil, err
 		}
 		return rem, nil
 	}
-	for i, part := range parts {
+}
+
+// Assemble is the one place a relation's client-side stack is wired:
+// shard i gets sizes[i] replica remotes from open, a shard with several
+// replicas sits behind a ReplicaSet (cfg.HedgePct, cfg.Health,
+// cfg.Budget), and the shard endpoints go under a flat Router — or,
+// with cfg.TreeFanout >= 2, an aggregation tree whose interior uplinks
+// use cfg.Link — with scatter parallelism cfg.Workers. Shards are named
+// "<name>i/n" (plain name when n == 1, whose router is the bit-identical
+// pass-through); replicas append "-rj", e.g. "R1/2-r2". Whatever was
+// opened is closed again when a later step fails. In-process fleets
+// (Local) and dialled ones (internal/fleet) differ only in open.
+func Assemble(name string, sizes []int, open OpenFunc, cfg LocalConfig) (*Router, error) {
+	eps := make([]Endpoint, 0, len(sizes))
+	fail := func(err error, rems ...*client.Remote) (*Router, error) {
+		for _, r := range rems {
+			r.Close()
+		}
+		for _, e := range eps {
+			e.Close()
+		}
+		return nil, err
+	}
+	for i, n := range sizes {
 		sname := name
-		if len(parts) > 1 {
-			sname = fmt.Sprintf("%s%d/%d", name, i+1, len(parts))
+		if len(sizes) > 1 {
+			sname = fmt.Sprintf("%s%d/%d", name, i+1, len(sizes))
 		}
-		if replicas == 1 {
-			rem, err := boot(sname, part)
-			if err != nil {
-				return fail(err)
+		rems := make([]*client.Remote, 0, n)
+		for j := 0; j < n; j++ {
+			label := sname
+			if n > 1 {
+				label = fmt.Sprintf("%s-r%d", sname, j+1)
 			}
-			eps[i] = rem
-			continue
-		}
-		rems := make([]*client.Remote, 0, replicas)
-		for j := 0; j < replicas; j++ {
-			rem, err := boot(fmt.Sprintf("%s-r%d", sname, j+1), part)
+			rem, err := open(label, i, j)
 			if err != nil {
-				for _, r := range rems {
-					r.Close()
-				}
-				return fail(err)
+				return fail(err, rems...)
 			}
 			rems = append(rems, rem)
+		}
+		if n == 1 {
+			eps = append(eps, rems[0])
+			continue
 		}
 		// Seeding the rotation by shard index keeps replica selection a
 		// pure function of the boot layout, so sequential runs replay the
@@ -123,19 +149,17 @@ func ServeLocal(name string, objs []geom.Object, cfg LocalConfig) (*Router, erro
 			Budget:   cfg.Budget,
 		})
 		if err != nil {
-			for _, r := range rems {
-				r.Close()
-			}
-			return fail(err)
+			return fail(err, rems...)
 		}
-		eps[i] = rset
+		eps = append(eps, rset)
 	}
+	par := WithParallelism(max(cfg.Workers, 1))
 	var router *Router
 	var err error
 	if cfg.TreeFanout >= 2 {
-		router, err = NewTree(name, eps, cfg.TreeFanout, cfg.Link, WithParallelism(workers))
+		router, err = NewTree(name, eps, cfg.TreeFanout, cfg.Link, par)
 	} else {
-		router, err = NewRouter(name, eps, WithParallelism(workers))
+		router, err = NewRouter(name, eps, par)
 	}
 	if err != nil {
 		return fail(err)

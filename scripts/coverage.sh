@@ -37,7 +37,7 @@ check "total" "$total" "$floor"
 
 # Per-package floors for the newest subsystems, parsed from the test
 # run's own "ok <pkg> ... coverage: NN.N%" lines.
-for gate in "repro/internal/health:82.0" "repro/internal/harness:80.0" "repro/internal/memjoin:90.0"; do
+for gate in "repro/internal/health:82.0" "repro/internal/harness:80.0" "repro/internal/memjoin:90.0" "repro/internal/fleet:85.0"; do
   pkg="${gate%%:*}"
   pfloor="${gate##*:}"
   pct=$(awk -v p="$pkg" '$1 == "ok" && $2 == p { for (i = 1; i <= NF; i++) if ($i == "coverage:") { sub(/%.*/, "", $(i + 1)); print $(i + 1) } }' cover.txt)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/netsim"
 )
 
@@ -91,7 +92,7 @@ type ServerConfig struct {
 // goroutines; Close shuts the fleet down.
 type Server struct {
 	cfg    ServerConfig
-	fleet  *fleet
+	fleet  *fleet.Fleet
 	ledger *netsim.Ledger
 	sched  *client.Scheduler
 
@@ -127,16 +128,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			ledger.SetQuota(id, tc.ByteQuota)
 		}
 	}
-	f, err := buildFleet(cfg.Fleet, client.WithLedger(ledger), client.WithScheduler(sched))
+	f, err := fleet.Serve(cfg.Fleet, nil, client.WithLedger(ledger), client.WithScheduler(sched))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("repro: %w", err)
 	}
 	srv := &Server{
 		cfg: cfg, fleet: f, ledger: ledger, sched: sched,
 		tenants: make(map[TenantID]*tenantState, len(cfg.Tenants)),
 	}
 	for id, tc := range cfg.Tenants {
-		env := f.newEnv(cfg.Fleet, newTenantProbe(f.remR, id), newTenantProbe(f.remS, id))
+		env := f.NewEnv(newTenantProbe(f.R, id), newTenantProbe(f.S, id))
 		ts := &tenantState{cfg: tc, env: env}
 		if tc.MaxConcurrent > 0 {
 			ts.slots = make(chan struct{}, tc.MaxConcurrent)
@@ -264,7 +265,7 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	return s.fleet.close()
+	return s.fleet.Close()
 }
 
 // --- tenant probe ----------------------------------------------------------
@@ -277,11 +278,11 @@ func (s *Server) Close() error {
 // tenant's environment). The typed calls are client.Typed over Do.
 type tenantProbe struct {
 	client.Typed
-	p  endpoint
+	p  fleet.Endpoint
 	id netsim.TenantID
 }
 
-func newTenantProbe(p endpoint, id netsim.TenantID) *tenantProbe {
+func newTenantProbe(p fleet.Endpoint, id netsim.TenantID) *tenantProbe {
 	t := &tenantProbe{p: p, id: id}
 	t.Typed = client.NewTyped(t)
 	return t

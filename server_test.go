@@ -80,7 +80,7 @@ func TestServerMultiTenantMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleetWire := srv.fleet.remR.Usage().WireBytes + srv.fleet.remS.Usage().WireBytes
+	fleetWire := srv.fleet.R.Usage().WireBytes + srv.fleet.S.Usage().WireBytes
 	var ledgerSum int64
 	for _, id := range append(srv.Tenants(), TenantID("")) {
 		ledgerSum += srv.Spent(id)
