@@ -93,3 +93,61 @@ func BenchmarkTreeScatter(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTreeScatterClustered is BenchmarkTreeScatter's opposite
+// regime, the one the paper's algorithms live in: clustered data and
+// ε-scale requests — one small-window COUNT plus one RANGE probe at a
+// data point per iteration, over 16 shards × 2 replicas under a fanout-4
+// tree. leafRT/op reports the leaf round trips those two requests cost:
+// 2 when each reaches exactly one leaf, 32 when shard bounds prune
+// nothing; rootB/op is the wire bytes on the root's own links, which
+// fall too when the root can tell its subtrees apart.
+func BenchmarkTreeScatterClustered(b *testing.B) {
+	objs := dataset.GaussianClusters(8000, 8, 250, dataset.World, 22)
+	router, err := shard.ServeLocal("D", objs, shard.LocalConfig{
+		Shards: 16, Replicas: 2, TreeFanout: 4, Workers: 2,
+		Link: netsim.DefaultLink(), Price: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer router.Close()
+	ctx := context.Background()
+	if _, err := router.Info(ctx); err != nil {
+		b.Fatal(err)
+	}
+	const eps = 75.0
+	rng := rand.New(rand.NewSource(22))
+	levels := router.LevelUsages()
+	root0, leaf0 := levels[0].WireBytes, levels[len(levels)-1].Queries
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := objs[rng.Intn(len(objs))].MBR.Center()
+		n, err := router.Count(ctx, geom.R(c.X-eps, c.Y-eps, c.X+eps, c.Y+eps))
+		if err != nil {
+			b.Fatal(err)
+		}
+		near, err := router.Range(ctx, objs[rng.Intn(len(objs))].MBR.Center(), eps)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink = n + len(near)
+	}
+	b.StopTimer()
+	levels = router.LevelUsages()
+	b.ReportMetric(float64(levels[0].WireBytes-root0)/float64(b.N), "rootB/op")
+	b.ReportMetric(float64(levels[len(levels)-1].Queries-leaf0)/float64(b.N), "leafRT/op")
+}
+
+// BenchmarkAssign measures partitioning one benchmark-sized relation
+// (8000 clustered objects) into 16 shards — paid once per relation at
+// fleet set-up and by every spatialserve -shard i/N process at boot.
+func BenchmarkAssign(b *testing.B) {
+	objs := dataset.GaussianClusters(8000, 8, 250, dataset.World, 23)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = len(shard.Assign(objs, 16))
+	}
+}

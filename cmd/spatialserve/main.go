@@ -134,7 +134,13 @@ func main() {
 	if *publish {
 		opts = append(opts, server.PublishIndex())
 	}
-	var h netsim.Handler = server.New(*name, objs, opts...)
+	ds := server.New(*name, objs, opts...)
+	if *shardNo != "" {
+		// What routers prune on; across a relation's N processes the
+		// lines show the layout, and a mismatched build stands out.
+		fmt.Printf("shard %s holds %d objects, bounds %v\n", *shardNo, len(objs), ds.Tree().Bounds())
+	}
+	var h netsim.Handler = ds
 	if *chaosProb > 0 && *chaosDelay > 0 {
 		h = stallHandler(h, *chaosProb, *chaosDelay, *chaosSeed)
 	}

@@ -17,15 +17,15 @@ import (
 // change is *supposed* to alter the sharded wire exchange, re-derive
 // these constants and call it out in the PR.
 var goldenShardBytes = map[string][2][2]int{
-	"naive/intersection":     {{7523, 7483}, {3505, 9939}},
-	"grid/distance":          {{2949, 1211}, {3399, 9867}},
-	"mobiJoin/distance":      {{3909, 1211}, {3505, 429}},
-	"upJoin/intersection":    {{3147, 641}, {1765, 1913}},
-	"upJoin/distance":        {{3033, 641}, {1759, 2231}},
-	"upJoin/iceberg":         {{3033, 641}, {1759, 2231}},
-	"upJoin/distance/bucket": {{3055, 763}, {865, 1383}},
-	"srJoin/distance":        {{2613, 1081}, {1851, 641}},
-	"semiJoin/distance":      {{261, 221}, {351, 217}},
+	"naive/intersection":     {{7523, 7483}, {7523, 6859}},
+	"grid/distance":          {{971, 3393}, {7147, 6747}},
+	"mobiJoin/distance":      {{971, 4353}, {3929, 429}},
+	"upJoin/intersection":    {{853, 2935}, {3567, 1489}},
+	"upJoin/distance":        {{853, 1147}, {3773, 1807}},
+	"upJoin/iceberg":         {{853, 1147}, {3773, 1807}},
+	"upJoin/distance/bucket": {{1077, 3051}, {3667, 959}},
+	"srJoin/distance":        {{1187, 2503}, {2805, 535}},
+	"semiJoin/distance":      {{111, 3301}, {3391, 217}},
 }
 
 func goldenShardSession(t *testing.T, name string, shards int) (*Session, Algorithm, Spec) {

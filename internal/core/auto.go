@@ -143,10 +143,16 @@ func linkObs(p Probe) plan.LinkObs {
 	return lo
 }
 
-// shardSkew reads the peak-to-mean per-shard cardinality ratio of a
-// sharded endpoint from its (already fetched) INFO metadata; 1 for bare
-// remotes and evenly loaded routers. A free density prior: no query is
-// issued for it.
+// shardSkew reads the peak-to-mean per-shard density ratio of a sharded
+// endpoint from its (already fetched) INFO metadata: the densest shard's
+// count ÷ bounds area against the fleet's total count ÷ total area; 1
+// for bare remotes and evenly spread relations. Shards are balanced by
+// count, so it is the bounds that carry the signal — a clustered
+// relation packs some shards into small dense cells and leaves others
+// stretched over sparse space. Empty and zero-area shards have no
+// density and are left out, and the ratio is capped at the shard count,
+// what n equal tiles could report of data piled into one of them. A free
+// density prior: no query is issued for it.
 func shardSkew(ctx context.Context, p Probe) float64 {
 	si, ok := p.(interface {
 		ShardInfos(context.Context) ([]wire.Info, error)
@@ -158,21 +164,21 @@ func shardSkew(ctx context.Context, p Probe) float64 {
 	if err != nil || len(infos) < 2 {
 		return 1
 	}
-	var total, peak int64
+	var total int64
+	var area, peak float64
 	for _, info := range infos {
-		total += info.Count
-		if info.Count > peak {
-			peak = info.Count
+		a := info.Bounds.Area()
+		if info.Count == 0 || a <= 0 {
+			continue
 		}
+		total += info.Count
+		area += a
+		peak = max(peak, float64(info.Count)/a)
 	}
 	if total == 0 {
 		return 1
 	}
-	skew := float64(peak) * float64(len(infos)) / float64(total)
-	if skew < 1 {
-		skew = 1
-	}
-	return skew
+	return min(peak*area/float64(total), float64(len(infos)))
 }
 
 // recordPlan stores a decision in the explain report and emits the plan

@@ -12,6 +12,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/netsim"
 	"repro/internal/server"
+	"repro/internal/shard"
 	"repro/internal/wire"
 )
 
@@ -180,6 +181,46 @@ func TestQuadrantCountDerivation(t *testing.T) {
 	}
 	if qsD[3].exact {
 		t.Fatal("ε>0 derived count must be approximate")
+	}
+}
+
+// --- Auto internals ---------------------------------------------------------
+
+// TestShardSkewReadsDensity: shards are balanced by count, so the
+// planner's query-free prior has to come from how tightly each shard's
+// bounds pack that count — clustered data reads far above 1, evenly
+// spread data about 1, and layouts with nothing to measure exactly 1.
+func TestShardSkewReadsDensity(t *testing.T) {
+	coincident := make([]geom.Object, 64)
+	for i := range coincident {
+		coincident[i] = geom.PointObject(uint32(i), geom.Pt(42, 42))
+	}
+	skew := func(objs []geom.Object, shards int) float64 {
+		t.Helper()
+		router, err := shard.ServeLocal("D", objs, shard.LocalConfig{Shards: shards, Link: netsim.DefaultLink(), Price: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer router.Close()
+		return shardSkew(context.Background(), router)
+	}
+	uniform := skew(dataset.Uniform(4000, dataset.World, 7), 16)
+	clustered := skew(dataset.GaussianClusters(4000, 8, 250, dataset.World, 7), 16)
+	t.Logf("16 shards: uniform %.2f, clustered %.2f", uniform, clustered)
+	if uniform < 1 || uniform > 1.5 {
+		t.Errorf("uniform data reads skew %.2f, want about 1", uniform)
+	}
+	if clustered < 3 || clustered > 16 {
+		t.Errorf("8 clusters over 16 shards read skew %.2f, want well above 1 and at most the shard count", clustered)
+	}
+	for name, got := range map[string]float64{
+		"unsharded":                skew(dataset.Uniform(100, dataset.World, 7), 1),
+		"zero-area shards":         skew(coincident, 4),
+		"more shards than objects": skew(dataset.Uniform(3, dataset.World, 7), 4),
+	} {
+		if got != 1 {
+			t.Errorf("%s: skew %v, want 1", name, got)
+		}
 	}
 }
 

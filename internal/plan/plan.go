@@ -138,9 +138,10 @@ type Observations struct {
 	// QuadR and QuadS are measured quadrant counts; nil when the observe
 	// phase has not (yet) paid for them.
 	QuadR, QuadS *[4]int
-	// SkewR and SkewS are peak-to-mean per-shard count ratios from the
-	// routers' INFO metadata (1 = even or unsharded). A free density
-	// prior: it costs no queries, the INFO round trips already happened.
+	// SkewR and SkewS are peak-to-mean per-shard density ratios from the
+	// routers' INFO metadata (1 = evenly spread or unsharded). A free
+	// density prior: it costs no queries, the INFO round trips already
+	// happened.
 	SkewR, SkewS float64
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/geom"
 )
 
@@ -84,72 +85,134 @@ func TestAssignIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestTilesCoverIsExhaustive: the tile layout covers every point of the
-// bounds (closed tiles sharing edges), tiles the full area exactly once,
-// and every object's center lies in its assigned tile's row/column cell.
-func TestTilesCoverIsExhaustive(t *testing.T) {
+// assignInputs are the layouts the balance and k-d properties are checked
+// over: the easy case, the case the paper is about, and the degenerate
+// ones where a cut axis has no extent.
+func assignInputs(size int) map[string][]geom.Object {
 	rng := rand.New(rand.NewSource(3))
-	bounds := geom.R(-500, 200, 7500, 4200)
-	for n := 1; n <= 10; n++ {
-		tiles := Tiles(bounds, n)
-		if len(tiles) != n {
-			t.Fatalf("n=%d: %d tiles", n, len(tiles))
-		}
-		var area float64
-		for _, tile := range tiles {
-			area += tile.Area()
-			if !bounds.Contains(tile) {
-				t.Fatalf("n=%d: tile %v escapes bounds %v", n, tile, bounds)
-			}
-		}
-		if diff := area - bounds.Area(); diff > 1e-6*bounds.Area() || diff < -1e-6*bounds.Area() {
-			t.Fatalf("n=%d: tile areas sum to %v, bounds area %v", n, area, bounds.Area())
-		}
-		for trial := 0; trial < 1000; trial++ {
-			p := geom.Pt(
-				bounds.MinX+rng.Float64()*bounds.Width(),
-				bounds.MinY+rng.Float64()*bounds.Height(),
-			)
-			covered := false
-			for _, tile := range tiles {
-				if tile.ContainsPoint(p) {
-					covered = true
-					break
+	world := geom.R(0, 0, 10000, 10000)
+	collinear := make([]geom.Object, size)
+	coincident := make([]geom.Object, size)
+	for i := range collinear {
+		// Many equal x values too, so cuts land inside runs of ties.
+		collinear[i] = geom.PointObject(uint32(i), geom.Pt(float64(rng.Intn(20))*100, 4200))
+		coincident[i] = geom.PointObject(uint32(i), geom.Pt(42, 42))
+	}
+	return map[string][]geom.Object{
+		"random":     randomObjects(rng, size, world),
+		"clustered":  dataset.GaussianClusters(size, 8, 250, world, 3),
+		"collinear":  collinear,
+		"coincident": coincident,
+	}
+}
+
+var assignShardCounts = []int{1, 2, 3, 4, 7, 13, 16, 64}
+
+// centerBounds is the MBR of the objects' centres — the frame Assign
+// cuts in.
+func centerBounds(objs []geom.Object) geom.Rect {
+	b := geom.RectFromPoint(objs[0].MBR.Center())
+	for _, o := range objs[1:] {
+		b = b.Union(geom.RectFromPoint(o.MBR.Center()))
+	}
+	return b
+}
+
+// TestAssignBalancedAndOrdered: whatever the layout — clustered,
+// collinear, every centre coincident — and for every n, primes included,
+// shard sizes differ by at most one (so a dataset smaller than n leaves
+// only the surplus shards empty), and each shard lists its objects in
+// input order, as shard replies are expected to be.
+func TestAssignBalancedAndOrdered(t *testing.T) {
+	for _, size := range []int{5, 500} {
+		for name, objs := range assignInputs(size) {
+			for _, n := range assignShardCounts {
+				parts := Assign(objs, n)
+				lo, hi := len(objs)/n, (len(objs)+n-1)/n
+				for i, part := range parts {
+					if len(part) < lo || len(part) > hi {
+						t.Errorf("%s size=%d n=%d: shard %d holds %d objects, want %d..%d", name, size, n, i, len(part), lo, hi)
+					}
+					// Inputs carry their position as ID.
+					for k := 1; k < len(part); k++ {
+						if part[k-1].ID >= part[k].ID {
+							t.Fatalf("%s size=%d n=%d: shard %d reorders its input (%d before %d)", name, size, n, i, part[k-1].ID, part[k].ID)
+						}
+					}
 				}
-			}
-			if !covered {
-				t.Fatalf("n=%d: point %v in bounds but in no tile", n, p)
-			}
-			// The assignment function must agree with the cover: the chosen
-			// tile actually contains the point.
-			rows, cols := Grid(n)
-			idx := tileIndex(p, bounds, rows, cols)
-			if !tiles[idx].ContainsPoint(p) {
-				t.Fatalf("n=%d: point %v assigned to tile %d = %v, which misses it", n, p, idx, tiles[idx])
 			}
 		}
 	}
 }
 
-// TestBoundaryObjectsLandOnExactlyOneShard pins the overlap-free boundary
-// rule: centers exactly on interior tile edges (shared by two closed
-// tiles) are still assigned to exactly one shard.
+// TestAssignIgnoresInputOrder: the assignment is a function of the
+// object *set* — two processes that loaded the same relation in
+// different orders still agree on who owns what.
+func TestAssignIgnoresInputOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for name, objs := range assignInputs(300) {
+		shuffled := append([]geom.Object(nil), objs...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for _, n := range assignShardCounts {
+			owner := make(map[uint32]int, len(objs))
+			for i, part := range Assign(objs, n) {
+				for _, o := range part {
+					owner[o.ID] = i
+				}
+			}
+			for i, part := range Assign(shuffled, n) {
+				for _, o := range part {
+					if owner[o.ID] != i {
+						t.Fatalf("%s n=%d: object %d on shard %d, on shard %d after shuffling the input", name, n, o.ID, owner[o.ID], i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAssignBlocksAreKDCells: for a power-of-two n, every aligned block
+// of 2^k consecutive shards is one k-d cell — its centre bounds and its
+// sibling block's are separated along the cut axis (touching at most on
+// the cut coordinate, where ties are broken by ID). NewTree groups
+// consecutive leaves under one Aggregator, so this is the property that
+// gives interior nodes compact bounds to prune on.
+func TestAssignBlocksAreKDCells(t *testing.T) {
+	for name, objs := range assignInputs(512) {
+		for _, n := range []int{2, 4, 16, 64} {
+			parts := Assign(objs, n)
+			for block := 1; block < n; block *= 2 {
+				for first := 0; first < n; first += 2 * block {
+					var left, right []geom.Object
+					for i := 0; i < block; i++ {
+						left = append(left, parts[first+i]...)
+						right = append(right, parts[first+block+i]...)
+					}
+					l, r := centerBounds(left), centerBounds(right)
+					if l.MaxX > r.MinX && l.MaxY > r.MinY {
+						t.Errorf("%s n=%d: shards %d..%d (%v) and %d..%d (%v) are not split by one cut",
+							name, n, first, first+block-1, l, first+block, first+2*block-1, r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBoundaryObjectsLandOnExactlyOneShard pins the tie rule: centres
+// that share a cut coordinate — here a cross whose arms both sit on the
+// median — go to one side of the cut by ID, never to both or neither.
 func TestBoundaryObjectsLandOnExactlyOneShard(t *testing.T) {
-	// A 4-shard 2×2 layout over [0,100]²: centers on the shared edges
-	// x=50 and y=50, plus the four corners of the cross.
 	var objs []geom.Object
-	id := uint32(0)
-	for _, p := range []geom.Point{
+	for i, p := range []geom.Point{
 		{X: 50, Y: 10}, {X: 50, Y: 50}, {X: 50, Y: 90},
 		{X: 10, Y: 50}, {X: 90, Y: 50},
 		{X: 0, Y: 0}, {X: 100, Y: 100}, {X: 0, Y: 100}, {X: 100, Y: 0},
 	} {
-		objs = append(objs, geom.PointObject(id, p))
-		id++
+		objs = append(objs, geom.PointObject(uint32(i), p))
 	}
-	parts := Assign(objs, 4)
 	seen := make(map[uint32]bool)
-	for _, part := range parts {
+	for _, part := range Assign(objs, 4) {
 		for _, o := range part {
 			if seen[o.ID] {
 				t.Fatalf("boundary object %d assigned twice", o.ID)
@@ -192,43 +255,6 @@ func TestCountSumEqualsUnsharded(t *testing.T) {
 			if want := count(objs, w); sum != want {
 				t.Fatalf("n=%d window %v: shard count-sum %d, unsharded %d", n, w, sum, want)
 			}
-		}
-	}
-}
-
-// TestHashFallbackSpreadsDegenerateLayouts: coincident centers defeat
-// spatial tiling; the hash fallback must still fill every shard when the
-// cardinality allows.
-func TestHashFallbackSpreadsDegenerateLayouts(t *testing.T) {
-	objs := make([]geom.Object, 64)
-	for i := range objs {
-		objs[i] = geom.PointObject(uint32(i), geom.Pt(42, 42))
-	}
-	parts := Assign(objs, 4)
-	for i, part := range parts {
-		if len(part) == 0 {
-			t.Fatalf("shard %d empty under hash fallback", i)
-		}
-	}
-	// Fewer objects than shards: some shards must stay empty, but every
-	// object is still placed exactly once.
-	parts = Assign(objs[:2], 4)
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	if total != 2 {
-		t.Fatalf("placed %d of 2 objects", total)
-	}
-}
-
-// TestGridFactorization pins the tile-grid shape.
-func TestGridFactorization(t *testing.T) {
-	cases := map[int][2]int{1: {1, 1}, 2: {1, 2}, 3: {1, 3}, 4: {2, 2}, 6: {2, 3}, 9: {3, 3}, 12: {3, 4}}
-	for n, want := range cases {
-		r, c := Grid(n)
-		if r != want[0] || c != want[1] {
-			t.Errorf("Grid(%d) = %d×%d, want %d×%d", n, r, c, want[0], want[1])
 		}
 	}
 }

@@ -181,6 +181,9 @@ func seamStacks(t *testing.T, objs []geom.Object) map[string]typedEndpoint {
 		"solo-router":   local(LocalConfig{Shards: 1}),
 		"router4":       local(LocalConfig{Shards: 4, Workers: 2}),
 		"tree8-fanout2": local(LocalConfig{Shards: 8, TreeFanout: 2, Workers: 2}),
+		// TestTreeRoutingLocality's fleet: most leaves and whole
+		// subtrees are pruned on their bounds, by both executors alike.
+		"tree16-fanout4-replicas2": local(LocalConfig{Shards: 16, Replicas: 2, TreeFanout: 4, Workers: 2}),
 	}
 	for _, s := range stacks {
 		t.Cleanup(func() { s.Close() })
@@ -188,10 +191,10 @@ func seamStacks(t *testing.T, objs []geom.Object) map[string]typedEndpoint {
 	return stacks
 }
 
-// leafMessages returns the message count of every leaf shard below e, in
-// scatter order (a replica set is one leaf: which replica served is the
+// leafEndpoints returns every leaf shard endpoint below e, in scatter
+// order (a replica set is one leaf: which replica served is the
 // rotation's business).
-func leafMessages(e Endpoint) []int {
+func leafEndpoints(e Endpoint) []Endpoint {
 	var shards []Endpoint
 	switch v := e.(type) {
 	case *Router:
@@ -199,11 +202,20 @@ func leafMessages(e Endpoint) []int {
 	case *Aggregator:
 		shards = v.Shards()
 	default:
-		return []int{e.Usage().Messages}
+		return []Endpoint{e}
 	}
-	var out []int
+	var out []Endpoint
 	for _, s := range shards {
-		out = append(out, leafMessages(s)...)
+		out = append(out, leafEndpoints(s)...)
+	}
+	return out
+}
+
+// leafMessages returns the message count of every leaf shard below e.
+func leafMessages(e Endpoint) []int {
+	var out []int
+	for _, leaf := range leafEndpoints(e) {
+		out = append(out, leaf.Usage().Messages)
 	}
 	return out
 }

@@ -6,12 +6,16 @@
 // The package has two halves:
 //
 //   - Assignment (this file): a deterministic, overlap-free partitioning
-//     of a dataset into n shards. The primary layout is spatial tiling —
-//     the dataset bounds are cut into an r×c grid of tiles and every
-//     object is assigned by its MBR center, boundary objects landing on
-//     exactly one tile via half-open cell arithmetic — with a hash
-//     fallback (FNV over the object ID) for degenerate layouts where
-//     tiling cannot spread the data.
+//     of a dataset into n shards by a recursive k-d split on object
+//     count. The centre bounds of the current object set are cut across
+//     their wider axis so that each half of the shards receives its
+//     proportional share of the objects, and both halves recurse. Shard
+//     sizes differ by at most one whatever the data looks like, shard
+//     bounds are compact and follow the data (a cluster is split where
+//     it is dense, empty space belongs to nobody), and shard index order
+//     is k-d order: every aligned block of consecutive shards is one
+//     k-d cell, which is what lets the router — and each interior node
+//     of an aggregation tree — prune on advertised bounds.
 //
 //   - Routing (router.go, route.go): a scatter–gather Router over the
 //     shard links. Every layer here — Router, ReplicaSet, Aggregator —
@@ -29,136 +33,88 @@
 package shard
 
 import (
-	"hash/fnv"
+	"cmp"
+	"slices"
 
 	"repro/internal/geom"
 )
 
-// Grid returns the tile grid dimensions (rows × cols) used for n shards:
-// the most balanced factorization r*c = n with r <= c, so 4 shards tile
-// 2×2, 6 tile 2×3, and a prime n degrades to a 1×n strip.
-func Grid(n int) (rows, cols int) {
-	if n < 1 {
-		return 1, 1
-	}
-	rows = 1
-	for d := 2; d*d <= n; d++ {
-		if n%d == 0 {
-			rows = d
-		}
-	}
-	return rows, n / rows
-}
-
-// Tiles returns the n spatial tiles covering bounds, row-major from the
-// bottom-left, for the Grid(n) layout. Adjacent tiles share edges (closed
-// rectangles), so the cover is exhaustive: every point of bounds lies in
-// at least one tile, and the tile interiors are pairwise disjoint.
-func Tiles(bounds geom.Rect, n int) []geom.Rect {
-	rows, cols := Grid(n)
-	w, h := bounds.Width(), bounds.Height()
-	tiles := make([]geom.Rect, 0, n)
-	for row := 0; row < rows; row++ {
-		y0 := bounds.MinY + h*float64(row)/float64(rows)
-		y1 := bounds.MinY + h*float64(row+1)/float64(rows)
-		for col := 0; col < cols; col++ {
-			x0 := bounds.MinX + w*float64(col)/float64(cols)
-			x1 := bounds.MinX + w*float64(col+1)/float64(cols)
-			tiles = append(tiles, geom.Rect{MinX: x0, MinY: y0, MaxX: x1, MaxY: y1})
-		}
-	}
-	return tiles
-}
-
-// tileIndex maps a point to exactly one tile of the Grid(n) layout over
-// bounds. The cell arithmetic is half-open — a center exactly on an
-// interior tile edge belongs to the higher cell — and clamped, so every
-// point of bounds (edges included) maps to one valid index. This is the
-// overlap-free boundary rule: tiles share edges as rectangles, but no
-// object is ever assigned to two of them.
-func tileIndex(p geom.Point, bounds geom.Rect, rows, cols int) int {
-	col, row := 0, 0
-	if w := bounds.Width(); w > 0 {
-		col = int((p.X - bounds.MinX) / w * float64(cols))
-	}
-	if h := bounds.Height(); h > 0 {
-		row = int((p.Y - bounds.MinY) / h * float64(rows))
-	}
-	col = min(max(col, 0), cols-1)
-	row = min(max(row, 0), rows-1)
-	return row*cols + col
-}
-
-// hashIndex is the fallback assignment: FNV-1a over the object ID, mod n.
-// It ignores geometry entirely, trading routing locality for guaranteed
-// spread on degenerate layouts (coincident centers, zero-extent bounds).
-func hashIndex(id uint32, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte{byte(id), byte(id >> 8), byte(id >> 16), byte(id >> 24)})
-	return int(h.Sum32() % uint32(n))
-}
-
 // Assign partitions objs into exactly n shards. Every object lands on
 // exactly one shard (partitions are disjoint and their union is objs,
-// order preserved within each shard). The spatial tiling over the
-// dataset's bounds is used when it spreads the data — every tile of the
-// layout receives at least one object whenever objs has at least n
-// objects — and the hash fallback otherwise, so no shard is left empty
-// when the cardinality allows. Assignment is a pure function of
-// (objs, n): the same dataset shards identically everywhere, which the
-// deterministic byte-accounting goldens rely on.
+// order preserved within each shard), shard sizes differ by at most one
+// (so only len(objs) < n leaves a shard empty), and each side of every
+// cut is a run of consecutive shards, so shard order is k-d order.
+// Assignment is a pure function of the object set and n — ordered by
+// centre coordinate, ties by ID, never by input position — so the same
+// dataset shards identically everywhere: spatialserve -shard i/N
+// processes agree on the layout without coordination, and the
+// deterministic byte-accounting goldens rely on it.
 func Assign(objs []geom.Object, n int) [][]geom.Object {
-	if n < 1 {
-		n = 1
-	}
+	n = max(n, 1)
 	parts := make([][]geom.Object, n)
 	if n == 1 {
 		parts[0] = objs
 		return parts
 	}
-	bounds := objectBounds(objs)
-	rows, cols := Grid(n)
-	if bounds.Width() > 0 || bounds.Height() > 0 {
-		for _, o := range objs {
-			i := tileIndex(o.MBR.Center(), bounds, rows, cols)
-			parts[i] = append(parts[i], o)
-		}
-		if len(objs) < n || allNonEmpty(parts) {
-			return parts
-		}
+	cells := make([]kdEntry, len(objs))
+	for i, o := range objs {
+		cells[i] = kdEntry{center: o.MBR.Center(), id: o.ID, pos: i}
 	}
-	// Degenerate layout (all centers coincident, or some tile ended up
-	// empty while the cardinality could fill it): fall back to hashing.
+	owner := make([]int, len(objs))
+	kdSplit(cells, 0, n, owner)
 	for i := range parts {
-		parts[i] = nil
+		// Exact sizes are known up front: ⌊len/n⌋ or one more.
+		parts[i] = make([]geom.Object, 0, len(objs)/n+1)
 	}
-	for _, o := range objs {
-		i := hashIndex(o.ID, n)
-		parts[i] = append(parts[i], o)
+	for i, o := range objs {
+		parts[owner[i]] = append(parts[owner[i]], o)
 	}
 	return parts
 }
 
-// objectBounds is the MBR of all object centers — the reference frame of
-// the tile layout. (Centers, not full MBRs: assignment is by center, so
-// tiling the center space spreads objects evenly even when a few large
-// rectangles would stretch the object-MBR bounds.)
-func objectBounds(objs []geom.Object) geom.Rect {
-	if len(objs) == 0 {
-		return geom.Rect{}
-	}
-	b := geom.RectFromPoint(objs[0].MBR.Center())
-	for _, o := range objs[1:] {
-		b = b.Union(geom.RectFromPoint(o.MBR.Center()))
-	}
-	return b
+// kdEntry is one object in the k-d split: its MBR centre (assignment is
+// by centre, so a few large rectangles cannot stretch a cell), its ID
+// for tie-breaking, and its position in the input.
+type kdEntry struct {
+	center geom.Point
+	id     uint32
+	pos    int
 }
 
-func allNonEmpty(parts [][]geom.Object) bool {
-	for _, p := range parts {
-		if len(p) == 0 {
-			return false
+// kdSplit assigns the objects in cells to shards first..first+n-1,
+// recording each object's shard in owner[pos]. The cells are ordered
+// along the wider axis of their centre bounds (ties by ID), the first
+// ⌊n/2⌋ shards take the first len·⌊n/2⌋/n of them, and both sides
+// recurse — so every shard ends up with ⌊len/n⌋ or ⌈len/n⌉ objects.
+func kdSplit(cells []kdEntry, first, n int, owner []int) {
+	if n == 1 {
+		for _, c := range cells {
+			owner[c.pos] = first
 		}
+		return
 	}
-	return true
+	if len(cells) == 0 {
+		return
+	}
+	b := geom.RectFromPoint(cells[0].center)
+	for _, c := range cells[1:] {
+		b = b.Union(geom.RectFromPoint(c.center))
+	}
+	byX := b.Width() >= b.Height()
+	slices.SortFunc(cells, func(p, q kdEntry) int {
+		var byAxis int
+		if byX {
+			byAxis = cmp.Compare(p.center.X, q.center.X)
+		} else {
+			byAxis = cmp.Compare(p.center.Y, q.center.Y)
+		}
+		if byAxis != 0 {
+			return byAxis
+		}
+		return cmp.Compare(p.id, q.id)
+	})
+	left := n / 2
+	cut := len(cells) * left / n
+	kdSplit(cells[:cut], first, left, owner)
+	kdSplit(cells[cut:], first+left, n-left, owner)
 }

@@ -219,10 +219,12 @@ func (a *Aggregator) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call 
 // --- tree assembly --------------------------------------------------------
 
 // NewTree builds a hierarchical scatter–gather router over the given
-// leaf shard endpoints: consecutive leaves (spatially adjacent — Assign
-// tiles space in index order) group under Aggregator nodes, levels
-// stack until the root fans out to at most fanout children, and the
-// returned Router is that root. With fanout < 2 or no more leaves than
+// leaf shard endpoints: consecutive leaves group under Aggregator nodes
+// (Assign numbers shards in k-d order, so a run of consecutive shards is
+// a compact cell of the data and the node's advertised bounds — the
+// union of its children's — let its parent prune the whole subtree),
+// levels stack until the root fans out to at most fanout children, and
+// the returned Router is that root. With fanout < 2 or no more leaves than
 // fanout, the tree degenerates to the flat router — one level, same
 // object — so a "tree of depth 1" is not merely equivalent to the flat
 // scatter, it is the flat scatter.

@@ -610,3 +610,61 @@ func TestRouterInfoCooldownPerShard(t *testing.T) {
 		t.Fatalf("gaps after partial refresh: %+v, want exactly D1/3", gaps)
 	}
 }
+
+// leafQueries sums the request frames received by every leaf endpoint
+// below e — the leaf round trips, with interior uplinks left out.
+func leafQueries(e Endpoint) int {
+	n := 0
+	for _, leaf := range leafEndpoints(e) {
+		n += leaf.Usage().Queries
+	}
+	return n
+}
+
+// TestTreeRoutingLocality is the regression test for shards that are
+// not spatial: on clustered data — fewer occupied regions than shards,
+// the paper's case — a small window or an ε-probe must reach the one or
+// two leaves whose data it can touch, not the whole fleet, and answer
+// exactly what one unsharded server answers.
+func TestTreeRoutingLocality(t *testing.T) {
+	objs := dataset.GaussianClusters(4000, 8, 250, dataset.World, 46)
+	tree, err := ServeLocal("D", objs, LocalConfig{
+		Shards: 16, Replicas: 2, TreeFanout: 4, Workers: 2,
+		Link: netsim.DefaultLink(), Price: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	oracle := newLocalOracle(t, objs)
+	ctx := context.Background()
+	if _, err := tree.Info(ctx); err != nil { // pay the INFO fan-out up front
+		t.Fatal(err)
+	}
+	const eps, probes = 75.0, 200
+	rng := rand.New(rand.NewSource(46))
+	before := leafQueries(tree)
+	for i := 0; i < probes; i++ {
+		c := objs[rng.Intn(len(objs))].MBR.Center()
+		w := geom.R(c.X-eps, c.Y-eps, c.X+eps, c.Y+eps)
+		got, err := tree.Count(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := oracle.Count(ctx, w); got != want {
+			t.Fatalf("COUNT %v = %d, unsharded %d", w, got, want)
+		}
+		p := objs[rng.Intn(len(objs))].MBR.Center()
+		near, err := tree.Range(ctx, p, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := oracle.Range(ctx, p, eps)
+		sameObjects(t, fmt.Sprintf("RANGE %v", p), near, want)
+	}
+	perProbe := float64(leafQueries(tree)-before) / (2 * probes)
+	t.Logf("%.2f leaf sub-requests per probe", perProbe)
+	if perProbe > 2 {
+		t.Fatalf("%.2f leaf sub-requests per probe over 16 shards, want <= 2: shard bounds do not follow the data", perProbe)
+	}
+}

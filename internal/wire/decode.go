@@ -212,6 +212,11 @@ func DecodeBucketObjects(frame []byte) ([][]geom.Object, error) {
 		return nil, err
 	}
 	n := int(le.Uint32(frame[1:]))
+	// Every group costs at least its 4-byte header: bound the count by
+	// the frame before trusting it with an allocation.
+	if n > (len(frame)-5)/4 {
+		return nil, fmt.Errorf("%w: %d bucket groups in %d bytes", ErrShortFrame, n, len(frame))
+	}
 	groups := make([][]geom.Object, n)
 	off := 5
 	for i := range groups {

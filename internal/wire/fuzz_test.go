@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/geom"
@@ -66,6 +67,22 @@ func FuzzDecodeRequests(f *testing.F) {
 	})
 }
 
+// hugeBucketCount is the 6-byte frame FuzzDecodeResponses found: a
+// BUCKET-OBJECTS reply that announces 2^32-1 groups and carries none.
+var hugeBucketCount = []byte{byte(MsgBucketObjects), 0xff, 0xff, 0xff, 0xff, 0}
+
+// TestDecodeBucketObjectsBoundsGroupCount: the announced group count is
+// checked against the frame length before it sizes an allocation.
+func TestDecodeBucketObjectsBoundsGroupCount(t *testing.T) {
+	if _, err := DecodeBucketObjects(hugeBucketCount); !errors.Is(err, ErrShortFrame) {
+		t.Fatalf("decoding a 6-byte frame announcing 2^32-1 groups: %v, want ErrShortFrame", err)
+	}
+	// The bound is tight: as many empty groups as the frame has headers for.
+	if got, err := DecodeBucketObjects(AppendBucketObjects(nil, make([][]geom.Object, 3))); err != nil || len(got) != 3 {
+		t.Fatalf("three empty groups: %d groups, %v", len(got), err)
+	}
+}
+
 func FuzzDecodeResponses(f *testing.F) {
 	f.Add(AppendObjects(nil, []geom.Object{geom.PointObject(9, geom.Pt(1, 1))}))
 	f.Add(AppendCountReply(nil, -3))
@@ -76,6 +93,7 @@ func FuzzDecodeResponses(f *testing.F) {
 	f.Add(AppendRects(nil, []geom.Rect{{MaxX: 1, MaxY: 1}}))
 	f.Add(AppendPairs(nil, []geom.Pair{{RID: 1, SID: 2}}))
 	f.Add(AppendError(nil, "boom"))
+	f.Add(hugeBucketCount)
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		DecodeObjects(frame)
 		DecodeCountReply(frame)

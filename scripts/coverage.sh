@@ -35,9 +35,10 @@ check() { # check <label> <observed> <floor>
 total=$(go tool cover -func=cover.out | tail -1 | awk '{print $3}' | tr -d '%')
 check "total" "$total" "$floor"
 
-# Per-package floors for the newest subsystems, parsed from the test
-# run's own "ok <pkg> ... coverage: NN.N%" lines.
-for gate in "repro/internal/health:82.0" "repro/internal/harness:80.0" "repro/internal/memjoin:90.0" "repro/internal/fleet:85.0"; do
+# Per-package floors for the newest subsystems and for the shard layer
+# (assignment and routing decide what every sharded probe costs), parsed
+# from the test run's own "ok <pkg> ... coverage: NN.N%" lines.
+for gate in "repro/internal/health:82.0" "repro/internal/harness:80.0" "repro/internal/memjoin:90.0" "repro/internal/fleet:85.0" "repro/internal/shard:83.0"; do
   pkg="${gate%%:*}"
   pfloor="${gate##*:}"
   pct=$(awk -v p="$pkg" '$1 == "ok" && $2 == p { for (i = 1; i <= NF; i++) if ($i == "coverage:") { sub(/%.*/, "", $(i + 1)); print $(i + 1) } }' cover.txt)
