@@ -3,7 +3,7 @@
 GO ?= go
 DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build test race bench bench-module bench-smoke bench-compare fuzz smoke cover test-flaky chaos fmt vet lint
+.PHONY: all build test race bench bench-module bench-smoke bench-compare fuzz smoke cover test-flaky chaos loc fmt vet lint
 
 all: build test bench-module
 
@@ -100,6 +100,14 @@ chaos:
 # baseline floor (override with COVER_FLOOR=NN.N).
 cover:
 	./scripts/coverage.sh
+
+# loc prints the size metric ROADMAP aim 2 tracks — lines of non-test Go
+# outside benchmark/ — per package directory and in total. Quote it
+# before and after in any PR that claims to delete code.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' -exec wc -l {} + \
+	  | awk '$$2 != "total" { sub(/\/[^\/]*$$/, "", $$2); n[$$2] += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d }' \
+	  | sort -k2 | awk '{ print; t += $$1 } END { printf "%7d total\n", t }'
 
 fmt:
 	gofmt -l .

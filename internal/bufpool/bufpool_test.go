@@ -1,6 +1,10 @@
 package bufpool
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/testenv"
+)
 
 func TestGetPutCycle(t *testing.T) {
 	b := Get()
@@ -54,7 +58,7 @@ func TestSameBacking(t *testing.T) {
 // TestSteadyStateAllocs checks the headline property: a Get/Put cycle at
 // steady state performs zero allocations.
 func TestSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("race instrumentation allocates; alloc counts are meaningless")
 	}
 	// Warm the pool so entry boxes exist.

@@ -22,10 +22,17 @@ import (
 // Callers submit asynchronously with GoBatch and collect each request's
 // reply through its Call future. Three triggers cut a batch:
 //
-//   - size: the pending queue reaching MaxBatch dispatches immediately;
+//   - size: the queue reaching MaxBatch dispatches immediately;
 //   - linger: a timer armed when the queue becomes non-empty flushes
 //     stragglers, so a lone request is never parked indefinitely;
-//   - explicit: Flush dispatches whatever is pending right now.
+//   - explicit: Flush dispatches whatever is queued right now.
+//
+// There is one queue per link, kept as per-tenant lanes; pick assembles
+// each envelope from them under the Scheduler's policy (see sched.go).
+// A remote without a scheduler has a single anonymous lane, and a lane
+// with no backlogged peer is never held back by its DRR credit, so an
+// unscheduled link and a one-tenant fleet frame identically: envelopes
+// are the queue in submission order, MaxBatch at a time.
 //
 // The linger is adaptive per link: timer flushes that caught only a
 // single request halve it (lone callers should not wait), timer flushes
@@ -45,7 +52,7 @@ import (
 
 // BatchConfig configures a Remote's probe batcher.
 type BatchConfig struct {
-	// MaxBatch is the size trigger: a pending queue reaching this many
+	// MaxBatch is the size trigger: a queue reaching this many
 	// requests is dispatched immediately. Values ≤ 1 disable batching
 	// (every request travels as its own frame, bit-identical to the
 	// pre-batching wire format).
@@ -187,14 +194,14 @@ const (
 	cutExplicit
 )
 
-// lane is one tenant's submission queue on one link (scheduler mode
-// only). deficit and passed implement the DRR credit and the starvation
-// bound; served marks lanes that contributed to the envelope being
-// assembled, for the pass bookkeeping at the end of each pick; credited
-// marks lanes that have drawn their quantum for the current DRR round —
-// a round ends (and the flags clear) only when every credited lane is
-// spent, so envelope-cap truncations never let credit inflow outrun
-// service and distort the weighted shares.
+// lane is one tenant's submission queue on one link. deficit and passed
+// implement the DRR credit and the starvation bound; served marks lanes
+// that contributed to the envelope being assembled, for the pass
+// bookkeeping at the end of each pick; credited marks lanes that have
+// drawn their quantum for the current DRR round — a round ends (and the
+// flags clear) only when every credited lane is spent, so envelope-cap
+// truncations never let credit inflow outrun service and distort the
+// weighted shares.
 type lane struct {
 	queue    []*Call
 	deficit  int64
@@ -203,26 +210,24 @@ type lane struct {
 	credited bool
 }
 
-// batcher is the per-link multiplexer. pending never exceeds max: the
-// enqueue path cuts a batch the moment the queue fills. With a Scheduler
-// armed, pending is replaced by per-tenant lanes and each envelope is
-// assembled by pick() under the scheduling policy.
+// batcher is the per-link multiplexer: per-tenant lanes whose total
+// backlog never stays at max — the enqueue path assembles an envelope
+// with pick() the moment it fills.
 type batcher struct {
 	rem        *Remote
 	max        int
 	minL, maxL int64         // linger bounds, ns
 	linger     atomic.Int64  // current adaptive linger, ns
-	sched      *Scheduler    // nil = legacy single-queue mode
+	sched      *Scheduler    // nil = one anonymous lane at the default policy
 	sem        chan struct{} // bounds in-flight spawned dispatches
 
-	mu      sync.Mutex
-	pending []*Call // legacy mode queue
-	lanes   map[netsim.TenantID]*lane
-	order   []netsim.TenantID // lane visit order (first-submission order)
-	rr      int               // DRR round-robin start index into order
-	npend   int               // total queued across lanes
-	timer   *time.Timer
-	armed   bool
+	mu    sync.Mutex
+	lanes map[netsim.TenantID]*lane
+	order []netsim.TenantID // lane visit order (first-submission order)
+	rr    int               // DRR round-robin start index into order
+	npend int               // total queued across lanes
+	timer *time.Timer
+	armed bool
 
 	frames atomic.Int64 // dispatched frames (diagnostics and tests)
 }
@@ -231,10 +236,7 @@ func newBatcher(r *Remote, cfg BatchConfig) *batcher {
 	if cfg.MaxBatch <= 1 {
 		return nil
 	}
-	b := &batcher{rem: r, max: cfg.MaxBatch, sched: r.sched}
-	if b.sched != nil {
-		b.lanes = make(map[netsim.TenantID]*lane)
-	}
+	b := &batcher{rem: r, max: cfg.MaxBatch, sched: r.sched, lanes: make(map[netsim.TenantID]*lane)}
 	inflight := cfg.MaxInflight
 	if inflight <= 0 {
 		inflight = 4
@@ -274,40 +276,56 @@ func clamp64(v, lo, hi int64) int64 {
 	return v
 }
 
-// enqueue adds calls to the pending queue, cutting a full batch whenever
-// the size trigger fires. All calls of one enqueue are appended under one
-// lock acquisition, so a caller submitting exactly MaxBatch requests
-// into an *empty* queue gets one frame containing exactly those
-// requests; when concurrent submitters have left stragglers pending,
-// those join the frame and the tail of this enqueue stays queued —
-// correct, just a different grouping. Sequential runs always find the
-// queue empty (core flushes each probe group before issuing the next),
-// which is what the deterministic byte-accounting goldens rely on.
+// enqueue adds each call to its tenant's lane (after the quota gate),
+// assembling an envelope with pick() whenever the total backlog reaches
+// the size trigger. All calls of one enqueue are appended under one lock
+// acquisition, so a caller submitting exactly MaxBatch requests into an
+// *empty* queue gets one frame containing exactly those requests; when
+// concurrent submitters have left stragglers queued, those join the
+// frame and the tail of this enqueue stays queued — correct, just a
+// different grouping. Sequential runs always find the queue empty (core
+// flushes each probe group before issuing the next), which is what the
+// deterministic byte-accounting goldens rely on.
 func (b *batcher) enqueue(calls []*Call) {
-	if b.sched != nil {
-		b.enqueueLanes(calls)
-		return
-	}
 	var cut [][]*Call
 	b.mu.Lock()
 	for _, c := range calls {
-		b.pending = append(b.pending, c)
-		if len(b.pending) >= b.max {
-			cut = append(cut, b.pending)
-			b.pending = nil
+		id := b.sched.laneOf(c.ctx)
+		if err := b.sched.admit(id); err != nil {
+			bufpool.Put(c.req)
+			c.req = nil
+			c.complete(nil, fmt.Errorf("%s: %w", b.rem.name, err))
+			continue
+		}
+		ln := b.lanes[id]
+		if ln == nil {
+			ln = &lane{}
+			b.lanes[id] = ln
+			b.order = append(b.order, id)
+		}
+		ln.queue = append(ln.queue, c)
+		b.npend++
+		if b.npend >= b.max {
+			if batch := b.pick(false); len(batch) > 0 {
+				cut = append(cut, batch)
+			}
 		}
 	}
-	if len(b.pending) > 0 {
-		if !b.armed {
-			b.armed = true
-			b.timer.Reset(time.Duration(b.linger.Load()))
-		}
-	} else if b.armed {
+	b.retime()
+	b.mu.Unlock()
+	b.spawn(cut)
+}
+
+// retime keeps the linger timer armed exactly while something is queued.
+// Caller holds b.mu.
+func (b *batcher) retime() {
+	if b.npend > 0 && !b.armed {
+		b.armed = true
+		b.timer.Reset(time.Duration(b.linger.Load()))
+	} else if b.npend == 0 && b.armed {
 		b.armed = false
 		b.timer.Stop()
 	}
-	b.mu.Unlock()
-	b.spawn(cut)
 }
 
 // spawn dispatches size-triggered cuts on fresh goroutines, at most
@@ -327,82 +345,22 @@ func (b *batcher) spawn(cut [][]*Call) {
 	}
 }
 
-// enqueueLanes is the scheduler-mode submission path: each call joins
-// its tenant's lane (after the quota gate), and whenever the total
-// backlog reaches the size trigger an envelope is assembled by pick()
-// under the scheduling policy.
-func (b *batcher) enqueueLanes(calls []*Call) {
-	var cut [][]*Call
-	var rejected []*Call
-	var rejErrs []error
-	b.mu.Lock()
-	for _, c := range calls {
-		id := netsim.TenantID("")
-		if c.ctx != nil {
-			id = netsim.TenantOf(c.ctx)
-		}
-		if err := b.sched.admit(id); err != nil {
-			rejected = append(rejected, c)
-			rejErrs = append(rejErrs, err)
-			continue
-		}
-		ln := b.lanes[id]
-		if ln == nil {
-			ln = &lane{}
-			b.lanes[id] = ln
-			b.order = append(b.order, id)
-		}
-		ln.queue = append(ln.queue, c)
-		b.npend++
-		if b.npend >= b.max {
-			if batch := b.pick(false); len(batch) > 0 {
-				cut = append(cut, batch)
-			}
-		}
-	}
-	if b.npend > 0 {
-		if !b.armed {
-			b.armed = true
-			b.timer.Reset(time.Duration(b.linger.Load()))
-		}
-	} else if b.armed {
-		b.armed = false
-		b.timer.Stop()
-	}
-	b.mu.Unlock()
-	for i, c := range rejected {
-		bufpool.Put(c.req)
-		c.req = nil
-		c.complete(nil, fmt.Errorf("%s: %w", b.rem.name, rejErrs[i]))
-	}
-	b.spawn(cut)
-}
-
-// flush dispatches whatever is pending. Explicit flushes run the round
-// trip on the caller's goroutine (the caller is about to wait on the
-// calls anyway); timer flushes run on the timer goroutine. In scheduler
-// mode the backlog is drained in policy order, envelope by envelope,
-// with deficits waived — the linger has expired, so nothing may stay
-// parked.
+// flush dispatches whatever is queued, in policy order, envelope by
+// envelope, with deficits waived — the linger has expired (or the caller
+// asked), so nothing may stay parked. Explicit flushes run the round
+// trips on the caller's goroutine (the caller is about to wait on the
+// calls anyway); timer flushes run on the timer goroutine.
 func (b *batcher) flush(reason cutReason) {
 	b.mu.Lock()
 	var batches [][]*Call
-	if b.sched != nil {
-		for b.npend > 0 {
-			batch := b.pick(true)
-			if len(batch) == 0 {
-				break
-			}
-			batches = append(batches, batch)
+	for b.npend > 0 {
+		batch := b.pick(true)
+		if len(batch) == 0 {
+			break
 		}
-	} else if len(b.pending) > 0 {
-		batches = [][]*Call{b.pending}
-		b.pending = nil
+		batches = append(batches, batch)
 	}
-	if b.armed {
-		b.armed = false
-		b.timer.Stop()
-	}
+	b.retime()
 	b.mu.Unlock()
 	for _, batch := range batches {
 		b.dispatch(batch, reason)
@@ -410,10 +368,20 @@ func (b *batcher) flush(reason cutReason) {
 }
 
 // pick assembles one envelope (up to max calls) from the lanes under the
-// scheduling policy. Caller holds b.mu. With force set (linger-expired
-// flushes), DRR deficits are waived — priority order and the starvation
-// guard still apply, but no probe stays parked for lack of credit.
+// scheduling policy. Caller holds b.mu. With force set (flushes), DRR
+// deficits are waived — priority order and the starvation guard still
+// apply, but no probe stays parked for lack of credit.
 func (b *batcher) pick(force bool) []*Call {
+	if len(b.order) == 1 && b.npend <= b.max {
+		// One lane is all this link has ever seen: nobody to arbitrate
+		// against, and its backlog fits, so the queue is the envelope —
+		// handed over instead of copied.
+		ln := b.lanes[b.order[0]]
+		batch := ln.queue
+		*ln = lane{}
+		b.npend = 0
+		return batch
+	}
 	batch := make([]*Call, 0, b.max)
 	// Starvation guard: lanes passed over too many consecutive envelopes
 	// contribute their head probe first, whatever their tier.
@@ -432,12 +400,15 @@ func (b *batcher) pick(force bool) []*Call {
 	// tier by tier (sharing the frame delays nobody above).
 	blocked := 0
 	for len(batch) < b.max {
-		tier, ok := b.topTier()
-		if !ok {
+		tier, lanes := b.topTier()
+		if lanes == 0 {
 			break
 		}
 		before := len(batch)
-		batch = b.drrPass(tier, force, batch)
+		// A lane with no backlogged peer in its tier is never held to its
+		// credit: DRR is fairness among backlogged lanes, and a lone lane
+		// has nobody to yield to.
+		batch = b.drrPass(tier, force || lanes == 1, batch)
 		if len(batch) == before {
 			// The tier made no progress: every lane of it is spent for
 			// the current round (or deficit-blocked). With a non-empty
@@ -471,28 +442,31 @@ func (b *batcher) pick(force bool) []*Call {
 	return batch
 }
 
-// topTier returns the highest priority among non-empty lanes.
-func (b *batcher) topTier() (int, bool) {
-	best, found := 0, false
+// topTier returns the highest priority among backlogged lanes and how
+// many of them run at it (0: nothing is queued).
+func (b *batcher) topTier() (tier, lanes int) {
 	for _, id := range b.order {
 		if len(b.lanes[id].queue) == 0 {
 			continue
 		}
-		if p := b.sched.Policy(id).Priority; !found || p > best {
-			best, found = p, true
+		switch p := b.sched.Policy(id).Priority; {
+		case lanes == 0 || p > tier:
+			tier, lanes = p, 1
+		case p == tier:
+			lanes++
 		}
 	}
-	return best, found
+	return tier, lanes
 }
 
 // drrPass visits each lane of the tier once in round-robin order,
 // taking probes while the lane's round credit covers their request
-// bytes (force waives the credit check). A lane draws its quantum ×
+// bytes (waive skips the credit check). A lane draws its quantum ×
 // weight credit at most once per round — the credited flag — however
 // many passes (and picks) the round spans, so service per round is
 // exactly proportional to the weights even when envelope caps truncate
 // a pass mid-way.
-func (b *batcher) drrPass(tier int, force bool, batch []*Call) []*Call {
+func (b *batcher) drrPass(tier int, waive bool, batch []*Call) []*Call {
 	n := len(b.order)
 	for k := 0; k < n && len(batch) < b.max; k++ {
 		id := b.order[(b.rr+k)%n]
@@ -511,13 +485,13 @@ func (b *batcher) drrPass(tier int, force bool, batch []*Call) []*Call {
 		}
 		for len(ln.queue) > 0 && len(batch) < b.max {
 			cost := int64(len(ln.queue[0].req))
-			if !force && cost > ln.deficit {
+			if !waive && cost > ln.deficit {
 				break
 			}
 			ln.deficit -= cost
-			if force && ln.deficit < 0 {
+			if waive && ln.deficit < 0 {
 				// A waived take must not mortgage the lane's future
-				// rounds: the flush already paid by draining the backlog.
+				// rounds: the backlog it drained is payment enough.
 				ln.deficit = 0
 			}
 			batch = b.takeHead(ln, batch)
@@ -606,7 +580,7 @@ func (b *batcher) dispatch(batch []*Call, reason cutReason) {
 	if b.sched != nil {
 		// Multi-tenant envelope: stamp the per-tenant byte shares so the
 		// meter attributes (and the ledger bills) the frame exactly.
-		ctx = withTenantShares(ctx, batch)
+		ctx = b.sched.withShares(ctx, batch)
 	}
 	frame := wire.AppendBatch(bufpool.Get(), subs)
 	for _, c := range batch {
@@ -691,20 +665,16 @@ func dispatchContext(batch []*Call) (context.Context, func()) {
 	}
 }
 
-// withTenantShares stamps ctx with the envelope's per-tenant request-
+// withShares stamps ctx with the envelope's per-tenant request-
 // byte shares (computed before the sub-frames are recycled). Response
 // bytes are split by the same shares — a deliberate approximation: the
 // reply's per-sub-frame sizes are unknown until decoded, and request-
 // proportional attribution keeps the split deterministic and exact in
 // total. A single-tenant envelope takes the cheaper WithTenant stamp.
-func withTenantShares(ctx context.Context, batch []*Call) context.Context {
+func (s *Scheduler) withShares(ctx context.Context, batch []*Call) context.Context {
 	shares := make([]netsim.TenantShare, 0, 2)
 	for _, c := range batch {
-		id := netsim.TenantID("")
-		if c.ctx != nil {
-			id = netsim.TenantOf(c.ctx)
-		}
-		n := len(c.req)
+		id, n := s.laneOf(c.ctx), len(c.req)
 		found := false
 		for i := range shares {
 			if shares[i].ID == id {
@@ -741,8 +711,8 @@ func (r *Remote) BatchFrames() int64 {
 // passes to the client) and returns one Call per request. The requests
 // are enqueued atomically under one lock acquisition: concurrent
 // submitters never interleave *within* one GoBatch's requests, though
-// stragglers already pending may share its frames. Requests below the
-// size trigger stay pending until the queue fills, the linger timer
+// stragglers already queued may share its frames. Requests below the
+// size trigger stay queued until the queue fills, the linger timer
 // fires, or an explicit Flush dispatches them.
 //
 // With batching disabled each request is dispatched immediately as its
@@ -768,7 +738,7 @@ func (r *Remote) GoBatch(ctx context.Context, reqs [][]byte) []*Call {
 	return calls
 }
 
-// Flush dispatches any pending batched requests immediately instead of
+// Flush dispatches any queued batched requests immediately instead of
 // waiting for the size or linger triggers. Callers submit a probe group
 // with GoBatch, Flush the tail, then wait on the calls.
 func (r *Remote) Flush() {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/netsim"
 	"repro/internal/server"
+	"repro/internal/testenv"
 	"repro/internal/wire"
 )
 
@@ -152,7 +153,7 @@ func TestBatchAllCancelledAbandonsEnvelope(t *testing.T) {
 // buffer on every error, which this allocation bound catches (each leaked
 // pooled buffer costs a fresh allocation on the next run).
 func TestRoundTripFailureRecyclesFrames(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	r, err := NewRemote("F", failRT{}, netsim.DefaultLink(), 1,
@@ -195,7 +196,7 @@ func TestRoundTripFailureRecyclesFrames(t *testing.T) {
 // → Remote.Do → decode) must allocate no more than the same request
 // hand-rolled against Do.
 func TestTypedAdaptorAddsNoAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	objs := dataset.Uniform(200, dataset.World, 17)

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"sync"
 
 	"repro/internal/netsim"
@@ -16,10 +17,12 @@ import (
 //     its probes to the envelope before any lower tier is considered
 //     (lower tiers still fill the envelope's remaining slots — riding in
 //     the same frame delays nobody);
-//   - deficit round-robin within a tier: each visit credits a lane
+//   - deficit round-robin within a tier: each round credits a lane
 //     schedQuantum × Weight bytes of deficit, and the lane emits probes
 //     while its deficit covers their request bytes — so under backlog,
-//     byte shares within a tier converge to the weight ratio;
+//     byte shares within a tier converge to the weight ratio. DRR is
+//     fairness among backlogged lanes: a lane with no backlogged peer in
+//     its tier has nobody to yield to and is not held to its credit;
 //   - starvation bound: a non-empty lane passed over StarvationBound
 //     consecutive envelopes contributes its head probe to the next one
 //     regardless of tier, so even the lowest tier makes progress while
@@ -87,8 +90,14 @@ func (s *Scheduler) SetStarvationBound(n int) {
 	s.starve = n
 }
 
-// StarvationBound returns the configured bound.
-func (s *Scheduler) StarvationBound() int { return s.starve }
+// StarvationBound returns the configured bound (the default for a nil
+// scheduler).
+func (s *Scheduler) StarvationBound() int {
+	if s == nil {
+		return defaultStarvationBound
+	}
+	return s.starve
+}
 
 // SetPolicy sets a tenant's scheduling class. Tenants without an
 // explicit policy run at {Priority: 0, Weight: 1}.
@@ -102,22 +111,34 @@ func (s *Scheduler) SetPolicy(id netsim.TenantID, p TenantPolicy) {
 }
 
 // Policy returns the tenant's scheduling class (the default class for
-// tenants never configured).
+// tenants never configured, and for every tenant of a nil scheduler).
 func (s *Scheduler) Policy(id netsim.TenantID) TenantPolicy {
-	s.mu.RLock()
-	p, ok := s.pol[id]
-	s.mu.RUnlock()
-	if !ok {
-		return TenantPolicy{Priority: 0, Weight: 1}
+	if s != nil {
+		s.mu.RLock()
+		p, ok := s.pol[id]
+		s.mu.RUnlock()
+		if ok {
+			return p
+		}
 	}
-	return p
+	return TenantPolicy{Priority: 0, Weight: 1}
+}
+
+// laneOf names the lane a submission under ctx queues in: its tenant's.
+// A link without a scheduler does not arbitrate between tenants, so
+// everything shares the one anonymous lane.
+func (s *Scheduler) laneOf(ctx context.Context) netsim.TenantID {
+	if s == nil || ctx == nil {
+		return ""
+	}
+	return netsim.TenantOf(ctx)
 }
 
 // admit is the lane-side quota gate: a tenant over its byte budget is
 // rejected before its probe ever occupies queue space, so an exhausted
 // tenant cannot poison envelopes other tenants ride in.
 func (s *Scheduler) admit(id netsim.TenantID) error {
-	if s.ledger == nil || id == "" {
+	if s == nil || s.ledger == nil || id == "" {
 		return nil
 	}
 	return s.ledger.Check(id)

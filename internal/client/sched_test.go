@@ -120,6 +120,46 @@ func TestSchedulerThreeWayFairness(t *testing.T) {
 	}
 }
 
+// TestSchedulerLoneLaneFillsEnvelope: DRR is fairness among backlogged
+// lanes, so a lane with no backlogged peer is never held to its quantum —
+// a size-triggered pick fills the envelope to MaxBatch, in submission
+// order, whether the batcher has a scheduler (one tenant) or none (the
+// single anonymous lane), and whether the backlog fits the envelope (the
+// queue is handed over) or not (the credit check is waived). The moment a
+// peer is backlogged the quantum applies again.
+func TestSchedulerLoneLaneFillsEnvelope(t *testing.T) {
+	const max, reqBytes = 64, 17 // one COUNT frame; 64 of them are 4× the quantum
+	for name, sched := range map[string]*Scheduler{"one-tenant": NewScheduler(nil), "unscheduled": nil} {
+		t.Run(name, func(t *testing.T) {
+			id := sched.laneOf(netsim.WithTenant(context.Background(), "solo"))
+			b := newLaneBatcher(sched, max)
+			b.fill(id, max, reqBytes)
+			queued := append([]*Call(nil), b.lanes[id].queue...)
+			batch := b.pick(false)
+			if len(batch) != max || b.npend != 0 {
+				t.Fatalf("lone lane, %d queued: envelope of %d (%d left), want %d (0 left)", max, len(batch), b.npend, max)
+			}
+			for i, c := range batch {
+				if c != queued[i] {
+					t.Fatalf("slot %d is not the %d-th submission", i, i)
+				}
+			}
+			b.fill(id, max+max/2, reqBytes)
+			if first, second := len(b.pick(false)), len(b.pick(false)); first != max || second != max/2 {
+				t.Fatalf("lone lane, %d queued: envelopes of %d then %d, want %d then %d", max+max/2, first, second, max, max/2)
+			}
+		})
+	}
+
+	sched := NewScheduler(nil)
+	b := newLaneBatcher(sched, max)
+	b.fill("a", max, reqBytes)
+	b.fill("b", max, reqBytes)
+	if n := len(b.pick(false)); n >= max {
+		t.Fatalf("two backlogged lanes: envelope of %d, want the DRR quantum to cut it short of %d", n, max)
+	}
+}
+
 // TestSchedulerStrictPriority: with both tiers backlogged, the high tier
 // drains completely before the low tier contributes a single probe
 // (starvation guard pushed out of the way).

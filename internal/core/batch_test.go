@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -229,5 +230,35 @@ func assertSameResult(t *testing.T, name string, spec Spec, got, want *Result) {
 		if got.Pairs[i] != want.Pairs[i] {
 			t.Fatalf("%s: pair %d = %v, want %v", name, i, got.Pairs[i], want.Pairs[i])
 		}
+	}
+}
+
+// TestGridPhasesSameInBothFramings: batching decides how a probe group is
+// framed, never which phases a run has — the grid's observe → transfer
+// sequence (kind and name of every PhaseEvent) is the same with BatchSize
+// 1 and 8, and the batched run still meters fewer messages.
+func TestGridPhasesSameInBothFramings(t *testing.T) {
+	robjs := dataset.GaussianClusters(400, 4, 300, dataset.World, 61)
+	sobjs := dataset.GaussianClusters(400, 4, 300, dataset.World, 62)
+	spec := Spec{Kind: Distance, Eps: 90}
+	run := func(batch int) (phases []string, messages int) {
+		env := testEnvBatch(t, robjs, sobjs, 300, 1, batch)
+		env.Observer = func(ev PhaseEvent) { phases = append(phases, ev.Kind.String()+" "+ev.Name) }
+		res, err := Grid{}.Run(context.Background(), env, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return phases, res.Stats.R.Messages + res.Stats.S.Messages
+	}
+	plain, plainMsgs := run(1)
+	batched, batchedMsgs := run(8)
+	if !slices.Equal(plain, batched) {
+		t.Errorf("phase sequence differs by framing:\n batch 1: %q\n batch 8: %q", plain, batched)
+	}
+	if !slices.Contains(plain, "observe observe/grid-counts-r") {
+		t.Errorf("unbatched grid emitted no observation phase: %q", plain)
+	}
+	if batchedMsgs >= plainMsgs {
+		t.Errorf("batched grid metered %d messages, unbatched %d: batching framed nothing", batchedMsgs, plainMsgs)
 	}
 }

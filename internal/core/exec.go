@@ -217,82 +217,115 @@ func (x *exec) splittable(w geom.Rect, depth int) bool {
 // count issues one COUNT aggregate query for side d on partition w.
 func (x *exec) count(d side, w geom.Rect) (int, error) {
 	x.dec.agg.Add(1)
-	return x.countRemote(d, x.fetchWindow(d, w))
+	var n [1]int
+	err := x.countRemote(d, []geom.Rect{x.fetchWindow(d, w)}, n[:])
+	return n[0], err
 }
 
 // batching reports whether this run multiplexes probes into MsgBatch
 // envelopes.
 func (x *exec) batching() bool { return x.env.BatchSize > 1 }
 
-// countRemote issues one COUNT on the already-fetch-expanded window fw.
-// Under a batching parallel run the lone query goes through the link's
-// batcher, so counts issued by concurrent sibling partitions coalesce
-// via the linger trigger. Sequential runs keep the blocking path: no
-// concurrent caller can ever arrive, so parking the query would only
-// add latency (and the deterministic framing the goldens pin must not
-// depend on timer behaviour).
-func (x *exec) countRemote(d side, fw geom.Rect) (int, error) {
-	if x.batching() && x.parallel() {
-		c := x.remote(d).GoBatch(x.ctx, [][]byte{wire.AppendCount(bufpool.Get(), fw)})[0]
-		return c.Count()
+// countRemote issues a handful of COUNTs — a lone query, a quadrant
+// group — on the caller's goroutine, one per already-fetch-expanded
+// window, filling ns in window order. Unbatched, each is a typed call in
+// its own frame. Batched, a group travels as one flushed envelope, and a
+// lone query of a parallel run goes through the link's batcher
+// unflushed, so counts issued by concurrent sibling partitions coalesce
+// via the linger trigger. A lone query of a sequential run keeps the
+// blocking path: no concurrent caller can ever arrive, so parking it
+// would only add latency (and the deterministic framing the goldens pin
+// must not depend on timer behaviour).
+func (x *exec) countRemote(d side, fws []geom.Rect, ns []int) error {
+	rem := x.remote(d)
+	if !x.batching() || (len(fws) == 1 && !x.parallel()) {
+		for i, fw := range fws {
+			n, err := rem.Count(x.ctx, fw)
+			if err != nil {
+				return err
+			}
+			ns[i] = n
+		}
+		return nil
 	}
-	return x.remote(d).Count(x.ctx, fw)
+	reqs := make([][]byte, len(fws))
+	for i, fw := range fws {
+		reqs[i] = wire.AppendCount(bufpool.Get(), fw)
+	}
+	calls := rem.GoBatch(x.ctx, reqs)
+	if len(fws) > 1 {
+		rem.Flush()
+	}
+	return collect(calls, (*client.Call).Count, func(i, n int) { ns[i] = n })
 }
 
-// batchRound is the shared shape of every multiplexed probe loop: n
-// probes on one remote, chunked by BatchSize — the chunking fixed before
-// any request is issued, so sequential runs produce a deterministic
-// frame sequence — with each chunk submitted atomically (GoBatch) and
-// flushed as one probe group, and chunks fanned out on the worker pool
-// so in-flight envelopes stay bounded by Parallelism. encode builds the
-// i-th request frame (into a pooled buffer whose ownership passes to
-// the client); collect consumes the i-th completed Call.
-//
-// collect is invoked for every call of a chunk even after one has
-// failed: each Call must be drained by exactly one accessor so its
-// pooled reply frame is recycled. Work collected after the first error
-// is discarded with the failed run.
-func (x *exec) batchRound(rem Probe, n int, encode func(i int) []byte, collect func(i int, c *client.Call) error) error {
+// collect consumes the calls of one submission, handing each decoded
+// reply to use, and returns the first error. decode runs for every call
+// even after one has failed: each Call must be drained by exactly one
+// accessor so its pooled reply frame is recycled. Work used after the
+// first error is discarded with the failed run.
+func collect[T any](calls []*client.Call, decode func(*client.Call) (T, error), use func(i int, v T)) error {
+	var firstErr error
+	for i, c := range calls {
+		v, err := decode(c)
+		if err == nil {
+			use(i, v)
+		} else if firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// probeGroup is the one probe-group primitive: n independent probes on
+// one remote, probe i yielding a T that use consumes, fanned out on the
+// worker pool. How the group is framed is decided here and nowhere else
+// (countRemote's inline COUNTs aside). Unbatched, probe i is the typed
+// call ask(i) in its own frame — the paper's framing. Batched, the same
+// probe set is chunked by BatchSize — the chunking fixed before any
+// request is issued, so sequential runs produce a deterministic frame
+// sequence — with each chunk submitted atomically (GoBatch) and flushed
+// as one envelope, so in-flight envelopes stay bounded by Parallelism.
+// encode builds the i-th request frame (into a pooled buffer whose
+// ownership passes to the client); decode is the Call accessor for the
+// reply.
+func probeGroup[T any](x *exec, rem Probe, n int,
+	ask func(i int) (T, error), encode func(i int) []byte,
+	decode func(*client.Call) (T, error), use func(i int, v T)) error {
+	if !x.batching() {
+		return x.fanout(n, func(i int) error {
+			v, err := ask(i)
+			if err == nil {
+				use(i, v)
+			}
+			return err
+		})
+	}
 	bs := x.env.BatchSize
-	nChunks := (n + bs - 1) / bs
-	return x.fanout(nChunks, func(ci int) error {
+	return x.fanout((n+bs-1)/bs, func(ci int) error {
 		start := ci * bs
-		end := min(start+bs, n)
-		reqs := make([][]byte, end-start)
+		reqs := make([][]byte, min(bs, n-start))
 		for i := range reqs {
 			reqs[i] = encode(start + i)
 		}
 		calls := rem.GoBatch(x.ctx, reqs)
 		rem.Flush()
-		var firstErr error
-		for i, c := range calls {
-			if err := collect(start+i, c); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
+		return collect(calls, decode, func(i int, v T) { use(start+i, v) })
 	})
 }
 
-// batchCounts issues one COUNT per window for side d, multiplexed
-// through batchRound. Counts are returned in window order.
-func (x *exec) batchCounts(d side, ws []geom.Rect) ([]int, error) {
+// countAll issues one COUNT per window for side d as one probe group.
+// Counts are returned in window order (meaningless on error).
+func (x *exec) countAll(d side, ws []geom.Rect) ([]int, error) {
 	x.dec.agg.Add(int64(len(ws)))
+	rem := x.remote(d)
 	ns := make([]int, len(ws))
-	err := x.batchRound(x.remote(d), len(ws),
+	err := probeGroup(x, rem, len(ws),
+		func(i int) (int, error) { return rem.Count(x.ctx, x.fetchWindow(d, ws[i])) },
 		func(i int) []byte { return wire.AppendCount(bufpool.Get(), x.fetchWindow(d, ws[i])) },
-		func(i int, c *client.Call) error {
-			n, err := c.Count()
-			if err != nil {
-				return err
-			}
-			ns[i] = n
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return ns, nil
+		(*client.Call).Count,
+		func(i, n int) { ns[i] = n })
+	return ns, err
 }
 
 // cnt is a partition-count annotated with whether it was measured (true)
@@ -337,32 +370,18 @@ func (x *exec) quadrantCounts(d side, w geom.Rect, parent cnt) ([4]cnt, error) {
 	if derive {
 		last = 3
 	}
+	fws, ns := q[:last], make([]int, 4)[:last]
+	for i := range fws {
+		fws[i] = x.fetchWindow(d, fws[i])
+	}
+	x.dec.agg.Add(int64(last))
+	if err := x.countRemote(d, fws, ns); err != nil {
+		return out, err
+	}
 	sum := 0
-	if x.batching() && last > 1 {
-		// One envelope for the whole quadrant batch instead of one frame
-		// (and one RTT, sequentially) per quadrant. The copy keeps q from
-		// escaping on the (hot, unbatched) path below: slicing the array
-		// into batchCounts directly would heap-allocate it even when this
-		// branch is never taken.
-		ws := make([]geom.Rect, last)
-		copy(ws, q[:])
-		ns, err := x.batchCounts(d, ws)
-		if err != nil {
-			return out, err
-		}
-		for i, n := range ns {
-			out[i] = exact(n)
-			sum += n
-		}
-	} else {
-		for i := 0; i < last; i++ {
-			n, err := x.count(d, q[i])
-			if err != nil {
-				return out, err
-			}
-			out[i] = exact(n)
-			sum += n
-		}
+	for i, n := range ns {
+		out[i] = exact(n)
+		sum += n
 	}
 	if derive {
 		n := parent.n - sum

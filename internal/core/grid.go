@@ -30,113 +30,45 @@ func (g Grid) Run(ctx context.Context, env *Env, spec Spec) (*Result, error) {
 		return nil, err
 	}
 	defer x.close()
+	// Phase one observes: one R COUNT per cell, then one S COUNT per cell
+	// R left non-empty, each a probe group — so batched, the K²(+) count
+	// round trips become ⌈cells/BatchSize⌉ envelopes per side. Phase two
+	// transfers: every surviving cell joins via doHBSJ.
 	cells := x.window.Grid(k)
-	// Both paths run the same two-phase graph — a COUNT sweep that
-	// observes every cell, then a transfer phase over the surviving cells
-	// — differing only in how the count queries are framed (individual
-	// frames vs MsgBatch envelopes).
-	if x.batching() {
-		err = gridBatched(x, cells)
-	} else {
-		err = gridSweep(x, cells)
-	}
+	nr, err := x.countAll(sideR, cells)
 	if err != nil {
 		return nil, err
 	}
-	return x.finish(), nil
-}
-
-// gridSweep is the unbatched two-phase grid. Phase one observes: one R
-// COUNT per cell, then one S COUNT per cell R left non-empty — exactly
-// the request set of the historical per-cell loop (the S count was always
-// conditional on the R count), so the metered totals are unchanged; only
-// the order moves, and byte accounting is order-independent. Phase two
-// transfers: every surviving cell joins via doHBSJ. The seam between the
-// phases is what the online planner observes and resumes from.
-func gridSweep(x *exec, cells []geom.Rect) error {
-	nr := make([]int, len(cells))
-	err := x.fanout(len(cells), func(i int) error {
-		n, err := x.count(sideR, cells[i])
-		if err != nil {
-			return err
-		}
-		nr[i] = n
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	var alive []int
+	var alive []geom.Rect
+	var aliveR []int
 	for i, n := range nr {
 		if n == 0 {
 			x.dec.pruned.Add(1)
 		} else {
-			alive = append(alive, i)
+			alive = append(alive, cells[i])
+			aliveR = append(aliveR, n)
 		}
 	}
 	x.emit(PhaseObserve, "observe/grid-counts-r", x.window, 0, 0,
 		float64(len(cells))*x.bytesModel().Taq(), "")
 	if len(alive) == 0 {
-		return nil
+		return x.finish(), nil
 	}
-	ns := make([]int, len(alive))
-	err = x.fanout(len(alive), func(i int) error {
-		n, err := x.count(sideS, cells[alive[i]])
-		if err != nil {
-			return err
-		}
-		ns[i] = n
-		return nil
-	})
+	ns, err := x.countAll(sideS, alive)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	x.emit(PhaseObserve, "observe/grid-counts-s", x.window, 0, 0,
 		float64(len(alive))*x.bytesModel().Taq(), "")
-	return x.fanoutSiblings(len(alive), func(i int) error {
+	err = x.fanoutSiblings(len(alive), func(i int) error {
 		if ns[i] == 0 {
 			x.dec.pruned.Add(1)
 			return nil
 		}
-		return x.doHBSJ(cells[alive[i]], exact(nr[alive[i]]), exact(ns[i]), 1)
+		return x.doHBSJ(alive[i], exact(aliveR[i]), exact(ns[i]), 1)
 	})
-}
-
-// gridBatched issues exactly the COUNT query set of the sequential grid
-// — every cell's R count, then the S count of each cell R left non-empty
-// — but multiplexed phase by phase: all R counts coalesce into
-// ⌈cells/BatchSize⌉ envelopes, then the surviving cells' S counts, then
-// the surviving cells join on the worker pool. On an RTT-bearing link
-// this turns the K²(+) sequential count round trips into a handful.
-func gridBatched(x *exec, cells []geom.Rect) error {
-	nr, err := x.batchCounts(sideR, cells)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var alive []int
-	for i, n := range nr {
-		if n == 0 {
-			x.dec.pruned.Add(1)
-		} else {
-			alive = append(alive, i)
-		}
-	}
-	if len(alive) == 0 {
-		return nil
-	}
-	aliveCells := make([]geom.Rect, len(alive))
-	for i, ci := range alive {
-		aliveCells[i] = cells[ci]
-	}
-	ns, err := x.batchCounts(sideS, aliveCells)
-	if err != nil {
-		return err
-	}
-	return x.fanoutSiblings(len(alive), func(i int) error {
-		if ns[i] == 0 {
-			x.dec.pruned.Add(1)
-			return nil
-		}
-		return x.doHBSJ(aliveCells[i], exact(nr[alive[i]]), exact(ns[i]), 1)
-	})
+	return x.finish(), nil
 }

@@ -168,63 +168,37 @@ func (x *exec) nlsjProbePhase(w geom.Rect, outer side, outerObjs []geom.Object) 
 	return x.singleProbes(w, outer, inner, outerObjs)
 }
 
-// singleProbes sends one query per outer object: an ε-RANGE query for
-// point outers, a WINDOW query over the ε-expanded MBR otherwise (the
-// paper's "simulate ε-RANGE by a WINDOW query", §3). Under a batching
-// run the same probe set travels multiplexed instead.
+// singleProbes sends one query per outer object, as one probe group: an
+// ε-RANGE query for point outers, a WINDOW query over the ε-expanded MBR
+// otherwise (the paper's "simulate ε-RANGE by a WINDOW query", §3).
 func (x *exec) singleProbes(w geom.Rect, outer, inner side, outerObjs []geom.Object) error {
-	if x.batching() {
-		return x.singleProbesBatched(w, outer, inner, outerObjs)
-	}
-	rin := x.remote(inner)
-	return x.fanout(len(outerObjs), func(i int) error {
-		o := outerObjs[i]
-		var matches []geom.Object
-		var err error
-		if o.IsPoint() && x.spec.Eps > 0 {
-			matches, err = rin.Range(x.ctx, o.Center(), x.spec.Eps)
-		} else {
-			probe := o.MBR
-			if x.spec.Eps > 0 {
-				probe = probe.Expand(x.spec.Eps)
+	rin, eps := x.remote(inner), x.spec.Eps
+	return probeGroup(x, rin, len(outerObjs),
+		func(i int) ([]geom.Object, error) {
+			if o := outerObjs[i]; x.ranged(o) {
+				return rin.Range(x.ctx, o.Center(), eps)
 			}
-			matches, err = rin.Window(x.ctx, probe)
-		}
-		if err != nil {
-			return err
-		}
-		x.collectProbe(w, outer, o, matches)
-		return nil
-	})
+			return rin.Window(x.ctx, x.probeWindow(outerObjs[i]))
+		},
+		func(i int) []byte {
+			if o := outerObjs[i]; x.ranged(o) {
+				return wire.AppendRange(bufpool.Get(), o.Center(), eps)
+			}
+			return wire.AppendWindow(bufpool.Get(), x.probeWindow(outerObjs[i]))
+		},
+		(*client.Call).Objects,
+		func(i int, matches []geom.Object) { x.collectProbe(w, outer, outerObjs[i], matches) })
 }
 
-// probeReq encodes the probe frame singleProbes would issue for one
-// outer object, into a pooled buffer.
-func (x *exec) probeReq(o geom.Object) []byte {
-	if o.IsPoint() && x.spec.Eps > 0 {
-		return wire.AppendRange(bufpool.Get(), o.Center(), x.spec.Eps)
-	}
-	probe := o.MBR
+// ranged reports whether outer object o is probed by an ε-RANGE query.
+func (x *exec) ranged(o geom.Object) bool { return o.IsPoint() && x.spec.Eps > 0 }
+
+// probeWindow is the WINDOW query standing in for o's ε-RANGE.
+func (x *exec) probeWindow(o geom.Object) geom.Rect {
 	if x.spec.Eps > 0 {
-		probe = probe.Expand(x.spec.Eps)
+		return o.MBR.Expand(x.spec.Eps)
 	}
-	return wire.AppendWindow(bufpool.Get(), probe)
-}
-
-// singleProbesBatched issues exactly the probe set of singleProbes, but
-// multiplexed through batchRound: each BatchSize chunk of outer objects
-// is one MsgBatch envelope answered by one reply.
-func (x *exec) singleProbesBatched(w geom.Rect, outer, inner side, outerObjs []geom.Object) error {
-	return x.batchRound(x.remote(inner), len(outerObjs),
-		func(i int) []byte { return x.probeReq(outerObjs[i]) },
-		func(i int, c *client.Call) error {
-			matches, err := c.Objects()
-			if err != nil {
-				return err
-			}
-			x.collectProbe(w, outer, outerObjs[i], matches)
-			return nil
-		})
+	return o.MBR
 }
 
 // errNonPointBucket signals that bucket probing is not applicable.
@@ -349,40 +323,14 @@ func (x *exec) icebergCountProbes(outerObjs []geom.Object) error {
 		x.mu.Unlock()
 		return nil
 	}
-	if x.batching() {
-		return x.icebergCountProbesBatched(fresh)
-	}
-	return x.fanout(len(fresh), func(i int) error {
-		o := fresh[i]
-		x.dec.agg.Add(1)
-		n, err := x.env.S.RangeCount(x.ctx, o.Center(), x.spec.Eps)
-		if err != nil {
-			return err
-		}
-		x.mu.Lock()
-		x.counts[o.ID] = n
-		x.mu.Unlock()
-		return nil
-	})
-}
-
-// icebergCountProbesBatched multiplexes the aggregate count-probes
-// through batchRound: chunks of BatchSize RANGE-COUNT sub-requests per
-// envelope, eight bytes of answer per probe, one frame header per
-// chunk. The probe set — and the claim order in the shared ledger,
-// already fixed by the caller — is identical to the unbatched path.
-func (x *exec) icebergCountProbesBatched(fresh []geom.Object) error {
 	x.dec.agg.Add(int64(len(fresh)))
-	return x.batchRound(x.env.S, len(fresh),
+	return probeGroup(x, x.env.S, len(fresh),
+		func(i int) (int, error) { return x.env.S.RangeCount(x.ctx, fresh[i].Center(), x.spec.Eps) },
 		func(i int) []byte { return wire.AppendRangeCount(bufpool.Get(), fresh[i].Center(), x.spec.Eps) },
-		func(i int, c *client.Call) error {
-			n, err := c.Count()
-			if err != nil {
-				return err
-			}
+		(*client.Call).Count,
+		func(i, n int) {
 			x.mu.Lock()
 			x.counts[fresh[i].ID] = n
 			x.mu.Unlock()
-			return nil
 		})
 }

@@ -142,8 +142,7 @@ func (u *upState) inspect(d side, w geom.Rect, st dsState) (dsState, error) {
 	// from a per-(dataset, window) RNG, not a shared stream, so the probe
 	// — and its metered bytes — is the same under any scheduling.
 	probe := randomQuadrantWindow(windowRand(u.env.Seed, d, w), w)
-	u.dec.agg.Add(1)
-	pn, err := u.countRemote(d, u.fetchWindow(d, probe))
+	pn, err := u.count(d, probe)
 	if err != nil {
 		return st, err
 	}

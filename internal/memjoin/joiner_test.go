@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/testenv"
 )
 
 func randObjs(n int, seed int64) []geom.Object {
@@ -72,7 +73,7 @@ func TestJoinerEmissionOrderStable(t *testing.T) {
 // pooled GridJoin stop allocating once buffers reach their high-water
 // mark (the destination slice is caller-reused here, as HBSJ does).
 func TestJoinerSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("race instrumentation allocates; alloc counts are meaningless")
 	}
 	r := randObjs(800, 3)

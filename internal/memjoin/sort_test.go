@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/testenv"
 )
 
 // referenceDedup is the comparison sort DedupPairs replaced.
@@ -119,7 +120,7 @@ func TestSortPairsKeepsDuplicates(t *testing.T) {
 // result assembly: once the pooled scratch has reached the input's size,
 // sorting allocates nothing.
 func TestDedupPairsSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("race instrumentation allocates; alloc counts are meaningless")
 	}
 	rng := rand.New(rand.NewSource(10))

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/testenv"
 	"repro/internal/wire"
 )
 
@@ -83,7 +84,7 @@ func TestMBRMatchSparseIDs(t *testing.T) {
 // scratch pool and a capacious destination buffer, answering aggregate
 // queries allocates nothing.
 func TestHandleAppendSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("race instrumentation allocates; alloc counts are meaningless")
 	}
 	objs := dataset.GaussianClusters(5000, 4, 300, dataset.World, 43)

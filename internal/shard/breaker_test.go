@@ -7,9 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
+	"repro/internal/client"
 	"repro/internal/dataset"
 	"repro/internal/health"
 	"repro/internal/netsim"
+	"repro/internal/wire"
 )
 
 // countingRT counts round trips before delegating, optionally failing
@@ -403,3 +406,83 @@ func (rt hangRT) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
 }
 
 func (rt hangRT) Close() error { return rt.inner.Close() }
+
+// openBreaker trips replica i's breaker with reported failures (no
+// traffic), so a test can tell frames spent on it from frames saved.
+func openBreaker(t *testing.T, rs *ReplicaSet, i int) {
+	t.Helper()
+	for k := 0; k < 2; k++ {
+		rs.Breakers()[i].ReportFailure(errReplicaDown)
+	}
+	if st := rs.Breakers()[i].State(); st != health.Open {
+		t.Fatalf("replica %d breaker %v after reported failures, want Open", i, st)
+	}
+}
+
+// TestReplicaBatchedProbeFollowsDoPolicy pins the batched path to the
+// synchronous one's policy. Budget: a batched probe whose primary hangs
+// returns once the budget is spent, like Do — not after the caller's own
+// deadline. Breakers: a batched failover skips an open-circuit sibling
+// (counted, no frame spent) in favour of an admitted one, like Do —
+// instead of walking the rotation straight through it.
+func TestReplicaBatchedProbeFollowsDoPolicy(t *testing.T) {
+	objs := dataset.GaussianClusters(60, 2, 600, dataset.World, 25)
+	batch := client.WithBatch(client.BatchConfig{MaxBatch: 4})
+	submit := func(ctx context.Context, rs *ReplicaSet) *client.Call {
+		c := rs.GoBatch(ctx, [][]byte{wire.AppendCount(bufpool.Get(), dataset.World)})[0]
+		rs.Flush()
+		return c
+	}
+
+	t.Run("budget", func(t *testing.T) {
+		reg := health.NewRegistry(quietBreakers())
+		defer reg.Close()
+		var sibling *countingRT
+		rs := newTestReplicaSet(t, objs, 2, ReplicaConfig{Health: reg, Budget: 80 * time.Millisecond},
+			func(i int, rt netsim.RoundTripper) netsim.RoundTripper {
+				if i == 0 {
+					return hangRT{inner: rt} // the rotation's first primary
+				}
+				sibling = &countingRT{inner: rt}
+				return sibling
+			}, batch)
+		openBreaker(t, rs, 1)
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		t0 := time.Now()
+		_, err := submit(ctx, rs).Count()
+		if elapsed := time.Since(t0); err == nil || elapsed > time.Second {
+			t.Fatalf("batched probe on a hung primary: err %v after %v; the 80ms budget should bound it", err, elapsed)
+		}
+		if n := sibling.calls.Load(); n != 0 {
+			t.Errorf("open-circuit sibling received %d frames after the budget was spent, want 0", n)
+		}
+	})
+
+	t.Run("breakers", func(t *testing.T) {
+		reg := health.NewRegistry(quietBreakers())
+		defer reg.Close()
+		rts := make([]*countingRT, 3)
+		rs := newTestReplicaSet(t, objs, 3, ReplicaConfig{Health: reg},
+			func(i int, rt netsim.RoundTripper) netsim.RoundTripper {
+				rts[i] = &countingRT{inner: rt}
+				return rts[i]
+			}, batch)
+		rts[0].dead.Store(true) // the rotation's first primary fails over
+		openBreaker(t, rs, 1)
+		n, err := submit(context.Background(), rs).Count()
+		if err != nil || n != len(objs) {
+			t.Fatalf("batched probe with one dead and one open replica: count %d, %v; want %d from the healthy one", n, err, len(objs))
+		}
+		if calls := rts[1].calls.Load(); calls != 0 {
+			t.Errorf("open-circuit sibling received %d frames during failover, want 0", calls)
+		}
+		if skips := rs.Breakers()[1].Stats().Skips; skips != 1 {
+			t.Errorf("open-circuit sibling counted %d skips, want 1", skips)
+		}
+		if rts[2].calls.Load() == 0 || rs.Stats().Failovers != 1 {
+			t.Errorf("healthy replica served %d frames over %d failovers, want the one failover to reach it",
+				rts[2].calls.Load(), rs.Stats().Failovers)
+		}
+	})
+}

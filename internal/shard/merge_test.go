@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/testenv"
 )
 
 // randomParts fabricates k per-shard object lists with globally unique
@@ -115,7 +116,7 @@ func TestMergeObjectsAppendsToDst(t *testing.T) {
 // TestMergeObjectsZeroAlloc pins the satellite guarantee: with a warm
 // dst and pooled heap scratch, a k-way merge allocates nothing.
 func TestMergeObjectsZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("race instrumentation allocates; alloc counts are meaningless")
 	}
 	rng := rand.New(rand.NewSource(17))

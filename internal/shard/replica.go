@@ -300,6 +300,55 @@ func failoverable(err error) bool {
 	return !errors.Is(err, netsim.ErrClosed)
 }
 
+// walk is one probe's pass over the replicas — the selection policy both
+// the synchronous and the batched path follow: start at the rotation's
+// next replica, visit each replica at most once, and skip open-circuit
+// replicas before any frame is spent on them. Each skip-over of an open
+// replica in favour of an admitted one is counted on its breaker — that
+// is the probe saved versus reactive failover. Unarmed (rs.brk == nil)
+// it is exactly the plain rotation.
+type walk struct {
+	rs           *ReplicaSet
+	start, tried int
+	// forced queues the breaker-open replicas a primary or failover may
+	// be forced onto when no admitted replica remains: the probe has to
+	// go somewhere, and a forced trial doubles as the half-open recovery
+	// attempt. Hedges never draw from it — a speculative attempt against
+	// a known-dead replica is pure waste.
+	forced []int
+}
+
+// newWalk advances the rotation and starts a walk at its choice.
+func (rs *ReplicaSet) newWalk() walk {
+	return walk{rs: rs, start: int(rs.next.Add(1)-1) % len(rs.replicas)}
+}
+
+// next returns the replica of the walk's next attempt, or -1 when every
+// replica has been tried (or, for a hedge, when none is admitted).
+func (w *walk) next(hedged bool) int {
+	rs, n := w.rs, len(w.rs.replicas)
+	idx, fresh := -1, len(w.forced) // forced[fresh:] are passed over by this call
+	for idx < 0 && w.tried < n {
+		i := (w.start + w.tried) % n
+		w.tried++
+		if rs.allow(i) {
+			idx = i
+		} else {
+			w.forced = append(w.forced, i)
+		}
+	}
+	if idx >= 0 || hedged {
+		for _, s := range w.forced[fresh:] {
+			rs.brk[s].Skip()
+		}
+		return idx
+	}
+	if len(w.forced) > 0 {
+		idx, w.forced = w.forced[0], w.forced[1:]
+	}
+	return idx
+}
+
 // Do runs one idempotent request frame against the set: primary by
 // rotation, hedged after the threshold, failed over on transport faults.
 // Every attempt sends its own pooled copy of req (a Remote consumes the
@@ -334,7 +383,7 @@ func (rs *ReplicaSet) Do(ctx context.Context, req []byte) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%s: %w", rs.name, err)
 	}
-	start := int(rs.next.Add(1)-1) % n
+	w := rs.newWalk()
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -346,50 +395,9 @@ func (rs *ReplicaSet) Do(ctx context.Context, req []byte) ([]byte, error) {
 	// Buffered to the attempt budget: a losing attempt's completion
 	// never blocks its goroutine, even after Do has returned.
 	ch := make(chan outcome, n)
-	tried, inflight := 0, 0
-	// forced queues the breaker-open replicas a primary or failover may
-	// be forced onto when no admitted replica remains: the probe has to
-	// go somewhere, and a forced trial doubles as the half-open recovery
-	// attempt. Hedges never draw from it — a speculative attempt against
-	// a known-dead replica is pure waste (the hedge-skip satellite).
-	var forced []int
-	// pick returns the next attempt's replica: the rotation order with
-	// open-circuit replicas skipped before any frame is spent on them.
-	// Each skip-over of an open replica in favour of an admitted one is
-	// counted on its breaker — that is the probe saved versus reactive
-	// failover. Unarmed (rs.brk == nil) this is exactly the pre-breaker
-	// rotation.
-	pick := func(hedged bool) int {
-		var skippedNow []int
-		for tried < n {
-			idx := (start + tried) % n
-			tried++
-			if rs.allow(idx) {
-				for _, s := range skippedNow {
-					rs.brk[s].Skip()
-				}
-				forced = append(forced, skippedNow...)
-				return idx
-			}
-			skippedNow = append(skippedNow, idx)
-		}
-		if hedged {
-			for _, s := range skippedNow {
-				rs.brk[s].Skip()
-			}
-			forced = append(forced, skippedNow...)
-			return -1
-		}
-		forced = append(forced, skippedNow...)
-		if len(forced) > 0 {
-			idx := forced[0]
-			forced = forced[1:]
-			return idx
-		}
-		return -1
-	}
+	inflight := 0
 	launch := func(hedged bool) bool {
-		idx := pick(hedged)
+		idx := w.next(hedged)
 		if idx < 0 {
 			return false
 		}
@@ -462,82 +470,67 @@ func (rs *ReplicaSet) Do(ctx context.Context, req []byte) ([]byte, error) {
 	}
 }
 
-// GoBatch routes each pre-encoded probe frame to its rotation-selected
-// primary replica's batcher, so frames bound for the same replica link
-// still coalesce into MsgBatch envelopes there. A failed sub-call fails
-// over to the next replica (the envelope retry inside the Remote runs
-// first; this layer moves to a sibling when the link itself is beyond
-// retry). Batched probes are not hedged — a batcher intentionally
-// delays dispatch, so an in-flight-time threshold would hedge every
-// lingering frame; failover covers the availability story and the
-// synchronous path covers the tail.
+// GoBatch routes each pre-encoded probe frame to its walk's first
+// replica's batcher, so frames bound for the same replica link still
+// coalesce into MsgBatch envelopes there. A failed sub-call fails over
+// along the same walk Do follows (the envelope retry inside the Remote
+// runs first; this layer moves to a sibling when the link itself is
+// beyond retry), and the whole submission draws from one Budget
+// deadline, like a synchronous probe. Batched probes are not hedged — a
+// batcher intentionally delays dispatch, so an in-flight-time threshold
+// would hedge every lingering frame; failover covers the availability
+// story and the synchronous path covers the tail.
 func (rs *ReplicaSet) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
-	n := len(rs.replicas)
-	if n == 1 {
+	if len(rs.replicas) == 1 {
 		return rs.replicas[0].GoBatch(ctx, reqs)
+	}
+	// One derived context for the whole submission, not one per frame:
+	// frames sharing a context share the batcher's undetached round trip.
+	done := func() {}
+	if rs.cfg.Budget > 0 && len(reqs) > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, rs.cfg.Budget)
+		var left atomic.Int64
+		left.Store(int64(len(reqs)))
+		done = func() {
+			if left.Add(-1) == 0 {
+				cancel()
+			}
+		}
 	}
 	calls := make([]*client.Call, len(reqs))
 	for i, req := range reqs {
 		c := client.NewDetachedCall(rs.name)
 		calls[i] = c
-		start := rs.batchStart(n)
+		w := rs.newWalk()
+		idx := w.next(false)
 		// Private copy for failover: submitting a frame passes its
 		// ownership to the batcher, so a retry on a sibling needs its own.
 		spare := clone(req)
-		sub := rs.replicas[start].GoBatch(ctx, [][]byte{req})[0]
+		sub := rs.replicas[idx].GoBatch(ctx, [][]byte{req})[0]
 		go func() {
+			defer done()
 			resp, err := sub.Frame()
-			rs.score(start, err, 0, ctx)
-			for k := 1; err != nil && k < n && ctx.Err() == nil && failoverable(err); k++ {
-				rs.failovers.Add(1)
-				var frame []byte
-				if k == n-1 {
-					frame, spare = spare, nil // last attempt consumes the spare
-				} else {
-					frame = clone(spare)
+			rs.score(idx, err, 0, ctx)
+			for err != nil && ctx.Err() == nil && failoverable(err) {
+				if idx = w.next(false); idx < 0 {
+					break
 				}
-				idx := (start + k) % n
+				rs.failovers.Add(1)
 				rem := rs.replicas[idx]
-				next := rem.GoBatch(ctx, [][]byte{frame})[0]
+				next := rem.GoBatch(ctx, [][]byte{clone(spare)})[0]
 				rem.Flush()
 				resp, err = next.Frame()
 				rs.score(idx, err, 0, ctx)
 			}
-			if spare != nil {
-				bufpool.Put(spare)
-			}
+			bufpool.Put(spare)
 			c.CompleteFrame(resp, err)
 		}()
 	}
 	return calls
 }
 
-// batchStart picks the rotation-selected primary replica for one batched
-// frame, advancing past replicas whose breaker is open (each advance a
-// skip: a frame not spent on a known-dead link). When every replica is
-// open it falls back to the plain rotation choice — the frame has to go
-// somewhere, and the attempt doubles as the recovery trial. Failover
-// then walks the rotation from there regardless of breakers: the sibling
-// frames are already paid for, and their outcomes re-score the breakers
-// either way.
-func (rs *ReplicaSet) batchStart(n int) int {
-	start := int(rs.next.Add(1)-1) % n
-	if rs.brk == nil {
-		return start
-	}
-	for k := 0; k < n; k++ {
-		idx := (start + k) % n
-		if rs.brk[idx].Allow() {
-			for j := 0; j < k; j++ {
-				rs.brk[(start+j)%n].Skip()
-			}
-			return idx
-		}
-	}
-	return start
-}
-
-// Flush dispatches whatever is pending in every replica link's batcher.
+// Flush dispatches whatever is queued in every replica link's batcher.
 func (rs *ReplicaSet) Flush() {
 	for _, r := range rs.replicas {
 		r.Flush()

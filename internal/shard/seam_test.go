@@ -17,6 +17,7 @@ import (
 	"repro/internal/health"
 	"repro/internal/netsim"
 	"repro/internal/server"
+	"repro/internal/testenv"
 	"repro/internal/wire"
 )
 
@@ -400,7 +401,7 @@ func TestAggregatorTypedCallsCrossUplink(t *testing.T) {
 // call through a 1-shard router (Typed → Router.Do → Remote.Do) must
 // allocate no more than the same call on the bare Remote.
 func TestSoloRouterAddsNoAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	objs := dataset.Uniform(200, dataset.World, 45)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/testenv"
 )
 
 func newTestServer(t *testing.T, cfg ServerConfig) *Server {
@@ -301,7 +302,7 @@ func TestServerClosedRejects(t *testing.T) {
 // jitter on loaded CI machines) — the strict-priority tiers put its
 // probes at the front of every envelope.
 func TestServerHighPriorityLatencyUnderLoad(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("latency assertion is meaningless under the race detector's overhead")
 	}
 	if testing.Short() {
@@ -385,4 +386,44 @@ func TestServerHighPriorityLatencyUnderLoad(t *testing.T) {
 
 func bulkTenants() []TenantID {
 	return []TenantID{"bulk0", "bulk1", "bulk2", "bulk3", "bulk4", "bulk5", "bulk6", "bulk7"}
+}
+
+// TestOneTenantServerFramesLikeSession: a Server with a single tenant
+// arbitrates against nobody, so it must frame exactly like a Session on
+// the same data and config — identical per-relation wire bytes and
+// message counts. The grid's 100 R-side COUNTs fill one 64-probe envelope
+// by the size trigger, the case where a lane held to its DRR quantum used
+// to send several short envelopes instead.
+func TestOneTenantServerFramesLikeSession(t *testing.T) {
+	r := GaussianClusters(300, 4, 250, World, 21)
+	s := GaussianClusters(300, 4, 250, World, 22)
+	cfg := SessionConfig{R: r, S: s, Buffer: 400, BatchSize: 64}
+	alg, spec := Grid{K: 10}, Spec{Kind: Distance, Eps: 120}
+
+	sess, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	want, err := sess.Run(alg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newTestServer(t, ServerConfig{Fleet: cfg, Tenants: map[TenantID]TenantConfig{"solo": {}}})
+	got, err := srv.Run(context.Background(), "solo", alg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Pairs) != len(want.Pairs) {
+		t.Errorf("server found %d pairs, session %d", len(got.Pairs), len(want.Pairs))
+	}
+	for _, rel := range []struct {
+		name      string
+		got, want Usage
+	}{{"R", got.Stats.R, want.Stats.R}, {"S", got.Stats.S, want.Stats.S}} {
+		if rel.got.WireBytes != rel.want.WireBytes || rel.got.Messages != rel.want.Messages {
+			t.Errorf("%s: server metered %d bytes in %d messages, session %d in %d",
+				rel.name, rel.got.WireBytes, rel.got.Messages, rel.want.WireBytes, rel.want.Messages)
+		}
+	}
 }
