@@ -3,7 +3,7 @@
 GO ?= go
 DATE := $(shell date +%Y-%m-%d)
 
-.PHONY: all build test race bench bench-module bench-smoke bench-compare fuzz smoke cover test-flaky chaos loc fmt vet lint
+.PHONY: all build test race bench bench-module bench-smoke bench-compare fuzz smoke cover test-flaky chaos loc fmt vet lint lint-seams
 
 all: build test bench-module
 
@@ -115,11 +115,21 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# lint-seams needs no tool: no probe waits on a clock (the batcher owns no
+# timer and never sleeps), and no probe-stack seam grows a Flush back — a
+# queued probe is sent by whoever waits for it.
+lint-seams:
+	@if grep -nE 'time\.(AfterFunc|NewTimer|Sleep)' internal/client/batch.go; then \
+	  echo "lint: internal/client/batch.go must not wait on a clock"; exit 1; fi
+	@if sed -n '/^type Probe interface/,/^}/p' internal/core/env.go | grep -n 'Flush()' || \
+	    sed -n '/^type Endpoint interface/,/^}/p' internal/shard/router.go | grep -n 'Flush()'; then \
+	  echo "lint: core.Probe and shard.Endpoint have no Flush"; exit 1; fi
+
 # lint runs the static analyzers CI enforces (staticcheck, govulncheck).
 # Locally the tools may be absent — this target never installs anything;
 # it skips gracefully with a note so offline machines stay green, while
 # the CI jobs install pinned versions and fail for real.
-lint:
+lint: lint-seams
 	@if command -v staticcheck >/dev/null 2>&1; then \
 	  staticcheck ./...; \
 	else \

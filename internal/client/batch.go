@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/geom"
@@ -20,12 +19,18 @@ import (
 // and (on latency-bearing links) the round trip across the batch.
 //
 // Callers submit asynchronously with GoBatch and collect each request's
-// reply through its Call future. Three triggers cut a batch:
+// reply through its Call future. No probe waits on a clock; two triggers
+// cut an envelope, both inside one in-flight window per link:
 //
 //   - size: the queue reaching MaxBatch dispatches immediately;
-//   - linger: a timer armed when the queue becomes non-empty flushes
-//     stragglers, so a lone request is never parked indefinitely;
-//   - explicit: Flush dispatches whatever is queued right now.
+//   - waiter: a queued probe is sent by the first goroutine that waits
+//     for it, on that goroutine's own stack (see batcher.drive).
+//
+// At most MaxInflight envelopes are in flight on a link. While the
+// window is full submissions queue and waiters park, and each completing
+// dispatcher takes the next envelope — so coalescing and lane
+// arbitration happen exactly when the link is busy, and cost an idle
+// link nothing.
 //
 // There is one queue per link, kept as per-tenant lanes; pick assembles
 // each envelope from them under the Scheduler's policy (see sched.go).
@@ -33,12 +38,6 @@ import (
 // with no backlogged peer is never held back by its DRR credit, so an
 // unscheduled link and a one-tenant fleet frame identically: envelopes
 // are the queue in submission order, MaxBatch at a time.
-//
-// The linger is adaptive per link: timer flushes that caught only a
-// single request halve it (lone callers should not wait), timer flushes
-// that did coalesce grow it (more time buys fuller batches), and
-// size-trigger flushes decay it gently (arrivals outpace the timer
-// anyway). It always stays within [MinLinger, MaxLinger].
 //
 // A batch is retried as a unit by the Remote's RetryPolicy — every
 // sub-request is an idempotent query, so re-issuing the whole envelope
@@ -57,17 +56,10 @@ type BatchConfig struct {
 	// (every request travels as its own frame, bit-identical to the
 	// pre-batching wire format).
 	MaxBatch int
-	// Linger is the initial adaptive linger. Zero derives a default from
-	// the link: max(500µs, RTT/4), clamped to the bounds below.
-	Linger time.Duration
-	// MinLinger and MaxLinger bound the adaptive linger. Zero values
-	// default to 50µs and 2ms.
-	MinLinger, MaxLinger time.Duration
-	// MaxInflight bounds the dispatch goroutines one batcher may have in
-	// flight at once for size-triggered cuts. Submitters that would
-	// exceed it block in GoBatch until a dispatch completes —
-	// backpressure instead of an unbounded goroutine spawn under
-	// sustained load. Zero defaults to 4.
+	// MaxInflight is the link's window: how many envelopes, whatever cut
+	// them, may be in flight at once. Probes submitted while it is full
+	// stay queued until a dispatcher completes and takes them. Zero
+	// defaults to 4.
 	MaxInflight int
 }
 
@@ -93,6 +85,12 @@ type Call struct {
 	// done) flips it first owns the call's outcome. A late completion
 	// recycles its response instead of writing fields nobody reads.
 	settled atomic.Bool
+	// b is the batcher the call was submitted to, if any. Under b.mu:
+	// queued while the call sits in b's lanes, parked once its waiter has
+	// found the window full.
+	b              *batcher
+	queued, parked bool
+	eval           func() ([]byte, error) // set on a lazy call until evaluated
 }
 
 // NewDetachedCall returns a Call bound to no Remote: an aggregator that
@@ -102,6 +100,13 @@ type Call struct {
 // would.
 func NewDetachedCall(name string) *Call {
 	return &Call{name: name, done: make(chan struct{})}
+}
+
+// NewLazyCall returns a Call whose reply eval computes from other calls,
+// on the stack of the goroutine that waits for it: a reply that only
+// merges, meters or retries other replies costs no goroutine or channel.
+func NewLazyCall(name string, eval func() ([]byte, error)) *Call {
+	return &Call{name: name, eval: eval}
 }
 
 // CompleteFrame finishes a detached call with a response frame (ownership
@@ -124,7 +129,8 @@ func (c *Call) complete(resp []byte, err error) {
 
 // frame waits for completion and returns the response frame, converting a
 // per-sub-request MsgError sub-frame into this call's error — batch-mates
-// are unaffected. The caller owns the returned frame.
+// are unaffected. The caller owns the returned frame. Waiting is what
+// sends a call still queued in a batcher and what evaluates a lazy one.
 //
 // A call whose own context ends first is abandoned per that context:
 // frame returns the context's error immediately even while the shared
@@ -132,12 +138,21 @@ func (c *Call) complete(resp []byte, err error) {
 // flight, so one caller's cancellation neither waits for nor poisons its
 // batch-mates.
 func (c *Call) frame() ([]byte, error) {
-	if c.ctx == nil {
-		<-c.done
-	} else {
+	if c.eval != nil {
+		eval := c.eval
+		c.eval = nil
+		c.resp, c.err = eval()
+	} else if c.done != nil {
+		if c.b != nil {
+			c.b.drive(c)
+		}
+		var abandoned <-chan struct{} // nil (never ready) without a context
+		if c.ctx != nil {
+			abandoned = c.ctx.Done()
+		}
 		select {
 		case <-c.done:
-		case <-c.ctx.Done():
+		case <-abandoned:
 			if c.settled.CompareAndSwap(false, true) {
 				return nil, fmt.Errorf("%s: %w", c.name, c.ctx.Err())
 			}
@@ -159,6 +174,20 @@ func (c *Call) frame() ([]byte, error) {
 		return nil, err
 	}
 	return resp, nil
+}
+
+// Start gets the call under way on a goroutine of its own instead of
+// its eventual waiter's stack. A caller about to wait on several calls
+// in turn starts all but the first, so their round trips overlap.
+func (c *Call) Start() {
+	switch {
+	case c.eval != nil:
+		eval := c.eval
+		c.eval, c.done = nil, make(chan struct{})
+		go func() { c.complete(eval()) }()
+	case c.b != nil:
+		go c.b.drive(c)
+	}
 }
 
 // Frame waits for completion and returns the raw response frame;
@@ -184,16 +213,6 @@ func (c *Call) Count() (int, error) {
 	return reply(resp, err, decodeCount)
 }
 
-// cutReason records which trigger dispatched a batch, driving the
-// adaptive linger.
-type cutReason int
-
-const (
-	cutFull cutReason = iota
-	cutTimer
-	cutExplicit
-)
-
 // lane is one tenant's submission queue on one link. deficit and passed
 // implement the DRR credit and the starvation bound; served marks lanes
 // that contributed to the envelope being assembled, for the pass
@@ -210,24 +229,22 @@ type lane struct {
 	credited bool
 }
 
-// batcher is the per-link multiplexer: per-tenant lanes whose total
-// backlog never stays at max — the enqueue path assembles an envelope
-// with pick() the moment it fills.
+// batcher is the per-link multiplexer: per-tenant lanes, assembled into
+// envelopes by pick() inside a window of cap(sem) envelopes in flight.
+// Outside b.mu, room in the window implies fewer than max probes queued
+// (enqueue and next both cut a full backlog before leaving room).
 type batcher struct {
-	rem        *Remote
-	max        int
-	minL, maxL int64         // linger bounds, ns
-	linger     atomic.Int64  // current adaptive linger, ns
-	sched      *Scheduler    // nil = one anonymous lane at the default policy
-	sem        chan struct{} // bounds in-flight spawned dispatches
+	rem   *Remote
+	max   int
+	sched *Scheduler    // nil = one anonymous lane at the default policy
+	sem   chan struct{} // one token per envelope in flight; sends hold b.mu
 
-	mu    sync.Mutex
-	lanes map[netsim.TenantID]*lane
-	order []netsim.TenantID // lane visit order (first-submission order)
-	rr    int               // DRR round-robin start index into order
-	npend int               // total queued across lanes
-	timer *time.Timer
-	armed bool
+	mu     sync.Mutex
+	lanes  map[netsim.TenantID]*lane
+	order  []netsim.TenantID // lane visit order (first-submission order)
+	rr     int               // DRR round-robin start index into order
+	npend  int               // total queued across lanes
+	parked int               // queued calls whose waiter found the window full
 
 	frames atomic.Int64 // dispatched frames (diagnostics and tests)
 }
@@ -236,59 +253,31 @@ func newBatcher(r *Remote, cfg BatchConfig) *batcher {
 	if cfg.MaxBatch <= 1 {
 		return nil
 	}
-	b := &batcher{rem: r, max: cfg.MaxBatch, sched: r.sched, lanes: make(map[netsim.TenantID]*lane)}
 	inflight := cfg.MaxInflight
 	if inflight <= 0 {
 		inflight = 4
 	}
-	b.sem = make(chan struct{}, inflight)
-	b.minL = int64(cfg.MinLinger)
-	if b.minL <= 0 {
-		b.minL = int64(50 * time.Microsecond)
-	}
-	b.maxL = int64(cfg.MaxLinger)
-	if b.maxL < b.minL {
-		b.maxL = int64(2 * time.Millisecond)
-		if b.maxL < b.minL {
-			b.maxL = b.minL
-		}
-	}
-	l := int64(cfg.Linger)
-	if l <= 0 {
-		l = int64(500 * time.Microsecond)
-		if rtt := int64(r.m.Link().RTT) / 4; rtt > l {
-			l = rtt
-		}
-	}
-	b.linger.Store(clamp64(l, b.minL, b.maxL))
-	b.timer = time.AfterFunc(time.Duration(b.maxL), func() { b.flush(cutTimer) })
-	b.timer.Stop()
-	return b
+	return &batcher{rem: r, max: cfg.MaxBatch, sched: r.sched,
+		sem: make(chan struct{}, inflight), lanes: make(map[netsim.TenantID]*lane)}
 }
 
-func clamp64(v, lo, hi int64) int64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
+// full reports whether the window has no room. Caller holds b.mu.
+func (b *batcher) full() bool { return len(b.sem) == cap(b.sem) }
 
 // enqueue adds each call to its tenant's lane (after the quota gate),
 // assembling an envelope with pick() whenever the total backlog reaches
-// the size trigger. All calls of one enqueue are appended under one lock
-// acquisition, so a caller submitting exactly MaxBatch requests into an
-// *empty* queue gets one frame containing exactly those requests; when
-// concurrent submitters have left stragglers queued, those join the
-// frame and the tail of this enqueue stays queued — correct, just a
-// different grouping. Sequential runs always find the queue empty (core
-// flushes each probe group before issuing the next), which is what the
-// deterministic byte-accounting goldens rely on.
+// the size trigger and the window has room for it. All calls of one
+// enqueue are appended under one lock acquisition, so a caller
+// submitting exactly MaxBatch requests into an *empty* queue gets one
+// frame containing exactly those requests; when concurrent submitters
+// have left stragglers queued, those join the frame and the tail of this
+// enqueue stays queued — correct, just a different grouping. Sequential
+// runs always find the queue empty (core collects each probe group
+// before issuing the next), which is what the deterministic
+// byte-accounting goldens rely on.
 func (b *batcher) enqueue(calls []*Call) {
-	var cut [][]*Call
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	for _, c := range calls {
 		id := b.sched.laneOf(c.ctx)
 		if err := b.sched.admit(id); err != nil {
@@ -304,73 +293,95 @@ func (b *batcher) enqueue(calls []*Call) {
 			b.order = append(b.order, id)
 		}
 		ln.queue = append(ln.queue, c)
+		c.queued = true
 		b.npend++
-		if b.npend >= b.max {
+		if b.npend >= b.max && !b.full() {
 			if batch := b.pick(false); len(batch) > 0 {
-				cut = append(cut, batch)
+				b.sem <- struct{}{}
+				go b.run(batch)
 			}
 		}
 	}
-	b.retime()
-	b.mu.Unlock()
-	b.spawn(cut)
 }
 
-// retime keeps the linger timer armed exactly while something is queued.
-// Caller holds b.mu.
-func (b *batcher) retime() {
-	if b.npend > 0 && !b.armed {
-		b.armed = true
-		b.timer.Reset(time.Duration(b.linger.Load()))
-	} else if b.npend == 0 && b.armed {
-		b.armed = false
-		b.timer.Stop()
-	}
-}
-
-// spawn dispatches size-triggered cuts on fresh goroutines, at most
-// cap(b.sem) in flight at once. A submitter that would exceed the bound
-// blocks here — backpressure on the producing session — instead of
-// stacking goroutines on one link without limit. No lock is held while
-// acquiring the semaphore, and dispatch never re-enters the batcher, so
-// a full semaphore can only delay submitters, never deadlock them.
-func (b *batcher) spawn(cut [][]*Call) {
-	for _, batch := range cut {
-		b.sem <- struct{}{}
-		batch := batch
-		go func() {
-			defer func() { <-b.sem }()
-			b.dispatch(batch, cutFull)
-		}()
-	}
-}
-
-// flush dispatches whatever is queued, in policy order, envelope by
-// envelope, with deficits waived — the linger has expired (or the caller
-// asked), so nothing may stay parked. Explicit flushes run the round
-// trips on the caller's goroutine (the caller is about to wait on the
-// calls anyway); timer flushes run on the timer goroutine.
-func (b *batcher) flush(reason cutReason) {
-	b.mu.Lock()
-	var batches [][]*Call
-	for b.npend > 0 {
-		batch := b.pick(true)
-		if len(batch) == 0 {
-			break
+// drive is the waiter trigger: the goroutine about to wait for c sends
+// it. While c is queued and the window has room, what is queued leaves
+// as an envelope (DRR credit waived: room means nothing contends for the
+// link) — on the waiter's own stack when every call aboard shares its
+// context, so it can abandon the round trip exactly when it may abandon
+// its own call, else on a spawned dispatcher. With the window full the
+// waiter parks; a completing dispatcher takes its call.
+func (b *batcher) drive(c *Call) {
+	for {
+		b.mu.Lock()
+		if c.queued && b.full() && !c.parked {
+			c.parked = true
+			b.parked++
 		}
-		batches = append(batches, batch)
+		if !c.queued || b.full() {
+			b.mu.Unlock()
+			return
+		}
+		batch := b.pick(true)
+		b.sem <- struct{}{}
+		b.mu.Unlock()
+		if !sharedBy(batch, c.ctx) {
+			go b.run(batch)
+			continue
+		}
+		b.dispatch(batch)
+		if next := b.next(); next != nil {
+			go b.run(next) // the waiter has its reply; it does not stay to serve others
+		}
 	}
-	b.retime()
-	b.mu.Unlock()
-	for _, batch := range batches {
-		b.dispatch(batch, reason)
+}
+
+// sharedBy reports whether every call of the batch runs under ctx.
+func sharedBy(batch []*Call, ctx context.Context) bool {
+	for _, c := range batch {
+		if c.ctx != ctx {
+			return false
+		}
 	}
+	return true
+}
+
+// run is a spawned dispatcher: it sends its envelope and then, in the
+// same window slot, every envelope next hands it.
+func (b *batcher) run(batch []*Call) {
+	for batch != nil {
+		b.dispatch(batch)
+		batch = b.next()
+	}
+}
+
+// next ends an envelope's flight. Its window slot passes to the next
+// envelope while a waiter is parked or a full envelope has accumulated
+// behind the window; otherwise it frees. Probes nobody waits for yet are
+// left to their waiter: taking them here would split a group still
+// being submitted, and with it the framing sequential runs pin.
+func (b *batcher) next() []*Call {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.parked > 0 || b.npend >= b.max {
+		// Backlogged lanes share the busy link by DRR credit; force only
+		// if credit alone cannot form an envelope.
+		if batch := b.pick(false); len(batch) > 0 {
+			return batch
+		}
+		if batch := b.pick(true); len(batch) > 0 {
+			return batch
+		}
+	}
+	<-b.sem
+	return nil
 }
 
 // pick assembles one envelope (up to max calls) from the lanes under the
-// scheduling policy. Caller holds b.mu. With force set (flushes), DRR
-// deficits are waived — priority order and the starvation guard still
-// apply, but no probe stays parked for lack of credit.
+// scheduling policy. Caller holds b.mu. With force set (a waiter sending
+// into a window with room), DRR deficits are waived — priority order and
+// the starvation guard still apply, but no probe stays queued for lack
+// of credit.
 func (b *batcher) pick(force bool) []*Call {
 	if len(b.order) == 1 && b.npend <= b.max {
 		// One lane is all this link has ever seen: nobody to arbitrate
@@ -380,6 +391,9 @@ func (b *batcher) pick(force bool) []*Call {
 		batch := ln.queue
 		*ln = lane{}
 		b.npend = 0
+		for _, c := range batch {
+			b.taken(c)
+		}
 		return batch
 	}
 	batch := make([]*Call, 0, b.max)
@@ -416,7 +430,7 @@ func (b *batcher) pick(force bool) []*Call {
 			// higher tier, and the round resumes on the next pick. With
 			// an empty envelope, start the tier's next round (bounded, so
 			// a pathological probe cannot spin forever): an envelope must
-			// eventually form or the backlog would only drain on flushes.
+			// eventually form or the backlog would only drain by force.
 			if len(batch) > 0 {
 				break
 			}
@@ -525,25 +539,17 @@ func (b *batcher) takeHead(ln *lane, batch []*Call) []*Call {
 	ln.queue = ln.queue[1:]
 	b.npend--
 	ln.served = true
+	b.taken(c)
 	return append(batch, c)
 }
 
-// adapt moves the linger after a dispatch, per the scheduler policy above.
-func (b *batcher) adapt(reason cutReason, n int) {
-	cur := b.linger.Load()
-	switch reason {
-	case cutTimer:
-		if n <= 1 {
-			cur /= 2
-		} else {
-			cur = cur * 5 / 4
-		}
-	case cutFull:
-		cur = cur * 7 / 8
-	case cutExplicit:
-		return
+// taken marks c as having left the queue. Caller holds b.mu.
+func (b *batcher) taken(c *Call) {
+	c.queued = false
+	if c.parked {
+		c.parked = false
+		b.parked--
 	}
-	b.linger.Store(clamp64(cur, b.minL, b.maxL))
 }
 
 // dispatch sends one batch as a single frame (bare for a batch of one —
@@ -557,22 +563,17 @@ func (b *batcher) adapt(reason cutReason, n int) {
 // batched context is done. One caller's cancellation therefore never
 // fails its batch-mates; the cancelled caller itself returns promptly
 // through Call.frame's own-context watch.
-func (b *batcher) dispatch(batch []*Call, reason cutReason) {
+func (b *batcher) dispatch(batch []*Call) {
 	b.frames.Add(1)
-	b.adapt(reason, len(batch))
+	ctx, stop := dispatchContext(batch)
+	defer stop()
 	if len(batch) == 1 {
 		c := batch[0]
-		ctx := c.ctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
 		resp, err := b.rem.Do(ctx, c.req)
 		c.req = nil
 		c.complete(resp, err)
 		return
 	}
-	ctx, stop := dispatchContext(batch)
-	defer stop()
 	subs := make([][]byte, len(batch))
 	for i, c := range batch {
 		subs[i] = c.req
@@ -625,14 +626,7 @@ func (b *batcher) dispatch(batch []*Call, reason cutReason) {
 // cancellation but does not outlive the moment nobody wants its replies.
 func dispatchContext(batch []*Call) (context.Context, func()) {
 	first := batch[0].ctx
-	shared := true
-	for _, c := range batch[1:] {
-		if c.ctx != first {
-			shared = false
-			break
-		}
-	}
-	if shared {
+	if sharedBy(batch[1:], first) {
 		if first == nil {
 			return context.Background(), func() {}
 		}
@@ -712,8 +706,8 @@ func (r *Remote) BatchFrames() int64 {
 // are enqueued atomically under one lock acquisition: concurrent
 // submitters never interleave *within* one GoBatch's requests, though
 // stragglers already queued may share its frames. Requests below the
-// size trigger stay queued until the queue fills, the linger timer
-// fires, or an explicit Flush dispatches them.
+// size trigger stay queued until the queue fills or the first goroutine
+// to wait on one of the queued Calls sends them.
 //
 // With batching disabled each request is dispatched immediately as its
 // own concurrent round trip, so callers need not special-case the
@@ -721,7 +715,7 @@ func (r *Remote) BatchFrames() int64 {
 func (r *Remote) GoBatch(ctx context.Context, reqs [][]byte) []*Call {
 	calls := make([]*Call, len(reqs))
 	for i, req := range reqs {
-		calls[i] = &Call{name: r.name, ctx: ctx, req: req, done: make(chan struct{})}
+		calls[i] = &Call{name: r.name, ctx: ctx, req: req, done: make(chan struct{}), b: r.b}
 	}
 	if r.b == nil {
 		for _, c := range calls {
@@ -736,13 +730,4 @@ func (r *Remote) GoBatch(ctx context.Context, reqs [][]byte) []*Call {
 	}
 	r.b.enqueue(calls)
 	return calls
-}
-
-// Flush dispatches any queued batched requests immediately instead of
-// waiting for the size or linger triggers. Callers submit a probe group
-// with GoBatch, Flush the tail, then wait on the calls.
-func (r *Remote) Flush() {
-	if r.b != nil {
-		r.b.flush(cutExplicit)
-	}
 }

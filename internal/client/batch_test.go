@@ -1,9 +1,11 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +17,17 @@ import (
 	"repro/internal/server"
 	"repro/internal/wire"
 )
+
+// waitFor yields until cond holds: the tests' way of reaching a state
+// other goroutines are about to produce, without guessing a sleep.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
 
 func newBatched(t *testing.T, objs []geom.Object, cfg BatchConfig, workers int) *Remote {
 	t.Helper()
@@ -31,7 +44,7 @@ func newBatched(t *testing.T, objs []geom.Object, cfg BatchConfig, workers int) 
 // one GoBatch yields exactly one wire frame carrying all of them.
 func TestGoBatchSizeTriggerOneFrame(t *testing.T) {
 	objs := dataset.Uniform(200, dataset.World, 3)
-	r := newBatched(t, objs, BatchConfig{MaxBatch: 8, Linger: time.Second}, 1)
+	r := newBatched(t, objs, BatchConfig{MaxBatch: 8}, 1)
 	w := dataset.Bounds(objs).Expand(1)
 
 	reqs := make([][]byte, 8)
@@ -57,11 +70,11 @@ func TestGoBatchSizeTriggerOneFrame(t *testing.T) {
 	}
 }
 
-// TestGoBatchFlushDispatchesPartial: a partial group is parked until an
-// explicit Flush, then answered as one envelope.
-func TestGoBatchFlushDispatchesPartial(t *testing.T) {
+// TestGoBatchWaiterDispatchesPartial: a partial group stays queued until
+// its submitter waits for it, then leaves as one envelope.
+func TestGoBatchWaiterDispatchesPartial(t *testing.T) {
 	objs := dataset.Uniform(50, dataset.World, 4)
-	r := newBatched(t, objs, BatchConfig{MaxBatch: 16, Linger: time.Second, MaxLinger: time.Second}, 1)
+	r := newBatched(t, objs, BatchConfig{MaxBatch: 16}, 1)
 	w := dataset.Bounds(objs).Expand(1)
 
 	reqs := [][]byte{
@@ -70,7 +83,9 @@ func TestGoBatchFlushDispatchesPartial(t *testing.T) {
 		wire.AppendRange(bufpool.Get(), w.Center(), 100),
 	}
 	calls := r.GoBatch(context.Background(), reqs)
-	r.Flush()
+	if f := r.BatchFrames(); f != 0 {
+		t.Fatalf("%d frames left before anyone waited", f)
+	}
 	if n, err := calls[0].Count(); err != nil || n != 50 {
 		t.Fatalf("count: %d, %v", n, err)
 	}
@@ -85,21 +100,64 @@ func TestGoBatchFlushDispatchesPartial(t *testing.T) {
 	}
 }
 
-// TestBatchLingerFlushesStragglers: with no Flush and no full batch, the
-// linger timer dispatches a lone request.
-func TestBatchLingerFlushesStragglers(t *testing.T) {
+// TestBatchWaiterSendsStraggler: a lone request far below the size
+// trigger is sent by its waiter — as a bare frame, costing exactly what
+// an unbatched request costs.
+func TestBatchWaiterSendsStraggler(t *testing.T) {
 	objs := dataset.Uniform(10, dataset.World, 5)
-	r := newBatched(t, objs, BatchConfig{MaxBatch: 64, Linger: time.Millisecond}, 1)
+	r := newBatched(t, objs, BatchConfig{MaxBatch: 64}, 1)
 	w := dataset.Bounds(objs).Expand(1)
 
 	c := r.GoBatch(context.Background(), [][]byte{wire.AppendCount(bufpool.Get(), w)})[0]
-	start := time.Now()
 	n, err := c.Count()
 	if err != nil || n != 10 {
 		t.Fatalf("count: %d, %v", n, err)
 	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Errorf("straggler waited %v for the linger flush", d)
+	bare, err := NewRemote("B", netsim.Serve(server.New("B", objs)), netsim.DefaultLink(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close()
+	if _, err := bare.Count(context.Background(), w); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.Usage(), bare.Usage(); got != want {
+		t.Errorf("straggler usage %+v, want the unbatched request's %+v", got, want)
+	}
+}
+
+// TestBatchIdleProbeRunsOnWaiter: a lone batched COUNT on an idle link
+// crosses the batcher on the stack of the goroutine that waits for it —
+// no timer fires for it and no dispatcher is spawned.
+func TestBatchIdleProbeRunsOnWaiter(t *testing.T) {
+	objs := dataset.Uniform(10, dataset.World, 5)
+	inner := netsim.Serve(server.New("B", objs))
+	defer inner.Close()
+	// The link notes whether the round trip ran below this test function —
+	// on its goroutine, in other words — and how many goroutines existed.
+	var onStack bool
+	var during int
+	link := rtFunc(func(ctx context.Context, req []byte) ([]byte, error) {
+		stack := make([]byte, 1<<16)
+		onStack = bytes.Contains(stack[:runtime.Stack(stack, false)], []byte(t.Name()))
+		during = runtime.NumGoroutine()
+		return inner.RoundTrip(ctx, req)
+	})
+	r, err := NewRemote("B", link, netsim.DefaultLink(), 1, WithBatch(BatchConfig{MaxBatch: 16}))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	before := runtime.NumGoroutine()
+	c := r.GoBatch(context.Background(), [][]byte{wire.AppendCount(bufpool.Get(), dataset.World)})[0]
+	if n, err := c.Count(); err != nil || n != 10 {
+		t.Fatalf("count: %d, %v", n, err)
+	}
+	if !onStack {
+		t.Error("the round trip did not run on its waiter's stack")
+	}
+	if during > before { // fewer is fine: an earlier test's transport may still be winding down
+		t.Errorf("%d goroutines during the round trip, %d before the probe: the batcher spawned something", during, before)
 	}
 }
 
@@ -108,7 +166,7 @@ func TestBatchLingerFlushesStragglers(t *testing.T) {
 // succeed. (Transport-level failures, by contrast, fail the whole batch.)
 func TestBatchPerSubRequestErrors(t *testing.T) {
 	objs := dataset.Uniform(30, dataset.World, 6)
-	r := newBatched(t, objs, BatchConfig{MaxBatch: 3, Linger: time.Second}, 1)
+	r := newBatched(t, objs, BatchConfig{MaxBatch: 3}, 1)
 	w := dataset.Bounds(objs).Expand(1)
 
 	reqs := [][]byte{
@@ -130,8 +188,10 @@ func TestBatchPerSubRequestErrors(t *testing.T) {
 	}
 }
 
-// TestBatchConcurrentCallersDemux: many goroutines submitting distinct
-// probes through one batcher each get their own answer back.
+// TestBatchConcurrentCallersDemux: probes that arrive while the link's
+// window is full coalesce — N waiters queue N probes behind MaxInflight
+// held envelopes and, once the link moves again, leave in at most
+// ⌈N/MaxBatch⌉ further frames — and each waiter gets its own answer back.
 func TestBatchConcurrentCallersDemux(t *testing.T) {
 	// One object per unit cell so every probe has a distinguishable count.
 	var objs []geom.Object
@@ -140,34 +200,52 @@ func TestBatchConcurrentCallersDemux(t *testing.T) {
 			objs = append(objs, geom.PointObject(uint32(len(objs)), geom.Pt(float64(i)+0.5, 0.5)))
 		}
 	}
-	r := newBatched(t, objs, BatchConfig{MaxBatch: 8, Linger: 200 * time.Microsecond}, 4)
+	const maxBatch, inflight, n = 8, 2, 60
+	gate := &gateRT{inner: netsim.ServeParallel(server.New("B", objs), 4), gate: make(chan struct{})}
+	r, err := NewRemote("B", gate, netsim.DefaultLink(), 1,
+		WithBatch(BatchConfig{MaxBatch: maxBatch, MaxInflight: inflight}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
-	for i := 0; i < 64; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := geom.R(float64(i), 0, float64(i)+1, 1)
-			c := r.GoBatch(context.Background(), [][]byte{wire.AppendCount(bufpool.Get(), w)})[0]
-			n, err := c.Count()
-			if err != nil {
-				errs <- err
-				return
-			}
-			if want := i%4 + 1; n != want {
-				errs <- fmt.Errorf("probe %d: count %d, want %d", i, n, want)
-			}
-		}()
+	probe := func(i int) {
+		defer wg.Done()
+		w := geom.R(float64(i), 0, float64(i)+1, 1)
+		c := r.GoBatch(context.Background(), [][]byte{wire.AppendCount(bufpool.Get(), w)})[0]
+		if got, err := c.Count(); err != nil {
+			errs <- err
+		} else if want := i%4 + 1; got != want {
+			errs <- fmt.Errorf("probe %d: count %d, want %d", i, got, want)
+		}
 	}
+	// Fill the window: each of these waiters sends its lone probe at once,
+	// and the gate holds the frame in flight.
+	wg.Add(inflight)
+	for i := 0; i < inflight; i++ {
+		go probe(i)
+		waitFor(t, "the window to fill", func() bool { return r.BatchFrames() == int64(i+1) })
+	}
+	// N more waiters find the window full; all they can do is queue.
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go probe(inflight + i)
+	}
+	waitFor(t, "every waiter to park behind the window", func() bool {
+		r.b.mu.Lock()
+		defer r.b.mu.Unlock()
+		return r.b.npend == n && r.b.parked == n
+	})
+	close(gate.gate)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
 	}
-	if f, msgs := r.BatchFrames(), int64(r.Usage().Messages); msgs >= 128 {
-		t.Errorf("no coalescing happened: %d frames for 64 probes (%d messages)", f, msgs)
+	if extra, most := r.BatchFrames()-inflight, int64((n+maxBatch-1)/maxBatch); extra > most {
+		t.Errorf("%d probes queued behind a full window left in %d frames, want ≤ %d", n, extra, most)
 	}
 }
 
@@ -180,7 +258,7 @@ func TestBatchTransportFaultRetriesWholeEnvelope(t *testing.T) {
 	})
 	r, err := NewRemote("B", tr, netsim.DefaultLink(), 1,
 		WithRetry(RetryPolicy{MaxAttempts: 10, Backoff: 10 * time.Microsecond}),
-		WithBatch(BatchConfig{MaxBatch: 4, Linger: time.Second}))
+		WithBatch(BatchConfig{MaxBatch: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,41 +275,6 @@ func TestBatchTransportFaultRetriesWholeEnvelope(t *testing.T) {
 	}
 	if r.Retries() == 0 {
 		t.Log("no faults injected this run (seed-dependent); retry path not exercised")
-	}
-}
-
-// TestBatchAdaptiveLingerStaysBounded drives both adaptation directions
-// and checks the linger never escapes its bounds.
-func TestBatchAdaptiveLingerStaysBounded(t *testing.T) {
-	objs := dataset.Uniform(10, dataset.World, 10)
-	min, max := 100*time.Microsecond, 2*time.Millisecond
-	r := newBatched(t, objs, BatchConfig{
-		MaxBatch: 2, Linger: 500 * time.Microsecond, MinLinger: min, MaxLinger: max,
-	}, 2)
-	w := dataset.Bounds(objs).Expand(1)
-	check := func() {
-		l := r.b.linger.Load()
-		if l < int64(min) || l > int64(max) {
-			t.Fatalf("linger %v escaped [%v, %v]", time.Duration(l), min, max)
-		}
-	}
-	// Size-trigger flushes (full batches) decay the linger.
-	for i := 0; i < 20; i++ {
-		reqs := [][]byte{wire.AppendCount(bufpool.Get(), w), wire.AppendCount(bufpool.Get(), w)}
-		for _, c := range r.GoBatch(context.Background(), reqs) {
-			if _, err := c.Count(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		check()
-	}
-	// Timer flushes of lone stragglers halve it toward the floor.
-	for i := 0; i < 10; i++ {
-		c := r.GoBatch(context.Background(), [][]byte{wire.AppendCount(bufpool.Get(), w)})[0]
-		if _, err := c.Count(); err != nil {
-			t.Fatal(err)
-		}
-		check()
 	}
 }
 

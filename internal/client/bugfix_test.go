@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,7 +62,7 @@ func TestBatchCancelledCallerDoesNotPoisonBatchMates(t *testing.T) {
 	objs := dataset.Uniform(40, dataset.World, 11)
 	gate := &gateRT{inner: netsim.ServeParallel(server.New("B", objs), 2), gate: make(chan struct{})}
 	r, err := NewRemote("B", gate, netsim.DefaultLink(), 1,
-		WithBatch(BatchConfig{MaxBatch: 2, Linger: time.Second, MaxLinger: time.Second}))
+		WithBatch(BatchConfig{MaxBatch: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestBatchAllCancelledAbandonsEnvelope(t *testing.T) {
 	gate := &gateRT{inner: netsim.ServeParallel(server.New("B", objs), 2), gate: make(chan struct{})}
 	defer close(gate.gate)
 	r, err := NewRemote("B", gate, netsim.DefaultLink(), 1,
-		WithBatch(BatchConfig{MaxBatch: 2, Linger: time.Second, MaxLinger: time.Second}))
+		WithBatch(BatchConfig{MaxBatch: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,17 +134,8 @@ func TestBatchAllCancelledAbandonsEnvelope(t *testing.T) {
 	}
 	// With all callers gone the trip context cancels and the parked
 	// round trip returns; the dispatch goroutine must not linger on the
-	// gate forever. Settle detection: the semaphore slot frees.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if len(r.b.sem) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("dispatch still parked after every caller abandoned the envelope")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// gate forever. Settle detection: the window slot frees.
+	waitFor(t, "the abandoned envelope's dispatch to return", func() bool { return len(r.b.sem) == 0 })
 }
 
 // TestRoundTripFailureRecyclesFrames pins the frame-recycling fix: a
@@ -157,7 +149,7 @@ func TestRoundTripFailureRecyclesFrames(t *testing.T) {
 		t.Skip("allocation counts are meaningless under -race")
 	}
 	r, err := NewRemote("F", failRT{}, netsim.DefaultLink(), 1,
-		WithBatch(BatchConfig{MaxBatch: 4, Linger: time.Second, MaxLinger: time.Second}))
+		WithBatch(BatchConfig{MaxBatch: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,17 +222,34 @@ func TestTypedAdaptorAddsNoAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchDispatchBounded pins the bounded-spawn fix: size-triggered
-// cuts used to launch one goroutine each with no limit, so a burst of
-// submissions against a slow link stacked goroutines without bound. Now
-// at most MaxInflight dispatches run at once and excess submitters block
-// in GoBatch (backpressure), and everything drains without deadlock.
+// peakRT records the most round trips ever in flight at once.
+type peakRT struct {
+	netsim.RoundTripper
+	cur, peak atomic.Int64
+}
+
+func (p *peakRT) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
+	n := p.cur.Add(1)
+	for old := p.peak.Load(); n > old && !p.peak.CompareAndSwap(old, n); old = p.peak.Load() {
+	}
+	defer p.cur.Add(-1)
+	return p.RoundTripper.RoundTrip(ctx, req)
+}
+
+// TestBatchDispatchBounded pins the window. Size-triggered cuts used to
+// launch one goroutine each with no limit, so a burst of submissions
+// against a slow link stacked goroutines without bound. Now at most
+// MaxInflight envelopes are in flight on a link at once, whatever cut
+// them — the size trigger on a spawned dispatcher or a waiter on its own
+// stack — the excess stays queued, and everything drains without
+// deadlock.
 func TestBatchDispatchBounded(t *testing.T) {
 	objs := dataset.Uniform(25, dataset.World, 13)
 	const inflight, submitters = 2, 8
 	gate := &gateRT{inner: netsim.ServeParallel(server.New("B", objs), inflight), gate: make(chan struct{})}
-	r, err := NewRemote("B", gate, netsim.DefaultLink(), 1,
-		WithBatch(BatchConfig{MaxBatch: 2, MaxInflight: inflight, Linger: time.Second, MaxLinger: time.Second}))
+	link := &peakRT{RoundTripper: gate}
+	r, err := NewRemote("B", link, netsim.DefaultLink(), 1,
+		WithBatch(BatchConfig{MaxBatch: 2, MaxInflight: inflight}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,27 +258,34 @@ func TestBatchDispatchBounded(t *testing.T) {
 
 	base := runtime.NumGoroutine()
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var calls []*Call
+	var submitted, answered atomic.Int64
 	for i := 0; i < submitters; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reqs := [][]byte{ // one full cut per submitter
-				wire.AppendCount(bufpool.Get(), w),
-				wire.AppendCount(bufpool.Get(), w),
+			// Even submitters hand in one full cut, odd ones a lone probe
+			// only its waiter can send.
+			reqs := [][]byte{wire.AppendCount(bufpool.Get(), w)}
+			if i%2 == 0 {
+				reqs = append(reqs, wire.AppendCount(bufpool.Get(), w))
 			}
-			cs := r.GoBatch(context.Background(), reqs)
-			mu.Lock()
-			calls = append(calls, cs...)
-			mu.Unlock()
+			calls := r.GoBatch(context.Background(), reqs)
+			submitted.Add(1)
+			for _, c := range calls {
+				if n, err := c.Count(); err != nil || n != 25 {
+					t.Errorf("count %d, %v", n, err)
+				}
+				answered.Add(1)
+			}
 		}()
 	}
 
 	// While the gate is closed, the goroutine population must stay
 	// bounded: the submitters themselves plus at most MaxInflight parked
-	// dispatches (plus watcher/timer slack) — NOT one goroutine per cut.
-	time.Sleep(50 * time.Millisecond)
+	// dispatches (plus watcher slack) — NOT one goroutine per cut.
+	waitFor(t, "the window to fill behind the gate", func() bool {
+		return submitted.Load() == submitters && link.cur.Load() == inflight
+	})
 	if n := runtime.NumGoroutine(); n > base+submitters+inflight+4 {
 		t.Errorf("goroutines while gated = %d (base %d), want ≤ base+%d",
 			n, base, submitters+inflight+4)
@@ -277,24 +293,13 @@ func TestBatchDispatchBounded(t *testing.T) {
 
 	close(gate.gate)
 	wg.Wait()
-	r.Flush()
-	for i, c := range calls {
-		if n, err := c.Count(); err != nil || n != 25 {
-			t.Fatalf("call %d: count %d, %v", i, n, err)
-		}
-	}
-	if got, want := len(calls), 2*submitters; got != want {
+	if got, want := answered.Load(), int64(submitters+submitters/2); got != want {
 		t.Fatalf("collected %d calls, want %d", got, want)
+	}
+	if peak := link.peak.Load(); peak > inflight {
+		t.Errorf("%d envelopes were in flight at once, window is %d", peak, inflight)
 	}
 
 	// Leak check: once drained, the population returns to the baseline.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked: %d > %d\n%s", runtime.NumGoroutine(), base, buf[:n])
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitFor(t, "the dispatchers to exit", func() bool { return runtime.NumGoroutine() <= base })
 }

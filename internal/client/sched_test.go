@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/dataset"
@@ -299,7 +299,7 @@ func newTenantRemote(t *testing.T, sched *Scheduler, maxBatch, workers int) *Rem
 	objs := dataset.Uniform(300, dataset.World, 11)
 	tr := netsim.ServeParallel(server.New("T", objs), workers)
 	r, err := NewRemote("T", tr, netsim.DefaultLink(), 1,
-		WithBatch(BatchConfig{MaxBatch: maxBatch, Linger: time.Second, MaxLinger: time.Second}),
+		WithBatch(BatchConfig{MaxBatch: maxBatch}),
 		WithScheduler(sched))
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +329,6 @@ func TestTenantAttributionExact(t *testing.T) {
 		calls = append(calls, r.GoBatch(ctxA, [][]byte{wire.AppendCount(bufpool.Get(), w)})...)
 		calls = append(calls, r.GoBatch(ctxB, [][]byte{wire.AppendWindow(bufpool.Get(), w)})...)
 	}
-	r.Flush()
 	for i, c := range calls {
 		if _, err := c.Frame(); err != nil {
 			t.Fatalf("call %d: %v", i, err)
@@ -373,7 +372,6 @@ func TestTenantQuotaRejectsMidStream(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		cp := r.GoBatch(ctxPoor, [][]byte{wire.AppendWindow(bufpool.Get(), w)})[0]
 		cr := r.GoBatch(ctxRich, [][]byte{wire.AppendCount(bufpool.Get(), w)})[0]
-		r.Flush()
 		if _, err := cp.Frame(); err != nil {
 			if !errors.Is(err, netsim.ErrOverQuota) {
 				t.Fatalf("poor call %d failed with %v, want quota error", i, err)
@@ -411,7 +409,6 @@ func TestMixedTenantEnvelopeSharesDeterministic(t *testing.T) {
 			calls = append(calls, r.GoBatch(ctxA, [][]byte{wire.AppendCount(bufpool.Get(), w)})...)
 			calls = append(calls, r.GoBatch(ctxB, [][]byte{wire.AppendCount(bufpool.Get(), w)})...)
 		}
-		r.Flush()
 		for _, c := range calls {
 			if _, err := c.Count(); err != nil {
 				t.Fatal(err)
@@ -425,6 +422,86 @@ func TestMixedTenantEnvelopeSharesDeterministic(t *testing.T) {
 		t.Errorf("attribution differs across identical runs:\n a: %+v vs %+v\n b: %+v vs %+v", a1, a2, b1, b2)
 	}
 }
+
+// TestBusyLinkNextEnvelopeLeadsWithPriority: arbitration happens when the
+// link is busy. With the window full and a fast and a bulk lane
+// backlogged behind it, the envelope the completing dispatcher takes next
+// leads with the fast lane's probes and fills down with bulk ones.
+func TestBusyLinkNextEnvelopeLeadsWithPriority(t *testing.T) {
+	sched := NewScheduler(nil)
+	sched.SetPolicy("fast", TenantPolicy{Priority: 1})
+	sched.SetPolicy("bulk", TenantPolicy{Priority: 0})
+	objs := dataset.Uniform(30, dataset.World, 11)
+	gate := &gateRT{inner: netsim.Serve(server.New("T", objs)), gate: make(chan struct{})}
+	var order []netsim.TenantID // tenants of the second envelope's probes, in frame order
+	link := rtFunc(func(ctx context.Context, req []byte) ([]byte, error) {
+		if subs, err := wire.DecodeBatchAppend(req, wire.MsgBatch, nil); err == nil && order == nil {
+			for _, sub := range subs {
+				id := netsim.TenantID("bulk") // bulk sends WINDOWs, fast COUNTs
+				if wire.Type(sub) == wire.MsgCount {
+					id = "fast"
+				}
+				order = append(order, id)
+			}
+		}
+		return gate.RoundTrip(ctx, req)
+	})
+	r, err := NewRemote("T", link, netsim.DefaultLink(), 1,
+		WithBatch(BatchConfig{MaxBatch: 8, MaxInflight: 1}), WithScheduler(sched))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	w := dataset.World
+	fast := netsim.WithTenant(context.Background(), "fast")
+	bulk := netsim.WithTenant(context.Background(), "bulk")
+
+	// One lone probe fills the window of one.
+	first := r.GoBatch(bulk, [][]byte{wire.AppendWindow(bufpool.Get(), w)})[0]
+	held := make(chan error, 1)
+	go func() { _, err := first.Frame(); held <- err }()
+	waitFor(t, "the window to fill", func() bool { return r.BatchFrames() == 1 })
+
+	// Bulk queues first, fast second; neither fills an envelope alone.
+	var calls []*Call
+	for i := 0; i < 5; i++ {
+		calls = append(calls, r.GoBatch(bulk, [][]byte{wire.AppendWindow(bufpool.Get(), w)})...)
+	}
+	for i := 0; i < 3; i++ {
+		calls = append(calls, r.GoBatch(fast, [][]byte{wire.AppendCount(bufpool.Get(), w)})...)
+	}
+	done := make(chan error, len(calls))
+	for _, c := range calls {
+		go func() { _, err := c.Frame(); done <- err }()
+	}
+	waitFor(t, "every waiter to park", func() bool {
+		r.b.mu.Lock()
+		defer r.b.mu.Unlock()
+		return r.b.parked == len(calls)
+	})
+	close(gate.gate)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	for range calls {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []netsim.TenantID{"fast", "fast", "fast", "bulk", "bulk", "bulk", "bulk", "bulk"}
+	if !slices.Equal(order, want) {
+		t.Errorf("envelope taken off the busy link = %v, want %v", order, want)
+	}
+	if f := r.BatchFrames(); f != 2 {
+		t.Errorf("%d frames, want 2: the held probe, then one envelope for everything queued behind it", f)
+	}
+}
+
+// rtFunc adapts a function to a transport that needs no closing.
+type rtFunc func(ctx context.Context, req []byte) ([]byte, error)
+
+func (f rtFunc) RoundTrip(ctx context.Context, req []byte) ([]byte, error) { return f(ctx, req) }
+func (f rtFunc) Close() error                                              { return nil }
 
 // TestSchedulerConcurrentSubmitters: many goroutines across several
 // tenants hammer one scheduled batcher; everything completes correctly
@@ -448,9 +525,6 @@ func TestSchedulerConcurrentSubmitters(t *testing.T) {
 			ctx := netsim.WithTenant(context.Background(), id)
 			for i := 0; i < 30; i++ {
 				c := r.GoBatch(ctx, [][]byte{wire.AppendCount(bufpool.Get(), w)})[0]
-				if i%7 == 0 {
-					r.Flush()
-				}
 				if n, err := c.Count(); err != nil {
 					errc <- fmt.Errorf("%s: %w", id, err)
 					return
@@ -461,19 +535,7 @@ func TestSchedulerConcurrentSubmitters(t *testing.T) {
 			}
 		}(id)
 	}
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-done:
-				return
-			case <-time.After(2 * time.Millisecond):
-				r.Flush() // keep stragglers moving without relying on the linger
-			}
-		}
-	}()
 	wg.Wait()
-	close(done)
 	close(errc)
 	for err := range errc {
 		t.Error(err)

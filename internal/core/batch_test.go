@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/costmodel"
@@ -16,9 +15,7 @@ import (
 )
 
 // testEnvBatch is testEnvParallel with probe batching enabled on both
-// links. The generous linger keeps sequential framing deterministic even
-// under -race scheduling (core flushes its probe groups explicitly, so
-// the timer is a backstop only).
+// links.
 func testEnvBatch(t *testing.T, robjs, sobjs []geom.Object, buffer, parallelism, batch int, opts ...server.Option) *Env {
 	t.Helper()
 	workers := parallelism
@@ -27,9 +24,7 @@ func testEnvBatch(t *testing.T, robjs, sobjs []geom.Object, buffer, parallelism,
 	}
 	var copts []client.Option
 	if batch > 1 {
-		copts = append(copts, client.WithBatch(client.BatchConfig{
-			MaxBatch: batch, Linger: 50 * time.Millisecond, MaxLinger: 50 * time.Millisecond,
-		}))
+		copts = append(copts, client.WithBatch(client.BatchConfig{MaxBatch: batch}))
 	}
 	trR := netsim.ServeParallel(server.New("R", robjs, opts...), workers)
 	trS := netsim.ServeParallel(server.New("S", sobjs, opts...), workers)

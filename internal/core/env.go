@@ -58,10 +58,10 @@ type Probe interface {
 	// only).
 	UploadJoin(ctx context.Context, objs []geom.Object, eps float64) ([]geom.Pair, error)
 	// GoBatch submits pre-encoded request frames for multiplexed delivery
-	// and returns one Call future per request; Flush dispatches whatever
-	// is pending. See client.Remote.GoBatch.
+	// (consuming reqs, slice and frames) and returns one Call future per
+	// request; waiting on a Call is what sends it. See
+	// client.Remote.GoBatch.
 	GoBatch(ctx context.Context, reqs [][]byte) []*client.Call
-	Flush()
 	// Usage returns the endpoint's accumulated metered traffic (summed
 	// over shard links for a router).
 	Usage() netsim.Usage

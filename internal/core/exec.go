@@ -229,16 +229,13 @@ func (x *exec) batching() bool { return x.env.BatchSize > 1 }
 // countRemote issues a handful of COUNTs — a lone query, a quadrant
 // group — on the caller's goroutine, one per already-fetch-expanded
 // window, filling ns in window order. Unbatched, each is a typed call in
-// its own frame. Batched, a group travels as one flushed envelope, and a
-// lone query of a parallel run goes through the link's batcher
-// unflushed, so counts issued by concurrent sibling partitions coalesce
-// via the linger trigger. A lone query of a sequential run keeps the
-// blocking path: no concurrent caller can ever arrive, so parking it
-// would only add latency (and the deterministic framing the goldens pin
-// must not depend on timer behaviour).
+// its own frame. Batched, the group is one submission to the link's
+// batcher, sent the moment this goroutine waits for it: alone on an idle
+// link, sharing an envelope with the counts of concurrent sibling
+// partitions on a busy one.
 func (x *exec) countRemote(d side, fws []geom.Rect, ns []int) error {
 	rem := x.remote(d)
-	if !x.batching() || (len(fws) == 1 && !x.parallel()) {
+	if !x.batching() {
 		for i, fw := range fws {
 			n, err := rem.Count(x.ctx, fw)
 			if err != nil {
@@ -252,11 +249,7 @@ func (x *exec) countRemote(d side, fws []geom.Rect, ns []int) error {
 	for i, fw := range fws {
 		reqs[i] = wire.AppendCount(bufpool.Get(), fw)
 	}
-	calls := rem.GoBatch(x.ctx, reqs)
-	if len(fws) > 1 {
-		rem.Flush()
-	}
-	return collect(calls, (*client.Call).Count, func(i, n int) { ns[i] = n })
+	return collect(rem.GoBatch(x.ctx, reqs), (*client.Call).Count, func(i, n int) { ns[i] = n })
 }
 
 // collect consumes the calls of one submission, handing each decoded
@@ -284,8 +277,9 @@ func collect[T any](calls []*client.Call, decode func(*client.Call) (T, error), 
 // call ask(i) in its own frame — the paper's framing. Batched, the same
 // probe set is chunked by BatchSize — the chunking fixed before any
 // request is issued, so sequential runs produce a deterministic frame
-// sequence — with each chunk submitted atomically (GoBatch) and flushed
-// as one envelope, so in-flight envelopes stay bounded by Parallelism.
+// sequence — with each chunk submitted atomically (GoBatch) and
+// collected by the worker that submitted it, so in-flight envelopes stay
+// bounded by Parallelism.
 // encode builds the i-th request frame (into a pooled buffer whose
 // ownership passes to the client); decode is the Call accessor for the
 // reply.
@@ -308,9 +302,7 @@ func probeGroup[T any](x *exec, rem Probe, n int,
 		for i := range reqs {
 			reqs[i] = encode(start + i)
 		}
-		calls := rem.GoBatch(x.ctx, reqs)
-		rem.Flush()
-		return collect(calls, decode, func(i int, v T) { use(start+i, v) })
+		return collect(rem.GoBatch(x.ctx, reqs), decode, func(i int, v T) { use(start+i, v) })
 	})
 }
 

@@ -429,9 +429,7 @@ func TestReplicaBatchedProbeFollowsDoPolicy(t *testing.T) {
 	objs := dataset.GaussianClusters(60, 2, 600, dataset.World, 25)
 	batch := client.WithBatch(client.BatchConfig{MaxBatch: 4})
 	submit := func(ctx context.Context, rs *ReplicaSet) *client.Call {
-		c := rs.GoBatch(ctx, [][]byte{wire.AppendCount(bufpool.Get(), dataset.World)})[0]
-		rs.Flush()
-		return c
+		return rs.GoBatch(ctx, [][]byte{wire.AppendCount(bufpool.Get(), dataset.World)})[0]
 	}
 
 	t.Run("budget", func(t *testing.T) {

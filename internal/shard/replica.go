@@ -472,44 +472,31 @@ func (rs *ReplicaSet) Do(ctx context.Context, req []byte) ([]byte, error) {
 
 // GoBatch routes each pre-encoded probe frame to its walk's first
 // replica's batcher, so frames bound for the same replica link still
-// coalesce into MsgBatch envelopes there. A failed sub-call fails over
+// coalesce into MsgBatch envelopes there. The returned Calls are lazy:
+// on the stack of whoever waits for one, a failed sub-call fails over
 // along the same walk Do follows (the envelope retry inside the Remote
 // runs first; this layer moves to a sibling when the link itself is
 // beyond retry), and the whole submission draws from one Budget
-// deadline, like a synchronous probe. Batched probes are not hedged — a
-// batcher intentionally delays dispatch, so an in-flight-time threshold
-// would hedge every lingering frame; failover covers the availability
-// story and the synchronous path covers the tail.
+// deadline, like a synchronous probe. Batched probes are not hedged: the
+// hedge race lives in Do. Failover covers availability and the
+// synchronous path the tail; hedging a waiter-sent probe is a follow-up.
 func (rs *ReplicaSet) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
 	if len(rs.replicas) == 1 {
 		return rs.replicas[0].GoBatch(ctx, reqs)
 	}
-	// One derived context for the whole submission, not one per frame:
-	// frames sharing a context share the batcher's undetached round trip.
-	done := func() {}
-	if rs.cfg.Budget > 0 && len(reqs) > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rs.cfg.Budget)
-		var left atomic.Int64
-		left.Store(int64(len(reqs)))
-		done = func() {
-			if left.Add(-1) == 0 {
-				cancel()
-			}
-		}
-	}
+	ctx, done := rs.budget(ctx, len(reqs))
 	calls := make([]*client.Call, len(reqs))
 	for i, req := range reqs {
-		c := client.NewDetachedCall(rs.name)
-		calls[i] = c
 		w := rs.newWalk()
-		idx := w.next(false)
+		primary := w.next(false)
+		rest := w // the walk as the primary's choice left it
 		// Private copy for failover: submitting a frame passes its
 		// ownership to the batcher, so a retry on a sibling needs its own.
 		spare := clone(req)
-		sub := rs.replicas[idx].GoBatch(ctx, [][]byte{req})[0]
-		go func() {
+		sub := rs.replicas[primary].GoBatch(ctx, [][]byte{req})[0]
+		calls[i] = client.NewLazyCall(rs.name, func() ([]byte, error) {
 			defer done()
+			w, idx := rest, primary
 			resp, err := sub.Frame()
 			rs.score(idx, err, 0, ctx)
 			for err != nil && ctx.Err() == nil && failoverable(err) {
@@ -517,22 +504,29 @@ func (rs *ReplicaSet) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call
 					break
 				}
 				rs.failovers.Add(1)
-				rem := rs.replicas[idx]
-				next := rem.GoBatch(ctx, [][]byte{clone(spare)})[0]
-				rem.Flush()
-				resp, err = next.Frame()
+				resp, err = rs.replicas[idx].GoBatch(ctx, [][]byte{clone(spare)})[0].Frame()
 				rs.score(idx, err, 0, ctx)
 			}
 			bufpool.Put(spare)
-			c.CompleteFrame(resp, err)
-		}()
+			return resp, err
+		})
 	}
 	return calls
 }
 
-// Flush dispatches whatever is queued in every replica link's batcher.
-func (rs *ReplicaSet) Flush() {
-	for _, r := range rs.replicas {
-		r.Flush()
+// budget bounds a submission of n batched probes by cfg.Budget: one
+// derived context for all of them (frames sharing a context share the
+// batcher's undetached round trip), released once each has called done.
+func (rs *ReplicaSet) budget(ctx context.Context, n int) (context.Context, func()) {
+	if rs.cfg.Budget <= 0 || n == 0 {
+		return ctx, func() {}
+	}
+	ctx, cancel := context.WithTimeout(ctx, rs.cfg.Budget)
+	left := new(atomic.Int64)
+	left.Store(int64(n))
+	return ctx, func() {
+		if left.Add(-1) == 0 {
+			cancel()
+		}
 	}
 }

@@ -402,7 +402,6 @@ func TestReplicaBatchFailover(t *testing.T) {
 				reqs[i] = wire.AppendCount(bufpool.Get(), w)
 			}
 			calls := rs.GoBatch(context.Background(), reqs)
-			rs.Flush()
 			for i, c := range calls {
 				got, err := c.Count()
 				if err != nil {

@@ -22,10 +22,13 @@ import (
 // means adding one row.
 
 // sub is one sub-request of a plan: a pooled frame (ownership passes to
-// the shard endpoint it is sent to) bound for shards[shard].
+// the shard endpoint it is sent to) bound for shards[shard]. GoBatch
+// records the sub-call the frame was submitted as; a nil call there
+// marks a sub-request partial mode routed around.
 type sub struct {
 	shard int
 	frame []byte
+	call  *client.Call
 }
 
 // plan is one request resolved against the table: the sub-requests to
@@ -93,7 +96,7 @@ func fanOut(req []byte, infos []wire.Info, reach func(bounds geom.Rect) bool) []
 	var subs []sub
 	for i, info := range infos {
 		if info.Count > 0 && reach(info.Bounds) {
-			subs = append(subs, sub{i, clone(req)})
+			subs = append(subs, sub{shard: i, frame: clone(req)})
 		}
 	}
 	return subs
@@ -131,7 +134,8 @@ func routeAvgArea(req []byte, infos []wire.Info) (plan, error) {
 	var subs []sub
 	for i, info := range infos {
 		if info.Count > 0 && info.Bounds.Intersects(w) {
-			subs = append(subs, sub{i, wire.AppendCount(bufpool.Get(), w)}, sub{i, clone(req)})
+			subs = append(subs,
+				sub{shard: i, frame: wire.AppendCount(bufpool.Get(), w)}, sub{shard: i, frame: clone(req)})
 		}
 	}
 	return plan{subs, func(dst []byte, replies [][]byte) ([]byte, error) {
@@ -180,7 +184,7 @@ func partition[T any](infos []wire.Info, items []T,
 			}
 		}
 		if len(hit) > 0 {
-			subs = append(subs, sub{i, enc(bufpool.Get(), part)})
+			subs = append(subs, sub{shard: i, frame: enc(bufpool.Get(), part)})
 			idx = append(idx, hit)
 		}
 	}
@@ -277,7 +281,7 @@ func routeMBRLevel(req []byte, infos []wire.Info) (plan, error) {
 		if h := int(info.TreeHeight); h > 0 && lvl >= h {
 			lvl = h - 1
 		}
-		subs = append(subs, sub{i, wire.AppendMBRLevel(bufpool.Get(), lvl)})
+		subs = append(subs, sub{shard: i, frame: wire.AppendMBRLevel(bufpool.Get(), lvl)})
 	}
 	return plan{subs, func(dst []byte, replies [][]byte) ([]byte, error) {
 		var all []geom.Rect
@@ -401,7 +405,7 @@ func (r *Router) plan(ctx context.Context, req []byte) (plan, error) {
 			bufpool.Put(req)
 			return plan{}, fmt.Errorf("%s: %w", r.name, err)
 		}
-		return plan{[]sub{{0, req}}, func(dst []byte, replies [][]byte) ([]byte, error) {
+		return plan{[]sub{{frame: req}}, func(dst []byte, replies [][]byte) ([]byte, error) {
 			if replies[0] == nil {
 				return none.merge(dst, nil)
 			}
@@ -516,35 +520,52 @@ func (r *Router) Do(ctx context.Context, req []byte) ([]byte, error) {
 	return r.finish(pl, replies)
 }
 
-// GoBatch accepts pre-encoded request frames of any routable type and
-// runs each one's plan through the shard endpoints' own batchers — one
-// GoBatch per shard link, preserving request order, so sub-requests
-// bound for the same link coalesce into MsgBatch envelopes there exactly
-// as a direct client's would. Each returned Call completes with the
-// merged reply frame; a request no shard can contribute to completes
-// locally, costing zero bytes. Partial mode applies per sub-request as
-// in Do: a failed sub-call becomes its shard's gap and the lower-bound
-// answer assembles from the shards that replied.
+// GoBatch accepts pre-encoded request frames of any routable type
+// (consuming reqs, slice and frames) and runs each one's plan through
+// the shard endpoints' own batchers — one GoBatch per shard link,
+// preserving request order, so sub-requests bound for the same link
+// coalesce into MsgBatch envelopes there exactly as a direct client's
+// would. Each returned Call yields the merged reply frame; a request no
+// shard can contribute to is answered locally, costing zero bytes.
+// Partial mode applies per sub-request as in Do: a failed sub-call
+// becomes its shard's gap and the lower-bound answer assembles from the
+// shards that replied.
 func (r *Router) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
 	rep := health.ReportFrom(ctx)
 	if r.solo() && rep == nil {
 		return r.shards[0].GoBatch(ctx, reqs)
 	}
+	if len(reqs) == 1 {
+		// A lone request (most COUNTs of a parallel run) has nothing to
+		// group by link: each sub-request is submitted through reqs itself
+		// and a child's one-element result carries this router's call back.
+		pl, err := r.plan(ctx, reqs[0])
+		if err != nil {
+			return []*client.Call{failed(r.name, err)}
+		}
+		var calls []*client.Call
+		for k := range pl.subs {
+			if s := &pl.subs[k]; r.admit(rep, s.shard) {
+				reqs[0] = s.frame
+				calls = r.shards[s.shard].GoBatch(ctx, reqs)
+				s.call = calls[0]
+			} else {
+				bufpool.Put(s.frame)
+			}
+		}
+		return append(calls[:0], r.answer(ctx, rep, pl))
+	}
 	type ref struct{ q, k int } // sub-request k of request q
 	calls := make([]*client.Call, len(reqs))
 	plans := make([]plan, len(reqs))
-	waits := make([][]*client.Call, len(reqs))
 	frames := make([][][]byte, len(r.shards))
 	refs := make([][]ref, len(r.shards))
 	for q, req := range reqs {
-		calls[q] = client.NewDetachedCall(r.name)
 		pl, err := r.plan(ctx, req)
 		if err != nil {
-			calls[q].CompleteFrame(nil, err)
+			calls[q] = failed(r.name, err)
 			continue
 		}
-		waits[q] = make([]*client.Call, len(pl.subs))
-		sent := 0
 		for k, s := range pl.subs {
 			if !r.admit(rep, s.shard) {
 				bufpool.Put(s.frame)
@@ -552,12 +573,6 @@ func (r *Router) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
 			}
 			frames[s.shard] = append(frames[s.shard], s.frame)
 			refs[s.shard] = append(refs[s.shard], ref{q, k})
-			sent++
-		}
-		if sent == 0 {
-			// Nothing to wait for: the answer completes locally.
-			r.gather(ctx, rep, pl, waits[q], calls[q])
-			continue
 		}
 		plans[q] = pl
 	}
@@ -566,30 +581,56 @@ func (r *Router) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
 			continue
 		}
 		for j, c := range r.shards[i].GoBatch(ctx, fs) {
-			waits[refs[i][j].q][refs[i][j].k] = c
+			plans[refs[i][j].q].subs[refs[i][j].k].call = c
 		}
 	}
 	for q, pl := range plans {
-		if pl.merge != nil {
-			go r.gather(ctx, rep, pl, waits[q], calls[q])
+		if calls[q] == nil {
+			calls[q] = r.answer(ctx, rep, pl)
 		}
 	}
 	return calls
 }
 
-// gather waits on one request's sub-calls and completes its detached
-// call with the merged reply. Every sub-call is drained even after a
-// failure so its pooled reply frame is recycled.
-func (r *Router) gather(ctx context.Context, rep *health.Report, pl plan, waits []*client.Call, out *client.Call) {
-	replies := make([][]byte, len(waits))
+// failed returns the call of a request that could not be planned.
+func failed(name string, err error) *client.Call {
+	return client.NewLazyCall(name, func() ([]byte, error) { return nil, err })
+}
+
+// answer returns the call that yields one submitted plan's merged reply:
+// gathered on the stack of whoever waits for it, so a probe that routes
+// to one child crosses this router without a goroutine. A plan with
+// several sub-requests is started at once instead: its round trips
+// overlap each other and whatever else the caller submitted, rather than
+// beginning when the caller gets round to this call.
+func (r *Router) answer(ctx context.Context, rep *health.Report, pl plan) *client.Call {
+	c := client.NewLazyCall(r.name, func() ([]byte, error) { return r.gather(ctx, rep, pl) })
+	if len(pl.subs) > 1 {
+		c.Start()
+	}
+	return c
+}
+
+// gather waits on one request's sub-calls and folds their replies into
+// the merged reply frame. Waiting is what sends a queued probe, so every
+// sub-call after the first is started before any is awaited. Every
+// sub-call is drained even after a failure so its pooled reply frame is
+// recycled.
+func (r *Router) gather(ctx context.Context, rep *health.Report, pl plan) ([]byte, error) {
+	for k, s := range pl.subs {
+		if k > 0 && s.call != nil {
+			s.call.Start()
+		}
+	}
+	replies := make([][]byte, len(pl.subs))
 	var first error
-	for k, c := range waits {
-		if c == nil {
+	for k, s := range pl.subs {
+		if s.call == nil {
 			continue // routed around
 		}
-		resp, err := c.Frame()
+		resp, err := s.call.Frame()
 		if err != nil {
-			if err = r.absorb(ctx, rep, pl.subs[k].shard, err); err != nil && first == nil {
+			if err = r.absorb(ctx, rep, s.shard, err); err != nil && first == nil {
 				first = err
 			}
 			continue
@@ -598,8 +639,7 @@ func (r *Router) gather(ctx context.Context, rep *health.Report, pl plan, waits 
 	}
 	if first != nil {
 		release(replies)
-		out.CompleteFrame(nil, first)
-		return
+		return nil, first
 	}
-	out.CompleteFrame(r.finish(pl, replies))
+	return r.finish(pl, replies)
 }

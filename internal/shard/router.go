@@ -28,7 +28,6 @@ type Endpoint interface {
 	Name() string
 	client.Doer
 	GoBatch(ctx context.Context, reqs [][]byte) []*client.Call
-	Flush()
 	Usage() netsim.Usage
 	PricePerByte() float64
 	Retries() int64
@@ -489,11 +488,4 @@ func (r *Router) scatter(ctx context.Context, n int, f func(ctx context.Context,
 	}
 	wg.Wait()
 	return first
-}
-
-// Flush dispatches whatever is pending in every shard link's batcher.
-func (r *Router) Flush() {
-	for _, s := range r.shards {
-		s.Flush()
-	}
 }

@@ -290,9 +290,7 @@ func TestRouterCountSumOverRandomWindows(t *testing.T) {
 // must complete with the same answers the typed methods give.
 func TestRouterGoBatch(t *testing.T) {
 	objs := dataset.GaussianClusters(400, 3, 500, dataset.World, 31)
-	copts := []client.Option{client.WithBatch(client.BatchConfig{
-		MaxBatch: 8, Linger: 50 * time.Millisecond, MaxLinger: 50 * time.Millisecond,
-	})}
+	copts := []client.Option{client.WithBatch(client.BatchConfig{MaxBatch: 8})}
 	router, _ := newTestRouter(t, objs, 3, copts, nil)
 	ctx := context.Background()
 
@@ -307,7 +305,6 @@ func TestRouterGoBatch(t *testing.T) {
 		wire.AppendCount(bufpool.Get(), geom.R(-9000, -9000, -8000, -8000)), // no shard overlaps
 	}
 	calls := router.GoBatch(ctx, reqs)
-	router.Flush()
 
 	gotN, err := calls[0].Count()
 	if err != nil {

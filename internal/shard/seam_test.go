@@ -231,7 +231,7 @@ func messagesSince(e Endpoint, before []int) []int {
 
 // TestTypedMatchesBatched pins the one-seam property over every stack
 // shape × every request message: the typed call and the same frame
-// through GoBatch+Flush decode to the same answer, agree with a single
+// through GoBatch decode to the same answer, agree with a single
 // unsharded server, and touch the same leaf links — both paths execute
 // one routing table, so they cannot prune or merge differently.
 func TestTypedMatchesBatched(t *testing.T) {
@@ -256,7 +256,6 @@ func TestTypedMatchesBatched(t *testing.T) {
 
 				m0 = leafMessages(stack)
 				call := stack.GoBatch(ctx, [][]byte{c.frame()})[0]
-				stack.Flush()
 				resp, err := call.Frame()
 				if err != nil {
 					t.Fatalf("batched: %v", err)
@@ -366,7 +365,6 @@ func TestSoloRouterBatchedPartialAbsorbsGap(t *testing.T) {
 	rep = health.NewReport()
 	pctx := health.WithReport(ctx, rep)
 	call := router.GoBatch(pctx, [][]byte{wire.AppendCount(bufpool.Get(), dataset.World)})[0]
-	router.Flush()
 	if n, err := call.Count(); n != 0 || err != nil {
 		t.Fatalf("batched count against the dead shard = %d, %v; want 0, nil", n, err)
 	}

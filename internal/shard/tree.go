@@ -194,26 +194,23 @@ func (a *Aggregator) Do(ctx context.Context, req []byte) ([]byte, error) {
 // reply frame charges it on the way out. The embedded router does the
 // actual routing (through the children's own batchers, so same-link
 // sub-requests still coalesce into MsgBatch envelopes at every level);
-// this wrapper only intercepts each reply frame for metering before
-// passing ownership through to the caller.
+// this wrapper only meters each reply frame, on the stack of whoever
+// waits for it, before passing ownership through to the caller.
 func (a *Aggregator) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
 	for _, req := range reqs {
 		a.uplink.Charge(len(req), netsim.Up)
 	}
-	inner := a.Router.GoBatch(ctx, reqs)
-	out := make([]*client.Call, len(inner))
-	for i, in := range inner {
-		o := client.NewDetachedCall(a.name)
-		out[i] = o
-		go func(in, o *client.Call) {
+	calls := a.Router.GoBatch(ctx, reqs)
+	for i, in := range calls {
+		calls[i] = client.NewLazyCall(a.name, func() ([]byte, error) {
 			frame, err := in.Frame()
 			if err == nil {
 				a.uplink.Charge(len(frame), netsim.Down)
 			}
-			o.CompleteFrame(frame, err)
-		}(in, o)
+			return frame, err
+		})
 	}
-	return out
+	return calls
 }
 
 // --- tree assembly --------------------------------------------------------

@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -133,7 +135,6 @@ func (s *stubLeaf) Do(_ context.Context, req []byte) ([]byte, error) {
 	return nil, fmt.Errorf("%s: stub leaf answers nothing", s.name)
 }
 func (s *stubLeaf) GoBatch(context.Context, [][]byte) []*client.Call { return nil }
-func (s *stubLeaf) Flush()                                           {}
 func (s *stubLeaf) Usage() netsim.Usage                              { return s.usage }
 func (s *stubLeaf) PricePerByte() float64                            { return 1 }
 func (s *stubLeaf) Retries() int64                                   { return 0 }
@@ -357,8 +358,6 @@ func TestTreeGoBatchMatchesFlat(t *testing.T) {
 	flatReqs := frames()
 	tCalls := tree.GoBatch(ctx, treeReqs)
 	fCalls := flat.GoBatch(ctx, flatReqs)
-	tree.Flush()
-	flat.Flush()
 	for i := range tCalls {
 		tf, terr := tCalls[i].Frame()
 		ff, ferr := fCalls[i].Frame()
@@ -666,5 +665,141 @@ func TestTreeRoutingLocality(t *testing.T) {
 	t.Logf("%.2f leaf sub-requests per probe", perProbe)
 	if perProbe > 2 {
 		t.Fatalf("%.2f leaf sub-requests per probe over 16 shards, want <= 2: shard bounds do not follow the data", perProbe)
+	}
+}
+
+// leafTrips records the round trips reaching a fleet's leaf servers: how
+// many, and for the last one whether it ran below the function named
+// caller — on that function's goroutine — and how many goroutines existed
+// while it did.
+type leafTrips struct {
+	caller        string
+	n, goroutines atomic.Int64
+	onStack       atomic.Bool
+}
+
+type tripRT struct {
+	netsim.RoundTripper
+	trips *leafTrips
+}
+
+func (rt tripRT) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
+	stack := make([]byte, 1<<16)
+	rt.trips.n.Add(1)
+	rt.trips.onStack.Store(bytes.Contains(stack[:runtime.Stack(stack, false)], []byte(rt.trips.caller)))
+	rt.trips.goroutines.Store(int64(runtime.NumGoroutine()))
+	return rt.RoundTripper.RoundTrip(ctx, req)
+}
+
+// newBatchedTree16 boots the fleet-tree shape — 16 shards × 2 replicas
+// under a fanout-4 tree, every link batched — with its INFO fan-out paid,
+// and returns it with the recorder wrapped around every leaf transport.
+func newBatchedTree16(t *testing.T, objs []geom.Object, link netsim.LinkConfig) (*Router, *leafTrips) {
+	t.Helper()
+	trips := &leafTrips{caller: t.Name()}
+	tree, err := ServeLocal("D", objs, LocalConfig{
+		Shards: 16, Replicas: 2, TreeFanout: 4, Workers: 2, Link: link, Price: 1,
+		ClientOpts: []client.Option{client.WithBatch(client.BatchConfig{MaxBatch: 16})},
+		WrapTransport: func(_ string, rt netsim.RoundTripper) netsim.RoundTripper {
+			return tripRT{rt, trips}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tree.Close() })
+	if _, err := tree.Info(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return tree, trips
+}
+
+// TestTreeLoneCountStaysOnCallersStack: a batched COUNT that routes to
+// one leaf crosses the whole tree — root router, aggregator uplink,
+// replica set, link batcher — on the stack of the goroutine that waits
+// for it, spawning nothing, and answers as the unsharded server does.
+func TestTreeLoneCountStaysOnCallersStack(t *testing.T) {
+	objs := dataset.GaussianClusters(4000, 8, 250, dataset.World, 46)
+	tree, trips := newBatchedTree16(t, objs, netsim.DefaultLink())
+	oracle := newLocalOracle(t, objs)
+	ctx := context.Background()
+	oneLeaf := 0
+	for _, o := range objs[:64] {
+		c := o.MBR.Center()
+		w := geom.R(c.X-20, c.Y-20, c.X+20, c.Y+20)
+		before, goroutines := trips.n.Load(), int64(runtime.NumGoroutine())
+		got, err := tree.GoBatch(ctx, [][]byte{wire.AppendCount(bufpool.Get(), w)})[0].Count()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := oracle.Count(ctx, w); got != want {
+			t.Fatalf("COUNT %v = %d, unsharded %d", w, got, want)
+		}
+		if trips.n.Load()-before != 1 {
+			continue // straddles a cut: several leaves, gathered off-stack
+		}
+		oneLeaf++
+		if !trips.onStack.Load() {
+			t.Fatalf("COUNT %v: the leaf round trip did not run on its waiter's stack", w)
+		}
+		// (Fewer is fine: an earlier test's fleet may still be winding down.)
+		if n := trips.goroutines.Load(); n > goroutines {
+			t.Fatalf("COUNT %v: %d goroutines during the leaf round trip, %d before the probe", w, n, goroutines)
+		}
+	}
+	if oneLeaf < 32 {
+		t.Fatalf("only %d of 64 probes routed to one leaf: the windows do not test the lone path", oneLeaf)
+	}
+}
+
+// TestTreeMultiLeafCountOverlapsLinks: a batched COUNT whose plan spans
+// three leaves has all three links' round trips under way before it
+// waits on the first, so over links with a real RTT it completes in
+// under two round-trip times, not three.
+func TestTreeMultiLeafCountOverlapsLinks(t *testing.T) {
+	objs := dataset.GaussianClusters(4000, 8, 250, dataset.World, 46)
+	ctx := context.Background()
+	// The layout is a pure function of objs, so a zero-latency twin finds
+	// the window.
+	scout, trips := newBatchedTree16(t, objs, netsim.DefaultLink())
+	var w geom.Rect
+	for _, o := range objs {
+		c := o.MBR.Center()
+		w = geom.R(c.X-150, c.Y-150, c.X+150, c.Y+150)
+		before := trips.n.Load()
+		if _, err := scout.GoBatch(ctx, [][]byte{wire.AppendCount(bufpool.Get(), w)})[0].Count(); err != nil {
+			t.Fatal(err)
+		}
+		if trips.n.Load()-before == 3 {
+			break
+		}
+		w = geom.Rect{}
+	}
+	if w == (geom.Rect{}) {
+		t.Fatal("no probe window spans exactly three leaves")
+	}
+
+	const rtt = 10 * time.Millisecond
+	link := netsim.DefaultLink()
+	link.RTT = rtt
+	tree, trips := newBatchedTree16(t, objs, link)
+	want, _ := newLocalOracle(t, objs).Count(ctx, w)
+	// Scheduling noise only ever adds time, and three round trips in a row
+	// can never take less than three RTTs: the fastest of a few tries
+	// decides.
+	best := time.Hour
+	for try := 0; try < 3; try++ {
+		before, t0 := trips.n.Load(), time.Now()
+		got, err := tree.GoBatch(ctx, [][]byte{wire.AppendCount(bufpool.Get(), w)})[0].Count()
+		best = min(best, time.Since(t0))
+		if err != nil || got != want {
+			t.Fatalf("COUNT %v = %d, %v; unsharded %d", w, got, err, want)
+		}
+		if n := trips.n.Load() - before; n != 3 {
+			t.Fatalf("COUNT %v reached %d leaves on the RTT fleet, 3 on its twin", w, n)
+		}
+	}
+	if best >= 2*rtt {
+		t.Errorf("three-leaf COUNT took %v over %v links: the round trips ran one after another", best, rtt)
 	}
 }

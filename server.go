@@ -298,8 +298,6 @@ func (t *tenantProbe) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call
 	return t.p.GoBatch(netsim.WithTenant(ctx, t.id), reqs)
 }
 
-func (t *tenantProbe) Flush() { t.p.Flush() }
-
 func (t *tenantProbe) Usage() netsim.Usage {
 	if tu, ok := t.p.(interface {
 		TenantUsage(netsim.TenantID) netsim.Usage
