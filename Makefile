@@ -116,11 +116,15 @@ vet:
 	$(GO) vet ./...
 
 # lint-seams needs no tool: no probe waits on a clock (the batcher owns no
-# timer and never sleeps), and no probe-stack seam grows a Flush back — a
-# queued probe is sent by whoever waits for it.
+# timer and never sleeps), the engine sizes its pools from configuration
+# and never from a clock (parallel.go does not so much as import time),
+# and no probe-stack seam grows a Flush back — a queued probe is sent by
+# whoever waits for it.
 lint-seams:
 	@if grep -nE 'time\.(AfterFunc|NewTimer|Sleep)' internal/client/batch.go; then \
 	  echo "lint: internal/client/batch.go must not wait on a clock"; exit 1; fi
+	@if grep -nE '\btime\.|"time"' internal/core/parallel.go; then \
+	  echo "lint: internal/core/parallel.go must not read a clock"; exit 1; fi
 	@if sed -n '/^type Probe interface/,/^}/p' internal/core/env.go | grep -n 'Flush()' || \
 	    sed -n '/^type Endpoint interface/,/^}/p' internal/shard/router.go | grep -n 'Flush()'; then \
 	  echo "lint: core.Probe and shard.Endpoint have no Flush"; exit 1; fi

@@ -202,16 +202,18 @@ func BenchmarkSessionUpJoin(b *testing.B) {
 // benchSessionRTT runs one full join per iteration against in-process
 // servers behind a simulated 300µs-RTT link — the regime the batching
 // layer targets: with Parallelism 1 every frame is a sequential round
-// trip, so wall-clock time tracks frame count almost linearly. The
-// "frames" metric reports the metered message total per op so the
-// reduction is visible next to the latency.
-func benchSessionRTT(b *testing.B, alg core.Algorithm, batch int) {
+// trip, so wall-clock time tracks frame count almost linearly; with
+// Parallelism > 1 it tracks the dependent rounds, which shrink as more
+// partitions are live to share an envelope. The "frames" metric reports
+// the metered message total per op so the reduction is visible next to
+// the latency.
+func benchSessionRTT(b *testing.B, alg core.Algorithm, batch, parallelism int) {
 	robjs := dataset.GaussianClusters(1500, 6, 300, dataset.World, 31)
 	sobjs := dataset.GaussianClusters(1500, 6, 300, dataset.World, 32)
 	link := netsim.DefaultLink()
 	link.RTT = 300 * time.Microsecond
-	trR := netsim.Serve(server.New("R", robjs))
-	trS := netsim.Serve(server.New("S", sobjs))
+	trR := netsim.ServeParallel(server.New("R", robjs), parallelism)
+	trS := netsim.ServeParallel(server.New("S", sobjs), parallelism)
 	defer trR.Close()
 	defer trS.Close()
 	var copts []client.Option
@@ -226,8 +228,10 @@ func benchSessionRTT(b *testing.B, alg core.Algorithm, batch int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	env := core.NewEnv(r, s, client.Device{BufferObjects: 500}, costmodel.Default(), dataset.World)
-	env.BatchSize = batch
+	model := costmodel.Default()
+	model.Link = link
+	env := core.NewEnv(r, s, client.Device{BufferObjects: 500}, model, dataset.World)
+	env.BatchSize, env.Parallelism = batch, parallelism
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -243,17 +247,20 @@ func benchSessionRTT(b *testing.B, alg core.Algorithm, batch int) {
 }
 
 // BenchmarkSessionUpJoinRTT pins the batching win on the paper's
-// headline algorithm over a latency-bearing link.
+// headline algorithm over a latency-bearing link, sequentially and — the
+// batch16/par4 leg — with the concurrent engine, whose pool of live
+// partitions the link's latency widens.
 func BenchmarkSessionUpJoinRTT(b *testing.B) {
-	b.Run("batch1", func(b *testing.B) { benchSessionRTT(b, core.UpJoin{}, 1) })
-	b.Run("batch16", func(b *testing.B) { benchSessionRTT(b, core.UpJoin{}, 16) })
+	b.Run("batch1", func(b *testing.B) { benchSessionRTT(b, core.UpJoin{}, 1, 1) })
+	b.Run("batch16", func(b *testing.B) { benchSessionRTT(b, core.UpJoin{}, 16, 1) })
+	b.Run("batch16/par4", func(b *testing.B) { benchSessionRTT(b, core.UpJoin{}, 16, 4) })
 }
 
 // BenchmarkSessionGridRTT does the same for the grid baseline, whose
 // COUNT phases batch almost perfectly.
 func BenchmarkSessionGridRTT(b *testing.B) {
-	b.Run("batch1", func(b *testing.B) { benchSessionRTT(b, core.Grid{}, 1) })
-	b.Run("batch16", func(b *testing.B) { benchSessionRTT(b, core.Grid{}, 16) })
+	b.Run("batch1", func(b *testing.B) { benchSessionRTT(b, core.Grid{}, 1, 1) })
+	b.Run("batch16", func(b *testing.B) { benchSessionRTT(b, core.Grid{}, 16, 1) })
 }
 
 // BenchmarkWireBatchCodec measures the batch envelope codec itself:

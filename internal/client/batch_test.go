@@ -139,7 +139,7 @@ func TestBatchIdleProbeRunsOnWaiter(t *testing.T) {
 	var during int
 	link := rtFunc(func(ctx context.Context, req []byte) ([]byte, error) {
 		stack := make([]byte, 1<<16)
-		onStack = bytes.Contains(stack[:runtime.Stack(stack, false)], []byte(t.Name()))
+		onStack = bytes.Contains(stack[:runtime.Stack(stack, false)], []byte(t.Name()+"("))
 		during = runtime.NumGoroutine()
 		return inner.RoundTrip(ctx, req)
 	})

@@ -340,6 +340,7 @@ func (a *autoState) runNLSJ(outer side, nr, ns cnt, d plan.Decision, obs plan.Ob
 	if a.shouldCheckpoint(outer, outerObjs, innerCnt, d.Params, obs) {
 		iq, err := a.quadrantCounts(inner, w, innerCnt)
 		if err != nil {
+			a.release()
 			return err
 		}
 		a.emit(PhaseObserve, "observe/nlsj-checkpoint", w, nr.n, ns.n,
@@ -354,6 +355,10 @@ func (a *autoState) runNLSJ(outer side, nr, ns cnt, d plan.Decision, obs plan.Ob
 			a.emit(PhaseReplan, "replan/nlsj-to-grid", w, nr.n, ns.n, gridRem,
 				fmt.Sprintf("probe remainder est %.0f > grid remainder est %.0f×%.2f; switching",
 					probeRem, gridRem, a.pl.ReplanFactor()))
+			// The NLSJ's transfer slot ends here: each grid leaf takes its
+			// own, and counts the held outer objects it joins against
+			// inside its own buffer-full (fetchJoin's CanHold).
+			a.release()
 			quads := w.Quadrants()
 			return a.fanoutSiblings(4, func(i int) error {
 				return a.fetchJoin(quads[i], outer, outerObjs, iq[i], 1)
@@ -363,6 +368,7 @@ func (a *autoState) runNLSJ(outer side, nr, ns cnt, d plan.Decision, obs plan.Ob
 			fmt.Sprintf("probe remainder est %.0f <= grid remainder est %.0f×%.2f; keeping NLSJ",
 				probeRem, gridRem, a.pl.ReplanFactor()))
 	}
+	defer a.release()
 	return a.nlsjProbePhase(w, outer, outerObjs)
 }
 
@@ -459,6 +465,10 @@ func (a *autoState) fetchJoin(w geom.Rect, outer side, outerObjs []geom.Object, 
 	}
 	if a.env.Device.CanHold(len(rel)+innerCnt.n) || !a.splittable(w, depth) {
 		a.dec.hbsj.Add(1)
+		if err := a.acquire(); err != nil {
+			return err
+		}
+		defer a.release()
 		innerObjs, err := a.remote(inner).Window(a.ctx, a.fetchWindow(inner, w))
 		if err != nil {
 			return err

@@ -20,8 +20,10 @@ import (
 
 // chaosEnv wires an environment whose two links inject seeded faults
 // (drops, severed responses, delays) below the meters, with a retry
-// policy generous enough that every query eventually lands.
-func chaosEnv(t *testing.T, robjs, sobjs []geom.Object, buffer, parallelism int, seed int64, opts ...server.Option) (*Env, *netsim.Faulty, *netsim.Faulty) {
+// policy generous enough that every query eventually lands. batch > 1
+// batches the probes over links of 100 µs, the configuration that widens
+// the engine's pool of live partitions.
+func chaosEnv(t *testing.T, robjs, sobjs []geom.Object, buffer, parallelism, batch int, seed int64, opts ...server.Option) (*Env, *netsim.Faulty, *netsim.Faulty) {
 	t.Helper()
 	workers := parallelism
 	if workers < 1 {
@@ -38,12 +40,13 @@ func chaosEnv(t *testing.T, robjs, sobjs []geom.Object, buffer, parallelism int,
 	ftR := netsim.NewFaulty(netsim.ServeParallel(server.New("R", robjs, opts...), workers), cfg)
 	cfg.Seed = seed + 1
 	ftS := netsim.NewFaulty(netsim.ServeParallel(server.New("S", sobjs, opts...), workers), cfg)
-	retry := client.RetryPolicy{MaxAttempts: 12, Backoff: 50 * time.Microsecond}
-	r := mustRemote(t, "R", ftR, netsim.DefaultLink(), 1, client.WithRetry(retry))
-	s := mustRemote(t, "S", ftS, netsim.DefaultLink(), 1, client.WithRetry(retry))
-	t.Cleanup(func() { r.Close(); s.Close() })
-	env := NewEnv(r, s, client.Device{BufferObjects: buffer}, costmodel.Default(), geom.Rect{})
-	env.Parallelism = parallelism
+	var rtt time.Duration
+	if batch > 1 {
+		rtt = 100 * time.Microsecond
+	}
+	env := envOver(t, ftR, ftS, buffer, parallelism, batch, rtt, rtt,
+		client.WithRetry(client.RetryPolicy{MaxAttempts: 12, Backoff: 50 * time.Microsecond}))
+	t.Cleanup(func() { env.R.Close(); env.S.Close() })
 	return env, ftR, ftS
 }
 
@@ -71,9 +74,13 @@ func TestChaosAllAlgorithmsMatchOracle(t *testing.T) {
 			if _, ok := alg.(SemiJoin); ok && spec.Kind == IcebergSemi {
 				continue // semiJoin has no iceberg semantics
 			}
-			for _, par := range []int{1, 4} {
+			for _, pool := range enginePools {
+				par := pool.par
 				name := specName + "/" + alg.Name()
-				env, ftR, ftS := chaosEnv(t, robjs, sobjs, 800, par, int64(len(name))*100+int64(par), server.PublishIndex())
+				if pool.batch > 1 {
+					name += "/batched"
+				}
+				env, ftR, ftS := chaosEnv(t, robjs, sobjs, 800, par, pool.batch, int64(len(name))*100+int64(par), server.PublishIndex())
 				got, err := alg.Run(context.Background(), env, spec)
 				if err != nil {
 					t.Fatalf("%s p=%d under faults: %v", name, par, err)
@@ -114,7 +121,7 @@ func TestChaosRetransmissionsAreMetered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, ftR, ftS := chaosEnv(t, robjs, sobjs, 800, 1, 7)
+	env, ftR, ftS := chaosEnv(t, robjs, sobjs, 800, 1, 0, 7)
 	faulty, err := UpJoin{}.Run(context.Background(), env, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -173,13 +180,29 @@ func waitGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutines leaked: %d > %d\n%s", runtime.NumGoroutine(), base, buf[:n])
 }
 
+// enginePools are the engine shapes the fault and abort tests cover:
+// sequential, the pool of Parallelism, and the wide pool of a batched run
+// over a latency-bearing link.
+var enginePools = []struct{ par, batch int }{{1, 0}, {4, 0}, {4, 16}}
+
+// poolEnv is envOver for an engine shape whose servers hang or fail by
+// themselves: the batched shape's latency is in the cost model only.
+func poolEnv(t *testing.T, trR, trS netsim.RoundTripper, par, batch int) *Env {
+	var rtt time.Duration
+	if batch > 1 {
+		rtt = 2 * time.Millisecond
+	}
+	return envOver(t, trR, trS, 200, par, batch, 0, rtt)
+}
+
 // TestCancelMidJoinReturnsPromptly hangs the R server after a few
 // requests, cancels the context mid-join, and requires (a) a prompt
 // return with context.Canceled, and (b) zero leaked goroutines once the
 // transports close — the executor must join every worker even though the
 // server never answered.
 func TestCancelMidJoinReturnsPromptly(t *testing.T) {
-	for _, par := range []int{1, 4} {
+	for _, pool := range enginePools {
+		par := pool.par
 		baseline := runtime.NumGoroutine()
 		robjs := dataset.GaussianClusters(400, 4, 300, dataset.World, 61)
 		sobjs := dataset.GaussianClusters(400, 4, 300, dataset.World, 62)
@@ -189,16 +212,12 @@ func TestCancelMidJoinReturnsPromptly(t *testing.T) {
 			reached: make(chan struct{}),
 			release: make(chan struct{}),
 		}
-		workers := par
-		if workers < 1 {
-			workers = 1
+		trR := netsim.ServeParallel(hang, par)
+		trS := netsim.ServeParallel(server.New("S", sobjs), par)
+		env := poolEnv(t, trR, trS, par, pool.batch)
+		if want := max(par, 1) * max(pool.batch, 1); liveTasks(env) != want {
+			t.Fatalf("p=%d batch=%d: pool of %d live partitions, want %d", par, pool.batch, liveTasks(env), want)
 		}
-		trR := netsim.ServeParallel(hang, workers)
-		trS := netsim.ServeParallel(server.New("S", sobjs), workers)
-		r := mustRemote(t, "R", trR, netsim.DefaultLink(), 1)
-		s := mustRemote(t, "S", trS, netsim.DefaultLink(), 1)
-		env := NewEnv(r, s, client.Device{BufferObjects: 200}, costmodel.Default(), geom.Rect{})
-		env.Parallelism = par
 
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
@@ -229,8 +248,8 @@ func TestCancelMidJoinReturnsPromptly(t *testing.T) {
 		// Release the hung handler so the server workers can exit, then
 		// close everything and verify no goroutine outlives the run.
 		close(hang.release)
-		r.Close()
-		s.Close()
+		env.R.Close()
+		env.S.Close()
 		waitGoroutines(t, baseline)
 	}
 }
@@ -292,17 +311,12 @@ func (f *failAfter) Close() error { return f.rt.Close() }
 func TestFirstErrorCancelsSiblings(t *testing.T) {
 	robjs := dataset.GaussianClusters(400, 4, 300, dataset.World, 81)
 	sobjs := dataset.GaussianClusters(400, 4, 300, dataset.World, 82)
-	for _, par := range []int{1, 4} {
-		workers := par
-		if workers < 1 {
-			workers = 1
-		}
-		trR := netsim.ServeParallel(server.New("R", robjs), workers)
-		trS := &failAfter{rt: netsim.ServeParallel(server.New("S", sobjs), workers), after: 4}
-		r := mustRemote(t, "R", trR, netsim.DefaultLink(), 1)
-		s := mustRemote(t, "S", trS, netsim.DefaultLink(), 1)
-		env := NewEnv(r, s, client.Device{BufferObjects: 200}, costmodel.Default(), geom.Rect{})
-		env.Parallelism = par
+	for _, pool := range enginePools {
+		par := pool.par
+		baseline := runtime.NumGoroutine()
+		trR := netsim.ServeParallel(server.New("R", robjs), par)
+		trS := &failAfter{rt: netsim.ServeParallel(server.New("S", sobjs), par), after: 4}
+		env := poolEnv(t, trR, trS, par, pool.batch)
 
 		_, err := UpJoin{}.Run(context.Background(), env, Spec{Kind: Distance, Eps: 120})
 		if err == nil {
@@ -317,7 +331,8 @@ func TestFirstErrorCancelsSiblings(t *testing.T) {
 		if !strings.Contains(err.Error(), "S") {
 			t.Fatalf("p=%d: error does not name the failed server: %v", par, err)
 		}
-		r.Close()
-		s.Close()
+		env.R.Close()
+		env.S.Close()
+		waitGoroutines(t, baseline)
 	}
 }

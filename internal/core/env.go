@@ -92,14 +92,23 @@ type Env struct {
 	// Seed drives the algorithm-internal randomness (UpJoin's random
 	// confirmation windows). Fixed per run for reproducibility.
 	Seed int64
-	// Parallelism bounds the number of concurrently in-flight remote
-	// operations of one run. 0 or 1 reproduces the paper's single-threaded
-	// PDA: every round trip strictly sequential. Higher values enable the
-	// concurrent execution engine — independent R-side and S-side requests
-	// issue in parallel, sibling partitions are processed by a bounded
-	// worker pool, and partition downloads overlap device-side joins — while
-	// issuing exactly the same set of requests, so results and metered byte
-	// counts are identical to the sequential run.
+	// Parallelism switches on the concurrent execution engine and is the
+	// number of partitions that may hold downloaded objects at once. 0 or
+	// 1 reproduces the paper's single-threaded PDA: every round trip
+	// strictly sequential. Higher values let independent R-side and S-side
+	// requests issue in parallel, sibling partitions run as live
+	// subproblems on a bounded pool, and partition downloads overlap
+	// device-side joins — while issuing exactly the same set of requests,
+	// so results and (unbatched) metered byte counts are identical to the
+	// sequential run. What it bounds is device memory and object
+	// transfers: at most Parallelism partitions are between the start of
+	// their downloads and their last use of the objects. It does not bound
+	// COUNT statistics, which occupy no buffer — in flight those are
+	// bounded by the link's window (client.BatchConfig.MaxInflight
+	// envelopes of MaxBatch) — nor, by itself, how many partitions are
+	// live: that is the pool rule, liveTasks in parallel.go (Parallelism,
+	// widened to Parallelism × BatchSize for a batched run whose
+	// Model.Link has latency).
 	Parallelism int
 	// BatchSize, when > 1, multiplexes independent probes of one run into
 	// MsgBatch envelopes of up to this many sub-requests per link,

@@ -30,8 +30,8 @@ const (
 )
 
 // exec carries the per-run state shared by all algorithms: environment,
-// spec, predicate, result sink, decision counters, and the worker pool of
-// the concurrent engine (see parallel.go). The sink and the iceberg
+// spec, predicate, result sink, decision counters, and the bounds of the
+// concurrent engine (see parallel.go). The sink and the iceberg
 // ledger are guarded by mu; decision counters are atomics.
 type exec struct {
 	env  *Env
@@ -104,7 +104,7 @@ func newExec(ctx context.Context, env *Env, spec Spec, alg string) (*exec, error
 		env:  env,
 		spec: spec,
 		pred: spec.pred(),
-		par:  newGate(env.Parallelism),
+		par:  newGate(env.Parallelism, liveTasks(env)),
 		alg:  alg,
 		rep:  rep,
 	}
@@ -272,14 +272,15 @@ func collect[T any](calls []*client.Call, decode func(*client.Call) (T, error), 
 
 // probeGroup is the one probe-group primitive: n independent probes on
 // one remote, probe i yielding a T that use consumes, fanned out on the
-// worker pool. How the group is framed is decided here and nowhere else
+// live-partition pool. How the group is framed is decided here and nowhere else
 // (countRemote's inline COUNTs aside). Unbatched, probe i is the typed
 // call ask(i) in its own frame — the paper's framing. Batched, the same
 // probe set is chunked by BatchSize — the chunking fixed before any
 // request is issued, so sequential runs produce a deterministic frame
 // sequence — with each chunk submitted atomically (GoBatch) and
-// collected by the worker that submitted it, so in-flight envelopes stay
-// bounded by Parallelism.
+// collected by the worker that submitted it, so a run has at most one
+// chunk per live task outstanding; how many envelopes those become is the
+// link window's business (client.BatchConfig.MaxInflight).
 // encode builds the i-th request frame (into a pooled buffer whose
 // ownership passes to the client); decode is the Call accessor for the
 // reply.

@@ -57,22 +57,5 @@ func naiveWindow(x *exec, w geom.Rect, depth int) error {
 	// Leaf: download both windows unconditionally (no emptiness pruning)
 	// and join on the device.
 	x.dec.hbsj.Add(1)
-	var robjs, sobjs []geom.Object
-	err = x.both(
-		func() error {
-			var err error
-			robjs, err = x.env.R.Window(x.ctx, x.fetchWindow(sideR, w))
-			return err
-		},
-		func() error {
-			var err error
-			sobjs, err = x.env.S.Window(x.ctx, x.fetchWindow(sideS, w))
-			return err
-		},
-	)
-	if err != nil {
-		return err
-	}
-	x.joinLocal(robjs, sobjs)
-	return nil
+	return x.downloadJoin(w)
 }

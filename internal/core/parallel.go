@@ -21,10 +21,10 @@ import (
 //
 //   - both() overlaps one R-side and one S-side operation (dual-radio
 //     probing);
-//   - fanout() runs independent sibling tasks on a bounded worker pool,
-//     which also pipelines naturally: while one sibling's task is joining
-//     downloaded objects on the CPU, another's is blocked on its window
-//     download;
+//   - fanout() runs independent sibling tasks on a bounded pool of live
+//     partitions, which also pipelines naturally: while one sibling's task
+//     is joining downloaded objects on the CPU, another's is blocked on
+//     its window download;
 //   - the result sink and the iceberg probe ledger are mutex-protected,
 //     and decision counters are atomics.
 //
@@ -39,27 +39,77 @@ import (
 // bucket grouping depends on which partition first claims an object — fall
 // back to sequential sibling order (fanoutSiblings).
 
-// gate is the bounded worker pool of one run: a semaphore of
-// Parallelism-1 slots for extra goroutines (the calling goroutine is the
-// implicit last worker). A nil *gate means sequential execution.
+// gate holds the two bounds of one parallel run (nil: sequential).
+//
+// live is the pool of live partition subproblems both and fanout spawn
+// onto: liveTasks(env)-1 places for extra goroutines (the calling
+// goroutine is the implicit last one). A live partition that is not
+// downloading waits on COUNT statistics, which occupy no device buffer
+// and are bounded in flight by the link's own window (client.BatchConfig:
+// MaxInflight envelopes of MaxBatch), not here.
+//
+// slots are the Parallelism transfer slots: a partition holds one from
+// its first object download to its last use of the objects, so at most
+// Parallelism buffer-fulls are resident however many partitions are live.
+// A holder never waits for a second slot and never needs a pool place to
+// make progress, so the engine cannot deadlock.
 type gate struct {
+	live  chan struct{}
 	slots chan struct{}
 }
 
-// newGate returns the pool for the given parallelism, or nil for
-// sequential execution.
-func newGate(parallelism int) *gate {
+// liveTasks is the pool rule: how many partition subproblems of one run
+// may be live at once. It takes Parallelism × BatchSize outstanding
+// probes to fill Parallelism envelopes, so a batched run over a
+// latency-bearing link keeps that many live. Everywhere else a round trip
+// costs less than a goroutine hand-off and a wider pool only adds
+// scheduling work (measured on daemon-tenants): the pool is Parallelism.
+func liveTasks(env *Env) int {
+	if env.BatchSize > 1 && env.Model.Link.RTT > 0 {
+		return env.Parallelism * env.BatchSize
+	}
+	return env.Parallelism
+}
+
+// newGate returns the bounds of a run, or nil for sequential execution.
+func newGate(parallelism, live int) *gate {
 	if parallelism <= 1 {
 		return nil
 	}
-	return &gate{slots: make(chan struct{}, parallelism-1)}
+	return &gate{
+		live:  make(chan struct{}, live-1),
+		slots: make(chan struct{}, parallelism),
+	}
+}
+
+// acquire takes a transfer slot for a partition about to download
+// objects, waiting while Parallelism others hold theirs; it fails only if
+// the run is cancelled first. The holder releases the slot after its last
+// use of the objects.
+func (x *exec) acquire() error {
+	if x.par == nil {
+		return nil
+	}
+	select {
+	case x.par.slots <- struct{}{}:
+		return nil
+	case <-x.ctx.Done():
+		return x.cause(x.ctx.Err())
+	}
+}
+
+// release returns the slot taken by acquire.
+func (x *exec) release() {
+	if x.par != nil {
+		<-x.par.slots
+	}
 }
 
 // parallel reports whether this run uses the concurrent engine.
 func (x *exec) parallel() bool { return x.par != nil }
 
 // both runs two independent operations, overlapping them when the engine
-// is parallel and a pool slot is free; otherwise f then g sequentially.
+// is parallel and a pool place is free; otherwise f then g sequentially.
 // It returns f's error first (matching the sequential call order), then
 // g's. The first failure cancels the run context, so the other operation
 // is interrupted mid-round-trip instead of running to completion; the
@@ -67,10 +117,10 @@ func (x *exec) parallel() bool { return x.par != nil }
 func (x *exec) both(f, g func() error) error {
 	if x.par != nil {
 		select {
-		case x.par.slots <- struct{}{}:
+		case x.par.live <- struct{}{}:
 			errc := make(chan error, 1)
 			go func() {
-				defer func() { <-x.par.slots }()
+				defer func() { <-x.par.live }()
 				err := f()
 				x.fail(err)
 				errc <- err
@@ -99,7 +149,7 @@ func (x *exec) both(f, g func() error) error {
 
 // fanout runs n independent tasks f(0..n-1). Sequentially it stops at the
 // first error, exactly like the loops it replaces. In parallel it
-// schedules each task on the pool when a slot is free (running it inline
+// schedules each task on the pool when a place is free (running it inline
 // otherwise, so the caller's goroutine always contributes work and the
 // engine cannot deadlock however deep the recursion), waits for all
 // scheduled tasks, and returns the first error observed. The first error
@@ -150,11 +200,11 @@ func (x *exec) fanout(n int, f func(i int) error) error {
 			break
 		}
 		select {
-		case x.par.slots <- struct{}{}:
+		case x.par.live <- struct{}{}:
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				defer func() { <-x.par.slots }()
+				defer func() { <-x.par.live }()
 				record(f(i))
 			}()
 		default:
@@ -214,6 +264,9 @@ func (x *exec) countBoth(w geom.Rect) (nr, ns cnt, err error) {
 // ensureExactBoth re-counts both sides of w where the given counts are
 // estimates, overlapping the two independent COUNTs.
 func (x *exec) ensureExactBoth(w geom.Rect, nr, ns cnt) (rn, sn cnt, err error) {
+	if nr.exact && ns.exact {
+		return nr, ns, nil // the common case: nothing to ask, so no pool place or goroutine
+	}
 	err = x.both(
 		func() error {
 			var err error

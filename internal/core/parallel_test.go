@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +17,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/netsim"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // newTestExec builds a bare exec (no environment) for engine-level tests.
@@ -42,32 +46,98 @@ func testEnvParallel(t *testing.T, robjs, sobjs []geom.Object, buffer, paralleli
 	return env
 }
 
-// runBoth executes alg sequentially and with Parallelism 4 over identical
-// servers and returns both results.
-func runBoth(t *testing.T, alg Algorithm, spec Spec, robjs, sobjs []geom.Object, buffer int, bucket bool) (seq, par *Result) {
-	t.Helper()
-	envSeq := testEnvParallel(t, robjs, sobjs, buffer, 1)
-	envSeq.Model.Bucket = bucket
-	envSeq.Seed = 3
-	seq, err := alg.Run(context.Background(), envSeq, spec)
-	if err != nil {
-		t.Fatalf("%s sequential: %v", alg.Name(), err)
-	}
-	envPar := testEnvParallel(t, robjs, sobjs, buffer, 4)
-	envPar.Model.Bucket = bucket
-	envPar.Seed = 3
-	par, err = alg.Run(context.Background(), envPar, spec)
-	if err != nil {
-		t.Fatalf("%s parallel: %v", alg.Name(), err)
-	}
-	return seq, par
+// requestLog records the multiset of queries one link carried, envelopes
+// unpacked: how they were framed is the batcher's business, which queries
+// were asked is the algorithm's.
+type requestLog struct {
+	netsim.RoundTripper
+	t    *testing.T
+	mu   sync.Mutex
+	seen map[string]int
 }
 
-// TestParallelMatchesSequential is the engine's core guarantee: with
-// Parallelism 4, every algorithm returns exactly the sequential result
-// and meters exactly the sequential byte count, for every join kind and
-// for bucket submission. Run under -race this also exercises the sink,
-// ledger, and meter synchronization.
+func (l *requestLog) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
+	l.mu.Lock()
+	for _, sub := range subRequests(l.t, req) {
+		l.seen[string(sub)]++
+	}
+	l.mu.Unlock()
+	return l.RoundTripper.RoundTrip(ctx, req)
+}
+
+// diff describes how the queries of l differ from those of want, by
+// message type ("" when they are the same multiset).
+func (l *requestLog) diff(want *requestLog) string {
+	type gap struct{ extra, missing int }
+	gaps := map[wire.MsgType]gap{}
+	note := func(req string, got, wanted int) {
+		g := gaps[wire.Type([]byte(req))]
+		g.extra += max(got-wanted, 0)
+		g.missing += max(wanted-got, 0)
+		gaps[wire.Type([]byte(req))] = g
+	}
+	for req, n := range l.seen {
+		if m := want.seen[req]; m != n {
+			note(req, n, m)
+		}
+	}
+	for req, m := range want.seen {
+		if _, asked := l.seen[req]; !asked {
+			note(req, 0, m)
+		}
+	}
+	var out []string
+	for typ, g := range gaps {
+		out = append(out, fmt.Sprintf("%v: %d extra, %d missing", typ, g.extra, g.missing))
+	}
+	slices.Sort(out)
+	return strings.Join(out, "; ")
+}
+
+// engineConfig is one way to run the engine over the same two datasets.
+type engineConfig struct {
+	name               string
+	parallelism, batch int
+	rtt                time.Duration // of the links and of the cost model's link alike
+}
+
+// The three configurations TestParallelMatchesSequential compares: the
+// paper's device; the concurrent engine with its pool of Parallelism; and
+// the batched run over a latency-bearing link, whose pool of live
+// partitions is Parallelism × BatchSize.
+var (
+	sequential = engineConfig{name: "sequential", parallelism: 1}
+	parallel4  = engineConfig{name: "parallel", parallelism: 4}
+	rttBatched = engineConfig{name: "rtt-batched", parallelism: 4, batch: 16, rtt: 100 * time.Microsecond}
+)
+
+// run executes alg under the configuration over fresh servers and returns
+// the result with the queries each link carried.
+func (c engineConfig) run(t *testing.T, alg Algorithm, spec Spec, robjs, sobjs []geom.Object, buffer int, bucket bool) (*Result, [2]*requestLog) {
+	t.Helper()
+	logs := [2]*requestLog{
+		{RoundTripper: netsim.ServeParallel(server.New("R", robjs), c.parallelism), t: t, seen: map[string]int{}},
+		{RoundTripper: netsim.ServeParallel(server.New("S", sobjs), c.parallelism), t: t, seen: map[string]int{}},
+	}
+	env := envOver(t, logs[0], logs[1], buffer, c.parallelism, c.batch, c.rtt, c.rtt)
+	defer env.R.Close()
+	defer env.S.Close()
+	env.Model.Bucket, env.Seed = bucket, 3
+	res, err := alg.Run(context.Background(), env, spec)
+	if err != nil {
+		t.Fatalf("%s %s: %v", alg.Name(), c.name, err)
+	}
+	return res, logs
+}
+
+// TestParallelMatchesSequential is the engine's core guarantee: under
+// either pool, every algorithm asks exactly the queries the sequential run
+// asks — the same multiset on each link — takes the same decisions and
+// returns the same result, for every join kind and for bucket submission.
+// The unbatched parallel run also meters exactly the sequential frames
+// and bytes (a batched run frames the same queries differently). Run
+// under -race this also exercises the sink, ledger, and meter
+// synchronization.
 func TestParallelMatchesSequential(t *testing.T) {
 	robjs := dataset.GaussianClusters(600, 4, 300, dataset.World, 201)
 	sobjs := dataset.GaussianClusters(600, 4, 300, dataset.World, 202)
@@ -87,31 +157,42 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			for _, alg := range allAlgorithms() {
 				for _, buffer := range []int{150, 800} {
-					seq, par := runBoth(t, alg, sc.spec, robjs, sobjs, buffer, sc.bucket)
-					if !pairSetsEqual(seq.Pairs, par.Pairs) {
-						t.Fatalf("%s buffer=%d: parallel %d pairs, sequential %d",
-							alg.Name(), buffer, len(par.Pairs), len(seq.Pairs))
-					}
-					if len(seq.Objects) != len(par.Objects) {
-						t.Fatalf("%s buffer=%d: parallel %d objects, sequential %d",
-							alg.Name(), buffer, len(par.Objects), len(seq.Objects))
-					}
-					for i := range seq.Objects {
-						if seq.Objects[i].ID != par.Objects[i].ID {
-							t.Fatalf("%s buffer=%d: object %d differs", alg.Name(), buffer, i)
+					seq, seqLogs := sequential.run(t, alg, sc.spec, robjs, sobjs, buffer, sc.bucket)
+					for _, cfg := range []engineConfig{parallel4, rttBatched} {
+						got, logs := cfg.run(t, alg, sc.spec, robjs, sobjs, buffer, sc.bucket)
+						at := fmt.Sprintf("%s buffer=%d %s", alg.Name(), buffer, cfg.name)
+						if !pairSetsEqual(seq.Pairs, got.Pairs) {
+							t.Fatalf("%s: %d pairs, sequential %d", at, len(got.Pairs), len(seq.Pairs))
 						}
-					}
-					if seq.Stats.TotalBytes() != par.Stats.TotalBytes() {
-						t.Fatalf("%s buffer=%d: parallel metered %d bytes, sequential %d",
-							alg.Name(), buffer, par.Stats.TotalBytes(), seq.Stats.TotalBytes())
-					}
-					if seq.Stats.TotalQueries() != par.Stats.TotalQueries() {
-						t.Fatalf("%s buffer=%d: parallel %d queries, sequential %d",
-							alg.Name(), buffer, par.Stats.TotalQueries(), seq.Stats.TotalQueries())
-					}
-					if seq.Stats.AggQueries != par.Stats.AggQueries {
-						t.Fatalf("%s buffer=%d: parallel %d aggregate queries, sequential %d",
-							alg.Name(), buffer, par.Stats.AggQueries, seq.Stats.AggQueries)
+						if len(seq.Objects) != len(got.Objects) {
+							t.Fatalf("%s: %d objects, sequential %d", at, len(got.Objects), len(seq.Objects))
+						}
+						for i := range seq.Objects {
+							if seq.Objects[i].ID != got.Objects[i].ID {
+								t.Fatalf("%s: object %d differs", at, i)
+							}
+						}
+						for i, side := range []string{"R", "S"} {
+							if d := logs[i].diff(seqLogs[i]); d != "" {
+								t.Fatalf("%s: queries to %s differ from the sequential run's: %s", at, side, d)
+							}
+						}
+						a, b := seq.Stats, got.Stats
+						if a.AggQueries != b.AggQueries || a.HBSJ != b.HBSJ || a.NLSJ != b.NLSJ ||
+							a.Repartitions != b.Repartitions || a.Pruned != b.Pruned {
+							t.Fatalf("%s: decisions agg/hbsj/nlsj/repart/pruned %d/%d/%d/%d/%d, sequential %d/%d/%d/%d/%d", at,
+								b.AggQueries, b.HBSJ, b.NLSJ, b.Repartitions, b.Pruned,
+								a.AggQueries, a.HBSJ, a.NLSJ, a.Repartitions, a.Pruned)
+						}
+						if cfg.batch > 1 {
+							continue // same queries, other frames: the meters count frames
+						}
+						if a.TotalQueries() != b.TotalQueries() {
+							t.Fatalf("%s: %d query frames, sequential %d", at, b.TotalQueries(), a.TotalQueries())
+						}
+						if a.TotalBytes() != b.TotalBytes() {
+							t.Fatalf("%s: metered %d bytes, sequential %d", at, b.TotalBytes(), a.TotalBytes())
+						}
 					}
 				}
 			}
@@ -228,38 +309,49 @@ func TestWindowRandDeterministic(t *testing.T) {
 	}
 }
 
-// TestFanoutBounded checks the pool never runs more than Parallelism
-// tasks at once and degrades to pure sequential order when nil. Each
-// task dwells briefly so overlap actually occurs: the bound must be hit
-// (proving concurrency happens) but never exceeded.
+// TestFanoutBounded checks that the pool never has more tasks live than
+// it has places — and does get that many live — at the size every
+// zero-RTT run keeps (Parallelism) and at the wide one (Parallelism ×
+// BatchSize), and that a nil gate degrades to pure sequential order. A
+// task stays live until the pool has filled, so the bound is provably
+// reached: a pool that stopped short of it would leave every live task
+// waiting.
 func TestFanoutBounded(t *testing.T) {
-	x := newTestExec(newGate(3))
-	var (
-		mu      sync.Mutex
-		active  int
-		maxSeen int
-	)
-	err := x.fanout(64, func(int) error {
-		mu.Lock()
-		active++
-		if active > maxSeen {
-			maxSeen = active
+	for _, live := range []int{3, 3 * 16} {
+		x := newTestExec(newGate(3, live))
+		var (
+			mu      sync.Mutex
+			active  int
+			maxSeen int
+			filled  bool
+			full    = make(chan struct{})
+		)
+		timeout := time.After(10 * time.Second)
+		err := x.fanout(16*live, func(int) error {
+			mu.Lock()
+			active++
+			maxSeen = max(maxSeen, active)
+			if active == live && !filled {
+				filled = true
+				close(full)
+			}
+			mu.Unlock()
+			select {
+			case <-full:
+			case <-timeout:
+				return fmt.Errorf("pool of %d never had %d tasks live", live, live)
+			}
+			mu.Lock()
+			active--
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		mu.Unlock()
-		time.Sleep(time.Millisecond)
-		mu.Lock()
-		active--
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxSeen > 3 {
-		t.Fatalf("pool of 3 ran %d tasks at once", maxSeen)
-	}
-	if maxSeen < 3 {
-		t.Fatalf("pool of 3 never reached 3 concurrent tasks (max %d); no overlap happened", maxSeen)
+		if maxSeen != live {
+			t.Fatalf("pool of %d had %d tasks live at once", live, maxSeen)
+		}
 	}
 
 	var order []int
@@ -299,18 +391,23 @@ func TestFanoutStopsLaunchingAfterError(t *testing.T) {
 		t.Fatalf("sequential fanout ran %d tasks after failure at index 2", seqRuns)
 	}
 
-	// Parallel: every task fails instantly; after the first recorded
-	// failure the launch loop must break, so far fewer than n start.
-	x := newTestExec(newGate(3))
-	var launched atomic.Int64
-	err := x.fanout(1000, func(int) error {
-		launched.Add(1)
-		return boom
-	})
-	if err != boom {
-		t.Fatalf("parallel fanout error = %v, want boom", err)
-	}
-	if n := launched.Load(); n >= 1000 {
-		t.Fatalf("parallel fanout launched all %d tasks despite immediate failures", n)
+	// Parallel, either pool size: every task fails instantly; after the
+	// first recorded failure the launch loop must break, so far fewer than
+	// n start — and none outlives the call.
+	for _, live := range []int{3, 3 * 16} {
+		baseline := runtime.NumGoroutine()
+		x := newTestExec(newGate(3, live))
+		var launched atomic.Int64
+		err := x.fanout(1000, func(int) error {
+			launched.Add(1)
+			return boom
+		})
+		if err != boom {
+			t.Fatalf("pool of %d: fanout error = %v, want boom", live, err)
+		}
+		if n := launched.Load(); n >= 1000 {
+			t.Fatalf("pool of %d: fanout launched all %d tasks despite immediate failures", live, n)
+		}
+		waitGoroutines(t, baseline)
 	}
 }

@@ -67,8 +67,20 @@ func (x *exec) doHBSJ(w geom.Rect, nr, ns cnt, depth int) error {
 	if x.observing() {
 		x.emit(PhaseTransfer, "transfer/hbsj", w, nr.n, ns.n, x.bytesModel().C1(x.modelStats(w, nr, ns)), "")
 	}
+	return x.downloadJoin(w)
+}
+
+// downloadJoin is the HBSJ leaf: download both sides' windows of w,
+// overlapped, and join them on the device. The partition holds a transfer
+// slot from before the first download until the join has consumed the
+// objects.
+func (x *exec) downloadJoin(w geom.Rect) error {
+	if err := x.acquire(); err != nil {
+		return err
+	}
+	defer x.release()
 	var robjs, sobjs []geom.Object
-	err = x.both(
+	err := x.both(
 		func() error {
 			var err error
 			robjs, err = x.env.R.Window(x.ctx, x.fetchWindow(sideR, w))
@@ -118,12 +130,16 @@ func (x *exec) doNLSJ(w geom.Rect, outer side, nr, ns cnt) error {
 	if done || err != nil {
 		return err
 	}
+	defer x.release()
 	return x.nlsjProbePhase(w, outer, outerObjs)
 }
 
 // nlsjOuterPhase is NLSJ's first phase: confirm the counts, prune empty
 // windows, and download the outer relation's window. done reports that
-// the window needs no probe phase (pruned or empty download).
+// the window needs no probe phase (pruned or empty download). Unless done,
+// it returns holding the transfer slot it took before the download: the
+// caller releases it after its last use of the outer objects. The probe
+// phase's chunks run under that slot and take none of their own.
 func (x *exec) nlsjOuterPhase(w geom.Rect, outer side, nr, ns cnt) (outerObjs []geom.Object, done bool, err error) {
 	if nr, ns, err = x.ensureExactBoth(w, nr, ns); err != nil {
 		return nil, true, err
@@ -134,8 +150,12 @@ func (x *exec) nlsjOuterPhase(w geom.Rect, outer side, nr, ns cnt) (outerObjs []
 	}
 	x.dec.nlsj.Add(1)
 
+	if err = x.acquire(); err != nil {
+		return nil, true, err
+	}
 	outerObjs, err = x.remote(outer).Window(x.ctx, x.fetchWindow(outer, w))
 	if err != nil {
+		x.release()
 		return nil, true, err
 	}
 	if x.observing() {
@@ -143,7 +163,11 @@ func (x *exec) nlsjOuterPhase(w geom.Rect, outer side, nr, ns cnt) (outerObjs []
 		x.emit(PhaseTransfer, "transfer/nlsj-outer", w, nr.n, ns.n,
 			p.QueryBytes()+p.TB(len(outerObjs)*p.BObj), "outer window downloaded")
 	}
-	return outerObjs, len(outerObjs) == 0, nil
+	if len(outerObjs) == 0 {
+		x.release()
+		return nil, true, nil
+	}
+	return outerObjs, false, nil
 }
 
 // nlsjProbePhase is NLSJ's second phase: probe the inner server with the

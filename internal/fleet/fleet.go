@@ -45,13 +45,17 @@ type Config struct {
 	PublishIndexes bool
 	// Seed drives algorithm-internal randomness.
 	Seed int64
-	// Parallelism bounds the number of concurrently in-flight operations
-	// per run. 0 or 1 reproduces the paper's single-threaded device;
-	// higher values enable the concurrent execution engine (parallel
-	// dual-server probing, a worker pool over sibling partitions, and
-	// download/join pipelining). Results and metered byte counts are
-	// identical to the sequential run; only wall-clock time changes. The
-	// in-process servers are given one worker goroutine per unit of
+	// Parallelism switches on the concurrent execution engine. 0 or 1
+	// reproduces the paper's single-threaded device; higher values enable
+	// parallel dual-server probing, a bounded pool of live sibling
+	// partitions, and download/join pipelining. Results and (unbatched)
+	// metered byte counts are identical to the sequential run; only
+	// wall-clock time changes. It bounds what costs device memory: at most
+	// Parallelism partitions hold downloaded objects at once. COUNT
+	// statistics in flight are bounded by each link's batcher window, and
+	// the number of live partitions by core's pool rule (see
+	// core.Env.Parallelism). The in-process servers are given one worker
+	// goroutine, and each TCP link one pooled connection, per unit of
 	// parallelism.
 	Parallelism int
 	// BatchSize, when > 1, multiplexes independent probes into MsgBatch

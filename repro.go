@@ -24,9 +24,12 @@
 //
 // Setting SessionConfig.Parallelism > 1 enables the concurrent execution
 // engine: independent requests to the two servers overlap, sibling
-// partitions run on a worker pool, and downloads pipeline with device-side
-// joins — with bit-identical results and byte accounting (see
-// docs/ARCHITECTURE.md).
+// partitions run as live subproblems on a bounded pool, and downloads
+// pipeline with device-side joins — with bit-identical results and byte
+// accounting. Parallelism is how many partitions may hold downloaded
+// objects at once; statistics in flight are bounded by each link's
+// batcher window, live partitions by the engine's pool rule (see
+// docs/ARCHITECTURE.md, "What is bounded, and by what").
 //
 // See README.md for a tour and docs/ARCHITECTURE.md for the layer stack
 // and the concurrency model.

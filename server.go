@@ -113,7 +113,11 @@ type tenantState struct {
 }
 
 // NewServer assembles the shared fleet and one environment per tenant.
-func NewServer(cfg ServerConfig) (*Server, error) {
+func NewServer(cfg ServerConfig) (*Server, error) { return newServer(cfg, nil) }
+
+// newServer is NewServer with fleet.Serve's transport hook, for tests
+// that watch the links.
+func newServer(cfg ServerConfig, wrap fleet.Wrap) (*Server, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, fmt.Errorf("repro: server needs at least one tenant")
 	}
@@ -128,7 +132,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			ledger.SetQuota(id, tc.ByteQuota)
 		}
 	}
-	f, err := fleet.Serve(cfg.Fleet, nil, client.WithLedger(ledger), client.WithScheduler(sched))
+	f, err := fleet.Serve(cfg.Fleet, wrap, client.WithLedger(ledger), client.WithScheduler(sched))
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}
@@ -241,7 +245,10 @@ func (s *Server) Run(ctx context.Context, id TenantID, alg Algorithm, spec Spec)
 		st.prepared = true
 	}
 	st.prepMu.Unlock()
-	return alg.Run(ctx, st.env, spec)
+	// One tenant context for the whole run: the batcher compares contexts
+	// by identity, and sends an envelope on its waiter's stack only when
+	// every probe aboard shares the waiter's (see tenantProbe.stamp).
+	return alg.Run(netsim.WithTenant(ctx, id), st.env, spec)
 }
 
 // Env exposes a tenant's environment for advanced use (custom
@@ -290,12 +297,23 @@ func newTenantProbe(p fleet.Endpoint, id netsim.TenantID) *tenantProbe {
 
 func (t *tenantProbe) Name() string { return t.p.Name() }
 
+// stamp returns ctx carrying the probe's tenant: the context Server.Run
+// stamped as it is (a fresh WithTenant per submission would give every
+// probe group of a run a context of its own), any other — a Server.Env
+// caller running an algorithm itself — stamped here.
+func (t *tenantProbe) stamp(ctx context.Context) context.Context {
+	if netsim.TenantOf(ctx) == t.id {
+		return ctx
+	}
+	return netsim.WithTenant(ctx, t.id)
+}
+
 func (t *tenantProbe) Do(ctx context.Context, req []byte) ([]byte, error) {
-	return t.p.Do(netsim.WithTenant(ctx, t.id), req)
+	return t.p.Do(t.stamp(ctx), req)
 }
 
 func (t *tenantProbe) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
-	return t.p.GoBatch(netsim.WithTenant(ctx, t.id), reqs)
+	return t.p.GoBatch(t.stamp(ctx), reqs)
 }
 
 func (t *tenantProbe) Usage() netsim.Usage {

@@ -1,15 +1,21 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bufpool"
+	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/netsim"
 	"repro/internal/testenv"
+	"repro/internal/wire"
 )
 
 func newTestServer(t *testing.T, cfg ServerConfig) *Server {
@@ -427,3 +433,96 @@ func TestOneTenantServerFramesLikeSession(t *testing.T) {
 		}
 	}
 }
+
+// twoGroups is an algorithm of two probe groups: it submits both to R
+// before waiting for either, so on an idle link they leave in one
+// envelope — sent by the wait on the first call.
+type twoGroups struct{ w Rect }
+
+func (twoGroups) Name() string { return "twoGroups" }
+
+func (a twoGroups) Run(ctx context.Context, env *Env, _ Spec) (*Result, error) {
+	group := func() []*client.Call {
+		return env.R.GoBatch(ctx, [][]byte{wire.AppendCount(bufpool.Get(), a.w), wire.AppendCount(bufpool.Get(), a.w)})
+	}
+	for _, c := range append(group(), group()...) {
+		if _, err := c.Count(); err != nil {
+			return nil, err
+		}
+	}
+	return &Result{}, nil
+}
+
+// TestServerRunGroupsShareWaiterDispatch is the regression test for the
+// per-submission tenant stamp: tenantProbe used to derive a fresh
+// WithTenant context for every GoBatch, the batcher compares contexts by
+// identity, and so an envelope coalescing two groups of one tenant's run
+// was handed to a spawned dispatcher. Server.Run stamps once; the
+// envelope leaves on the stack of the goroutine that waits for it.
+func TestServerRunGroupsShareWaiterDispatch(t *testing.T) {
+	r := Uniform(50, World, 31)
+	var (
+		mu       sync.Mutex
+		subs     []int  // sub-requests per R envelope
+		onWaiter []bool // whether it was sent below this test function
+	)
+	watch := func(name string, rt netsim.RoundTripper) netsim.RoundTripper {
+		if name != "R" {
+			return rt
+		}
+		return rtFunc(func(ctx context.Context, req []byte) ([]byte, error) {
+			if wire.Type(req) == wire.MsgBatch {
+				frames, err := wire.DecodeBatch(req, wire.MsgBatch)
+				if err != nil {
+					t.Error(err)
+				}
+				stack := make([]byte, 1<<16)
+				stack = stack[:runtime.Stack(stack, false)]
+				mu.Lock()
+				subs = append(subs, len(frames))
+				onWaiter = append(onWaiter, bytes.Contains(stack, []byte(t.Name()+"(")))
+				mu.Unlock()
+			}
+			return rt.RoundTrip(ctx, req)
+		})
+	}
+	srv, err := newServer(ServerConfig{
+		Fleet:   SessionConfig{R: r, S: r, Buffer: 400},
+		Tenants: map[TenantID]TenantConfig{"alice": {}},
+	}, watch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	if _, err := srv.Run(context.Background(), "alice", twoGroups{w: World}, Spec{Kind: Distance, Eps: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if len(subs) != 1 || subs[0] != 4 {
+		t.Fatalf("R envelopes carried %v sub-requests, want one envelope of both groups' 4", subs)
+	}
+	if !onWaiter[0] {
+		t.Error("an envelope of one run's two groups was handed to a spawned dispatcher, not sent by its waiter")
+	}
+
+	// A Server.Env caller runs the algorithm itself, under a context
+	// nobody stamped: the probe still attributes every frame to its tenant.
+	env, err := srv.Env("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := srv.TenantUsage("alice")
+	if _, err := (twoGroups{w: World}).Run(context.Background(), env, Spec{}); err != nil {
+		t.Fatal(err)
+	}
+	after, _ := srv.TenantUsage("alice")
+	if after.Messages != before.Messages+2 {
+		t.Errorf("unstamped run: tenant's R messages %d -> %d, want one more envelope and its reply attributed", before.Messages, after.Messages)
+	}
+}
+
+// rtFunc adapts a function to a netsim.RoundTripper that closes nothing.
+type rtFunc func(ctx context.Context, req []byte) ([]byte, error)
+
+func (f rtFunc) RoundTrip(ctx context.Context, req []byte) ([]byte, error) { return f(ctx, req) }
+func (rtFunc) Close() error                                                { return nil }
