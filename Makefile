@@ -59,12 +59,12 @@ bench-compare:
 	  status=$$?; rm -f bench.cmp.json; exit $$status
 
 # fuzz runs every fuzz target briefly — the hardening pass CI runs on
-# each push over the two surfaces that parse bytes from outside: the wire
-# codec with the server handler, and the daemon's JSON-lines protocol in
-# the root package. Longer local campaigns: go test -fuzz <Target>
-# -fuzztime 5m.
+# each push over the surfaces that parse bytes from outside: the wire
+# codec with the server handler, the TCP serving loop's frame stream, and
+# the daemon's JSON-lines protocol in the root package. Longer local
+# campaigns: go test -fuzz <Target> -fuzztime 5m.
 fuzz:
-	@for pkg in ./internal/wire ./internal/server .; do \
+	@for pkg in ./internal/wire ./internal/server ./internal/netsim .; do \
 	  for f in $$($(GO) test -list 'Fuzz.*' $$pkg | grep '^Fuzz'); do \
 	    echo "== $$pkg $$f"; \
 	    $(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s $$pkg || exit 1; \
@@ -118,8 +118,9 @@ vet:
 # lint-seams needs no tool: no probe waits on a clock (the batcher owns no
 # timer and never sleeps), the engine sizes its pools from configuration
 # and never from a clock (parallel.go does not so much as import time),
-# and no probe-stack seam grows a Flush back — a queued probe is sent by
-# whoever waits for it.
+# no probe-stack seam grows a Flush back — a queued probe is sent by
+# whoever waits for it — and an unbatched GoBatch spawns nothing: its
+# group (group.go) runs on its waiter's stack.
 lint-seams:
 	@if grep -nE 'time\.(AfterFunc|NewTimer|Sleep)' internal/client/batch.go; then \
 	  echo "lint: internal/client/batch.go must not wait on a clock"; exit 1; fi
@@ -128,6 +129,9 @@ lint-seams:
 	@if sed -n '/^type Probe interface/,/^}/p' internal/core/env.go | grep -n 'Flush()' || \
 	    sed -n '/^type Endpoint interface/,/^}/p' internal/shard/router.go | grep -n 'Flush()'; then \
 	  echo "lint: core.Probe and shard.Endpoint have no Flush"; exit 1; fi
+	@if sed -n '/^func (r \*Remote) GoBatch/,/^}/p' internal/client/batch.go | grep -nE '^[[:space:]]*go ' || \
+	    grep -nE '^[[:space:]]*go ' internal/client/group.go; then \
+	  echo "lint: Remote.GoBatch and the unbatched group spawn no goroutine"; exit 1; fi
 
 # lint runs the static analyzers CI enforces (staticcheck, govulncheck).
 # Locally the tools may be absent — this target never installs anything;

@@ -91,6 +91,7 @@ type Call struct {
 	b              *batcher
 	queued, parked bool
 	eval           func() ([]byte, error) // set on a lazy call until evaluated
+	g              *group                 // set on a call of an unbatched group
 }
 
 // NewDetachedCall returns a Call bound to no Remote: an aggregator that
@@ -142,6 +143,8 @@ func (c *Call) frame() ([]byte, error) {
 		eval := c.eval
 		c.eval = nil
 		c.resp, c.err = eval()
+	} else if c.g != nil {
+		c.g.once.Do(c.g.run)
 	} else if c.done != nil {
 		if c.b != nil {
 			c.b.drive(c)
@@ -185,6 +188,10 @@ func (c *Call) Start() {
 		eval := c.eval
 		c.eval, c.done = nil, make(chan struct{})
 		go func() { c.complete(eval()) }()
+	case c.g != nil:
+		if !c.g.started.Swap(true) {
+			go c.g.once.Do(c.g.run)
+		}
 	case c.b != nil:
 		go c.b.drive(c)
 	}
@@ -702,31 +709,28 @@ func (r *Remote) BatchFrames() int64 {
 }
 
 // GoBatch submits pre-encoded request frames (ownership of each buffer
-// passes to the client) and returns one Call per request. The requests
-// are enqueued atomically under one lock acquisition: concurrent
-// submitters never interleave *within* one GoBatch's requests, though
-// stragglers already queued may share its frames. Requests below the
-// size trigger stay queued until the queue fills or the first goroutine
-// to wait on one of the queued Calls sends them.
+// passes to the client; the reqs slice itself stays the caller's) and
+// returns one Call per request. The requests are enqueued atomically
+// under one lock acquisition: concurrent submitters never interleave
+// *within* one GoBatch's requests, though stragglers already queued may
+// share its frames. Requests below the size trigger stay queued until the
+// queue fills or the first goroutine to wait on one of the queued Calls
+// sends them.
 //
-// With batching disabled each request is dispatched immediately as its
-// own concurrent round trip, so callers need not special-case the
-// configuration.
+// With batching disabled the requests form one group (see group.go) that
+// travels as the same bare frames the typed calls send, in the same
+// order: nothing is spawned and nothing is sent at submission — the
+// first goroutine to wait on any of the Calls sends the whole group on
+// its own stack, a chunk of requests at a time, each chunk's replies
+// awaited before the next chunk leaves. Callers need not special-case
+// the configuration.
 func (r *Remote) GoBatch(ctx context.Context, reqs [][]byte) []*Call {
+	if r.b == nil {
+		return r.group(ctx, reqs)
+	}
 	calls := make([]*Call, len(reqs))
 	for i, req := range reqs {
 		calls[i] = &Call{name: r.name, ctx: ctx, req: req, done: make(chan struct{}), b: r.b}
-	}
-	if r.b == nil {
-		for _, c := range calls {
-			c := c
-			go func() {
-				resp, err := r.Do(c.ctx, c.req)
-				c.req = nil
-				c.complete(resp, err)
-			}()
-		}
-		return calls
 	}
 	r.b.enqueue(calls)
 	return calls

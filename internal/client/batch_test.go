@@ -279,7 +279,9 @@ func TestBatchTransportFaultRetriesWholeEnvelope(t *testing.T) {
 }
 
 // TestGoBatchWithoutBatcher: a remote without WithBatch still serves
-// GoBatch (each request as its own concurrent round trip).
+// GoBatch — each request as its own bare frame, in submission order, sent
+// by whoever first waits on one of the calls (see group_test.go for the
+// pipelined crossing of a real connection).
 func TestGoBatchWithoutBatcher(t *testing.T) {
 	objs := dataset.Uniform(20, dataset.World, 11)
 	tr := netsim.ServeParallel(server.New("B", objs), 2)

@@ -124,9 +124,12 @@ type Remote struct {
 	lat      *LatencyTracker
 	stats    *netsim.LinkStats
 	batchCfg BatchConfig
-	b        *batcher       // nil when batching is disabled
-	ledger   *netsim.Ledger // nil unless WithLedger armed quotas
-	sched    *Scheduler     // nil unless WithScheduler armed lanes
+	b        *batcher // nil when batching is disabled
+	// pipelined records that the transport is a netsim.Pipeliner: an
+	// unbatched probe group then crosses it in chunks (see group.go).
+	pipelined bool
+	ledger    *netsim.Ledger // nil unless WithLedger armed quotas
+	sched     *Scheduler     // nil unless WithScheduler armed lanes
 }
 
 // NewRemote wraps a transport to server name, metering all traffic with
@@ -141,6 +144,7 @@ func NewRemote(name string, rt netsim.RoundTripper, link netsim.LinkConfig, pric
 	r := &Remote{name: name, conn: conn, m: m,
 		lat: NewLatencyTracker(0), stats: &netsim.LinkStats{}}
 	r.Typed = NewTyped(r)
+	_, r.pipelined = rt.(netsim.Pipeliner)
 	conn.SetStats(r.stats)
 	for _, o := range opts {
 		o(r)
@@ -211,6 +215,19 @@ func retryable(err error) bool {
 	return !errors.Is(err, netsim.ErrClosed)
 }
 
+// admit is the quota gate: a tenant over its fleet-wide byte budget is
+// rejected before any bytes are committed to the link.
+func (r *Remote) admit(ctx context.Context) error {
+	if r.ledger != nil {
+		if id := netsim.TenantOf(ctx); id != "" {
+			if qerr := r.ledger.Check(id); qerr != nil {
+				return fmt.Errorf("%s: %w", r.name, qerr)
+			}
+		}
+	}
+	return nil
+}
+
 // Do is the seam call (see Doer): it sends a pooled request frame and
 // returns the response frame, re-issuing the request per the retry policy
 // on transient transport failures. Ownership of the request buffer ends
@@ -231,16 +248,10 @@ func retryable(err error) bool {
 // aliasing guard makes sure the shared backing is then released exactly
 // once (as the response), never double-Put.
 func (r *Remote) Do(ctx context.Context, req []byte) ([]byte, error) {
-	if r.ledger != nil {
-		// Quota admission: a tenant over its fleet-wide byte budget is
-		// rejected before any bytes are committed to the link. The frame
-		// was never sent, so it goes straight back to the pool.
-		if id := netsim.TenantOf(ctx); id != "" {
-			if qerr := r.ledger.Check(id); qerr != nil {
-				bufpool.Put(req)
-				return nil, fmt.Errorf("%s: %w", r.name, qerr)
-			}
-		}
+	if err := r.admit(ctx); err != nil {
+		// The frame was never sent, so it goes straight back to the pool.
+		bufpool.Put(req)
+		return nil, err
 	}
 	if r.retry.Budget > 0 {
 		// One deadline for the whole attempt loop: retries and backoffs
@@ -249,14 +260,24 @@ func (r *Remote) Do(ctx context.Context, req []byte) ([]byte, error) {
 		ctx, cancel = context.WithTimeout(ctx, r.retry.Budget)
 		defer cancel()
 	}
+	return r.attempts(ctx, req, 0, nil, false)
+}
+
+// attempts is Do's attempt loop from attempt number try on. Do enters at
+// 0; a pipelined chunk that failed was attempt 0 of every request it left
+// unanswered, so those enter at 1 with the chunk's error as last — and
+// are re-issued, or fail, exactly as if Do had made that attempt.
+// retained reports whether an earlier attempt may still reference req.
+func (r *Remote) attempts(ctx context.Context, req []byte, try int, last error, retained bool) ([]byte, error) {
 	attempts := r.retry.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
 	}
-	var last error
-	retained := false // some attempt may still reference req server-side
-	for try := 0; try < attempts; try++ {
+	for ; try < attempts; try++ {
 		if try > 0 {
+			if ctx.Err() != nil || !retryable(last) {
+				break
+			}
 			r.retries.Add(1)
 			shift := try - 1
 			if shift > 10 {
@@ -303,9 +324,6 @@ func (r *Remote) Do(ctx context.Context, req []byte) ([]byte, error) {
 		last = err
 		if errors.Is(err, netsim.ErrFrameRetained) {
 			retained = true
-		}
-		if ctx.Err() != nil || !retryable(err) {
-			break
 		}
 	}
 	if !retained {

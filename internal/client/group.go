@@ -1,0 +1,125 @@
+package client
+
+import (
+	"context"
+	"errors"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/bufpool"
+	"repro/internal/netsim"
+)
+
+// group is one GoBatch submission on a remote that does not batch: n
+// independent requests bound for one link. It runs once, on the stack of
+// the first goroutine that waits for any of its calls, and every request
+// stays what a typed call would have sent — its own bare frame, metered
+// on its own, in submission order. What a group shares is the waiting:
+// on a transport that is a netsim.Pipeliner a chunk of requests
+// (netsim.PipelineChunk) is written back to back and its replies are
+// read in order, so n probes cost about n/depth client wake-ups and
+// writes instead of n. Elsewhere — and under a retry policy that times
+// each request (PerTryTimeout, Budget) — the group is Do per request, in
+// order.
+type group struct {
+	r       *Remote
+	ctx     context.Context
+	calls   []Call
+	frames  [][]byte // request and reply frames of a pipelined run, len(calls) each
+	once    sync.Once
+	started atomic.Bool // a Call.Start has put the run on a goroutine
+}
+
+// smallGroup is a group of at most smallCalls requests with everything
+// its submission and its run need in one allocation: the sequential
+// engine submits a quadrant group of three or four COUNTs per split.
+type smallGroup struct {
+	group
+	calls  [smallCalls]Call
+	ptrs   [smallCalls]*Call
+	frames [2 * smallCalls][]byte
+}
+
+const smallCalls = 4
+
+// group returns the calls of reqs submitted as one group on r, in request
+// order. The frames move into the calls; reqs itself is not kept.
+func (r *Remote) group(ctx context.Context, reqs [][]byte) []*Call {
+	var g *group
+	var calls []*Call
+	if n := len(reqs); n <= smallCalls {
+		s := new(smallGroup)
+		g, calls = &s.group, s.ptrs[:n]
+		g.calls, g.frames = s.calls[:n], s.frames[:2*n]
+	} else {
+		g, calls = new(group), make([]*Call, n)
+		g.calls = make([]Call, n)
+	}
+	g.r, g.ctx = r, ctx
+	for i, req := range reqs {
+		c := &g.calls[i]
+		c.name, c.req, c.g = r.name, req, g
+		calls[i] = c
+	}
+	return calls
+}
+
+// run answers every call of the group, leaving each call's reply frame
+// or error in the call itself.
+func (g *group) run() {
+	r, n := g.r, len(g.calls)
+	if n == 1 || !r.pipelined || r.retry.PerTryTimeout > 0 || r.retry.Budget > 0 {
+		for i := range g.calls {
+			c := &g.calls[i]
+			c.resp, c.err = r.Do(g.ctx, c.req)
+			c.req = nil
+		}
+		return
+	}
+	if g.frames == nil {
+		g.frames = make([][]byte, 2*n)
+	}
+	reqs, resps := g.frames[:n], g.frames[n:]
+	for i := range g.calls {
+		reqs[i], g.calls[i].req = g.calls[i].req, nil
+	}
+	for lo := 0; lo < n; {
+		hi := lo + netsim.PipelineChunk(reqs[lo:])
+		r.pipeline(g.ctx, g.calls[lo:hi], reqs[lo:hi], resps[lo:hi])
+		lo = hi
+	}
+}
+
+// pipeline sends one chunk as one pipelined attempt, guarding what Do
+// guards: the quota gate closes before any frame of the chunk is
+// charged, each request frame is recycled exactly once (or left to the
+// collector under netsim.ErrFrameRetained), and a MsgError reply fails
+// its own call alone (Call.frame converts it). A failed attempt was
+// attempt 0 of every request it left unanswered: each goes on through
+// Do's attempt loop under the remote's RetryPolicy.
+func (r *Remote) pipeline(ctx context.Context, calls []Call, reqs, resps [][]byte) {
+	if err := r.admit(ctx); err != nil {
+		for i := range calls {
+			bufpool.Put(reqs[i])
+			calls[i].err = err
+		}
+		return
+	}
+	t0 := time.Now()
+	answered, err := netsim.Pipeline(ctx, r.conn, reqs, resps)
+	for i, resp := range resps[:answered] {
+		if !bufpool.SameBacking(reqs[i], resp) {
+			bufpool.Put(reqs[i])
+		}
+		calls[i].resp = resp
+	}
+	if err == nil {
+		r.lat.Add(time.Since(t0))
+		return
+	}
+	retained := errors.Is(err, netsim.ErrFrameRetained)
+	for i := answered; i < len(calls); i++ {
+		calls[i].resp, calls[i].err = r.attempts(ctx, reqs[i], 1, err, retained)
+	}
+}

@@ -57,10 +57,12 @@ type Probe interface {
 	// its dataset and returns pairs with the uploaded ID first (SemiJoin
 	// only).
 	UploadJoin(ctx context.Context, objs []geom.Object, eps float64) ([]geom.Pair, error)
-	// GoBatch submits pre-encoded request frames for multiplexed delivery
-	// (consuming reqs, slice and frames) and returns one Call future per
-	// request; waiting on a Call is what sends it. See
-	// client.Remote.GoBatch.
+	// GoBatch submits pre-encoded request frames as one group — multiplexed
+	// on a batching link, the same bare frames in order elsewhere — and
+	// returns one Call future per request; waiting on a Call is what sends
+	// it. The frames are consumed; the reqs slice may be overwritten
+	// during the call but is not kept, so it is the caller's again on
+	// return. See client.Remote.GoBatch.
 	GoBatch(ctx context.Context, reqs [][]byte) []*client.Call
 	// Usage returns the endpoint's accumulated metered traffic (summed
 	// over shard links for a router).
@@ -94,8 +96,10 @@ type Env struct {
 	Seed int64
 	// Parallelism switches on the concurrent execution engine and is the
 	// number of partitions that may hold downloaded objects at once. 0 or
-	// 1 reproduces the paper's single-threaded PDA: every round trip
-	// strictly sequential. Higher values let independent R-side and S-side
+	// 1 reproduces the paper's single-threaded PDA: one thread, one probe
+	// group at a time, its requests on each link in a fixed order — a
+	// group's replies awaited together, a chunk at a time, where the link
+	// can pipeline. Higher values let independent R-side and S-side
 	// requests issue in parallel, sibling partitions run as live
 	// subproblems on a bounded pool, and partition downloads overlap
 	// device-side joins — while issuing exactly the same set of requests,

@@ -39,6 +39,8 @@ type exec struct {
 	pred memjoin.Pred
 	dec  decisions
 	par  *gate // nil = sequential execution
+	// reqs is the sequential engine's submission scratch (see frames).
+	reqs [][]byte
 	// alg is the running algorithm's name, stamped on phase events.
 	alg string
 	// r0 and s0 are the meter snapshots taken when the run began (after
@@ -228,14 +230,16 @@ func (x *exec) batching() bool { return x.env.BatchSize > 1 }
 
 // countRemote issues a handful of COUNTs — a lone query, a quadrant
 // group — on the caller's goroutine, one per already-fetch-expanded
-// window, filling ns in window order. Unbatched, each is a typed call in
-// its own frame. Batched, the group is one submission to the link's
-// batcher, sent the moment this goroutine waits for it: alone on an idle
-// link, sharing an envelope with the counts of concurrent sibling
-// partitions on a busy one.
+// window, filling ns in window order. A lone unbatched COUNT, and every
+// unbatched COUNT of the parallel engine, is a typed call in its own
+// frame. Anything else is one submission to the link, sent the moment
+// this goroutine waits for it: batched, alone on an idle link or sharing
+// an envelope with the counts of concurrent sibling partitions on a busy
+// one; unbatched (the sequential engine's quadrant group), the same bare
+// frames in the same order, their replies awaited together.
 func (x *exec) countRemote(d side, fws []geom.Rect, ns []int) error {
 	rem := x.remote(d)
-	if !x.batching() {
+	if !x.batching() && (x.par != nil || len(fws) == 1) {
 		for i, fw := range fws {
 			n, err := rem.Count(x.ctx, fw)
 			if err != nil {
@@ -245,19 +249,36 @@ func (x *exec) countRemote(d side, fws []geom.Rect, ns []int) error {
 		}
 		return nil
 	}
-	reqs := make([][]byte, len(fws))
+	reqs := x.frames(len(fws))
 	for i, fw := range fws {
 		reqs[i] = wire.AppendCount(bufpool.Get(), fw)
 	}
-	return collect(rem.GoBatch(x.ctx, reqs), (*client.Call).Count, func(i, n int) { ns[i] = n })
+	return collect(x, rem.GoBatch(x.ctx, reqs), (*client.Call).Count, func(i, n int) { ns[i] = n })
+}
+
+// frames returns the slice a submission of n request frames is built in.
+// GoBatch takes the frames and leaves the slice, so the sequential engine
+// — one goroutine, one submission at a time — builds every submission of
+// a run in the same one.
+func (x *exec) frames(n int) [][]byte {
+	if x.par != nil {
+		return make([][]byte, n)
+	}
+	if cap(x.reqs) < n {
+		x.reqs = make([][]byte, n)
+	}
+	return x.reqs[:n]
 }
 
 // collect consumes the calls of one submission, handing each decoded
 // reply to use, and returns the first error. decode runs for every call
 // even after one has failed: each Call must be drained by exactly one
-// accessor so its pooled reply frame is recycled. Work used after the
-// first error is discarded with the failed run.
-func collect[T any](calls []*client.Call, decode func(*client.Call) (T, error), use func(i int, v T)) error {
+// accessor so its pooled reply frame is recycled. The first error fails
+// the run at once, as the typed loop's early return did: calls not yet
+// sent — the rest of a lazily run group — then fail on the cancelled run
+// context instead of each spending its retries on a run that is lost.
+// Work used after the first error is discarded with the failed run.
+func collect[T any](x *exec, calls []*client.Call, decode func(*client.Call) (T, error), use func(i int, v T)) error {
 	var firstErr error
 	for i, c := range calls {
 		v, err := decode(c)
@@ -265,45 +286,58 @@ func collect[T any](calls []*client.Call, decode func(*client.Call) (T, error), 
 			use(i, v)
 		} else if firstErr == nil {
 			firstErr = err
+			x.fail(err)
 		}
 	}
 	return firstErr
 }
 
+// seqGroup bounds how many request frames the sequential engine encodes
+// ahead of an unbatched link: a probe group longer than this is submitted
+// that many at a time.
+const seqGroup = 128
+
 // probeGroup is the one probe-group primitive: n independent probes on
 // one remote, probe i yielding a T that use consumes, fanned out on the
-// live-partition pool. How the group is framed is decided here and nowhere else
-// (countRemote's inline COUNTs aside). Unbatched, probe i is the typed
-// call ask(i) in its own frame — the paper's framing. Batched, the same
-// probe set is chunked by BatchSize — the chunking fixed before any
-// request is issued, so sequential runs produce a deterministic frame
-// sequence — with each chunk submitted atomically (GoBatch) and
-// collected by the worker that submitted it, so a run has at most one
-// chunk per live task outstanding; how many envelopes those become is the
-// link window's business (client.BatchConfig.MaxInflight).
+// live-partition pool. How the group is framed is decided here and
+// nowhere else (countRemote's inline COUNTs aside). Unbatched, probe i
+// travels in its own frame — the paper's framing: on the parallel engine
+// as the typed call ask(i), each probe a task of the pool; on the
+// sequential engine as the same frames in the same order submitted as a
+// group (GoBatch), so the link may await their replies together
+// (client.Remote.GoBatch). Batched, the same probe set is chunked by
+// BatchSize — the chunking fixed before any request is issued, so
+// sequential runs produce a deterministic frame sequence — with each
+// chunk submitted atomically (GoBatch) and collected by the worker that
+// submitted it, so a run has at most one chunk per live task outstanding;
+// how many envelopes those become is the link window's business
+// (client.BatchConfig.MaxInflight).
 // encode builds the i-th request frame (into a pooled buffer whose
 // ownership passes to the client); decode is the Call accessor for the
 // reply.
 func probeGroup[T any](x *exec, rem Probe, n int,
 	ask func(i int) (T, error), encode func(i int) []byte,
 	decode func(*client.Call) (T, error), use func(i int, v T)) error {
-	if !x.batching() {
-		return x.fanout(n, func(i int) error {
-			v, err := ask(i)
-			if err == nil {
-				use(i, v)
-			}
-			return err
-		})
-	}
 	bs := x.env.BatchSize
+	if !x.batching() {
+		if x.par != nil {
+			return x.fanout(n, func(i int) error {
+				v, err := ask(i)
+				if err == nil {
+					use(i, v)
+				}
+				return err
+			})
+		}
+		bs = seqGroup
+	}
 	return x.fanout((n+bs-1)/bs, func(ci int) error {
 		start := ci * bs
-		reqs := make([][]byte, min(bs, n-start))
+		reqs := x.frames(min(bs, n-start))
 		for i := range reqs {
 			reqs[i] = encode(start + i)
 		}
-		return collect(rem.GoBatch(x.ctx, reqs), decode, func(i int, v T) { use(start+i, v) })
+		return collect(x, rem.GoBatch(x.ctx, reqs), decode, func(i int, v T) { use(start+i, v) })
 	})
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -48,21 +49,72 @@ func testEnvParallel(t *testing.T, robjs, sobjs []geom.Object, buffer, paralleli
 
 // requestLog records the multiset of queries one link carried, envelopes
 // unpacked: how they were framed is the batcher's business, which queries
-// were asked is the algorithm's.
+// were asked is the algorithm's. order is the same queries in the order
+// the link carried them — meaningful for a sequential run only. Embedding
+// the interface hides the transport's Pipeliner, so a sequential run over
+// a requestLog is the typed loop: one Do per probe, in order.
 type requestLog struct {
 	netsim.RoundTripper
-	t    *testing.T
-	mu   sync.Mutex
-	seen map[string]int
+	t     *testing.T
+	mu    sync.Mutex
+	seen  map[string]int
+	order []string
 }
 
 func (l *requestLog) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
 	l.mu.Lock()
 	for _, sub := range subRequests(l.t, req) {
 		l.seen[string(sub)]++
+		l.order = append(l.order, string(sub))
 	}
 	l.mu.Unlock()
 	return l.RoundTripper.RoundTrip(ctx, req)
+}
+
+// arrivalLog records, on the server's side of a real connection, the
+// requests in the order they arrived: what a link carried when the
+// client's transport is not ours to wrap (wrapping it would hide its
+// Pipeliner, the thing under test).
+type arrivalLog struct {
+	netsim.AppendHandler
+	mu    sync.Mutex
+	order []string
+}
+
+func (l *arrivalLog) HandleAppend(req, dst []byte) []byte {
+	l.mu.Lock()
+	l.order = append(l.order, string(req))
+	l.mu.Unlock()
+	return l.AppendHandler.HandleAppend(req, dst)
+}
+
+// runSequentialTCP is sequential.run on the paper's own topology: one
+// loopback TCP connection per server, over which the sequential engine's
+// probe groups travel pipelined. It returns what each server saw, in
+// arrival order.
+func runSequentialTCP(t *testing.T, alg Algorithm, spec Spec, robjs, sobjs []geom.Object, buffer int, bucket bool) (*Result, [2][]string) {
+	t.Helper()
+	logs := [2]*arrivalLog{{AppendHandler: server.New("R", robjs)}, {AppendHandler: server.New("S", sobjs)}}
+	var rts [2]netsim.RoundTripper
+	for i, l := range logs {
+		srv, err := netsim.ListenAndServe("127.0.0.1:0", l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		if rts[i], err = netsim.DialTCPPool(srv.Addr(), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env := envOver(t, rts[0], rts[1], buffer, 1, 0, 0, 0)
+	defer env.R.Close()
+	defer env.S.Close()
+	env.Model.Bucket, env.Seed = bucket, 3
+	res, err := alg.Run(context.Background(), env, spec)
+	if err != nil {
+		t.Fatalf("%s sequential over TCP: %v", alg.Name(), err)
+	}
+	return res, [2][]string{logs[0].order, logs[1].order}
 }
 
 // diff describes how the queries of l differ from those of want, by
@@ -135,9 +187,12 @@ func (c engineConfig) run(t *testing.T, alg Algorithm, spec Spec, robjs, sobjs [
 // asks — the same multiset on each link — takes the same decisions and
 // returns the same result, for every join kind and for bucket submission.
 // The unbatched parallel run also meters exactly the sequential frames
-// and bytes (a batched run frames the same queries differently). Run
-// under -race this also exercises the sink, ledger, and meter
-// synchronization.
+// and bytes (a batched run frames the same queries differently). The
+// sequential run itself is pinned across transports: over real TCP, where
+// its probe groups cross each connection pipelined, every link carries
+// the very sequence of frames the typed loop sends — not just the same
+// multiset — and meters the same bytes. Run under -race this also
+// exercises the sink, ledger, and meter synchronization.
 func TestParallelMatchesSequential(t *testing.T) {
 	robjs := dataset.GaussianClusters(600, 4, 300, dataset.World, 201)
 	sobjs := dataset.GaussianClusters(600, 4, 300, dataset.World, 202)
@@ -158,6 +213,20 @@ func TestParallelMatchesSequential(t *testing.T) {
 			for _, alg := range allAlgorithms() {
 				for _, buffer := range []int{150, 800} {
 					seq, seqLogs := sequential.run(t, alg, sc.spec, robjs, sobjs, buffer, sc.bucket)
+					tcp, tcpOrder := runSequentialTCP(t, alg, sc.spec, robjs, sobjs, buffer, sc.bucket)
+					if !pairSetsEqual(seq.Pairs, tcp.Pairs) || len(seq.Objects) != len(tcp.Objects) {
+						t.Fatalf("%s buffer=%d over TCP: %d pairs, %d objects; typed loop %d, %d", alg.Name(), buffer,
+							len(tcp.Pairs), len(tcp.Objects), len(seq.Pairs), len(seq.Objects))
+					}
+					for i, side := range []string{"R", "S"} {
+						if !slices.Equal(tcpOrder[i], seqLogs[i].order) {
+							t.Fatalf("%s buffer=%d over TCP: the %d frames %s received are not the typed loop's %d, in order",
+								alg.Name(), buffer, len(tcpOrder[i]), side, len(seqLogs[i].order))
+						}
+					}
+					if !reflect.DeepEqual(seq.Stats, tcp.Stats) {
+						t.Fatalf("%s buffer=%d over TCP: stats %+v, typed loop %+v", alg.Name(), buffer, tcp.Stats, seq.Stats)
+					}
 					for _, cfg := range []engineConfig{parallel4, rttBatched} {
 						got, logs := cfg.run(t, alg, sc.spec, robjs, sobjs, buffer, sc.bucket)
 						at := fmt.Sprintf("%s buffer=%d %s", alg.Name(), buffer, cfg.name)

@@ -288,8 +288,10 @@ func RetainFrame(err error) error { return retainedError{err: err} }
 // request frame, receive one response frame. Implementations must be safe
 // for concurrent round trips from multiple goroutines; the concurrent
 // executor keeps several requests in flight per server. (The sequential
-// executor, Parallelism ≤ 1, still issues strictly one round trip at a
-// time per server, as a single-threaded PDA does.)
+// executor, Parallelism ≤ 1, is one thread with one probe group at a time
+// per server, as a single-threaded PDA is: a group's requests go out in
+// order, and on a transport that is a Pipeliner a chunk of them is
+// written before its replies, in the same order, are awaited.)
 //
 // RoundTrip must honor ctx: when the context is canceled or its deadline
 // passes mid-flight, the call returns promptly with the context's error
@@ -299,6 +301,32 @@ func RetainFrame(err error) error { return retainedError{err: err} }
 type RoundTripper interface {
 	RoundTrip(ctx context.Context, req []byte) (resp []byte, err error)
 	Close() error
+}
+
+// Pipeliner is the optional capability of a RoundTripper whose peer
+// answers a connection strictly in order: a chunk of independent
+// requests is written before any reply is awaited, and resps[i] receives
+// request i's reply. The frames are the ones RoundTrip would carry; only
+// the waiting is shared. On failure the first answered replies stand
+// (the caller owns them) and every request from reqs[answered] on must
+// be assumed sent. Like RoundTrip, Pipeline honors ctx and discards a
+// connection it abandons. Chunks are cut with PipelineChunk.
+type Pipeliner interface {
+	Pipeline(ctx context.Context, reqs, resps [][]byte) (answered int, err error)
+}
+
+// Pipeline sends one chunk over rt: pipelined when rt is a Pipeliner,
+// otherwise one round trip after another, stopping at the first failure.
+func Pipeline(ctx context.Context, rt RoundTripper, reqs, resps [][]byte) (answered int, err error) {
+	if p, ok := rt.(Pipeliner); ok {
+		return p.Pipeline(ctx, reqs, resps)
+	}
+	for i, req := range reqs {
+		if resps[i], err = rt.RoundTrip(ctx, req); err != nil {
+			return i, err
+		}
+	}
+	return len(reqs), nil
 }
 
 // sleepCtx blocks for d or until ctx is done, whichever comes first.
@@ -360,6 +388,18 @@ func (c *Metered) SetStats(s *LinkStats) { c.stats = s }
 // Meter returns the meter charged by this connection.
 func (c *Metered) Meter() *Meter { return c.m }
 
+// charge books one frame: the link totals, the hedged column under a
+// WithHedged context, and the tenant columns (and ledger) in tenant mode.
+func (c *Metered) charge(ctx context.Context, payload int, dir Direction, hedged, tenanted bool) {
+	wire := c.m.Charge(payload, dir)
+	if hedged {
+		c.m.MarkHedged(wire)
+	}
+	if tenanted {
+		c.m.attribute(ctx, payload, wire, dir, hedged)
+	}
+}
+
 // RoundTrip implements RoundTripper. Every attempt that reaches this
 // wrapper charges its request frame to the meter, so when a caller
 // re-issues a query after a fault, the retransmission is accounted like
@@ -369,13 +409,7 @@ func (c *Metered) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
 	hedged := IsHedged(ctx)
 	tenanted := c.m.tenantMode.Load()
 	start := time.Now()
-	wire := c.m.Charge(len(req), Up)
-	if hedged {
-		c.m.MarkHedged(wire)
-	}
-	if tenanted {
-		c.m.attribute(ctx, len(req), wire, Up, hedged)
-	}
+	c.charge(ctx, len(req), Up, hedged, tenanted)
 	if rtt := c.m.link.RTT; rtt > 0 {
 		if err := sleepCtx(ctx, rtt); err != nil {
 			return nil, err
@@ -385,15 +419,35 @@ func (c *Metered) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	wire = c.m.Charge(len(resp), Down)
-	if hedged {
-		c.m.MarkHedged(wire)
-	}
-	if tenanted {
-		c.m.attribute(ctx, len(resp), wire, Down, hedged)
-	}
+	c.charge(ctx, len(resp), Down, hedged, tenanted)
 	c.stats.ObserveRTT(time.Since(start))
 	return resp, nil
+}
+
+// Pipeline implements Pipeliner: every request of the chunk and every
+// reply that arrives is charged exactly as RoundTrip charges it — the
+// bill does not know the frames shared a flight — while the link's
+// latency is paid, and observed, once for the chunk.
+func (c *Metered) Pipeline(ctx context.Context, reqs, resps [][]byte) (int, error) {
+	hedged := IsHedged(ctx)
+	tenanted := c.m.tenantMode.Load()
+	start := time.Now()
+	for _, req := range reqs {
+		c.charge(ctx, len(req), Up, hedged, tenanted)
+	}
+	if rtt := c.m.link.RTT; rtt > 0 {
+		if err := sleepCtx(ctx, rtt); err != nil {
+			return 0, err
+		}
+	}
+	answered, err := Pipeline(ctx, c.rt, reqs, resps)
+	for _, resp := range resps[:answered] {
+		c.charge(ctx, len(resp), Down, hedged, tenanted)
+	}
+	if err == nil {
+		c.stats.ObserveRTT(time.Since(start))
+	}
+	return answered, err
 }
 
 // Close implements RoundTripper.

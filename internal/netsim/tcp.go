@@ -23,14 +23,42 @@ import (
 // one read: with TCP_NODELAY on (Go's default) a header written on its
 // own is a segment and a peer wake-up of its own, which on the
 // thousands of tiny probe frames of a join is most of the transport's
-// time.
+// time. A chunk of frames pipelined on one connection (Pipeline) shares
+// them: its requests leave in one write, and the server answers with as
+// few writes as the arrival of those requests allows (serveConn).
 
 const (
 	maxFrame  = 64 << 20 // sanity bound for the length prefix
 	frameHdr  = 4
 	coalesce  = 16 << 10 // frames up to this size are copied behind their header into one buffer
 	readAhead = 4 << 10  // per-connection read buffer: header and a small payload arrive in one read
+
+	// pipelineDepth bounds the frames of one pipelined chunk. Together
+	// with the byte bound of PipelineChunk it is why pipelining cannot
+	// deadlock: a chunk's requests, length prefixes included, fit the
+	// peer's readAhead buffer — far below any socket buffer — and a chunk
+	// starts on a connection with nothing in flight (its predecessor was
+	// answered in full, or the connection was discarded). So the client's
+	// single write never blocks behind replies it has not read yet, and
+	// by the time the server can block writing replies the client is
+	// already reading them.
+	pipelineDepth = 32
 )
+
+// PipelineChunk returns how many leading frames of reqs may travel as
+// one Pipeline chunk: at most pipelineDepth, their framed bytes within
+// readAhead — and always at least one, since a lone frame of any size is
+// a plain round trip.
+func PipelineChunk(reqs [][]byte) int {
+	n, size := 0, 0
+	for n < len(reqs) && n < pipelineDepth {
+		if size += frameHdr + len(reqs[n]); size > readAhead && n > 0 {
+			break
+		}
+		n++
+	}
+	return n
+}
 
 // writeFrame sends one length-prefixed frame in a single write: small
 // frames are copied behind their header into a pooled buffer, large ones
@@ -48,6 +76,41 @@ func writeFrame(conn net.Conn, frame []byte) error {
 	bufs := net.Buffers{hdr[:], frame}
 	_, err := bufs.WriteTo(conn)
 	return err
+}
+
+// writeFrames sends the frames of a chunk back to back: in one write
+// when they fit one coalescing buffer together (any chunk PipelineChunk
+// cut does), frame by frame otherwise.
+func writeFrames(conn net.Conn, frames [][]byte) error {
+	total := 0
+	for _, f := range frames {
+		total += frameHdr + len(f)
+	}
+	if len(frames) == 1 || total > coalesce {
+		for _, f := range frames {
+			if err := writeFrame(conn, f); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	buf := bufpool.GetCap(total)
+	for _, f := range frames {
+		buf = append(binary.LittleEndian.AppendUint32(buf, uint32(len(f))), f...)
+	}
+	_, err := conn.Write(buf)
+	bufpool.Put(buf)
+	return err
+}
+
+// frameBuffered reports whether r holds a complete frame: reading it
+// will not touch the socket.
+func frameBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < frameHdr {
+		return false
+	}
+	hdr, _ := r.Peek(frameHdr) // cannot fail: the bytes are buffered
+	return uint64(r.Buffered()-frameHdr) >= uint64(binary.LittleEndian.Uint32(hdr))
 }
 
 // readFrame reads one length-prefixed frame into a pooled buffer.
@@ -131,6 +194,15 @@ func (s *TCPServer) acceptLoop() {
 	}
 }
 
+// serveConn answers one connection's requests strictly in order. A peer
+// may pipeline (write requests without awaiting replies), so replies
+// coalesce: a small reply whose successor request is already complete in
+// the read buffer waits in out for that request's reply, and they leave
+// in one write. Nothing a peer is owed is ever held across a read that
+// could block — out is flushed first — so a peer that sends one request
+// at a time sees one write per reply, exactly as before. Under drain
+// every request complete in the read buffer has been read off the socket
+// and is served before the connection closes.
 func (s *TCPServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -141,34 +213,61 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}()
 	ah, appendable := s.h.(AppendHandler)
 	br := bufio.NewReaderSize(conn, readAhead)
+	out := bufpool.Get() // framed replies not yet written
+	defer func() { bufpool.Put(out) }()
+	flush := func() error {
+		if len(out) == 0 {
+			return nil
+		}
+		_, err := conn.Write(out)
+		out = out[:0]
+		return err
+	}
 	for {
+		if !frameBuffered(br) {
+			if flush() != nil || s.draining.Load() {
+				return
+			}
+		}
 		req, err := readFrame(br)
 		if err != nil {
 			return // client closed, broken frame, or drain poisoned the read
 		}
+		var resp []byte
 		if appendable {
 			// Zero-allocation steady state: request and response buffers
 			// cycle through the pool. HandleAppend's contract — the
 			// response is appended to our buffer and the request is not
-			// retained — makes both frames dead after the write. The
-			// aliasing guard protects the pool against a handler that
-			// breaks the contract by answering with the request's own
-			// bytes: the shared backing is then Put exactly once.
-			resp := ah.HandleAppend(req, bufpool.Get())
-			err = writeFrame(conn, resp)
-			if !bufpool.SameBacking(req, resp) {
-				bufpool.Put(req)
-			}
-			bufpool.Put(resp)
+			// retained — makes both frames dead once the response is
+			// written or copied into out. The aliasing guard protects the
+			// pool against a handler that breaks the contract by answering
+			// with the request's own bytes: the shared backing is then Put
+			// exactly once.
+			resp = ah.HandleAppend(req, bufpool.Get())
 		} else {
 			// A plain Handler may retain the request or answer with a
 			// frame aliasing it (an echo handler does), so neither buffer
 			// can be recycled safely.
-			err = writeFrame(conn, s.h.Handle(req))
+			resp = s.h.Handle(req)
 		}
-		if err != nil || s.draining.Load() {
-			// Under drain the current request's response has just been
-			// written; the connection closes before accepting another.
+		if frameHdr+len(resp) > coalesce {
+			// A large reply goes out uncopied, behind whatever it follows.
+			if err = flush(); err == nil {
+				err = writeFrame(conn, resp)
+			}
+		} else {
+			if len(out)+frameHdr+len(resp) > coalesce {
+				err = flush()
+			}
+			out = append(binary.LittleEndian.AppendUint32(out, uint32(len(resp))), resp...)
+		}
+		if appendable {
+			if !bufpool.SameBacking(req, resp) {
+				bufpool.Put(req)
+			}
+			bufpool.Put(resp)
+		}
+		if err != nil {
 			return
 		}
 	}
@@ -195,12 +294,13 @@ func (s *TCPServer) Close() error {
 }
 
 // Shutdown gracefully drains the server: it stops accepting new
-// connections, lets every request already read off a socket complete and
-// write its response, unblocks idle connections, and waits for all
-// connection goroutines to exit. When ctx expires first, the remaining
-// connections are cut (their in-flight requests are lost, as with Close)
-// and ctx.Err() is returned. Shutdown after Close (or a second Shutdown)
-// drains whatever connections remain.
+// connections, lets every request already read off a socket — the one in
+// its handler and, on a pipelined connection, those complete in the read
+// buffer behind it — complete and write its response, unblocks idle
+// connections, and waits for all connection goroutines to exit. When ctx
+// expires first, the remaining connections are cut (their in-flight
+// requests are lost, as with Close) and ctx.Err() is returned. Shutdown
+// after Close (or a second Shutdown) drains whatever connections remain.
 func (s *TCPServer) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.mu.Lock()
@@ -212,10 +312,11 @@ func (s *TCPServer) Shutdown(ctx context.Context) error {
 	}
 	// Poison reads rather than closing connections: a goroutine idle in
 	// readFrame fails out of it immediately, while one that has already
-	// read its request is untouched — the handler runs and the response
-	// write completes, after which serveConn observes draining and
-	// closes the connection itself. This leaves no window in which a
-	// fully-read request can be dropped.
+	// read its request is untouched — the handler runs, the requests
+	// already complete in its read buffer are served too (reading them
+	// never touches the socket), the responses are written, and
+	// serveConn, observing draining, closes the connection itself. This
+	// leaves no window in which a fully-read request can be dropped.
 	for conn := range s.conns {
 		conn.SetReadDeadline(aLongTimeAgo)
 	}
@@ -244,9 +345,9 @@ func (s *TCPServer) Shutdown(ctx context.Context) error {
 }
 
 // TCPTransport is a RoundTripper over a small pool of TCP connections to
-// one server. A single connection carries strictly alternating
-// request/response frames, so concurrent round trips each claim their own
-// connection: the pool starts with one and dials more on demand, up to
+// one server. A connection carries one round trip — or one pipelined
+// chunk of them — at a time, so concurrent round trips each claim their
+// own connection: the pool starts with one and dials more on demand, up to
 // maxConns, beyond which round trips wait for a free connection. The
 // server side already serves every connection independently, so in-flight
 // frames on different connections never interleave.
@@ -369,18 +470,32 @@ var aLongTimeAgo = time.Unix(1, 0)
 // abandoned either way discards its connection (the stream is no longer
 // frame-aligned), so the next acquire re-dials.
 func (t *TCPTransport) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
+	var resp [1][]byte
+	_, err := t.Pipeline(ctx, [][]byte{req}, resp[:])
+	return resp[0], err
+}
+
+// Pipeline implements Pipeliner on one pooled connection: the chunk's
+// frames leave back to back (writeFrames) and the replies are read in
+// order — the server answers a connection strictly in order, so reply i
+// is request i's. Deadline, cancellation and poisoning are RoundTrip's,
+// applied to the chunk as a whole: a chunk abandoned after k replies
+// returns those k and discards its connection, and nothing else.
+func (t *TCPTransport) Pipeline(ctx context.Context, reqs, resps [][]byte) (int, error) {
 	conn, err := t.acquire(ctx)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	deadline, hasDeadline := ctx.Deadline()
 	conn.SetDeadline(deadline) // zero deadline clears any previous one
 	// Interrupt the socket when ctx is canceled mid-flight.
 	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(aLongTimeAgo) })
-	var resp []byte
-	err = writeFrame(conn.Conn, req) // the bare socket: gathered writes need *net.TCPConn itself
-	if err == nil {
-		resp, err = readFrame(conn.br)
+	err = writeFrames(conn.Conn, reqs) // the bare socket: gathered writes need *net.TCPConn itself
+	answered := 0
+	for err == nil && answered < len(reqs) {
+		if resps[answered], err = readFrame(conn.br); err == nil {
+			answered++
+		}
 	}
 	healthy := err == nil
 	if !stop() {
@@ -399,9 +514,8 @@ func (t *TCPTransport) RoundTrip(ctx context.Context, req []byte) ([]byte, error
 			// the context's own timer reports it.
 			err = context.DeadlineExceeded
 		}
-		return nil, err
 	}
-	return resp, nil
+	return answered, err
 }
 
 // Close implements RoundTripper: it closes every pooled connection.

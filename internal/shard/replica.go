@@ -480,9 +480,20 @@ func (rs *ReplicaSet) Do(ctx context.Context, req []byte) ([]byte, error) {
 // deadline, like a synchronous probe. Batched probes are not hedged: the
 // hedge race lives in Do. Failover covers availability and the
 // synchronous path the tail; hedging a waiter-sent probe is a follow-up.
+//
+// Over replicas that do not batch there is nothing to coalesce with, so
+// each request is Do itself, run by whoever waits for it: an unbatched
+// fleet keeps hedge, walk and Budget whichever way a probe is submitted.
 func (rs *ReplicaSet) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
 	if len(rs.replicas) == 1 {
 		return rs.replicas[0].GoBatch(ctx, reqs)
+	}
+	if !rs.replicas[0].BatchEnabled() {
+		calls := make([]*client.Call, len(reqs))
+		for i, req := range reqs {
+			calls[i] = client.NewLazyCall(rs.name, func() ([]byte, error) { return rs.Do(ctx, req) })
+		}
+		return calls
 	}
 	ctx, done := rs.budget(ctx, len(reqs))
 	calls := make([]*client.Call, len(reqs))
