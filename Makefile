@@ -119,8 +119,11 @@ vet:
 # timer and never sleeps), the engine sizes its pools from configuration
 # and never from a clock (parallel.go does not so much as import time),
 # no probe-stack seam grows a Flush back — a queued probe is sent by
-# whoever waits for it — and an unbatched GoBatch spawns nothing: its
-# group (group.go) runs on its waiter's stack.
+# whoever waits for it — an unbatched GoBatch spawns nothing: its
+# group (group.go) runs on its waiter's stack — and core has one probe
+# path: it never picks a framing (no batching()), and reads Env.BatchSize
+# in the pool rule (parallel.go) alone. The field's declarations and a
+# write of it into a link's Env are not reads.
 lint-seams:
 	@if grep -nE 'time\.(AfterFunc|NewTimer|Sleep)' internal/client/batch.go; then \
 	  echo "lint: internal/client/batch.go must not wait on a clock"; exit 1; fi
@@ -132,6 +135,10 @@ lint-seams:
 	@if sed -n '/^func (r \*Remote) GoBatch/,/^}/p' internal/client/batch.go | grep -nE '^[[:space:]]*go ' || \
 	    grep -nE '^[[:space:]]*go ' internal/client/group.go; then \
 	  echo "lint: Remote.GoBatch and the unbatched group spawn no goroutine"; exit 1; fi
+	@if grep -Hn 'batching()' internal/core/*.go || \
+	    grep -Hnw 'BatchSize' $$(ls internal/core/*.go | grep -vE '_test\.go$$|/parallel\.go$$') \
+	      | grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|BatchSize[[:space:]]+int)' | grep -v '\.BatchSize = '; then \
+	  echo "lint: core picks no framing (no batching()) and reads Env.BatchSize in parallel.go alone"; exit 1; fi
 
 # lint runs the static analyzers CI enforces (staticcheck, govulncheck).
 # Locally the tools may be absent — this target never installs anything;

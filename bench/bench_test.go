@@ -248,10 +248,12 @@ func benchSessionRTT(b *testing.B, alg core.Algorithm, batch, parallelism int) {
 
 // BenchmarkSessionUpJoinRTT pins the batching win on the paper's
 // headline algorithm over a latency-bearing link, sequentially and — the
-// batch16/par4 leg — with the concurrent engine, whose pool of live
-// partitions the link's latency widens.
+// par4 legs — with the concurrent engine: unbatched, its probe groups
+// overlap Parallelism ways; batched, its pool of live partitions is
+// widened by the link's latency.
 func BenchmarkSessionUpJoinRTT(b *testing.B) {
 	b.Run("batch1", func(b *testing.B) { benchSessionRTT(b, core.UpJoin{}, 1, 1) })
+	b.Run("batch1/par4", func(b *testing.B) { benchSessionRTT(b, core.UpJoin{}, 1, 4) })
 	b.Run("batch16", func(b *testing.B) { benchSessionRTT(b, core.UpJoin{}, 16, 1) })
 	b.Run("batch16/par4", func(b *testing.B) { benchSessionRTT(b, core.UpJoin{}, 16, 4) })
 }

@@ -17,17 +17,17 @@ import (
 	"repro/internal/wire"
 )
 
-// tcpRemote serves objs from a loopback TCPServer and returns a remote
-// to it over a pool of one connection: the paper's device, one link per
-// server, no batching.
-func tcpRemote(b *testing.B, name string, objs []geom.Object) *client.Remote {
+// tcpRemote serves objs from a loopback TCPServer and returns an
+// unbatched remote to it over a pool of conns connections — one is the
+// paper's device, one link per server.
+func tcpRemote(b *testing.B, name string, objs []geom.Object, conns int) *client.Remote {
 	b.Helper()
 	srv, err := netsim.ListenAndServe("127.0.0.1:0", server.New(name, objs))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { srv.Close() })
-	rt, err := netsim.DialTCPPool(srv.Addr(), 1)
+	rt, err := netsim.DialTCPPool(srv.Addr(), conns)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func BenchmarkTCPProbeGroup(b *testing.B) {
 			pts[i] = objs[i*7].Center()
 		}
 		run := func(b *testing.B, group func(r *client.Remote) int) {
-			r := tcpRemote(b, "S", objs)
+			r := tcpRemote(b, "S", objs, 1)
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			b.ResetTimer()
@@ -95,23 +95,31 @@ func BenchmarkTCPProbeGroup(b *testing.B) {
 }
 
 // BenchmarkSessionUpJoinTCP is BenchmarkSessionUpJoin on the paper's own
-// topology: sequential UpJoin over two loopback TCP links under a small
+// topology: unbatched UpJoin over two loopback TCP links under a small
 // device buffer, so the join is thousands of tiny probes and the
-// transport's per-message cost is most of it.
+// transport's per-message cost is most of it. par1 is the paper's
+// device, one connection per server; par4 is the concurrent engine at
+// Parallelism 4 over a pool of four connections per server — the one
+// place the parallel unbatched engine meets a transport that pipelines.
 func BenchmarkSessionUpJoinTCP(b *testing.B) {
-	r := tcpRemote(b, "R", dataset.GaussianClusters(1500, 6, 300, dataset.World, 31))
-	s := tcpRemote(b, "S", dataset.GaussianClusters(1500, 6, 300, dataset.World, 32))
-	env := core.NewEnv(r, s, client.Device{BufferObjects: 60}, costmodel.Default(), dataset.World)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := core.UpJoin{}.Run(context.Background(), env, core.Spec{Kind: core.Distance, Eps: 75})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink += len(res.Pairs)
+	for _, par := range []int{1, 4} {
+		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
+			r := tcpRemote(b, "R", dataset.GaussianClusters(1500, 6, 300, dataset.World, 31), par)
+			s := tcpRemote(b, "S", dataset.GaussianClusters(1500, 6, 300, dataset.World, 32), par)
+			env := core.NewEnv(r, s, client.Device{BufferObjects: 60}, costmodel.Default(), dataset.World)
+			env.Parallelism = par
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := core.UpJoin{}.Run(context.Background(), env, core.Spec{Kind: core.Distance, Eps: 75})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sink += len(res.Pairs)
+			}
+			b.StopTimer()
+			u := r.Usage().Add(s.Usage())
+			b.ReportMetric(float64(u.Messages)/float64(b.N), "frames/op")
+		})
 	}
-	b.StopTimer()
-	u := r.Usage().Add(s.Usage())
-	b.ReportMetric(float64(u.Messages)/float64(b.N), "frames/op")
 }

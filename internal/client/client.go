@@ -121,7 +121,6 @@ type Remote struct {
 	m        *netsim.Meter
 	retry    RetryPolicy
 	retries  atomic.Int64
-	lat      *LatencyTracker
 	stats    *netsim.LinkStats
 	batchCfg BatchConfig
 	b        *batcher // nil when batching is disabled
@@ -141,8 +140,7 @@ func NewRemote(name string, rt netsim.RoundTripper, link netsim.LinkConfig, pric
 		return nil, fmt.Errorf("client: remote %s: %w", name, err)
 	}
 	conn := netsim.NewMetered(rt, m)
-	r := &Remote{name: name, conn: conn, m: m,
-		lat: NewLatencyTracker(0), stats: &netsim.LinkStats{}}
+	r := &Remote{name: name, conn: conn, m: m, stats: &netsim.LinkStats{}}
 	r.Typed = NewTyped(r)
 	_, r.pipelined = rt.(netsim.Pipeliner)
 	conn.SetStats(r.stats)
@@ -185,12 +183,6 @@ func (r *Remote) TenantIDs() []netsim.TenantID { return r.m.TenantIDs() }
 // Retries returns how many re-issued attempts this remote has made (0 on
 // a failure-free run).
 func (r *Remote) Retries() int64 { return r.retries.Load() }
-
-// Latency returns the tracker of this remote's recent successful
-// round-trip attempt durations (one sample per attempt, windowed). The
-// replica layer reads a high quantile off it as the hedge threshold;
-// diagnostics may report p50/p99 from the same window.
-func (r *Remote) Latency() *LatencyTracker { return r.lat }
 
 // LinkStats returns the live link observation of this remote: the link
 // parameters its meter charges against plus the measured RTT EWMA fed by
@@ -302,15 +294,9 @@ func (r *Remote) attempts(ctx context.Context, req []byte, try int, last error, 
 		if r.retry.PerTryTimeout > 0 {
 			tryCtx, cancel = context.WithTimeout(ctx, r.retry.PerTryTimeout)
 		}
-		t0 := time.Now()
 		resp, err := r.conn.RoundTrip(tryCtx, req)
 		cancel()
 		if err == nil {
-			// One latency sample per successful attempt: the signal the
-			// hedge threshold (a high quantile of this window) is fed by.
-			// Failed attempts are excluded — they surface as retries or
-			// failover, not as tail latency.
-			r.lat.Add(time.Since(t0))
 			if !retained && !bufpool.SameBacking(req, resp) {
 				bufpool.Put(req)
 			}

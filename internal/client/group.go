@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/netsim"
@@ -31,28 +30,33 @@ type group struct {
 	started atomic.Bool // a Call.Start has put the run on a goroutine
 }
 
-// smallGroup is a group of at most smallCalls requests with everything
-// its submission and its run need in one allocation: the sequential
-// engine submits a quadrant group of three or four COUNTs per split.
-type smallGroup struct {
+// inlineGroup is a group with everything its submission and its run
+// need in one allocation: C, P and F are arrays of Call, *Call and
+// []byte, of one length and of twice it. A group of up to a pipelined
+// chunk's depth takes the smaller of two that fits — a lone COUNT or a
+// quadrant group the four, an NLSJ probe group the chunk. The returned
+// calls slice is carved from it too, and is the caller's: the run never
+// reads it, so layers above may overwrite its elements.
+type inlineGroup[C, P, F any] struct {
 	group
-	calls  [smallCalls]Call
-	ptrs   [smallCalls]*Call
-	frames [2 * smallCalls][]byte
+	calls  C
+	ptrs   P
+	frames F
 }
-
-const smallCalls = 4
 
 // group returns the calls of reqs submitted as one group on r, in request
 // order. The frames move into the calls; reqs itself is not kept.
 func (r *Remote) group(ctx context.Context, reqs [][]byte) []*Call {
 	var g *group
 	var calls []*Call
-	if n := len(reqs); n <= smallCalls {
-		s := new(smallGroup)
-		g, calls = &s.group, s.ptrs[:n]
-		g.calls, g.frames = s.calls[:n], s.frames[:2*n]
-	} else {
+	switch n := len(reqs); {
+	case n <= 4:
+		s := new(inlineGroup[[4]Call, [4]*Call, [8][]byte])
+		g, calls, s.group.calls, s.group.frames = &s.group, s.ptrs[:n], s.calls[:n], s.frames[:2*n]
+	case n <= netsim.PipelineDepth:
+		s := new(inlineGroup[[netsim.PipelineDepth]Call, [netsim.PipelineDepth]*Call, [2 * netsim.PipelineDepth][]byte])
+		g, calls, s.group.calls, s.group.frames = &s.group, s.ptrs[:n], s.calls[:n], s.frames[:2*n]
+	default:
 		g, calls = new(group), make([]*Call, n)
 		g.calls = make([]Call, n)
 	}
@@ -106,7 +110,6 @@ func (r *Remote) pipeline(ctx context.Context, calls []Call, reqs, resps [][]byt
 		}
 		return
 	}
-	t0 := time.Now()
 	answered, err := netsim.Pipeline(ctx, r.conn, reqs, resps)
 	for i, resp := range resps[:answered] {
 		if !bufpool.SameBacking(reqs[i], resp) {
@@ -115,7 +118,6 @@ func (r *Remote) pipeline(ctx context.Context, calls []Call, reqs, resps [][]byt
 		calls[i].resp = resp
 	}
 	if err == nil {
-		r.lat.Add(time.Since(t0))
 		return
 	}
 	retained := errors.Is(err, netsim.ErrFrameRetained)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -429,12 +430,13 @@ func TestPipelineFailureRecyclesFrames(t *testing.T) {
 		failed int // calls of a group of 6 that must fail
 		max    float64
 	}{
-		// Observed steady states: 200 and 50 allocations per run of ten
-		// groups of six (calls, the group, error wrappers). A leaked frame
-		// is a 1 KiB buffer the pool must replace: one more allocation per
-		// leaked request, +50 per run when the unanswered five leak.
-		"fail-fast": {RetryPolicy{}, 5, 210},
-		"retried":   {RetryPolicy{MaxAttempts: 2}, 0, 58},
+		// Observed steady states: 170 and 20 allocations per run of ten
+		// groups of six (the group, one allocation, and error wrappers). A
+		// leaked frame is a 1 KiB buffer the pool must replace: one more
+		// allocation per leaked request, +50 per run when the unanswered
+		// five leak.
+		"fail-fast": {RetryPolicy{}, 5, 180},
+		"retried":   {RetryPolicy{MaxAttempts: 2}, 0, 28},
 	} {
 		r, err := NewRemote("F", severingRT{server.New("F", objs)}, netsim.DefaultLink(), 1, WithRetry(tc.retry))
 		if err != nil {
@@ -493,5 +495,60 @@ func TestGroupSpawnsNothing(t *testing.T) {
 	}
 	if peak > before {
 		t.Errorf("goroutines rose from %d to %d around an unbatched group", before, peak)
+	}
+}
+
+// TestGroupCallsAreTheCallers: the calls slice a group returns belongs to
+// the caller, element by element — a layer above may overwrite each call
+// with one of its own, as Aggregator.GoBatch and Router.GoBatch's
+// lone-request path do — and the group, carved in one allocation with
+// that slice at every size up to a chunk's depth, still answers each
+// request exactly once: a second consumption of a call fails. Waiters
+// race for the run from as many goroutines as there are calls, over a
+// link that pipelines and one that does not; under -race this also pins
+// that the run never reads the caller's slice.
+func TestGroupCallsAreTheCallers(t *testing.T) {
+	objs := dataset.Uniform(200, dataset.World, 7)
+	oneAtATime, err := NewRemote("G", netsim.Serve(server.New("G", objs)), netsim.DefaultLink(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oneAtATime.Close()
+	remotes := map[string]*Remote{"pipelined": tcpRemote(t, tcpServed(t, objs)), "one at a time": oneAtATime}
+	for name, r := range remotes {
+		for _, n := range []int{1, 4, 5, netsim.PipelineDepth, netsim.PipelineDepth + 1} {
+			want := make([]int, n)
+			reqs := make([][]byte, n)
+			for i := range reqs {
+				w := objs[i].MBR.Expand(800)
+				for _, o := range objs {
+					if o.MBR.Intersects(w) {
+						want[i]++
+					}
+				}
+				reqs[i] = wire.AppendCount(bufpool.Get(), w)
+			}
+			calls := r.GoBatch(context.Background(), reqs)
+			inner := append([]*Call(nil), calls...)
+			for i, in := range inner {
+				calls[i] = NewLazyCall("wrapper", in.Frame)
+			}
+			var wg sync.WaitGroup
+			for i := n - 1; i >= 0; i-- {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if got, err := calls[i].Count(); err != nil || got != want[i] {
+						t.Errorf("%s, group of %d: call %d answered (%d, %v), want %d", name, n, i, got, err, want[i])
+					}
+				}()
+			}
+			wg.Wait()
+			for i, c := range inner {
+				if _, err := c.Count(); err == nil || !strings.Contains(err.Error(), "call already consumed") {
+					t.Errorf("%s, group of %d: call %d consumed twice: %v", name, n, i, err)
+				}
+			}
+		}
 	}
 }

@@ -31,9 +31,6 @@ func TestRemoteProbeSurface(t *testing.T) {
 	if got := r.PricePerByte(); got != 2.5 {
 		t.Fatalf("PricePerByte = %v, want 2.5", got)
 	}
-	if r.Latency() == nil {
-		t.Fatal("Latency tracker must exist")
-	}
 
 	info, err := r.Info(ctx)
 	if err != nil {
@@ -120,11 +117,6 @@ func TestRemoteProbeSurface(t *testing.T) {
 	}
 	if len(pairs) < len(probe) {
 		t.Fatalf("UPLOADJOIN of %d resident objects reported %d pairs, want >= identity", len(probe), len(pairs))
-	}
-
-	// Every successful round trip above must have fed the latency window.
-	if r.Latency().Len() == 0 {
-		t.Fatal("probe latencies were not recorded")
 	}
 }
 

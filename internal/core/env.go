@@ -97,34 +97,37 @@ type Env struct {
 	// Parallelism switches on the concurrent execution engine and is the
 	// number of partitions that may hold downloaded objects at once. 0 or
 	// 1 reproduces the paper's single-threaded PDA: one thread, one probe
-	// group at a time, its requests on each link in a fixed order — a
-	// group's replies awaited together, a chunk at a time, where the link
-	// can pipeline. Higher values let independent R-side and S-side
+	// group at a time, submitted whole, its requests on each link in a
+	// fixed order — replies awaited together, a chunk at a time, where the
+	// link can pipeline. Higher values let independent R-side and S-side
 	// requests issue in parallel, sibling partitions run as live
-	// subproblems on a bounded pool, and partition downloads overlap
-	// device-side joins — while issuing exactly the same set of requests,
-	// so results and (unbatched) metered byte counts are identical to the
-	// sequential run. What it bounds is device memory and object
-	// transfers: at most Parallelism partitions are between the start of
-	// their downloads and their last use of the objects. It does not bound
-	// COUNT statistics, which occupy no buffer — in flight those are
-	// bounded by the link's window (client.BatchConfig.MaxInflight
+	// subproblems on a bounded pool, an unbatched probe group split into
+	// Parallelism chunks submitted by as many tasks, and partition
+	// downloads overlap device-side joins — while issuing exactly the same
+	// set of requests, so results and (unbatched) metered byte counts are
+	// identical to the sequential run. What it bounds is device memory and
+	// object transfers: at most Parallelism partitions are between the
+	// start of their downloads and their last use of the objects. It does
+	// not bound COUNT statistics, which occupy no buffer — in flight those
+	// are bounded by the link's window (client.BatchConfig.MaxInflight
 	// envelopes of MaxBatch) — nor, by itself, how many partitions are
-	// live: that is the pool rule, liveTasks in parallel.go (Parallelism,
-	// widened to Parallelism × BatchSize for a batched run whose
-	// Model.Link has latency).
+	// live or how a group is chunked: that is the pool rule, liveTasks and
+	// chunk in parallel.go.
 	Parallelism int
 	// BatchSize, when > 1, multiplexes independent probes of one run into
 	// MsgBatch envelopes of up to this many sub-requests per link,
 	// amortizing the per-frame packet overhead of Eq. (1) and — on
-	// RTT-bearing links — the round trips across the batch. The remotes
-	// should be constructed with a matching client.WithBatch so stragglers
-	// coalesce too; without it, probe groups simply travel as individual
-	// frames. 0 or 1 keeps every request in its own frame, bit-identical
-	// to the pre-batching wire format. Batched runs issue exactly the same
-	// query set and return identical results; only the framing (and hence
-	// the byte totals) changes. Under sequential execution the framing is
-	// deterministic: probe groups are chunked by the outer list before any
+	// RTT-bearing links — the round trips across the batch. Core reads it
+	// in the pool rule alone (parallel.go): every probe group is submitted
+	// in chunks of BatchSize, one envelope each, and a latency-bearing
+	// link widens the pool to Parallelism × BatchSize live partitions.
+	// The envelopes themselves are built by the remotes, which should be
+	// constructed with a matching client.WithBatch; without it a chunk
+	// travels as individual frames. 0 or 1 keeps every request in its own
+	// frame, bit-identical to the pre-batching wire format. Batched runs
+	// issue exactly the same query set and return identical results; only
+	// the framing (and hence the byte totals) changes. Under sequential
+	// execution the framing is deterministic: chunks are cut before any
 	// request is issued.
 	BatchSize int
 	// Trace, when non-nil, receives one line per algorithm decision

@@ -224,36 +224,17 @@ func (x *exec) count(d side, w geom.Rect) (int, error) {
 	return n[0], err
 }
 
-// batching reports whether this run multiplexes probes into MsgBatch
-// envelopes.
-func (x *exec) batching() bool { return x.env.BatchSize > 1 }
-
 // countRemote issues a handful of COUNTs — a lone query, a quadrant
-// group — on the caller's goroutine, one per already-fetch-expanded
-// window, filling ns in window order. A lone unbatched COUNT, and every
-// unbatched COUNT of the parallel engine, is a typed call in its own
-// frame. Anything else is one submission to the link, sent the moment
-// this goroutine waits for it: batched, alone on an idle link or sharing
-// an envelope with the counts of concurrent sibling partitions on a busy
-// one; unbatched (the sequential engine's quadrant group), the same bare
-// frames in the same order, their replies awaited together.
+// group — one per already-fetch-expanded window, filling ns in window
+// order. It is probeGroup without the fan-out — one submission, on the
+// caller's goroutine — because a handful is not worth splitting and the
+// fan-out's closures would escape.
 func (x *exec) countRemote(d side, fws []geom.Rect, ns []int) error {
-	rem := x.remote(d)
-	if !x.batching() && (x.par != nil || len(fws) == 1) {
-		for i, fw := range fws {
-			n, err := rem.Count(x.ctx, fw)
-			if err != nil {
-				return err
-			}
-			ns[i] = n
-		}
-		return nil
-	}
 	reqs := x.frames(len(fws))
 	for i, fw := range fws {
 		reqs[i] = wire.AppendCount(bufpool.Get(), fw)
 	}
-	return collect(x, rem.GoBatch(x.ctx, reqs), (*client.Call).Count, func(i, n int) { ns[i] = n })
+	return collect(x, x.remote(d).GoBatch(x.ctx, reqs), (*client.Call).Count, func(i, n int) { ns[i] = n })
 }
 
 // frames returns the slice a submission of n request frames is built in.
@@ -274,9 +255,9 @@ func (x *exec) frames(n int) [][]byte {
 // reply to use, and returns the first error. decode runs for every call
 // even after one has failed: each Call must be drained by exactly one
 // accessor so its pooled reply frame is recycled. The first error fails
-// the run at once, as the typed loop's early return did: calls not yet
-// sent — the rest of a lazily run group — then fail on the cancelled run
-// context instead of each spending its retries on a run that is lost.
+// the run at once: calls not yet sent — each one a layer evaluates
+// lazily, per request — then fail on the cancelled run context instead
+// of each spending its retries on a run that is lost.
 // Work used after the first error is discarded with the failed run.
 func collect[T any](x *exec, calls []*client.Call, decode func(*client.Call) (T, error), use func(i int, v T)) error {
 	var firstErr error
@@ -292,48 +273,23 @@ func collect[T any](x *exec, calls []*client.Call, decode func(*client.Call) (T,
 	return firstErr
 }
 
-// seqGroup bounds how many request frames the sequential engine encodes
-// ahead of an unbatched link: a probe group longer than this is submitted
-// that many at a time.
-const seqGroup = 128
-
 // probeGroup is the one probe-group primitive: n independent probes on
-// one remote, probe i yielding a T that use consumes, fanned out on the
-// live-partition pool. How the group is framed is decided here and
-// nowhere else (countRemote's inline COUNTs aside). Unbatched, probe i
-// travels in its own frame — the paper's framing: on the parallel engine
-// as the typed call ask(i), each probe a task of the pool; on the
-// sequential engine as the same frames in the same order submitted as a
-// group (GoBatch), so the link may await their replies together
-// (client.Remote.GoBatch). Batched, the same probe set is chunked by
-// BatchSize — the chunking fixed before any request is issued, so
-// sequential runs produce a deterministic frame sequence — with each
-// chunk submitted atomically (GoBatch) and collected by the worker that
-// submitted it, so a run has at most one chunk per live task outstanding;
-// how many envelopes those become is the link window's business
-// (client.BatchConfig.MaxInflight).
-// encode builds the i-th request frame (into a pooled buffer whose
-// ownership passes to the client); decode is the Call accessor for the
-// reply.
-func probeGroup[T any](x *exec, rem Probe, n int,
-	ask func(i int) (T, error), encode func(i int) []byte,
+// one remote, probe i yielding a T that use consumes. The group is cut
+// into chunks by the pool rule (chunk, parallel.go) before any request is
+// issued, so sequential runs send a deterministic frame sequence; the
+// chunks fan out on the live-partition pool, each submitted atomically
+// (GoBatch) and collected by the task that submitted it. How a chunk
+// crosses the link — an envelope, bare frames pipelined, or one round
+// trip per probe — is the link's business (client.Remote.GoBatch), and
+// every probe is the same query whichever it is. encode builds the i-th
+// request frame (into a pooled buffer whose ownership passes to the
+// client); decode is the Call accessor for the reply.
+func probeGroup[T any](x *exec, rem Probe, n int, encode func(i int) []byte,
 	decode func(*client.Call) (T, error), use func(i int, v T)) error {
-	bs := x.env.BatchSize
-	if !x.batching() {
-		if x.par != nil {
-			return x.fanout(n, func(i int) error {
-				v, err := ask(i)
-				if err == nil {
-					use(i, v)
-				}
-				return err
-			})
-		}
-		bs = seqGroup
-	}
-	return x.fanout((n+bs-1)/bs, func(ci int) error {
-		start := ci * bs
-		reqs := x.frames(min(bs, n-start))
+	size := chunk(x.env, n)
+	return x.fanout((n+size-1)/size, func(ci int) error {
+		start := ci * size
+		reqs := x.frames(min(size, n-start))
 		for i := range reqs {
 			reqs[i] = encode(start + i)
 		}
@@ -345,10 +301,8 @@ func probeGroup[T any](x *exec, rem Probe, n int,
 // Counts are returned in window order (meaningless on error).
 func (x *exec) countAll(d side, ws []geom.Rect) ([]int, error) {
 	x.dec.agg.Add(int64(len(ws)))
-	rem := x.remote(d)
 	ns := make([]int, len(ws))
-	err := probeGroup(x, rem, len(ws),
-		func(i int) (int, error) { return rem.Count(x.ctx, x.fetchWindow(d, ws[i])) },
+	err := probeGroup(x, x.remote(d), len(ws),
 		func(i int) []byte { return wire.AppendCount(bufpool.Get(), x.fetchWindow(d, ws[i])) },
 		(*client.Call).Count,
 		func(i, n int) { ns[i] = n })

@@ -58,17 +58,38 @@ type gate struct {
 	slots chan struct{}
 }
 
-// liveTasks is the pool rule: how many partition subproblems of one run
-// may be live at once. It takes Parallelism × BatchSize outstanding
-// probes to fill Parallelism envelopes, so a batched run over a
-// latency-bearing link keeps that many live. Everywhere else a round trip
-// costs less than a goroutine hand-off and a wider pool only adds
-// scheduling work (measured on daemon-tenants): the pool is Parallelism.
+// liveTasks is the pool rule's first half (chunk is the second; the two
+// are all of core that reads Env.BatchSize): how many partition
+// subproblems of one run may be live at once. It takes Parallelism ×
+// BatchSize outstanding probes to fill Parallelism envelopes, so a
+// batched run over a latency-bearing link keeps that many live.
+// Everywhere else a round trip costs less than a goroutine hand-off and
+// a wider pool only adds scheduling work (measured on daemon-tenants):
+// the pool is Parallelism.
 func liveTasks(env *Env) int {
 	if env.BatchSize > 1 && env.Model.Link.RTT > 0 {
 		return env.Parallelism * env.BatchSize
 	}
 	return env.Parallelism
+}
+
+// seqGroup bounds how many request frames one unbatched chunk encodes
+// ahead of its link.
+const seqGroup = 128
+
+// chunk is the pool rule's second half: how many of a group's n probes
+// one task submits at once (probeGroup). Batched, a chunk is one
+// envelope, BatchSize. Unbatched, the group splits evenly over
+// Parallelism tasks — sequentially that is the whole group — and each
+// chunk rides a link of its own as far as the link allows: its own
+// pooled TCP connection, pipelined, or its own server worker. So a
+// group overlaps Parallelism ways whichever way its link frames it.
+func chunk(env *Env, n int) int {
+	if env.BatchSize > 1 {
+		return env.BatchSize
+	}
+	p := max(env.Parallelism, 1)
+	return max(min((n+p-1)/p, seqGroup), 1)
 }
 
 // newGate returns the bounds of a run, or nil for sequential execution.

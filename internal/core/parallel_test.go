@@ -52,7 +52,7 @@ func testEnvParallel(t *testing.T, robjs, sobjs []geom.Object, buffer, paralleli
 // were asked is the algorithm's. order is the same queries in the order
 // the link carried them — meaningful for a sequential run only. Embedding
 // the interface hides the transport's Pipeliner, so a sequential run over
-// a requestLog is the typed loop: one Do per probe, in order.
+// a requestLog sends one request at a time: one Do per probe, in order.
 type requestLog struct {
 	netsim.RoundTripper
 	t     *testing.T
@@ -88,11 +88,11 @@ func (l *arrivalLog) HandleAppend(req, dst []byte) []byte {
 	return l.AppendHandler.HandleAppend(req, dst)
 }
 
-// runSequentialTCP is sequential.run on the paper's own topology: one
-// loopback TCP connection per server, over which the sequential engine's
-// probe groups travel pipelined. It returns what each server saw, in
-// arrival order.
-func runSequentialTCP(t *testing.T, alg Algorithm, spec Spec, robjs, sobjs []geom.Object, buffer int, bucket bool) (*Result, [2][]string) {
+// runTCP runs alg unbatched on the paper's own topology: loopback TCP to
+// each server over a pool of one connection per unit of parallelism, so
+// every chunk of a probe group travels pipelined on a connection of its
+// own. It returns what each server saw, in arrival order.
+func runTCP(t *testing.T, alg Algorithm, spec Spec, robjs, sobjs []geom.Object, buffer, parallelism int, bucket bool) (*Result, [2][]string) {
 	t.Helper()
 	logs := [2]*arrivalLog{{AppendHandler: server.New("R", robjs)}, {AppendHandler: server.New("S", sobjs)}}
 	var rts [2]netsim.RoundTripper
@@ -102,17 +102,17 @@ func runSequentialTCP(t *testing.T, alg Algorithm, spec Spec, robjs, sobjs []geo
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		if rts[i], err = netsim.DialTCPPool(srv.Addr(), 1); err != nil {
+		if rts[i], err = netsim.DialTCPPool(srv.Addr(), max(parallelism, 1)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	env := envOver(t, rts[0], rts[1], buffer, 1, 0, 0, 0)
+	env := envOver(t, rts[0], rts[1], buffer, parallelism, 0, 0, 0)
 	defer env.R.Close()
 	defer env.S.Close()
 	env.Model.Bucket, env.Seed = bucket, 3
 	res, err := alg.Run(context.Background(), env, spec)
 	if err != nil {
-		t.Fatalf("%s sequential over TCP: %v", alg.Name(), err)
+		t.Fatalf("%s parallelism %d over TCP: %v", alg.Name(), parallelism, err)
 	}
 	return res, [2][]string{logs[0].order, logs[1].order}
 }
@@ -163,6 +163,15 @@ var (
 	rttBatched = engineConfig{name: "rtt-batched", parallelism: 4, batch: 16, rtt: 100 * time.Microsecond}
 )
 
+// arrived is the request log of what a server saw, for diff.
+func arrived(order []string) *requestLog {
+	l := &requestLog{seen: map[string]int{}}
+	for _, req := range order {
+		l.seen[req]++
+	}
+	return l
+}
+
 // run executes alg under the configuration over fresh servers and returns
 // the result with the queries each link carried.
 func (c engineConfig) run(t *testing.T, alg Algorithm, spec Spec, robjs, sobjs []geom.Object, buffer int, bucket bool) (*Result, [2]*requestLog) {
@@ -187,12 +196,14 @@ func (c engineConfig) run(t *testing.T, alg Algorithm, spec Spec, robjs, sobjs [
 // asks — the same multiset on each link — takes the same decisions and
 // returns the same result, for every join kind and for bucket submission.
 // The unbatched parallel run also meters exactly the sequential frames
-// and bytes (a batched run frames the same queries differently). The
-// sequential run itself is pinned across transports: over real TCP, where
-// its probe groups cross each connection pipelined, every link carries
-// the very sequence of frames the typed loop sends — not just the same
-// multiset — and meters the same bytes. Run under -race this also
-// exercises the sink, ledger, and meter synchronization.
+// and bytes (a batched run frames the same queries differently). Both
+// unbatched engines are pinned over real TCP too, where probe groups
+// cross the connections pipelined: sequentially every link carries the
+// very sequence of frames the one-request-at-a-time loop sends — not just
+// the same multiset — and at Parallelism 4, over a pool of four
+// connections a link, the same multiset; both meter the same bytes. Run
+// under -race this also exercises the sink, ledger, and meter
+// synchronization.
 func TestParallelMatchesSequential(t *testing.T) {
 	robjs := dataset.GaussianClusters(600, 4, 300, dataset.World, 201)
 	sobjs := dataset.GaussianClusters(600, 4, 300, dataset.World, 202)
@@ -213,19 +224,33 @@ func TestParallelMatchesSequential(t *testing.T) {
 			for _, alg := range allAlgorithms() {
 				for _, buffer := range []int{150, 800} {
 					seq, seqLogs := sequential.run(t, alg, sc.spec, robjs, sobjs, buffer, sc.bucket)
-					tcp, tcpOrder := runSequentialTCP(t, alg, sc.spec, robjs, sobjs, buffer, sc.bucket)
+					tcp, tcpOrder := runTCP(t, alg, sc.spec, robjs, sobjs, buffer, 1, sc.bucket)
 					if !pairSetsEqual(seq.Pairs, tcp.Pairs) || len(seq.Objects) != len(tcp.Objects) {
-						t.Fatalf("%s buffer=%d over TCP: %d pairs, %d objects; typed loop %d, %d", alg.Name(), buffer,
+						t.Fatalf("%s buffer=%d over TCP: %d pairs, %d objects; one at a time %d, %d", alg.Name(), buffer,
 							len(tcp.Pairs), len(tcp.Objects), len(seq.Pairs), len(seq.Objects))
 					}
 					for i, side := range []string{"R", "S"} {
 						if !slices.Equal(tcpOrder[i], seqLogs[i].order) {
-							t.Fatalf("%s buffer=%d over TCP: the %d frames %s received are not the typed loop's %d, in order",
+							t.Fatalf("%s buffer=%d over TCP: the %d frames %s received are not the %d sent one at a time, in order",
 								alg.Name(), buffer, len(tcpOrder[i]), side, len(seqLogs[i].order))
 						}
 					}
 					if !reflect.DeepEqual(seq.Stats, tcp.Stats) {
-						t.Fatalf("%s buffer=%d over TCP: stats %+v, typed loop %+v", alg.Name(), buffer, tcp.Stats, seq.Stats)
+						t.Fatalf("%s buffer=%d over TCP: stats %+v, one at a time %+v", alg.Name(), buffer, tcp.Stats, seq.Stats)
+					}
+					ptcp, ptcpOrder := runTCP(t, alg, sc.spec, robjs, sobjs, buffer, 4, sc.bucket)
+					if !pairSetsEqual(seq.Pairs, ptcp.Pairs) || len(seq.Objects) != len(ptcp.Objects) {
+						t.Fatalf("%s buffer=%d parallel over TCP: %d pairs, %d objects; sequential %d, %d", alg.Name(), buffer,
+							len(ptcp.Pairs), len(ptcp.Objects), len(seq.Pairs), len(seq.Objects))
+					}
+					for i, side := range []string{"R", "S"} {
+						if d := arrived(ptcpOrder[i]).diff(seqLogs[i]); d != "" {
+							t.Fatalf("%s buffer=%d parallel over TCP: queries to %s differ from the sequential run's: %s", alg.Name(), buffer, side, d)
+						}
+					}
+					if a, b := seq.Stats, ptcp.Stats; a.TotalQueries() != b.TotalQueries() || a.TotalBytes() != b.TotalBytes() {
+						t.Fatalf("%s buffer=%d parallel over TCP: %d frames, %d bytes; sequential %d, %d", alg.Name(), buffer,
+							b.TotalQueries(), b.TotalBytes(), a.TotalQueries(), a.TotalBytes())
 					}
 					for _, cfg := range []engineConfig{parallel4, rttBatched} {
 						got, logs := cfg.run(t, alg, sc.spec, robjs, sobjs, buffer, sc.bucket)

@@ -118,9 +118,9 @@ func (x *exec) joinLocal(robjs, sobjs []geom.Object) {
 // planner can insert a density checkpoint between them — the downloaded
 // outer objects are a resumable observation, reused whichever operator
 // finishes the window. Under a parallel environment the per-object
-// probes are spread over the worker pool; each probe is an independent
-// request, so the probe set — and the metered bytes — do not depend on
-// scheduling.
+// probes are spread over the worker pool in chunks; each probe is an
+// independent request, so the probe set — and the metered bytes — do
+// not depend on scheduling.
 //
 // For iceberg semi-joins with outer R over a whole-space window, probes
 // are aggregate RANGE-COUNT queries: only the per-object match count is
@@ -196,14 +196,8 @@ func (x *exec) nlsjProbePhase(w geom.Rect, outer side, outerObjs []geom.Object) 
 // ε-RANGE query for point outers, a WINDOW query over the ε-expanded MBR
 // otherwise (the paper's "simulate ε-RANGE by a WINDOW query", §3).
 func (x *exec) singleProbes(w geom.Rect, outer, inner side, outerObjs []geom.Object) error {
-	rin, eps := x.remote(inner), x.spec.Eps
-	return probeGroup(x, rin, len(outerObjs),
-		func(i int) ([]geom.Object, error) {
-			if o := outerObjs[i]; x.ranged(o) {
-				return rin.Range(x.ctx, o.Center(), eps)
-			}
-			return rin.Window(x.ctx, x.probeWindow(outerObjs[i]))
-		},
+	eps := x.spec.Eps
+	return probeGroup(x, x.remote(inner), len(outerObjs),
 		func(i int) []byte {
 			if o := outerObjs[i]; x.ranged(o) {
 				return wire.AppendRange(bufpool.Get(), o.Center(), eps)
@@ -349,7 +343,6 @@ func (x *exec) icebergCountProbes(outerObjs []geom.Object) error {
 	}
 	x.dec.agg.Add(int64(len(fresh)))
 	return probeGroup(x, x.env.S, len(fresh),
-		func(i int) (int, error) { return x.env.S.RangeCount(x.ctx, fresh[i].Center(), x.spec.Eps) },
 		func(i int) []byte { return wire.AppendRangeCount(bufpool.Get(), fresh[i].Center(), x.spec.Eps) },
 		(*client.Call).Count,
 		func(i, n int) {

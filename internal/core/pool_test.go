@@ -487,3 +487,69 @@ func TestTransferSlotsBoundResidentPartitions(t *testing.T) {
 		}
 	}
 }
+
+// TestUnbatchedGroupOverlapsParallelism: on the parallel engine an
+// unbatched probe group is cut into Parallelism chunks, each submitted by
+// a task of its own, so the group keeps Parallelism round trips in flight
+// on its one link whatever the link does with a chunk — here one request
+// after another, since a stepGate cannot pipeline. Every COUNT parks; at
+// each rest state exactly Parallelism are parked, and a group of n takes
+// n / Parallelism rounds. A group collapsed into one chunk would have one
+// in flight at a time.
+func TestUnbatchedGroupOverlapsParallelism(t *testing.T) {
+	const parallelism = 4
+	objs := dataset.Uniform(300, dataset.World, 61)
+	ws := dataset.World.Grid(4) // n = 16 = 4 × Parallelism windows
+	isCount := func(req []byte) bool { return wire.Type(req) == wire.MsgCount }
+	env, _, gs := gatedEnv(t, objs, objs, 1000, parallelism, 1, 0, isCount)
+	x, err := newExec(context.Background(), env, Spec{Kind: Intersection}, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.close()
+	type outcome struct {
+		ns  []int
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		ns, err := x.countAll(sideS, ws)
+		done <- outcome{ns, err}
+	}()
+
+	rounds := 0
+	for running := true; running; {
+		settle(t)
+		select {
+		case o := <-done:
+			if o.err != nil {
+				t.Fatal(o.err)
+			}
+			for i, w := range ws {
+				want := 0
+				for _, o := range objs {
+					if o.MBR.Intersects(w) {
+						want++
+					}
+				}
+				if o.ns[i] != want {
+					t.Errorf("window %d: COUNT %d, want %d", i, o.ns[i], want)
+				}
+			}
+			running = false
+			continue
+		default:
+		}
+		parked := gs.take(nil)
+		if len(parked) != parallelism {
+			t.Fatalf("round %d: %d COUNTs in flight on the link, want %d", rounds, len(parked), parallelism)
+		}
+		for _, p := range parked {
+			close(p.release)
+		}
+		rounds++
+	}
+	if want := len(ws) / parallelism; rounds != want {
+		t.Errorf("the group of %d took %d rounds, want %d", len(ws), rounds, want)
+	}
+}

@@ -262,20 +262,31 @@ func (u *upState) join(w geom.Rect, rst, sst dsState, depth int) error {
 		lookahead += ci
 	}
 
+	// A decision line's arguments are boxed at the call, so they are
+	// built only when someone reads the log.
+	tracing := u.env.Trace != nil
 	if c1 < cNL {
 		bothUniform := rst.uniform && sst.uniform
 		if (bothUniform || lookahead >= c1) && u.env.Device.CanHold(rst.n.n+sst.n.n) {
-			u.trace("upJoin %v d=%d nr=%d ns=%d uniform(R=%v,S=%v) -> HBSJ", w, depth, rst.n.n, sst.n.n, rst.uniform, sst.uniform)
+			if tracing {
+				u.trace("upJoin %v d=%d nr=%d ns=%d uniform(R=%v,S=%v) -> HBSJ", w, depth, rst.n.n, sst.n.n, rst.uniform, sst.uniform)
+			}
 			return u.doHBSJ(w, rst.n, sst.n, depth)
 		}
-		u.trace("upJoin %v d=%d nr=%d ns=%d uniform(R=%v,S=%v) c1=%.0f cNL=%.0f la=%.0f -> recurse", w, depth, rst.n.n, sst.n.n, rst.uniform, sst.uniform, c1, cNL, lookahead)
+		if tracing {
+			u.trace("upJoin %v d=%d nr=%d ns=%d uniform(R=%v,S=%v) c1=%.0f cNL=%.0f la=%.0f -> recurse", w, depth, rst.n.n, sst.n.n, rst.uniform, sst.uniform, c1, cNL, lookahead)
+		}
 		return u.recurse(w, rst, sst, depth)
 	}
 	if innerUniform || lookahead >= cNL {
-		u.trace("upJoin %v d=%d nr=%d ns=%d -> NLSJ outer=%d", w, depth, rst.n.n, sst.n.n, outer)
+		if tracing {
+			u.trace("upJoin %v d=%d nr=%d ns=%d -> NLSJ outer=%d", w, depth, rst.n.n, sst.n.n, outer)
+		}
 		return u.doNLSJ(w, outer, rst.n, sst.n)
 	}
-	u.trace("upJoin %v d=%d nr=%d ns=%d c1=%.0f cNL=%.0f la=%.0f inner skewed -> recurse", w, depth, rst.n.n, sst.n.n, c1, cNL, lookahead)
+	if tracing {
+		u.trace("upJoin %v d=%d nr=%d ns=%d c1=%.0f cNL=%.0f la=%.0f inner skewed -> recurse", w, depth, rst.n.n, sst.n.n, c1, cNL, lookahead)
+	}
 	return u.recurse(w, rst, sst, depth)
 }
 

@@ -70,8 +70,8 @@ func TestPipelineChunkBounds(t *testing.T) {
 	for i := range small {
 		small[i] = make([]byte, 17)
 	}
-	if got := PipelineChunk(small); got != pipelineDepth {
-		t.Errorf("100 small frames: chunk of %d, want the depth %d", got, pipelineDepth)
+	if got := PipelineChunk(small); got != PipelineDepth {
+		t.Errorf("100 small frames: chunk of %d, want the depth %d", got, PipelineDepth)
 	}
 	if got := PipelineChunk(small[:5]); got != 5 {
 		t.Errorf("5 small frames: chunk of %d", got)
@@ -145,7 +145,7 @@ func TestPipelineCostsOneWriteAChunk(t *testing.T) {
 		}
 		lo = hi
 	}
-	if want := (n + pipelineDepth - 1) / pipelineDepth; chunks != want {
+	if want := (n + PipelineDepth - 1) / PipelineDepth; chunks != want {
 		t.Fatalf("%d chunks, want %d", chunks, want)
 	}
 	for i := range reqs {

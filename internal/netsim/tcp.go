@@ -33,7 +33,7 @@ const (
 	coalesce  = 16 << 10 // frames up to this size are copied behind their header into one buffer
 	readAhead = 4 << 10  // per-connection read buffer: header and a small payload arrive in one read
 
-	// pipelineDepth bounds the frames of one pipelined chunk. Together
+	// PipelineDepth bounds the frames of one pipelined chunk. Together
 	// with the byte bound of PipelineChunk it is why pipelining cannot
 	// deadlock: a chunk's requests, length prefixes included, fit the
 	// peer's readAhead buffer — far below any socket buffer — and a chunk
@@ -42,16 +42,16 @@ const (
 	// single write never blocks behind replies it has not read yet, and
 	// by the time the server can block writing replies the client is
 	// already reading them.
-	pipelineDepth = 32
+	PipelineDepth = 32
 )
 
 // PipelineChunk returns how many leading frames of reqs may travel as
-// one Pipeline chunk: at most pipelineDepth, their framed bytes within
+// one Pipeline chunk: at most PipelineDepth, their framed bytes within
 // readAhead — and always at least one, since a lone frame of any size is
 // a plain round trip.
 func PipelineChunk(reqs [][]byte) int {
 	n, size := 0, 0
-	for n < len(reqs) && n < pipelineDepth {
+	for n < len(reqs) && n < PipelineDepth {
 		if size += frameHdr + len(reqs[n]); size > readAhead && n > 0 {
 			break
 		}
