@@ -91,9 +91,15 @@ test-flaky:
 # vs. which shards may be missing), oracle equivalence, wall-time bounds,
 # proactive breaker skips, breaker re-close after revival, and zero
 # goroutine leaks. New scenario = new JSON file, not new code — see
-# docs/CHAOS.md for the format.
+# docs/CHAOS.md for the format. It also fails unless the replay reached
+# (*Remote).pipeline in internal/client, the path every unbatched probe
+# group takes over an unreplicated link without a per-try timeout or a
+# budget (flapping-flat.json), so faults cannot drift off it unnoticed.
 chaos:
-	$(GO) test -race -count 1 -run 'TestChaos' ./internal/harness
+	$(GO) test -race -count 1 -run 'TestChaos' -coverpkg=repro/internal/client -coverprofile=chaos.cover.tmp ./internal/harness
+	@$(GO) tool cover -func=chaos.cover.tmp | awk '$$1 ~ /\/group\.go:/ && $$2 == "pipeline" && $$3 + 0 > 0 { ok = 1 } END { exit !ok }'; \
+	  status=$$?; rm -f chaos.cover.tmp; \
+	  if [ $$status -ne 0 ]; then echo "chaos: no scenario reached (*Remote).pipeline"; exit 1; fi
 
 # cover is the coverage gate CI runs: the full test suite with
 # -coverprofile, failing when total statement coverage drops below the
@@ -139,6 +145,8 @@ lint-seams:
 	    grep -Hnw 'BatchSize' $$(ls internal/core/*.go | grep -vE '_test\.go$$|/parallel\.go$$') \
 	      | grep -vE '^[^:]+:[0-9]+:[[:space:]]*(//|BatchSize[[:space:]]+int)' | grep -v '\.BatchSize = '; then \
 	  echo "lint: core picks no framing (no batching()) and reads Env.BatchSize in parallel.go alone"; exit 1; fi
+	@if grep -Hnw 'Pipeliner' $$(ls internal/client/*.go | grep -v '_test\.go$$'); then \
+	  echo "lint: internal/client picks no group path by transport (no Pipeliner)"; exit 1; fi
 
 # lint runs the static analyzers CI enforces (staticcheck, govulncheck).
 # Locally the tools may be absent — this target never installs anything;

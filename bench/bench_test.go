@@ -201,8 +201,9 @@ func BenchmarkSessionUpJoin(b *testing.B) {
 
 // benchSessionRTT runs one full join per iteration against in-process
 // servers behind a simulated 300µs-RTT link — the regime the batching
-// layer targets: with Parallelism 1 every frame is a sequential round
-// trip, so wall-clock time tracks frame count almost linearly; with
+// layer targets: with Parallelism 1 every round trip — a lone frame, an
+// envelope, or a chunk of an unbatched probe group, which pays the RTT
+// once — is sequential, so wall-clock time tracks round trips; with
 // Parallelism > 1 it tracks the dependent rounds, which shrink as more
 // partitions are live to share an envelope. The "frames" metric reports
 // the metered message total per op so the reduction is visible next to

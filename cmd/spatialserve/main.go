@@ -63,22 +63,26 @@ func parseShard(s string) (i, n int, err error) {
 	return i, n, nil
 }
 
-// stallHandler wraps h so a seeded fraction of requests sleeps for d
-// before being served. The schedule is drawn per request under a lock,
-// so it is deterministic for a sequential client; the sleep itself runs
-// unlocked and never blocks other workers.
-func stallHandler(h netsim.Handler, prob float64, d time.Duration, seed int64) netsim.Handler {
-	var mu sync.Mutex
-	rng := rand.New(rand.NewSource(seed))
-	return netsim.HandlerFunc(func(req []byte) []byte {
-		mu.Lock()
-		stall := rng.Float64() < prob
-		mu.Unlock()
-		if stall {
-			time.Sleep(d)
-		}
-		return h.Handle(req)
-	})
+// stallHandler makes a seeded fraction of requests sleep for d before
+// being served, drawn under a lock (deterministic for a sequential
+// client) and slept unlocked. Only HandleAppend, the one method the
+// serving loops call, stalls: the server keeps its pooled replies.
+type stallHandler struct {
+	netsim.AppendHandler
+	prob float64
+	d    time.Duration
+	mu   sync.Mutex
+	rng  *rand.Rand
+}
+
+func (s *stallHandler) HandleAppend(req, dst []byte) []byte {
+	s.mu.Lock()
+	stall := s.rng.Float64() < s.prob
+	s.mu.Unlock()
+	if stall {
+		time.Sleep(s.d)
+	}
+	return s.AppendHandler.HandleAppend(req, dst)
 }
 
 func main() {
@@ -140,9 +144,9 @@ func main() {
 		// lines show the layout, and a mismatched build stands out.
 		fmt.Printf("shard %s holds %d objects, bounds %v\n", *shardNo, len(objs), ds.Tree().Bounds())
 	}
-	var h netsim.Handler = ds
+	var h netsim.AppendHandler = ds
 	if *chaosProb > 0 && *chaosDelay > 0 {
-		h = stallHandler(h, *chaosProb, *chaosDelay, *chaosSeed)
+		h = &stallHandler{AppendHandler: ds, prob: *chaosProb, d: *chaosDelay, rng: rand.New(rand.NewSource(*chaosSeed))}
 	}
 	srv, err := netsim.ListenAndServe(*addr, h)
 	if err != nil {

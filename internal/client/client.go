@@ -117,18 +117,15 @@ type Remote struct {
 	Typed
 
 	name     string
-	conn     netsim.RoundTripper
+	conn     *netsim.Metered
 	m        *netsim.Meter
 	retry    RetryPolicy
 	retries  atomic.Int64
 	stats    *netsim.LinkStats
 	batchCfg BatchConfig
-	b        *batcher // nil when batching is disabled
-	// pipelined records that the transport is a netsim.Pipeliner: an
-	// unbatched probe group then crosses it in chunks (see group.go).
-	pipelined bool
-	ledger    *netsim.Ledger // nil unless WithLedger armed quotas
-	sched     *Scheduler     // nil unless WithScheduler armed lanes
+	b        *batcher       // nil when batching is disabled
+	ledger   *netsim.Ledger // nil unless WithLedger armed quotas
+	sched    *Scheduler     // nil unless WithScheduler armed lanes
 }
 
 // NewRemote wraps a transport to server name, metering all traffic with
@@ -142,7 +139,6 @@ func NewRemote(name string, rt netsim.RoundTripper, link netsim.LinkConfig, pric
 	conn := netsim.NewMetered(rt, m)
 	r := &Remote{name: name, conn: conn, m: m, stats: &netsim.LinkStats{}}
 	r.Typed = NewTyped(r)
-	_, r.pipelined = rt.(netsim.Pipeliner)
 	conn.SetStats(r.stats)
 	for _, o := range opts {
 		o(r)
@@ -255,27 +251,22 @@ func (r *Remote) Do(ctx context.Context, req []byte) ([]byte, error) {
 	return r.attempts(ctx, req, 0, nil, false)
 }
 
-// attempts is Do's attempt loop from attempt number try on. Do enters at
-// 0; a pipelined chunk that failed was attempt 0 of every request it left
-// unanswered, so those enter at 1 with the chunk's error as last — and
-// are re-issued, or fail, exactly as if Do had made that attempt.
-// retained reports whether an earlier attempt may still reference req.
-func (r *Remote) attempts(ctx context.Context, req []byte, try int, last error, retained bool) ([]byte, error) {
-	attempts := r.retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	for ; try < attempts; try++ {
-		if try > 0 {
+// attempts is Do's attempt loop. last is the previous attempt's error
+// (nil when none was made) and spent the attempts req has used up. Do
+// enters with neither; a failed pipelined chunk enters each request it
+// left unanswered with its error and spent 1 or 0 (see Remote.pipeline),
+// so each is re-sent, or fails, exactly as a Do retry would. retained
+// reports whether an earlier attempt may still reference req.
+func (r *Remote) attempts(ctx context.Context, req []byte, spent int, last error, retained bool) ([]byte, error) {
+	attempts := max(r.retry.MaxAttempts, 1)
+	for try := spent; try < attempts; try++ {
+		if last != nil {
 			if ctx.Err() != nil || !retryable(last) {
 				break
 			}
 			r.retries.Add(1)
-			shift := try - 1
-			if shift > 10 {
-				shift = 10 // cap the doubling; avoids overflow on long loops
-			}
-			if backoff := r.retry.Backoff << shift; backoff > 0 {
+			// The doubling is capped, so long loops cannot overflow.
+			if backoff := r.retry.Backoff << min(max(try-1, 0), 10); backoff > 0 {
 				t := time.NewTimer(backoff)
 				interrupted := false
 				select {

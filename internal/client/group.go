@@ -14,13 +14,13 @@ import (
 // independent requests bound for one link. It runs once, on the stack of
 // the first goroutine that waits for any of its calls, and every request
 // stays what a typed call would have sent — its own bare frame, metered
-// on its own, in submission order. What a group shares is the waiting:
-// on a transport that is a netsim.Pipeliner a chunk of requests
-// (netsim.PipelineChunk) is written back to back and its replies are
-// read in order, so n probes cost about n/depth client wake-ups and
-// writes instead of n. Elsewhere — and under a retry policy that times
-// each request (PerTryTimeout, Budget) — the group is Do per request, in
-// order.
+// on its own, in submission order. What a group shares is the waiting: a
+// chunk of requests (netsim.PipelineChunk) crosses the link as one
+// netsim.Metered.Pipeline, charged up front and paying the link's RTT
+// once, whether the transport writes it back to back or not — so n probes
+// cost about n/depth waits instead of n. A lone request, and a group
+// under a retry policy that times each request (PerTryTimeout, Budget),
+// is Do per request.
 type group struct {
 	r       *Remote
 	ctx     context.Context
@@ -73,7 +73,7 @@ func (r *Remote) group(ctx context.Context, reqs [][]byte) []*Call {
 // or error in the call itself.
 func (g *group) run() {
 	r, n := g.r, len(g.calls)
-	if n == 1 || !r.pipelined || r.retry.PerTryTimeout > 0 || r.retry.Budget > 0 {
+	if n == 1 || r.retry.PerTryTimeout > 0 || r.retry.Budget > 0 {
 		for i := range g.calls {
 			c := &g.calls[i]
 			c.resp, c.err = r.Do(g.ctx, c.req)
@@ -99,9 +99,11 @@ func (g *group) run() {
 // guards: the quota gate closes before any frame of the chunk is
 // charged, each request frame is recycled exactly once (or left to the
 // collector under netsim.ErrFrameRetained), and a MsgError reply fails
-// its own call alone (Call.frame converts it). A failed attempt was
-// attempt 0 of every request it left unanswered: each goes on through
-// Do's attempt loop under the remote's RetryPolicy.
+// its own call alone (Call.frame converts it). A request the attempt left
+// unanswered goes on through Do's attempt loop, having spent one attempt
+// if its frame is the one that failed and none if it sat behind it: the
+// chunk stopped there, so it never met the fault. A MaxAttempts that
+// outlasts a transport's longest run of faults lands it as it lands Do.
 func (r *Remote) pipeline(ctx context.Context, calls []Call, reqs, resps [][]byte) {
 	if err := r.admit(ctx); err != nil {
 		for i := range calls {
@@ -110,7 +112,7 @@ func (r *Remote) pipeline(ctx context.Context, calls []Call, reqs, resps [][]byt
 		}
 		return
 	}
-	answered, err := netsim.Pipeline(ctx, r.conn, reqs, resps)
+	answered, err := r.conn.Pipeline(ctx, reqs, resps)
 	for i, resp := range resps[:answered] {
 		if !bufpool.SameBacking(reqs[i], resp) {
 			bufpool.Put(reqs[i])
@@ -122,6 +124,10 @@ func (r *Remote) pipeline(ctx context.Context, calls []Call, reqs, resps [][]byt
 	}
 	retained := errors.Is(err, netsim.ErrFrameRetained)
 	for i := answered; i < len(calls); i++ {
-		calls[i].resp, calls[i].err = r.attempts(ctx, reqs[i], 1, err, retained)
+		spent := 1
+		if i > answered && r.retry.MaxAttempts > 1 {
+			spent = 0
+		}
+		calls[i].resp, calls[i].err = r.attempts(ctx, reqs[i], spent, err, retained)
 	}
 }

@@ -24,10 +24,13 @@ import (
 
 // This file pins the unbatched probe group (group.go) at the layer
 // boundary: what Do guards must stay guarded when n requests cross one
-// connection as a pipeline — per-frame metering, the quota gate, MsgError
-// containment, the retry policy, frame recycling, cancellation — and the
-// pipelining client must interoperate with a peer that knows nothing of
-// it. Everything runs over real loopback TCP; nothing sleeps.
+// link as a pipeline — per-frame metering, the quota gate, MsgError
+// containment, the retry policy and its per-frame attempts, frame
+// recycling, cancellation — and the pipelining client must interoperate
+// with a peer that knows nothing of it. A group crosses real loopback
+// TCP, its chunks written back to back, or the in-process transport,
+// which netsim.Pipeline sends one frame after another as it sends Faulty
+// and Switch. Nothing sleeps.
 
 // tcpServed boots a dataset server on loopback TCP and returns its
 // address.
@@ -55,6 +58,27 @@ func tcpRemote(t *testing.T, addr string, opts ...Option) *Remote {
 	}
 	t.Cleanup(func() { r.Close() })
 	return r
+}
+
+// inProcRemote returns a remote over an in-process transport, or over
+// whatever wraps one.
+func inProcRemote(t *testing.T, rt netsim.RoundTripper, opts ...Option) *Remote {
+	t.Helper()
+	r, err := NewRemote("G", rt, netsim.DefaultLink(), 1, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+// countReqs encodes n COUNT probes of window w.
+func countReqs(n int, w geom.Rect) [][]byte {
+	reqs := make([][]byte, n)
+	for i := range reqs {
+		reqs[i] = wire.AppendCount(bufpool.Get(), w)
+	}
+	return reqs
 }
 
 // rangeReqs encodes one ε-RANGE probe per point.
@@ -288,113 +312,150 @@ func TestGroupInteropWithFrameAtATimePeer(t *testing.T) {
 	}
 }
 
-// TestGroupSeveredMidChunk (d): the connection dies after k of a chunk's
-// n replies. Under a fail-fast policy the k stand and the n − k fail
-// with the transport's error, nothing re-issued; under DefaultRetry
+// severingSwitch serves h in-process behind a netsim.Switch that the
+// handler arms, while it serves request k − 1, to sever request k's
+// reply: the in-process twin of a peer with severAfter k. The first k
+// replies arrive, request k is served and its reply lost, and the chunk
+// is cut there.
+func severingSwitch(h netsim.Handler, k int) *netsim.Switch {
+	var sw *netsim.Switch
+	var served atomic.Int32
+	sw = netsim.NewSwitch(netsim.Serve(netsim.HandlerFunc(func(req []byte) []byte {
+		if served.Add(1) == int32(k) {
+			sw.Sever(1)
+		}
+		return h.Handle(req)
+	})))
+	return sw
+}
+
+// TestGroupSeveredMidChunk (d): the link dies after k of a chunk's n
+// replies — over TCP the connection closes, in-process a Switch severs
+// request k's reply. Under a fail-fast policy the k stand and the n − k
+// fail with the transport's error, nothing re-issued; under DefaultRetry
 // exactly the n − k are re-issued, and Retries() and the meter say so.
 func TestGroupSeveredMidChunk(t *testing.T) {
 	objs := dataset.Uniform(100, dataset.World, 3)
 	w := dataset.Bounds(objs).Expand(1)
 	const n, k = 8, 3
-	counts := func() [][]byte {
-		reqs := make([][]byte, n)
-		for i := range reqs {
-			reqs[i] = wire.AppendCount(bufpool.Get(), w)
-		}
-		return reqs
+	legs := map[string]func(t *testing.T, retry RetryPolicy) *Remote{
+		"tcp": func(t *testing.T, retry RetryPolicy) *Remote {
+			p := newPeer(t, &peer{handler: server.New("G", objs), severAfter: k})
+			return tcpRemote(t, p.ln.Addr().String(), WithRetry(retry))
+		},
+		"in-process": func(t *testing.T, retry RetryPolicy) *Remote {
+			return inProcRemote(t, severingSwitch(server.New("G", objs), k), WithRetry(retry))
+		},
 	}
 	t.Run("fail-fast", func(t *testing.T) {
-		p := newPeer(t, &peer{handler: server.New("G", objs), severAfter: k})
-		r := tcpRemote(t, p.ln.Addr().String(), WithRetry(RetryPolicy{}))
-		for i, c := range r.GoBatch(context.Background(), counts()) {
-			got, err := c.Count()
-			switch {
-			case i < k && (err != nil || got != len(objs)):
-				t.Errorf("reply %d arrived before the sever: count %d, %v", i, got, err)
-			case i >= k && err == nil:
-				t.Errorf("request %d was answered though the connection died before its reply", i)
-			case i >= k && errors.Is(err, context.Canceled):
-				t.Errorf("request %d: %v, want the transport's error", i, err)
-			}
-		}
-		if u := r.Usage(); r.Retries() != 0 || u.Queries != n || u.Messages != n+k {
-			t.Errorf("retries %d, %d queries, %d messages; want 0, %d, %d", r.Retries(), u.Queries, u.Messages, n, n+k)
+		for leg, remote := range legs {
+			t.Run(leg, func(t *testing.T) {
+				r := remote(t, RetryPolicy{})
+				for i, c := range r.GoBatch(context.Background(), countReqs(n, w)) {
+					got, err := c.Count()
+					switch {
+					case i < k && (err != nil || got != len(objs)):
+						t.Errorf("reply %d arrived before the sever: count %d, %v", i, got, err)
+					case i >= k && err == nil:
+						t.Errorf("request %d was answered though the link died before its reply", i)
+					case i >= k && errors.Is(err, context.Canceled):
+						t.Errorf("request %d: %v, want the transport's error", i, err)
+					}
+				}
+				if u := r.Usage(); r.Retries() != 0 || u.Queries != n || u.Messages != n+k {
+					t.Errorf("retries %d, %d queries, %d messages; want 0, %d, %d", r.Retries(), u.Queries, u.Messages, n, n+k)
+				}
+			})
 		}
 	})
 	t.Run("default-retry", func(t *testing.T) {
-		p := newPeer(t, &peer{handler: server.New("G", objs), severAfter: k})
-		r := tcpRemote(t, p.ln.Addr().String(), WithRetry(DefaultRetry()))
-		for i, c := range r.GoBatch(context.Background(), counts()) {
-			if got, err := c.Count(); err != nil || got != len(objs) {
-				t.Errorf("request %d: count %d, %v", i, got, err)
-			}
-		}
-		if r.Retries() != n-k {
-			t.Errorf("retries = %d, want exactly the %d unanswered requests", r.Retries(), n-k)
-		}
-		if u := r.Usage(); u.Queries != n+(n-k) || u.Messages != 2*n+(n-k) {
-			t.Errorf("%d queries, %d messages; want %d (each unanswered request charged twice) and %d", u.Queries, u.Messages, n+(n-k), 2*n+(n-k))
+		for leg, remote := range legs {
+			t.Run(leg, func(t *testing.T) {
+				r := remote(t, DefaultRetry())
+				for i, c := range r.GoBatch(context.Background(), countReqs(n, w)) {
+					if got, err := c.Count(); err != nil || got != len(objs) {
+						t.Errorf("request %d: count %d, %v", i, got, err)
+					}
+				}
+				if r.Retries() != n-k {
+					t.Errorf("retries = %d, want exactly the %d unanswered requests", r.Retries(), n-k)
+				}
+				if u := r.Usage(); u.Queries != n+(n-k) || u.Messages != 2*n+(n-k) {
+					t.Errorf("%d queries, %d messages; want %d (each unanswered request charged twice) and %d", u.Queries, u.Messages, n+(n-k), 2*n+(n-k))
+				}
+			})
 		}
 	})
 }
 
 // TestGroupCancelMidChunk (b): the context ends while the server is
-// inside the chunk. The waiter returns promptly with the context's
-// error for every unanswered call, the poisoned connection is not
-// reused — a second group on the same Remote dials a fresh one and
-// succeeds — and no goroutine is left behind.
+// inside the chunk, over TCP and in-process. The waiter returns promptly
+// with the context's error for every unanswered call, the link serves
+// the next group — over TCP the poisoned connection is not reused, a
+// second group dials a fresh one — and no goroutine is left behind.
 func TestGroupCancelMidChunk(t *testing.T) {
-	before := runtime.NumGoroutine()
 	objs := dataset.Uniform(100, dataset.World, 3)
 	w := dataset.Bounds(objs).Expand(1)
-	entered, release := make(chan struct{}), make(chan struct{})
-	p := newPeer(t, &peer{handler: server.New("G", objs), hold: func(i int) {
-		if i == 2 {
-			close(entered)
-			<-release
-		}
-	}})
-	r := tcpRemote(t, p.ln.Addr().String())
-	counts := func() [][]byte {
-		reqs := make([][]byte, 6)
-		for i := range reqs {
-			reqs[i] = wire.AppendCount(bufpool.Get(), w)
-		}
-		return reqs
+	for _, leg := range []string{"tcp", "in-process"} {
+		t.Run(leg, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			entered, release := make(chan struct{}), make(chan struct{})
+			hold := func(i int) {
+				if i == 2 {
+					close(entered)
+					<-release
+				}
+			}
+			var p *peer
+			var r *Remote
+			if leg == "tcp" {
+				p = newPeer(t, &peer{handler: server.New("G", objs), hold: hold})
+				r = tcpRemote(t, p.ln.Addr().String())
+			} else {
+				var served atomic.Int32
+				h := server.New("G", objs)
+				r = inProcRemote(t, netsim.Serve(netsim.HandlerFunc(func(req []byte) []byte {
+					hold(int(served.Add(1)) - 1)
+					return h.Handle(req)
+				})))
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				<-entered
+				cancel()
+			}()
+			answered := 0
+			for i, c := range r.GoBatch(ctx, countReqs(6, w)) {
+				switch _, err := c.Count(); {
+				case err == nil:
+					answered++
+				case !errors.Is(err, context.Canceled):
+					t.Errorf("call %d: %v, want the context's error", i, err)
+				}
+			}
+			if answered > 2 {
+				t.Errorf("%d calls answered though the server was parked inside the third", answered)
+			}
+			close(release)
+			for i, c := range r.GoBatch(context.Background(), countReqs(6, w)) {
+				if got, err := c.Count(); err != nil || got != len(objs) {
+					t.Fatalf("second group, call %d: count %d, %v", i, got, err)
+				}
+			}
+			if p != nil && p.accepted.Load() != 2 {
+				t.Errorf("peer accepted %d connections, want 2: the cancelled chunk's connection must not be reused", p.accepted.Load())
+			}
+			if r.Retries() != 0 {
+				t.Errorf("a cancelled chunk was retried %d times", r.Retries())
+			}
+			r.Close()
+			if p != nil {
+				p.ln.Close()
+				p.wg.Wait()
+			}
+			waitFor(t, "goroutines of the cancelled group to exit", func() bool { return runtime.NumGoroutine() <= before })
+		})
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		<-entered
-		cancel()
-	}()
-	answered := 0
-	for i, c := range r.GoBatch(ctx, counts()) {
-		switch _, err := c.Count(); {
-		case err == nil:
-			answered++
-		case !errors.Is(err, context.Canceled):
-			t.Errorf("call %d: %v, want the context's error", i, err)
-		}
-	}
-	if answered > 2 {
-		t.Errorf("%d calls answered though the peer was parked inside the third", answered)
-	}
-	close(release)
-	for i, c := range r.GoBatch(context.Background(), counts()) {
-		if got, err := c.Count(); err != nil || got != len(objs) {
-			t.Fatalf("second group, call %d: count %d, %v", i, got, err)
-		}
-	}
-	if got := p.accepted.Load(); got != 2 {
-		t.Errorf("peer accepted %d connections, want 2: the cancelled chunk's connection must not be reused", got)
-	}
-	if r.Retries() != 0 {
-		t.Errorf("a cancelled chunk was retried %d times", r.Retries())
-	}
-	r.Close()
-	p.ln.Close()
-	p.wg.Wait()
-	waitFor(t, "goroutines of the cancelled group to exit", func() bool { return runtime.NumGoroutine() <= before })
 }
 
 // severingRT is a transport that pipelines and fails every chunk after
@@ -504,17 +565,12 @@ func TestGroupSpawnsNothing(t *testing.T) {
 // lone-request path do — and the group, carved in one allocation with
 // that slice at every size up to a chunk's depth, still answers each
 // request exactly once: a second consumption of a call fails. Waiters
-// race for the run from as many goroutines as there are calls, over a
-// link that pipelines and one that does not; under -race this also pins
-// that the run never reads the caller's slice.
+// race for the run from as many goroutines as there are calls, over
+// loopback TCP and over the in-process transport; under -race this also
+// pins that the run never reads the caller's slice.
 func TestGroupCallsAreTheCallers(t *testing.T) {
 	objs := dataset.Uniform(200, dataset.World, 7)
-	oneAtATime, err := NewRemote("G", netsim.Serve(server.New("G", objs)), netsim.DefaultLink(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer oneAtATime.Close()
-	remotes := map[string]*Remote{"pipelined": tcpRemote(t, tcpServed(t, objs)), "one at a time": oneAtATime}
+	remotes := map[string]*Remote{"tcp": tcpRemote(t, tcpServed(t, objs)), "in-process": inProcRemote(t, netsim.Serve(server.New("G", objs)))}
 	for name, r := range remotes {
 		for _, n := range []int{1, 4, 5, netsim.PipelineDepth, netsim.PipelineDepth + 1} {
 			want := make([]int, n)
@@ -550,5 +606,49 @@ func TestGroupCallsAreTheCallers(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGroupLandsEveryRequestThroughFaults pins the retry guarantee on
+// the path every unbatched group takes. Over Faulty no run of faults is
+// longer than MaxConsecutive, so MaxAttempts = MaxConsecutive + 1 lands a
+// lone Do — and it must land every request of a group too, though a
+// chunk stops at its first fault and leaves its tail unanswered: only the
+// frame that met the fault has spent an attempt. The meter conserves on
+// every seed: each uplink frame is a request's first transmission or one
+// of Retries().
+func TestGroupLandsEveryRequestThroughFaults(t *testing.T) {
+	objs := dataset.Uniform(200, dataset.World, 5)
+	w := dataset.Bounds(objs).Expand(1)
+	tr := netsim.Serve(server.New("G", objs))
+	defer tr.Close()
+	const seeds, n, maxRun = 200, 32, 3
+	var failed, faults, queries, retries int64
+	for seed := int64(1); seed <= seeds; seed++ {
+		ft := netsim.NewFaulty(tr, netsim.FaultConfig{Seed: seed, DropProb: 0.3, SeverProb: 0.2, MaxConsecutive: maxRun})
+		r, err := NewRemote("G", ft, netsim.DefaultLink(), 1, WithRetry(RetryPolicy{MaxAttempts: maxRun + 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range r.GoBatch(context.Background(), countReqs(n, w)) {
+			if got, err := c.Count(); err != nil || got != len(objs) {
+				failed++
+			}
+		}
+		u := r.Usage()
+		if int64(u.Queries) != n+r.Retries() {
+			t.Errorf("seed %d: %d queries metered, want %d requests + %d retries", seed, u.Queries, n, r.Retries())
+		}
+		st := ft.Stats()
+		faults += int64(st.Drops + st.Severs)
+		queries += int64(u.Queries)
+		retries += r.Retries()
+	}
+	t.Logf("%d seeds × %d requests: %d faults injected, %d retries, %d queries", seeds, n, faults, retries, queries)
+	if failed > 0 {
+		t.Errorf("%d of %d requests failed with MaxAttempts = MaxConsecutive + 1", failed, seeds*n)
+	}
+	if faults == 0 {
+		t.Fatal("vacuous: no fault was injected")
 	}
 }

@@ -98,8 +98,8 @@ type Env struct {
 	// number of partitions that may hold downloaded objects at once. 0 or
 	// 1 reproduces the paper's single-threaded PDA: one thread, one probe
 	// group at a time, submitted whole, its requests on each link in a
-	// fixed order — replies awaited together, a chunk at a time, where the
-	// link can pipeline. Higher values let independent R-side and S-side
+	// fixed order — replies awaited together, a chunk at a time. Higher
+	// values let independent R-side and S-side
 	// requests issue in parallel, sibling partitions run as live
 	// subproblems on a bounded pool, an unbatched probe group split into
 	// Parallelism chunks submitted by as many tasks, and partition

@@ -51,8 +51,9 @@ func testEnvParallel(t *testing.T, robjs, sobjs []geom.Object, buffer, paralleli
 // unpacked: how they were framed is the batcher's business, which queries
 // were asked is the algorithm's. order is the same queries in the order
 // the link carried them — meaningful for a sequential run only. Embedding
-// the interface hides the transport's Pipeliner, so a sequential run over
-// a requestLog sends one request at a time: one Do per probe, in order.
+// the interface hides the transport's Pipeliner, so netsim.Pipeline sends
+// a sequential run's chunks through a requestLog one request at a time,
+// in order.
 type requestLog struct {
 	netsim.RoundTripper
 	t     *testing.T

@@ -72,9 +72,10 @@ func TestTCPTransportAppendHandler(t *testing.T) {
 	}
 }
 
-// TestPlainHandlerFramesNotRecycled checks the conservative path: an
-// echoing plain Handler must keep working over TCP, where its response
-// aliases the request buffer — the serving loop must not recycle either.
+// TestPlainHandlerFramesNotRecycled: an echoing plain Handler keeps
+// working over TCP although its reply aliases the request buffer — the
+// adapter the server wraps it in copies the reply into the pooled buffer
+// before either frame is recycled.
 func TestPlainHandlerFramesNotRecycled(t *testing.T) {
 	srv, err := ListenAndServe("127.0.0.1:0", HandlerFunc(func(req []byte) []byte {
 		return req // aliases the read buffer

@@ -10,16 +10,17 @@ import (
 
 // Handler processes one request frame and produces one response frame.
 // Dataset servers implement this. Handlers must be safe for concurrent
-// calls when served with more than one worker.
+// calls when served with more than one worker, and must not retain req
+// once they return: the serving loops recycle the request buffer.
 type Handler interface {
 	Handle(req []byte) (resp []byte)
 }
 
 // AppendHandler is the zero-allocation variant of Handler: the response
 // frame is appended to a buffer the serving loop provides (and recycles
-// once the frame has been delivered). Both transports probe for it and
-// fall back to Handle, so implementing it is strictly an optimization —
-// the frames must be bit-identical either way.
+// once the frame has been delivered). The serving loops call nothing
+// else; the entry points wrap a plain Handler once in an adapter that
+// copies its reply into that buffer. Frames are bit-identical either way.
 type AppendHandler interface {
 	Handler
 	HandleAppend(req, dst []byte) []byte
@@ -31,16 +32,18 @@ type HandlerFunc func(req []byte) []byte
 // Handle implements Handler.
 func (f HandlerFunc) Handle(req []byte) []byte { return f(req) }
 
-// handleInto answers req with h, appending into a pooled buffer when h
-// supports it. Ownership of the returned frame passes to the consumer of
-// its bytes, which should bufpool.Put it once decoded (Putting a frame
-// that did not come from the pool is harmless).
-func handleInto(h Handler, req []byte) []byte {
+// appending returns h as an AppendHandler: h itself when it is one, else
+// an adapter that appends Handle's reply to the serving loop's buffer.
+func appending(h Handler) AppendHandler {
 	if ah, ok := h.(AppendHandler); ok {
-		return ah.HandleAppend(req, bufpool.Get())
+		return ah
 	}
-	return h.Handle(req)
+	return appendAdapter{h}
 }
+
+type appendAdapter struct{ Handler }
+
+func (a appendAdapter) HandleAppend(req, dst []byte) []byte { return append(dst, a.Handle(req)...) }
 
 // ErrClosed is returned by transports after Close.
 var ErrClosed = errors.New("netsim: transport closed")
@@ -82,6 +85,7 @@ func ServeParallel(h Handler, workers int) *ChannelTransport {
 	if workers < 1 {
 		workers = 1
 	}
+	ah := appending(h)
 	t := &ChannelTransport{
 		reqs:   make(chan chanReq),
 		closed: make(chan struct{}),
@@ -95,7 +99,7 @@ func ServeParallel(h Handler, workers int) *ChannelTransport {
 			for {
 				select {
 				case r := <-t.reqs:
-					r.reply <- handleInto(h, r.frame)
+					r.reply <- ah.HandleAppend(r.frame, bufpool.Get())
 				case <-t.closed:
 					return
 				}
@@ -115,9 +119,9 @@ var replyChanPool = sync.Pool{
 	New: func() any { return make(chan []byte, 1) },
 }
 
-// RoundTrip implements RoundTripper. When the handler supports
-// AppendHandler, the returned frame is backed by the shared buffer pool;
-// the caller may bufpool.Put it after consuming its bytes. A canceled
+// RoundTrip implements RoundTripper. The returned frame is backed by the
+// shared buffer pool; the caller may bufpool.Put it after consuming its
+// bytes. A canceled
 // context abandons the round trip immediately, even when every server
 // worker is hung inside a handler.
 func (t *ChannelTransport) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {

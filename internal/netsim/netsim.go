@@ -290,8 +290,8 @@ func RetainFrame(err error) error { return retainedError{err: err} }
 // executor keeps several requests in flight per server. (The sequential
 // executor, Parallelism ≤ 1, is one thread with one probe group at a time
 // per server, as a single-threaded PDA is: a group's requests go out in
-// order, and on a transport that is a Pipeliner a chunk of them is
-// written before its replies, in the same order, are awaited.)
+// order, a chunk at a time (see Pipeline), and its replies are awaited in
+// the same order.)
 //
 // RoundTrip must honor ctx: when the context is canceled or its deadline
 // passes mid-flight, the call returns promptly with the context's error
@@ -315,8 +315,11 @@ type Pipeliner interface {
 	Pipeline(ctx context.Context, reqs, resps [][]byte) (answered int, err error)
 }
 
-// Pipeline sends one chunk over rt: pipelined when rt is a Pipeliner,
-// otherwise one round trip after another, stopping at the first failure.
+// Pipeline sends one chunk over rt: a Pipeliner writes it back to back;
+// any other transport — Faulty, Switch, the channel transport, a
+// decorator hiding the capability — gets one round trip after another,
+// stopping at the first failure. So faults are drawn per frame, in frame
+// order, and the first cuts the chunk: a severed TCP connection's shape.
 func Pipeline(ctx context.Context, rt RoundTripper, reqs, resps [][]byte) (answered int, err error) {
 	if p, ok := rt.(Pipeliner); ok {
 		return p.Pipeline(ctx, reqs, resps)

@@ -105,7 +105,7 @@ func TestPipelineCostsOneWriteAChunk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &TCPServer{ln: countingListener{ln, &srvReads, &srvWrites}, h: tagHandler{}, conns: make(map[net.Conn]struct{})}
+	srv := &TCPServer{ln: countingListener{ln, &srvReads, &srvWrites}, h: appending(tagHandler{}), conns: make(map[net.Conn]struct{})}
 	srv.wg.Add(1)
 	go srv.acceptLoop()
 	defer srv.Close()
@@ -452,7 +452,7 @@ func FuzzFrameStream(f *testing.F) {
 		}
 		client, server := net.Pipe()
 		defer client.Close()
-		srv := &TCPServer{h: tagHandler{}, conns: map[net.Conn]struct{}{server: {}}}
+		srv := &TCPServer{h: appending(tagHandler{}), conns: map[net.Conn]struct{}{server: {}}}
 		srv.wg.Add(1)
 		go srv.serveConn(server)
 		go func() {

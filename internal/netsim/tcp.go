@@ -145,7 +145,7 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 // responses are written before the connections close).
 type TCPServer struct {
 	ln net.Listener
-	h  Handler
+	h  AppendHandler
 
 	// draining is read on the per-request serving path, so it is atomic
 	// rather than guarded by mu: the hot path takes no server-wide lock.
@@ -165,7 +165,7 @@ func ListenAndServe(addr string, h Handler) (*TCPServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &TCPServer{ln: ln, h: h, conns: make(map[net.Conn]struct{})}
+	s := &TCPServer{ln: ln, h: appending(h), conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -211,7 +211,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	ah, appendable := s.h.(AppendHandler)
 	br := bufio.NewReaderSize(conn, readAhead)
 	out := bufpool.Get() // framed replies not yet written
 	defer func() { bufpool.Put(out) }()
@@ -233,23 +232,14 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		if err != nil {
 			return // client closed, broken frame, or drain poisoned the read
 		}
-		var resp []byte
-		if appendable {
-			// Zero-allocation steady state: request and response buffers
-			// cycle through the pool. HandleAppend's contract — the
-			// response is appended to our buffer and the request is not
-			// retained — makes both frames dead once the response is
-			// written or copied into out. The aliasing guard protects the
-			// pool against a handler that breaks the contract by answering
-			// with the request's own bytes: the shared backing is then Put
-			// exactly once.
-			resp = ah.HandleAppend(req, bufpool.Get())
-		} else {
-			// A plain Handler may retain the request or answer with a
-			// frame aliasing it (an echo handler does), so neither buffer
-			// can be recycled safely.
-			resp = s.h.Handle(req)
-		}
+		// Zero-allocation steady state: request and response buffers cycle
+		// through the pool. HandleAppend's contract — the response is
+		// appended to our buffer and the request is not retained — makes
+		// both frames dead once the response is written or copied into
+		// out. The aliasing guard protects the pool against a handler that
+		// breaks the contract by answering with the request's own bytes:
+		// the shared backing is then Put exactly once.
+		resp := s.h.HandleAppend(req, bufpool.Get())
 		if frameHdr+len(resp) > coalesce {
 			// A large reply goes out uncopied, behind whatever it follows.
 			if err = flush(); err == nil {
@@ -261,12 +251,10 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			}
 			out = append(binary.LittleEndian.AppendUint32(out, uint32(len(resp))), resp...)
 		}
-		if appendable {
-			if !bufpool.SameBacking(req, resp) {
-				bufpool.Put(req)
-			}
-			bufpool.Put(resp)
+		if !bufpool.SameBacking(req, resp) {
+			bufpool.Put(req)
 		}
+		bufpool.Put(resp)
 		if err != nil {
 			return
 		}
