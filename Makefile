@@ -129,7 +129,9 @@ vet:
 # group (group.go) runs on its waiter's stack — and core has one probe
 # path: it never picks a framing (no batching()), and reads Env.BatchSize
 # in the pool rule (parallel.go) alone. The field's declarations and a
-# write of it into a link's Env are not reads.
+# write of it into a link's Env are not reads. Every per-link number has
+# one home, the link's netsim.Meter: no internal/client struct holds a
+# *netsim.Ledger or *netsim.LinkStats, and NewScheduler takes no ledger.
 lint-seams:
 	@if grep -nE 'time\.(AfterFunc|NewTimer|Sleep)' internal/client/batch.go; then \
 	  echo "lint: internal/client/batch.go must not wait on a clock"; exit 1; fi
@@ -147,6 +149,11 @@ lint-seams:
 	  echo "lint: core picks no framing (no batching()) and reads Env.BatchSize in parallel.go alone"; exit 1; fi
 	@if grep -Hnw 'Pipeliner' $$(ls internal/client/*.go | grep -v '_test\.go$$'); then \
 	  echo "lint: internal/client picks no group path by transport (no Pipeliner)"; exit 1; fi
+	@if grep -HnE '^[[:space:]]+([[:alnum:]_, ]+[[:space:]])?\*netsim\.(Ledger|LinkStats)([^[:alnum:]_]|$$)' \
+	      $$(ls internal/client/*.go | grep -v '_test\.go$$'); then \
+	  echo "lint: a link's ledger and RTT observer live in its netsim.Meter, not in an internal/client field"; exit 1; fi
+	@if grep -HnE 'func NewScheduler\([^)]' internal/client/*.go; then \
+	  echo "lint: NewScheduler takes no argument (quotas are the meter's ledger)"; exit 1; fi
 
 # lint runs the static analyzers CI enforces (staticcheck, govulncheck).
 # Locally the tools may be absent — this target never installs anything;

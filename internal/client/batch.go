@@ -271,28 +271,28 @@ func newBatcher(r *Remote, cfg BatchConfig) *batcher {
 // full reports whether the window has no room. Caller holds b.mu.
 func (b *batcher) full() bool { return len(b.sem) == cap(b.sem) }
 
-// enqueue adds each call to its tenant's lane (after the quota gate),
-// assembling an envelope with pick() whenever the total backlog reaches
-// the size trigger and the window has room for it. All calls of one
-// enqueue are appended under one lock acquisition, so a caller
-// submitting exactly MaxBatch requests into an *empty* queue gets one
-// frame containing exactly those requests; when concurrent submitters
-// have left stragglers queued, those join the frame and the tail of this
-// enqueue stays queued — correct, just a different grouping. Sequential
-// runs always find the queue empty (core collects each probe group
-// before issuing the next), which is what the deterministic
-// byte-accounting goldens rely on.
+// enqueue adds each call to its tenant's lane (after Remote.admit, the
+// link's one quota gate), assembling an envelope with pick() whenever
+// the total backlog reaches the size trigger and the window has room for
+// it. All calls of one enqueue are appended under one lock acquisition,
+// so a caller submitting exactly MaxBatch requests into an *empty* queue
+// gets one frame containing exactly those requests; when concurrent
+// submitters have left stragglers queued, those join the frame and the
+// tail of this enqueue stays queued — correct, just a different
+// grouping. Sequential runs always find the queue empty (core collects
+// each probe group before issuing the next), which is what the
+// deterministic byte-accounting goldens rely on.
 func (b *batcher) enqueue(calls []*Call) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for _, c := range calls {
-		id := b.sched.laneOf(c.ctx)
-		if err := b.sched.admit(id); err != nil {
+		if err := b.rem.admit(c.ctx); err != nil {
 			bufpool.Put(c.req)
 			c.req = nil
-			c.complete(nil, fmt.Errorf("%s: %w", b.rem.name, err))
+			c.complete(nil, err)
 			continue
 		}
+		id := b.sched.laneOf(c.ctx)
 		ln := b.lanes[id]
 		if ln == nil {
 			ln = &lane{}

@@ -75,14 +75,16 @@ func WithRetry(p RetryPolicy) Option {
 	return func(r *Remote) { r.retry = p }
 }
 
-// WithLedger arms fleet-wide tenant accounting on the remote: the meter
-// attributes every frame to the tenant its context names and feeds the
-// shared ledger, and the round-trip entry point rejects probes of
-// tenants whose Eq. (1) spend has crossed their byte quota with a typed
-// *netsim.QuotaError. One ledger is shared by every remote of a serving
-// fleet, so quotas bound a tenant's spend across all links at once.
+// WithLedger arms fleet-wide tenant accounting on the remote: its meter
+// (netsim.Meter.SetLedger) attributes every frame to the tenant its
+// context names and feeds the shared ledger, and the remote's one quota
+// gate, admit — consulted by Do, by a pipelined group and by the batcher
+// at enqueue — rejects probes of tenants whose Eq. (1) spend has crossed
+// their byte quota with a typed *netsim.QuotaError. One ledger is shared
+// by every remote of a serving fleet, so quotas bound a tenant's spend
+// across all links at once.
 func WithLedger(l *netsim.Ledger) Option {
-	return func(r *Remote) { r.ledger = l }
+	return func(r *Remote) { r.m.SetLedger(l) }
 }
 
 // WithScheduler arms multi-tenant probe scheduling on the remote's
@@ -90,11 +92,17 @@ func WithLedger(l *netsim.Ledger) Option {
 // decides which lane's probes enter each envelope (strict priority
 // tiers, deficit-round-robin within a tier, starvation bound). Requires
 // batching (WithBatch, MaxBatch > 1) to have an injection point; without
-// a batcher the option only arms the scheduler's quota admission. One
+// a batcher the option only arms the meter's tenant columns, so fairness
+// stays observable. Quotas are WithLedger's, not the scheduler's. One
 // scheduler is shared by every remote of a fleet so policies are
 // consistent across links.
 func WithScheduler(s *Scheduler) Option {
-	return func(r *Remote) { r.sched = s }
+	return func(r *Remote) {
+		r.sched = s
+		if s != nil {
+			r.m.EnableTenants()
+		}
+	}
 }
 
 // Remote is the client-side proxy to one dataset server over a metered
@@ -121,11 +129,9 @@ type Remote struct {
 	m        *netsim.Meter
 	retry    RetryPolicy
 	retries  atomic.Int64
-	stats    *netsim.LinkStats
 	batchCfg BatchConfig
-	b        *batcher       // nil when batching is disabled
-	ledger   *netsim.Ledger // nil unless WithLedger armed quotas
-	sched    *Scheduler     // nil unless WithScheduler armed lanes
+	b        *batcher   // nil when batching is disabled
+	sched    *Scheduler // nil unless WithScheduler armed lanes
 }
 
 // NewRemote wraps a transport to server name, metering all traffic with
@@ -136,19 +142,10 @@ func NewRemote(name string, rt netsim.RoundTripper, link netsim.LinkConfig, pric
 	if err != nil {
 		return nil, fmt.Errorf("client: remote %s: %w", name, err)
 	}
-	conn := netsim.NewMetered(rt, m)
-	r := &Remote{name: name, conn: conn, m: m, stats: &netsim.LinkStats{}}
+	r := &Remote{name: name, conn: netsim.NewMetered(rt, m), m: m}
 	r.Typed = NewTyped(r)
-	conn.SetStats(r.stats)
 	for _, o := range opts {
 		o(r)
-	}
-	if r.ledger != nil {
-		m.SetLedger(r.ledger)
-	} else if r.sched != nil {
-		// Lanes without quotas still want per-tenant attribution so
-		// fairness is observable in the tenant columns.
-		m.EnableTenants()
 	}
 	r.b = newBatcher(r, r.batchCfg)
 	return r, nil
@@ -180,17 +177,12 @@ func (r *Remote) TenantIDs() []netsim.TenantID { return r.m.TenantIDs() }
 // a failure-free run).
 func (r *Remote) Retries() int64 { return r.retries.Load() }
 
-// LinkStats returns the live link observation of this remote: the link
-// parameters its meter charges against plus the measured RTT EWMA fed by
-// every successful round trip. The online planner (package plan) reads
-// it to hydrate the cost model from reality instead of static defaults.
-func (r *Remote) LinkStats() netsim.LinkSnapshot {
-	return netsim.LinkSnapshot{
-		Config:  r.m.Link(),
-		RTT:     r.stats.RTT(),
-		Samples: r.stats.Samples(),
-	}
-}
+// LinkStats returns the live link observation of this remote's meter:
+// the link parameters it charges against plus the measured RTT EWMA fed
+// by every successful round trip. The online planner (package plan)
+// reads it to hydrate the cost model from reality instead of static
+// defaults.
+func (r *Remote) LinkStats() netsim.LinkSnapshot { return r.m.LinkStats() }
 
 // Close releases the underlying transport.
 func (r *Remote) Close() error { return r.conn.Close() }
@@ -203,12 +195,13 @@ func retryable(err error) bool {
 	return !errors.Is(err, netsim.ErrClosed)
 }
 
-// admit is the quota gate: a tenant over its fleet-wide byte budget is
-// rejected before any bytes are committed to the link.
+// admit is the remote's one quota gate, on the unbatched path and at the
+// batcher's enqueue alike: a tenant over its fleet-wide byte budget (the
+// meter's ledger) is rejected before any bytes are committed to the link.
 func (r *Remote) admit(ctx context.Context) error {
-	if r.ledger != nil {
+	if l := r.m.Ledger(); l != nil {
 		if id := netsim.TenantOf(ctx); id != "" {
-			if qerr := r.ledger.Check(id); qerr != nil {
+			if qerr := l.Check(id); qerr != nil {
 				return fmt.Errorf("%s: %w", r.name, qerr)
 			}
 		}

@@ -107,7 +107,7 @@ func TestGroupMetersLikeTypedCalls(t *testing.T) {
 	addr := tcpServed(t, objs)
 	pts := centers(objs, 70) // three chunks
 	ctx := netsim.WithHedged(netsim.WithTenant(context.Background(), "t1"))
-	tenants := WithScheduler(NewScheduler(nil)) // arms the tenant columns
+	tenants := WithScheduler(NewScheduler()) // arms the tenant columns
 
 	typed := tcpRemote(t, addr, tenants)
 	want := make([][]geom.Object, len(pts))

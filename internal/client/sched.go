@@ -28,10 +28,10 @@ import (
 //     regardless of tier, so even the lowest tier makes progress while
 //     high-priority traffic is saturating the link.
 //
-// One Scheduler is shared by every remote of a fleet, so policies (and
-// the quota ledger it carries) are consistent across links. The lanes
-// themselves are per-batcher — per link — which is what makes the
-// fairness per-link, matching the per-link batching it arbitrates.
+// One Scheduler is shared by every remote of a fleet, so policies are
+// consistent across links. The lanes themselves are per-batcher — per
+// link — which is what makes the fairness per-link, matching the
+// per-link batching it arbitrates.
 
 // schedQuantum is the DRR byte credit one visit grants a lane per unit
 // of weight. It is a few typical probe frames, so small-weight lanes
@@ -53,31 +53,22 @@ type TenantPolicy struct {
 }
 
 // Scheduler holds the fleet-wide scheduling policy: each tenant's
-// priority tier and intra-tier weight, the starvation bound, and
-// (optionally) the quota ledger admission consults. It carries no queue
-// state — lanes live in each link's batcher — so one Scheduler serves
-// any number of remotes concurrently.
+// priority tier and intra-tier weight, and the starvation bound. It
+// carries no queue state — lanes live in each link's batcher — and no
+// quota (that is the meter's ledger, see WithLedger), so one Scheduler
+// serves any number of remotes concurrently.
 type Scheduler struct {
-	ledger *netsim.Ledger
 	starve int
 
 	mu  sync.RWMutex
 	pol map[netsim.TenantID]TenantPolicy
 }
 
-// NewScheduler returns a scheduler with the default starvation bound.
-// ledger may be nil (no quota admission at the lanes).
-func NewScheduler(ledger *netsim.Ledger) *Scheduler {
-	return &Scheduler{
-		ledger: ledger,
-		starve: defaultStarvationBound,
-		pol:    make(map[netsim.TenantID]TenantPolicy),
-	}
+// NewScheduler returns a scheduler with the default starvation bound and
+// every tenant at the default class.
+func NewScheduler() *Scheduler {
+	return &Scheduler{starve: defaultStarvationBound, pol: make(map[netsim.TenantID]TenantPolicy)}
 }
-
-// Ledger returns the quota ledger admission consults (nil when quotas
-// are not armed).
-func (s *Scheduler) Ledger() *netsim.Ledger { return s.ledger }
 
 // SetStarvationBound sets how many consecutive envelopes a non-empty
 // lane may be passed over before it is force-served. Values below 1 mean
@@ -132,14 +123,4 @@ func (s *Scheduler) laneOf(ctx context.Context) netsim.TenantID {
 		return ""
 	}
 	return netsim.TenantOf(ctx)
-}
-
-// admit is the lane-side quota gate: a tenant over its byte budget is
-// rejected before its probe ever occupies queue space, so an exhausted
-// tenant cannot poison envelopes other tenants ride in.
-func (s *Scheduler) admit(id netsim.TenantID) error {
-	if s == nil || s.ledger == nil || id == "" {
-		return nil
-	}
-	return s.ledger.Check(id)
 }

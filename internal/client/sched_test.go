@@ -52,7 +52,7 @@ func tenantOfCall(c *Call) netsim.TenantID { return netsim.TenantOf(c.ctx) }
 // TestSchedulerWeightedFairness: two backlogged same-priority lanes with
 // weights 1:3 converge to byte shares 1:3 within ±10% of the total.
 func TestSchedulerWeightedFairness(t *testing.T) {
-	sched := NewScheduler(nil)
+	sched := NewScheduler()
 	sched.SetPolicy("a", TenantPolicy{Priority: 0, Weight: 1})
 	sched.SetPolicy("b", TenantPolicy{Priority: 0, Weight: 3})
 	b := newLaneBatcher(sched, 8)
@@ -90,7 +90,7 @@ func TestSchedulerWeightedFairness(t *testing.T) {
 // TestSchedulerThreeWayFairness: weights 1:2:5 among three backlogged
 // lanes, same tolerance.
 func TestSchedulerThreeWayFairness(t *testing.T) {
-	sched := NewScheduler(nil)
+	sched := NewScheduler()
 	weights := map[netsim.TenantID]int{"x": 1, "y": 2, "z": 5}
 	for id, w := range weights {
 		sched.SetPolicy(id, TenantPolicy{Weight: w})
@@ -129,7 +129,7 @@ func TestSchedulerThreeWayFairness(t *testing.T) {
 // peer is backlogged the quantum applies again.
 func TestSchedulerLoneLaneFillsEnvelope(t *testing.T) {
 	const max, reqBytes = 64, 17 // one COUNT frame; 64 of them are 4× the quantum
-	for name, sched := range map[string]*Scheduler{"one-tenant": NewScheduler(nil), "unscheduled": nil} {
+	for name, sched := range map[string]*Scheduler{"one-tenant": NewScheduler(), "unscheduled": nil} {
 		t.Run(name, func(t *testing.T) {
 			id := sched.laneOf(netsim.WithTenant(context.Background(), "solo"))
 			b := newLaneBatcher(sched, max)
@@ -151,7 +151,7 @@ func TestSchedulerLoneLaneFillsEnvelope(t *testing.T) {
 		})
 	}
 
-	sched := NewScheduler(nil)
+	sched := NewScheduler()
 	b := newLaneBatcher(sched, max)
 	b.fill("a", max, reqBytes)
 	b.fill("b", max, reqBytes)
@@ -164,7 +164,7 @@ func TestSchedulerLoneLaneFillsEnvelope(t *testing.T) {
 // drains completely before the low tier contributes a single probe
 // (starvation guard pushed out of the way).
 func TestSchedulerStrictPriority(t *testing.T) {
-	sched := NewScheduler(nil)
+	sched := NewScheduler()
 	sched.SetStarvationBound(1000)
 	sched.SetPolicy("high", TenantPolicy{Priority: 2, Weight: 1})
 	sched.SetPolicy("low", TenantPolicy{Priority: 0, Weight: 1})
@@ -201,7 +201,7 @@ func TestSchedulerStrictPriority(t *testing.T) {
 // envelope, the remaining slots go to the lower tier in the SAME
 // envelope — sharing the frame delays nobody.
 func TestSchedulerPriorityFillDown(t *testing.T) {
-	sched := NewScheduler(nil)
+	sched := NewScheduler()
 	sched.SetPolicy("high", TenantPolicy{Priority: 1})
 	sched.SetPolicy("low", TenantPolicy{Priority: 0})
 	b := newLaneBatcher(sched, 8)
@@ -229,7 +229,7 @@ func TestSchedulerPriorityFillDown(t *testing.T) {
 // envelopes before the guard forces its head probe through.
 func TestSchedulerStarvationBound(t *testing.T) {
 	const bound = 3
-	sched := NewScheduler(nil)
+	sched := NewScheduler()
 	sched.SetStarvationBound(bound)
 	sched.SetPolicy("high", TenantPolicy{Priority: 1})
 	sched.SetPolicy("low", TenantPolicy{Priority: 0})
@@ -265,47 +265,52 @@ func TestSchedulerStarvationBound(t *testing.T) {
 }
 
 // TestSchedulerQuotaAdmission: an over-quota tenant's probes are
-// rejected at the lane gate with the typed error while other tenants'
+// rejected at the lane gate — the remote's one quota gate, before any
+// byte reaches the link — with the typed error, while other tenants'
 // probes proceed.
 func TestSchedulerQuotaAdmission(t *testing.T) {
 	ledger := netsim.NewLedger()
 	ledger.SetQuota("poor", 100)
 	ledger.Charge("poor", 150) // already exhausted
-	sched := NewScheduler(ledger)
+	r := newTenantRemote(t, NewScheduler(), ledger, 4, 1)
+	w := dataset.World
 
-	if err := sched.admit("poor"); err == nil {
-		t.Fatal("admit(poor) = nil, want quota error")
+	poor := netsim.WithTenant(context.Background(), "poor")
+	if _, err := r.GoBatch(poor, [][]byte{wire.AppendCount(bufpool.Get(), w)})[0].Frame(); err == nil {
+		t.Fatal("poor probe admitted, want quota error")
 	} else {
 		var qe *netsim.QuotaError
 		if !errors.As(err, &qe) || !errors.Is(err, netsim.ErrOverQuota) {
-			t.Fatalf("admit(poor) = %v, want *QuotaError matching ErrOverQuota", err)
+			t.Fatalf("poor probe = %v, want *QuotaError matching ErrOverQuota", err)
 		}
 		if qe.Tenant != "poor" || qe.Spent != 150 || qe.Quota != 100 {
 			t.Errorf("QuotaError = %+v, want {poor 150 100}", qe)
 		}
 	}
-	if err := sched.admit("rich"); err != nil {
-		t.Errorf("admit(rich) = %v, want nil (no quota set)", err)
+	if u := r.Usage(); u != (netsim.Usage{}) {
+		t.Errorf("rejected probe reached the link: %+v", u)
 	}
-	if err := sched.admit(""); err != nil {
-		t.Errorf("admit(anonymous) = %v, want nil", err)
+	for _, id := range []netsim.TenantID{"rich", ""} {
+		ctx := netsim.WithTenant(context.Background(), id)
+		if n, err := r.GoBatch(ctx, [][]byte{wire.AppendCount(bufpool.Get(), w)})[0].Count(); err != nil || n != 300 {
+			t.Errorf("tenant %q: count %d, %v — want 300, nil (no quota set)", id, n, err)
+		}
 	}
 }
 
 // --- end-to-end multi-tenant batching --------------------------------------
 
-func newTenantRemote(t *testing.T, sched *Scheduler, maxBatch, workers int) *Remote {
+func newTenantRemote(t *testing.T, sched *Scheduler, ledger *netsim.Ledger, maxBatch, workers int) *Remote {
 	t.Helper()
 	objs := dataset.Uniform(300, dataset.World, 11)
 	tr := netsim.ServeParallel(server.New("T", objs), workers)
-	r, err := NewRemote("T", tr, netsim.DefaultLink(), 1,
-		WithBatch(BatchConfig{MaxBatch: maxBatch}),
-		WithScheduler(sched))
+	opts := []Option{WithBatch(BatchConfig{MaxBatch: maxBatch}), WithScheduler(sched)}
+	if ledger != nil {
+		opts = append(opts, WithLedger(ledger))
+	}
+	r, err := NewRemote("T", tr, netsim.DefaultLink(), 1, opts...)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sched.Ledger() != nil {
-		r.Meter().SetLedger(sched.Ledger())
 	}
 	t.Cleanup(func() { r.Close() })
 	return r
@@ -316,8 +321,8 @@ func newTenantRemote(t *testing.T, sched *Scheduler, maxBatch, workers int) *Rem
 // total, and the ledger's spend equals the attributed wire bytes.
 func TestTenantAttributionExact(t *testing.T) {
 	ledger := netsim.NewLedger()
-	sched := NewScheduler(ledger)
-	r := newTenantRemote(t, sched, 4, 2)
+	sched := NewScheduler()
+	r := newTenantRemote(t, sched, ledger, 4, 2)
 	w := dataset.World
 
 	ctxA := netsim.WithTenant(context.Background(), "alice")
@@ -362,8 +367,8 @@ func TestTenantAttributionExact(t *testing.T) {
 func TestTenantQuotaRejectsMidStream(t *testing.T) {
 	ledger := netsim.NewLedger()
 	ledger.SetQuota("poor", 2000)
-	sched := NewScheduler(ledger)
-	r := newTenantRemote(t, sched, 4, 2)
+	sched := NewScheduler()
+	r := newTenantRemote(t, sched, ledger, 4, 2)
 	w := dataset.World
 
 	ctxPoor := netsim.WithTenant(context.Background(), "poor")
@@ -399,8 +404,8 @@ func TestTenantQuotaRejectsMidStream(t *testing.T) {
 // runs (sequential submissions, one worker).
 func TestMixedTenantEnvelopeSharesDeterministic(t *testing.T) {
 	run := func() (netsim.Usage, netsim.Usage) {
-		sched := NewScheduler(nil)
-		r := newTenantRemote(t, sched, 4, 1)
+		sched := NewScheduler()
+		r := newTenantRemote(t, sched, nil, 4, 1)
 		w := dataset.World
 		ctxA := netsim.WithTenant(context.Background(), "a")
 		ctxB := netsim.WithTenant(context.Background(), "b")
@@ -428,7 +433,7 @@ func TestMixedTenantEnvelopeSharesDeterministic(t *testing.T) {
 // backlogged behind it, the envelope the completing dispatcher takes next
 // leads with the fast lane's probes and fills down with bulk ones.
 func TestBusyLinkNextEnvelopeLeadsWithPriority(t *testing.T) {
-	sched := NewScheduler(nil)
+	sched := NewScheduler()
 	sched.SetPolicy("fast", TenantPolicy{Priority: 1})
 	sched.SetPolicy("bulk", TenantPolicy{Priority: 0})
 	objs := dataset.Uniform(30, dataset.World, 11)
@@ -508,11 +513,11 @@ func (f rtFunc) Close() error                                              { ret
 // and the attribution stays exact. Run with -race.
 func TestSchedulerConcurrentSubmitters(t *testing.T) {
 	ledger := netsim.NewLedger()
-	sched := NewScheduler(ledger)
+	sched := NewScheduler()
 	sched.SetPolicy("t0", TenantPolicy{Priority: 1, Weight: 2})
 	sched.SetPolicy("t1", TenantPolicy{Priority: 0, Weight: 1})
 	sched.SetPolicy("t2", TenantPolicy{Priority: 0, Weight: 3})
-	r := newTenantRemote(t, sched, 8, 4)
+	r := newTenantRemote(t, sched, ledger, 8, 4)
 	w := dataset.World
 
 	var wg sync.WaitGroup

@@ -180,16 +180,7 @@ func (x *exec) both(f, g func() error) error {
 // returns promptly and never leaks a worker.
 func (x *exec) fanout(n int, f func(i int) error) error {
 	if x.par == nil || n < 2 {
-		for i := 0; i < n; i++ {
-			if x.ctx.Err() != nil {
-				return x.cause(x.ctx.Err())
-			}
-			if err := f(i); err != nil {
-				x.fail(err)
-				return x.cause(err)
-			}
-		}
-		return nil
+		return x.serial(n, f)
 	}
 	var (
 		wg    sync.WaitGroup
@@ -248,18 +239,24 @@ func (x *exec) fanout(n int, f func(i int) error) error {
 // (windowed, or MBR data) have no shared ledger and fan out normally.
 func (x *exec) fanoutSiblings(n int, f func(i int) error) error {
 	if x.spec.Kind == IcebergSemi && x.env.Model.Bucket && x.icebergCountable() {
-		for i := 0; i < n; i++ {
-			if x.ctx.Err() != nil {
-				return x.cause(x.ctx.Err())
-			}
-			if err := f(i); err != nil {
-				x.fail(err)
-				return x.cause(err)
-			}
-		}
-		return nil
+		return x.serial(n, f)
 	}
 	return x.fanout(n, f)
+}
+
+// serial runs f(0..n-1) in order on the caller's goroutine, stopping at
+// the first error or cancellation: fanout's sequential form.
+func (x *exec) serial(n int, f func(i int) error) error {
+	for i := 0; i < n; i++ {
+		if x.ctx.Err() != nil {
+			return x.cause(x.ctx.Err())
+		}
+		if err := f(i); err != nil {
+			x.fail(err)
+			return x.cause(err)
+		}
+	}
+	return nil
 }
 
 // countBoth issues the two root COUNT queries of a window in parallel.

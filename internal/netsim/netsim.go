@@ -149,33 +149,72 @@ func (u Usage) Add(v Usage) Usage {
 	}
 }
 
+// tally is one column set of a link's bill: the Meter's link totals and
+// each tenant's slice of them are the same type, charged by add and read
+// by usage, so the tenant columns sum to the totals by construction. All
+// counters are lock-free atomics.
+type tally struct {
+	messages, payloadBytes, wireBytes, packets atomic.Int64
+	upWireBytes, downWireBytes, queries        atomic.Int64
+	hedgedMessages, hedgedWireBytes            atomic.Int64
+}
+
+// add books msgs frames (or a tenant's share of one) in direction dir;
+// hedged also tags them in the hedged column.
+func (t *tally) add(msgs, payload, wire, pkts int, dir Direction, hedged bool) {
+	t.messages.Add(int64(msgs))
+	t.payloadBytes.Add(int64(payload))
+	t.wireBytes.Add(int64(wire))
+	t.packets.Add(int64(pkts))
+	if dir == Up {
+		t.upWireBytes.Add(int64(wire))
+		t.queries.Add(int64(msgs))
+	} else {
+		t.downWireBytes.Add(int64(wire))
+	}
+	if hedged {
+		t.hedgedMessages.Add(int64(msgs))
+		t.hedgedWireBytes.Add(int64(wire))
+	}
+}
+
+func (t *tally) usage() Usage {
+	return Usage{
+		Messages:        int(t.messages.Load()),
+		PayloadBytes:    int(t.payloadBytes.Load()),
+		WireBytes:       int(t.wireBytes.Load()),
+		Packets:         int(t.packets.Load()),
+		UpWireBytes:     int(t.upWireBytes.Load()),
+		DownWireBytes:   int(t.downWireBytes.Load()),
+		Queries:         int(t.queries.Load()),
+		HedgedMessages:  int(t.hedgedMessages.Load()),
+		HedgedWireBytes: int(t.hedgedWireBytes.Load()),
+	}
+}
+
 // Meter accumulates the byte accounting of one device↔server link. All
 // counters are lock-free atomics, so any number of in-flight requests can
 // charge concurrently without contending; a Usage snapshot taken while
 // requests are in flight may mix charges from different frames, but
 // snapshots taken at quiescent points (as the executor does, before and
-// after a run) are exact.
+// after a run) are exact. It also owns the link's RTT observer and, in
+// tenant mode, the per-tenant columns and the fleet ledger they feed.
 type Meter struct {
 	link LinkConfig
 	// price is the tariff (bR or bS) applied to WireBytes when computing
 	// monetary cost. The experiments use equal prices.
 	price float64
 
-	messages        atomic.Int64
-	payloadBytes    atomic.Int64
-	wireBytes       atomic.Int64
-	packets         atomic.Int64
-	upWireBytes     atomic.Int64
-	downWireBytes   atomic.Int64
-	queries         atomic.Int64
-	hedgedMessages  atomic.Int64
-	hedgedWireBytes atomic.Int64
+	total tally
+	// rtt observes the measured duration of every successful round trip
+	// over a Metered connection (timing only; see LinkStats).
+	rtt LinkStats
 
 	// Tenant attribution (see tenant.go). tenantMode gates the whole
 	// feature: off, charging never touches the map and the hot path is
 	// exactly the single-tenant one.
 	tenantMode atomic.Bool
-	tenants    sync.Map // TenantID -> *tenantAccount
+	tenants    sync.Map // TenantID -> *tally
 	ledger     *Ledger
 }
 
@@ -198,58 +237,29 @@ func (m *Meter) PricePerByte() float64 { return m.price }
 // Charge records the transfer of one frame of the given payload size in
 // the given direction and returns the wire bytes charged.
 func (m *Meter) Charge(payload int, dir Direction) int {
-	wire := m.link.TB(payload)
-	pkts := m.link.Packets(payload)
-	m.messages.Add(1)
-	m.payloadBytes.Add(int64(payload))
-	m.wireBytes.Add(int64(wire))
-	m.packets.Add(int64(pkts))
-	if dir == Up {
-		m.upWireBytes.Add(int64(wire))
-		m.queries.Add(1)
-	} else {
-		m.downWireBytes.Add(int64(wire))
+	return m.charge(context.Background(), payload, dir, false, false)
+}
+
+// charge books one frame: the link totals, the hedged column when hedged,
+// and in tenant mode the tenant columns ctx names (and their ledger).
+func (m *Meter) charge(ctx context.Context, payload int, dir Direction, hedged, tenanted bool) int {
+	wire, pkts := m.link.TB(payload), m.link.Packets(payload)
+	m.total.add(1, payload, wire, pkts, dir, hedged)
+	if tenanted {
+		m.attribute(ctx, payload, wire, pkts, dir, hedged)
 	}
 	return wire
 }
 
-// MarkHedged sub-accounts one already-charged frame of wire bytes as
-// hedge traffic. The Metered wrapper calls it for every frame charged
-// under a WithHedged context; the bytes stay in the main totals, this
-// only tags them in the hedged column.
-func (m *Meter) MarkHedged(wire int) {
-	m.hedgedMessages.Add(1)
-	m.hedgedWireBytes.Add(int64(wire))
-}
-
 // Usage returns a snapshot of the accumulated accounting.
-func (m *Meter) Usage() Usage {
-	return Usage{
-		Messages:        int(m.messages.Load()),
-		PayloadBytes:    int(m.payloadBytes.Load()),
-		WireBytes:       int(m.wireBytes.Load()),
-		Packets:         int(m.packets.Load()),
-		UpWireBytes:     int(m.upWireBytes.Load()),
-		DownWireBytes:   int(m.downWireBytes.Load()),
-		Queries:         int(m.queries.Load()),
-		HedgedMessages:  int(m.hedgedMessages.Load()),
-		HedgedWireBytes: int(m.hedgedWireBytes.Load()),
-	}
-}
+func (m *Meter) Usage() Usage { return m.total.usage() }
 
-// Reset clears the accumulated accounting (between experiment runs),
-// including the per-tenant attribution columns. The fleet ledger, being
-// shared billing state rather than per-link accounting, is not touched.
+// Reset clears the accumulated accounting (between experiment runs, at a
+// quiescent point), including the per-tenant attribution columns. The
+// fleet ledger, being shared billing state rather than per-link
+// accounting, is not touched.
 func (m *Meter) Reset() {
-	m.messages.Store(0)
-	m.payloadBytes.Store(0)
-	m.wireBytes.Store(0)
-	m.packets.Store(0)
-	m.upWireBytes.Store(0)
-	m.downWireBytes.Store(0)
-	m.queries.Store(0)
-	m.hedgedMessages.Store(0)
-	m.hedgedWireBytes.Store(0)
+	m.total = tally{}
 	m.tenants.Range(func(k, _ any) bool {
 		m.tenants.Delete(k)
 		return true
@@ -258,7 +268,7 @@ func (m *Meter) Reset() {
 
 // Cost returns the monetary cost of the traffic so far: price × WireBytes.
 func (m *Meter) Cost() float64 {
-	return m.price * float64(m.wireBytes.Load())
+	return m.price * float64(m.total.wireBytes.Load())
 }
 
 // ErrFrameRetained marks (via errors.Is) transport errors after which
@@ -372,36 +382,17 @@ func IsHedged(ctx context.Context) bool {
 type Metered struct {
 	rt RoundTripper
 	m  *Meter
-	// stats, when non-nil, observes the measured duration of every
-	// successful round trip (lock-free; see LinkStats). Byte accounting
-	// is unaffected — observation is timing-only.
-	stats *LinkStats
 }
 
-// NewMetered wraps rt so that all traffic is charged to meter.
+// NewMetered wraps rt so that all traffic is charged to meter, and every
+// successful round trip's wall-clock duration is folded into the meter's
+// RTT EWMA.
 func NewMetered(rt RoundTripper, meter *Meter) *Metered {
 	return &Metered{rt: rt, m: meter}
 }
 
-// SetStats installs a live link-stats observer: every successful round
-// trip's wall-clock duration is folded into its RTT EWMA. Must be called
-// before the first round trip (it is not synchronized with them).
-func (c *Metered) SetStats(s *LinkStats) { c.stats = s }
-
 // Meter returns the meter charged by this connection.
 func (c *Metered) Meter() *Meter { return c.m }
-
-// charge books one frame: the link totals, the hedged column under a
-// WithHedged context, and the tenant columns (and ledger) in tenant mode.
-func (c *Metered) charge(ctx context.Context, payload int, dir Direction, hedged, tenanted bool) {
-	wire := c.m.Charge(payload, dir)
-	if hedged {
-		c.m.MarkHedged(wire)
-	}
-	if tenanted {
-		c.m.attribute(ctx, payload, wire, dir, hedged)
-	}
-}
 
 // RoundTrip implements RoundTripper. Every attempt that reaches this
 // wrapper charges its request frame to the meter, so when a caller
@@ -412,7 +403,7 @@ func (c *Metered) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
 	hedged := IsHedged(ctx)
 	tenanted := c.m.tenantMode.Load()
 	start := time.Now()
-	c.charge(ctx, len(req), Up, hedged, tenanted)
+	c.m.charge(ctx, len(req), Up, hedged, tenanted)
 	if rtt := c.m.link.RTT; rtt > 0 {
 		if err := sleepCtx(ctx, rtt); err != nil {
 			return nil, err
@@ -422,8 +413,8 @@ func (c *Metered) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.charge(ctx, len(resp), Down, hedged, tenanted)
-	c.stats.ObserveRTT(time.Since(start))
+	c.m.charge(ctx, len(resp), Down, hedged, tenanted)
+	c.m.rtt.ObserveRTT(time.Since(start))
 	return resp, nil
 }
 
@@ -436,7 +427,7 @@ func (c *Metered) Pipeline(ctx context.Context, reqs, resps [][]byte) (int, erro
 	tenanted := c.m.tenantMode.Load()
 	start := time.Now()
 	for _, req := range reqs {
-		c.charge(ctx, len(req), Up, hedged, tenanted)
+		c.m.charge(ctx, len(req), Up, hedged, tenanted)
 	}
 	if rtt := c.m.link.RTT; rtt > 0 {
 		if err := sleepCtx(ctx, rtt); err != nil {
@@ -445,10 +436,10 @@ func (c *Metered) Pipeline(ctx context.Context, reqs, resps [][]byte) (int, erro
 	}
 	answered, err := Pipeline(ctx, c.rt, reqs, resps)
 	for _, resp := range resps[:answered] {
-		c.charge(ctx, len(resp), Down, hedged, tenanted)
+		c.m.charge(ctx, len(resp), Down, hedged, tenanted)
 	}
 	if err == nil {
-		c.stats.ObserveRTT(time.Since(start))
+		c.m.rtt.ObserveRTT(time.Since(start))
 	}
 	return answered, err
 }

@@ -8,11 +8,12 @@ import (
 
 // LinkStats is a lock-free observer of one metered link's live transport
 // behaviour: an exponentially weighted moving average of measured
-// round-trip times plus a sample counter. It complements the Meter —
-// which accounts *bytes* exactly — with the *timing* signal the online
-// planner consumes (package plan): measured RTT distinguishes a LAN-fast
-// link from a high-latency cellular one even when both charge identical
-// Eq. (1) byte totals.
+// round-trip times plus a sample counter. Each Meter owns one, fed by
+// its Metered connections: next to the *bytes* the Meter accounts
+// exactly, it keeps the *timing* signal the online planner consumes
+// (package plan): measured RTT distinguishes a LAN-fast link from a
+// high-latency cellular one even when both charge identical Eq. (1)
+// byte totals.
 //
 // All state is a pair of atomics updated by compare-and-swap, so any
 // number of concurrent round trips can observe without contention and
@@ -32,7 +33,7 @@ const ewmaAlpha = 0.125
 
 // ObserveRTT folds one measured round-trip duration into the EWMA.
 func (s *LinkStats) ObserveRTT(d time.Duration) {
-	if s == nil || d < 0 {
+	if d < 0 {
 		return
 	}
 	v := float64(d.Nanoseconds())
@@ -55,9 +56,6 @@ func (s *LinkStats) ObserveRTT(d time.Duration) {
 // RTT returns the current smoothed round-trip estimate (0 before the
 // first sample).
 func (s *LinkStats) RTT() time.Duration {
-	if s == nil {
-		return 0
-	}
 	bits := s.ewmaNanos.Load()
 	if bits == 0 {
 		return 0
@@ -66,11 +64,12 @@ func (s *LinkStats) RTT() time.Duration {
 }
 
 // Samples returns how many round trips have been observed.
-func (s *LinkStats) Samples() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.samples.Load()
+func (s *LinkStats) Samples() int64 { return s.samples.Load() }
+
+// LinkStats returns the link's live observation: the parameters the
+// meter charges against plus the RTT EWMA its Metered connections feed.
+func (m *Meter) LinkStats() LinkSnapshot {
+	return LinkSnapshot{Config: m.link, RTT: m.rtt.RTT(), Samples: m.rtt.Samples()}
 }
 
 // LinkSnapshot is one endpoint's live link observation, as consumed by

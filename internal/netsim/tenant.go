@@ -17,7 +17,7 @@ import (
 //
 //   - a TenantID rides the context of every probe (WithTenant), so the
 //     Metered wrapper knows whom to bill when a frame crosses the link;
-//   - the Meter keeps per-tenant attribution columns next to its link
+//   - the Meter keeps one tally per tenant next to the tally of its link
 //     totals: every charged frame is split across the tenants named by
 //     the context, largest-remainder-exact, so the per-tenant slices
 //     always sum to the link totals column by column;
@@ -171,34 +171,6 @@ func (l *Ledger) Check(id TenantID) error {
 
 // --- per-meter tenant attribution -----------------------------------------
 
-// tenantAccount mirrors the Meter's counters for one tenant's slice of
-// the link traffic. All additive, all atomics.
-type tenantAccount struct {
-	messages        atomic.Int64
-	payloadBytes    atomic.Int64
-	wireBytes       atomic.Int64
-	packets         atomic.Int64
-	upWireBytes     atomic.Int64
-	downWireBytes   atomic.Int64
-	queries         atomic.Int64
-	hedgedMessages  atomic.Int64
-	hedgedWireBytes atomic.Int64
-}
-
-func (a *tenantAccount) usage() Usage {
-	return Usage{
-		Messages:        int(a.messages.Load()),
-		PayloadBytes:    int(a.payloadBytes.Load()),
-		WireBytes:       int(a.wireBytes.Load()),
-		Packets:         int(a.packets.Load()),
-		UpWireBytes:     int(a.upWireBytes.Load()),
-		DownWireBytes:   int(a.downWireBytes.Load()),
-		Queries:         int(a.queries.Load()),
-		HedgedMessages:  int(a.hedgedMessages.Load()),
-		HedgedWireBytes: int(a.hedgedWireBytes.Load()),
-	}
-}
-
 // EnableTenants puts the meter in tenant mode: every charged frame is
 // additionally attributed to the tenants its context names (the empty
 // tenant when it names none). Off — the default — the attribution path
@@ -220,22 +192,14 @@ func (m *Meter) Ledger() *Ledger { return m.ledger }
 // TenantMode reports whether the meter attributes traffic per tenant.
 func (m *Meter) TenantMode() bool { return m.tenantMode.Load() }
 
-func (m *Meter) tenantAccount(id TenantID) *tenantAccount {
-	if a, ok := m.tenants.Load(id); ok {
-		return a.(*tenantAccount)
-	}
-	a, _ := m.tenants.LoadOrStore(id, &tenantAccount{})
-	return a.(*tenantAccount)
-}
-
 // TenantUsage returns the tenant's attributed slice of this link's
 // traffic. Column by column, the slices of all tenants (including the
 // empty anonymous tenant) sum exactly to Usage(): shared envelope frames
 // are split largest-remainder by sub-payload size, so no byte, packet,
 // or message is double-counted or dropped.
 func (m *Meter) TenantUsage(id TenantID) Usage {
-	if a, ok := m.tenants.Load(id); ok {
-		return a.(*tenantAccount).usage()
+	if t, ok := m.tenants.Load(id); ok {
+		return t.(*tally).usage()
 	}
 	return Usage{}
 }
@@ -253,41 +217,31 @@ func (m *Meter) TenantIDs() []TenantID {
 }
 
 // attribute books one already-charged frame to the tenants named by
-// ctx. Called by the Metered wrapper under tenant mode only.
-func (m *Meter) attribute(ctx context.Context, payload, wire int, dir Direction, hedged bool) {
+// ctx, and each tenant's wire bytes to the ledger. Called by the Meter
+// under tenant mode only.
+func (m *Meter) attribute(ctx context.Context, payload, wire, pkts int, dir Direction, hedged bool) {
 	shares := sharesOf(ctx)
 	if len(shares) == 0 {
 		// Single-tenant frame (or anonymous): the whole frame belongs to
-		// one account — no splitting, no allocation.
-		m.attributeOne(TenantOf(ctx), payload, wire, m.link.Packets(payload), 1, dir, hedged)
+		// one tenant — no splitting, no allocation.
+		m.bill(TenantOf(ctx), 1, payload, wire, pkts, dir, hedged)
 		return
 	}
-	pkts := m.link.Packets(payload)
 	payloadSplit := splitByShares(payload, shares)
 	wireSplit := splitByShares(wire, shares)
 	pktSplit := splitByShares(pkts, shares)
 	msgSplit := splitByShares(1, shares)
 	for i, sh := range shares {
-		m.attributeOne(sh.ID, payloadSplit[i], wireSplit[i], pktSplit[i], msgSplit[i], dir, hedged)
+		m.bill(sh.ID, msgSplit[i], payloadSplit[i], wireSplit[i], pktSplit[i], dir, hedged)
 	}
 }
 
-func (m *Meter) attributeOne(id TenantID, payload, wire, pkts, msgs int, dir Direction, hedged bool) {
-	a := m.tenantAccount(id)
-	a.messages.Add(int64(msgs))
-	a.payloadBytes.Add(int64(payload))
-	a.wireBytes.Add(int64(wire))
-	a.packets.Add(int64(pkts))
-	if dir == Up {
-		a.upWireBytes.Add(int64(wire))
-		a.queries.Add(int64(msgs))
-	} else {
-		a.downWireBytes.Add(int64(wire))
+func (m *Meter) bill(id TenantID, msgs, payload, wire, pkts int, dir Direction, hedged bool) {
+	t, ok := m.tenants.Load(id)
+	if !ok {
+		t, _ = m.tenants.LoadOrStore(id, &tally{})
 	}
-	if hedged {
-		a.hedgedMessages.Add(int64(msgs))
-		a.hedgedWireBytes.Add(int64(wire))
-	}
+	t.(*tally).add(msgs, payload, wire, pkts, dir, hedged)
 	if m.ledger != nil {
 		m.ledger.Charge(id, wire)
 	}

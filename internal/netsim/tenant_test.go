@@ -153,9 +153,10 @@ func TestTenantContextStamps(t *testing.T) {
 // --- meter attribution -----------------------------------------------------
 
 // TestMeterTenantColumnsSumToTotals drives frames under single-tenant,
-// anonymous, and multi-share contexts through a metered transport and
-// checks the exhaustiveness invariant: per-tenant columns sum exactly to
-// the link totals, and the ledger carries the same wire bytes.
+// anonymous, multi-share and hedged contexts through a metered transport
+// and checks the exhaustiveness invariant: per-tenant columns sum
+// exactly to the link totals, all nine of them, and the ledger carries
+// the same wire bytes.
 func TestMeterTenantColumnsSumToTotals(t *testing.T) {
 	m, err := NewMeter(DefaultLink(), 1)
 	if err != nil {
@@ -177,8 +178,10 @@ func TestMeterTenantColumnsSumToTotals(t *testing.T) {
 		context.Background(), // anonymous lane
 		WithShares(context.Background(), []TenantShare{{ID: "alice", Bytes: 70}, {ID: "bob", Bytes: 30}}),
 		WithShares(context.Background(), []TenantShare{{ID: "alice", Bytes: 1}, {ID: "bob", Bytes: 1}, {ID: "", Bytes: 1}}),
+		WithHedged(WithTenant(context.Background(), "bob")),
+		WithHedged(WithShares(context.Background(), []TenantShare{{ID: "alice", Bytes: 2}, {ID: "bob", Bytes: 1}})),
 	}
-	sizes := []int{100, 333, 57, 1400, 901}
+	sizes := []int{100, 333, 57, 1400, 901, 2999, 77}
 	for i, ctx := range ctxs {
 		if _, err := c.RoundTrip(ctx, frame(sizes[i])); err != nil {
 			t.Fatalf("round trip %d: %v", i, err)
@@ -186,24 +189,15 @@ func TestMeterTenantColumnsSumToTotals(t *testing.T) {
 	}
 
 	total := m.Usage()
+	if total.HedgedMessages != 4 || total.HedgedWireBytes == 0 {
+		t.Fatalf("hedged column not charged: %+v", total)
+	}
 	var sum Usage
 	ids := m.TenantIDs()
 	for _, id := range ids {
-		u := m.TenantUsage(id)
-		sum.Messages += u.Messages
-		sum.PayloadBytes += u.PayloadBytes
-		sum.WireBytes += u.WireBytes
-		sum.Packets += u.Packets
-		sum.UpWireBytes += u.UpWireBytes
-		sum.DownWireBytes += u.DownWireBytes
-		sum.Queries += u.Queries
-		sum.HedgedMessages += u.HedgedMessages
-		sum.HedgedWireBytes += u.HedgedWireBytes
+		sum = sum.Add(m.TenantUsage(id))
 	}
-	if sum.Messages != total.Messages || sum.PayloadBytes != total.PayloadBytes ||
-		sum.WireBytes != total.WireBytes || sum.Packets != total.Packets ||
-		sum.UpWireBytes != total.UpWireBytes || sum.DownWireBytes != total.DownWireBytes ||
-		sum.Queries != total.Queries {
+	if sum != total {
 		t.Errorf("tenant columns do not sum to link totals:\n sum   %+v\n total %+v", sum, total)
 	}
 

@@ -40,9 +40,10 @@ import (
 // A ReplicaSet is an Endpoint — it implements the seam call Do at the
 // frame level and embeds client.Typed for the query surface — so it
 // slots under the scatter–gather Router unchanged: a fleet of S shards ×
-// R replicas serves every algorithm unmodified. With a single replica
-// every frame goes verbatim to the one Remote — bit-identical on the
-// wire, pinned by the goldens.
+// R replicas serves every algorithm unmodified. Assemble never builds a
+// one-replica set (a lone replica is its Remote); one built by hand
+// takes the ordinary walk, which over one replica sends the same frames
+// the Remote would.
 
 // ReplicaConfig parameterizes a ReplicaSet.
 type ReplicaConfig struct {
@@ -367,18 +368,6 @@ func (rs *ReplicaSet) Do(ctx context.Context, req []byte) ([]byte, error) {
 		defer cancel()
 	}
 	n := len(rs.replicas)
-	if n == 1 {
-		if rs.brk == nil {
-			return rs.replicas[0].Do(ctx, req)
-		}
-		// A lone replica is probed regardless of its breaker (there is
-		// nowhere else to go), but the outcome still feeds the score so
-		// Healthy() and the recovery prober see reality.
-		t0 := time.Now()
-		resp, err := rs.replicas[0].Do(ctx, req)
-		rs.score(0, err, time.Since(t0), ctx)
-		return resp, err
-	}
 	defer bufpool.Put(req)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("%s: %w", rs.name, err)
@@ -485,9 +474,6 @@ func (rs *ReplicaSet) Do(ctx context.Context, req []byte) ([]byte, error) {
 // each request is Do itself, run by whoever waits for it: an unbatched
 // fleet keeps hedge, walk and Budget whichever way a probe is submitted.
 func (rs *ReplicaSet) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
-	if len(rs.replicas) == 1 {
-		return rs.replicas[0].GoBatch(ctx, reqs)
-	}
 	if !rs.replicas[0].BatchEnabled() {
 		calls := make([]*client.Call, len(reqs))
 		for i, req := range reqs {

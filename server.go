@@ -125,7 +125,7 @@ func newServer(cfg ServerConfig, wrap fleet.Wrap) (*Server, error) {
 		cfg.Fleet.BatchSize = 8
 	}
 	ledger := netsim.NewLedger()
-	sched := client.NewScheduler(ledger)
+	sched := client.NewScheduler()
 	for id, tc := range cfg.Tenants {
 		sched.SetPolicy(id, client.TenantPolicy{Priority: tc.Priority, Weight: tc.Weight})
 		if tc.ByteQuota > 0 {
