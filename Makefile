@@ -132,6 +132,8 @@ vet:
 # write of it into a link's Env are not reads. Every per-link number has
 # one home, the link's netsim.Meter: no internal/client struct holds a
 # *netsim.Ledger or *netsim.LinkStats, and NewScheduler takes no ledger.
+# There is one slice free list: outside internal/bufpool no sync.Pool
+# hands out new([]…) — a pooled slice is a bufpool.Pool instance.
 lint-seams:
 	@if grep -nE 'time\.(AfterFunc|NewTimer|Sleep)' internal/client/batch.go; then \
 	  echo "lint: internal/client/batch.go must not wait on a clock"; exit 1; fi
@@ -154,6 +156,8 @@ lint-seams:
 	  echo "lint: a link's ledger and RTT observer live in its netsim.Meter, not in an internal/client field"; exit 1; fi
 	@if grep -HnE 'func NewScheduler\([^)]' internal/client/*.go; then \
 	  echo "lint: NewScheduler takes no argument (quotas are the meter's ledger)"; exit 1; fi
+	@if grep -rHnF --include='*.go' --exclude='*_test.go' 'new([]' *.go bench cmd examples internal | grep -v '^internal/bufpool/'; then \
+	  echo "lint: slice free lists are bufpool.Pool instances (no sync.Pool of new([]...) outside internal/bufpool)"; exit 1; fi
 
 # lint runs the static analyzers CI enforces (staticcheck, govulncheck).
 # Locally the tools may be absent — this target never installs anything;

@@ -1,8 +1,10 @@
 package bufpool
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/testenv"
 )
 
@@ -72,5 +74,24 @@ func TestSteadyStateAllocs(t *testing.T) {
 	})
 	if avg > 0.05 {
 		t.Fatalf("Get/Put cycle allocates %v times per run", avg)
+	}
+}
+
+// TestReleasedObjectsArePoisoned: in race builds a released object
+// window is overwritten before anyone can draw it again, so a consumer
+// still reading it sees NaN rectangles and the id ^uint32(0) — no pair
+// survives a join over them and the oracle suites fail — instead of
+// plausible stale objects.
+func TestReleasedObjectsArePoisoned(t *testing.T) {
+	if !testenv.Race {
+		t.Skip("poisoning is compiled into race builds only")
+	}
+	w := Objects.GetCap(4)
+	w = append(w, geom.PointObject(7, geom.Pt(1, 2)), geom.PointObject(8, geom.Pt(3, 4)))
+	Objects.Put(w)
+	for i, o := range w[:cap(w)] {
+		if o.ID != ^uint32(0) || !math.IsNaN(o.MBR.MinX) || !math.IsNaN(o.MBR.MaxY) {
+			t.Fatalf("released element %d reads %+v", i, o)
+		}
 	}
 }

@@ -48,7 +48,8 @@ func decodeCount(resp []byte) (int, error) {
 	return int(n), err
 }
 
-// Window returns all objects intersecting w.
+// Window returns all objects intersecting w. The window is drawn from
+// bufpool.Objects and owned by the caller (wire.DecodeObjects).
 func (t Typed) Window(ctx context.Context, w geom.Rect) ([]geom.Object, error) {
 	resp, err := t.d.Do(ctx, wire.AppendWindow(bufpool.Get(), w))
 	return reply(resp, err, wire.DecodeObjects)

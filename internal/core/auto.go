@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bufpool"
 	"repro/internal/costmodel"
 	"repro/internal/geom"
 	"repro/internal/netsim"
@@ -360,9 +361,11 @@ func (a *autoState) runNLSJ(outer side, nr, ns cnt, d plan.Decision, obs plan.Ob
 			// inside its own buffer-full (fetchJoin's CanHold).
 			a.release()
 			quads := w.Quadrants()
-			return a.fanoutSiblings(4, func(i int) error {
+			err := a.fanoutSiblings(4, func(i int) error {
 				return a.fetchJoin(quads[i], outer, outerObjs, iq[i], 1)
 			})
+			bufpool.Objects.Put(outerObjs)
+			return err
 		}
 		a.emit(PhasePlan, "plan/nlsj-keep", w, nr.n, ns.n, probeRem,
 			fmt.Sprintf("probe remainder est %.0f <= grid remainder est %.0f×%.2f; keeping NLSJ",
@@ -483,6 +486,7 @@ func (a *autoState) fetchJoin(w geom.Rect, outer side, outerObjs []geom.Object, 
 		} else {
 			a.joinLocal(innerObjs, rel)
 		}
+		bufpool.Objects.Put(innerObjs)
 		return nil
 	}
 	a.dec.repart.Add(1)

@@ -228,22 +228,20 @@ func Oracle(r, s []geom.Object, spec Spec, window geom.Rect) *Result {
 		}
 	}
 	pairs = memjoin.DedupPairs(pairs)
-	res := &Result{Pairs: pairs}
 	if spec.Kind == IcebergSemi {
-		res.Objects = icebergFilter(pairs, robjs, spec.MinMatches)
-		res.Pairs = nil
+		counts := make(map[uint32]int)
+		for _, p := range pairs {
+			counts[p.RID]++
+		}
+		return &Result{Objects: icebergFilter(counts, robjs, spec.MinMatches)}
 	}
-	return res
+	return &Result{Pairs: pairs}
 }
 
-// icebergFilter groups pairs by RID and keeps R objects with at least m
-// matches, sorted by ID. Geometry comes from robjs where known; IDs
-// without geometry get degenerate MBRs.
-func icebergFilter(pairs []geom.Pair, robjs map[uint32]geom.Object, m int) []geom.Object {
-	counts := make(map[uint32]int)
-	for _, p := range pairs {
-		counts[p.RID]++
-	}
+// icebergFilter keeps the R objects with at least m matches, sorted by
+// ID, given each R id's match count. Geometry comes from robjs where
+// known; IDs without geometry get degenerate MBRs.
+func icebergFilter(counts map[uint32]int, robjs map[uint32]geom.Object, m int) []geom.Object {
 	var out []geom.Object
 	for id, n := range counts {
 		if n >= m {

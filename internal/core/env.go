@@ -35,7 +35,10 @@ type Probe interface {
 	Info(ctx context.Context) (wire.Info, error)
 	// Count returns the number of objects intersecting w.
 	Count(ctx context.Context, w geom.Rect) (int, error)
-	// Window returns all objects intersecting w.
+	// Window returns all objects intersecting w, in a window the caller
+	// owns under bufpool's rule (as Range's, MBRMatch's and a probe
+	// call's decoded objects): core hands each back to bufpool.Objects
+	// once its objects are dead.
 	Window(ctx context.Context, w geom.Rect) ([]geom.Object, error)
 	// AvgArea returns the mean MBR area of objects intersecting w.
 	AvgArea(ctx context.Context, w geom.Rect) (float64, error)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 
 	"repro/internal/bufpool"
@@ -384,9 +385,13 @@ func (x *exec) quadrantCounts(d side, w geom.Rect, parent cnt) ([4]cnt, error) {
 // to; their geometry is remembered only by iceberg runs, whose output is
 // objects — every other kind reports ids and never reads it. Safe for
 // concurrent workers; result assembly sorts and deduplicates, so
-// insertion order does not matter.
+// insertion order does not matter. The sink is a pair list drawn from the
+// free list, which result hands back.
 func (x *exec) addPairs(ps []geom.Pair, robjs []geom.Object) {
 	x.mu.Lock()
+	if x.pairs == nil && len(ps) > 0 {
+		x.pairs = bufpool.Pairs.GetCap(len(ps))
+	}
 	x.pairs = append(x.pairs, ps...)
 	if x.spec.Kind == IcebergSemi {
 		for _, o := range robjs {
@@ -396,35 +401,31 @@ func (x *exec) addPairs(ps []geom.Pair, robjs []geom.Object) {
 	x.mu.Unlock()
 }
 
-// result assembles the Result, deduplicating pairs globally. It must be
-// called only after every worker of the run has joined.
+// result assembles the Result, deduplicating pairs globally in the sink
+// and copying the survivors out of it, so the sink goes back to the free
+// list. It must be called only after every worker of the run has joined.
 func (x *exec) result() *Result {
 	pairs := memjoin.DedupPairs(x.pairs)
 	res := &Result{}
 	switch x.spec.Kind {
 	case IcebergSemi:
-		// Merge pair-derived counts with probe-derived counts. An R id is
-		// counted either via probes (exact global count, recorded once)
-		// or via deduplicated pairs — never both, enforced by probed[].
-		counts := make(map[uint32]int, len(x.counts))
-		for id, n := range x.counts {
-			counts[id] = n
-		}
+		// Add the pair-derived counts to the probe-derived ones. An R id
+		// is counted either via probes (exact global count, recorded
+		// once) or via deduplicated pairs — never both, enforced by
+		// probed[].
 		for _, p := range pairs {
 			if !x.probed[p.RID] {
-				counts[p.RID]++
+				x.counts[p.RID]++
 			}
 		}
-		var pseudo []geom.Pair
-		for id, n := range counts {
-			for i := 0; i < n; i++ {
-				pseudo = append(pseudo, geom.Pair{RID: id, SID: uint32(i)})
-			}
-		}
-		res.Objects = icebergFilter(pseudo, x.robjs, x.spec.MinMatches)
+		res.Objects = icebergFilter(x.counts, x.robjs, x.spec.MinMatches)
 	default:
-		res.Pairs = pairs
+		if len(pairs) > 0 {
+			res.Pairs = slices.Clone(pairs) // not zeroed first, unlike make
+		}
 	}
+	bufpool.Pairs.Put(x.pairs)
+	x.pairs = nil
 	if x.rep != nil {
 		gaps := x.rep.Gaps()
 		total := probeShards(x.env.R) + probeShards(x.env.S)

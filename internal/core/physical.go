@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/bufpool"
 	"repro/internal/client"
@@ -10,11 +9,6 @@ import (
 	"repro/internal/memjoin"
 	"repro/internal/wire"
 )
-
-// pairScratchPool recycles the device-side pair buffer of one local join
-// or probe collection. Pooled because HBSJ partitions and NLSJ probes run
-// concurrently under a parallel environment.
-var pairScratchPool = sync.Pool{New: func() any { return new([]geom.Pair) }}
 
 // doHBSJ executes the hash-based spatial join on partition w: download
 // both windows and join on the device. When the buffer cannot hold both,
@@ -73,7 +67,7 @@ func (x *exec) doHBSJ(w geom.Rect, nr, ns cnt, depth int) error {
 // downloadJoin is the HBSJ leaf: download both sides' windows of w,
 // overlapped, and join them on the device. The partition holds a transfer
 // slot from before the first download until the join has consumed the
-// objects.
+// objects, and then hands both windows back to the free list.
 func (x *exec) downloadJoin(w geom.Rect) error {
 	if err := x.acquire(); err != nil {
 		return err
@@ -96,18 +90,19 @@ func (x *exec) downloadJoin(w geom.Rect) error {
 		return err
 	}
 	x.joinLocal(robjs, sobjs)
+	bufpool.Objects.Put(robjs)
+	bufpool.Objects.Put(sobjs)
 	return nil
 }
 
 // joinLocal joins two downloaded windows on the device and records the
 // pairs. Global dedup happens at result assembly, so the reference-point
 // rule is not needed here. addPairs copies out of the pooled pair buffer,
-// so it is safe to reuse immediately.
+// so it goes back to the free list at once.
 func (x *exec) joinLocal(robjs, sobjs []geom.Object) {
-	buf := pairScratchPool.Get().(*[]geom.Pair)
-	*buf = memjoin.GridJoin(robjs, sobjs, x.pred, memjoin.Options{}, (*buf)[:0])
-	x.addPairs(*buf, robjs)
-	pairScratchPool.Put(buf)
+	pairs := memjoin.GridJoin(robjs, sobjs, x.pred, memjoin.Options{}, bufpool.Pairs.Get())
+	x.addPairs(pairs, robjs)
+	bufpool.Pairs.Put(pairs)
 }
 
 // doNLSJ executes the nested-loop spatial join on partition w with the
@@ -171,8 +166,11 @@ func (x *exec) nlsjOuterPhase(w geom.Rect, outer side, nr, ns cnt) (outerObjs []
 }
 
 // nlsjProbePhase is NLSJ's second phase: probe the inner server with the
-// outer objects downloaded by nlsjOuterPhase.
+// outer objects downloaded by nlsjOuterPhase. It consumes the outer
+// window: once every probe has been collected, the window goes back to
+// the free list.
 func (x *exec) nlsjProbePhase(w geom.Rect, outer side, outerObjs []geom.Object) error {
+	defer bufpool.Objects.Put(outerObjs)
 	inner := sideS
 	if outer == sideS {
 		inner = sideR
@@ -205,7 +203,10 @@ func (x *exec) singleProbes(w geom.Rect, outer, inner side, outerObjs []geom.Obj
 			return wire.AppendWindow(bufpool.Get(), x.probeWindow(outerObjs[i]))
 		},
 		(*client.Call).Objects,
-		func(i int, matches []geom.Object) { x.collectProbe(w, outer, outerObjs[i], matches) })
+		func(i int, matches []geom.Object) {
+			x.collectProbe(w, outer, outerObjs[i], matches)
+			bufpool.Objects.Put(matches)
+		})
 }
 
 // ranged reports whether outer object o is probed by an ε-RANGE query.
@@ -265,8 +266,7 @@ func (x *exec) bucketProbes(w geom.Rect, outer, inner side, outerObjs []geom.Obj
 // Matches are filtered by the predicate (window probes over-approximate
 // distance) and by the query-window semantics.
 func (x *exec) collectProbe(w geom.Rect, outer side, o geom.Object, matches []geom.Object) {
-	buf := pairScratchPool.Get().(*[]geom.Pair)
-	pairs := (*buf)[:0]
+	pairs := bufpool.Pairs.Get()
 	for _, m := range matches {
 		if !x.pred.Match(o.MBR, m.MBR) {
 			continue
@@ -291,8 +291,7 @@ func (x *exec) collectProbe(w geom.Rect, outer side, o geom.Object, matches []ge
 	} else {
 		x.addPairs(pairs, matches)
 	}
-	*buf = pairs
-	pairScratchPool.Put(buf)
+	bufpool.Pairs.Put(pairs)
 }
 
 // icebergCountable reports whether aggregate count-probes preserve the

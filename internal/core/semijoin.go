@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/bufpool"
 	"repro/internal/geom"
 )
 
@@ -95,6 +96,7 @@ func semiJoinRun(x *exec) error {
 
 	// Relay the qualifying objects to the source for the final join.
 	pairs, err := x.remote(source).UploadJoin(x.ctx, targetObjs, spec.Eps)
+	bufpool.Objects.Put(targetObjs)
 	if err != nil {
 		return err
 	}

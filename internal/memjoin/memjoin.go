@@ -18,9 +18,11 @@ package memjoin
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
+	"repro/internal/bufpool"
 	"repro/internal/geom"
 )
 
@@ -69,9 +71,9 @@ type Options struct {
 
 // Joiner is the reusable state of the spatial-hash join: the grid-cell
 // buckets (in compressed sparse row form), the per-candidate stamp array,
-// and nothing else. A Joiner amortizes all of its allocations across
-// invocations, so a session running HBSJ over many partitions joins each
-// one without touching the allocator. A Joiner is not safe for concurrent
+// and the radix sort's histogram. A Joiner amortizes all of its
+// allocations across invocations, so a session running HBSJ over many
+// partitions joins each one without touching the allocator. A Joiner is not safe for concurrent
 // use; concurrent callers take one each from the pool (see GridJoin) or
 // own one per worker.
 type Joiner struct {
@@ -84,6 +86,7 @@ type Joiner struct {
 	points    []cellPoint // point build: the build side's coordinates grouped by cell
 	items     []int32     // extent build: build indices grouped by covered cell
 	stamp     []int32     // extent build: last probe that tested each build object
+	hist      []uint32    // SortPairs: one pass's digit counts
 }
 
 // cellPoint is one build-side point as the probe loop reads it: packed in
@@ -98,9 +101,9 @@ type cellPoint struct {
 // high-water mark on first use and are reused afterwards.
 func NewJoiner() *Joiner { return &Joiner{} }
 
-// joinerPool backs the package-level GridJoin so that every caller —
-// including concurrent HBSJ workers — gets buffer reuse without owning a
-// Joiner explicitly.
+// joinerPool backs the package-level GridJoin and SortPairs so that every
+// caller — including concurrent HBSJ workers — gets buffer reuse without
+// owning a Joiner explicitly.
 var joinerPool = sync.Pool{New: func() any { return NewJoiner() }}
 
 // GridJoin performs a spatial-hash join of r and s under pred, appending
@@ -287,13 +290,17 @@ func (j *Joiner) probePoints(g *grid, probe []geom.Object, swapped bool, pred Pr
 			// The row's cells are adjacent in CSR order: one span.
 			span := j.points[j.cellStart[cy*g.kx+x0]:j.cellStart[cy*g.kx+x1+1]]
 			if direct {
+				// Every candidate is written; only a match advances the
+				// end, so the loop has no data-dependent branch.
+				at := len(dst)
+				dst = slices.Grow(dst, len(span))[:at+len(span)]
 				for i := range span {
 					c := &span[i]
 					dx, dy := px-c.x, py-c.y
-					if dx*dx+dy*dy <= eps2 {
-						dst = appendPair(dst, c.id, po.ID, swapped)
-					}
+					dst[at] = pairOf(c.id, po.ID, swapped)
+					at += b2i(dx*dx+dy*dy <= eps2)
 				}
+				dst = dst[:at]
 				continue
 			}
 			for i := range span {
@@ -304,7 +311,7 @@ func (j *Joiner) probePoints(g *grid, probe []geom.Object, swapped bool, pred Pr
 					a, b = b, a
 				}
 				if pred.refMatch(a, b, opt.Window, opt.Dedup) {
-					dst = appendPair(dst, c.id, po.ID, swapped)
+					dst = append(dst, pairOf(c.id, po.ID, swapped))
 				}
 			}
 		}
@@ -312,12 +319,20 @@ func (j *Joiner) probePoints(g *grid, probe []geom.Object, swapped bool, pred Pr
 	return dst
 }
 
-// appendPair appends the pair of a build and a probe object, R side first.
-func appendPair(dst []geom.Pair, buildID, probeID uint32, swapped bool) []geom.Pair {
+// pairOf is the pair of a build and a probe object, R side first.
+func pairOf(buildID, probeID uint32, swapped bool) geom.Pair {
 	if swapped {
-		return append(dst, geom.Pair{RID: probeID, SID: buildID})
+		return geom.Pair{RID: probeID, SID: buildID}
 	}
-	return append(dst, geom.Pair{RID: buildID, SID: probeID})
+	return geom.Pair{RID: buildID, SID: probeID}
+}
+
+// b2i is 1 for true; the compiler turns it into a flag move, not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // bucketExtents groups a build side with extended MBRs by covered cell.
@@ -451,13 +466,17 @@ func NestedLoop(r, s []geom.Object, pred Pred, opt Options, dst []geom.Pair) []g
 }
 
 // radixMin is the length below which SortPairs leaves the input to the
-// comparison sort: the radix sort's fixed cost (a 256-entry histogram per
-// byte pass) pays off from about 48 pairs at four passes and about 110
-// at eight.
+// comparison sort: the radix sort's fixed cost (a histogram per pass)
+// pays off from about 48 pairs at four passes.
 const radixMin = 64
 
-// pairScratch recycles the radix sort's second buffer.
-var pairScratch = sync.Pool{New: func() any { return new([]geom.Pair) }}
+// Digit widths of the radix sort, in bits. A digit is as wide as the
+// input is long — 2^d ≤ n, so a pass's histogram costs no more than its
+// scatter — within these bounds.
+const (
+	minDigit = 8
+	maxDigit = 16
+)
 
 // key packs a pair so that (RID, SID) order is integer order. Comparing
 // keys compiles to one flag-setting compare where comparing the fields
@@ -465,13 +484,17 @@ var pairScratch = sync.Pool{New: func() any { return new([]geom.Pair) }}
 func key(p geom.Pair) uint64 { return uint64(p.RID)<<32 | uint64(p.SID) }
 
 // SortPairs orders pairs by (RID, SID). Result assembly sorts every
-// run's whole pair list (DedupPairs), so this is an LSD radix sort over
-// the two ids, one byte per pass, least significant first: linear in the
-// input. Input that is already in order (a single partition's sorted
-// reply, a second call) returns after one scan. A byte on which all
-// pairs agree — every byte above the largest id present, in particular —
-// needs no pass, so ids below 2¹⁶ on both sides cost four passes, not
-// eight.
+// run's whole pair list (DedupPairs), so this is an LSD radix sort,
+// linear in the input: the SID's digits, then the RID's, least
+// significant first. It sorts on only the bits that vary — a bit on
+// which every pair agrees with the first cannot decide an order — so a
+// field whose ids differ in w bits takes ⌈w/dmax⌉ passes of equal digits,
+// dmax = ⌊log₂ n⌋ clamped to [minDigit, maxDigit]: ids below 2¹⁴ on both
+// sides sort in two passes from 2¹⁴ pairs up, where bytes took four. A
+// digit never straddles the two fields: cut from one combined key, it
+// would cost every pass the key's assembly, which measured slower than
+// the pass it saves. Input that is already in order returns after one
+// scan.
 func SortPairs(ps []geom.Pair) {
 	if len(ps) < radixMin {
 		slices.SortFunc(ps, func(a, b geom.Pair) int { return cmp.Compare(key(a), key(b)) })
@@ -490,62 +513,70 @@ func SortPairs(ps []geom.Pair) {
 		diffR |= p.RID ^ first.RID
 		diffS |= p.SID ^ first.SID
 	}
-
-	bufp := pairScratch.Get().(*[]geom.Pair)
-	*bufp = grow(*bufp, len(ps))
-	src, dst := ps, *bufp
-	for shift := 0; shift < 32; shift += 8 {
-		if uint8(diffS>>shift) != 0 {
-			radixPassSID(src, dst, shift)
-			src, dst = dst, src
-		}
+	n := len(ps)
+	dmax := min(max(bits.Len(uint(n))-1, minDigit), maxDigit)
+	j := joinerPool.Get().(*Joiner)
+	j.hist = grow(j.hist, 1<<maxDigit)
+	at := (*[1 << maxDigit]uint32)(j.hist)
+	buf := bufpool.Pairs.GetCap(n)[:n]
+	src, dst := ps, buf
+	w := bits.Len32(diffS)
+	for k, passes := 0, (w+dmax-1)/dmax; k < passes; k++ {
+		d := uint(w+passes-1) / uint(passes)
+		radixPassSID(src, dst, at, uint(k)*d, d)
+		src, dst = dst, src
 	}
-	for shift := 0; shift < 32; shift += 8 {
-		if uint8(diffR>>shift) != 0 {
-			radixPassRID(src, dst, shift)
-			src, dst = dst, src
-		}
+	w = bits.Len32(diffR)
+	for k, passes := 0, (w+dmax-1)/dmax; k < passes; k++ {
+		d := uint(w+passes-1) / uint(passes)
+		radixPassRID(src, dst, at, uint(k)*d, d)
+		src, dst = dst, src
 	}
 	if &src[0] != &ps[0] {
 		copy(ps, src)
 	}
-	pairScratch.Put(bufp)
+	bufpool.Pairs.Put(buf)
+	joinerPool.Put(j)
 }
 
-// radixPassSID is one stable counting-sort pass from src to dst on the
-// byte at shift of the SID. It is written out once per field: a single
-// function selecting the field, by flag or by closure, runs the whole
-// sort a third slower.
-func radixPassSID(src, dst []geom.Pair, shift int) {
-	var at [256]int
+// radixPassSID is one stable counting-sort pass from src to dst on the d
+// bits at shift of the SID, counting in at. It is written out once per
+// field: a single function selecting the field, by flag or by closure,
+// runs the whole sort a third slower.
+func radixPassSID(src, dst []geom.Pair, at *[1 << maxDigit]uint32, shift, d uint) {
+	shift &= 31 // shift < 32: lets the compiler emit bare shifts
+	mask := uint32(1)<<d - 1
+	clear(at[:1<<d])
 	for _, p := range src {
-		at[uint8(p.SID>>shift)]++
+		at[uint16(p.SID>>shift&mask)]++
 	}
-	sum := 0
-	for b, n := range at {
+	var sum uint32
+	for b, c := range at[:1<<d] {
 		at[b] = sum
-		sum += n
+		sum += c
 	}
 	for _, p := range src {
-		b := uint8(p.SID >> shift)
+		b := uint16(p.SID >> shift & mask)
 		dst[at[b]] = p
 		at[b]++
 	}
 }
 
 // radixPassRID is radixPassSID on the RID.
-func radixPassRID(src, dst []geom.Pair, shift int) {
-	var at [256]int
+func radixPassRID(src, dst []geom.Pair, at *[1 << maxDigit]uint32, shift, d uint) {
+	shift &= 31
+	mask := uint32(1)<<d - 1
+	clear(at[:1<<d])
 	for _, p := range src {
-		at[uint8(p.RID>>shift)]++
+		at[uint16(p.RID>>shift&mask)]++
 	}
-	sum := 0
-	for b, n := range at {
+	var sum uint32
+	for b, c := range at[:1<<d] {
 		at[b] = sum
-		sum += n
+		sum += c
 	}
 	for _, p := range src {
-		b := uint8(p.RID >> shift)
+		b := uint16(p.RID >> shift & mask)
 		dst[at[b]] = p
 		at[b]++
 	}

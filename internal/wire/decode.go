@@ -5,13 +5,15 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/bufpool"
 	"repro/internal/geom"
 )
 
 // Decoders for repeated payloads come in two forms: DecodeXAppend appends
 // the decoded records to a caller-provided slice (typically a per-handler
 // scratch buffer) and allocates nothing when capacity suffices; DecodeX is
-// the convenience form returning a fresh exact-length slice. Decoded
+// the convenience form returning a fresh exact-length slice, except for
+// DecodeObjects, whose window comes from bufpool.Objects. Decoded
 // records never alias the frame, so the frame's buffer may be recycled
 // (bufpool.Put) as soon as decoding returns.
 
@@ -154,9 +156,16 @@ func DecodeUploadJoinAppend(frame []byte, dst []geom.Object) ([]geom.Object, flo
 	return dst, float64(f32(frame[1:])), nil
 }
 
-// DecodeObjects decodes an OBJECTS response.
+// DecodeObjects decodes an OBJECTS response into a slice drawn from
+// bufpool.Objects, nil when there are no objects. The window is the
+// caller's: it hands it back with bufpool.Objects.Put once its objects
+// are dead, or drops it.
 func DecodeObjects(frame []byte) ([]geom.Object, error) {
-	return DecodeObjectsAppend(frame, nil)
+	n, err := repeatedPayload(frame, MsgObjects, replyHdr, ObjectSize, "objects response of %d")
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	return DecodeObjectsAppend(frame, bufpool.Objects.GetCap(n))
 }
 
 // DecodeObjectsAppend is DecodeObjects appending the objects to dst.
