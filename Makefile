@@ -133,7 +133,11 @@ vet:
 # one home, the link's netsim.Meter: no internal/client struct holds a
 # *netsim.Ledger or *netsim.LinkStats, and NewScheduler takes no ledger.
 # There is one slice free list: outside internal/bufpool no sync.Pool
-# hands out new([]…) — a pooled slice is a bufpool.Pool instance.
+# hands out new([]…) — a pooled slice is a bufpool.Pool instance. There
+# is one ε test: outside internal/geom no DistToPoint, MaxDistToPoint or
+# MinDist result is compared with eps — server, router and device decide
+# with geom's squared predicates (WithinDistOfPoint, InsideDistOfPoint,
+# WithinDist), never with a rounded square root.
 lint-seams:
 	@if grep -nE 'time\.(AfterFunc|NewTimer|Sleep)' internal/client/batch.go; then \
 	  echo "lint: internal/client/batch.go must not wait on a clock"; exit 1; fi
@@ -158,6 +162,9 @@ lint-seams:
 	  echo "lint: NewScheduler takes no argument (quotas are the meter's ledger)"; exit 1; fi
 	@if grep -rHnF --include='*.go' --exclude='*_test.go' 'new([]' *.go bench cmd examples internal | grep -v '^internal/bufpool/'; then \
 	  echo "lint: slice free lists are bufpool.Pool instances (no sync.Pool of new([]...) outside internal/bufpool)"; exit 1; fi
+	@if grep -rHnE --include='*.go' --exclude='*_test.go' '(DistToPoint|MaxDistToPoint|MinDist)\(' *.go bench cmd examples internal \
+	      | grep -v '^internal/geom/' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | grep -E '[<>]' | grep -iw 'eps'; then \
+	  echo "lint: an ε decision is geom.Rect.WithinDistOfPoint/InsideDistOfPoint/WithinDist, not a distance compared with eps"; exit 1; fi
 
 # lint runs the static analyzers CI enforces (staticcheck, govulncheck).
 # Locally the tools may be absent — this target never installs anything;

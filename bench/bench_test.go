@@ -93,6 +93,48 @@ func BenchmarkServerCount(b *testing.B) {
 	}
 }
 
+// BenchmarkServerWindow measures the reply path of the object-returning
+// handlers over the relations of the end-to-end benchmark (12 000
+// clustered points): the whole-relation WINDOW device-bulk downloads,
+// the four quadrant WINDOWs of a partitioned download, and ε = 75 RANGE
+// probes around the other relation's points as device-probe issues them.
+// Replies are spans of the server's pre-encoded packed array.
+func BenchmarkServerWindow(b *testing.B) {
+	srv := server.New("S", ledgerClusters(12000, []geom.Point{
+		{X: 1568, Y: 1851}, {X: 7962, Y: 1049}, {X: 3999, Y: 4653}, {X: 2900, Y: 6500},
+		{X: 8800, Y: 5600}, {X: 6500, Y: 6900}, {X: 3600, Y: 900}, {X: 400, Y: 4700},
+	}, 2))
+	bounds := srv.Tree().Bounds()
+	quads := bounds.Quadrants()
+	var probes [][]byte
+	for _, o := range ledgerClusters(256, []geom.Point{
+		{X: 1800, Y: 2100}, {X: 7600, Y: 1500}, {X: 4700, Y: 5200}, {X: 1500, Y: 7900},
+		{X: 8300, Y: 8200}, {X: 6100, Y: 3400}, {X: 3300, Y: 3900}, {X: 5600, Y: 8800},
+	}, 1) {
+		probes = append(probes, wire.AppendRange(nil, o.Center(), 75))
+	}
+	for _, bc := range []struct {
+		name string
+		reqs [][]byte
+	}{
+		{"whole", [][]byte{wire.AppendWindow(nil, bounds)}},
+		{"quadrants", [][]byte{
+			wire.AppendWindow(nil, quads[0]), wire.AppendWindow(nil, quads[1]),
+			wire.AppendWindow(nil, quads[2]), wire.AppendWindow(nil, quads[3]),
+		}},
+		{"range75", probes},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				resp := srv.HandleAppend(bc.reqs[i%len(bc.reqs)], bufpool.Get())
+				sink += len(resp)
+				bufpool.Put(resp)
+			}
+		})
+	}
+}
+
 // BenchmarkGridJoin measures the device-side spatial-hash join that HBSJ
 // runs on every downloaded partition pair.
 func BenchmarkGridJoin(b *testing.B) {

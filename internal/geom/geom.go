@@ -172,6 +172,24 @@ func (r Rect) MaxDistToPoint(p Point) float64 {
 	return math.Hypot(dx, dy)
 }
 
+// WithinDistOfPoint reports whether some point of r lies within
+// Euclidean distance eps of p: the point form of WithinDist, and the one
+// ε test of every layer — server, router and device alike decide with
+// dx²+dy² <= eps², never with the rounded square root of DistToPoint.
+func (r Rect) WithinDistOfPoint(p Point, eps float64) bool {
+	return r.WithinDist(RectFromPoint(p), eps)
+}
+
+// InsideDistOfPoint reports whether every point of r lies within
+// Euclidean distance eps of p: the farthest corner, squared. Rounding is
+// monotone, so for any rectangle s inside r it implies
+// s.WithinDistOfPoint(p, eps) exactly, not just up to rounding.
+func (r Rect) InsideDistOfPoint(p Point, eps float64) bool {
+	dx := max(p.X-r.MinX, r.MaxX-p.X)
+	dy := max(p.Y-r.MinY, r.MaxY-p.Y)
+	return dx*dx+dy*dy <= eps*eps
+}
+
 // MinDist returns the minimum Euclidean distance between r and s.
 // It is zero when the rectangles intersect.
 func (r Rect) MinDist(s Rect) float64 {

@@ -476,3 +476,66 @@ func TestDistancesPinnedToMathMax(t *testing.T) {
 		t.Fatalf("checked %d pairs, skipped %d: the value set no longer covers both classes", checked, skipped)
 	}
 }
+
+// TestWithinDistOfPointIsTheOneEpsTest pins the point form of the ε
+// predicate to WithinDist against the degenerate rectangle at p, and to
+// the squared comparison rather than DistToPoint's rounded square root:
+// for the pair below math.Hypot rounds to exactly 75 while dx²+dy²
+// exceeds 75², so a layer deciding with DistToPoint(p) <= eps would
+// report a pair the device and the oracle reject.
+func TestWithinDistOfPointIsTheOneEpsTest(t *testing.T) {
+	p := Pt(75.28449185090612, 1534.7570862157847)
+	q := RectFromPoint(Pt(150.2546572828652, 1536.872339180489))
+	if q.DistToPoint(p) != 75 {
+		t.Fatalf("DistToPoint = %v, the example needs Hypot to round to 75", q.DistToPoint(p))
+	}
+	if q.WithinDistOfPoint(p, 75) || q.WithinDist(RectFromPoint(p), 75) {
+		t.Fatal("dx²+dy² > 75²: the pair is not within 75")
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 20000; i++ {
+		r := R(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
+		p := Pt(rng.Float64()*140-20, rng.Float64()*140-20)
+		eps := rng.Float64() * 60
+		if got, want := r.WithinDistOfPoint(p, eps), r.WithinDist(RectFromPoint(p), eps); got != want {
+			t.Fatalf("WithinDistOfPoint(%v, %v, %v) = %v, WithinDist %v", r, p, eps, got, want)
+		}
+	}
+}
+
+// TestInsideDistOfPointCoversExactly checks the covered-subtree test: a
+// rectangle whose farthest corner lies within eps has every rectangle
+// inside it within eps by WithinDistOfPoint, ties at exactly eps
+// included, and the test fails one ulp below the farthest corner.
+func TestInsideDistOfPointCoversExactly(t *testing.T) {
+	r := R(2, 2, 5, 6)
+	if !r.InsideDistOfPoint(Pt(2, 2), 5) || r.InsideDistOfPoint(Pt(2, 2), math.Nextafter(5, 0)) {
+		t.Error("a 3-4-5 farthest corner is covered at 5 and not one ulp below")
+	}
+	if !r.InsideDistOfPoint(Pt(3, 3), 3.7) || r.InsideDistOfPoint(Pt(3, 3), 3.5) {
+		t.Error("the farthest corner (5,6) of (3,3) lies at √13 ≈ 3.61")
+	}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 20000; i++ {
+		r := R(rng.Float64()*100, rng.Float64()*100, rng.Float64()*100, rng.Float64()*100)
+		p := Pt(rng.Float64()*140-20, rng.Float64()*140-20)
+		dx, dy := max(p.X-r.MinX, r.MaxX-p.X), max(p.Y-r.MinY, r.MaxY-p.Y)
+		eps := math.Sqrt(dx*dx + dy*dy)
+		for eps*eps < dx*dx+dy*dy {
+			eps = math.Nextafter(eps, math.Inf(1))
+		}
+		if !r.InsideDistOfPoint(p, eps) || r.InsideDistOfPoint(p, math.Nextafter(eps, 0)) {
+			t.Fatalf("%v from %v: covered must flip at eps %v", r, p, eps)
+		}
+		corners := []Rect{
+			RectFromPoint(Pt(r.MinX, r.MinY)), RectFromPoint(Pt(r.MaxX, r.MinY)),
+			RectFromPoint(Pt(r.MinX, r.MaxY)), RectFromPoint(Pt(r.MaxX, r.MaxY)),
+			R(r.MinX+(r.MaxX-r.MinX)*rng.Float64(), r.MinY, r.MaxX, r.MinY+(r.MaxY-r.MinY)*rng.Float64()),
+		}
+		for _, s := range corners {
+			if !s.WithinDistOfPoint(p, eps) {
+				t.Fatalf("%v inside covered %v is not within %v of %v", s, r, eps, p)
+			}
+		}
+	}
+}

@@ -4,8 +4,10 @@ import "repro/internal/geom"
 
 // Insert adds one object to the tree, growing it with Guttman's
 // least-enlargement descent and quadratic node splitting. Aggregate
-// counts along the insertion path are maintained incrementally.
+// counts along the insertion path are maintained incrementally; the
+// packed array is rebuilt, so an insert costs O(n).
 func (t *Tree) Insert(o geom.Object) {
+	defer t.pack()
 	if t.root == nil {
 		t.root = &node{leaf: true, objects: []geom.Object{o}}
 		t.root.recompute()

@@ -5,11 +5,17 @@
 // COUNT queries from exactly this kind of structure (§3, citing the
 // aR-tree of Papadias et al. [11]).
 //
-// Trees are bulk-loaded with the Sort-Tile-Recursive (STR) algorithm and
-// also support incremental insertion (quadratic split), so servers can be
-// built from static snapshots or grown dynamically. The tree additionally
-// exposes the MBRs of a whole level, which the SemiJoin comparator of
-// §5.3 transfers between servers.
+// Servers hold static snapshots: a tree is bulk-loaded once with the
+// Sort-Tile-Recursive (STR) algorithm, and its objects are then packed
+// into one array in traversal order (depth first, children in stored
+// order), every subtree owning a contiguous span of it. A query's answer
+// is therefore a list of spans (WindowSpans, RangeSpans): a subtree the
+// query covers is one span found with no per-object test, which is what
+// lets a server copy pre-encoded bytes instead of visiting objects, and
+// what the aggregate answers count. Incremental insertion (quadratic
+// split) re-packs after every insert. The tree additionally exposes the
+// MBRs of a whole level, which the SemiJoin comparator of §5.3 transfers
+// between servers.
 package rtree
 
 import (
@@ -33,40 +39,64 @@ const (
 type node struct {
 	mbr      geom.Rect
 	count    int // aggregate: number of objects in the subtree
+	lo       int // the subtree's objects are the tree's objs[lo : lo+count]
 	leaf     bool
 	children []*node       // internal nodes
-	objects  []geom.Object // leaf nodes
+	objects  []geom.Object // leaf nodes: their span of the packed array
 }
 
 // Tree is an aggregate R-tree. The zero value is an empty tree ready for
 // Insert; use Bulk for efficient construction from a slice.
 type Tree struct {
 	root   *node
-	height int // number of levels; 0 for empty, 1 for a single leaf
+	height int           // number of levels; 0 for empty, 1 for a single leaf
+	objs   []geom.Object // every object, packed in traversal order
 }
 
 // Bulk builds a tree from objs using STR bulk loading. The input slice is
-// not retained; objects are copied into leaves.
+// not retained; objects are copied into the packed array.
 func Bulk(objs []geom.Object) *Tree {
 	t := &Tree{}
 	if len(objs) == 0 {
 		return t
 	}
-	leaves := strLeaves(objs)
-	level := leaves
+	level := strLeaves(objs)
 	t.height = 1
 	for len(level) > 1 {
 		level = strPack(level)
 		t.height++
 	}
 	t.root = level[0]
+	t.pack()
 	return t
 }
 
-// strLeaves tiles the objects into leaf nodes ordered by x then y.
+// pack lays the objects out in one array in traversal order, records
+// every node's span of it, and re-points the leaves at their spans, so
+// nothing is stored twice. A leaf's span is capped, so an Insert that
+// appends to it copies instead of overwriting its neighbour's.
+func (t *Tree) pack() {
+	objs := make([]geom.Object, 0, t.root.count)
+	var walk func(nd *node)
+	walk = func(nd *node) {
+		nd.lo = len(objs)
+		if nd.leaf {
+			objs = append(objs, nd.objects...)
+			nd.objects = objs[nd.lo:len(objs):len(objs)]
+			return
+		}
+		for _, c := range nd.children {
+			walk(c)
+		}
+	}
+	walk(t.root)
+	t.objs = objs
+}
+
+// strLeaves tiles the objects into leaf nodes ordered by x then y. The
+// leaves share one sorted copy of the input until pack moves them.
 func strLeaves(objs []geom.Object) []*node {
-	sorted := make([]geom.Object, len(objs))
-	copy(sorted, objs)
+	sorted := slices.Clone(objs)
 	n := len(sorted)
 	leafCount := (n + MaxEntries - 1) / MaxEntries
 	sliceCount := int(math.Ceil(math.Sqrt(float64(leafCount))))
@@ -84,7 +114,7 @@ func strLeaves(objs []geom.Object) []*node {
 		})
 		for s := 0; s < len(slice); s += MaxEntries {
 			e := min(s+MaxEntries, len(slice))
-			leaf := &node{leaf: true, objects: append([]geom.Object(nil), slice[s:e]...)}
+			leaf := &node{leaf: true, objects: slice[s:e:e]}
 			leaf.recompute()
 			leaves = append(leaves, leaf)
 		}
@@ -167,8 +197,8 @@ func (t *Tree) Bounds() geom.Rect {
 	return t.root.mbr
 }
 
-// stackPool recycles the explicit traversal stacks of the visitor
-// methods, so a query allocates nothing however deep the tree.
+// stackPool recycles the explicit traversal stacks of the walkers, so a
+// query allocates nothing however deep the tree.
 var stackPool = sync.Pool{
 	New: func() any { s := make([]*node, 0, 64); return &s },
 }
@@ -177,9 +207,8 @@ func getStack() *[]*node  { return stackPool.Get().(*[]*node) }
 func putStack(s *[]*node) { *s = (*s)[:0]; stackPool.Put(s) }
 
 // push appends the children of nd in reverse, so that popping from the
-// stack's tail visits them in their stored order — the visitor methods
-// therefore yield objects in exactly the order of the old recursive
-// traversal, which keeps response frames bit-identical.
+// stack's tail visits them in their stored order — the traversal order
+// the packed array is laid out in.
 func push(s []*node, children []*node) []*node {
 	for i := len(children) - 1; i >= 0; i-- {
 		s = append(s, children[i])
@@ -187,43 +216,143 @@ func push(s []*node, children []*node) []*node {
 	return s
 }
 
-// SearchFunc calls visit for every object whose MBR intersects w, in the
-// tree's traversal order, stopping early when visit returns false. It
-// reports whether the traversal ran to completion. The traversal uses an
-// explicit, pooled stack and allocates nothing.
-func (t *Tree) SearchFunc(w geom.Rect, visit func(o geom.Object) bool) bool {
+// Span is the half-open range [Lo, Hi) of Objects() that one step of a
+// query's traversal yields.
+type Span struct{ Lo, Hi int }
+
+// run is a walker's pending span: a span that starts where it ends
+// extends it, any other one emits it first.
+type run Span
+
+func (r *run) add(lo, hi int, emit func(lo, hi int) bool) bool {
+	if lo == r.Hi {
+		r.Hi = hi
+		return true
+	}
+	ok := r.flush(emit)
+	*r = run{lo, hi}
+	return ok
+}
+
+func (r *run) flush(emit func(lo, hi int) bool) bool {
+	return r.Lo == r.Hi || emit(r.Lo, r.Hi)
+}
+
+// window is the one traversal of a window query. It calls emit with the
+// spans of Objects() whose objects intersect w, in traversal order,
+// adjacent spans coalesced: a subtree w contains is one span, found with
+// no per-object test, and a boundary leaf yields each object that
+// intersects w. It stops when emit returns false and reports whether it
+// ran to completion.
+func (t *Tree) window(w geom.Rect, emit func(lo, hi int) bool) bool {
 	if t.root == nil {
 		return true
 	}
 	sp := getStack()
 	defer putStack(sp)
+	var r run
+	ok := true
 	stack := append(*sp, t.root)
-	for len(stack) > 0 {
+	for ok && len(stack) > 0 {
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if !nd.mbr.Intersects(w) {
-			continue
-		}
-		if nd.leaf {
-			for _, o := range nd.objects {
-				if o.MBR.Intersects(w) && !visit(o) {
-					*sp = stack
-					return false
+		switch {
+		case !nd.mbr.Intersects(w):
+		case w.Contains(nd.mbr):
+			ok = r.add(nd.lo, nd.lo+nd.count, emit)
+		case nd.leaf:
+			for i := 0; ok && i < len(nd.objects); i++ {
+				if nd.objects[i].MBR.Intersects(w) {
+					ok = r.add(nd.lo+i, nd.lo+i+1, emit)
 				}
 			}
-			continue
+		default:
+			stack = push(stack, nd.children)
 		}
-		stack = push(stack, nd.children)
 	}
 	*sp = stack
+	return ok && r.flush(emit)
+}
+
+// ranged is window for an ε-range around p: a subtree whose farthest
+// corner lies within eps is one span, and every test is the one ε
+// predicate of package geom.
+func (t *Tree) ranged(p geom.Point, eps float64, emit func(lo, hi int) bool) bool {
+	if t.root == nil {
+		return true
+	}
+	sp := getStack()
+	defer putStack(sp)
+	var r run
+	ok := true
+	stack := append(*sp, t.root)
+	for ok && len(stack) > 0 {
+		nd := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		switch {
+		case !nd.mbr.WithinDistOfPoint(p, eps):
+		case nd.mbr.InsideDistOfPoint(p, eps):
+			ok = r.add(nd.lo, nd.lo+nd.count, emit)
+		case nd.leaf:
+			for i := 0; ok && i < len(nd.objects); i++ {
+				if nd.objects[i].MBR.WithinDistOfPoint(p, eps) {
+					ok = r.add(nd.lo+i, nd.lo+i+1, emit)
+				}
+			}
+		default:
+			stack = push(stack, nd.children)
+		}
+	}
+	*sp = stack
+	return ok && r.flush(emit)
+}
+
+// Objects returns every object of the tree in traversal order, the array
+// the spans index. It is the tree's own storage: callers must not modify
+// it.
+func (t *Tree) Objects() []geom.Object { return t.objs }
+
+// WindowSpans appends to dst the spans of Objects() intersecting w, in
+// traversal order and coalesced, and returns the extended slice.
+func (t *Tree) WindowSpans(w geom.Rect, dst []Span) []Span {
+	t.window(w, func(lo, hi int) bool {
+		dst = append(dst, Span{lo, hi})
+		return true
+	})
+	return dst
+}
+
+// RangeSpans is WindowSpans for the objects within distance eps of p.
+func (t *Tree) RangeSpans(p geom.Point, eps float64, dst []Span) []Span {
+	t.ranged(p, eps, func(lo, hi int) bool {
+		dst = append(dst, Span{lo, hi})
+		return true
+	})
+	return dst
+}
+
+// visitSpan folds one span into visit, stopping when visit returns false.
+func (t *Tree) visitSpan(lo, hi int, visit func(o geom.Object) bool) bool {
+	for _, o := range t.objs[lo:hi] {
+		if !visit(o) {
+			return false
+		}
+	}
 	return true
+}
+
+// SearchFunc calls visit for every object whose MBR intersects w, in the
+// tree's traversal order, stopping early when visit returns false. It
+// reports whether the traversal ran to completion. It allocates nothing.
+func (t *Tree) SearchFunc(w geom.Rect, visit func(o geom.Object) bool) bool {
+	return t.window(w, func(lo, hi int) bool { return t.visitSpan(lo, hi, visit) })
 }
 
 // Search appends to dst all objects whose MBR intersects w and returns
 // the extended slice.
 func (t *Tree) Search(w geom.Rect, dst []geom.Object) []geom.Object {
-	t.SearchFunc(w, func(o geom.Object) bool {
-		dst = append(dst, o)
+	t.window(w, func(lo, hi int) bool {
+		dst = append(dst, t.objs[lo:hi]...)
 		return true
 	})
 	return dst
@@ -233,32 +362,11 @@ func (t *Tree) Search(w geom.Rect, dst []geom.Object) []geom.Object {
 // Subtrees entirely inside w contribute their aggregate count without
 // descent; only boundary nodes are expanded.
 func (t *Tree) Count(w geom.Rect) int {
-	if t.root == nil {
-		return 0
-	}
-	return countNode(t.root, w)
-}
-
-func countNode(nd *node, w geom.Rect) int {
-	if !nd.mbr.Intersects(w) {
-		return 0
-	}
-	if w.Contains(nd.mbr) {
-		return nd.count
-	}
-	if nd.leaf {
-		n := 0
-		for _, o := range nd.objects {
-			if o.MBR.Intersects(w) {
-				n++
-			}
-		}
-		return n
-	}
 	n := 0
-	for _, c := range nd.children {
-		n += countNode(c, w)
-	}
+	t.window(w, func(lo, hi int) bool {
+		n += hi - lo
+		return true
+	})
 	return n
 }
 
@@ -267,38 +375,14 @@ func countNode(nd *node, w geom.Rect) int {
 // stopping early when visit returns false. It reports whether the
 // traversal ran to completion. Like SearchFunc it allocates nothing.
 func (t *Tree) SearchDistFunc(p geom.Point, eps float64, visit func(o geom.Object) bool) bool {
-	if t.root == nil {
-		return true
-	}
-	sp := getStack()
-	defer putStack(sp)
-	stack := append(*sp, t.root)
-	for len(stack) > 0 {
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if nd.mbr.DistToPoint(p) > eps {
-			continue
-		}
-		if nd.leaf {
-			for _, o := range nd.objects {
-				if o.MBR.DistToPoint(p) <= eps && !visit(o) {
-					*sp = stack
-					return false
-				}
-			}
-			continue
-		}
-		stack = push(stack, nd.children)
-	}
-	*sp = stack
-	return true
+	return t.ranged(p, eps, func(lo, hi int) bool { return t.visitSpan(lo, hi, visit) })
 }
 
 // SearchDist appends to dst all objects whose MBR lies within Euclidean
 // distance eps of point p and returns the extended slice.
 func (t *Tree) SearchDist(p geom.Point, eps float64, dst []geom.Object) []geom.Object {
-	t.SearchDistFunc(p, eps, func(o geom.Object) bool {
-		dst = append(dst, o)
+	t.ranged(p, eps, func(lo, hi int) bool {
+		dst = append(dst, t.objs[lo:hi]...)
 		return true
 	})
 	return dst
@@ -306,51 +390,29 @@ func (t *Tree) SearchDist(p geom.Point, eps float64, dst []geom.Object) []geom.O
 
 // CountDist returns the number of objects within distance eps of p.
 // Like Count, it is a pure aggregate traversal: a subtree whose MBR lies
-// entirely within eps of p contributes its stored count without descent
-// (every object MBR inside such a node is itself within eps), and no
-// result objects are ever materialized.
+// entirely within eps of p contributes its stored count without descent,
+// and no result objects are ever materialized.
 func (t *Tree) CountDist(p geom.Point, eps float64) int {
-	if t.root == nil {
-		return 0
-	}
 	n := 0
-	sp := getStack()
-	defer putStack(sp)
-	stack := append(*sp, t.root)
-	for len(stack) > 0 {
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if nd.mbr.DistToPoint(p) > eps {
-			continue
-		}
-		if nd.mbr.MaxDistToPoint(p) <= eps {
-			n += nd.count
-			continue
-		}
-		if nd.leaf {
-			for _, o := range nd.objects {
-				if o.MBR.DistToPoint(p) <= eps {
-					n++
-				}
-			}
-			continue
-		}
-		stack = push(stack, nd.children)
-	}
-	*sp = stack
+	t.ranged(p, eps, func(lo, hi int) bool {
+		n += hi - lo
+		return true
+	})
 	return n
 }
 
 // AvgArea returns the average MBR area of the objects intersecting w,
 // and 0 when no object intersects. It backs the AVG-AREA aggregate the
-// paper adds for polygon datasets (§3.1). The fold runs over the visitor,
+// paper adds for polygon datasets (§3.1). The fold runs over the spans,
 // so no result slice is materialized.
 func (t *Tree) AvgArea(w geom.Rect) float64 {
 	var sum float64
 	var n int
-	t.SearchFunc(w, func(o geom.Object) bool {
-		sum += o.MBR.Area()
-		n++
+	t.window(w, func(lo, hi int) bool {
+		for _, o := range t.objs[lo:hi] {
+			sum += o.MBR.Area()
+		}
+		n += hi - lo
 		return true
 	})
 	if n == 0 {
@@ -385,21 +447,8 @@ func (t *Tree) LevelMBRs(level int) ([]geom.Rect, error) {
 	return out, nil
 }
 
-// All appends every object in the tree to dst and returns the result.
+// All appends every object in the tree to dst, in traversal order, and
+// returns the result.
 func (t *Tree) All(dst []geom.Object) []geom.Object {
-	if t.root == nil {
-		return dst
-	}
-	var walk func(nd *node)
-	walk = func(nd *node) {
-		if nd.leaf {
-			dst = append(dst, nd.objects...)
-			return
-		}
-		for _, c := range nd.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	return dst
+	return append(dst, t.objs...)
 }

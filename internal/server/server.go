@@ -10,9 +10,12 @@
 // with PublishIndex, mirroring the paper's observation that "in practice,
 // SemiJoin cannot be applied in our problem".
 //
-// The handlers are allocation-free in steady state: requests decode into
-// pooled per-handler scratch buffers, index queries run through the
-// aR-tree's visitor traversals, and replies are appended into the
+// The dataset is wire-encoded once, at New, in the tree's packed order,
+// so a WINDOW, RANGE or BUCKET-RANGE reply is a header plus copies of the
+// byte spans the aR-tree's traversal yields: a subtree the query covers
+// leaves as one copy, never visited object by object. The handlers are
+// allocation-free in steady state: requests decode into pooled
+// per-handler scratch buffers and replies are appended into the
 // caller-provided buffer (HandleAppend), so a serving loop that recycles
 // its frame buffers (as both netsim transports do) stays off the
 // allocator entirely.
@@ -38,10 +41,9 @@ type Server struct {
 	publishIndex bool
 	pointData    bool
 
-	// all is the dataset in tree order, precomputed once so UPLOAD-JOIN
-	// never re-materializes it per request. Only publishing servers can
-	// receive UPLOAD-JOIN, so it is built only under PublishIndex.
-	all []geom.Object
+	// enc is the tree's packed objects, wire-encoded: the record of
+	// tree.Objects()[i] is enc[i*wire.ObjectSize:][:wire.ObjectSize].
+	enc []byte
 	// maxID sizes the scratch bitset used for MBR-MATCH deduplication
 	// when denseIDs holds; dataset ids are dense in practice (datagen
 	// numbers them 0..n-1), but nothing enforces that, so sparse id
@@ -57,8 +59,8 @@ type Server struct {
 // Handle call. Every slice is truncated, never freed, so each field
 // converges to its workload high-water mark.
 type handlerScratch struct {
-	objs    []geom.Object   // query results, flat across bucket groups
-	lens    []int           // bucket reply group lengths
+	objs    []geom.Object   // MBR-MATCH results
+	spans   []rtree.Span    // the spans of one query's answer
 	pts     []geom.Point    // decoded bucket probe points
 	rects   []geom.Rect     // decoded MBR-MATCH rectangles
 	up      []geom.Object   // decoded UPLOAD-JOIN objects
@@ -83,6 +85,7 @@ func PublishIndex() Option {
 // objects, bulk-loading the aR-tree.
 func New(name string, objs []geom.Object, opts ...Option) *Server {
 	s := &Server{name: name, tree: rtree.Bulk(objs), pointData: true}
+	s.enc = wire.AppendObjectRecords(nil, s.tree.Objects())
 	for _, o := range objs {
 		if !o.IsPoint() {
 			s.pointData = false
@@ -99,11 +102,6 @@ func New(name string, objs []geom.Object, opts ...Option) *Server {
 	}
 	for _, o := range opts {
 		o(s)
-	}
-	if s.publishIndex {
-		// Only publishing servers answer UPLOAD-JOIN, the one consumer of
-		// the materialized dataset snapshot.
-		s.all = s.tree.All(nil)
 	}
 	return s
 }
@@ -185,8 +183,8 @@ func (s *Server) handleOne(req, dst []byte, sc *handlerScratch) []byte {
 		if err != nil {
 			return wire.AppendError(dst, err.Error())
 		}
-		sc.objs = s.tree.Search(w, sc.objs[:0])
-		return wire.AppendObjects(dst, sc.objs)
+		sc.spans = s.tree.WindowSpans(w, sc.spans[:0])
+		return s.appendSpans(wire.AppendObjectsHeader(dst, spanLen(sc.spans)), sc.spans)
 
 	case wire.MsgCount:
 		w, err := wire.DecodeWindowLike(req, wire.MsgCount)
@@ -207,8 +205,8 @@ func (s *Server) handleOne(req, dst []byte, sc *handlerScratch) []byte {
 		if err != nil {
 			return wire.AppendError(dst, err.Error())
 		}
-		sc.objs = s.tree.SearchDist(p, eps, sc.objs[:0])
-		return wire.AppendObjects(dst, sc.objs)
+		sc.spans = s.tree.RangeSpans(p, eps, sc.spans[:0])
+		return s.appendSpans(wire.AppendObjectsHeader(dst, spanLen(sc.spans)), sc.spans)
 
 	case wire.MsgRangeCount:
 		p, eps, err := wire.DecodeRangeLike(req, wire.MsgRangeCount)
@@ -224,14 +222,12 @@ func (s *Server) handleOne(req, dst []byte, sc *handlerScratch) []byte {
 		if err != nil {
 			return wire.AppendError(dst, err.Error())
 		}
-		sc.objs = sc.objs[:0]
-		sc.lens = sc.lens[:0]
+		dst = wire.AppendBucketObjectsHeader(dst, len(sc.pts))
 		for _, p := range sc.pts {
-			before := len(sc.objs)
-			sc.objs = s.tree.SearchDist(p, eps, sc.objs)
-			sc.lens = append(sc.lens, len(sc.objs)-before)
+			sc.spans = s.tree.RangeSpans(p, eps, sc.spans[:0])
+			dst = s.appendSpans(wire.AppendBucketGroupHeader(dst, spanLen(sc.spans)), sc.spans)
 		}
-		return wire.AppendBucketObjectsFlat(dst, sc.lens, sc.objs)
+		return dst
 
 	case wire.MsgBucketRangeCount:
 		var eps float64
@@ -299,6 +295,23 @@ func (s *Server) handleOne(req, dst []byte, sc *handlerScratch) []byte {
 	default:
 		return wire.AppendError(dst, fmt.Sprintf("%s: unsupported request %v", s.name, wire.Type(req)))
 	}
+}
+
+// appendSpans appends the pre-encoded records of the spans' objects.
+func (s *Server) appendSpans(dst []byte, spans []rtree.Span) []byte {
+	for _, sp := range spans {
+		dst = append(dst, s.enc[sp.Lo*wire.ObjectSize:sp.Hi*wire.ObjectSize]...)
+	}
+	return dst
+}
+
+// spanLen returns the number of objects the spans hold.
+func spanLen(spans []rtree.Span) int {
+	n := 0
+	for _, sp := range spans {
+		n += sp.Hi - sp.Lo
+	}
+	return n
 }
 
 // matchMBRs collects into sc.objs the distinct objects intersecting
@@ -369,7 +382,7 @@ func (s *Server) uploadJoin(sc *handlerScratch, objs []geom.Object, eps float64)
 	if eps > 0 {
 		pred = memjoin.WithinDist(eps)
 	}
-	sc.pairs = sc.joiner.GridJoin(objs, s.all, pred, memjoin.Options{}, sc.pairs[:0])
+	sc.pairs = sc.joiner.GridJoin(objs, s.tree.Objects(), pred, memjoin.Options{}, sc.pairs[:0])
 	sc.pairs = memjoin.DedupPairs(sc.pairs)
 	return sc.pairs
 }

@@ -118,7 +118,7 @@ func pointRoute(t wire.MsgType, merge func([]byte, [][]byte) ([]byte, error)) pl
 		if err != nil {
 			return plan{}, err
 		}
-		reach := func(bounds geom.Rect) bool { return bounds.DistToPoint(p) <= eps }
+		reach := func(bounds geom.Rect) bool { return bounds.WithinDistOfPoint(p, eps) }
 		return plan{fanOut(req, infos, reach), merge}, nil
 	}
 }
@@ -203,7 +203,7 @@ func bucketRoute(t wire.MsgType,
 			return plan{}, err
 		}
 		subs, idx := partition(infos, pts,
-			func(p geom.Point, bounds geom.Rect) bool { return bounds.DistToPoint(p) <= eps },
+			func(p geom.Point, bounds geom.Rect) bool { return bounds.WithinDistOfPoint(p, eps) },
 			func(dst []byte, part []geom.Point) []byte { return appendReq(dst, part, eps) })
 		return plan{subs, func(dst []byte, replies [][]byte) ([]byte, error) {
 			return merge(dst, replies, idx, len(pts))

@@ -321,13 +321,25 @@ func AppendUploadJoin(dst []byte, objs []geom.Object, eps float64) []byte {
 
 // AppendObjects appends an OBJECTS response frame.
 func AppendObjects(dst []byte, objs []geom.Object) []byte {
-	dst, b := grow(dst, 1+4+ObjectSize*len(objs))
-	b[0] = byte(MsgObjects)
-	le.PutUint32(b[1:], uint32(len(objs)))
-	off := 5
-	for _, o := range objs {
-		putObject(b[off:], o)
-		off += ObjectSize
+	return AppendObjectRecords(AppendObjectsHeader(dst, len(objs)), objs)
+}
+
+// AppendObjectsHeader appends the header of an OBJECTS frame of n
+// objects and reserves room for them. The caller appends exactly n
+// object records: AppendObjectRecords, or bytes it produced earlier.
+func AppendObjectsHeader(dst []byte, n int) []byte {
+	dst = slices.Grow(dst, 1+4+ObjectSize*n)
+	dst = append(dst, byte(MsgObjects))
+	return le.AppendUint32(dst, uint32(n))
+}
+
+// AppendObjectRecords appends the ObjectSize-byte records of objs with
+// no frame header: the payload of an OBJECTS frame, or of one group of a
+// BUCKET-OBJECTS frame.
+func AppendObjectRecords(dst []byte, objs []geom.Object) []byte {
+	dst, b := grow(dst, ObjectSize*len(objs))
+	for i, o := range objs {
+		putObject(b[i*ObjectSize:], o)
 	}
 	return dst
 }
@@ -371,17 +383,9 @@ func AppendBucketObjects(dst []byte, groups [][]geom.Object) []byte {
 	for _, g := range groups {
 		size += 4 + ObjectSize*len(g)
 	}
-	dst, b := grow(dst, size)
-	b[0] = byte(MsgBucketObjects)
-	le.PutUint32(b[1:], uint32(len(groups)))
-	off := 5
+	dst = AppendBucketObjectsHeader(slices.Grow(dst, size), len(groups))
 	for _, g := range groups {
-		le.PutUint32(b[off:], uint32(len(g)))
-		off += 4
-		for _, o := range g {
-			putObject(b[off:], o)
-			off += ObjectSize
-		}
+		dst = AppendObjectRecords(AppendBucketGroupHeader(dst, len(g)), g)
 	}
 	return dst
 }
@@ -392,22 +396,28 @@ func AppendBucketObjects(dst []byte, groups [][]geom.Object) []byte {
 // slices instead of materializing a [][]Object; the produced bytes are
 // identical to AppendBucketObjects on the equivalent nested slices.
 func AppendBucketObjectsFlat(dst []byte, lens []int, objs []geom.Object) []byte {
-	size := 1 + 4 + 4*len(lens) + ObjectSize*len(objs)
-	dst, b := grow(dst, size)
-	b[0] = byte(MsgBucketObjects)
-	le.PutUint32(b[1:], uint32(len(lens)))
-	off := 5
-	next := 0
+	dst = slices.Grow(dst, 1+4+4*len(lens)+ObjectSize*len(objs))
+	dst = AppendBucketObjectsHeader(dst, len(lens))
 	for _, n := range lens {
-		le.PutUint32(b[off:], uint32(n))
-		off += 4
-		for _, o := range objs[next : next+n] {
-			putObject(b[off:], o)
-			off += ObjectSize
-		}
-		next += n
+		dst = AppendObjectRecords(AppendBucketGroupHeader(dst, n), objs[:n])
+		objs = objs[n:]
 	}
 	return dst
+}
+
+// AppendBucketObjectsHeader appends the header of a BUCKET-OBJECTS frame
+// of the given number of groups. The caller appends each group: its
+// AppendBucketGroupHeader, then its object records.
+func AppendBucketObjectsHeader(dst []byte, groups int) []byte {
+	dst = append(dst, byte(MsgBucketObjects))
+	return le.AppendUint32(dst, uint32(groups))
+}
+
+// AppendBucketGroupHeader appends the count header of one group of n
+// objects of a BUCKET-OBJECTS frame and reserves room for them.
+func AppendBucketGroupHeader(dst []byte, n int) []byte {
+	dst = slices.Grow(dst, 4+ObjectSize*n)
+	return le.AppendUint32(dst, uint32(n))
 }
 
 // AppendRects appends a RECTS response frame (R-tree level MBRs).
