@@ -137,7 +137,11 @@ vet:
 # is one ε test: outside internal/geom no DistToPoint, MaxDistToPoint or
 # MinDist result is compared with eps — server, router and device decide
 # with geom's squared predicates (WithinDistOfPoint, InsideDistOfPoint,
-# WithinDist), never with a rounded square root.
+# WithinDist), never with a rounded square root. Pairs are born unique:
+# every device join names the cell whose reference points it owns, so
+# outside Oracle (the reference) and tests internal/core calls no
+# DedupPairs and builds no memjoin.Options{} literal — result assembly
+# only sorts.
 lint-seams:
 	@if grep -nE 'time\.(AfterFunc|NewTimer|Sleep)' internal/client/batch.go; then \
 	  echo "lint: internal/client/batch.go must not wait on a clock"; exit 1; fi
@@ -165,6 +169,9 @@ lint-seams:
 	@if grep -rHnE --include='*.go' --exclude='*_test.go' '(DistToPoint|MaxDistToPoint|MinDist)\(' *.go bench cmd examples internal \
 	      | grep -v '^internal/geom/' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | grep -E '[<>]' | grep -iw 'eps'; then \
 	  echo "lint: an ε decision is geom.Rect.WithinDistOfPoint/InsideDistOfPoint/WithinDist, not a distance compared with eps"; exit 1; fi
+	@if awk '/^func Oracle\(/ { o = 1 } !o && /DedupPairs\(|memjoin\.Options\{\}/ { print FILENAME ":" FNR ": " $$0; f = 1 } o && /^}/ { o = 0 } END { exit !f }' \
+	      $$(ls internal/core/*.go | grep -v '_test\.go$$'); then \
+	  echo "lint: pairs are born unique in core: every device join names its cell (no memjoin.Options{}), result assembly only sorts (no DedupPairs)"; exit 1; fi
 
 # lint runs the static analyzers CI enforces (staticcheck, govulncheck).
 # Locally the tools may be absent — this target never installs anything;

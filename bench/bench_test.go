@@ -192,9 +192,10 @@ func BenchmarkGridJoinClustered(b *testing.B) {
 	b.ReportMetric(float64(len(dst)), "pairs/op")
 }
 
-// BenchmarkDedupPairs measures result assembly: sorting and compacting a
-// run's accumulated pair list — 50 000 pairs over 12 000 ids per side, a
-// quarter of them duplicates, in the shuffled order partitions emit them.
+// BenchmarkDedupPairs measures sorting and compacting a pair list — the
+// radix sort result assembly runs, plus the compaction the server's
+// upload join adds — over 50 000 pairs over 12 000 ids per side, a
+// quarter of them duplicates, in a shuffled order.
 func BenchmarkDedupPairs(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	const n = 50000

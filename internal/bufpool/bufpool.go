@@ -5,7 +5,7 @@
 // the steady state of a serving loop performs no buffer allocation at
 // all. Its object instance holds the windows the device downloads
 // (wire.DecodeObjects draws from it), and its pair instance the pair
-// lists the device builds, sorts and deduplicates, so a device joining
+// lists the device builds and sorts, so a device joining
 // partition after partition reuses the memory of the last one.
 //
 // Ownership convention (see docs/PERFORMANCE.md), the same for every

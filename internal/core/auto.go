@@ -482,9 +482,9 @@ func (a *autoState) fetchJoin(w geom.Rect, outer side, outerObjs []geom.Object, 
 				p.QueryBytes()+p.TB(innerCnt.n*p.BObj), "inner window joined against held outer objects")
 		}
 		if outer == sideR {
-			a.joinLocal(rel, innerObjs)
+			a.joinLocal(w, rel, innerObjs)
 		} else {
-			a.joinLocal(innerObjs, rel)
+			a.joinLocal(w, innerObjs, rel)
 		}
 		bufpool.Objects.Put(innerObjs)
 		return nil

@@ -17,7 +17,8 @@
 // join, or iceberg distance semi-join (R objects matching at least m
 // objects of S). For a query window W, the result contains every pair
 // (r, s) with pred(r, s), s intersecting W, and r intersecting W expanded
-// by ε. Pairs are globally deduplicated, so all algorithms return
+// by ε. Each pair is reported once, by the one partition cell that owns
+// its reference point (geom.Rect.Owned), so all algorithms return
 // identical result sets — a property the tests enforce against a
 // brute-force oracle.
 package core
@@ -129,7 +130,7 @@ func (st Stats) TotalQueries() int { return st.R.Queries + st.S.Queries }
 
 // Result is the outcome of one join execution.
 type Result struct {
-	// Pairs holds the qualifying (R, S) pairs, sorted and deduplicated
+	// Pairs holds the qualifying (R, S) pairs, each once, sorted
 	// (Intersection and Distance kinds).
 	Pairs []geom.Pair
 	// Objects holds the qualifying R objects for IcebergSemi, sorted by ID.
@@ -220,7 +221,7 @@ func Oracle(r, s []geom.Object, spec Spec, window geom.Rect) *Result {
 			if !pred.Match(a.MBR, b.MBR) {
 				continue
 			}
-			if p, ok := geom.RefPointEps(a.MBR, b.MBR, spec.Eps); !ok || !window.ContainsPoint(p) {
+			if !window.ContainsPoint(geom.RefPointEps(a.MBR, b.MBR, spec.Eps)) {
 				continue
 			}
 			pairs = append(pairs, geom.Pair{RID: a.ID, SID: b.ID})

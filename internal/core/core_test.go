@@ -197,22 +197,29 @@ func TestEmptyDatasetsPruneEverything(t *testing.T) {
 func TestWindowedJoinRestrictsResults(t *testing.T) {
 	robjs := dataset.Uniform(400, dataset.World, 91)
 	sobjs := dataset.Uniform(400, dataset.World, 92)
-	window := geom.R(0, 0, 5000, 5000) // bottom-left quarter
 	spec := Spec{Kind: Distance, Eps: 200}
-	want := Oracle(robjs, sobjs, spec, window)
 	full := Oracle(robjs, sobjs, spec, dataset.World)
-	if len(want.Pairs) == 0 || len(want.Pairs) >= len(full.Pairs) {
-		t.Fatalf("vacuous window test: %d vs %d pairs", len(want.Pairs), len(full.Pairs))
-	}
-	for _, alg := range allAlgorithms() {
-		env := testEnv(t, robjs, sobjs, 800)
-		env.Window = window
-		got, err := alg.Run(context.Background(), env, spec)
-		if err != nil {
-			t.Fatalf("%s: %v", alg.Name(), err)
+	for _, window := range []geom.Rect{
+		geom.R(0, 0, 5000, 5000),       // bottom-left quarter
+		geom.R(2500, 2500, 7500, 7500), // interior: data on every side
+	} {
+		want := Oracle(robjs, sobjs, spec, window)
+		if len(want.Pairs) == 0 || len(want.Pairs) >= len(full.Pairs) {
+			t.Fatalf("vacuous window test: %d vs %d pairs", len(want.Pairs), len(full.Pairs))
 		}
-		if !pairSetsEqual(got.Pairs, want.Pairs) {
-			t.Fatalf("%s windowed: %d pairs, oracle %d", alg.Name(), len(got.Pairs), len(want.Pairs))
+		for _, buffer := range []int{100, 800, 5000} {
+			for _, alg := range allAlgorithms() {
+				env := testEnv(t, robjs, sobjs, buffer)
+				env.Window = window
+				got, err := alg.Run(context.Background(), env, spec)
+				if err != nil {
+					t.Fatalf("%s: %v", alg.Name(), err)
+				}
+				if !pairSetsEqual(got.Pairs, want.Pairs) {
+					t.Fatalf("%s windowed %v, buffer %d: %d pairs, oracle %d",
+						alg.Name(), window, buffer, len(got.Pairs), len(want.Pairs))
+				}
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/health"
 	"repro/internal/memjoin"
 	"repro/internal/netsim"
+	"repro/internal/testenv"
 	"repro/internal/wire"
 )
 
@@ -65,7 +67,7 @@ type exec struct {
 	// window is the effective query window of this run: env.Window
 	// expanded by ε/2 (the root is a partition cell like any other), so
 	// that reference points on the window hull are not lost. Oracle
-	// applies the same expansion.
+	// applies the same expansion. Cells apply it through geom.Rect.Owned.
 	window geom.Rect
 	// rep collects the completeness gaps of a degraded run. Non-nil only
 	// under Env.AllowPartial; it rides in ctx (health.WithReport) so the
@@ -384,9 +386,9 @@ func (x *exec) quadrantCounts(d side, w geom.Rect, parent cnt) ([4]cnt, error) {
 // addPairs records join pairs. robjs are R objects the pairs may refer
 // to; their geometry is remembered only by iceberg runs, whose output is
 // objects — every other kind reports ids and never reads it. Safe for
-// concurrent workers; result assembly sorts and deduplicates, so
-// insertion order does not matter. The sink is a pair list drawn from the
-// free list, which result hands back.
+// concurrent workers; every pair arrives once (geom.Rect.Owned) and
+// result assembly sorts, so insertion order does not matter. The sink is
+// a pair list drawn from the free list, which result hands back.
 func (x *exec) addPairs(ps []geom.Pair, robjs []geom.Object) {
 	x.mu.Lock()
 	if x.pairs == nil && len(ps) > 0 {
@@ -401,18 +403,27 @@ func (x *exec) addPairs(ps []geom.Pair, robjs []geom.Object) {
 	x.mu.Unlock()
 }
 
-// result assembles the Result, deduplicating pairs globally in the sink
-// and copying the survivors out of it, so the sink goes back to the free
-// list. It must be called only after every worker of the run has joined.
+// result assembles the Result, sorting the pairs in the sink and copying
+// them out of it, so the sink goes back to the free list. The pairs are
+// unique as they arrive — each is reported by the one partition that owns
+// its reference point — which race-enabled builds check. It must be
+// called only after every worker of the run has joined.
 func (x *exec) result() *Result {
-	pairs := memjoin.DedupPairs(x.pairs)
+	pairs := x.pairs
+	memjoin.SortPairs(pairs)
+	if testenv.Race {
+		for i := 1; i < len(pairs); i++ {
+			if pairs[i] == pairs[i-1] {
+				panic(fmt.Sprintf("core: %s reported pair %v twice", x.alg, pairs[i]))
+			}
+		}
+	}
 	res := &Result{}
 	switch x.spec.Kind {
 	case IcebergSemi:
 		// Add the pair-derived counts to the probe-derived ones. An R id
 		// is counted either via probes (exact global count, recorded
-		// once) or via deduplicated pairs — never both, enforced by
-		// probed[].
+		// once) or via its pairs — never both, enforced by probed[].
 		for _, p := range pairs {
 			if !x.probed[p.RID] {
 				x.counts[p.RID]++

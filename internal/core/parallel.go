@@ -30,8 +30,9 @@ import (
 //
 // Determinism is preserved by construction. The set of requests issued for
 // a partition depends only on that partition (never on scheduling), every
-// accumulated quantity is an order-independent sum, and pairs are sorted
-// and deduplicated at result assembly — so a parallel run returns the same
+// accumulated quantity is an order-independent sum, and every pair is
+// reported by the one cell owning its reference point and sorted at
+// result assembly — so a parallel run returns the same
 // result set and meters the same byte totals as the sequential run. The
 // two scheduling-sensitive exceptions are handled explicitly: UpJoin's
 // random confirmation windows derive from a per-window hash instead of a

@@ -89,18 +89,19 @@ func (x *exec) downloadJoin(w geom.Rect) error {
 	if err != nil {
 		return err
 	}
-	x.joinLocal(robjs, sobjs)
+	x.joinLocal(w, robjs, sobjs)
 	bufpool.Objects.Put(robjs)
 	bufpool.Objects.Put(sobjs)
 	return nil
 }
 
-// joinLocal joins two downloaded windows on the device and records the
-// pairs. Global dedup happens at result assembly, so the reference-point
-// rule is not needed here. addPairs copies out of the pooled pair buffer,
-// so it goes back to the free list at once.
-func (x *exec) joinLocal(robjs, sobjs []geom.Object) {
-	pairs := memjoin.GridJoin(robjs, sobjs, x.pred, memjoin.Options{}, bufpool.Pairs.Get())
+// joinLocal joins the objects fetched for partition w on the device and
+// records the pairs whose reference points w owns among the cells tiling
+// the run's window (geom.Rect.Owned): each pair in the window is reported
+// by exactly one cell, and a pair outside it by none. addPairs copies out
+// of the pooled pair buffer, so it goes back to the free list at once.
+func (x *exec) joinLocal(w geom.Rect, robjs, sobjs []geom.Object) {
+	pairs := memjoin.GridJoin(robjs, sobjs, x.pred, memjoin.Options{Window: w.Owned(x.window)}, bufpool.Pairs.Get())
 	x.addPairs(pairs, robjs)
 	bufpool.Pairs.Put(pairs)
 }
@@ -262,10 +263,12 @@ func (x *exec) bucketProbes(w geom.Rect, outer, inner side, outerObjs []geom.Obj
 	})
 }
 
-// collectProbe records the pairs produced by one outer object's probe.
-// Matches are filtered by the predicate (window probes over-approximate
-// distance) and by the query-window semantics.
+// collectProbe records the pairs produced by one outer object's probe of
+// partition w. Matches are filtered by the predicate (window probes
+// over-approximate distance) and by ownership, as in joinLocal: the pair's
+// reference point must lie in the part of w it owns.
 func (x *exec) collectProbe(w geom.Rect, outer side, o geom.Object, matches []geom.Object) {
+	owned := w.Owned(x.window)
 	pairs := bufpool.Pairs.Get()
 	for _, m := range matches {
 		if !x.pred.Match(o.MBR, m.MBR) {
@@ -277,9 +280,7 @@ func (x *exec) collectProbe(w geom.Rect, outer side, o geom.Object, matches []ge
 		} else {
 			r, s = m, o
 		}
-		// Window semantics: the pair's reference point must lie in the
-		// effective query window.
-		if p, ok := geom.RefPointEps(r.MBR, s.MBR, x.spec.Eps); !ok || !x.window.ContainsPoint(p) {
+		if !owned.ContainsPoint(geom.RefPointEps(r.MBR, s.MBR, x.spec.Eps)) {
 			continue
 		}
 		pairs = append(pairs, geom.Pair{RID: r.ID, SID: s.ID})

@@ -231,23 +231,42 @@ func (r Rect) Quadrants() [4]Rect {
 // Grid partitions r into a regular k×k grid and returns the k² cells in
 // row-major order starting from the bottom-left cell. Cell boundaries are
 // computed from exact fractions of the extents so that adjacent cells
-// share edges without gaps. Grid panics if k < 1.
+// share edges without gaps, and the outer ones are r's own edges, which
+// the last fraction can miss by an ulp. Grid panics if k < 1.
 func (r Rect) Grid(k int) []Rect {
 	if k < 1 {
 		panic(fmt.Sprintf("geom: grid dimension %d < 1", k))
 	}
+	edge := func(lo, hi float64, i int) float64 {
+		if i == k {
+			return hi
+		}
+		return lo + (hi-lo)*float64(i)/float64(k)
+	}
 	cells := make([]Rect, 0, k*k)
-	w, h := r.Width(), r.Height()
 	for row := 0; row < k; row++ {
-		y0 := r.MinY + h*float64(row)/float64(k)
-		y1 := r.MinY + h*float64(row+1)/float64(k)
+		y0, y1 := edge(r.MinY, r.MaxY, row), edge(r.MinY, r.MaxY, row+1)
 		for col := 0; col < k; col++ {
-			x0 := r.MinX + w*float64(col)/float64(k)
-			x1 := r.MinX + w*float64(col+1)/float64(k)
+			x0, x1 := edge(r.MinX, r.MaxX, col), edge(r.MinX, r.MaxX, col+1)
 			cells = append(cells, Rect{MinX: x0, MinY: y0, MaxX: x1, MaxY: y1})
 		}
 	}
 	return cells
+}
+
+// Owned returns the points cell r owns in a tiling of root (Quadrants,
+// Grid): r half-open on its upper edges, except those it shares with
+// root, which owns its closed hull. On float64 the half-open [lo, hi) is
+// exactly the closed [lo, hi⁻], hi⁻ one ulp below hi. Siblings must share
+// edges bit for bit: then every point of root has exactly one owner.
+func (r Rect) Owned(root Rect) Rect {
+	if r.MaxX != root.MaxX {
+		r.MaxX = math.Nextafter(r.MaxX, math.Inf(-1))
+	}
+	if r.MaxY != root.MaxY {
+		r.MaxY = math.Nextafter(r.MaxY, math.Inf(-1))
+	}
+	return r
 }
 
 // String implements fmt.Stringer.

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -390,26 +391,128 @@ func TestObjectHelpers(t *testing.T) {
 func TestRefPoint(t *testing.T) {
 	a := R(0, 0, 2, 2)
 	b := R(1, 1, 3, 3)
-	p, ok := RefPoint(a, b)
-	if !ok || p != Pt(1, 1) {
-		t.Fatalf("RefPoint = %v ok=%v, want (1,1) true", p, ok)
+	if p := RefPointEps(a, b, 0); p != Pt(1, 1) {
+		t.Fatalf("RefPointEps = %v, want (1,1)", p)
 	}
-	if _, ok := RefPoint(a, R(5, 5, 6, 6)); ok {
-		t.Fatal("disjoint rects should have no reference point")
+	// Points at exactly ε (WithinDist holds) whose expansions by ε/2 miss
+	// each other once rounded still have a reference point,
+	// max(a, b) − ε/2 per axis.
+	eps := 285.2484959329214
+	a, b = RectFromPoint(Pt(184.04037976305605, 0)), RectFromPoint(Pt(469.2888756959775, 0))
+	if !a.WithinDist(b, eps) || a.Expand(eps/2).Intersects(b.Expand(eps/2)) {
+		t.Fatal("the pair no longer splits the distance test and the rounded expansions")
+	}
+	if p := RefPointEps(a, b, eps); p != Pt(469.2888756959775-eps/2, -eps/2) {
+		t.Fatalf("RefPointEps = %v, want (%v, %v)", p, 469.2888756959775-eps/2, -eps/2)
 	}
 }
 
-func TestRefPointWithinPartitionsReportOnce(t *testing.T) {
-	// A pair straddling two partitions is reported by exactly one of them.
-	a := R(0.9, 0.4, 1.1, 0.6) // straddles x=1 boundary
-	b := R(0.95, 0.45, 1.05, 0.55)
-	left := R(0, 0, 1, 1)
-	right := R(1, 0, 2, 1)
-	nLeft := RefPointWithin(a, b, left)
-	nRight := RefPointWithin(a, b, right)
-	if nLeft == nRight {
-		t.Fatalf("pair should be reported by exactly one partition, got left=%v right=%v", nLeft, nRight)
+// TestOwnedTilesTheRoot is the property partitioned joins rely on to
+// report each pair once. The tilings are random quadtrees up to depth 6
+// and Grid(k) for k = 1..9, over roots expanded by ε/2 from the data's
+// float32 bounds or from a float64 query window. Every cell corner and
+// edge midpoint, and each of their ±1-ulp neighbours, has exactly one
+// owning cell inside the root and none outside. A pair within ε whose
+// reference point lies at or beside such a point is owned once, by a
+// cell whose fetch window — the cell expanded by ε/2 — holds both
+// objects (a float32 object inside it stays inside once the wire rounds
+// the window to float32).
+func TestOwnedTilesTheRoot(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	f32 := func(v float64) float64 { return float64(float32(v)) }
+	pairs := 0
+	check := func(name string, root Rect, cells []Rect, eps float64, extra ...[2]Rect) {
+		t.Helper()
+		owners := func(p Point) (n, want int, owner Rect) {
+			for _, c := range cells {
+				if c.Owned(root).ContainsPoint(p) {
+					n, owner = n+1, c
+				}
+			}
+			if root.ContainsPoint(p) {
+				want = 1
+			}
+			return n, want, owner
+		}
+		reported := func(a, b Rect) {
+			t.Helper()
+			ref := RefPointEps(a, b, eps)
+			n, want, owner := owners(ref)
+			if n != want {
+				t.Fatalf("%s, root %v: pair %v, %v has reference point %v owned by %d cells, want %d", name, root, a, b, ref, n, want)
+			}
+			if fw := owner.Expand(eps / 2); n == 1 && !(fw.Intersects(a) && fw.Intersects(b)) {
+				t.Fatalf("%s, root %v: pair %v, %v is owned by %v, whose fetch window %v misses an object", name, root, a, b, owner, fw)
+			}
+			pairs += n
+		}
+		for _, ab := range extra {
+			reported(ab[0], ab[1])
+		}
+		for _, c := range cells {
+			mx, my := (c.MinX+c.MaxX)/2, (c.MinY+c.MaxY)/2
+			for _, s := range []Point{{c.MinX, c.MinY}, {c.MaxX, c.MinY}, {c.MinX, c.MaxY}, {c.MaxX, c.MaxY},
+				{mx, c.MinY}, {mx, c.MaxY}, {c.MinX, my}, {c.MaxX, my}} {
+				for _, dx := range []float64{-1, 0, 1} {
+					for _, dy := range []float64{-1, 0, 1} {
+						p := Pt(math.Nextafter(s.X, s.X+dx), math.Nextafter(s.Y, s.Y+dy))
+						if n, want, _ := owners(p); n != want {
+							t.Fatalf("%s, root %v: %v is owned by %d cells, want %d", name, root, p, n, want)
+						}
+						// A float32 point ε/2 up and right of p, with a
+						// partner within ε — mostly below and left, so that
+						// the point's own corner is the reference point.
+						a := Pt(f32(p.X+eps/2), f32(p.Y+eps/2))
+						theta := math.Pi + rng.Float64()*math.Pi/2
+						if rng.Intn(4) == 0 {
+							theta = rng.Float64() * 2 * math.Pi
+						}
+						rho := rng.Float64() * eps
+						b := Pt(f32(a.X+rho*math.Cos(theta)), f32(a.Y+rho*math.Sin(theta)))
+						if RectFromPoint(a).WithinDist(RectFromPoint(b), eps) {
+							reported(RectFromPoint(a), RectFromPoint(b))
+						}
+					}
+				}
+			}
+		}
 	}
+	// A pair straddling the border of two cells is reported by one.
+	check("two cells", R(0, 0, 2, 1), []Rect{R(0, 0, 1, 1), R(1, 0, 2, 1)}, 0,
+		[2]Rect{R(0.9, 0.4, 1.1, 0.6), R(0.95, 0.45, 1.05, 0.55)})
+	for trial := 0; trial < 20; trial++ {
+		// Even trials join over the data's bounds, which are float32 like
+		// the data; odd ones over a query window of any float64 corners,
+		// where the last of Grid's fractions can miss the window's edge.
+		snap := f32
+		if trial%2 == 1 {
+			snap = func(v float64) float64 { return v }
+		}
+		eps := snap(1 + rng.Float64()*300)
+		x, y := snap(rng.Float64()*2e4-1e4), snap(rng.Float64()*2e4-1e4)
+		root := R(x, y, snap(x+1+rng.Float64()*1e4), snap(y+1+rng.Float64()*1e4)).Expand(eps / 2)
+		check("quadtree", root, quadtree(rng, root, 6), eps)
+		for k := 1; k <= 9; k++ {
+			check(fmt.Sprintf("grid %d", k), root, root.Grid(k), eps)
+		}
+	}
+	if pairs < 100000 {
+		t.Fatalf("only %d owned pairs checked; the test is thin", pairs)
+	}
+}
+
+// quadtree returns the leaves of a random quadtree over r at most depth
+// levels deep; r itself is always split.
+func quadtree(rng *rand.Rand, r Rect, depth int) []Rect {
+	var leaves []Rect
+	for _, q := range r.Quadrants() {
+		if depth > 1 && rng.Intn(5) < 2 {
+			leaves = append(leaves, quadtree(rng, q, depth-1)...)
+		} else {
+			leaves = append(leaves, q)
+		}
+	}
+	return leaves
 }
 
 // TestDistancesPinnedToMathMax pins WithinDist, MinDist and DistToPoint,

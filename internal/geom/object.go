@@ -31,46 +31,24 @@ type Pair struct {
 	RID, SID uint32
 }
 
-// RefPoint returns the duplicate-avoidance reference point for a candidate
-// pair of MBRs, following the reference-point technique of Dittrich and
-// Seeger (ICDE 2000): the bottom-left corner of the intersection of the
-// two (ε-expanded, if applicable) rectangles. A pair is reported by the
-// partition that contains its reference point, and by no other partition.
-//
-// The boolean result is false when the rectangles do not intersect, in
-// which case the pair cannot be a join candidate at all.
-func RefPoint(a, b Rect) (Point, bool) {
-	inter, ok := a.Intersection(b)
-	if !ok {
-		return Point{}, false
-	}
-	return Point{X: inter.MinX, Y: inter.MinY}, true
-}
-
-// RefPointWithin reports whether the reference point of the candidate pair
-// (a, b) lies inside the partition window w. Join operators evaluating a
-// partition w report a pair only when this holds, so that pairs found in
-// several overlapping partitions are emitted exactly once.
-func RefPointWithin(a, b Rect, w Rect) bool {
-	p, ok := RefPoint(a, b)
-	if !ok {
-		return false
-	}
-	return w.ContainsPoint(p)
-}
-
-// RefPointEps is the distance-join generalization of RefPoint: the
+// RefPointEps returns the duplicate-avoidance reference point of a
+// candidate pair of MBRs, following the reference-point technique of
+// Dittrich and Seeger (ICDE 2000), generalized to distance joins: the
 // bottom-left corner of the intersection of the two MBRs each expanded by
 // eps/2 — the symmetric ε/2 expansion the paper applies to partition
-// cells (§3). For any pair within (box) distance eps the expanded MBRs
-// intersect, and the reference point is within box-distance eps/2 of both
+// cells (§3). A pair is reported by the partition that contains its
+// reference point, and by no other partition. For any pair within (box)
+// distance eps the reference point is within box-distance eps/2 of both
 // objects, so the pair is always discoverable from the partition cell
 // containing the point once that cell's fetch windows are expanded by
-// eps/2. With eps = 0 it degenerates to RefPoint.
-func RefPointEps(a, b Rect, eps float64) (Point, bool) {
-	if eps > 0 {
-		a = a.Expand(eps / 2)
-		b = b.Expand(eps / 2)
-	}
-	return RefPoint(a, b)
+// eps/2. With eps = 0 it is the corner of the MBRs' intersection.
+//
+// The corner is computed as max(a, b) − eps/2 per axis, which is the
+// corner of the rounded expansions exactly (subtracting eps/2 is monotone
+// under rounding), and it is defined for every pair the predicate
+// accepts — also for a pair at exactly eps whose rounded expansions miss
+// each other by an ulp.
+func RefPointEps(a, b Rect, eps float64) Point {
+	h := max(eps, 0) / 2
+	return Point{X: max(a.MinX, b.MinX) - h, Y: max(a.MinY, b.MinY) - h}
 }

@@ -12,20 +12,19 @@ import (
 // checkGridJoin compares GridJoin with NestedLoop pair for pair — sorted
 // but not deduplicated, so a pair emitted twice fails too — both ways
 // round, so each input serves as build side and as probe side whenever
-// the lengths differ, with the reference-point rule off and on.
+// the lengths differ, owning the whole plane and owning window.
 func checkGridJoin(t *testing.T, name string, r, s []geom.Object, pred Pred, window geom.Rect) int {
 	t.Helper()
 	total := 0
-	for _, dedup := range []bool{false, true} {
-		opt := Options{Window: window, Dedup: dedup}
+	for _, opt := range []Options{{}, {Window: window}} {
 		for _, in := range [][2][]geom.Object{{r, s}, {s, r}} {
 			got := GridJoin(in[0], in[1], pred, opt, nil)
 			want := NestedLoop(in[0], in[1], pred, opt, nil)
 			SortPairs(got)
 			SortPairs(want)
 			if !slices.Equal(got, want) {
-				t.Fatalf("%s (dedup=%v, |R|=%d, |S|=%d): grid join %d pairs, nested loop %d; first difference at %d",
-					name, dedup, len(in[0]), len(in[1]), len(got), len(want), firstDiff(got, want))
+				t.Fatalf("%s (window %v, |R|=%d, |S|=%d): grid join %d pairs, nested loop %d; first difference at %d",
+					name, opt.Window, len(in[0]), len(in[1]), len(got), len(want), firstDiff(got, want))
 			}
 			total += len(want)
 		}
@@ -64,6 +63,10 @@ func TestGridJoinPointsAtExactlyEps(t *testing.T) {
 		s = append(s, geom.PointObject(200000+uint32(i), geom.Pt(o.MBR.MinX+3, o.MBR.MinY-4)))
 	}
 	window := geom.R(-100, -100, 600, 600)
+	at := make(map[uint32]geom.Object)
+	for _, o := range append(r, s...) {
+		at[o.ID] = o
+	}
 	for _, eps := range []float64{5, 1.25, 13, 0.25} {
 		exact := 0
 		for _, a := range r {
@@ -80,10 +83,32 @@ func TestGridJoinPointsAtExactlyEps(t *testing.T) {
 		if n := checkGridJoin(t, "snapped clusters", r, s, WithinDist(eps), window); n == 0 {
 			t.Fatalf("eps=%v: no result pairs", eps)
 		}
+		// Windows spanned by the reference points of two result pairs:
+		// reference points land exactly on every edge, and probes
+		// straddle each one.
+		pairs := NestedLoop(r, s, WithinDist(eps), Options{}, nil)
+		ref := func(p geom.Pair) geom.Point {
+			a, b := at[p.RID].MBR, at[p.SID].MBR
+			return geom.Pt(max(a.MinX, b.MinX)-eps/2, max(a.MinY, b.MinY)-eps/2)
+		}
+		for k := 0; k < 8; k++ {
+			p, q := ref(pairs[rng.Intn(len(pairs))]), ref(pairs[rng.Intn(len(pairs))])
+			checkGridJoin(t, "snapped clusters, window spanned by reference points", r, s, WithinDist(eps), geom.R(p.X, p.Y, q.X, q.Y))
+		}
 	}
 	// Coincident points under the intersection predicate take the
 	// point-build path without the direct distance test.
 	checkGridJoin(t, "snapped clusters, intersection", r, append(s, r[:50]...), Intersection(), window)
+	// A pair at exactly ε whose expansions by ε/2 miss each other once
+	// rounded still has a reference point, here on the window's lower
+	// edge: the direct loop (whole plane) and the reference-point test
+	// (the window) both report it.
+	eps := 285.2484959329214
+	a := geom.PointObject(1, geom.Pt(184.04037976305605, 0))
+	b := geom.PointObject(2, geom.Pt(469.2888756959775, 0))
+	if n := checkGridJoin(t, "pair at exactly ε, expansions apart", []geom.Object{a}, []geom.Object{b}, WithinDist(eps), geom.R(0, -eps/2, 400, 0)); n != 4 {
+		t.Fatalf("pair at exactly ε, expansions apart: %d pairs over both windows and both sides, want 4", n)
+	}
 }
 
 // TestGridJoinExtents covers build sides with extents: rectangles

@@ -10,9 +10,10 @@
 //
 // Join predicates are expressed as a Pred: MBR intersection (the filter
 // step of an intersection join) or within-ε distance (distance joins).
-// Duplicate avoidance across partitions uses the reference-point rule
-// from package geom: a pair is reported only if its reference point lies
-// in the partition window being processed.
+// Every join reports a pair only if its reference point (geom.RefPointEps)
+// lies in Options.Window, the part of the plane the calling partition
+// owns: partitions that own disjoint parts emit disjoint pair sets, so a
+// partitioned join's pairs are unique without a deduplication pass.
 package memjoin
 
 import (
@@ -46,27 +47,43 @@ func (p Pred) Match(a, b geom.Rect) bool {
 	return a.WithinDist(b, p.Eps)
 }
 
-// refMatch applies duplicate avoidance on top of Match.
-func (p Pred) refMatch(a, b geom.Rect, w geom.Rect, dedup bool) bool {
-	return p.Match(a, b) && (!dedup || p.refInWindow(a, b, w))
+// refMatch is Match restricted to the pairs w owns.
+func (p Pred) refMatch(a, b geom.Rect, w geom.Rect) bool {
+	return p.Match(a, b) && p.refInWindow(a, b, w)
 }
 
-// refInWindow is the duplicate-avoidance test of a matching pair: it
-// qualifies only if the reference point of the symmetrically
-// ε/2-expanded MBR pair (geom.RefPointEps) falls inside w.
+// refInWindow reports whether w owns a matching pair: whether its
+// reference point (geom.RefPointEps) lies in w.
 func (p Pred) refInWindow(a, b geom.Rect, w geom.Rect) bool {
-	rp, ok := geom.RefPointEps(a, b, p.Eps)
-	return ok && w.ContainsPoint(rp)
+	return w.ContainsPoint(geom.RefPointEps(a, b, p.Eps))
+}
+
+// interior returns the rectangle of probe MBRs whose every pair under p
+// has its reference point in w. A pair's point is at least the probe's
+// lower edge − ε/2 and at most its upper edge + ε/2, so this is w shrunk
+// by ε/2 below and by ε above (the spare ε/2 absorbs the rounding of the
+// distance test), each edge one ulp further in.
+func (p Pred) interior(w geom.Rect) geom.Rect {
+	e, up, down := max(p.Eps, 0), math.Inf(1), math.Inf(-1)
+	return geom.Rect{MinX: math.Nextafter(w.MinX+e/2, up), MinY: math.Nextafter(w.MinY+e/2, up),
+		MaxX: math.Nextafter(w.MaxX-e, down), MaxY: math.Nextafter(w.MaxY-e, down)}
 }
 
 // Options controls a main-memory join invocation.
 type Options struct {
-	// Window is the partition being joined; used for duplicate avoidance.
+	// Window is the part of the plane the caller owns: a pair is reported
+	// only if its reference point lies in it (closed on every edge). The
+	// zero Rect owns the whole plane.
 	Window geom.Rect
-	// Dedup enables the reference-point rule. Callers joining exactly one
-	// partition can disable it to keep pairs whose reference point falls
-	// outside (e.g. ε-neighbors of objects near the window edge).
-	Dedup bool
+}
+
+// window returns the owned rectangle, the zero Rect read as the plane.
+func (o Options) window() geom.Rect {
+	if o.Window == (geom.Rect{}) {
+		inf := math.Inf(1)
+		return geom.Rect{MinX: -inf, MinY: -inf, MaxX: inf, MaxY: inf}
+	}
+	return o.Window
 }
 
 // Joiner is the reusable state of the spatial-hash join: the grid-cell
@@ -229,12 +246,14 @@ func (j *Joiner) GridJoin(r, s []geom.Object, pred Pred, opt Options, dst []geom
 		points = points && build[i].IsPoint()
 	}
 	g := newGrid(extent, len(build), max(pred.Eps, 0))
+	w := opt.window()
+	in := pred.interior(w)
 	if points {
 		j.bucketPoints(&g, build)
-		return j.probePoints(&g, probe, swapped, pred, opt, dst)
+		return j.probePoints(&g, probe, swapped, pred, w, in, dst)
 	}
 	j.bucketExtents(&g, extent, build)
-	return j.probeExtents(&g, build, probe, swapped, pred, opt, dst)
+	return j.probeExtents(&g, build, probe, swapped, pred, w, in, dst)
 }
 
 // resetCells sizes and zeroes the offsets array for g.
@@ -278,13 +297,18 @@ func (j *Joiner) bucketPoints(g *grid, build []geom.Object) {
 // — is decided straight off the coordinates: for two points
 // Rect.WithinDist reduces to exactly this expression (its dx is
 // |x₁−x₂|), so every pair, the ones at exactly ε included, is decided as
-// Pred.Match decides it.
-func (j *Joiner) probePoints(g *grid, probe []geom.Object, swapped bool, pred Pred, opt Options, dst []geom.Pair) []geom.Pair {
+// Pred.Match decides it. Such a probe inside in (Pred.interior) owns all
+// its pairs; one outside it runs probeBorder.
+func (j *Joiner) probePoints(g *grid, probe []geom.Object, swapped bool, pred Pred, w, in geom.Rect, dst []geom.Pair) []geom.Pair {
 	eps2 := pred.Eps * pred.Eps
 	for pi := range probe {
 		po := &probe[pi]
 		px, py := po.MBR.MinX, po.MBR.MinY
-		direct := pred.Eps > 0 && !opt.Dedup && po.IsPoint()
+		direct := pred.Eps > 0 && po.IsPoint()
+		if direct && !in.Contains(po.MBR) {
+			dst = j.probeBorder(g, po, swapped, eps2, w, dst)
+			continue
+		}
 		x0, y0, x1, y1 := g.reach(&po.MBR)
 		for cy := y0; cy <= y1; cy++ {
 			// The row's cells are adjacent in CSR order: one span.
@@ -305,16 +329,39 @@ func (j *Joiner) probePoints(g *grid, probe []geom.Object, swapped bool, pred Pr
 			}
 			for i := range span {
 				c := &span[i]
-				cm := geom.Rect{MinX: c.x, MinY: c.y, MaxX: c.x, MaxY: c.y}
-				a, b := cm, po.MBR
-				if swapped {
-					a, b = b, a
-				}
-				if pred.refMatch(a, b, opt.Window, opt.Dedup) {
+				if pred.refMatch(geom.Rect{MinX: c.x, MinY: c.y, MaxX: c.x, MaxY: c.y}, po.MBR, w) {
 					dst = append(dst, pairOf(c.id, po.ID, swapped))
 				}
 			}
 		}
+	}
+	return dst
+}
+
+// probeBorder is probePoints' branch-free loop for a point probe whose
+// pairs w may not all own: the mask adds the four terms of refInWindow,
+// the reference point being max(px, x) − ε/2 per axis as
+// geom.RefPointEps computes it for two points. Kept apart, it leaves the
+// loop every other probe runs as it was: folding the border probes into
+// the loop that tests refMatch per candidate, or the terms into the one
+// branch-free loop behind a per-probe flag, each lost paired end-to-end
+// runs against this split.
+func (j *Joiner) probeBorder(g *grid, po *geom.Object, swapped bool, eps2 float64, w geom.Rect, dst []geom.Pair) []geom.Pair {
+	px, py, h := po.MBR.MinX, po.MBR.MinY, g.eps/2
+	x0, y0, x1, y1 := g.reach(&po.MBR)
+	for cy := y0; cy <= y1; cy++ {
+		span := j.points[j.cellStart[cy*g.kx+x0]:j.cellStart[cy*g.kx+x1+1]]
+		at := len(dst)
+		dst = slices.Grow(dst, len(span))[:at+len(span)]
+		for i := range span {
+			c := &span[i]
+			dx, dy := px-c.x, py-c.y
+			rx, ry := max(px, c.x)-h, max(py, c.y)-h
+			dst[at] = pairOf(c.id, po.ID, swapped)
+			at += b2i(dx*dx+dy*dy <= eps2) & b2i(rx >= w.MinX) & b2i(rx <= w.MaxX) &
+				b2i(ry >= w.MinY) & b2i(ry <= w.MaxY)
+		}
+		dst = dst[:at]
 	}
 	return dst
 }
@@ -378,8 +425,9 @@ func (j *Joiner) bucketExtents(g *grid, extent geom.Rect, build []geom.Object) {
 // probeExtents joins the probe side against a build side with extended
 // MBRs. A build object entered in several cells would be tested once per
 // shared cell, so candidates are deduplicated per probe with a stamp
-// array — skipped when no build object was replicated.
-func (j *Joiner) probeExtents(g *grid, build, probe []geom.Object, swapped bool, pred Pred, opt Options, dst []geom.Pair) []geom.Pair {
+// array — skipped when no build object was replicated. As in probePoints,
+// only a probe outside in tests its matches' reference points.
+func (j *Joiner) probeExtents(g *grid, build, probe []geom.Object, swapped bool, pred Pred, w, in geom.Rect, dst []geom.Pair) []geom.Pair {
 	stamped := len(j.items) > len(build)
 	if stamped {
 		j.stamp = grow(j.stamp, len(build))
@@ -388,6 +436,7 @@ func (j *Joiner) probeExtents(g *grid, build, probe []geom.Object, swapped bool,
 		}
 	}
 	for pi := range probe {
+		inner := in.Contains(probe[pi].MBR)
 		x0, y0, x1, y1 := g.reach(&probe[pi].MBR)
 		for cy := y0; cy <= y1; cy++ {
 			row := cy * g.kx
@@ -402,7 +451,7 @@ func (j *Joiner) probeExtents(g *grid, build, probe []geom.Object, swapped bool,
 				if swapped {
 					a, b = b, a
 				}
-				if pred.refMatch(a.MBR, b.MBR, opt.Window, opt.Dedup) {
+				if pred.Match(a.MBR, b.MBR) && (inner || pred.refInWindow(a.MBR, b.MBR, w)) {
 					dst = append(dst, geom.Pair{RID: a.ID, SID: b.ID})
 				}
 			}
@@ -421,7 +470,7 @@ func PlaneSweep(r, s []geom.Object, pred Pred, opt Options, dst []geom.Pair) []g
 	copy(rs, r)
 	ss := make([]geom.Object, len(s))
 	copy(ss, s)
-	eps := pred.Eps
+	eps, w := pred.Eps, opt.window()
 	byMinX := func(a, b geom.Object) int { return cmp.Compare(a.MBR.MinX, b.MBR.MinX) }
 	slices.SortFunc(rs, byMinX)
 	slices.SortFunc(ss, byMinX)
@@ -432,7 +481,7 @@ func PlaneSweep(r, s []geom.Object, pred Pred, opt Options, dst []geom.Pair) []g
 			// rs[i] opens first: scan ss from j while within x reach.
 			lim := rs[i].MBR.MaxX + eps
 			for jj := j; jj < len(ss) && ss[jj].MBR.MinX <= lim; jj++ {
-				if pred.refMatch(rs[i].MBR, ss[jj].MBR, opt.Window, opt.Dedup) {
+				if pred.refMatch(rs[i].MBR, ss[jj].MBR, w) {
 					dst = append(dst, geom.Pair{RID: rs[i].ID, SID: ss[jj].ID})
 				}
 			}
@@ -443,7 +492,7 @@ func PlaneSweep(r, s []geom.Object, pred Pred, opt Options, dst []geom.Pair) []g
 				if rs[ii].MBR.MinX-eps > ss[j].MBR.MaxX+eps {
 					break
 				}
-				if pred.refMatch(rs[ii].MBR, ss[j].MBR, opt.Window, opt.Dedup) {
+				if pred.refMatch(rs[ii].MBR, ss[j].MBR, w) {
 					dst = append(dst, geom.Pair{RID: rs[ii].ID, SID: ss[j].ID})
 				}
 			}
@@ -455,9 +504,10 @@ func PlaneSweep(r, s []geom.Object, pred Pred, opt Options, dst []geom.Pair) []g
 
 // NestedLoop is the quadratic oracle join.
 func NestedLoop(r, s []geom.Object, pred Pred, opt Options, dst []geom.Pair) []geom.Pair {
+	w := opt.window()
 	for _, a := range r {
 		for _, b := range s {
-			if pred.refMatch(a.MBR, b.MBR, opt.Window, opt.Dedup) {
+			if pred.refMatch(a.MBR, b.MBR, w) {
 				dst = append(dst, geom.Pair{RID: a.ID, SID: b.ID})
 			}
 		}
@@ -484,9 +534,9 @@ const (
 func key(p geom.Pair) uint64 { return uint64(p.RID)<<32 | uint64(p.SID) }
 
 // SortPairs orders pairs by (RID, SID). Result assembly sorts every
-// run's whole pair list (DedupPairs), so this is an LSD radix sort,
-// linear in the input: the SID's digits, then the RID's, least
-// significant first. It sorts on only the bits that vary — a bit on
+// run's whole pair list, so this is an LSD radix sort, linear in the
+// input: the SID's digits, then the RID's, least significant first. It
+// sorts on only the bits that vary — a bit on
 // which every pair agrees with the first cannot decide an order — so a
 // field whose ids differ in w bits takes ⌈w/dmax⌉ passes of equal digits,
 // dmax = ⌊log₂ n⌋ clamped to [minDigit, maxDigit]: ids below 2¹⁴ on both
@@ -583,7 +633,8 @@ func radixPassRID(src, dst []geom.Pair, at *[1 << maxDigit]uint32, shift, d uint
 }
 
 // DedupPairs sorts and removes duplicate pairs in place, returning the
-// compacted slice.
+// compacted slice: for a pair list no partition rule made unique, such
+// as a join of objects uploaded with repeats.
 func DedupPairs(ps []geom.Pair) []geom.Pair {
 	SortPairs(ps)
 	if len(ps) < 2 {

@@ -58,7 +58,7 @@ func TestAllAlgorithmsAgreeIntersection(t *testing.T) {
 	rnd := rand.New(rand.NewSource(1))
 	r := randRects(rnd, 300, 0)
 	s := randRects(rnd, 250, 10000)
-	opt := Options{Window: geom.R(0, 0, 110, 110), Dedup: false}
+	opt := Options{}
 	pred := Intersection()
 	nl := NestedLoop(r, s, pred, opt, nil)
 	gj := GridJoin(r, s, pred, opt, nil)
@@ -80,7 +80,7 @@ func TestAllAlgorithmsAgreeDistance(t *testing.T) {
 	s := randPoints(rnd, 350, 10000)
 	for _, eps := range []float64{0.5, 2, 10} {
 		pred := WithinDist(eps)
-		opt := Options{Window: geom.R(0, 0, 110, 110), Dedup: false}
+		opt := Options{}
 		nl := NestedLoop(r, s, pred, opt, nil)
 		gj := GridJoin(r, s, pred, opt, nil)
 		ps := PlaneSweep(r, s, pred, opt, nil)
@@ -99,7 +99,7 @@ func TestAllAlgorithmsAgreeDistance(t *testing.T) {
 func TestEmptyInputs(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	r := randPoints(rnd, 10, 0)
-	opt := Options{Window: geom.R(0, 0, 100, 100)}
+	opt := Options{}
 	if got := GridJoin(nil, r, Intersection(), opt, nil); len(got) != 0 {
 		t.Fatal("empty R should give empty result")
 	}
@@ -113,7 +113,8 @@ func TestEmptyInputs(t *testing.T) {
 
 func TestDedupAcrossPartitionsExactlyOnce(t *testing.T) {
 	// Objects near the boundary of two partitions; running the join per
-	// partition with Dedup must produce each qualifying pair exactly once.
+	// partition, each owning its cell, must produce each qualifying pair
+	// exactly once.
 	rnd := rand.New(rand.NewSource(4))
 	r := randPoints(rnd, 200, 0)
 	s := randPoints(rnd, 200, 10000)
@@ -144,7 +145,7 @@ func TestDedupAcrossPartitionsExactlyOnce(t *testing.T) {
 				sp = append(sp, o)
 			}
 		}
-		got = GridJoin(rp, sp, pred, Options{Window: cell, Dedup: true}, got)
+		got = GridJoin(rp, sp, pred, Options{Window: cell}, got)
 	}
 	// No duplicates even before dedup.
 	before := len(got)
@@ -214,7 +215,7 @@ func BenchmarkGridJoin1000x1000(b *testing.B) {
 	r := randPoints(rnd, 1000, 0)
 	s := randPoints(rnd, 1000, 100000)
 	pred := WithinDist(2)
-	opt := Options{Window: geom.R(0, 0, 110, 110)}
+	opt := Options{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		GridJoin(r, s, pred, opt, nil)
@@ -226,7 +227,7 @@ func BenchmarkPlaneSweep1000x1000(b *testing.B) {
 	r := randPoints(rnd, 1000, 0)
 	s := randPoints(rnd, 1000, 100000)
 	pred := WithinDist(2)
-	opt := Options{Window: geom.R(0, 0, 110, 110)}
+	opt := Options{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		PlaneSweep(r, s, pred, opt, nil)
