@@ -83,7 +83,7 @@ smoke:
 # is a real ordering bug, not noise: the suites are seeded and
 # deterministic by construction.
 test-flaky:
-	$(GO) test -race -count 5 -run 'TestReplicated|TestReplica|TestShardedChaos|TestShardedKill' . ./internal/shard
+	$(GO) test -race -count 5 -run 'TestReplicated|TestReplica|TestShardedChaos|TestShardedKill|TestShardedLinkOrder' . ./internal/shard
 
 # chaos replays every committed chaos scenario file
 # (internal/harness/testdata/scenarios/*.json) under the race detector
@@ -141,7 +141,10 @@ vet:
 # every device join names the cell whose reference points it owns, so
 # outside Oracle (the reference) and tests internal/core calls no
 # DedupPairs and builds no memjoin.Options{} literal — result assembly
-# only sorts.
+# only sorts. The shard router has one fan-out: outside tests, a go
+# statement in internal/shard sits in Router.fan or in ReplicaSet.Do
+# (its hedge race), and no RouterOption or WithParallelism is declared —
+# the router takes no options and bounds no scatter.
 lint-seams:
 	@if grep -nE 'time\.(AfterFunc|NewTimer|Sleep)' internal/client/batch.go; then \
 	  echo "lint: internal/client/batch.go must not wait on a clock"; exit 1; fi
@@ -172,6 +175,11 @@ lint-seams:
 	@if awk '/^func Oracle\(/ { o = 1 } !o && /DedupPairs\(|memjoin\.Options\{\}/ { print FILENAME ":" FNR ": " $$0; f = 1 } o && /^}/ { o = 0 } END { exit !f }' \
 	      $$(ls internal/core/*.go | grep -v '_test\.go$$'); then \
 	  echo "lint: pairs are born unique in core: every device join names its cell (no memjoin.Options{}), result assembly only sorts (no DedupPairs)"; exit 1; fi
+	@if awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[[:space:]]+go[[:space:]]/ && fn !~ /^func \(r \*Router\) fan\(/ && fn !~ /^func \(rs \*ReplicaSet\) Do\(/ { print FILENAME ":" FNR ": " $$0; f = 1 } END { exit !f }' \
+	      $$(ls internal/shard/*.go | grep -v '_test\.go$$'); then \
+	  echo "lint: the shard router has one fan-out: a go statement only in Router.fan (and ReplicaSet.Do's hedge race)"; exit 1; fi
+	@if grep -HnE '^(type|func)[[:space:]]+(RouterOption|WithParallelism)\b' $$(ls internal/shard/*.go | grep -v '_test\.go$$'); then \
+	  echo "lint: the shard router takes no options and bounds no scatter (no RouterOption, no WithParallelism)"; exit 1; fi
 
 # lint runs the static analyzers CI enforces (staticcheck, govulncheck).
 # Locally the tools may be absent — this target never installs anything;

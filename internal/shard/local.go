@@ -13,9 +13,8 @@ import (
 
 // LocalConfig parameterizes one relation's fleet. Local reads the
 // serving half (Shards, Replicas, Workers, Link, Price, ServerOpts,
-// ClientOpts, WrapTransport), Assemble the wiring half (Workers,
-// HedgePct, TreeFanout, Link, Health, Budget); ServeLocal is the two
-// together.
+// ClientOpts, WrapTransport), Assemble the wiring half (HedgePct,
+// TreeFanout, Link, Health, Budget); ServeLocal is the two together.
 type LocalConfig struct {
 	// Shards is the partition count (< 1 means 1: unsharded).
 	Shards int
@@ -23,8 +22,7 @@ type LocalConfig struct {
 	// 1: no replication). With more than one, each shard is wired behind
 	// a ReplicaSet instead of a bare Remote.
 	Replicas int
-	// Workers sizes each server's goroutine pool and the router's
-	// scatter parallelism (< 1 means 1).
+	// Workers sizes each server's goroutine pool (< 1 means 1).
 	Workers int
 	// HedgePct enables percentile-triggered hedged reads on each
 	// replica set when > 0 (ignored with a single replica).
@@ -61,8 +59,7 @@ type LocalConfig struct {
 // dataset is partitioned with Assign, each partition gets cfg.Replicas
 // identical servers (cfg.Workers goroutines each) with a metered remote
 // over cfg.Link at cfg.Price, and the endpoints are wired behind a
-// Router whose scatter parallelism is cfg.Workers — Local opens the
-// remotes, Assemble names and wires them.
+// Router — Local opens the remotes, Assemble names and wires them.
 func ServeLocal(name string, objs []geom.Object, cfg LocalConfig) (*Router, error) {
 	sizes, open := Local(objs, cfg)
 	return Assemble(name, sizes, open, cfg)
@@ -102,11 +99,11 @@ func Local(objs []geom.Object, cfg LocalConfig) ([]int, OpenFunc) {
 // replicas sits behind a ReplicaSet (cfg.HedgePct, cfg.Health,
 // cfg.Budget), and the shard endpoints go under a flat Router — or,
 // with cfg.TreeFanout >= 2, an aggregation tree whose interior uplinks
-// use cfg.Link — with scatter parallelism cfg.Workers. Shards are named
-// "<name>i/n" (plain name when n == 1, whose router is the bit-identical
-// pass-through); replicas append "-rj", e.g. "R1/2-r2". Whatever was
-// opened is closed again when a later step fails. In-process fleets
-// (Local) and dialled ones (internal/fleet) differ only in open.
+// use cfg.Link. Shards are named "<name>i/n" (plain name when n == 1,
+// whose router is the bit-identical pass-through); replicas append
+// "-rj", e.g. "R1/2-r2". Whatever was opened is closed again when a
+// later step fails. In-process fleets (Local) and dialled ones
+// (internal/fleet) differ only in open.
 func Assemble(name string, sizes []int, open OpenFunc, cfg LocalConfig) (*Router, error) {
 	eps := make([]Endpoint, 0, len(sizes))
 	fail := func(err error, rems ...*client.Remote) (*Router, error) {
@@ -153,13 +150,12 @@ func Assemble(name string, sizes []int, open OpenFunc, cfg LocalConfig) (*Router
 		}
 		eps = append(eps, rset)
 	}
-	par := WithParallelism(max(cfg.Workers, 1))
 	var router *Router
 	var err error
 	if cfg.TreeFanout >= 2 {
-		router, err = NewTree(name, eps, cfg.TreeFanout, cfg.Link, par)
+		router, err = NewTree(name, eps, cfg.TreeFanout, cfg.Link)
 	} else {
-		router, err = NewRouter(name, eps, par)
+		router, err = NewRouter(name, eps)
 	}
 	if err != nil {
 		return fail(err)

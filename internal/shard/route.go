@@ -14,21 +14,24 @@ import (
 
 // This file is how a frame crosses the router: the routing table (one
 // row per request message), the prologue that resolves a request into a
-// plan, and the two executors of a plan — Do (synchronous scatter) and
-// GoBatch (through the shard endpoints' batchers). Both executors run
-// the same rows, so the typed and the batched path cannot drift: they
-// prune on the same decoded (float32) coordinates, send bit-identical
-// sub-frames and merge with the same function. Adding a wire message
-// means adding one row.
+// plan, the two ways a plan is sent — Do through the shard endpoints'
+// own Do (fan), GoBatch through their batchers — and the one fold both
+// finish in. Both run the same rows, so the typed and the batched path
+// cannot drift: they prune on the same decoded (float32) coordinates,
+// send bit-identical sub-frames and merge the same replies with the
+// same function. Adding a wire message means adding one row.
 
-// sub is one sub-request of a plan: a pooled frame (ownership passes to
-// the shard endpoint it is sent to) bound for shards[shard]. GoBatch
-// records the sub-call the frame was submitted as; a nil call there
-// marks a sub-request partial mode routed around.
+// sub is one sub-request of a plan, bound for shards[shard]. frame holds
+// the pooled request frame until it is sent (ownership passes to the
+// shard endpoint), then the reply frame it drew, or err its failure.
+// GoBatch records the sub-call the request was submitted as. A
+// sub-request partial mode routed around is never sent and answers with
+// neither reply nor error.
 type sub struct {
 	shard int
 	frame []byte
 	call  *client.Call
+	err   error
 }
 
 // plan is one request resolved against the table: the sub-requests to
@@ -476,10 +479,10 @@ func release(frames [][]byte) {
 // --- executors --------------------------------------------------------------
 
 // Do answers one request frame with one reply frame (client.Doer): plan,
-// scatter the sub-requests concurrently (bounded by WithParallelism),
-// merge. Outside partial mode the first failure cancels the sibling
-// sub-queries and surfaces as the root-cause error, and a solo router is
-// a pure pass-through — the frame goes to the one shard untouched, so a
+// send the admitted sub-requests through fan, fold the replies. Do
+// returns once every sub-request has answered; outside partial mode the
+// first failure in shard order is the error. A solo router is a pure
+// pass-through — the frame goes to the one shard untouched, so a
 // 1-sharded relation is bit-identical on the wire to the unsharded
 // protocol (the golden tests pin this).
 func (r *Router) Do(ctx context.Context, req []byte) ([]byte, error) {
@@ -491,33 +494,49 @@ func (r *Router) Do(ctx context.Context, req []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	replies := make([][]byte, len(pl.subs))
-	err = r.scatter(ctx, len(pl.subs), func(ctx context.Context, k int) error {
-		s := &pl.subs[k]
-		frame := s.frame
-		s.frame = nil
-		if !r.admit(rep, s.shard) {
-			bufpool.Put(frame)
-			return nil
+	for k := range pl.subs {
+		if s := &pl.subs[k]; !r.admit(rep, s.shard) {
+			bufpool.Put(s.frame)
+			s.frame = nil
 		}
-		resp, err := r.shards[s.shard].Do(ctx, frame)
-		if err != nil {
-			return r.absorb(ctx, rep, s.shard, err)
-		}
-		replies[k] = resp
-		return nil
-	})
-	if err != nil {
-		// A cancelled scatter never reached some sub-requests.
-		for _, s := range pl.subs {
-			if s.frame != nil {
-				bufpool.Put(s.frame)
-			}
-		}
-		release(replies)
-		return nil, err
 	}
-	return r.finish(pl, replies)
+	r.fan(ctx, pl.subs)
+	return r.fold(ctx, rep, pl)
+}
+
+// fan sends every sub-request that holds a frame through its shard's own
+// Do and returns once all have answered, each reply or error landing in
+// its sub. Each shard's run of sub-requests (AVG-AREA's COUNT and mean)
+// crosses its link in plan order on a goroutine of its own, the last run
+// on the caller's stack.
+func (r *Router) fan(ctx context.Context, subs []sub) {
+	var wg sync.WaitGroup
+	for len(subs) > 0 {
+		n := 1
+		for n < len(subs) && subs[n].shard == subs[0].shard {
+			n++
+		}
+		run := subs[:n]
+		if subs = subs[n:]; len(subs) == 0 {
+			r.send(ctx, run)
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.send(ctx, run)
+		}()
+	}
+	wg.Wait()
+}
+
+// send runs one shard's sub-requests one after another.
+func (r *Router) send(ctx context.Context, run []sub) {
+	for k := range run {
+		if s := &run[k]; s.frame != nil {
+			s.frame, s.err = r.shards[s.shard].Do(ctx, s.frame)
+		}
+	}
 }
 
 // GoBatch accepts pre-encoded request frames of any routable type
@@ -545,13 +564,15 @@ func (r *Router) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
 		}
 		var calls []*client.Call
 		for k := range pl.subs {
-			if s := &pl.subs[k]; r.admit(rep, s.shard) {
+			s := &pl.subs[k]
+			if r.admit(rep, s.shard) {
 				reqs[0] = s.frame
 				calls = r.shards[s.shard].GoBatch(ctx, reqs)
 				s.call = calls[0]
 			} else {
 				bufpool.Put(s.frame)
 			}
+			s.frame = nil
 		}
 		return append(calls[:0], r.answer(ctx, rep, pl))
 	}
@@ -566,13 +587,15 @@ func (r *Router) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
 			calls[q] = failed(r.name, err)
 			continue
 		}
-		for k, s := range pl.subs {
-			if !r.admit(rep, s.shard) {
+		for k := range pl.subs {
+			s := &pl.subs[k]
+			if r.admit(rep, s.shard) {
+				frames[s.shard] = append(frames[s.shard], s.frame)
+				refs[s.shard] = append(refs[s.shard], ref{q, k})
+			} else {
 				bufpool.Put(s.frame)
-				continue
 			}
-			frames[s.shard] = append(frames[s.shard], s.frame)
-			refs[s.shard] = append(refs[s.shard], ref{q, k})
+			s.frame = nil
 		}
 		plans[q] = pl
 	}
@@ -622,20 +645,29 @@ func (r *Router) gather(ctx context.Context, rep *health.Report, pl plan) ([]byt
 			s.call.Start()
 		}
 	}
+	for k := range pl.subs {
+		if s := &pl.subs[k]; s.call != nil {
+			s.frame, s.err = s.call.Frame()
+		}
+	}
+	return r.fold(ctx, rep, pl)
+}
+
+// fold finishes a plan whose sub-requests have all answered: a failure
+// is absorbed as its shard's gap under partial mode, otherwise the first
+// one in shard order fails the request. Every reply is recycled, merged
+// by finish or released.
+func (r *Router) fold(ctx context.Context, rep *health.Report, pl plan) ([]byte, error) {
 	replies := make([][]byte, len(pl.subs))
 	var first error
 	for k, s := range pl.subs {
-		if s.call == nil {
-			continue // routed around
-		}
-		resp, err := s.call.Frame()
-		if err != nil {
-			if err = r.absorb(ctx, rep, s.shard, err); err != nil && first == nil {
+		if s.err != nil {
+			if err := r.absorb(ctx, rep, s.shard, s.err); err != nil && first == nil {
 				first = err
 			}
 			continue
 		}
-		replies[k] = resp
+		replies[k] = s.frame
 	}
 	if first != nil {
 		release(replies)

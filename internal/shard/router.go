@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/client"
 	"repro/internal/geom"
 	"repro/internal/health"
@@ -58,10 +59,13 @@ func Remotes(rems []*client.Remote) []Endpoint {
 type Router struct {
 	client.Typed
 
-	name     string
-	relation string // logical relation gaps are reported under; defaults to name
+	name string
+	// relation names the logical relation gaps are reported under: the
+	// router's own name, or for an interior tree node (NewAggregator) the
+	// tree's, since a gap means "<relation> is missing shard X" whichever
+	// level discovered it.
+	relation string
 	shards   []Endpoint
-	par      int // max concurrent sub-queries per scatter; 0 = all shards
 
 	// Shard metadata for routing, fetched once (one INFO per shard link,
 	// metered like any query) on first use. Guarded by mu rather than a
@@ -99,32 +103,12 @@ type healthChecked interface {
 // traffic (every breaker open).
 var errAllOpen = errors.New("shard: all replicas open-circuit")
 
-// RouterOption configures a Router at construction.
-type RouterOption func(*Router)
-
-// WithRelation reports this router's gaps under relation instead of its
-// own name. Interior aggregation-tree nodes use it: a gap is meaningful
-// to the caller only as "<relation> is missing shard X", regardless of
-// which tree level discovered it.
-func WithRelation(relation string) RouterOption {
-	return func(r *Router) { r.relation = relation }
-}
-
-// WithParallelism bounds how many shard sub-queries one scatter issues
-// concurrently. 1 reproduces a strictly sequential scatter (the paper's
-// single-threaded device, extended shard by shard); 0 or >= the shard
-// count lets every sub-query fly at once. The request set per shard link
-// is identical either way, so metered bytes never depend on this knob.
-func WithParallelism(n int) RouterOption {
-	return func(r *Router) { r.par = n }
-}
-
 // NewRouter assembles a router named name over the given shard
 // endpoints (plain remotes or replica sets — see Remotes for the
 // former). All shard links must share one per-byte tariff: the
 // money-cost account (Eq. 1 × price) is computed from the merged usage,
 // which is only exact under a uniform price.
-func NewRouter(name string, shards []Endpoint, opts ...RouterOption) (*Router, error) {
+func NewRouter(name string, shards []Endpoint) (*Router, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("shard: router %s needs at least one shard", name)
 	}
@@ -137,9 +121,6 @@ func NewRouter(name string, shards []Endpoint, opts ...RouterOption) (*Router, e
 	}
 	r := &Router{name: name, relation: name, shards: shards}
 	r.Typed = client.NewTyped(r)
-	for _, o := range opts {
-		o(r)
-	}
 	return r, nil
 }
 
@@ -267,7 +248,7 @@ func (r *Router) Close() error {
 func (r *Router) solo() bool { return len(r.shards) == 1 }
 
 // routingInfos returns the per-shard metadata routing decisions read,
-// fetching every shard's INFO once (concurrently, all metered) and
+// fetching every shard's INFO once (one fan-out, all metered) and
 // caching it. Safe for concurrent callers; a failure leaves the router
 // un-poisoned so the next call retries. The returned slice is never
 // written again: the complete cache is immutable, and an incomplete one
@@ -299,7 +280,7 @@ func (r *Router) routingInfos(ctx context.Context) ([]wire.Info, error) {
 	// probed normally. One flapping shard therefore never delays the
 	// INFO refresh of the rest of the fleet.
 	now := time.Now()
-	var missing []int
+	var subs []sub
 	for i, ok := range r.infoOK {
 		if ok {
 			continue
@@ -307,42 +288,39 @@ func (r *Router) routingInfos(ctx context.Context) ([]wire.Info, error) {
 		if rep != nil && !r.infoRetryAt[i].IsZero() && now.Before(r.infoRetryAt[i]) {
 			continue
 		}
-		missing = append(missing, i)
+		subs = append(subs, sub{shard: i, frame: wire.AppendInfo(bufpool.Get())})
 	}
-	if len(missing) == 0 {
+	if len(subs) == 0 {
 		// Every dead shard is cooling down: serve the cached partial
 		// metadata; the dead shards' absence is a gap for this query.
 		r.recordInfoGapsLocked(rep)
 		return slices.Clone(r.infos), nil
 	}
-	// Per-index slots written by the scatter goroutines, folded into the
-	// shared cache only after scatter has joined (r.mu is held, but the
-	// closures run on other goroutines).
-	got := make([]wire.Info, n)
-	ok := make([]bool, n)
-	errs := make([]error, n)
-	scatterErr := r.scatter(ctx, len(missing), func(ctx context.Context, k int) error {
-		i := missing[k]
-		info, err := client.NewTyped(r.shards[i]).Info(ctx)
-		if err != nil {
-			if rep != nil && ctx.Err() == nil {
-				errs[i] = err // absorbed: the sibling INFOs continue
-				return nil
-			}
-			return err
+	// The INFOs cross as one fan-out; its replies are folded into the
+	// shared cache only once every sub-request has answered and none
+	// failed outside partial mode.
+	r.fan(ctx, subs)
+	got := make([]wire.Info, len(subs))
+	for k := range subs {
+		if s := &subs[k]; s.err == nil {
+			got[k], s.err = wire.DecodeInfoReply(s.frame)
+			bufpool.Put(s.frame)
 		}
-		got[i], ok[i] = info, true
-		return nil
-	})
-	if scatterErr != nil {
-		return nil, scatterErr
 	}
-	for _, i := range missing {
-		if ok[i] {
-			r.infos[i], r.infoOK[i], r.infoErr[i] = got[i], true, nil
+	if rep == nil || ctx.Err() != nil {
+		for _, s := range subs {
+			if s.err != nil {
+				return nil, s.err
+			}
+		}
+	}
+	for k, s := range subs {
+		i := s.shard
+		if s.err == nil {
+			r.infos[i], r.infoOK[i], r.infoErr[i] = got[k], true, nil
 			r.infoRetryAt[i] = time.Time{}
 		} else {
-			r.infoErr[i] = errs[i]
+			r.infoErr[i] = s.err // absorbed: the live shards' metadata is served
 			r.infoRetryAt[i] = time.Now().Add(infoRetryCooldown)
 		}
 	}
@@ -430,62 +408,4 @@ func (r *Router) recordLeafGaps(rep *health.Report, relation string, err error) 
 		}
 		rep.Record(relation, s.Name(), bounds, count, reason)
 	}
-}
-
-// scatter runs f(ctx, 0) … f(ctx, n-1), concurrently up to the router's
-// parallelism bound. The first failure cancels the sibling sub-queries
-// still in flight; scatter joins every goroutine before returning and
-// reports the root cause (a real error is preferred over the secondary
-// context.Canceled it provoked).
-func (r *Router) scatter(ctx context.Context, n int, f func(ctx context.Context, k int) error) error {
-	if n <= 1 || r.par == 1 {
-		for k := 0; k < n; k++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := f(ctx, k); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var slots chan struct{}
-	if r.par > 1 && r.par < n {
-		slots = make(chan struct{}, r.par)
-	}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-	)
-	record := func(err error) {
-		if err == nil {
-			return
-		}
-		mu.Lock()
-		if first == nil || (errors.Is(first, context.Canceled) && !errors.Is(err, context.Canceled)) {
-			first = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	for k := 0; k < n; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if slots != nil {
-				slots <- struct{}{}
-				defer func() { <-slots }()
-			}
-			if err := sctx.Err(); err != nil {
-				record(err)
-				return
-			}
-			record(f(sctx, k))
-		}()
-	}
-	wg.Wait()
-	return first
 }

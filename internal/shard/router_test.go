@@ -23,7 +23,7 @@ import (
 
 // newTestRouter shards objs across n in-process servers behind a Router,
 // plus a single unsharded oracle remote over the same dataset.
-func newTestRouter(t testing.TB, objs []geom.Object, n int, copts []client.Option, ropts []RouterOption, sopts ...server.Option) (*Router, *client.Remote) {
+func newTestRouter(t testing.TB, objs []geom.Object, n int, copts []client.Option, sopts ...server.Option) (*Router, *client.Remote) {
 	t.Helper()
 	parts := Assign(objs, n)
 	rems := make([]*client.Remote, n)
@@ -36,7 +36,7 @@ func newTestRouter(t testing.TB, objs []geom.Object, n int, copts []client.Optio
 		}
 		rems[i] = rem
 	}
-	router, err := NewRouter("D", Remotes(rems), ropts...)
+	router, err := NewRouter("D", Remotes(rems))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestRouterMatchesSingleServer(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	ctx := context.Background()
 	for _, n := range []int{1, 2, 3, 4} {
-		router, oracle := newTestRouter(t, objs, n, nil, nil, server.PublishIndex())
+		router, oracle := newTestRouter(t, objs, n, nil, server.PublishIndex())
 
 		info, err := router.Info(ctx)
 		if err != nil {
@@ -264,7 +264,7 @@ func TestRouterMatchesSingleServer(t *testing.T) {
 // match the unsharded server exactly.
 func TestRouterCountSumOverRandomWindows(t *testing.T) {
 	objs := dataset.Uniform(600, dataset.World, 21)
-	router, oracle := newTestRouter(t, objs, 4, nil, nil)
+	router, oracle := newTestRouter(t, objs, 4, nil)
 	rng := rand.New(rand.NewSource(22))
 	ctx := context.Background()
 	for trial := 0; trial < 1000; trial++ {
@@ -291,7 +291,7 @@ func TestRouterCountSumOverRandomWindows(t *testing.T) {
 func TestRouterGoBatch(t *testing.T) {
 	objs := dataset.GaussianClusters(400, 3, 500, dataset.World, 31)
 	copts := []client.Option{client.WithBatch(client.BatchConfig{MaxBatch: 8})}
-	router, _ := newTestRouter(t, objs, 3, copts, nil)
+	router, _ := newTestRouter(t, objs, 3, copts)
 	ctx := context.Background()
 
 	w1 := geom.R(1000, 1000, 6000, 6000)
@@ -360,7 +360,7 @@ func TestRouterGoBatch(t *testing.T) {
 // the wire-compatibility half of the sharding guarantee.
 func TestRouterSoloIsBitIdenticalPassThrough(t *testing.T) {
 	objs := dataset.GaussianClusters(300, 4, 500, dataset.World, 41)
-	router, oracle := newTestRouter(t, objs, 1, nil, nil)
+	router, oracle := newTestRouter(t, objs, 1, nil)
 	ctx := context.Background()
 	drive := func(q interface {
 		Info(context.Context) (wire.Info, error)
@@ -408,47 +408,67 @@ func (f *failAfterRT) RoundTrip(ctx context.Context, req []byte) ([]byte, error)
 func (f *failAfterRT) Close() error { return f.inner.Close() }
 
 // TestRouterShardFailureSurfacesRootCause kills one shard after its INFO
-// answer: the next scatter must fail promptly with the dead shard's error
-// (not a generic cancellation), and no goroutine may outlive the router.
+// answer: the next request must fail promptly with the dead shard's error
+// (not a generic cancellation), and no goroutine may outlive the router —
+// whether the request is a typed call (Do) or submitted through GoBatch.
 func TestRouterShardFailureSurfacesRootCause(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	objs := dataset.GaussianClusters(400, 4, 800, dataset.World, 51)
-	parts := Assign(objs, 3)
-	rems := make([]*client.Remote, 3)
-	for i, part := range parts {
-		name := fmt.Sprintf("D%d/3", i+1)
-		var rt netsim.RoundTripper = netsim.Serve(server.New(name, part))
-		if i == 1 {
-			rt = &failAfterRT{inner: rt, after: 1} // INFO succeeds, everything after fails
-		}
-		rem, err := client.NewRemote(name, rt, netsim.DefaultLink(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rems[i] = rem
+	submissions := []struct {
+		name  string
+		count func(ctx context.Context, r *Router) (int, error)
+	}{
+		{"typed", func(ctx context.Context, r *Router) (int, error) { return r.Count(ctx, dataset.World) }},
+		{"gobatch", func(ctx context.Context, r *Router) (int, error) {
+			frame := wire.AppendCount(bufpool.Get(), dataset.World)
+			resp, err := r.GoBatch(ctx, [][]byte{frame})[0].Frame()
+			if err != nil {
+				return 0, err
+			}
+			defer bufpool.Put(resp)
+			n, err := wire.DecodeCountReply(resp)
+			return int(n), err
+		}},
 	}
-	router, err := NewRouter("D", Remotes(rems))
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, sm := range submissions {
+		t.Run(sm.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			objs := dataset.GaussianClusters(400, 4, 800, dataset.World, 51)
+			parts := Assign(objs, 3)
+			rems := make([]*client.Remote, 3)
+			for i, part := range parts {
+				name := fmt.Sprintf("D%d/3", i+1)
+				var rt netsim.RoundTripper = netsim.Serve(server.New(name, part))
+				if i == 1 {
+					rt = &failAfterRT{inner: rt, after: 1} // INFO succeeds, everything after fails
+				}
+				rem, err := client.NewRemote(name, rt, netsim.DefaultLink(), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rems[i] = rem
+			}
+			router, err := NewRouter("D", Remotes(rems))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	ctx := context.Background()
-	start := time.Now()
-	_, err = router.Count(ctx, dataset.World)
-	if err == nil {
-		t.Fatal("Count over a dead shard succeeded")
+			start := time.Now()
+			_, err = sm.count(context.Background(), router)
+			if err == nil {
+				t.Fatal("Count over a dead shard succeeded")
+			}
+			if !errors.Is(err, errShardDown) {
+				t.Fatalf("error %v does not unwrap to the shard fault", err)
+			}
+			if !strings.Contains(err.Error(), "D2/3") {
+				t.Fatalf("error %q does not name the dead shard", err)
+			}
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Fatalf("failure took %v to surface", elapsed)
+			}
+			router.Close()
+			waitGoroutines(t, baseline)
+		})
 	}
-	if !errors.Is(err, errShardDown) {
-		t.Fatalf("error %v does not unwrap to the shard fault", err)
-	}
-	if !strings.Contains(err.Error(), "D2/3") {
-		t.Fatalf("error %q does not name the dead shard", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("failure took %v to surface", elapsed)
-	}
-	router.Close()
-	waitGoroutines(t, baseline)
 }
 
 // blockingRT parks every round trip after a trigger count until released.
@@ -476,59 +496,79 @@ func (b *blockingRT) RoundTrip(ctx context.Context, req []byte) ([]byte, error) 
 func (b *blockingRT) Close() error { return b.inner.Close() }
 
 // TestRouterCancelMidScatter hangs one shard mid-scatter and cancels the
-// context: the scatter must return promptly with context.Canceled, all
-// sibling sub-queries must be joined, and no worker may leak.
+// context: the request must return promptly with context.Canceled, every
+// sibling sub-query must be joined, and no worker may leak — whether the
+// request is a typed call (Do) or submitted through GoBatch.
 func TestRouterCancelMidScatter(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-	objs := dataset.GaussianClusters(400, 4, 800, dataset.World, 61)
-	parts := Assign(objs, 3)
-	hang := &blockingRT{after: 1, reached: make(chan struct{}), release: make(chan struct{})}
-	rems := make([]*client.Remote, 3)
-	for i, part := range parts {
-		name := fmt.Sprintf("D%d/3", i+1)
-		var rt netsim.RoundTripper = netsim.Serve(server.New(name, part))
-		if i == 2 {
-			hang.inner = rt
-			rt = hang
-		}
-		rem, err := client.NewRemote(name, rt, netsim.DefaultLink(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rems[i] = rem
+	submissions := []struct {
+		name   string
+		window func(ctx context.Context, r *Router) ([]geom.Object, error)
+	}{
+		{"typed", func(ctx context.Context, r *Router) ([]geom.Object, error) { return r.Window(ctx, dataset.World) }},
+		{"gobatch", func(ctx context.Context, r *Router) ([]geom.Object, error) {
+			frame := wire.AppendWindow(bufpool.Get(), dataset.World)
+			resp, err := r.GoBatch(ctx, [][]byte{frame})[0].Frame()
+			if err != nil {
+				return nil, err
+			}
+			defer bufpool.Put(resp)
+			return wire.DecodeObjects(resp)
+		}},
 	}
-	router, err := NewRouter("D", Remotes(rems))
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, sm := range submissions {
+		t.Run(sm.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			objs := dataset.GaussianClusters(400, 4, 800, dataset.World, 61)
+			parts := Assign(objs, 3)
+			hang := &blockingRT{after: 1, reached: make(chan struct{}), release: make(chan struct{})}
+			rems := make([]*client.Remote, 3)
+			for i, part := range parts {
+				name := fmt.Sprintf("D%d/3", i+1)
+				var rt netsim.RoundTripper = netsim.Serve(server.New(name, part))
+				if i == 2 {
+					hang.inner = rt
+					rt = hang
+				}
+				rem, err := client.NewRemote(name, rt, netsim.DefaultLink(), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rems[i] = rem
+			}
+			router, err := NewRouter("D", Remotes(rems))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := router.Window(ctx, dataset.World)
-		done <- err
-	}()
-	select {
-	case <-hang.reached:
-	case <-time.After(2 * time.Second):
-		t.Fatal("scatter never reached the hung shard")
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				_, err := sm.window(ctx, router)
+				done <- err
+			}()
+			select {
+			case <-hang.reached:
+			case <-time.After(2 * time.Second):
+				t.Fatal("scatter never reached the hung shard")
+			}
+			start := time.Now()
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("scatter did not return within 2s of cancellation")
+			}
+			if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+				t.Fatalf("cancellation took %v, want prompt return", elapsed)
+			}
+			close(hang.release)
+			router.Close()
+			waitGoroutines(t, baseline)
+		})
 	}
-	start := time.Now()
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("scatter did not return within 2s of cancellation")
-	}
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("cancellation took %v, want prompt return", elapsed)
-	}
-	close(hang.release)
-	router.Close()
-	waitGoroutines(t, baseline)
 }
 
 // waitGoroutines polls until the goroutine count settles back to at most

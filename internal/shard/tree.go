@@ -88,12 +88,12 @@ const subtreeGossipInterval = 50 * time.Millisecond
 // with a metered uplink of the given link shape. Gaps are reported under
 // relation (the logical relation this subtree serves). The children may
 // be leaf endpoints (Remotes, ReplicaSets) or further Aggregators.
-func NewAggregator(name, relation string, children []Endpoint, link netsim.LinkConfig, opts ...RouterOption) (*Aggregator, error) {
-	ropts := append([]RouterOption{WithRelation(relation)}, opts...)
-	r, err := NewRouter(name, children, ropts...)
+func NewAggregator(name, relation string, children []Endpoint, link netsim.LinkConfig) (*Aggregator, error) {
+	r, err := NewRouter(name, children)
 	if err != nil {
 		return nil, err
 	}
+	r.relation = relation
 	m, err := netsim.NewMeter(link, r.PricePerByte())
 	if err != nil {
 		return nil, err
@@ -233,7 +233,7 @@ func (a *Aggregator) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call 
 // A trailing group that would hold a single leaf is folded into its
 // left sibling (fanout+1 wide) rather than wrapped in a degenerate
 // one-child aggregator that would meter a pointless extra hop.
-func NewTree(name string, leaves []Endpoint, fanout int, link netsim.LinkConfig, opts ...RouterOption) (*Router, error) {
+func NewTree(name string, leaves []Endpoint, fanout int, link netsim.LinkConfig) (*Router, error) {
 	level := leaves
 	for depth := 1; fanout >= 2 && len(level) > fanout; depth++ {
 		var next []Endpoint
@@ -244,7 +244,7 @@ func NewTree(name string, leaves []Endpoint, fanout int, link netsim.LinkConfig,
 			}
 			agg, err := NewAggregator(
 				fmt.Sprintf("%s@%d.%d", name, depth, len(next)+1),
-				name, level[lo:hi:hi], link, opts...)
+				name, level[lo:hi:hi], link)
 			if err != nil {
 				return nil, err
 			}
@@ -253,5 +253,5 @@ func NewTree(name string, leaves []Endpoint, fanout int, link netsim.LinkConfig,
 		}
 		level = next
 	}
-	return NewRouter(name, level, opts...)
+	return NewRouter(name, level)
 }

@@ -124,7 +124,7 @@ func replicatedChaosFleet(t *testing.T, name string, objs []Object, workers int,
 		sets[i] = rset
 		eps[i] = rset
 	}
-	router, err := shard.NewRouter(name, eps, shard.WithParallelism(workers))
+	router, err := shard.NewRouter(name, eps)
 	if err != nil {
 		t.Fatal(err)
 	}

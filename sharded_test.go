@@ -1,11 +1,14 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,10 +17,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/dataset"
+	"repro/internal/fleet"
 	"repro/internal/geom"
 	"repro/internal/netsim"
 	"repro/internal/server"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 // shardedDatasets are the workload kinds the sharded oracle suite runs:
@@ -204,7 +209,7 @@ func shardedChaosEnv(t *testing.T, robjs, sobjs []Object, par int, seed int64) *
 			}
 			rems[i] = rem
 		}
-		router, err := shard.NewRouter(name, shard.Remotes(rems), shard.WithParallelism(workers))
+		router, err := shard.NewRouter(name, shard.Remotes(rems))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,6 +272,86 @@ func (k *killableRT) RoundTrip(ctx context.Context, req []byte) ([]byte, error) 
 
 func (k *killableRT) Close() error { return k.inner.Close() }
 
+// frameLog records the request frames each wrapped replica link carries,
+// in the order they reach its server.
+type frameLog struct {
+	mu     sync.Mutex
+	frames map[string][][]byte
+}
+
+func (l *frameLog) wrap(name string, rt netsim.RoundTripper) netsim.RoundTripper {
+	return &loggedRT{RoundTripper: rt, name: name, log: l}
+}
+
+type loggedRT struct {
+	netsim.RoundTripper
+	name string
+	log  *frameLog
+}
+
+func (t *loggedRT) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
+	t.log.mu.Lock()
+	t.log.frames[t.name] = append(t.log.frames[t.name], slices.Clone(req))
+	t.log.mu.Unlock()
+	return t.RoundTripper.RoundTrip(ctx, req)
+}
+
+// TestShardedLinkOrderIndependentOfTiming holds a sequential sharded run
+// to one wire schedule: the router sends one request's sub-requests to
+// its shards at once, so which shard answers first may vary, but the
+// frames each link carries and their order may not. Two runs of the same
+// join (no breakers, no hedging) must send every server link the
+// identical frame sequence — over replica sets whose probe groups are
+// batched, over plain shard remotes whose groups are not, and through an
+// aggregation tree.
+func TestShardedLinkOrderIndependentOfTiming(t *testing.T) {
+	robjs := GaussianClusters(400, 4, 600, World, 93)
+	sobjs := GaussianClusters(400, 4, 600, World, 94)
+	spec := core.Spec{Kind: core.Distance, Eps: 80}
+	run := func(cfg fleet.Config, alg core.Algorithm) map[string][][]byte {
+		log := &frameLog{frames: map[string][][]byte{}}
+		cfg.R, cfg.S, cfg.Buffer, cfg.Parallelism = robjs, sobjs, 300, 1
+		f, err := fleet.Serve(cfg, log.wrap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := alg.Run(context.Background(), f.NewEnv(f.R, f.S), spec); err != nil {
+			t.Fatal(err)
+		}
+		return log.frames
+	}
+	fleets := map[string]fleet.Config{
+		"2x2-batch8": {Shards: 2, Replicas: 2, BatchSize: 8},
+		"2x1":        {Shards: 2},
+		"4-tree2":    {Shards: 4, TreeFanout: 2},
+	}
+	for fname, cfg := range fleets {
+		for aname, alg := range map[string]core.Algorithm{"upJoin": core.UpJoin{}, "grid": core.Grid{}} {
+			t.Run(fname+"/"+aname, func(t *testing.T) {
+				first, second := run(cfg, alg), run(cfg, alg)
+				if links := 2 * cfg.Shards * max(cfg.Replicas, 1); len(first) != links || len(second) != links {
+					t.Fatalf("%d and %d links carried frames, want %d", len(first), len(second), links)
+				}
+				for link, want := range first {
+					got := second[link]
+					if len(got) != len(want) {
+						t.Errorf("%s: %d frames, then %d", link, len(want), len(got))
+						continue
+					}
+					for i := range want {
+						if !bytes.Equal(got[i], want[i]) {
+							t.Errorf("%s: frame %d of %d differs between runs (%v, then %v)",
+								link, i, len(want), wire.Type(want[i]), wire.Type(got[i]))
+							break
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestShardedKillOneServerMidJoin kills one of four shard servers while a
 // join is running: the run must fail promptly with an error naming the
 // dead shard (not a generic cancellation), every worker goroutine must
@@ -301,7 +386,7 @@ func TestShardedKillOneServerMidJoin(t *testing.T) {
 				}
 				rems[i] = rem
 			}
-			router, err := shard.NewRouter(name, shard.Remotes(rems), shard.WithParallelism(workers))
+			router, err := shard.NewRouter(name, shard.Remotes(rems))
 			if err != nil {
 				t.Fatal(err)
 			}
