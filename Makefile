@@ -142,9 +142,12 @@ vet:
 # outside Oracle (the reference) and tests internal/core calls no
 # DedupPairs and builds no memjoin.Options{} literal — result assembly
 # only sorts. The shard router has one fan-out: outside tests, a go
-# statement in internal/shard sits in Router.fan or in ReplicaSet.Do
-# (its hedge race), and no RouterOption or WithParallelism is declared —
-# the router takes no options and bounds no scatter.
+# statement in internal/shard, and the gostack.Grow that opens it, sits
+# in Router.fan or in ReplicaSet.Do (its hedge race), and no RouterOption or WithParallelism
+# is declared — the router takes no options and bounds no scatter. A
+# routed list crosses the router as bytes: outside tests and Assign's
+# boot-time k-d split (shard.go), internal/shard decodes no object, pair
+# or rect reply and sorts nothing.
 lint-seams:
 	@if grep -nE 'time\.(AfterFunc|NewTimer|Sleep)' internal/client/batch.go; then \
 	  echo "lint: internal/client/batch.go must not wait on a clock"; exit 1; fi
@@ -175,9 +178,11 @@ lint-seams:
 	@if awk '/^func Oracle\(/ { o = 1 } !o && /DedupPairs\(|memjoin\.Options\{\}/ { print FILENAME ":" FNR ": " $$0; f = 1 } o && /^}/ { o = 0 } END { exit !f }' \
 	      $$(ls internal/core/*.go | grep -v '_test\.go$$'); then \
 	  echo "lint: pairs are born unique in core: every device join names its cell (no memjoin.Options{}), result assembly only sorts (no DedupPairs)"; exit 1; fi
-	@if awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[[:space:]]+go[[:space:]]/ && fn !~ /^func \(r \*Router\) fan\(/ && fn !~ /^func \(rs \*ReplicaSet\) Do\(/ { print FILENAME ":" FNR ": " $$0; f = 1 } END { exit !f }' \
+	@if awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } (/^[[:space:]]+go[[:space:]]/ || /gostack\.Grow\(/) && fn !~ /^func \(r \*Router\) fan\(/ && fn !~ /^func \(rs \*ReplicaSet\) Do\(/ { print FILENAME ":" FNR ": " $$0; f = 1 } END { exit !f }' \
 	      $$(ls internal/shard/*.go | grep -v '_test\.go$$'); then \
-	  echo "lint: the shard router has one fan-out: a go statement only in Router.fan (and ReplicaSet.Do's hedge race)"; exit 1; fi
+	  echo "lint: the shard router has one fan-out: a go statement (and its gostack.Grow) only in Router.fan (and ReplicaSet.Do's hedge race)"; exit 1; fi
+	@if grep -HnE 'wire\.Decode(Objects|BucketObjects|Pairs|Rects)|slices\.Sort' $$(ls internal/shard/*.go | grep -vE '_test\.go$$|/shard\.go$$'); then \
+	  echo "lint: a routed list crosses the router as bytes: no object, pair or rect decode and no sort in internal/shard (wire.AppendList, wire.BucketGroups)"; exit 1; fi
 	@if grep -HnE '^(type|func)[[:space:]]+(RouterOption|WithParallelism)\b' $$(ls internal/shard/*.go | grep -v '_test\.go$$'); then \
 	  echo "lint: the shard router takes no options and bounds no scatter (no RouterOption, no WithParallelism)"; exit 1; fi
 

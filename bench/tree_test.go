@@ -10,37 +10,35 @@ import (
 	"repro/internal/geom"
 	"repro/internal/netsim"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
-// BenchmarkRouterMerge measures the pooled k-way heap merge on the
-// gather hot path: 16 ID-disjoint shard replies of 256 objects each,
-// merged into a reused destination. The zero-allocation property is
-// pinned by TestMergeObjectsZeroAlloc; this benchmark tracks the cycle
-// cost so a regression back to concat+sort shows up in bench-compare.
+// BenchmarkRouterMerge measures the router's list merge on the gather
+// hot path: 16 OBJECTS replies of 256 objects each (IDs shuffled across
+// shards, as Assign leaves them) concatenated into one reply frame in a
+// reused destination — the bytes a routed WINDOW answer is built from.
+// The zero-allocation property is pinned by TestListMergesZeroAlloc.
 func BenchmarkRouterMerge(b *testing.B) {
 	const parts, per = 16, 256
 	rng := rand.New(rand.NewSource(3))
 	ids := rng.Perm(parts * per)
-	replies := make([][]geom.Object, parts)
-	at := 0
+	replies := make([][]byte, parts)
 	for i := range replies {
-		replies[i] = make([]geom.Object, per)
-		for j := range replies[i] {
-			id := uint32(ids[at] + 1)
-			at++
-			replies[i][j] = geom.Object{ID: id, MBR: geom.R(float64(id), 0, float64(id)+1, 1)}
+		objs := make([]geom.Object, per)
+		for j := range objs {
+			id := uint32(ids[i*per+j] + 1)
+			objs[j] = geom.Object{ID: id, MBR: geom.R(float64(id), 0, float64(id)+1, 1)}
 		}
+		replies[i] = wire.AppendObjects(nil, objs)
 	}
-	scratch := make([][]geom.Object, parts)
-	var dst []geom.Object
+	var dst []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// The merge sorts parts in place; shuffling back each iteration
-		// would dominate, so hand it pre-sorted parts after round one —
-		// the heap still performs the full k-way interleave.
-		copy(scratch, replies)
-		dst = shard.MergeObjects(dst[:0], scratch)
+		var err error
+		if dst, err = wire.AppendList(dst[:0], wire.MsgObjects, replies); err != nil {
+			b.Fatal(err)
+		}
 		sink = len(dst)
 	}
 }

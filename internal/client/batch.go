@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/geom"
+	"repro/internal/gostack"
 	"repro/internal/netsim"
 	"repro/internal/wire"
 )
@@ -181,19 +182,30 @@ func (c *Call) frame() ([]byte, error) {
 
 // Start gets the call under way on a goroutine of its own instead of
 // its eventual waiter's stack. A caller about to wait on several calls
-// in turn starts all but the first, so their round trips overlap.
+// in turn starts all but the first, so their round trips overlap. The
+// goroutine may run a whole nested gather (a router's lazy call), so
+// its stack is grown up front.
 func (c *Call) Start() {
 	switch {
 	case c.eval != nil:
 		eval := c.eval
 		c.eval, c.done = nil, make(chan struct{})
-		go func() { c.complete(eval()) }()
+		go func() {
+			gostack.Grow()
+			c.complete(eval())
+		}()
 	case c.g != nil:
 		if !c.g.started.Swap(true) {
-			go c.g.once.Do(c.g.run)
+			go func() {
+				gostack.Grow()
+				c.g.once.Do(c.g.run)
+			}()
 		}
 	case c.b != nil:
-		go c.b.drive(c)
+		go func() {
+			gostack.Grow()
+			c.b.drive(c)
+		}()
 	}
 }
 

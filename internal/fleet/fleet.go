@@ -96,7 +96,7 @@ type Config struct {
 	// TreeFanout, when >= 2 (and smaller than Shards), routes each
 	// relation through a hierarchical aggregation tree instead of the
 	// flat scatter: interior Aggregator nodes front groups of TreeFanout
-	// consecutive shards, partially merging COUNT sums and ID-ordered
+	// consecutive shards, partially merging COUNT sums and concatenating
 	// object lists level by level, so the root link carries O(TreeFanout)
 	// replies per query regardless of the fleet size. Results are
 	// bit-identical to the flat router's; byte totals additionally

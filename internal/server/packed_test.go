@@ -15,7 +15,7 @@ import (
 // TestSpanRepliesMatchObjectEncoding checks that WINDOW, RANGE and
 // BUCKET-RANGE replies, copied from the pre-encoded packed array, equal
 // byte for byte the frames wire.AppendObjects and
-// wire.AppendBucketObjectsFlat build from the tree's Search and
+// wire.AppendBucketObjects build from the tree's Search and
 // SearchDist results — over windows on every node MBR, random windows,
 // and probes of every size, uniform and clustered, with and without
 // extents.
@@ -75,15 +75,12 @@ func TestSpanRepliesMatchObjectEncoding(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var lens []int
-			var flat []geom.Object
-			for _, q := range qs {
-				before := len(flat)
-				flat = tr.SearchDist(q, e, flat)
-				lens = append(lens, len(flat)-before)
+			groups := make([][]geom.Object, len(qs))
+			for i, q := range qs {
+				groups[i] = tr.SearchDist(q, e, nil)
 			}
-			if want := wire.AppendBucketObjectsFlat(nil, lens, flat); !bytes.Equal(reply(req), want) {
-				t.Fatalf("n=%d bucket ±%v: reply differs from AppendBucketObjectsFlat(SearchDist)", len(objs), e)
+			if want := wire.AppendBucketObjects(nil, groups); !bytes.Equal(reply(req), want) {
+				t.Fatalf("n=%d bucket ±%v: reply differs from AppendBucketObjects(SearchDist)", len(objs), e)
 			}
 		}
 	}

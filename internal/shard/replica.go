@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/client"
+	"repro/internal/gostack"
 	"repro/internal/health"
 	"repro/internal/netsim"
 )
@@ -398,6 +399,7 @@ func (rs *ReplicaSet) Do(ctx context.Context, req []byte) ([]byte, error) {
 		}
 		frame := clone(req)
 		go func() {
+			gostack.Grow()
 			t0 := time.Now()
 			resp, err := rs.replicas[idx].Do(actx, frame)
 			if err == nil && !hedged {

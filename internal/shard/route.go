@@ -8,6 +8,7 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/client"
 	"repro/internal/geom"
+	"repro/internal/gostack"
 	"repro/internal/health"
 	"repro/internal/wire"
 )
@@ -53,29 +54,33 @@ type planner func(req []byte, infos []wire.Info) (plan, error)
 
 // routes is the routing table, indexed by request message type.
 //
-//   - WINDOW / RANGE / MBR-MATCH go to the shards within reach and merge
-//     into one ID-ordered object list (MergeObjects). Assign places each
-//     object on exactly one shard, so no deduplication is needed.
+//   - WINDOW / RANGE / MBR-MATCH go to the shards within reach and answer
+//     one object list: the shards' records appended in plan (shard)
+//     order under one header (concat). Assign places each object on
+//     exactly one shard, so no deduplication is needed.
 //   - COUNT / RANGE-COUNT go to the shards within reach and sum; the
 //     per-shard counts are disjoint, so the sum is the unsharded answer.
 //   - AVG-AREA sends each overlapping shard a companion COUNT and weights
 //     the per-shard means by it.
 //   - Bucket queries ship to each shard only the probes within reach of
-//     its bounds and reassemble the groups in probe order (objects
-//     ID-ordered, counts summed).
+//     its bounds and reassemble the groups in probe order: a probe's
+//     objects are its groups' records in shard order under one summed
+//     group header, its counts summed.
 //   - MBR-LEVEL asks every non-empty shard, clamping the level to the
 //     shard's published height, and concatenates in shard order.
 //   - UPLOAD-JOIN uploads to each shard only the objects within ε of its
-//     bounds; the disjoint pair lists merge in (RID, SID) order.
+//     bounds and concatenates the disjoint pair lists in shard order.
 //   - INFO sends nothing: it folds the cached per-shard metadata.
 //
-// Every fold is associative, so an aggregation tree merging level by
+// No list row decodes a record: a routed list is the bytes its shards
+// sent, reordered by nothing. Every fold is associative and NewTree
+// groups consecutive leaves, so an aggregation tree merging level by
 // level reaches the flat router's answer bit for bit.
 var routes = [...]planner{
-	wire.MsgWindow:           rectRoute(wire.MsgWindow, mergeObjectReplies),
+	wire.MsgWindow:           rectRoute(wire.MsgWindow, concat(wire.MsgObjects)),
 	wire.MsgCount:            rectRoute(wire.MsgCount, sumCountReplies),
 	wire.MsgAvgArea:          routeAvgArea,
-	wire.MsgRange:            pointRoute(wire.MsgRange, mergeObjectReplies),
+	wire.MsgRange:            pointRoute(wire.MsgRange, concat(wire.MsgObjects)),
 	wire.MsgRangeCount:       pointRoute(wire.MsgRangeCount, sumCountReplies),
 	wire.MsgBucketRange:      bucketRoute(wire.MsgBucketRange, wire.AppendBucketRange, mergeBucketObjects),
 	wire.MsgBucketRangeCount: bucketRoute(wire.MsgBucketRangeCount, wire.AppendBucketRangeCount, mergeBucketCounts),
@@ -214,27 +219,47 @@ func bucketRoute(t wire.MsgType,
 	}
 }
 
+// mergeBucketObjects answers every probe with the groups the shards
+// returned for it, their records appended in shard order under one
+// summed group header. A shard's reply holds its probes' groups in
+// probe order (partition), so one walker per reply reads it once.
 func mergeBucketObjects(dst []byte, replies [][]byte, idx [][]int, n int) ([]byte, error) {
-	out := make([][]geom.Object, n)
+	type walk struct {
+		groups wire.ObjectGroups
+		probes []int // the probes of the groups not yet read
+	}
+	var stack [16]walk
+	walks := stack[:0]
 	for k, f := range replies {
 		if f == nil {
 			continue
 		}
-		groups, err := wire.DecodeBucketObjects(f)
+		g, err := wire.BucketGroups(f)
 		if err != nil {
 			return dst, err
 		}
-		if len(groups) != len(idx[k]) {
-			return dst, fmt.Errorf("bucket reply carries %d groups, want %d", len(groups), len(idx[k]))
+		if g.Len() != len(idx[k]) {
+			return dst, fmt.Errorf("bucket reply carries %d groups, want %d", g.Len(), len(idx[k]))
 		}
-		for j, g := range groups {
-			out[idx[k][j]] = append(out[idx[k][j]], g...)
+		walks = append(walks, walk{g, idx[k]})
+	}
+	dst = wire.AppendBucketObjectsHeader(dst, n)
+	for i := range n {
+		m := 0
+		for _, w := range walks {
+			if len(w.probes) > 0 && w.probes[0] == i {
+				m += w.groups.Peek()
+			}
+		}
+		dst = wire.AppendBucketGroupHeader(dst, m)
+		for k := range walks {
+			if w := &walks[k]; len(w.probes) > 0 && w.probes[0] == i {
+				dst = append(dst, w.groups.Next()...)
+				w.probes = w.probes[1:]
+			}
 		}
 	}
-	for _, g := range out {
-		sortObjects(g)
-	}
-	return wire.AppendBucketObjects(dst, out), nil
+	return dst, nil
 }
 
 func mergeBucketCounts(dst []byte, replies [][]byte, idx [][]int, n int) ([]byte, error) {
@@ -286,19 +311,7 @@ func routeMBRLevel(req []byte, infos []wire.Info) (plan, error) {
 		}
 		subs = append(subs, sub{shard: i, frame: wire.AppendMBRLevel(bufpool.Get(), lvl)})
 	}
-	return plan{subs, func(dst []byte, replies [][]byte) ([]byte, error) {
-		var all []geom.Rect
-		for _, f := range replies {
-			if f == nil {
-				continue
-			}
-			var err error
-			if all, err = wire.DecodeRectsAppend(f, all); err != nil {
-				return dst, err
-			}
-		}
-		return wire.AppendRects(dst, all), nil
-	}}, nil
+	return plan{subs, concat(wire.MsgRects)}, nil
 }
 
 func routeMBRMatch(req []byte, infos []wire.Info) (plan, error) {
@@ -309,7 +322,7 @@ func routeMBRMatch(req []byte, infos []wire.Info) (plan, error) {
 	subs, _ := partition(infos, rects,
 		func(rect, bounds geom.Rect) bool { return rect.WithinDist(bounds, eps) },
 		func(dst []byte, part []geom.Rect) []byte { return wire.AppendMBRMatch(dst, part, eps) })
-	return plan{subs, mergeObjectReplies}, nil
+	return plan{subs, concat(wire.MsgObjects)}, nil
 }
 
 func routeUploadJoin(req []byte, infos []wire.Info) (plan, error) {
@@ -320,20 +333,7 @@ func routeUploadJoin(req []byte, infos []wire.Info) (plan, error) {
 	subs, _ := partition(infos, objs,
 		func(o geom.Object, bounds geom.Rect) bool { return o.MBR.WithinDist(bounds, eps) },
 		func(dst []byte, part []geom.Object) []byte { return wire.AppendUploadJoin(dst, part, eps) })
-	return plan{subs, func(dst []byte, replies [][]byte) ([]byte, error) {
-		var all []geom.Pair
-		for _, f := range replies {
-			if f == nil {
-				continue
-			}
-			var err error
-			if all, err = wire.DecodePairsAppend(f, all); err != nil {
-				return dst, err
-			}
-		}
-		sortPairs(all)
-		return wire.AppendPairs(dst, all), nil
-	}}, nil
+	return plan{subs, concat(wire.MsgPairs)}, nil
 }
 
 func sumCountReplies(dst []byte, replies [][]byte) ([]byte, error) {
@@ -351,40 +351,12 @@ func sumCountReplies(dst []byte, replies [][]byte) ([]byte, error) {
 	return wire.AppendCountReply(dst, sum), nil
 }
 
-// objectScratch is the pooled state of one object merge. The decoded
-// objects are dead once the merged frame is encoded, so they live in
-// reusable slices instead of fresh ones per reply per tree level.
-type objectScratch struct {
-	in, out []geom.Object
-	parts   [][]geom.Object
-}
-
-var objectPool = sync.Pool{New: func() any { return new(objectScratch) }}
-
-func mergeObjectReplies(dst []byte, replies [][]byte) ([]byte, error) {
-	sc := objectPool.Get().(*objectScratch)
-	defer objectPool.Put(sc)
-	sc.in, sc.parts = sc.in[:0], sc.parts[:0]
-	for _, f := range replies {
-		if f == nil {
-			continue
-		}
-		at := len(sc.in)
-		var err error
-		if sc.in, err = wire.DecodeObjectsAppend(f, sc.in); err != nil {
-			return dst, err
-		}
-		// A part keeps pointing at valid objects even if a later decode
-		// regrows sc.in: its elements were written before the move.
-		sc.parts = append(sc.parts, sc.in[at:])
+// concat is the merge of every row that answers a list of type t: the
+// shards' records appended in plan order under one header.
+func concat(t wire.MsgType) func(dst []byte, replies [][]byte) ([]byte, error) {
+	return func(dst []byte, replies [][]byte) ([]byte, error) {
+		return wire.AppendList(dst, t, replies)
 	}
-	if len(sc.parts) == 1 {
-		// One contributing shard: its reply only needs the ID sort.
-		sortObjects(sc.parts[0])
-		return wire.AppendObjects(dst, sc.parts[0]), nil
-	}
-	sc.out = MergeObjects(sc.out[:0], sc.parts)
-	return wire.AppendObjects(dst, sc.out), nil
 }
 
 // --- prologue ---------------------------------------------------------------
@@ -392,10 +364,10 @@ func mergeObjectReplies(dst []byte, replies [][]byte) ([]byte, error) {
 // plan resolves one request frame into its scatter plan, consuming req.
 //
 // A solo router keeps its pass-through promise under partial mode too:
-// the one sub-request is req verbatim and the reply crosses unchanged.
-// Only when the lone shard is absorbed as a gap does the row speak — split
-// over no shards, merged from no replies, it yields the request's empty
-// answer.
+// the one sub-request is req verbatim and the reply crosses unchanged —
+// for a list, the one-shard case of concatenation. Only when the lone
+// shard is absorbed as a gap does the row speak — split over no shards,
+// merged from no replies, it yields the request's empty answer.
 func (r *Router) plan(ctx context.Context, req []byte) (plan, error) {
 	t := wire.Type(req)
 	if int(t) >= len(routes) || routes[t] == nil {
@@ -523,6 +495,7 @@ func (r *Router) fan(ctx context.Context, subs []sub) {
 		}
 		wg.Add(1)
 		go func() {
+			gostack.Grow()
 			defer wg.Done()
 			r.send(ctx, run)
 		}()

@@ -1,11 +1,13 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/health"
 	"repro/internal/netsim"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -607,4 +610,228 @@ func TestRouterRejectsMixedTariffs(t *testing.T) {
 	if _, err := NewRouter("D", nil); err == nil {
 		t.Fatal("NewRouter accepted zero shards")
 	}
+}
+
+// shardReference is the reply a routed list request must get: every
+// shard server's own reply to req but the gap's, its records
+// concatenated in shard order (a BUCKET-RANGE probe by probe).
+func shardReference(t *testing.T, req []byte, srvs []*server.Server, gap int) []byte {
+	t.Helper()
+	var objs [][]geom.Object
+	var groups [][][]geom.Object
+	var pairs []geom.Pair
+	var rects []geom.Rect
+	for i, srv := range srvs {
+		if i == gap {
+			continue
+		}
+		reply := srv.Handle(req)
+		var err error
+		switch wire.Type(reply) {
+		case wire.MsgObjects:
+			var o []geom.Object
+			o, err = wire.DecodeObjects(reply)
+			objs = append(objs, o)
+		case wire.MsgBucketObjects:
+			var g [][]geom.Object
+			g, err = wire.DecodeBucketObjects(reply)
+			groups = append(groups, g)
+		case wire.MsgPairs:
+			pairs, err = wire.DecodePairsAppend(reply, pairs)
+		case wire.MsgRects:
+			rects, err = wire.DecodeRectsAppend(reply, rects)
+		default:
+			t.Fatalf("%v: shard %d answers %v", wire.Type(req), i, wire.Type(reply))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	switch wire.Type(req) {
+	case wire.MsgBucketRange:
+		pts, _, err := wire.DecodeBucketRangeLike(req, wire.MsgBucketRange)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([][]geom.Object, len(pts))
+		for p := range out {
+			var col [][]geom.Object
+			for _, g := range groups {
+				col = append(col, g[p])
+			}
+			out[p] = MergeObjects(nil, col)
+		}
+		return wire.AppendBucketObjects(nil, out)
+	case wire.MsgUploadJoin:
+		return wire.AppendPairs(nil, pairs)
+	case wire.MsgMBRLevel:
+		return wire.AppendRects(nil, rects)
+	}
+	return wire.AppendObjects(nil, MergeObjects(nil, objs))
+}
+
+// TestRoutedListsConcatenateShardReplies pins what a routed list is: the
+// shards' own replies, their records concatenated in shard order under
+// one header. It covers all six list rows (WINDOW, RANGE, MBR-MATCH,
+// BUCKET-RANGE, UPLOAD-JOIN, MBR-LEVEL) over 2, 3 and 5 shards, flat and
+// as a fanout-2 tree, with and without a partial-mode gap, through Do
+// and GoBatch.
+func TestRoutedListsConcatenateShardReplies(t *testing.T) {
+	objs := dataset.GaussianClusters(600, 5, 700, dataset.World, 43)
+	rng := rand.New(rand.NewSource(44))
+	reqs := [][]byte{wire.AppendWindow(nil, dataset.World)}
+	for range 4 {
+		x, y := rng.Float64()*8000, rng.Float64()*8000
+		w := geom.R(x, y, x+rng.Float64()*4000, y+rng.Float64()*4000)
+		reqs = append(reqs, wire.AppendWindow(nil, w), wire.AppendRange(nil, geom.Pt(x, y), 1500),
+			wire.AppendMBRMatch(nil, []geom.Rect{w, geom.R(y, x, y+500, x+500)}, 300))
+	}
+	pts := make([]geom.Point, 12)
+	for i := range pts {
+		pts[i] = geom.Pt(rng.Float64()*10000, rng.Float64()*10000)
+	}
+	reqs = append(reqs, wire.AppendBucketRange(nil, pts, 900), wire.AppendUploadJoin(nil, objs[:60], 200))
+	for _, n := range []int{2, 3, 5} {
+		srvs := make([]*server.Server, n)
+		height := 0
+		for i, part := range Assign(objs, n) {
+			srvs[i] = server.New(fmt.Sprintf("S%d", i), part, server.PublishIndex())
+			if h := srvs[i].Tree().Height(); height == 0 || h < height {
+				height = h
+			}
+		}
+		// The levels core asks for lie below every shard's height.
+		reqs := append(slices.Clone(reqs), wire.AppendMBRLevel(nil, 0), wire.AppendMBRLevel(nil, height-1))
+		for _, fanout := range []int{0, 2} {
+			for _, gap := range []int{-1, n / 2} {
+				t.Run(fmt.Sprintf("shards=%d/fanout=%d/gap=%d", n, fanout, gap), func(t *testing.T) {
+					router, err := ServeLocal("D", objs, LocalConfig{
+						Shards: n, TreeFanout: fanout, Workers: 2, Link: netsim.DefaultLink(), Price: 1,
+						ServerOpts: []server.Option{server.PublishIndex()},
+						WrapTransport: func(label string, rt netsim.RoundTripper) netsim.RoundTripper {
+							if label == fmt.Sprintf("D%d/%d", gap+1, n) {
+								return &failAfterRT{inner: rt, after: 1} // answers its INFO alone
+							}
+							return rt
+						},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer router.Close()
+					ctx := context.Background()
+					rep := health.NewReport()
+					if gap >= 0 {
+						ctx = health.WithReport(ctx, rep)
+					}
+					if _, err := router.Info(ctx); err != nil {
+						t.Fatal(err)
+					}
+					for _, req := range reqs {
+						want := shardReference(t, req, srvs, gap)
+						got, err := router.Do(ctx, slices.Clone(req))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got, want) {
+							t.Fatalf("Do %v: routed reply is not the shard replies concatenated (%d vs %d bytes)",
+								wire.Type(req), len(got), len(want))
+						}
+						got, err = router.GoBatch(ctx, [][]byte{slices.Clone(req)})[0].Frame()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got, want) {
+							t.Fatalf("GoBatch %v: routed reply is not the shard replies concatenated (%d vs %d bytes)",
+								wire.Type(req), len(got), len(want))
+						}
+					}
+					if gap >= 0 && rep.Empty() {
+						t.Fatal("the failed shard left no gap")
+					}
+				})
+			}
+		}
+	}
+}
+
+// fixedLeaf is an Endpoint whose INFO describes a shard over the whole
+// world and which answers every other request with reply.
+type fixedLeaf struct {
+	stubLeaf
+	reply []byte
+}
+
+func (f *fixedLeaf) Do(_ context.Context, req []byte) ([]byte, error) {
+	defer bufpool.Put(req)
+	if wire.Type(req) == wire.MsgInfo {
+		return wire.AppendInfoReply(nil, wire.Info{Count: 1, Bounds: dataset.World, TreeHeight: 3, PointData: true}), nil
+	}
+	return slices.Clone(f.reply), nil
+}
+
+// TestRouterRejectsMalformedChildReplies: the router concatenates child
+// replies without decoding them, so it validates them instead. A short
+// reply, a wrong type, a group count that is not the plan's, a group
+// overrunning its frame and a trailing byte are each an error of the
+// request, never a panic or a forwarded frame.
+func TestRouterRejectsMalformedChildReplies(t *testing.T) {
+	obj := []geom.Object{geom.PointObject(7, geom.Pt(1, 1))}
+	objects := wire.AppendObjects(nil, obj)
+	bucket := wire.AppendBucketObjects(nil, [][]geom.Object{obj, nil})
+	pairs := wire.AppendPairs(nil, []geom.Pair{{RID: 1, SID: 2}})
+	rects := wire.AppendRects(nil, []geom.Rect{dataset.World})
+	window := wire.AppendWindow(nil, dataset.World)
+	probes := wire.AppendBucketRange(nil, []geom.Point{geom.Pt(10, 10), geom.Pt(20, 20)}, 5)
+	upload := wire.AppendUploadJoin(nil, obj, 5)
+	level := wire.AppendMBRLevel(nil, 0)
+	overrun := slices.Clone(bucket)
+	overrun[5] = 2 // the first group claims two objects and carries one
+	for _, tc := range []struct {
+		name       string
+		req, reply []byte
+	}{
+		{"objects/short", window, objects[:len(objects)-1]},
+		{"objects/header-only", window, objects[:3]},
+		{"objects/wrong-type", window, wire.AppendCountReply(nil, 1)},
+		{"objects/trailing", window, append(slices.Clone(objects), 0)},
+		{"bucket/short", probes, bucket[:4]},
+		{"bucket/wrong-type", probes, objects},
+		{"bucket/groups-not-plan", probes, wire.AppendBucketObjects(nil, [][]geom.Object{obj})},
+		{"bucket/group-overruns", probes, overrun},
+		{"bucket/trailing", probes, append(slices.Clone(bucket), 0)},
+		{"pairs/short", upload, pairs[:len(pairs)-1]},
+		{"pairs/wrong-type", upload, objects},
+		{"pairs/trailing", upload, append(slices.Clone(pairs), 0)},
+		{"rects/short", level, rects[:len(rects)-1]},
+		{"rects/wrong-type", level, pairs},
+		{"rects/trailing", level, append(slices.Clone(rects), 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			good := &fixedLeaf{stubLeaf{name: "good"}, shardReplyFor(tc.req)}
+			bad := &fixedLeaf{stubLeaf{name: "bad"}, tc.reply}
+			router, err := NewRouter("D", []Endpoint{good, bad})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := router.Do(context.Background(), slices.Clone(tc.req))
+			if err == nil {
+				t.Fatalf("malformed child reply %x forwarded as %x", tc.reply, got)
+			}
+		})
+	}
+}
+
+// shardReplyFor returns a well-formed one-shard reply to a list request.
+func shardReplyFor(req []byte) []byte {
+	obj := []geom.Object{geom.PointObject(3, geom.Pt(2, 2))}
+	switch wire.Type(req) {
+	case wire.MsgBucketRange:
+		return wire.AppendBucketObjects(nil, [][]geom.Object{obj, nil})
+	case wire.MsgUploadJoin:
+		return wire.AppendPairs(nil, []geom.Pair{{RID: 7, SID: 3}})
+	case wire.MsgMBRLevel:
+		return wire.AppendRects(nil, []geom.Rect{obj[0].MBR})
+	}
+	return wire.AppendObjects(nil, obj)
 }

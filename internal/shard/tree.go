@@ -23,11 +23,12 @@ import (
 //     Assign places each object on exactly one leaf, so subtree counts
 //     are disjoint — summing is associative and the tree total equals
 //     the flat total at any depth).
-//   - WINDOW / RANGE / MBR-MATCH forward one ID-ordered object list,
-//     k-way-merged from the children by the same MergeObjects the flat
-//     router uses, so the gathered order is bit-identical at any depth.
+//   - WINDOW / RANGE / MBR-MATCH forward one object list: the children's
+//     records concatenated in child order by the same merge the flat
+//     router uses. Children are runs of consecutive leaves, so the
+//     gathered order is bit-identical at any depth.
 //   - Bucket queries reassemble per-probe groups (counts summed, object
-//     groups merged) before forwarding.
+//     groups concatenated) before forwarding.
 //   - UPLOAD-JOIN prunes the upload set against each child's advertised
 //     bounds on the way down and concatenates the disjoint pair lists
 //     on the way up.

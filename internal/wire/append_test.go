@@ -64,28 +64,6 @@ func TestAppendEncodersPreservePrefix(t *testing.T) {
 	}
 }
 
-// TestAppendBucketObjectsFlatMatchesNested checks the flat (scratch-
-// friendly) bucket encoder against the nested one, including empty
-// groups.
-func TestAppendBucketObjectsFlatMatchesNested(t *testing.T) {
-	groups := [][]geom.Object{
-		{{ID: 1, MBR: geom.R(0, 0, 1, 1)}, {ID: 2, MBR: geom.R(1, 1, 2, 2)}},
-		nil,
-		{{ID: 3, MBR: geom.R(4, 4, 5, 5)}},
-	}
-	var lens []int
-	var flat []geom.Object
-	for _, g := range groups {
-		lens = append(lens, len(g))
-		flat = append(flat, g...)
-	}
-	want := AppendBucketObjects(nil, groups)
-	got := AppendBucketObjectsFlat(nil, lens, flat)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("flat = %x, nested = %x", got, want)
-	}
-}
-
 // TestScratchDecodersMatchPlain checks every DecodeXAppend variant
 // against its allocating form, both from empty and from non-empty
 // scratch (the appended records must land after the existing ones).

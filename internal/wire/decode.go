@@ -217,37 +217,97 @@ func DecodeFloatReply(frame []byte) (float64, error) {
 
 // DecodeBucketObjects decodes a BUCKET-OBJECTS response.
 func DecodeBucketObjects(frame []byte) ([][]geom.Object, error) {
-	if err := check(frame, MsgBucketObjects, 1+4); err != nil {
+	g, err := BucketGroups(frame)
+	if err != nil {
 		return nil, err
+	}
+	groups := make([][]geom.Object, g.Len())
+	for i := range groups {
+		recs := g.Next()
+		objs := make([]geom.Object, len(recs)/ObjectSize)
+		for j := range objs {
+			objs[j] = getObject(recs[j*ObjectSize:])
+		}
+		groups[i] = objs
+	}
+	return groups, nil
+}
+
+// ObjectGroups walks the groups of a BUCKET-OBJECTS frame that
+// BucketGroups validated, in probe order.
+type ObjectGroups struct {
+	rest []byte // the groups not yet read: count header, then records
+	left int
+}
+
+// BucketGroups validates a BUCKET-OBJECTS frame — it accepts exactly the
+// frames DecodeBucketObjects accepts — and returns a walker over its
+// groups. The walker hands out views into frame, so a router appends a
+// group's records without decoding them.
+func BucketGroups(frame []byte) (ObjectGroups, error) {
+	if err := check(frame, MsgBucketObjects, 1+4); err != nil {
+		return ObjectGroups{}, err
 	}
 	n := int(le.Uint32(frame[1:]))
 	// Every group costs at least its 4-byte header: bound the count by
-	// the frame before trusting it with an allocation.
+	// the frame before trusting it.
 	if n > (len(frame)-5)/4 {
-		return nil, fmt.Errorf("%w: %d bucket groups in %d bytes", ErrShortFrame, n, len(frame))
+		return ObjectGroups{}, fmt.Errorf("%w: %d bucket groups in %d bytes", ErrShortFrame, n, len(frame))
 	}
-	groups := make([][]geom.Object, n)
 	off := 5
-	for i := range groups {
+	for i := 0; i < n; i++ {
 		if off+4 > len(frame) {
-			return nil, fmt.Errorf("%w: bucket group header %d", ErrShortFrame, i)
+			return ObjectGroups{}, fmt.Errorf("%w: bucket group header %d", ErrShortFrame, i)
 		}
 		m := int(le.Uint32(frame[off:]))
 		off += 4
-		if off+ObjectSize*m > len(frame) {
-			return nil, fmt.Errorf("%w: bucket group %d of %d objects", ErrShortFrame, i, m)
+		if m > (len(frame)-off)/ObjectSize {
+			return ObjectGroups{}, fmt.Errorf("%w: bucket group %d of %d objects", ErrShortFrame, i, m)
 		}
-		g := make([]geom.Object, m)
-		for j := range g {
-			g[j] = getObject(frame[off:])
-			off += ObjectSize
-		}
-		groups[i] = g
+		off += ObjectSize * m
 	}
 	if off != len(frame) {
-		return nil, ErrTrailing
+		return ObjectGroups{}, ErrTrailing
 	}
-	return groups, nil
+	return ObjectGroups{rest: frame[5:], left: n}, nil
+}
+
+// Len returns the number of groups not yet read.
+func (g *ObjectGroups) Len() int { return g.left }
+
+// Peek returns the object count of the next group.
+func (g *ObjectGroups) Peek() int { return int(le.Uint32(g.rest)) }
+
+// Next returns the next group's object records, a view into the frame,
+// and moves past it.
+func (g *ObjectGroups) Next() []byte {
+	end := 4 + ObjectSize*g.Peek()
+	recs := g.rest[4:end:end]
+	g.rest, g.left = g.rest[end:], g.left-1
+	return recs
+}
+
+// records validates a list response — OBJECTS, RECTS or PAIRS; it
+// accepts exactly the frames DecodeObjects, DecodeRects and DecodePairs
+// accept — and returns its record count and its records' bytes, a view
+// into frame.
+func records(frame []byte, t MsgType) (int, []byte, error) {
+	var rec int
+	switch t {
+	case MsgObjects:
+		rec = ObjectSize
+	case MsgRects:
+		rec = RectSize
+	case MsgPairs:
+		rec = PairSize
+	default:
+		return 0, nil, fmt.Errorf("%w: %v is not a list response", ErrBadType, t)
+	}
+	n, err := repeatedPayload(frame, t, replyHdr, rec, "list response of %d records")
+	if err != nil {
+		return 0, nil, err
+	}
+	return n, frame[replyHdr:], nil
 }
 
 // DecodeInfoReply decodes an INFO-REPLY response.

@@ -94,15 +94,88 @@ func FuzzDecodeResponses(f *testing.F) {
 	f.Add(AppendPairs(nil, []geom.Pair{{RID: 1, SID: 2}}))
 	f.Add(AppendError(nil, "boom"))
 	f.Add(hugeBucketCount)
+	f.Add(AppendObjects(nil, nil))
+	f.Add(AppendBucketObjects(nil, [][]geom.Object{{geom.PointObject(2, geom.Pt(1, 1)), geom.PointObject(5, geom.Pt(3, 1))}, nil, nil}))
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		DecodeObjects(frame)
+		objs, oerr := DecodeObjects(frame)
 		DecodeCountReply(frame)
 		DecodeCountsReply(frame)
 		DecodeFloatReply(frame)
-		DecodeBucketObjects(frame)
+		groups, gerr := DecodeBucketObjects(frame)
 		DecodeInfoReply(frame)
-		DecodeRects(frame)
-		DecodePairs(frame)
+		rects, rerr := DecodeRects(frame)
+		pairs, perr := DecodePairs(frame)
 		DecodeError(frame)
+
+		// The walkers a router concatenates replies with accept exactly
+		// what the decoders accept, and their spans hold the same records
+		// (compared re-encoded: a NaN coordinate is not == itself).
+		listAgrees(t, frame, MsgObjects, oerr, len(objs), ObjectSize, func(i int, rec []byte) bool {
+			return sameObject(getObject(rec), objs[i])
+		})
+		listAgrees(t, frame, MsgRects, rerr, len(rects), RectSize, func(i int, rec []byte) bool {
+			return bytes.Equal(AppendRects(nil, []geom.Rect{getRect(rec)}), AppendRects(nil, rects[i:i+1]))
+		})
+		listAgrees(t, frame, MsgPairs, perr, len(pairs), PairSize, func(i int, rec []byte) bool {
+			return geom.Pair{RID: le.Uint32(rec), SID: le.Uint32(rec[4:])} == pairs[i]
+		})
+		walk, werr := BucketGroups(frame)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("BucketGroups: %v, DecodeBucketObjects: %v", werr, gerr)
+		}
+		if werr != nil {
+			return
+		}
+		if walk.Len() != len(groups) {
+			t.Fatalf("BucketGroups walks %d groups, DecodeBucketObjects decodes %d", walk.Len(), len(groups))
+		}
+		for i, g := range groups {
+			if walk.Peek() != len(g) {
+				t.Fatalf("group %d: Peek %d, decoded %d objects", i, walk.Peek(), len(g))
+			}
+			recs := walk.Next()
+			if len(recs) != ObjectSize*len(g) {
+				t.Fatalf("group %d: %d record bytes for %d objects", i, len(recs), len(g))
+			}
+			for j, o := range g {
+				if !sameObject(getObject(recs[j*ObjectSize:]), o) {
+					t.Fatalf("group %d object %d: span and decoder disagree", i, j)
+				}
+			}
+		}
 	})
+}
+
+func sameObject(a, b geom.Object) bool {
+	return bytes.Equal(AppendObjectRecords(nil, []geom.Object{a}), AppendObjectRecords(nil, []geom.Object{b}))
+}
+
+// listAgrees checks records and AppendList against a list decoder's
+// verdict decErr on frame: same acceptance, n records of size bytes
+// each that same reports equal to the decoded ones, and an accepted
+// frame concatenated alone is itself.
+func listAgrees(t *testing.T, frame []byte, typ MsgType, decErr error, n, size int, same func(i int, rec []byte) bool) {
+	t.Helper()
+	m, recs, err := records(frame, typ)
+	if (err == nil) != (decErr == nil) {
+		t.Fatalf("records(%v): %v, decoder: %v", typ, err, decErr)
+	}
+	one, cerr := AppendList(nil, typ, [][]byte{frame})
+	if (cerr == nil) != (decErr == nil) {
+		t.Fatalf("AppendList(%v): %v, decoder: %v", typ, cerr, decErr)
+	}
+	if err != nil {
+		return
+	}
+	if m != n || len(recs) != n*size {
+		t.Fatalf("records(%v): %d records in %d bytes, decoder %d", typ, m, len(recs), n)
+	}
+	for i := 0; i < n; i++ {
+		if !same(i, recs[i*size:]) {
+			t.Fatalf("records(%v): record %d differs from the decoded one", typ, i)
+		}
+	}
+	if !bytes.Equal(one, frame) {
+		t.Fatalf("AppendList(%v) of one frame: %x, want %x", typ, one, frame)
+	}
 }

@@ -344,6 +344,33 @@ func AppendObjectRecords(dst []byte, objs []geom.Object) []byte {
 	return dst
 }
 
+// AppendList appends one list response of type t — OBJECTS, RECTS or
+// PAIRS — that holds the records of every non-nil frame of parts, each
+// a t response, in part order under one header. A routed list is its
+// shards' replies concatenated so, never decoded. A malformed part is
+// an error, and dst comes back unchanged.
+func AppendList(dst []byte, t MsgType, parts [][]byte) ([]byte, error) {
+	n, size := 0, replyHdr
+	for _, f := range parts {
+		if f == nil {
+			continue
+		}
+		m, recs, err := records(f, t)
+		if err != nil {
+			return dst, err
+		}
+		n, size = n+m, size+len(recs)
+	}
+	dst = slices.Grow(dst, size)
+	dst = le.AppendUint32(append(dst, byte(t)), uint32(n))
+	for _, f := range parts {
+		if f != nil {
+			dst = append(dst, f[replyHdr:]...)
+		}
+	}
+	return dst, nil
+}
+
 // AppendCountReply appends a single aggregate answer frame.
 func AppendCountReply(dst []byte, n int64) []byte {
 	dst, b := grow(dst, 1+CountSize)
@@ -386,21 +413,6 @@ func AppendBucketObjects(dst []byte, groups [][]geom.Object) []byte {
 	dst = AppendBucketObjectsHeader(slices.Grow(dst, size), len(groups))
 	for _, g := range groups {
 		dst = AppendObjectRecords(AppendBucketGroupHeader(dst, len(g)), g)
-	}
-	return dst
-}
-
-// AppendBucketObjectsFlat is AppendBucketObjects for a flattened group
-// representation: lens[i] objects of the i-th probe, stored consecutively
-// in objs. It lets a server build bucket replies from reusable scratch
-// slices instead of materializing a [][]Object; the produced bytes are
-// identical to AppendBucketObjects on the equivalent nested slices.
-func AppendBucketObjectsFlat(dst []byte, lens []int, objs []geom.Object) []byte {
-	dst = slices.Grow(dst, 1+4+4*len(lens)+ObjectSize*len(objs))
-	dst = AppendBucketObjectsHeader(dst, len(lens))
-	for _, n := range lens {
-		dst = AppendObjectRecords(AppendBucketGroupHeader(dst, n), objs[:n])
-		objs = objs[n:]
 	}
 	return dst
 }
