@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/shard"
 )
 
@@ -93,8 +94,9 @@ func TestGoldenShardedByteAccounting(t *testing.T) {
 			if _, err := sess.Run(alg, spec); err != nil {
 				t.Fatal(err)
 			}
-			rUse := sess.Env().R.(*shard.Router).ShardUsages()
-			sUse := sess.Env().S.(*shard.Router).ShardUsages()
+			rs, ss := sess.Env().R.(*shard.Router).Shards(), sess.Env().S.(*shard.Router).Shards()
+			rUse := []netsim.Usage{rs[0].Usage(), rs[1].Usage()}
+			sUse := []netsim.Usage{ss[0].Usage(), ss[1].Usage()}
 			got := [2][2]int{
 				{rUse[0].WireBytes, rUse[1].WireBytes},
 				{sUse[0].WireBytes, sUse[1].WireBytes},
@@ -155,11 +157,12 @@ func TestGoldenReplicatedByteAccounting(t *testing.T) {
 			if _, err := sess.Run(alg, spec); err != nil {
 				t.Fatal(err)
 			}
-			// Each ShardUsages entry is now a replica set's merged usage
+			// Each shard's Usage is now a replica set's merged usage
 			// (the sum over its two replica links); with hedging off it
 			// must still equal the single-replica per-shard golden.
-			rUse := sess.Env().R.(*shard.Router).ShardUsages()
-			sUse := sess.Env().S.(*shard.Router).ShardUsages()
+			rs, ss := sess.Env().R.(*shard.Router).Shards(), sess.Env().S.(*shard.Router).Shards()
+			rUse := []netsim.Usage{rs[0].Usage(), rs[1].Usage()}
+			sUse := []netsim.Usage{ss[0].Usage(), ss[1].Usage()}
 			got := [2][2]int{
 				{rUse[0].WireBytes, rUse[1].WireBytes},
 				{sUse[0].WireBytes, sUse[1].WireBytes},

@@ -27,7 +27,7 @@ import (
 //   - waiter: a queued probe is sent by the first goroutine that waits
 //     for it, on that goroutine's own stack (see batcher.drive).
 //
-// At most MaxInflight envelopes are in flight on a link. While the
+// At most inflightWindow (4) envelopes are in flight on a link. While the
 // window is full submissions queue and waiters park, and each completing
 // dispatcher takes the next envelope — so coalescing and lane
 // arbitration happen exactly when the link is busy, and cost an idle
@@ -57,12 +57,12 @@ type BatchConfig struct {
 	// (every request travels as its own frame, bit-identical to the
 	// pre-batching wire format).
 	MaxBatch int
-	// MaxInflight is the link's window: how many envelopes, whatever cut
-	// them, may be in flight at once. Probes submitted while it is full
-	// stay queued until a dispatcher completes and takes them. Zero
-	// defaults to 4.
-	MaxInflight int
 }
+
+// inflightWindow is a link's window: how many envelopes, whatever cut
+// them, may be in flight at once. Probes submitted while it is full stay
+// queued until a dispatcher completes and takes them.
+const inflightWindow = 4
 
 // WithBatch enables probe batching on the remote with the given
 // configuration.
@@ -265,19 +265,15 @@ type batcher struct {
 	npend  int               // total queued across lanes
 	parked int               // queued calls whose waiter found the window full
 
-	frames atomic.Int64 // dispatched frames (diagnostics and tests)
+	frames atomic.Int64 // dispatched frames, envelopes and stragglers alike (read by tests)
 }
 
 func newBatcher(r *Remote, cfg BatchConfig) *batcher {
 	if cfg.MaxBatch <= 1 {
 		return nil
 	}
-	inflight := cfg.MaxInflight
-	if inflight <= 0 {
-		inflight = 4
-	}
 	return &batcher{rem: r, max: cfg.MaxBatch, sched: r.sched,
-		sem: make(chan struct{}, inflight), lanes: make(map[netsim.TenantID]*lane)}
+		sem: make(chan struct{}, inflightWindow), lanes: make(map[netsim.TenantID]*lane)}
 }
 
 // full reports whether the window has no room. Caller holds b.mu.
@@ -418,13 +414,12 @@ func (b *batcher) pick(force bool) []*Call {
 	batch := make([]*Call, 0, b.max)
 	// Starvation guard: lanes passed over too many consecutive envelopes
 	// contribute their head probe first, whatever their tier.
-	starve := b.sched.StarvationBound()
 	for _, id := range b.order {
 		if len(batch) >= b.max {
 			break
 		}
 		ln := b.lanes[id]
-		if len(ln.queue) > 0 && ln.passed >= starve {
+		if len(ln.queue) > 0 && ln.passed >= starvationBound {
 			batch = b.takeHead(ln, batch)
 		}
 	}
@@ -710,15 +705,6 @@ func (s *Scheduler) withShares(ctx context.Context, batch []*Call) context.Conte
 
 // BatchEnabled reports whether this remote multiplexes probes.
 func (r *Remote) BatchEnabled() bool { return r.b != nil }
-
-// BatchFrames returns how many frames the batcher has dispatched
-// (envelopes and bare stragglers alike). Diagnostics only.
-func (r *Remote) BatchFrames() int64 {
-	if r.b == nil {
-		return 0
-	}
-	return r.b.frames.Load()
-}
 
 // GoBatch submits pre-encoded request frames (ownership of each buffer
 // passes to the client; the reqs slice itself stays the caller's) and

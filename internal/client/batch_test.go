@@ -65,8 +65,8 @@ func TestGoBatchSizeTriggerOneFrame(t *testing.T) {
 	if u.Messages != 2 { // one MsgBatch up, one MsgBatchReply down
 		t.Errorf("messages = %d, want 2 (one envelope each way)", u.Messages)
 	}
-	if r.BatchFrames() != 1 {
-		t.Errorf("batch frames = %d, want 1", r.BatchFrames())
+	if f := r.b.frames.Load(); f != 1 {
+		t.Errorf("batch frames = %d, want 1", f)
 	}
 }
 
@@ -83,7 +83,7 @@ func TestGoBatchWaiterDispatchesPartial(t *testing.T) {
 		wire.AppendRange(bufpool.Get(), w.Center(), 100),
 	}
 	calls := r.GoBatch(context.Background(), reqs)
-	if f := r.BatchFrames(); f != 0 {
+	if f := r.b.frames.Load(); f != 0 {
 		t.Fatalf("%d frames left before anyone waited", f)
 	}
 	if n, err := calls[0].Count(); err != nil || n != 50 {
@@ -189,7 +189,7 @@ func TestBatchPerSubRequestErrors(t *testing.T) {
 }
 
 // TestBatchConcurrentCallersDemux: probes that arrive while the link's
-// window is full coalesce — N waiters queue N probes behind MaxInflight
+// window is full coalesce — N waiters queue N probes behind the window's
 // held envelopes and, once the link moves again, leave in at most
 // ⌈N/MaxBatch⌉ further frames — and each waiter gets its own answer back.
 func TestBatchConcurrentCallersDemux(t *testing.T) {
@@ -200,10 +200,10 @@ func TestBatchConcurrentCallersDemux(t *testing.T) {
 			objs = append(objs, geom.PointObject(uint32(len(objs)), geom.Pt(float64(i)+0.5, 0.5)))
 		}
 	}
-	const maxBatch, inflight, n = 8, 2, 60
+	const maxBatch, n = 8, 60
 	gate := &gateRT{inner: netsim.ServeParallel(server.New("B", objs), 4), gate: make(chan struct{})}
 	r, err := NewRemote("B", gate, netsim.DefaultLink(), 1,
-		WithBatch(BatchConfig{MaxBatch: maxBatch, MaxInflight: inflight}))
+		WithBatch(BatchConfig{MaxBatch: maxBatch}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,15 +223,15 @@ func TestBatchConcurrentCallersDemux(t *testing.T) {
 	}
 	// Fill the window: each of these waiters sends its lone probe at once,
 	// and the gate holds the frame in flight.
-	wg.Add(inflight)
-	for i := 0; i < inflight; i++ {
+	wg.Add(inflightWindow)
+	for i := 0; i < inflightWindow; i++ {
 		go probe(i)
-		waitFor(t, "the window to fill", func() bool { return r.BatchFrames() == int64(i+1) })
+		waitFor(t, "the window to fill", func() bool { return r.b.frames.Load() == int64(i+1) })
 	}
 	// N more waiters find the window full; all they can do is queue.
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		go probe(inflight + i)
+		go probe(inflightWindow + i)
 	}
 	waitFor(t, "every waiter to park behind the window", func() bool {
 		r.b.mu.Lock()
@@ -244,7 +244,7 @@ func TestBatchConcurrentCallersDemux(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if extra, most := r.BatchFrames()-inflight, int64((n+maxBatch-1)/maxBatch); extra > most {
+	if extra, most := r.b.frames.Load()-inflightWindow, int64((n+maxBatch-1)/maxBatch); extra > most {
 		t.Errorf("%d probes queued behind a full window left in %d frames, want ≤ %d", n, extra, most)
 	}
 }

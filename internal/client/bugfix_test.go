@@ -239,17 +239,17 @@ func (p *peakRT) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
 // TestBatchDispatchBounded pins the window. Size-triggered cuts used to
 // launch one goroutine each with no limit, so a burst of submissions
 // against a slow link stacked goroutines without bound. Now at most
-// MaxInflight envelopes are in flight on a link at once, whatever cut
+// inflightWindow envelopes are in flight on a link at once, whatever cut
 // them — the size trigger on a spawned dispatcher or a waiter on its own
 // stack — the excess stays queued, and everything drains without
 // deadlock.
 func TestBatchDispatchBounded(t *testing.T) {
 	objs := dataset.Uniform(25, dataset.World, 13)
-	const inflight, submitters = 2, 8
-	gate := &gateRT{inner: netsim.ServeParallel(server.New("B", objs), inflight), gate: make(chan struct{})}
+	const submitters = 8
+	gate := &gateRT{inner: netsim.ServeParallel(server.New("B", objs), inflightWindow), gate: make(chan struct{})}
 	link := &peakRT{RoundTripper: gate}
 	r, err := NewRemote("B", link, netsim.DefaultLink(), 1,
-		WithBatch(BatchConfig{MaxBatch: 2, MaxInflight: inflight}))
+		WithBatch(BatchConfig{MaxBatch: 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,14 +281,14 @@ func TestBatchDispatchBounded(t *testing.T) {
 	}
 
 	// While the gate is closed, the goroutine population must stay
-	// bounded: the submitters themselves plus at most MaxInflight parked
+	// bounded: the submitters themselves plus at most inflightWindow parked
 	// dispatches (plus watcher slack) — NOT one goroutine per cut.
 	waitFor(t, "the window to fill behind the gate", func() bool {
-		return submitted.Load() == submitters && link.cur.Load() == inflight
+		return submitted.Load() == submitters && link.cur.Load() == inflightWindow
 	})
-	if n := runtime.NumGoroutine(); n > base+submitters+inflight+4 {
+	if n := runtime.NumGoroutine(); n > base+submitters+inflightWindow+4 {
 		t.Errorf("goroutines while gated = %d (base %d), want ≤ base+%d",
-			n, base, submitters+inflight+4)
+			n, base, submitters+inflightWindow+4)
 	}
 
 	close(gate.gate)
@@ -296,8 +296,8 @@ func TestBatchDispatchBounded(t *testing.T) {
 	if got, want := answered.Load(), int64(submitters+submitters/2); got != want {
 		t.Fatalf("collected %d calls, want %d", got, want)
 	}
-	if peak := link.peak.Load(); peak > inflight {
-		t.Errorf("%d envelopes were in flight at once, window is %d", peak, inflight)
+	if peak := link.peak.Load(); peak > inflightWindow {
+		t.Errorf("%d envelopes were in flight at once, window is %d", peak, inflightWindow)
 	}
 
 	// Leak check: once drained, the population returns to the baseline.

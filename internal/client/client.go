@@ -154,9 +154,6 @@ func NewRemote(name string, rt netsim.RoundTripper, link netsim.LinkConfig, pric
 // Name returns the remote's diagnostic name.
 func (r *Remote) Name() string { return r.name }
 
-// Meter returns the meter accumulating this link's traffic.
-func (r *Remote) Meter() *netsim.Meter { return r.m }
-
 // PricePerByte returns the link's per-byte tariff, used for money-cost
 // accounting.
 func (r *Remote) PricePerByte() float64 { return r.m.PricePerByte() }
@@ -168,10 +165,6 @@ func (r *Remote) Usage() netsim.Usage { return r.m.Usage() }
 // traffic (zero unless tenant mode is armed — see WithLedger and
 // WithScheduler). Per-tenant slices sum column by column to Usage().
 func (r *Remote) TenantUsage(id netsim.TenantID) netsim.Usage { return r.m.TenantUsage(id) }
-
-// TenantIDs returns every tenant with attributed traffic on this link,
-// sorted.
-func (r *Remote) TenantIDs() []netsim.TenantID { return r.m.TenantIDs() }
 
 // Retries returns how many re-issued attempts this remote has made (0 on
 // a failure-free run).

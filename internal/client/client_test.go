@@ -83,7 +83,7 @@ func TestRemoteName(t *testing.T) {
 	if r.Name() != "scripted" {
 		t.Fatalf("name = %q", r.Name())
 	}
-	if r.Meter() == nil {
+	if r.m == nil {
 		t.Fatal("meter must exist")
 	}
 }

@@ -51,13 +51,6 @@ func (t *LatencyTracker) Add(d time.Duration) {
 	t.mu.Unlock()
 }
 
-// Len returns the number of samples currently windowed.
-func (t *LatencyTracker) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.samples)
-}
-
 // Quantile returns the pct-th percentile (0 < pct <= 100) of the
 // windowed samples by nearest-rank, and false when fewer than min
 // samples have been observed — a hedge threshold derived from a handful

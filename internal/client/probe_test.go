@@ -161,8 +161,8 @@ func TestLatencyTracker(t *testing.T) {
 	for i := 1; i <= 4; i++ {
 		lt.Add(time.Duration(i) * time.Millisecond)
 	}
-	if lt.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", lt.Len())
+	if n := len(lt.samples); n != 4 {
+		t.Fatalf("%d samples, want 4", n)
 	}
 	if _, ok := lt.Quantile(99, 5); ok {
 		t.Fatal("quantile answered below the MinSamples gate")
@@ -183,8 +183,8 @@ func TestLatencyTracker(t *testing.T) {
 	// The window is a ring: a fifth sample evicts the oldest, so the
 	// minimum shifts from 1ms to 2ms.
 	lt.Add(10 * time.Millisecond)
-	if lt.Len() != 4 {
-		t.Fatalf("Len after wrap = %d, want 4", lt.Len())
+	if n := len(lt.samples); n != 4 {
+		t.Fatalf("%d samples after wrap, want 4", n)
 	}
 	if d, _ := lt.Quantile(0, 1); d != 2*time.Millisecond {
 		t.Fatalf("post-wrap minimum %v, want 2ms (oldest sample evicted)", d)

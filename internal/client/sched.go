@@ -23,7 +23,7 @@ import (
 //     byte shares within a tier converge to the weight ratio. DRR is
 //     fairness among backlogged lanes: a lane with no backlogged peer in
 //     its tier has nobody to yield to and is not held to its credit;
-//   - starvation bound: a non-empty lane passed over StarvationBound
+//   - starvation bound: a non-empty lane passed over starvationBound
 //     consecutive envelopes contributes its head probe to the next one
 //     regardless of tier, so even the lowest tier makes progress while
 //     high-priority traffic is saturating the link.
@@ -39,9 +39,9 @@ import (
 // probe size — sets the granularity of fairness.
 const schedQuantum = 256
 
-// defaultStarvationBound is the default number of consecutive envelopes
-// a waiting lane may be passed over before it is force-served.
-const defaultStarvationBound = 8
+// starvationBound is the number of consecutive envelopes a waiting lane
+// may be passed over before it is force-served.
+const starvationBound = 8
 
 // TenantPolicy is one tenant's scheduling class.
 type TenantPolicy struct {
@@ -53,41 +53,19 @@ type TenantPolicy struct {
 }
 
 // Scheduler holds the fleet-wide scheduling policy: each tenant's
-// priority tier and intra-tier weight, and the starvation bound. It
-// carries no queue state — lanes live in each link's batcher — and no
-// quota (that is the meter's ledger, see WithLedger), so one Scheduler
-// serves any number of remotes concurrently.
+// priority tier and intra-tier weight. It carries no queue state — lanes
+// live in each link's batcher — and no quota (that is the meter's
+// ledger, see WithLedger), so one Scheduler serves any number of remotes
+// concurrently.
 type Scheduler struct {
-	starve int
-
 	mu  sync.RWMutex
 	pol map[netsim.TenantID]TenantPolicy
 }
 
-// NewScheduler returns a scheduler with the default starvation bound and
-// every tenant at the default class.
+// NewScheduler returns a scheduler with every tenant at the default
+// class.
 func NewScheduler() *Scheduler {
-	return &Scheduler{starve: defaultStarvationBound, pol: make(map[netsim.TenantID]TenantPolicy)}
-}
-
-// SetStarvationBound sets how many consecutive envelopes a non-empty
-// lane may be passed over before it is force-served. Values below 1 mean
-// 1. Must be called before traffic flows (it is not synchronized with
-// the lanes).
-func (s *Scheduler) SetStarvationBound(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.starve = n
-}
-
-// StarvationBound returns the configured bound (the default for a nil
-// scheduler).
-func (s *Scheduler) StarvationBound() int {
-	if s == nil {
-		return defaultStarvationBound
-	}
-	return s.starve
+	return &Scheduler{pol: make(map[netsim.TenantID]TenantPolicy)}
 }
 
 // SetPolicy sets a tenant's scheduling class. Tenants without an

@@ -18,9 +18,9 @@ import (
 // the observable phases the engine exposes (phase.go):
 //
 //  1. observe — the two root COUNTs, the endpoints' live link stats
-//     (measured RTT, retry rates, tariffs) and, when the relations are
-//     sharded, the per-shard INFO skew. All of it is either free
-//     (already-paid INFO round trips, passive RTT observation) or the
+//     (link configuration, retry rates, tariffs) and, when the relations
+//     are sharded, the per-shard INFO skew. All of it is either free
+//     (already-paid INFO round trips, passive link observation) or the
 //     two aggregate queries every adaptive algorithm pays anyway.
 //  2. plan — every candidate operator is scored by internal/plan under
 //     the §3.1 model hydrated from those observations. If the winner
@@ -128,9 +128,10 @@ func (a *autoState) observations(nr, ns cnt) plan.Observations {
 	}
 }
 
-// linkObs reads one endpoint's live link observation: the lock-free RTT
-// stats when the endpoint exposes them, plus its tariff and retry/query
-// counters for the effective-price computation.
+// linkObs reads one endpoint's live link observation: the link
+// configuration from its lock-free stats when the endpoint exposes them,
+// plus its tariff and retry/query counters for the effective-price
+// computation.
 func linkObs(p Probe) plan.LinkObs {
 	lo := plan.LinkObs{
 		Price:   p.PricePerByte(),
@@ -138,8 +139,7 @@ func linkObs(p Probe) plan.LinkObs {
 		Queries: int64(p.Usage().Queries),
 	}
 	if ls, ok := p.(interface{ LinkStats() netsim.LinkSnapshot }); ok {
-		snap := ls.LinkStats()
-		lo.Config, lo.RTT, lo.Samples = snap.Config, snap.RTT, snap.Samples
+		lo.Config = ls.LinkStats().Config
 	}
 	return lo
 }

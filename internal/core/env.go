@@ -112,10 +112,9 @@ type Env struct {
 	// object transfers: at most Parallelism partitions are between the
 	// start of their downloads and their last use of the objects. It does
 	// not bound COUNT statistics, which occupy no buffer — in flight those
-	// are bounded by the link's window (client.BatchConfig.MaxInflight
-	// envelopes of MaxBatch) — nor, by itself, how many partitions are
-	// live or how a group is chunked: that is the pool rule, liveTasks and
-	// chunk in parallel.go.
+	// are bounded by the link's window of 4 envelopes of MaxBatch — nor,
+	// by itself, how many partitions are live or how a group is chunked:
+	// that is the pool rule, liveTasks and chunk in parallel.go.
 	Parallelism int
 	// BatchSize, when > 1, multiplexes independent probes of one run into
 	// MsgBatch envelopes of up to this many sub-requests per link,

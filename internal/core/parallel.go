@@ -46,8 +46,8 @@ import (
 // onto: liveTasks(env)-1 places for extra goroutines (the calling
 // goroutine is the implicit last one). A live partition that is not
 // downloading waits on COUNT statistics, which occupy no device buffer
-// and are bounded in flight by the link's own window (client.BatchConfig:
-// MaxInflight envelopes of MaxBatch), not here.
+// and are bounded in flight by the link's own window of 4 envelopes of
+// MaxBatch (package client), not here.
 //
 // slots are the Parallelism transfer slots: a partition holds one from
 // its first object download to its last use of the objects, so at most

@@ -245,7 +245,7 @@ func TestLiveTasksFollowsTheLink(t *testing.T) {
 // the queue, is a race the batcher is free to decide either way, so the
 // fill of individual envelopes is logged, not asserted. What a rest state
 // shows is not: the COUNTs outstanding on a link. They must reach 8 per
-// envelope of the window (MaxInflight 4), and some COUNT envelopes must
+// envelope of the window (4 envelopes), and some COUNT envelopes must
 // have left from behind a full window — sent by a dispatcher that took
 // over a finished round trip's slot, not by their own waiter. With the
 // pool of Parallelism every zero-RTT run keeps, neither can happen: four
@@ -256,7 +256,7 @@ func TestRTTBatchedCountsFillTheWindow(t *testing.T) {
 	sobjs := dataset.GaussianClusters(4000, 12, 300, dataset.World, 302)
 	spec := Spec{Kind: Distance, Eps: 10}
 	want := Oracle(robjs, sobjs, spec, dataset.Bounds(robjs).Union(dataset.Bounds(sobjs)))
-	const window, parallelism, batch = 4, 4, 16 // window: client.BatchConfig.MaxInflight's default
+	const window, parallelism, batch = 4, 4, 16 // window: the client batcher's in-flight window
 
 	for _, rtt := range []time.Duration{2 * time.Millisecond, 0} {
 		env, gr, gs := gatedEnv(t, robjs, sobjs, 60, parallelism, batch, rtt, nil)

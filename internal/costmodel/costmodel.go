@@ -261,17 +261,3 @@ func (p Params) C4Uniform(st Stats, k int) float64 {
 }
 
 func avgPrice(p Params) float64 { return (p.PriceR + p.PriceS) / 2 }
-
-// BestPhysical returns the cheaper of C1, C2, C3 and its identifier:
-// 1 for HBSJ, 2 for NLSJ with outer R, 3 for NLSJ with outer S.
-func (p Params) BestPhysical(st Stats) (int, float64) {
-	c1, c2, c3 := p.C1(st), p.C2(st), p.C3(st)
-	best, op := c1, 1
-	if c2 < best {
-		best, op = c2, 2
-	}
-	if c3 < best {
-		best, op = c3, 3
-	}
-	return op, best
-}

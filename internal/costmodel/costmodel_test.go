@@ -147,19 +147,19 @@ func TestC4UniformTerminates(t *testing.T) {
 func TestBestPhysical(t *testing.T) {
 	p := params()
 	// Small balanced inputs: HBSJ should win (no probe overhead).
-	op, cost := p.BestPhysical(stats(50, 50, 5))
-	if op != 1 || math.IsInf(cost, 1) {
-		t.Fatalf("op = %d cost = %v, want HBSJ", op, cost)
+	st := stats(50, 50, 5)
+	if c1 := p.C1(st); math.IsInf(c1, 1) || c1 > p.C2(st) || c1 > p.C3(st) {
+		t.Fatalf("C1 = %v, C2 = %v, C3 = %v: want HBSJ cheapest", c1, p.C2(st), p.C3(st))
 	}
-	// Huge S, tiny R, over buffer: NLSJ with outer R (op 2).
-	op, _ = p.BestPhysical(stats(3, 5000, 5))
-	if op != 2 {
-		t.Fatalf("op = %d, want 2 (outer R)", op)
+	// Huge S, tiny R, over buffer: NLSJ with outer R (C2).
+	st = stats(3, 5000, 5)
+	if c2 := p.C2(st); c2 >= p.C1(st) || c2 >= p.C3(st) {
+		t.Fatalf("C1 = %v, C2 = %v, C3 = %v: want outer R cheapest", p.C1(st), c2, p.C3(st))
 	}
-	// Huge R, tiny S, over buffer: NLSJ with outer S (op 3).
-	op, _ = p.BestPhysical(stats(5000, 3, 5))
-	if op != 3 {
-		t.Fatalf("op = %d, want 3 (outer S)", op)
+	// Huge R, tiny S, over buffer: NLSJ with outer S (C3).
+	st = stats(5000, 3, 5)
+	if c3 := p.C3(st); c3 >= p.C1(st) || c3 >= p.C2(st) {
+		t.Fatalf("C1 = %v, C2 = %v, C3 = %v: want outer S cheapest", p.C1(st), p.C2(st), c3)
 	}
 }
 

@@ -82,13 +82,13 @@ type Config struct {
 	// the join promptly and joins all worker goroutines.
 	RunTimeout time.Duration
 	// Shards, when > 1, splits each relation across this many in-process
-	// servers (spatial-tile assignment with a hash fallback; every object
-	// lands on exactly one shard) and routes all queries through a
-	// scatter–gather shard.Router: COUNTs fan out to the overlapping
-	// shards and sum, window/bucket replies merge in deterministic order,
-	// so every algorithm returns the exact unsharded result. 0 or 1 keeps
-	// the paper's one-server-per-relation setting; Shards == 1 runs the
-	// router as a pass-through, bit-identical on the wire to the
+	// servers (shard.Assign's k-d split by count; every object lands on
+	// exactly one shard) and routes all queries through a scatter–gather
+	// shard.Router: COUNTs fan out to the overlapping shards and sum,
+	// window/bucket replies are the shards' replies concatenated in shard
+	// order, so every algorithm returns the exact unsharded result. 0 or 1
+	// keeps the paper's one-server-per-relation setting; Shards == 1 runs
+	// the router as a pass-through, bit-identical on the wire to the
 	// unsharded protocol. Sharded byte totals differ from unsharded ones
 	// (one link per shard, its own INFO, per-shard pruning) and are pinned
 	// by their own golden test.

@@ -71,13 +71,6 @@ func RectFromCenter(p Point, hx, hy float64) Rect {
 	return Rect{MinX: p.X - hx, MinY: p.Y - hy, MaxX: p.X + hx, MaxY: p.Y + hy}
 }
 
-// Valid reports whether r has non-inverted extents.
-func (r Rect) Valid() bool {
-	return r.MinX <= r.MaxX && r.MinY <= r.MaxY &&
-		!math.IsNaN(r.MinX) && !math.IsNaN(r.MinY) &&
-		!math.IsNaN(r.MaxX) && !math.IsNaN(r.MaxY)
-}
-
 // Width returns the horizontal extent of r.
 func (r Rect) Width() float64 { return r.MaxX - r.MinX }
 
@@ -86,9 +79,6 @@ func (r Rect) Height() float64 { return r.MaxY - r.MinY }
 
 // Area returns the area of r. Degenerate rectangles have area zero.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
-
-// Perimeter returns the perimeter of r.
-func (r Rect) Perimeter() float64 { return 2 * (r.Width() + r.Height()) }
 
 // Center returns the centroid of r.
 func (r Rect) Center() Point {
@@ -161,17 +151,6 @@ func (r Rect) DistToPoint(p Point) float64 {
 	return math.Hypot(dx, dy)
 }
 
-// MaxDistToPoint returns the maximum Euclidean distance from p to any
-// point of r — the distance to the farthest corner. Together with
-// DistToPoint it brackets every point of r: if MaxDistToPoint(p) <= eps,
-// the whole rectangle (and any rectangle contained in it) lies within eps
-// of p.
-func (r Rect) MaxDistToPoint(p Point) float64 {
-	dx := math.Max(p.X-r.MinX, r.MaxX-p.X)
-	dy := math.Max(p.Y-r.MinY, r.MaxY-p.Y)
-	return math.Hypot(dx, dy)
-}
-
 // WithinDistOfPoint reports whether some point of r lies within
 // Euclidean distance eps of p: the point form of WithinDist, and the one
 // ε test of every layer — server, router and device alike decide with
@@ -190,16 +169,8 @@ func (r Rect) InsideDistOfPoint(p Point, eps float64) bool {
 	return dx*dx+dy*dy <= eps*eps
 }
 
-// MinDist returns the minimum Euclidean distance between r and s.
-// It is zero when the rectangles intersect.
-func (r Rect) MinDist(s Rect) float64 {
-	dx := max(0, s.MinX-r.MaxX, r.MinX-s.MaxX)
-	dy := max(0, s.MinY-r.MaxY, r.MinY-s.MaxY)
-	return math.Hypot(dx, dy)
-}
-
-// WithinDist reports whether the minimum distance between r and s is at
-// most eps. It avoids the square root of MinDist.
+// WithinDist reports whether the minimum Euclidean distance between r
+// and s is at most eps, with no square root.
 func (r Rect) WithinDist(s Rect, eps float64) bool {
 	dx := max(0, s.MinX-r.MaxX, r.MinX-s.MaxX)
 	dy := max(0, s.MinY-r.MaxY, r.MinY-s.MaxY)

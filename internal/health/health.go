@@ -12,10 +12,10 @@
 //	HalfOpen ──(trial succeeds)──▶ Closed
 //	HalfOpen ──(trial fails)──▶ Open
 //
-// scored by an EWMA over attempt outcomes and latencies. Callers consult
-// Allow before spending bytes on an endpoint and report every outcome
-// back; a Registry owns the background recovery probers (one cheap INFO
-// probe per interval against each open breaker) so a dead replica is
+// scored by an EWMA over attempt outcomes. Callers consult Allow before
+// spending bytes on an endpoint and report every outcome back; a
+// Registry owns the background recovery probers (one cheap INFO probe
+// per interval against each open breaker) so a dead replica is
 // re-admitted promptly after it revives without a live query paying for
 // the discovery.
 //
@@ -58,10 +58,10 @@ func (s State) String() string {
 	}
 }
 
-// ewmaAlpha weights the most recent outcome in the failure-rate and
-// latency EWMAs. 0.25 means ~4 recent attempts dominate the score:
-// reactive enough to trip within a handful of failures, smooth enough
-// that one lost frame on a lossy link does not open the circuit.
+// ewmaAlpha weights the most recent outcome in the failure-rate EWMA.
+// 0.25 means ~4 recent attempts dominate the score: reactive enough to
+// trip within a handful of failures, smooth enough that one lost frame
+// on a lossy link does not open the circuit.
 const ewmaAlpha = 0.25
 
 // Config parameterizes breakers. The zero value gets the defaults noted
@@ -160,9 +160,8 @@ type Breaker struct {
 	mu          sync.Mutex
 	state       State
 	consecutive int     // failed attempts in a row
-	samples     int     // outcomes folded into the EWMAs
+	samples     int     // outcomes folded into the EWMA
 	ewmaFail    float64 // EWMA failure rate in [0, 1]
-	ewmaLatNS   float64 // EWMA success latency, nanoseconds
 	openedAt    time.Time
 	proberLive  bool // a recovery prober goroutine is attached
 
@@ -197,21 +196,6 @@ func (b *Breaker) Stats() Stats {
 	}
 }
 
-// FailureRate returns the EWMA failure rate in [0, 1].
-func (b *Breaker) FailureRate() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.ewmaFail
-}
-
-// Latency returns the EWMA of successful attempt latencies (0 until the
-// first success).
-func (b *Breaker) Latency() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return time.Duration(b.ewmaLatNS)
-}
-
 // Allow reports whether an attempt may be launched now. An open breaker
 // whose cool-down has elapsed transitions to half-open and admits the
 // attempt as the recovery trial. Allow mutates — use Admits for a pure
@@ -242,20 +226,14 @@ func (b *Breaker) Admits() bool {
 // breaker held it open — one probe saved versus reactive failover.
 func (b *Breaker) Skip() { b.skips.Add(1) }
 
-// ReportSuccess folds one successful attempt of duration d (0 when the
-// caller has no latency to report) into the score. Any success closes an
-// open or half-open breaker: the endpoint answered, so it serves again.
-func (b *Breaker) ReportSuccess(d time.Duration) {
+// ReportSuccess folds one successful attempt into the score; the
+// breaker scores outcomes only, so the attempt's duration is not read.
+// Any success closes an open or half-open breaker: the endpoint
+// answered, so it serves again.
+func (b *Breaker) ReportSuccess(time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.observe(0)
-	if d > 0 {
-		if b.ewmaLatNS == 0 {
-			b.ewmaLatNS = float64(d)
-		} else {
-			b.ewmaLatNS += ewmaAlpha * (float64(d) - b.ewmaLatNS)
-		}
-	}
 	b.consecutive = 0
 	if b.state != Closed {
 		b.toClosed()

@@ -63,7 +63,7 @@ func TestBreakerTripsOnFailureRate(t *testing.T) {
 		}
 	}
 	if b.State() != Open {
-		t.Fatalf("flapping endpoint never tripped the EWMA threshold (rate %.2f)", b.FailureRate())
+		t.Fatalf("flapping endpoint never tripped the EWMA threshold (rate %.2f)", b.ewmaFail)
 	}
 }
 
@@ -226,8 +226,8 @@ func TestRegistryAggregation(t *testing.T) {
 
 func TestReportDedupAndOrder(t *testing.T) {
 	rep := NewReport()
-	if !rep.Empty() {
-		t.Fatalf("new report not empty")
+	if gaps := rep.Gaps(); len(gaps) != 0 {
+		t.Fatalf("new report has gaps %v", gaps)
 	}
 	bounds := geom.R(0, 0, 10, 10)
 	rep.Record("S", "S2/2", geom.Rect{}, 0, "killed")

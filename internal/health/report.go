@@ -118,13 +118,6 @@ func (r *Report) Gaps() []Gap {
 	return out
 }
 
-// Empty reports whether no gap has been recorded.
-func (r *Report) Empty() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.order) == 0
-}
-
 // reportKey carries the run's Report down the context.
 type reportKey struct{}
 

@@ -228,10 +228,7 @@ func NewMeter(link LinkConfig, pricePerByte float64) (*Meter, error) {
 	return &Meter{link: link, price: pricePerByte}, nil
 }
 
-// Link returns the link configuration the meter charges against.
-func (m *Meter) Link() LinkConfig { return m.link }
-
-// PricePerByte returns the tariff applied by Cost.
+// PricePerByte returns the meter's per-byte tariff.
 func (m *Meter) PricePerByte() float64 { return m.price }
 
 // Charge records the transfer of one frame of the given payload size in
@@ -253,23 +250,6 @@ func (m *Meter) charge(ctx context.Context, payload int, dir Direction, hedged, 
 
 // Usage returns a snapshot of the accumulated accounting.
 func (m *Meter) Usage() Usage { return m.total.usage() }
-
-// Reset clears the accumulated accounting (between experiment runs, at a
-// quiescent point), including the per-tenant attribution columns. The
-// fleet ledger, being shared billing state rather than per-link
-// accounting, is not touched.
-func (m *Meter) Reset() {
-	m.total = tally{}
-	m.tenants.Range(func(k, _ any) bool {
-		m.tenants.Delete(k)
-		return true
-	})
-}
-
-// Cost returns the monetary cost of the traffic so far: price × WireBytes.
-func (m *Meter) Cost() float64 {
-	return m.price * float64(m.total.wireBytes.Load())
-}
 
 // ErrFrameRetained marks (via errors.Is) transport errors after which
 // the request frame may still be referenced by an in-flight peer — a
@@ -390,9 +370,6 @@ type Metered struct {
 func NewMetered(rt RoundTripper, meter *Meter) *Metered {
 	return &Metered{rt: rt, m: meter}
 }
-
-// Meter returns the meter charged by this connection.
-func (c *Metered) Meter() *Meter { return c.m }
 
 // RoundTrip implements RoundTripper. Every attempt that reaches this
 // wrapper charges its request frame to the meter, so when a caller

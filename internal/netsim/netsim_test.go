@@ -110,13 +110,6 @@ func TestMeterAccumulates(t *testing.T) {
 	if u.DownWireBytes != DefaultLink().TB(3000) {
 		t.Errorf("DownWireBytes = %d", u.DownWireBytes)
 	}
-	if got, want := m.Cost(), 2.0*float64(wantWire); got != want {
-		t.Errorf("Cost = %v, want %v", got, want)
-	}
-	m.Reset()
-	if m.Usage() != (Usage{}) {
-		t.Error("Reset did not clear usage")
-	}
 }
 
 func TestMeterConcurrentCharges(t *testing.T) {
@@ -202,9 +195,6 @@ func TestMeteredChargesBothDirections(t *testing.T) {
 	wantWire := DefaultLink().TB(100) + DefaultLink().TB(len(resp))
 	if u.WireBytes != wantWire {
 		t.Fatalf("WireBytes = %d, want %d", u.WireBytes, wantWire)
-	}
-	if c.Meter() != m {
-		t.Fatal("Meter accessor mismatch")
 	}
 }
 

@@ -71,9 +71,6 @@ func (s *Switch) Revive() {
 // reply of fault.go), modeling a connection cut mid-flight.
 func (s *Switch) Sever(n int) { s.severs.Add(int32(n)) }
 
-// Alive reports whether the switch currently serves.
-func (s *Switch) Alive() bool { return s.mode.Load() == switchAlive }
-
 func (s *Switch) set(mode int32) {
 	s.mu.Lock()
 	if s.mode.Swap(mode) == switchHung && mode != switchHung {

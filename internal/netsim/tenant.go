@@ -140,9 +140,6 @@ func (l *Ledger) SetQuota(id TenantID, bytes int64) {
 	l.account(id).quota = bytes
 }
 
-// Quota returns the tenant's byte budget (0 = unlimited).
-func (l *Ledger) Quota(id TenantID) int64 { return l.account(id).quota }
-
 // Charge adds wire bytes to the tenant's fleet-wide spend. Meters call
 // it as they attribute frames; the crossing frame itself is never
 // clipped (rejection happens at the next admission), so a tenant may
@@ -189,9 +186,6 @@ func (m *Meter) SetLedger(l *Ledger) {
 // not armed).
 func (m *Meter) Ledger() *Ledger { return m.ledger }
 
-// TenantMode reports whether the meter attributes traffic per tenant.
-func (m *Meter) TenantMode() bool { return m.tenantMode.Load() }
-
 // TenantUsage returns the tenant's attributed slice of this link's
 // traffic. Column by column, the slices of all tenants (including the
 // empty anonymous tenant) sum exactly to Usage(): shared envelope frames
@@ -202,18 +196,6 @@ func (m *Meter) TenantUsage(id TenantID) Usage {
 		return t.(*tally).usage()
 	}
 	return Usage{}
-}
-
-// TenantIDs returns every tenant with attributed traffic on this link,
-// sorted for determinism.
-func (m *Meter) TenantIDs() []TenantID {
-	var ids []TenantID
-	m.tenants.Range(func(k, _ any) bool {
-		ids = append(ids, k.(TenantID))
-		return true
-	})
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // attribute books one already-charged frame to the tenants named by

@@ -123,9 +123,6 @@ func TestLedgerQuotaCheck(t *testing.T) {
 	if got := l.Spent("a"); got != 100 {
 		t.Errorf("Spent = %d, want 100", got)
 	}
-	if got := l.Quota("a"); got != 100 {
-		t.Errorf("Quota = %d, want 100", got)
-	}
 }
 
 // --- context stamps --------------------------------------------------------
@@ -164,7 +161,7 @@ func TestMeterTenantColumnsSumToTotals(t *testing.T) {
 	}
 	ledger := NewLedger()
 	m.SetLedger(ledger)
-	if !m.TenantMode() {
+	if !m.tenantMode.Load() {
 		t.Fatal("SetLedger did not arm tenant mode")
 	}
 	tr := Serve(echoHandler{})
@@ -193,7 +190,7 @@ func TestMeterTenantColumnsSumToTotals(t *testing.T) {
 		t.Fatalf("hedged column not charged: %+v", total)
 	}
 	var sum Usage
-	ids := m.TenantIDs()
+	ids := []TenantID{"", "alice", "bob"} // every tenant ctxs stamps
 	for _, id := range ids {
 		sum = sum.Add(m.TenantUsage(id))
 	}
@@ -210,15 +207,9 @@ func TestMeterTenantColumnsSumToTotals(t *testing.T) {
 	}
 
 	// The anonymous lane took the unstamped frame and its share of the
-	// three-way envelope — it must appear in the ID list.
-	found := false
-	for _, id := range ids {
-		if id == "" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("anonymous tenant missing from TenantIDs: %v", ids)
+	// three-way envelope.
+	if m.TenantUsage("") == (Usage{}) {
+		t.Error("anonymous tenant has no attributed traffic")
 	}
 }
 
@@ -237,9 +228,10 @@ func TestMeterTenantModeOffIsUntouched(t *testing.T) {
 	if _, err := c.RoundTrip(WithTenant(context.Background(), "alice"), make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if ids := m.TenantIDs(); len(ids) != 0 {
-		t.Errorf("tenant accounts materialized with tenant mode off: %v", ids)
-	}
+	m.tenants.Range(func(id, _ any) bool {
+		t.Errorf("tenant account %q materialized with tenant mode off", id)
+		return true
+	})
 	if u := m.TenantUsage("alice"); u != (Usage{}) {
 		t.Errorf("TenantUsage non-zero with tenant mode off: %+v", u)
 	}

@@ -1,8 +1,8 @@
 // Package plan is the online cost-based planner: it scores every
 // candidate physical operator for a join window with the §3.1 cost model
 // (internal/costmodel), hydrated from *live* observations instead of
-// static defaults — the measured link configuration and RTT of each
-// metered link (netsim.LinkSnapshot), retry rates folded into effective
+// static defaults — the measured link configuration of each metered
+// link (netsim.LinkSnapshot), retry rates folded into effective
 // per-byte tariffs, per-shard skew from INFO, and measured quadrant
 // counts sharpening the uniformity assumption of Eq. (3).
 //
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/geom"
@@ -75,11 +74,6 @@ type LinkObs struct {
 	// Config is the link's current physical parameters (MTU, BH) — fed to
 	// Eq. (1) instead of a static default.
 	Config netsim.LinkConfig
-	// RTT is the smoothed round-trip time measured on the link; zero when
-	// no sample has been observed yet.
-	RTT time.Duration
-	// Samples is the number of RTT observations behind the estimate.
-	Samples int64
 	// Price is the advertised per-byte tariff.
 	Price float64
 	// Queries and Retries are the endpoint's cumulative query and
@@ -180,12 +174,11 @@ func densityFactor(q *[4]int, n int, skew float64) float64 {
 // Candidate is one scored operator.
 type Candidate struct {
 	Op Op
-	// Cost is the decision score: effective-tariff-priced wire bytes plus
-	// the planner's optional latency term (TimeWeight).
+	// Cost is the decision score: effective-tariff-priced wire bytes.
 	Cost float64
 	// Bytes is the unpriced wire-byte estimate (Eq. 1 totals).
 	Bytes float64
-	// Queries is the estimated uplink request count, the RTT multiplier.
+	// Queries is the estimated uplink request count; it breaks cost ties.
 	Queries float64
 	// Feasible reports whether the operator can run at all here.
 	Feasible bool
@@ -205,23 +198,19 @@ type Decision struct {
 	DensityR, DensityS float64
 }
 
-// Planner scores candidates. The zero value is ready to use.
+// Planner scores candidates by the paper's objective, transferred bytes
+// priced by tariff. The zero value is ready to use.
 type Planner struct {
-	// TimeWeight converts estimated latency into cost units: each
-	// candidate's score gains TimeWeight × (estimated queries × measured
-	// RTT, in seconds). 0 (the default) reproduces the paper's objective —
-	// transferred bytes/money only — with RTT still reported for
-	// visibility.
-	TimeWeight float64
 	// CommitMargin is the factor by which the cheapest candidate must
 	// undercut the best partition-family alternative for the engine to
 	// commit without paying for quadrant statistics first. 0 means 1.5.
 	CommitMargin float64
-	// ReplanMargin is the factor by which a mid-join alternative must
-	// undercut the committed plan's remaining cost before the engine
-	// switches operators. 0 means 1.3.
-	ReplanMargin float64
 }
+
+// replanMargin is the factor by which a mid-join alternative must
+// undercut the committed plan's remaining cost before the engine
+// switches operators.
+const replanMargin = 1.3
 
 func (p Planner) commitMargin() float64 {
 	if p.CommitMargin <= 0 {
@@ -230,13 +219,8 @@ func (p Planner) commitMargin() float64 {
 	return p.CommitMargin
 }
 
-// ReplanFactor returns the configured (or default) re-plan margin.
-func (p Planner) ReplanFactor() float64 {
-	if p.ReplanMargin <= 0 {
-		return 1.3
-	}
-	return p.ReplanMargin
-}
+// ReplanFactor returns the re-plan margin.
+func (p Planner) ReplanFactor() float64 { return replanMargin }
 
 // Hydrate assembles the cost-model parameters from live observations:
 // the measured link configuration, wire-derived record sizes, and
@@ -272,17 +256,6 @@ func baseStats(obs Observations) costmodel.Stats {
 		AvgAreaS:    obs.AvgAreaS,
 		CountProbeR: obs.CountProbeR,
 	}
-}
-
-// rtt returns the representative round-trip time for latency estimates:
-// the slower of the two measured links (a probe loop is bottlenecked by
-// its own link, and the planner does not know the per-candidate split).
-func rtt(obs Observations) time.Duration {
-	r := obs.LinkR.RTT
-	if obs.LinkS.RTT > r {
-		r = obs.LinkS.RTT
-	}
-	return r
 }
 
 // Choose scores every applicable candidate under the hydrated model and
@@ -338,14 +311,6 @@ func (p Planner) Choose(obs Observations) Decision {
 	if obs.TreeHeightR > 0 && obs.TreeHeightS > 0 && obs.WholeSpace && !obs.Iceberg {
 		sc, sb := semiJoinEstimate(prm, unit, obs)
 		add(OpSemiJoin, sc, sb, 3, "index-publishing relay")
-	}
-
-	// Latency term: estimated request count × measured RTT, weighted.
-	lat := rtt(obs).Seconds()
-	if p.TimeWeight > 0 && lat > 0 {
-		for i := range cands {
-			cands[i].Cost += p.TimeWeight * lat * cands[i].Queries
-		}
 	}
 
 	sort.SliceStable(cands, func(i, j int) bool {

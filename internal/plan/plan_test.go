@@ -3,7 +3,6 @@ package plan
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/geom"
 	"repro/internal/netsim"
@@ -221,31 +220,6 @@ func TestNLSJRemainderPrunesUntouchedQuadrants(t *testing.T) {
 func TestReplanFactorDefaults(t *testing.T) {
 	if got := (Planner{}).ReplanFactor(); got != 1.3 {
 		t.Fatalf("default replan margin = %v, want 1.3", got)
-	}
-	if got := (Planner{ReplanMargin: 2}).ReplanFactor(); got != 2 {
-		t.Fatalf("explicit replan margin = %v, want 2", got)
-	}
-}
-
-// TimeWeight adds measured-RTT latency to the score: with an extreme
-// weight on a slow link, the fewest-queries candidate must win.
-func TestTimeWeightPenalizesChattyCandidates(t *testing.T) {
-	obs := obsOf(400, 400, 100, 0)
-	obs.LinkR.RTT = 500 * time.Millisecond
-	base := Planner{}.Choose(obs)
-	weighted := Planner{TimeWeight: 1e6}.Choose(obs)
-	minQ := math.Inf(1)
-	for _, c := range weighted.Candidates {
-		if c.Feasible && c.Queries < minQ {
-			minQ = c.Queries
-		}
-	}
-	if weighted.Chosen.Queries != minQ {
-		t.Fatalf("extreme TimeWeight chose %v with %v queries, min feasible is %v",
-			weighted.Chosen.Op, weighted.Chosen.Queries, minQ)
-	}
-	if base.Chosen.Cost >= weighted.Chosen.Cost {
-		t.Fatalf("latency term should raise scores: %v -> %v", base.Chosen.Cost, weighted.Chosen.Cost)
 	}
 }
 

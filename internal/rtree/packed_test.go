@@ -180,24 +180,3 @@ func TestPackedTreeMatchesReferenceTraversal(t *testing.T) {
 		}
 	}
 }
-
-// TestInsertRepacks checks that the packed array follows inserts: as
-// the tree grows it stays in traversal order and the spans still hold.
-func TestInsertRepacks(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var tr Tree
-	objs := packedLayouts(300, 5)["clustered"]
-	for i, o := range objs {
-		tr.Insert(o)
-		if i%37 != 0 && i != len(objs)-1 {
-			continue
-		}
-		if got := refWindow(tr.root, tr.Bounds(), nil); !slices.Equal(got, tr.Objects()) {
-			t.Fatalf("after %d inserts: Objects() is not in traversal order", i+1)
-		}
-		windows, _ := packedQueries(&tr, rng)
-		for _, w := range windows {
-			checkSpans(t, &tr, tr.WindowSpans(w, nil), refWindow(tr.root, w, nil), w)
-		}
-	}
-}

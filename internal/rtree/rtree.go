@@ -12,8 +12,7 @@
 // is therefore a list of spans (WindowSpans, RangeSpans): a subtree the
 // query covers is one span found with no per-object test, which is what
 // lets a server copy pre-encoded bytes instead of visiting objects, and
-// what the aggregate answers count. Incremental insertion (quadratic
-// split) re-packs after every insert. The tree additionally exposes the
+// what the aggregate answers count. The tree additionally exposes the
 // MBRs of a whole level, which the SemiJoin comparator of §5.3 transfers
 // between servers.
 package rtree
@@ -28,13 +27,10 @@ import (
 	"repro/internal/geom"
 )
 
-// Degree bounds for tree nodes: a 4 KiB page holds on the order of 64
+// MaxEntries is the node fanout: a 4 KiB page holds on the order of 64
 // 20-byte object records plus header, the fanout regime of the paper's
-// servers; MinEntries = 40% fill per Guttman.
-const (
-	MaxEntries = 64
-	MinEntries = 26
-)
+// servers.
+const MaxEntries = 64
 
 type node struct {
 	mbr      geom.Rect
@@ -45,8 +41,8 @@ type node struct {
 	objects  []geom.Object // leaf nodes: their span of the packed array
 }
 
-// Tree is an aggregate R-tree. The zero value is an empty tree ready for
-// Insert; use Bulk for efficient construction from a slice.
+// Tree is an aggregate R-tree, built by Bulk. The zero value is an empty
+// tree.
 type Tree struct {
 	root   *node
 	height int           // number of levels; 0 for empty, 1 for a single leaf
@@ -73,8 +69,7 @@ func Bulk(objs []geom.Object) *Tree {
 
 // pack lays the objects out in one array in traversal order, records
 // every node's span of it, and re-points the leaves at their spans, so
-// nothing is stored twice. A leaf's span is capped, so an Insert that
-// appends to it copies instead of overwriting its neighbour's.
+// nothing is stored twice.
 func (t *Tree) pack() {
 	objs := make([]geom.Object, 0, t.root.count)
 	var walk func(nd *node)
@@ -82,7 +77,7 @@ func (t *Tree) pack() {
 		nd.lo = len(objs)
 		if nd.leaf {
 			objs = append(objs, nd.objects...)
-			nd.objects = objs[nd.lo:len(objs):len(objs)]
+			nd.objects = objs[nd.lo:]
 			return
 		}
 		for _, c := range nd.children {
@@ -114,7 +109,7 @@ func strLeaves(objs []geom.Object) []*node {
 		})
 		for s := 0; s < len(slice); s += MaxEntries {
 			e := min(s+MaxEntries, len(slice))
-			leaf := &node{leaf: true, objects: slice[s:e:e]}
+			leaf := &node{leaf: true, objects: slice[s:e]}
 			leaf.recompute()
 			leaves = append(leaves, leaf)
 		}
@@ -149,14 +144,11 @@ func strPack(level []*node) []*node {
 	return parents
 }
 
-// recompute refreshes mbr and count from the node's entries.
+// recompute refreshes mbr and count from the node's entries, of which
+// Bulk builds at least one.
 func (nd *node) recompute() {
 	if nd.leaf {
 		nd.count = len(nd.objects)
-		if len(nd.objects) == 0 {
-			nd.mbr = geom.Rect{}
-			return
-		}
 		mbr := nd.objects[0].MBR
 		for _, o := range nd.objects[1:] {
 			mbr = mbr.Union(o.MBR)
@@ -165,10 +157,6 @@ func (nd *node) recompute() {
 		return
 	}
 	nd.count = 0
-	if len(nd.children) == 0 {
-		nd.mbr = geom.Rect{}
-		return
-	}
 	mbr := nd.children[0].mbr
 	for _, c := range nd.children {
 		nd.count += c.count
@@ -368,14 +356,6 @@ func (t *Tree) Count(w geom.Rect) int {
 		return true
 	})
 	return n
-}
-
-// SearchDistFunc calls visit for every object whose MBR lies within
-// Euclidean distance eps of point p, in the tree's traversal order,
-// stopping early when visit returns false. It reports whether the
-// traversal ran to completion. Like SearchFunc it allocates nothing.
-func (t *Tree) SearchDistFunc(p geom.Point, eps float64, visit func(o geom.Object) bool) bool {
-	return t.ranged(p, eps, func(lo, hi int) bool { return t.visitSpan(lo, hi, visit) })
 }
 
 // SearchDist appends to dst all objects whose MBR lies within Euclidean

@@ -153,45 +153,6 @@ func TestSearchDistMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestInsertMatchesBulk(t *testing.T) {
-	rnd := rand.New(rand.NewSource(10))
-	objs := randObjects(rnd, 1200)
-	var tr Tree
-	for _, o := range objs {
-		tr.Insert(o)
-	}
-	if tr.Len() != len(objs) {
-		t.Fatalf("Len = %d, want %d", tr.Len(), len(objs))
-	}
-	for i := 0; i < 80; i++ {
-		w := geom.R(rnd.Float64()*1000, rnd.Float64()*1000,
-			rnd.Float64()*1000, rnd.Float64()*1000)
-		got := idsOf(tr.Search(w, nil))
-		want := bruteSearch(objs, w)
-		if !equalIDs(got, want) {
-			t.Fatalf("insert-built search mismatch for %v: got %d want %d", w, len(got), len(want))
-		}
-		if tr.Count(w) != len(want) {
-			t.Fatalf("insert-built count mismatch for %v", w)
-		}
-	}
-}
-
-func TestInsertIntoBulkTree(t *testing.T) {
-	rnd := rand.New(rand.NewSource(11))
-	objs := randObjects(rnd, 500)
-	tr := Bulk(objs[:300])
-	for _, o := range objs[300:] {
-		tr.Insert(o)
-	}
-	w := geom.R(100, 100, 900, 900)
-	got := idsOf(tr.Search(w, nil))
-	want := bruteSearch(objs, w)
-	if !equalIDs(got, want) {
-		t.Fatalf("mixed-built search mismatch: got %d want %d", len(got), len(want))
-	}
-}
-
 // checkInvariants walks the tree verifying MBR containment, aggregate
 // counts, and fill bounds.
 func checkInvariants(t *testing.T, tr *Tree) {
@@ -242,18 +203,6 @@ func TestInvariantsBulk(t *testing.T) {
 		tr := Bulk(randObjects(rnd, n))
 		checkInvariants(t, tr)
 	}
-}
-
-func TestInvariantsInsert(t *testing.T) {
-	rnd := rand.New(rand.NewSource(13))
-	var tr Tree
-	for i, o := range randObjects(rnd, 800) {
-		tr.Insert(o)
-		if i%97 == 0 {
-			checkInvariants(t, &tr)
-		}
-	}
-	checkInvariants(t, &tr)
 }
 
 func TestLevelMBRs(t *testing.T) {

@@ -68,31 +68,6 @@ func TestSearchFuncEarlyStop(t *testing.T) {
 	}
 }
 
-// TestSearchDistFuncMatchesSearchDist mirrors the window test for the
-// distance traversal.
-func TestSearchDistFuncMatchesSearchDist(t *testing.T) {
-	tr := Bulk(randomObjects(3000, 3))
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 50; i++ {
-		p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		eps := rng.Float64() * 80
-		want := tr.SearchDist(p, eps, nil)
-		var got []geom.Object
-		tr.SearchDistFunc(p, eps, func(o geom.Object) bool {
-			got = append(got, o)
-			return true
-		})
-		if len(got) != len(want) {
-			t.Fatalf("probe %v eps %v: visitor %d, SearchDist %d", p, eps, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("probe %v eps %v: order diverges at %d", p, eps, j)
-			}
-		}
-	}
-}
-
 // TestCountDistMatchesMaterialized checks the aggregate distance count —
 // including its fully-within-eps subtree shortcut — against the
 // materializing oracle, across probes chosen so that many subtrees fall
@@ -144,9 +119,6 @@ func TestVisitorEmptyTree(t *testing.T) {
 	var tr Tree
 	if !tr.SearchFunc(geom.R(0, 0, 1, 1), func(geom.Object) bool { t.Fatal("visited"); return true }) {
 		t.Fatal("empty SearchFunc reported early stop")
-	}
-	if !tr.SearchDistFunc(geom.Pt(0, 0), 5, func(geom.Object) bool { t.Fatal("visited"); return true }) {
-		t.Fatal("empty SearchDistFunc reported early stop")
 	}
 	if n := tr.CountDist(geom.Pt(0, 0), 5); n != 0 {
 		t.Fatalf("empty CountDist = %d", n)

@@ -208,7 +208,7 @@ func TestReplicaScoreClassifiesByError(t *testing.T) {
 		rs := newTestReplicaSet(t, dataset.Uniform(10, dataset.World, 1), 2, ReplicaConfig{Health: reg}, nil)
 		brk := rs.Breakers()[1]
 		for k := 0; k < 2; k++ { // quietBreakers opens on two consecutive failures
-			rs.score(1, tc.err, 0, tc.actx)
+			rs.score(1, tc.err, tc.actx)
 		}
 		if got := brk.State() == health.Open; got != tc.failure {
 			t.Errorf("%s: breaker %v after two such outcomes, scored as failure = %v, want %v",

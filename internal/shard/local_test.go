@@ -220,9 +220,9 @@ func TestServeLocalReplicaWiring(t *testing.T) {
 		if rs.PricePerByte() != 3 {
 			t.Errorf("shard %d tariff %v, want 3", i, rs.PricePerByte())
 		}
-		if rs.Retries() != 0 || rs.Latency().Len() != 0 {
-			t.Errorf("shard %d booted with stale counters: retries %d, latency window %d",
-				i, rs.Retries(), rs.Latency().Len())
+		if _, sampled := rs.lat.Quantile(50, 1); rs.Retries() != 0 || sampled {
+			t.Errorf("shard %d booted with stale counters: retries %d, latency samples %v",
+				i, rs.Retries(), sampled)
 		}
 	}
 
@@ -298,7 +298,7 @@ func TestReplicaHedgeDelayResolution(t *testing.T) {
 		t.Error("percentile threshold armed before MinSamples observations")
 	}
 	for i := 0; i < 4; i++ {
-		pctl.Latency().Add(time.Duration(i+1) * time.Millisecond)
+		pctl.lat.Add(time.Duration(i+1) * time.Millisecond)
 	}
 	if d, ok := pctl.hedgeDelay(); !ok || d != 4*time.Millisecond {
 		t.Errorf("percentile threshold (%v, %v), want (4ms, true)", d, ok)

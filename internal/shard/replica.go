@@ -167,10 +167,6 @@ func (rs *ReplicaSet) Stats() ReplicaStats {
 	}
 }
 
-// Latency returns the set's attempt-latency window (primary attempts
-// only; hedges would bias the tail the threshold is derived from).
-func (rs *ReplicaSet) Latency() *client.LatencyTracker { return rs.lat }
-
 // Usage returns the shard's accumulated traffic: the sum over all
 // replica links (every netsim.Usage field, the hedged column included,
 // is an additive total).
@@ -227,12 +223,12 @@ func (rs *ReplicaSet) allow(i int) bool {
 // never by whether actx has been cancelled since: a hedge partner that
 // wins cancels actx before a failure that arrived first is scored, and
 // that failure is the endpoint's.
-func (rs *ReplicaSet) score(i int, err error, d time.Duration, actx context.Context) {
+func (rs *ReplicaSet) score(i int, err error, actx context.Context) {
 	if rs.brk == nil {
 		return
 	}
 	if err == nil {
-		rs.brk[i].ReportSuccess(d)
+		rs.brk[i].ReportSuccess(0)
 		return
 	}
 	budgetSpent := errors.Is(err, context.DeadlineExceeded) && errors.Is(actx.Err(), context.DeadlineExceeded)
@@ -405,7 +401,7 @@ func (rs *ReplicaSet) Do(ctx context.Context, req []byte) ([]byte, error) {
 			if err == nil && !hedged {
 				rs.lat.Add(time.Since(t0))
 			}
-			rs.score(idx, err, time.Since(t0), actx)
+			rs.score(idx, err, actx)
 			ch <- outcome{resp: resp, err: err, hedged: hedged}
 		}()
 		return true
@@ -497,14 +493,14 @@ func (rs *ReplicaSet) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call
 			defer done()
 			w, idx := rest, primary
 			resp, err := sub.Frame()
-			rs.score(idx, err, 0, ctx)
+			rs.score(idx, err, ctx)
 			for err != nil && ctx.Err() == nil && failoverable(err) {
 				if idx = w.next(false); idx < 0 {
 					break
 				}
 				rs.failovers.Add(1)
 				resp, err = rs.replicas[idx].GoBatch(ctx, [][]byte{clone(spare)})[0].Frame()
-				rs.score(idx, err, 0, ctx)
+				rs.score(idx, err, ctx)
 			}
 			bufpool.Put(spare)
 			return resp, err

@@ -35,16 +35,6 @@ type Endpoint interface {
 	Close() error
 }
 
-// Remotes adapts a slice of shard remotes to the Endpoint slice
-// NewRouter consumes (the replica-free wiring).
-func Remotes(rems []*client.Remote) []Endpoint {
-	out := make([]Endpoint, len(rems))
-	for i, r := range rems {
-		out[i] = r
-	}
-	return out
-}
-
 // Router presents N shard servers as one logical relation. It implements
 // the seam call Do — resolve the request against the routing table,
 // scatter the per-shard sub-frames, merge the reply frames into one
@@ -145,16 +135,6 @@ func (r *Router) NumShards() int {
 		}
 	}
 	return n
-}
-
-// ShardUsages returns the accumulated traffic of every shard link, in
-// shard order.
-func (r *Router) ShardUsages() []netsim.Usage {
-	out := make([]netsim.Usage, len(r.shards))
-	for i, s := range r.shards {
-		out[i] = s.Usage()
-	}
-	return out
 }
 
 // LevelUsages returns the accumulated traffic of every level of the

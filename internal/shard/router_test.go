@@ -29,7 +29,7 @@ import (
 func newTestRouter(t testing.TB, objs []geom.Object, n int, copts []client.Option, sopts ...server.Option) (*Router, *client.Remote) {
 	t.Helper()
 	parts := Assign(objs, n)
-	rems := make([]*client.Remote, n)
+	rems := make([]Endpoint, n)
 	for i, part := range parts {
 		name := fmt.Sprintf("D%d/%d", i+1, n)
 		tr := netsim.Serve(server.New(name, part, sopts...))
@@ -39,7 +39,7 @@ func newTestRouter(t testing.TB, objs []geom.Object, n int, copts []client.Optio
 		}
 		rems[i] = rem
 	}
-	router, err := NewRouter("D", Remotes(rems))
+	router, err := NewRouter("D", rems)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestRouterShardFailureSurfacesRootCause(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			objs := dataset.GaussianClusters(400, 4, 800, dataset.World, 51)
 			parts := Assign(objs, 3)
-			rems := make([]*client.Remote, 3)
+			rems := make([]Endpoint, 3)
 			for i, part := range parts {
 				name := fmt.Sprintf("D%d/3", i+1)
 				var rt netsim.RoundTripper = netsim.Serve(server.New(name, part))
@@ -449,7 +449,7 @@ func TestRouterShardFailureSurfacesRootCause(t *testing.T) {
 				}
 				rems[i] = rem
 			}
-			router, err := NewRouter("D", Remotes(rems))
+			router, err := NewRouter("D", rems)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -524,7 +524,7 @@ func TestRouterCancelMidScatter(t *testing.T) {
 			objs := dataset.GaussianClusters(400, 4, 800, dataset.World, 61)
 			parts := Assign(objs, 3)
 			hang := &blockingRT{after: 1, reached: make(chan struct{}), release: make(chan struct{})}
-			rems := make([]*client.Remote, 3)
+			rems := make([]Endpoint, 3)
 			for i, part := range parts {
 				name := fmt.Sprintf("D%d/3", i+1)
 				var rt netsim.RoundTripper = netsim.Serve(server.New(name, part))
@@ -538,7 +538,7 @@ func TestRouterCancelMidScatter(t *testing.T) {
 				}
 				rems[i] = rem
 			}
-			router, err := NewRouter("D", Remotes(rems))
+			router, err := NewRouter("D", rems)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -604,7 +604,7 @@ func TestRouterRejectsMixedTariffs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if _, err := NewRouter("D", Remotes([]*client.Remote{a, b})); err == nil {
+	if _, err := NewRouter("D", []Endpoint{a, b}); err == nil {
 		t.Fatal("NewRouter accepted mixed tariffs")
 	}
 	if _, err := NewRouter("D", nil); err == nil {
@@ -746,7 +746,7 @@ func TestRoutedListsConcatenateShardReplies(t *testing.T) {
 								wire.Type(req), len(got), len(want))
 						}
 					}
-					if gap >= 0 && rep.Empty() {
+					if gap >= 0 && len(rep.Gaps()) == 0 {
 						t.Fatal("the failed shard left no gap")
 					}
 				})

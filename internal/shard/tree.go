@@ -155,29 +155,6 @@ func (a *Aggregator) foldHealth() bool {
 // summary said no child admits traffic.
 func (a *Aggregator) RoutedAround() { a.skips.Add(1) }
 
-// SubtreeHealth counts the live and total leaf shards below this node
-// (diagnostics; a leaf without health tracking counts live).
-func (a *Aggregator) SubtreeHealth() (live, total int) {
-	return subtreeHealth(a.Router)
-}
-
-func subtreeHealth(r *Router) (live, total int) {
-	for _, s := range r.shards {
-		if agg, ok := s.(*Aggregator); ok {
-			l, t := subtreeHealth(agg.Router)
-			live += l
-			total += t
-			continue
-		}
-		total++
-		if h, ok := s.(healthChecked); ok && !h.Healthy() {
-			continue
-		}
-		live++
-	}
-	return live, total
-}
-
 // Do forwards one request frame into the subtree, charging the uplink
 // the frame on the way in and the partially-merged reply frame on the
 // way out — exactly the bytes a real link here would carry.

@@ -527,8 +527,10 @@ func TestTreeRoutesAroundDeadSubtree(t *testing.T) {
 	if deadAgg.Healthy() {
 		t.Fatal("dead subtree still reports healthy after its breakers opened")
 	}
-	if live, total := deadAgg.SubtreeHealth(); live != 0 || total != 2 {
-		t.Fatalf("dead subtree health %d/%d, want 0/2", live, total)
+	for i, s := range deadAgg.Shards() {
+		if s.(healthChecked).Healthy() {
+			t.Fatalf("leaf %d of the dead subtree still reports healthy", i)
+		}
 	}
 	calls0 := deadCalls.Load()
 	for k := 0; k < 6; k++ {

@@ -139,7 +139,7 @@ func TestFacadeHelpers(t *testing.T) {
 		t.Fatal("Pt broken")
 	}
 	rect := R(3, 4, 1, 2)
-	if !rect.Valid() || rect.MinX != 1 {
+	if rect != (Rect{MinX: 1, MinY: 2, MaxX: 3, MaxY: 4}) {
 		t.Fatal("R should normalize corners")
 	}
 	o := PointObject(9, p)

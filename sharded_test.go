@@ -191,7 +191,7 @@ func shardedChaosEnv(t *testing.T, robjs, sobjs []Object, par int, seed int64) *
 	retry := client.RetryPolicy{MaxAttempts: 12, Backoff: 50 * time.Microsecond}
 	build := func(name string, objs []Object, seed int64) *shard.Router {
 		parts := shard.Assign(objs, 2)
-		rems := make([]*client.Remote, len(parts))
+		rems := make([]shard.Endpoint, len(parts))
 		for i, part := range parts {
 			sname := fmt.Sprintf("%s%d/2", name, i+1)
 			cfg := netsim.FaultConfig{
@@ -209,7 +209,7 @@ func shardedChaosEnv(t *testing.T, robjs, sobjs []Object, par int, seed int64) *
 			}
 			rems[i] = rem
 		}
-		router, err := shard.NewRouter(name, shard.Remotes(rems))
+		router, err := shard.NewRouter(name, rems)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,7 +372,7 @@ func TestShardedKillOneServerMidJoin(t *testing.T) {
 		var kill *killableRT
 		build := func(name string, objs []Object, killable bool) *shard.Router {
 			parts := shard.Assign(objs, 2)
-			rems := make([]*client.Remote, len(parts))
+			rems := make([]shard.Endpoint, len(parts))
 			for i, part := range parts {
 				sname := fmt.Sprintf("%s%d/2", name, i+1)
 				var rt netsim.RoundTripper = netsim.ServeParallel(server.New(sname, part), workers)
@@ -386,7 +386,7 @@ func TestShardedKillOneServerMidJoin(t *testing.T) {
 				}
 				rems[i] = rem
 			}
-			router, err := shard.NewRouter(name, shard.Remotes(rems))
+			router, err := shard.NewRouter(name, rems)
 			if err != nil {
 				t.Fatal(err)
 			}
