@@ -131,7 +131,7 @@ vet:
 # in the pool rule (parallel.go) alone. The field's declarations and a
 # write of it into a link's Env are not reads. Every per-link number has
 # one home, the link's netsim.Meter: no internal/client struct holds a
-# *netsim.Ledger or *netsim.LinkStats, and NewScheduler takes no ledger.
+# *netsim.Ledger, and NewScheduler takes no ledger.
 # There is one slice free list: outside internal/bufpool no sync.Pool
 # hands out new([]…) — a pooled slice is a bufpool.Pool instance. There
 # is one ε test: outside internal/geom no DistToPoint, MaxDistToPoint or
@@ -141,10 +141,13 @@ vet:
 # every device join names the cell whose reference points it owns, so
 # outside Oracle (the reference) and tests internal/core calls no
 # DedupPairs and builds no memjoin.Options{} literal — result assembly
-# only sorts. The shard router has one fan-out: outside tests, a go
-# statement in internal/shard, and the gostack.Grow that opens it, sits
-# in Router.fan or in ReplicaSet.Do (its hedge race), and no RouterOption or WithParallelism
-# is declared — the router takes no options and bounds no scatter. A
+# only sorts. Each fleet layer has one executor, GoBatch, whose one-
+# request case is Do: outside tests internal/shard holds exactly one go
+# statement, the hedge race of ReplicaSet.race, and the gostack.Grow that
+# opens it; nothing there asks a remote whether it batches (no
+# BatchEnabled), no Router.fan or Router.send sends a plan a second way,
+# and no RouterOption or WithParallelism is declared — the router takes
+# no options and bounds no scatter. A
 # routed list crosses the router as bytes: outside tests and Assign's
 # boot-time k-d split (shard.go), internal/shard decodes no object, pair
 # or rect reply and sorts nothing.
@@ -165,9 +168,9 @@ lint-seams:
 	  echo "lint: core picks no framing (no batching()) and reads Env.BatchSize in parallel.go alone"; exit 1; fi
 	@if grep -Hnw 'Pipeliner' $$(ls internal/client/*.go | grep -v '_test\.go$$'); then \
 	  echo "lint: internal/client picks no group path by transport (no Pipeliner)"; exit 1; fi
-	@if grep -HnE '^[[:space:]]+([[:alnum:]_, ]+[[:space:]])?\*netsim\.(Ledger|LinkStats)([^[:alnum:]_]|$$)' \
+	@if grep -HnE '^[[:space:]]+([[:alnum:]_, ]+[[:space:]])?\*netsim\.Ledger([^[:alnum:]_]|$$)' \
 	      $$(ls internal/client/*.go | grep -v '_test\.go$$'); then \
-	  echo "lint: a link's ledger and RTT observer live in its netsim.Meter, not in an internal/client field"; exit 1; fi
+	  echo "lint: a link's ledger lives in its netsim.Meter, not in an internal/client field"; exit 1; fi
 	@if grep -HnE 'func NewScheduler\([^)]' internal/client/*.go; then \
 	  echo "lint: NewScheduler takes no argument (quotas are the meter's ledger)"; exit 1; fi
 	@if grep -rHnF --include='*.go' --exclude='*_test.go' 'new([]' *.go bench cmd examples internal | grep -v '^internal/bufpool/'; then \
@@ -178,9 +181,11 @@ lint-seams:
 	@if awk '/^func Oracle\(/ { o = 1 } !o && /DedupPairs\(|memjoin\.Options\{\}/ { print FILENAME ":" FNR ": " $$0; f = 1 } o && /^}/ { o = 0 } END { exit !f }' \
 	      $$(ls internal/core/*.go | grep -v '_test\.go$$'); then \
 	  echo "lint: pairs are born unique in core: every device join names its cell (no memjoin.Options{}), result assembly only sorts (no DedupPairs)"; exit 1; fi
-	@if awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } (/^[[:space:]]+go[[:space:]]/ || /gostack\.Grow\(/) && fn !~ /^func \(r \*Router\) fan\(/ && fn !~ /^func \(rs \*ReplicaSet\) Do\(/ { print FILENAME ":" FNR ": " $$0; f = 1 } END { exit !f }' \
+	@if awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[[:space:]]+go[[:space:]]/ { n++ } (/^[[:space:]]+go[[:space:]]/ || /gostack\.Grow\(/) && fn !~ /^func \(rs \*ReplicaSet\) race\(/ { print FILENAME ":" FNR ": " $$0; f = 1 } END { if (n != 1) { print "internal/shard: " n + 0 " go statements"; f = 1 } exit !f }' \
 	      $$(ls internal/shard/*.go | grep -v '_test\.go$$'); then \
-	  echo "lint: the shard router has one fan-out: a go statement (and its gostack.Grow) only in Router.fan (and ReplicaSet.Do's hedge race)"; exit 1; fi
+	  echo "lint: one executor per fleet layer: internal/shard's one go statement (and its gostack.Grow) is ReplicaSet.race's hedge race"; exit 1; fi
+	@if grep -HnE 'BatchEnabled|^func \(r \*Router\) (fan|send)\(' $$(ls internal/shard/*.go | grep -v '_test\.go$$'); then \
+	  echo "lint: one executor per fleet layer: no path picked by BatchEnabled, no Router.fan or Router.send"; exit 1; fi
 	@if grep -HnE 'wire\.Decode(Objects|BucketObjects|Pairs|Rects)|slices\.Sort' $$(ls internal/shard/*.go | grep -vE '_test\.go$$|/shard\.go$$'); then \
 	  echo "lint: a routed list crosses the router as bytes: no object, pair or rect decode and no sort in internal/shard (wire.AppendList, wire.BucketGroups)"; exit 1; fi
 	@if grep -HnE '^(type|func)[[:space:]]+(RouterOption|WithParallelism)\b' $$(ls internal/shard/*.go | grep -v '_test\.go$$'); then \

@@ -140,12 +140,12 @@ func (c *Call) complete(resp []byte, err error) {
 // flight, so one caller's cancellation neither waits for nor poisons its
 // batch-mates.
 func (c *Call) frame() ([]byte, error) {
-	if c.eval != nil {
+	if c.g != nil {
+		c.g.once.Do(c.g.run)
+	} else if c.eval != nil && c.done == nil {
 		eval := c.eval
 		c.eval = nil
 		c.resp, c.err = eval()
-	} else if c.g != nil {
-		c.g.once.Do(c.g.run)
 	} else if c.done != nil {
 		if c.b != nil {
 			c.b.drive(c)
@@ -187,25 +187,40 @@ func (c *Call) frame() ([]byte, error) {
 // its stack is grown up front.
 func (c *Call) Start() {
 	switch {
-	case c.eval != nil:
-		eval := c.eval
-		c.eval, c.done = nil, make(chan struct{})
-		go func() {
-			gostack.Grow()
-			c.complete(eval())
-		}()
 	case c.g != nil:
-		if !c.g.started.Swap(true) {
-			go func() {
-				gostack.Grow()
-				c.g.once.Do(c.g.run)
-			}()
+		if c.g.started.Swap(true) {
+			return
 		}
+	case c.eval != nil && c.done == nil:
+		c.done = make(chan struct{})
+	case c.b == nil:
+		return
+	}
+	go runStarted()
+	starting <- c
+}
+
+// starting hands each started call to the goroutine Start spawned for
+// it: a closure carrying the call would cost an allocation per start,
+// a goroutine that receives it costs none. Every Start spawns one
+// goroutine and sends one call, so each call runs exactly once, on
+// whichever of them receives it. The channel is unbuffered: the sender
+// waits for the goroutine it just spawned, which runs next on its
+// processor, and a call never queues behind another's.
+var starting = make(chan *Call)
+
+// runStarted is the goroutine of one Start. The call may run a whole
+// nested gather (a router's lazy call), so the stack is grown first.
+func runStarted() {
+	c := <-starting
+	gostack.Grow()
+	switch {
+	case c.g != nil:
+		c.g.once.Do(c.g.run)
 	case c.b != nil:
-		go func() {
-			gostack.Grow()
-			c.b.drive(c)
-		}()
+		c.b.drive(c)
+	default:
+		c.complete(c.eval())
 	}
 }
 
@@ -702,9 +717,6 @@ func (s *Scheduler) withShares(ctx context.Context, batch []*Call) context.Conte
 }
 
 // --- Remote surface -------------------------------------------------------
-
-// BatchEnabled reports whether this remote multiplexes probes.
-func (r *Remote) BatchEnabled() bool { return r.b != nil }
 
 // GoBatch submits pre-encoded request frames (ownership of each buffer
 // passes to the client; the reqs slice itself stays the caller's) and

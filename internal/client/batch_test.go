@@ -290,7 +290,7 @@ func TestGoBatchWithoutBatcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.BatchEnabled() {
+	if r.b != nil {
 		t.Fatal("batching should be disabled by default")
 	}
 	w := dataset.Bounds(objs).Expand(1)

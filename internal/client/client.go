@@ -170,12 +170,10 @@ func (r *Remote) TenantUsage(id netsim.TenantID) netsim.Usage { return r.m.Tenan
 // a failure-free run).
 func (r *Remote) Retries() int64 { return r.retries.Load() }
 
-// LinkStats returns the live link observation of this remote's meter:
-// the link parameters it charges against plus the measured RTT EWMA fed
-// by every successful round trip. The online planner (package plan)
-// reads it to hydrate the cost model from reality instead of static
-// defaults.
-func (r *Remote) LinkStats() netsim.LinkSnapshot { return r.m.LinkStats() }
+// Link returns the link configuration this remote's meter charges
+// against. The online planner (package plan) reads it to hydrate the
+// cost model from the link instead of static defaults.
+func (r *Remote) Link() netsim.LinkConfig { return r.m.Link() }
 
 // Close releases the underlying transport.
 func (r *Remote) Close() error { return r.conn.Close() }

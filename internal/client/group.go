@@ -33,8 +33,9 @@ type group struct {
 // inlineGroup is a group with everything its submission and its run
 // need in one allocation: C, P and F are arrays of Call, *Call and
 // []byte, of one length and of twice it. A group of up to a pipelined
-// chunk's depth takes the smaller of two that fits — a lone COUNT or a
-// quadrant group the four, an NLSJ probe group the chunk. The returned
+// chunk's depth takes the smallest of three that fits — a lone request
+// (each sub-request of a router's scatter is one) the one, a quadrant
+// group the four, an NLSJ probe group the chunk. The returned
 // calls slice is carved from it too, and is the caller's: the run never
 // reads it, so layers above may overwrite its elements.
 type inlineGroup[C, P, F any] struct {
@@ -50,6 +51,9 @@ func (r *Remote) group(ctx context.Context, reqs [][]byte) []*Call {
 	var g *group
 	var calls []*Call
 	switch n := len(reqs); {
+	case n == 1:
+		s := new(inlineGroup[[1]Call, [1]*Call, [2][]byte])
+		g, calls, s.group.calls, s.group.frames = &s.group, s.ptrs[:], s.calls[:], s.frames[:]
 	case n <= 4:
 		s := new(inlineGroup[[4]Call, [4]*Call, [8][]byte])
 		g, calls, s.group.calls, s.group.frames = &s.group, s.ptrs[:n], s.calls[:n], s.frames[:2*n]

@@ -129,17 +129,16 @@ func (a *autoState) observations(nr, ns cnt) plan.Observations {
 }
 
 // linkObs reads one endpoint's live link observation: the link
-// configuration from its lock-free stats when the endpoint exposes them,
-// plus its tariff and retry/query counters for the effective-price
-// computation.
+// configuration when the endpoint reports one, plus its tariff and
+// retry/query counters for the effective-price computation.
 func linkObs(p Probe) plan.LinkObs {
 	lo := plan.LinkObs{
 		Price:   p.PricePerByte(),
 		Retries: p.Retries(),
 		Queries: int64(p.Usage().Queries),
 	}
-	if ls, ok := p.(interface{ LinkStats() netsim.LinkSnapshot }); ok {
-		lo.Config = ls.LinkStats().Config
+	if l, ok := p.(interface{ Link() netsim.LinkConfig }); ok {
+		lo.Config = l.Link()
 	}
 	return lo
 }

@@ -197,8 +197,8 @@ func (t *tally) usage() Usage {
 // charge concurrently without contending; a Usage snapshot taken while
 // requests are in flight may mix charges from different frames, but
 // snapshots taken at quiescent points (as the executor does, before and
-// after a run) are exact. It also owns the link's RTT observer and, in
-// tenant mode, the per-tenant columns and the fleet ledger they feed.
+// after a run) are exact. In tenant mode it also owns the per-tenant
+// columns and the fleet ledger they feed.
 type Meter struct {
 	link LinkConfig
 	// price is the tariff (bR or bS) applied to WireBytes when computing
@@ -206,9 +206,6 @@ type Meter struct {
 	price float64
 
 	total tally
-	// rtt observes the measured duration of every successful round trip
-	// over a Metered connection (timing only; see LinkStats).
-	rtt LinkStats
 
 	// Tenant attribution (see tenant.go). tenantMode gates the whole
 	// feature: off, charging never touches the map and the hot path is
@@ -230,6 +227,9 @@ func NewMeter(link LinkConfig, pricePerByte float64) (*Meter, error) {
 
 // PricePerByte returns the meter's per-byte tariff.
 func (m *Meter) PricePerByte() float64 { return m.price }
+
+// Link returns the link configuration the meter charges against.
+func (m *Meter) Link() LinkConfig { return m.link }
 
 // Charge records the transfer of one frame of the given payload size in
 // the given direction and returns the wire bytes charged.
@@ -364,9 +364,7 @@ type Metered struct {
 	m  *Meter
 }
 
-// NewMetered wraps rt so that all traffic is charged to meter, and every
-// successful round trip's wall-clock duration is folded into the meter's
-// RTT EWMA.
+// NewMetered wraps rt so that all traffic is charged to meter.
 func NewMetered(rt RoundTripper, meter *Meter) *Metered {
 	return &Metered{rt: rt, m: meter}
 }
@@ -379,7 +377,6 @@ func NewMetered(rt RoundTripper, meter *Meter) *Metered {
 func (c *Metered) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
 	hedged := IsHedged(ctx)
 	tenanted := c.m.tenantMode.Load()
-	start := time.Now()
 	c.m.charge(ctx, len(req), Up, hedged, tenanted)
 	if rtt := c.m.link.RTT; rtt > 0 {
 		if err := sleepCtx(ctx, rtt); err != nil {
@@ -391,18 +388,16 @@ func (c *Metered) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
 		return nil, err
 	}
 	c.m.charge(ctx, len(resp), Down, hedged, tenanted)
-	c.m.rtt.ObserveRTT(time.Since(start))
 	return resp, nil
 }
 
 // Pipeline implements Pipeliner: every request of the chunk and every
 // reply that arrives is charged exactly as RoundTrip charges it — the
 // bill does not know the frames shared a flight — while the link's
-// latency is paid, and observed, once for the chunk.
+// latency is paid once for the chunk.
 func (c *Metered) Pipeline(ctx context.Context, reqs, resps [][]byte) (int, error) {
 	hedged := IsHedged(ctx)
 	tenanted := c.m.tenantMode.Load()
-	start := time.Now()
 	for _, req := range reqs {
 		c.m.charge(ctx, len(req), Up, hedged, tenanted)
 	}
@@ -414,9 +409,6 @@ func (c *Metered) Pipeline(ctx context.Context, reqs, resps [][]byte) (int, erro
 	answered, err := Pipeline(ctx, c.rt, reqs, resps)
 	for _, resp := range resps[:answered] {
 		c.m.charge(ctx, len(resp), Down, hedged, tenanted)
-	}
-	if err == nil {
-		c.m.rtt.ObserveRTT(time.Since(start))
 	}
 	return answered, err
 }

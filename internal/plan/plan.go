@@ -1,8 +1,8 @@
 // Package plan is the online cost-based planner: it scores every
 // candidate physical operator for a join window with the §3.1 cost model
 // (internal/costmodel), hydrated from *live* observations instead of
-// static defaults — the measured link configuration of each metered
-// link (netsim.LinkSnapshot), retry rates folded into effective
+// static defaults — the configuration of each metered link (the
+// endpoint's Link), retry rates folded into effective
 // per-byte tariffs, per-shard skew from INFO, and measured quadrant
 // counts sharpening the uniformity assumption of Eq. (3).
 //
@@ -69,7 +69,7 @@ func (o Op) String() string {
 }
 
 // LinkObs is the live state of one metered link, assembled from the
-// lock-free stats observer (netsim.LinkStats) and the endpoint's meter.
+// endpoint's link configuration and its meter.
 type LinkObs struct {
 	// Config is the link's current physical parameters (MTU, BH) — fed to
 	// Eq. (1) instead of a static default.

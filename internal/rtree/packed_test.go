@@ -139,7 +139,7 @@ func TestPackedTreeMatchesReferenceTraversal(t *testing.T) {
 		for name, objs := range packedLayouts(n, int64(n)) {
 			rng := rand.New(rand.NewSource(int64(n) + 7))
 			tr := Bulk(objs)
-			if got := tr.All(nil); !equalIDs(idsOf(got), idsOf(objs)) {
+			if got := tr.Objects(); !equalIDs(idsOf(got), idsOf(objs)) {
 				t.Fatalf("n=%d %s: packed array holds %d objects, not the input's", n, name, len(got))
 			}
 			if n > 0 {

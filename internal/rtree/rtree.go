@@ -426,9 +426,3 @@ func (t *Tree) LevelMBRs(level int) ([]geom.Rect, error) {
 	walk(t.root, 0)
 	return out, nil
 }
-
-// All appends every object in the tree to dst, in traversal order, and
-// returns the result.
-func (t *Tree) All(dst []geom.Object) []geom.Object {
-	return append(dst, t.objs...)
-}

@@ -261,10 +261,10 @@ func TestAll(t *testing.T) {
 	rnd := rand.New(rand.NewSource(15))
 	objs := randObjects(rnd, 700)
 	tr := Bulk(objs)
-	got := idsOf(tr.All(nil))
+	got := idsOf(tr.Objects())
 	want := idsOf(objs)
 	if !equalIDs(got, want) {
-		t.Fatalf("All returned %d ids, want %d", len(got), len(want))
+		t.Fatalf("Objects returned %d ids, want %d", len(got), len(want))
 	}
 }
 

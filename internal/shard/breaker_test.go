@@ -74,8 +74,8 @@ func TestReplicaBreakerSkipsKnownDeadReplica(t *testing.T) {
 			t.Fatalf("probe %d with one dead replica: %v", k, err)
 		}
 	}
-	if rs.Breakers()[0].State() != health.Open {
-		t.Fatalf("replica 0 breaker %v after repeated failures, want Open", rs.Breakers()[0].State())
+	if rs.brk[0].State() != health.Open {
+		t.Fatalf("replica 0 breaker %v after repeated failures, want Open", rs.brk[0].State())
 	}
 	deadCalls := rts[0].calls.Load()
 	const probes = 10
@@ -143,7 +143,7 @@ func TestReplicaHedgeSkipsOpenBreaker(t *testing.T) {
 		return rts[0].calls.Load()+rts[1].calls.Load() == 1+tripping+st.Hedges+st.Failovers
 	})
 	waitFor(t, "replica 1's breaker to open", func() bool {
-		return rs.Breakers()[1].State() == health.Open
+		return rs.brk[1].State() == health.Open
 	})
 	hedges0 := rs.Stats().Hedges
 	deadCalls := rts[1].calls.Load()
@@ -206,7 +206,7 @@ func TestReplicaScoreClassifiesByError(t *testing.T) {
 	} {
 		reg := health.NewRegistry(quietBreakers())
 		rs := newTestReplicaSet(t, dataset.Uniform(10, dataset.World, 1), 2, ReplicaConfig{Health: reg}, nil)
-		brk := rs.Breakers()[1]
+		brk := rs.brk[1]
 		for k := 0; k < 2; k++ { // quietBreakers opens on two consecutive failures
 			rs.score(1, tc.err, tc.actx)
 		}
@@ -243,22 +243,22 @@ func TestReplicaBreakerRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rs.Breakers()[0].State() != health.Open {
-		t.Fatalf("breaker %v, want Open", rs.Breakers()[0].State())
+	if rs.brk[0].State() != health.Open {
+		t.Fatalf("breaker %v, want Open", rs.brk[0].State())
 	}
 	rts[0].dead.Store(false)
 	deadline := time.Now().Add(2 * time.Second)
-	for rs.Breakers()[0].State() != health.Closed {
+	for rs.brk[0].State() != health.Closed {
 		if time.Now().After(deadline) {
 			t.Fatalf("breaker still %v 2s after revival; prober did not re-close it",
-				rs.Breakers()[0].State())
+				rs.brk[0].State())
 		}
 		time.Sleep(time.Millisecond)
 	}
 	if !rs.Healthy() {
 		t.Fatal("set not Healthy after breaker re-closed")
 	}
-	if n := rs.Breakers()[0].Stats().Probes; n == 0 {
+	if n := rs.brk[0].Stats().Probes; n == 0 {
 		t.Fatal("breaker re-closed with zero recovery probes recorded")
 	}
 }
@@ -412,9 +412,9 @@ func (rt hangRT) Close() error { return rt.inner.Close() }
 func openBreaker(t *testing.T, rs *ReplicaSet, i int) {
 	t.Helper()
 	for k := 0; k < 2; k++ {
-		rs.Breakers()[i].ReportFailure(errReplicaDown)
+		rs.brk[i].ReportFailure(errReplicaDown)
 	}
-	if st := rs.Breakers()[i].State(); st != health.Open {
+	if st := rs.brk[i].State(); st != health.Open {
 		t.Fatalf("replica %d breaker %v after reported failures, want Open", i, st)
 	}
 }
@@ -475,7 +475,7 @@ func TestReplicaBatchedProbeFollowsDoPolicy(t *testing.T) {
 		if calls := rts[1].calls.Load(); calls != 0 {
 			t.Errorf("open-circuit sibling received %d frames during failover, want 0", calls)
 		}
-		if skips := rs.Breakers()[1].Stats().Skips; skips != 1 {
+		if skips := rs.brk[1].Stats().Skips; skips != 1 {
 			t.Errorf("open-circuit sibling counted %d skips, want 1", skips)
 		}
 		if rts[2].calls.Load() == 0 || rs.Stats().Failovers != 1 {

@@ -208,7 +208,7 @@ func TestServeLocalReplicaWiring(t *testing.T) {
 		if rs.Name() != wantName {
 			t.Errorf("shard %d named %q, want %q", i, rs.Name(), wantName)
 		}
-		reps := rs.Replicas()
+		reps := rs.replicas
 		if len(reps) != 2 {
 			t.Fatalf("shard %d has %d replicas, want 2", i, len(reps))
 		}
@@ -234,7 +234,7 @@ func TestServeLocalReplicaWiring(t *testing.T) {
 	for i, ep := range eps {
 		rs := ep.(*ReplicaSet)
 		var sum int
-		for _, rem := range rs.Replicas() {
+		for _, rem := range rs.replicas {
 			sum += rem.Usage().WireBytes
 		}
 		if got := rs.Usage().WireBytes; got != sum || got == 0 {

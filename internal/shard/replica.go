@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,9 +20,10 @@ import (
 // three behaviours a single Remote cannot offer:
 //
 //   - Load balancing: every probe is assigned a primary replica by a
-//     deterministic rotation (seeded round-robin), spreading the read
-//     load evenly — no replica starves, and a sequential run issues a
-//     reproducible request schedule, which the byte goldens rely on.
+//     deterministic rotation (seeded round-robin) when it is submitted,
+//     in submission order, spreading the read load evenly — no replica
+//     starves, and a sequential run issues a reproducible request
+//     schedule on every replica link, which the byte goldens rely on.
 //
 //   - Hedged reads: when a probe has been in flight longer than a high
 //     percentile of the recent attempt-latency window (HedgePct, fed by
@@ -38,7 +40,8 @@ import (
 //     re-issued on the next untried replica. Only terminal failures
 //     (parent context cancelled, transport closed by us) propagate.
 //
-// A ReplicaSet is an Endpoint — it implements the seam call Do at the
+// GoBatch is the set's one executor, and Do is GoBatch of one. A
+// ReplicaSet is an Endpoint — it implements the seam call Do at the
 // frame level and embeds client.Typed for the query surface — so it
 // slots under the scatter–gather Router unchanged: a fleet of S shards ×
 // R replicas serves every algorithm unmodified. Assemble never builds a
@@ -154,9 +157,6 @@ func NewReplicaSet(name string, replicas []*client.Remote, cfg ReplicaConfig) (*
 // Name returns the replica set's diagnostic name (the shard's).
 func (rs *ReplicaSet) Name() string { return rs.name }
 
-// Replicas exposes the replica remotes (tests and diagnostics).
-func (rs *ReplicaSet) Replicas() []*client.Remote { return rs.replicas }
-
 // Stats returns the replica-layer decision counters.
 func (rs *ReplicaSet) Stats() ReplicaStats {
 	return ReplicaStats{
@@ -204,10 +204,6 @@ func (rs *ReplicaSet) Healthy() bool {
 // Usage breaker-skip column.
 func (rs *ReplicaSet) RoutedAround() { rs.setSkips.Add(1) }
 
-// Breakers exposes the per-replica breakers (nil unarmed; tests and
-// diagnostics).
-func (rs *ReplicaSet) Breakers() []*health.Breaker { return rs.brk }
-
 // allow reports whether replica i's breaker admits an attempt now
 // (always true unarmed). May transition the breaker to half-open.
 func (rs *ReplicaSet) allow(i int) bool {
@@ -241,15 +237,9 @@ func (rs *ReplicaSet) score(i int, err error, actx context.Context) {
 // PricePerByte returns the shared per-byte tariff of the replica links.
 func (rs *ReplicaSet) PricePerByte() float64 { return rs.replicas[0].PricePerByte() }
 
-// LinkStats merges the live link observations of every replica link
-// (sample-weighted RTT EWMA), for the online planner.
-func (rs *ReplicaSet) LinkStats() netsim.LinkSnapshot {
-	var snap netsim.LinkSnapshot
-	for _, r := range rs.replicas {
-		snap = snap.Merge(r.LinkStats())
-	}
-	return snap
-}
+// Link returns the link configuration the replica links are metered
+// against, the first one's standing for the set, for the online planner.
+func (rs *ReplicaSet) Link() netsim.LinkConfig { return rs.replicas[0].Link() }
 
 // Retries sums the re-issued attempts across all replica links.
 func (rs *ReplicaSet) Retries() int64 {
@@ -298,8 +288,8 @@ func failoverable(err error) bool {
 	return !errors.Is(err, netsim.ErrClosed)
 }
 
-// walk is one probe's pass over the replicas — the selection policy both
-// the synchronous and the batched path follow: start at the rotation's
+// walk is one probe's pass over the replicas — the selection policy of
+// its primary, its failovers and its hedge: start at the rotation's
 // next replica, visit each replica at most once, and skip open-circuit
 // replicas before any frame is spent on them. Each skip-over of an open
 // replica in favour of an admitted one is counted on its breaker — that
@@ -347,176 +337,228 @@ func (w *walk) next(hedged bool) int {
 	return idx
 }
 
-// Do runs one idempotent request frame against the set: primary by
-// rotation, hedged after the threshold, failed over on transport faults.
-// Every attempt sends its own pooled copy of req (a Remote consumes the
-// frame it is given); req itself is recycled on return. The winning
-// reply is consumed exactly once; the losing attempt is cancelled when Do
-// returns (the deferred cancel reaches every transport) and its buffered
-// completion is dropped, so no goroutine outlives the probe beyond its
-// cancellation.
+// Do answers one request frame: GoBatch of one, settled on the caller's
+// stack. A context that is already dead sends and charges nothing.
 func (rs *ReplicaSet) Do(ctx context.Context, req []byte) ([]byte, error) {
-	if rs.cfg.Budget > 0 {
-		// One deadline for the whole probe: primary, failovers, and the
-		// hedge all spend from it, so the probe's worst case is Budget
-		// however many replicas it walks.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rs.cfg.Budget)
-		defer cancel()
-	}
-	n := len(rs.replicas)
-	defer bufpool.Put(req)
 	if err := ctx.Err(); err != nil {
+		bufpool.Put(req)
 		return nil, fmt.Errorf("%s: %w", rs.name, err)
 	}
-	w := rs.newWalk()
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type outcome struct {
-		resp   []byte
-		err    error
-		hedged bool
-	}
-	// Buffered to the attempt budget: a losing attempt's completion
-	// never blocks its goroutine, even after Do has returned.
-	ch := make(chan outcome, n)
-	inflight := 0
-	launch := func(hedged bool) bool {
-		idx := w.next(hedged)
-		if idx < 0 {
-			return false
-		}
-		inflight++
-		actx := pctx
-		if hedged {
-			actx = netsim.WithHedged(pctx)
-			rs.hedges.Add(1)
-		}
-		frame := clone(req)
-		go func() {
-			gostack.Grow()
-			t0 := time.Now()
-			resp, err := rs.replicas[idx].Do(actx, frame)
-			if err == nil && !hedged {
-				rs.lat.Add(time.Since(t0))
-			}
-			rs.score(idx, err, actx)
-			ch <- outcome{resp: resp, err: err, hedged: hedged}
-		}()
-		return true
-	}
-	launch(false)
-	var hedgeC <-chan time.Time
-	hedgeLaunched, hedgeResolved := false, false
-	if d, ok := rs.hedgeDelay(); ok {
-		if d <= 0 {
-			hedgeLaunched = launch(true)
-		} else {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			hedgeC = t.C
-		}
-	}
-	var firstErr error
-	for {
-		select {
-		case <-hedgeC:
-			hedgeC = nil
-			if launch(true) {
-				hedgeLaunched = true
-			}
-		case out := <-ch:
-			inflight--
-			if out.err == nil {
-				if out.hedged {
-					rs.hedgeWins.Add(1)
-				} else if hedgeLaunched && !hedgeResolved {
-					// The speculative attempt lost the race: it is
-					// cancelled by the deferred cancel and counted here,
-					// exactly once.
-					rs.hedgeLosses.Add(1)
-				}
-				return out.resp, nil
-			}
-			if out.hedged {
-				hedgeResolved = true
-				rs.hedgeLosses.Add(1)
-			}
-			if firstErr == nil ||
-				(errors.Is(firstErr, context.Canceled) && !errors.Is(out.err, context.Canceled)) {
-				firstErr = out.err
-			}
-			if ctx.Err() == nil && failoverable(out.err) && launch(false) {
-				rs.failovers.Add(1)
-			}
-			if inflight == 0 {
-				return nil, firstErr
-			}
-		}
-	}
+	return rs.GoBatch(ctx, [][]byte{req})[0].Frame()
 }
 
-// GoBatch routes each pre-encoded probe frame to its walk's first
-// replica's batcher, so frames bound for the same replica link still
-// coalesce into MsgBatch envelopes there. The returned Calls are lazy:
-// on the stack of whoever waits for one, a failed sub-call fails over
-// along the same walk Do follows (the envelope retry inside the Remote
-// runs first; this layer moves to a sibling when the link itself is
-// beyond retry), and the whole submission draws from one Budget
-// deadline, like a synchronous probe. Batched probes are not hedged: the
-// hedge race lives in Do. Failover covers availability and the
-// synchronous path the tail; hedging a waiter-sent probe is a follow-up.
-//
-// Over replicas that do not batch there is nothing to coalesce with, so
-// each request is Do itself, run by whoever waits for it: an unbatched
-// fleet keeps hedge, walk and Budget whichever way a probe is submitted.
+// probe is one submitted request: its walk past the primary, the
+// primary's sub-call, a private frame copy for failovers and hedges,
+// and on a hedging set the chunk it crosses in.
+type probe struct {
+	w     walk
+	idx   int
+	call  *client.Call
+	spare []byte
+	chunk *chunk
+}
+
+// chunk is one replica's share of a hedging set's submission. Its
+// requests cross together — a stall of one holds the rest — so they
+// share one clock, started when the first of them is waited for: it
+// times each one's hedge, and the latency window samples it once, at
+// the chunk's first reply.
+type chunk struct {
+	mu       sync.Mutex
+	start    time.Time
+	answered bool
+}
+
+// GoBatch picks each request's walk and primary replica in submission
+// order and hands each replica its requests as one GoBatch, in that
+// order: batched replicas coalesce them, unbatched ones pipeline them.
+// Each returned Call settles its request on its waiter's stack, and the
+// submission draws from one Budget deadline. The frames are consumed.
 func (rs *ReplicaSet) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
-	if !rs.replicas[0].BatchEnabled() {
-		calls := make([]*client.Call, len(reqs))
-		for i, req := range reqs {
-			calls[i] = client.NewLazyCall(rs.name, func() ([]byte, error) { return rs.Do(ctx, req) })
-		}
-		return calls
-	}
 	ctx, done := rs.budget(ctx, len(reqs))
-	calls := make([]*client.Call, len(reqs))
+	probes := make([]probe, len(reqs))
+	var chunks []chunk
+	if rs.hedging() {
+		chunks = make([]chunk, len(rs.replicas))
+	}
 	for i, req := range reqs {
-		w := rs.newWalk()
-		primary := w.next(false)
-		rest := w // the walk as the primary's choice left it
-		// Private copy for failover: submitting a frame passes its
-		// ownership to the batcher, so a retry on a sibling needs its own.
-		spare := clone(req)
-		sub := rs.replicas[primary].GoBatch(ctx, [][]byte{req})[0]
+		p := &probes[i]
+		p.w = rs.newWalk()
+		p.idx, p.spare = p.w.next(false), clone(req)
+		if chunks != nil {
+			p.chunk = &chunks[p.idx]
+		}
+	}
+	// A lone request goes through reqs itself, and its replica's
+	// one-element result carries the set's call back.
+	frames, calls := reqs, []*client.Call(nil)
+	if len(reqs) > 1 {
+		frames, calls = make([][]byte, 0, len(reqs)), make([]*client.Call, len(reqs))
+	}
+	for idx, rem := range rs.replicas {
+		frames = frames[:0]
+		for i := range probes {
+			if probes[i].idx == idx {
+				frames = append(frames, reqs[i])
+			}
+		}
+		if len(frames) == 0 {
+			continue
+		}
+		subs := rem.GoBatch(ctx, frames)
+		for i, k := 0, 0; k < len(subs); i++ {
+			if probes[i].idx == idx {
+				probes[i].call, k = subs[k], k+1
+			}
+		}
+		if calls == nil {
+			calls = subs
+		}
+	}
+	for i := range probes {
+		p := &probes[i]
 		calls[i] = client.NewLazyCall(rs.name, func() ([]byte, error) {
 			defer done()
-			w, idx := rest, primary
-			resp, err := sub.Frame()
-			rs.score(idx, err, ctx)
-			for err != nil && ctx.Err() == nil && failoverable(err) {
-				if idx = w.next(false); idx < 0 {
-					break
-				}
-				rs.failovers.Add(1)
-				resp, err = rs.replicas[idx].GoBatch(ctx, [][]byte{clone(spare)})[0].Frame()
-				rs.score(idx, err, ctx)
-			}
-			bufpool.Put(spare)
-			return resp, err
+			return rs.settle(ctx, p)
 		})
 	}
 	return calls
 }
 
-// budget bounds a submission of n batched probes by cfg.Budget: one
-// derived context for all of them (frames sharing a context share the
-// batcher's undetached round trip), released once each has called done.
+// settle answers one probe on its waiter's stack: the primary races a
+// hedge when armed says so, and is otherwise awaited right here,
+// spawning nothing. A failure the link is beyond retrying then fails
+// over along the walk, one replica at a time; when every replica
+// failed, the first failure is the error.
+func (rs *ReplicaSet) settle(ctx context.Context, p *probe) ([]byte, error) {
+	defer bufpool.Put(p.spare)
+	var resp []byte
+	var err error
+	if d, ok := rs.armed(p); ok {
+		resp, err = rs.race(ctx, p, d)
+	} else {
+		resp, err = p.call.Frame()
+		rs.land(p.chunk, err == nil)
+		rs.score(p.idx, err, ctx)
+	}
+	first := err
+	for err != nil && ctx.Err() == nil && failoverable(err) {
+		idx := p.w.next(false)
+		if idx < 0 {
+			break
+		}
+		rs.failovers.Add(1)
+		resp, err = rs.replicas[idx].GoBatch(ctx, [][]byte{clone(p.spare)})[0].Frame()
+		rs.score(idx, err, ctx)
+	}
+	if err != nil {
+		return nil, first
+	}
+	return resp, nil
+}
+
+// armed reports whether p races a hedge, and after what delay from now:
+// its chunk's clock, started here by the chunk's first waiter, counts
+// toward hedgeDelay. A chunk that has answered races no more, unless
+// HedgeAfter < 0 hedges every probe.
+func (rs *ReplicaSet) armed(p *probe) (time.Duration, bool) {
+	c := p.chunk
+	if c == nil {
+		return 0, false
+	}
+	c.mu.Lock()
+	if c.start.IsZero() {
+		c.start = time.Now()
+	}
+	start, answered := c.start, c.answered
+	c.mu.Unlock()
+	d, ok := rs.hedgeDelay()
+	return d - time.Since(start), ok && (!answered || rs.cfg.HedgeAfter < 0)
+}
+
+// land marks chunk c answered. Its first reply, when ok — a success
+// that won or ran no race (a primary that lost would have been
+// cancelled, crossing alone) — feeds the latency window, which only
+// percentile hedging reads.
+func (rs *ReplicaSet) land(c *chunk, ok bool) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	first, start := !c.answered, c.start
+	c.answered = true
+	c.mu.Unlock()
+	if first && ok && rs.cfg.HedgePct > 0 && rs.cfg.HedgeAfter == 0 {
+		rs.lat.Add(time.Since(start))
+	}
+}
+
+// race waits for p's primary on a goroutine while the waiter hedges it:
+// after d (at once when d <= 0) the waiter sends the same request
+// through the walk's next replica's Do under netsim.WithHedged — a
+// batcher's envelope would drop the mark — on its own stack. The first
+// success wins. A primary that succeeds cancels the hedge; one that lost
+// runs on under its submission's context until the submission has
+// settled, and its outcome is dropped. When both fail, the primary's
+// failure is the error.
+func (rs *ReplicaSet) race(ctx context.Context, p *probe, d time.Duration) ([]byte, error) {
+	hctx, cancel := context.WithCancel(netsim.WithHedged(ctx))
+	defer cancel()
+	type outcome struct {
+		resp []byte
+		err  error
+	}
+	primary := make(chan outcome, 1)
+	go func() {
+		gostack.Grow()
+		resp, err := p.call.Frame()
+		rs.land(p.chunk, err == nil && hctx.Err() == nil)
+		rs.score(p.idx, err, ctx)
+		if err == nil {
+			cancel()
+		}
+		primary <- outcome{resp, err}
+	}()
+	if d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case out := <-primary:
+			return out.resp, out.err
+		case <-t.C:
+		}
+	}
+	if idx := p.w.next(true); idx >= 0 {
+		rs.hedges.Add(1)
+		resp, err := rs.replicas[idx].Do(hctx, clone(p.spare))
+		rs.score(idx, err, hctx)
+		if err == nil {
+			rs.hedgeWins.Add(1)
+			return resp, nil
+		}
+		rs.hedgeLosses.Add(1)
+	}
+	out := <-primary
+	return out.resp, out.err
+}
+
+// hedging reports whether the set may hedge a probe.
+func (rs *ReplicaSet) hedging() bool { return rs.cfg.HedgePct > 0 || rs.cfg.HedgeAfter != 0 }
+
+// budget derives the context a submission of n probes runs under,
+// released once each has called done: bounded by cfg.Budget, and on a
+// hedging set cancellable, so that a primary which lost its race stops
+// once its submission has settled.
 func (rs *ReplicaSet) budget(ctx context.Context, n int) (context.Context, func()) {
-	if rs.cfg.Budget <= 0 || n == 0 {
+	var cancel context.CancelFunc
+	switch {
+	case n > 0 && rs.cfg.Budget > 0:
+		ctx, cancel = context.WithTimeout(ctx, rs.cfg.Budget)
+	case n > 0 && rs.hedging():
+		ctx, cancel = context.WithCancel(ctx)
+	default:
 		return ctx, func() {}
 	}
-	ctx, cancel := context.WithTimeout(ctx, rs.cfg.Budget)
 	left := new(atomic.Int64)
 	left.Store(int64(n))
 	return ctx, func() {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -226,7 +227,7 @@ func (rt *fastGateRT) Close() error { return rt.inner.Close() }
 
 // newGatedHedgeSet builds the deterministic always-hedge fixture:
 // replica 1 answers (after the gate), replica 2 parks until cancelled.
-func newGatedHedgeSet(t testing.TB, objs []geom.Object) *ReplicaSet {
+func newGatedHedgeSet(t testing.TB, objs []geom.Object, copts ...client.Option) *ReplicaSet {
 	t.Helper()
 	g := &gatePair{}
 	return newTestReplicaSet(t, objs, 2, ReplicaConfig{HedgeAfter: -1},
@@ -236,7 +237,7 @@ func newGatedHedgeSet(t testing.TB, objs []geom.Object) *ReplicaSet {
 				return &slowGateRT{g: g}
 			}
 			return &fastGateRT{inner: rt, g: g}
-		})
+		}, copts...)
 }
 
 // TestReplicaHedgeAccountedExactlyOnce drives the always-hedge fixture
@@ -295,7 +296,7 @@ func TestReplicaHedgeGoldenBytes(t *testing.T) {
 		}
 	}
 	use := rs.Usage()
-	perLink := rs.Replicas()[0].Usage().Add(rs.Replicas()[1].Usage())
+	perLink := rs.replicas[0].Usage().Add(rs.replicas[1].Usage())
 	if use != perLink {
 		t.Fatalf("merged usage %+v differs from per-replica sum %+v", use, perLink)
 	}
@@ -419,5 +420,152 @@ func TestReplicaBatchFailover(t *testing.T) {
 				t.Fatalf("healthy replicas, yet %d failovers", st.Failovers)
 			}
 		})
+	}
+}
+
+// TestReplicaHedgesBatchedProbes: a batched set hedges the probes it is
+// handed through GoBatch as Do hedges one. Every probe of the always-hedge
+// fixture races a hedge, each hedge resolves exactly once, and the hedged
+// column holds exactly the hedges — bare frames sent through the sibling's
+// Do, never an envelope of the batcher, whose primaries stay unhedged.
+func TestReplicaHedgesBatchedProbes(t *testing.T) {
+	objs := dataset.GaussianClusters(120, 3, 600, dataset.World, 13)
+	w := dataset.World
+	rs := newGatedHedgeSet(t, objs, client.WithBatch(client.BatchConfig{MaxBatch: 8}))
+	oracle := 0
+	for _, o := range objs {
+		if o.MBR.Intersects(w) {
+			oracle++
+		}
+	}
+	const probes = 4
+	reqs := make([][]byte, probes)
+	for i := range reqs {
+		reqs[i] = wire.AppendCount(bufpool.Get(), w)
+	}
+	// The deadline only bounds a regression: a batched primary on the
+	// parked replica that no hedge rescues would wait for it forever.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i, c := range rs.GoBatch(ctx, reqs) {
+		if got, err := c.Count(); err != nil || got != oracle {
+			t.Fatalf("probe %d: count %d, %v; oracle %d", i, got, err, oracle)
+		}
+	}
+	st := rs.Stats()
+	if st.Hedges != probes {
+		t.Fatalf("launched %d hedges over %d always-hedge batched probes", st.Hedges, probes)
+	}
+	if st.Hedges != st.HedgeWins+st.HedgeLosses {
+		t.Fatalf("hedge ledger imbalanced: %d launched, %d wins + %d losses", st.Hedges, st.HedgeWins, st.HedgeLosses)
+	}
+	// The rotation gives each replica two primaries and the other replica
+	// their hedges: the parked replica meters two hedged requests with no
+	// reply, the answering one two hedged requests and their replies.
+	link := netsim.DefaultLink()
+	reqWire := link.TB(len(wire.AppendCount(nil, w)))
+	respWire := link.TB(len(wire.AppendCountReply(nil, int64(oracle))))
+	use := rs.Usage()
+	if want := probes*reqWire + probes/2*respWire; use.HedgedWireBytes != want {
+		t.Errorf("hedged wire bytes %d, want the hedge frames' %d", use.HedgedWireBytes, want)
+	}
+	if want := probes + probes/2; use.HedgedMessages != want {
+		t.Errorf("hedged messages %d, want %d", use.HedgedMessages, want)
+	}
+}
+
+// goroutineRT records how many goroutines run while it carries a round
+// trip.
+type goroutineRT struct {
+	netsim.RoundTripper
+	seen atomic.Int64
+}
+
+func (rt *goroutineRT) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
+	rt.seen.Store(int64(runtime.NumGoroutine()))
+	return rt.RoundTripper.RoundTrip(ctx, req)
+}
+
+// TestReplicaUnhedgedAttemptOnCallersGoroutine: an unhedged set sends a
+// probe on the goroutine that waits for it — Do on its caller's, a lone
+// GoBatch call on its waiter's — so no round trip sees a goroutine that
+// was not running before the probe.
+func TestReplicaUnhedgedAttemptOnCallersGoroutine(t *testing.T) {
+	objs := dataset.GaussianClusters(120, 3, 600, dataset.World, 16)
+	w := dataset.World
+	rts := make([]*goroutineRT, 2)
+	rs := newTestReplicaSet(t, objs, 2, ReplicaConfig{},
+		func(i int, rt netsim.RoundTripper) netsim.RoundTripper {
+			rts[i] = &goroutineRT{RoundTripper: rt}
+			return rts[i]
+		})
+	ctx := context.Background()
+	probes := map[string]func() (int, error){
+		"Do": func() (int, error) { return rs.Count(ctx, w) },
+		"GoBatch": func() (int, error) {
+			return rs.GoBatch(ctx, [][]byte{wire.AppendCount(bufpool.Get(), w)})[0].Count()
+		},
+	}
+	for name, probe := range probes {
+		for k := 0; k < len(rts); k++ { // the rotation visits every replica
+			for _, rt := range rts {
+				rt.seen.Store(0)
+			}
+			before := runtime.NumGoroutine()
+			if _, err := probe(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i, rt := range rts {
+				if seen := rt.seen.Load(); seen > int64(before) {
+					t.Errorf("%s: replica %d's round trip ran beside %d goroutines, %d before the probe",
+						name, i, seen, before)
+				}
+			}
+		}
+	}
+}
+
+// pipeRT is a pipelining transport that counts how requests reach it.
+type pipeRT struct {
+	netsim.RoundTripper
+	trips, pipelines atomic.Int64
+}
+
+func (rt *pipeRT) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
+	rt.trips.Add(1)
+	return rt.RoundTripper.RoundTrip(ctx, req)
+}
+
+func (rt *pipeRT) Pipeline(ctx context.Context, reqs, resps [][]byte) (int, error) {
+	rt.pipelines.Add(1)
+	return netsim.Pipeline(ctx, rt.RoundTripper, reqs, resps)
+}
+
+// TestReplicaGroupPipelines: an unbatched set hands each replica its
+// share of a probe group as one submission, so the share crosses the
+// replica's link as one pipelined chunk, not as a round trip per probe.
+func TestReplicaGroupPipelines(t *testing.T) {
+	objs := dataset.GaussianClusters(120, 3, 600, dataset.World, 17)
+	w := dataset.World
+	rts := make([]*pipeRT, 2)
+	rs := newTestReplicaSet(t, objs, 2, ReplicaConfig{},
+		func(i int, rt netsim.RoundTripper) netsim.RoundTripper {
+			rts[i] = &pipeRT{RoundTripper: rt}
+			return rts[i]
+		})
+	const probes = 6
+	reqs := make([][]byte, probes)
+	for i := range reqs {
+		reqs[i] = wire.AppendCount(bufpool.Get(), w)
+	}
+	for i, c := range rs.GoBatch(context.Background(), reqs) {
+		if _, err := c.Count(); err != nil {
+			t.Fatalf("probe %d: %v", i, err)
+		}
+	}
+	for i, rt := range rts {
+		if p, n := rt.pipelines.Load(), rt.trips.Load(); p != 1 || n != 0 {
+			t.Errorf("replica %d: %d pipelined chunks and %d lone round trips, want the group's share as 1 chunk", i, p, n)
+		}
 	}
 }

@@ -3,31 +3,30 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/bufpool"
 	"repro/internal/client"
 	"repro/internal/geom"
-	"repro/internal/gostack"
 	"repro/internal/health"
 	"repro/internal/wire"
 )
 
 // This file is how a frame crosses the router: the routing table (one
 // row per request message), the prologue that resolves a request into a
-// plan, the two ways a plan is sent — Do through the shard endpoints'
-// own Do (fan), GoBatch through their batchers — and the one fold both
-// finish in. Both run the same rows, so the typed and the batched path
-// cannot drift: they prune on the same decoded (float32) coordinates,
-// send bit-identical sub-frames and merge the same replies with the
-// same function. Adding a wire message means adding one row.
+// plan, the one executor that sends a plan — GoBatch, through the shard
+// endpoints' own GoBatch, of which Do is the one-request case — and the
+// fold every plan finishes in. Typed and batched probes run the same
+// rows and the same sends, so they cannot drift: they prune on the same
+// decoded (float32) coordinates, send bit-identical sub-frames and
+// merge the same replies with the same function. Adding a wire message
+// means adding one row.
 
 // sub is one sub-request of a plan, bound for shards[shard]. frame holds
-// the pooled request frame until it is sent (ownership passes to the
-// shard endpoint), then the reply frame it drew, or err its failure.
-// GoBatch records the sub-call the request was submitted as. A
-// sub-request partial mode routed around is never sent and answers with
-// neither reply nor error.
+// the pooled request frame until it is submitted (ownership passes to
+// the shard endpoint), then the reply frame it drew, or err its failure.
+// call is the sub-call the request was submitted as. A sub-request
+// partial mode routed around is never sent and answers with neither
+// reply nor error.
 type sub struct {
 	shard int
 	frame []byte
@@ -450,8 +449,8 @@ func release(frames [][]byte) {
 
 // --- executors --------------------------------------------------------------
 
-// Do answers one request frame with one reply frame (client.Doer): plan,
-// send the admitted sub-requests through fan, fold the replies. Do
+// Do answers one request frame with one reply frame (client.Doer): the
+// one-request case of GoBatch, gathered on the caller's stack. Do
 // returns once every sub-request has answered; outside partial mode the
 // first failure in shard order is the error. A solo router is a pure
 // pass-through — the frame goes to the one shard untouched, so a
@@ -466,123 +465,85 @@ func (r *Router) Do(ctx context.Context, req []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	for k := range pl.subs {
-		if s := &pl.subs[k]; !r.admit(rep, s.shard) {
-			bufpool.Put(s.frame)
-			s.frame = nil
-		}
-	}
-	r.fan(ctx, pl.subs)
-	return r.fold(ctx, rep, pl)
+	r.submit(ctx, rep, []plan{pl}, nil)
+	return r.gather(ctx, rep, pl)
 }
 
-// fan sends every sub-request that holds a frame through its shard's own
-// Do and returns once all have answered, each reply or error landing in
-// its sub. Each shard's run of sub-requests (AVG-AREA's COUNT and mean)
-// crosses its link in plan order on a goroutine of its own, the last run
-// on the caller's stack.
-func (r *Router) fan(ctx context.Context, subs []sub) {
-	var wg sync.WaitGroup
-	for len(subs) > 0 {
-		n := 1
-		for n < len(subs) && subs[n].shard == subs[0].shard {
-			n++
-		}
-		run := subs[:n]
-		if subs = subs[n:]; len(subs) == 0 {
-			r.send(ctx, run)
-			break
-		}
-		wg.Add(1)
-		go func() {
-			gostack.Grow()
-			defer wg.Done()
-			r.send(ctx, run)
-		}()
+// submit hands the sub-requests of plans that partial mode admits to
+// their shards' GoBatch — one submission per shard, in request order,
+// then plan order (AVG-AREA's COUNT before its mean) — recording each
+// sub-call in its sub, and recycles the rest. buf is scratch for a
+// submission's frames; the calls of the last one are returned for reuse.
+func (r *Router) submit(ctx context.Context, rep *health.Report, plans []plan, buf [][]byte) []*client.Call {
+	var calls []*client.Call
+	var at [16]int // per plan, the first sub-request not yet handed on
+	next := at[:]
+	if len(plans) > len(at) {
+		next = make([]int, len(plans))
 	}
-	wg.Wait()
+	for i, shard := range r.shards {
+		buf = buf[:0]
+		for q, pl := range plans {
+			for k := next[q]; k < len(pl.subs) && pl.subs[k].shard == i; k++ {
+				if s := &pl.subs[k]; r.admit(rep, i) {
+					buf = append(buf, s.frame)
+				} else {
+					bufpool.Put(s.frame)
+					s.frame = nil
+				}
+			}
+		}
+		if len(buf) > 0 {
+			calls = shard.GoBatch(ctx, buf)
+		}
+		k := 0
+		for q, pl := range plans {
+			for ; next[q] < len(pl.subs) && pl.subs[next[q]].shard == i; next[q]++ {
+				if s := &pl.subs[next[q]]; s.frame != nil {
+					s.call, s.frame, k = calls[k], nil, k+1
+				}
+			}
+		}
+	}
+	return calls
 }
 
-// send runs one shard's sub-requests one after another.
-func (r *Router) send(ctx context.Context, run []sub) {
-	for k := range run {
-		if s := &run[k]; s.frame != nil {
-			s.frame, s.err = r.shards[s.shard].Do(ctx, s.frame)
-		}
-	}
-}
-
-// GoBatch accepts pre-encoded request frames of any routable type
-// (consuming reqs, slice and frames) and runs each one's plan through
-// the shard endpoints' own batchers — one GoBatch per shard link,
-// preserving request order, so sub-requests bound for the same link
-// coalesce into MsgBatch envelopes there exactly as a direct client's
-// would. Each returned Call yields the merged reply frame; a request no
-// shard can contribute to is answered locally, costing zero bytes.
-// Partial mode applies per sub-request as in Do: a failed sub-call
-// becomes its shard's gap and the lower-bound answer assembles from the
-// shards that replied.
+// GoBatch submits the plans of pre-encoded request frames of any
+// routable type (consuming reqs, slice and frames) and returns one Call
+// per request, yielding its merged reply; a request no shard can serve
+// is answered locally, costing zero bytes. Under partial mode a failed
+// sub-call becomes its shard's gap.
 func (r *Router) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
 	rep := health.ReportFrom(ctx)
 	if r.solo() && rep == nil {
 		return r.shards[0].GoBatch(ctx, reqs)
 	}
 	if len(reqs) == 1 {
-		// A lone request (most COUNTs of a parallel run) has nothing to
-		// group by link: each sub-request is submitted through reqs itself
-		// and a child's one-element result carries this router's call back.
+		// A lone request (most COUNTs of a parallel run) is submitted
+		// through reqs itself, and a child's result carries this
+		// router's call back. It is not started: its caller waits for it
+		// next, or — a parent router — starts it along with its siblings.
 		pl, err := r.plan(ctx, reqs[0])
 		if err != nil {
 			return []*client.Call{failed(r.name, err)}
 		}
-		var calls []*client.Call
-		for k := range pl.subs {
-			s := &pl.subs[k]
-			if r.admit(rep, s.shard) {
-				reqs[0] = s.frame
-				calls = r.shards[s.shard].GoBatch(ctx, reqs)
-				s.call = calls[0]
-			} else {
-				bufpool.Put(s.frame)
-			}
-			s.frame = nil
-		}
+		calls := r.submit(ctx, rep, []plan{pl}, reqs)
 		return append(calls[:0], r.answer(ctx, rep, pl))
 	}
-	type ref struct{ q, k int } // sub-request k of request q
 	calls := make([]*client.Call, len(reqs))
 	plans := make([]plan, len(reqs))
-	frames := make([][][]byte, len(r.shards))
-	refs := make([][]ref, len(r.shards))
 	for q, req := range reqs {
-		pl, err := r.plan(ctx, req)
-		if err != nil {
+		var err error
+		if plans[q], err = r.plan(ctx, req); err != nil {
 			calls[q] = failed(r.name, err)
-			continue
-		}
-		for k := range pl.subs {
-			s := &pl.subs[k]
-			if r.admit(rep, s.shard) {
-				frames[s.shard] = append(frames[s.shard], s.frame)
-				refs[s.shard] = append(refs[s.shard], ref{q, k})
-			} else {
-				bufpool.Put(s.frame)
-			}
-			s.frame = nil
-		}
-		plans[q] = pl
-	}
-	for i, fs := range frames {
-		if len(fs) == 0 {
-			continue
-		}
-		for j, c := range r.shards[i].GoBatch(ctx, fs) {
-			plans[refs[i][j].q].subs[refs[i][j].k].call = c
 		}
 	}
+	r.submit(ctx, rep, plans, nil)
 	for q, pl := range plans {
 		if calls[q] == nil {
-			calls[q] = r.answer(ctx, rep, pl)
+			if calls[q] = r.answer(ctx, rep, pl); len(pl.subs) > 1 {
+				calls[q].Start()
+			}
 		}
 	}
 	return calls
@@ -593,37 +554,41 @@ func failed(name string, err error) *client.Call {
 	return client.NewLazyCall(name, func() ([]byte, error) { return nil, err })
 }
 
-// answer returns the call that yields one submitted plan's merged reply:
+// answer returns the call that yields one submitted plan's merged reply,
 // gathered on the stack of whoever waits for it, so a probe that routes
-// to one child crosses this router without a goroutine. A plan with
-// several sub-requests is started at once instead: its round trips
-// overlap each other and whatever else the caller submitted, rather than
-// beginning when the caller gets round to this call.
+// to one child crosses this router without a goroutine. GoBatch starts
+// the call of a plan with several sub-requests among several requests
+// at once, so its round trips overlap whatever else the caller
+// submitted rather than beginning when the caller gets round to it.
 func (r *Router) answer(ctx context.Context, rep *health.Report, pl plan) *client.Call {
-	c := client.NewLazyCall(r.name, func() ([]byte, error) { return r.gather(ctx, rep, pl) })
-	if len(pl.subs) > 1 {
-		c.Start()
-	}
-	return c
+	return client.NewLazyCall(r.name, func() ([]byte, error) { return r.gather(ctx, rep, pl) })
 }
 
 // gather waits on one request's sub-calls and folds their replies into
-// the merged reply frame. Waiting is what sends a queued probe, so every
-// sub-call after the first is started before any is awaited. Every
-// sub-call is drained even after a failure so its pooled reply frame is
-// recycled.
+// the merged reply frame.
 func (r *Router) gather(ctx context.Context, rep *health.Report, pl plan) ([]byte, error) {
-	for k, s := range pl.subs {
-		if k > 0 && s.call != nil {
+	wait(pl.subs)
+	return r.fold(ctx, rep, pl)
+}
+
+// wait lands every submitted sub-call's reply or error in its sub.
+// Waiting is what sends a queued probe, so the first sub-call of every
+// shard's run after the first is started before any is awaited; the
+// rest of a run crosses its shard's link behind it, in plan order.
+// Every sub-call is drained even after a failure so its pooled reply
+// frame is recycled.
+func wait(subs []sub) {
+	for k, s := range subs {
+		if k > 0 && s.call != nil && s.shard != subs[k-1].shard {
 			s.call.Start()
 		}
 	}
-	for k := range pl.subs {
-		if s := &pl.subs[k]; s.call != nil {
+	for k := range subs {
+		if s := &subs[k]; s.call != nil {
 			s.frame, s.err = s.call.Frame()
+			s.call = nil
 		}
 	}
-	return r.fold(ctx, rep, pl)
 }
 
 // fold finishes a plan whose sub-requests have all answered: a failure

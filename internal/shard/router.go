@@ -179,18 +179,18 @@ func (r *Router) Usage() netsim.Usage {
 // PricePerByte returns the shared per-byte tariff of the shard links.
 func (r *Router) PricePerByte() float64 { return r.shards[0].PricePerByte() }
 
-// LinkStats merges the live link observations of every shard endpoint
-// (sample-weighted RTT EWMA, first shard's link parameters standing for
-// the homogeneous fleet). Endpoints without an observer contribute
-// nothing.
-func (r *Router) LinkStats() netsim.LinkSnapshot {
-	var snap netsim.LinkSnapshot
+// Link returns the link configuration of the first shard endpoint that
+// reports one, standing for the homogeneous fleet, for the online
+// planner.
+func (r *Router) Link() netsim.LinkConfig {
 	for _, s := range r.shards {
-		if ls, ok := s.(interface{ LinkStats() netsim.LinkSnapshot }); ok {
-			snap = snap.Merge(ls.LinkStats())
+		if l, ok := s.(interface{ Link() netsim.LinkConfig }); ok {
+			if cfg := l.Link(); cfg != (netsim.LinkConfig{}) {
+				return cfg
+			}
 		}
 	}
-	return snap
+	return netsim.LinkConfig{}
 }
 
 // ShardInfos returns every shard's advertised metadata in shard order,
@@ -276,10 +276,12 @@ func (r *Router) routingInfos(ctx context.Context) ([]wire.Info, error) {
 		r.recordInfoGapsLocked(rep)
 		return slices.Clone(r.infos), nil
 	}
-	// The INFOs cross as one fan-out; its replies are folded into the
-	// shared cache only once every sub-request has answered and none
-	// failed outside partial mode.
-	r.fan(ctx, subs)
+	// The INFOs cross as one scatter, submitted and gathered as Do's
+	// sub-requests are (partial mode admits every one); its replies are
+	// folded into the shared cache only once every sub-request has
+	// answered and none failed outside partial mode.
+	r.submit(ctx, nil, []plan{{subs: subs}}, nil)
+	wait(subs)
 	got := make([]wire.Info, len(subs))
 	for k := range subs {
 		if s := &subs[k]; s.err == nil {
@@ -333,14 +335,18 @@ func (r *Router) recordInfoGapsLocked(rep *health.Report) {
 	}
 }
 
-// gap records shard i's missing contribution for one sub-query, with
-// the shard's advertised bounds and cardinality when its INFO was
-// fetched before it died. When the child is itself an aggregation-tree
-// node, the gap expands to the leaf shard names behind it — the report
-// is always in leaf units, whatever the topology.
-func (r *Router) gap(rep *health.Report, i int, err error) {
+// gap records shard i's missing contribution for one sub-query under
+// the router's relation (see gapAs).
+func (r *Router) gap(rep *health.Report, i int, err error) { r.gapAs(rep, r.relation, i, err) }
+
+// gapAs records shard i's missing contribution under relation, with the
+// shard's advertised bounds and cardinality when its INFO was fetched
+// before it died. When the child is itself an aggregation-tree node, the
+// gap expands to the leaf shard names behind it — the report is always
+// in leaf units, whatever the topology.
+func (r *Router) gapAs(rep *health.Report, relation string, i int, err error) {
 	if lg, isTree := r.shards[i].(leafGapper); isTree {
-		lg.recordLeafGaps(rep, r.relation, err)
+		lg.recordLeafGaps(rep, relation, err)
 		return
 	}
 	var bounds geom.Rect
@@ -354,7 +360,7 @@ func (r *Router) gap(rep *health.Report, i int, err error) {
 	if err != nil {
 		reason = err.Error()
 	}
-	rep.Record(r.relation, r.shards[i].Name(), bounds, count, reason)
+	rep.Record(relation, r.shards[i].Name(), bounds, count, reason)
 }
 
 // leafGapper is implemented by interior tree nodes: recordLeafGaps
@@ -368,24 +374,7 @@ type leafGapper interface {
 // invoked when a parent routed around this whole subtree. Leaves that
 // are themselves interior nodes recurse.
 func (r *Router) recordLeafGaps(rep *health.Report, relation string, err error) {
-	reason := "unreachable"
-	if err != nil {
-		reason = err.Error()
-	}
-	r.mu.Lock()
-	infos := slices.Clone(r.infos)
-	oks := slices.Clone(r.infoOK)
-	r.mu.Unlock()
-	for i, s := range r.shards {
-		if lg, isTree := s.(leafGapper); isTree {
-			lg.recordLeafGaps(rep, relation, err)
-			continue
-		}
-		var bounds geom.Rect
-		var count int64
-		if oks != nil && oks[i] {
-			bounds, count = infos[i].Bounds, int64(infos[i].Count)
-		}
-		rep.Record(relation, s.Name(), bounds, count, reason)
+	for i := range r.shards {
+		r.gapAs(rep, relation, i, err)
 	}
 }

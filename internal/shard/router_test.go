@@ -770,6 +770,10 @@ func (f *fixedLeaf) Do(_ context.Context, req []byte) ([]byte, error) {
 	return slices.Clone(f.reply), nil
 }
 
+func (f *fixedLeaf) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
+	return lazyDo(ctx, f.name, f.Do, reqs)
+}
+
 // TestRouterRejectsMalformedChildReplies: the router concatenates child
 // replies without decoding them, so it validates them instead. A short
 // reply, a wrong type, a group count that is not the plan's, a group

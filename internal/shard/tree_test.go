@@ -134,11 +134,23 @@ func (s *stubLeaf) Do(_ context.Context, req []byte) ([]byte, error) {
 	bufpool.Put(req)
 	return nil, fmt.Errorf("%s: stub leaf answers nothing", s.name)
 }
-func (s *stubLeaf) GoBatch(context.Context, [][]byte) []*client.Call { return nil }
-func (s *stubLeaf) Usage() netsim.Usage                              { return s.usage }
-func (s *stubLeaf) PricePerByte() float64                            { return 1 }
-func (s *stubLeaf) Retries() int64                                   { return 0 }
-func (s *stubLeaf) Close() error                                     { return nil }
+func (s *stubLeaf) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
+	return lazyDo(ctx, s.name, s.Do, reqs)
+}
+func (s *stubLeaf) Usage() netsim.Usage   { return s.usage }
+func (s *stubLeaf) PricePerByte() float64 { return 1 }
+func (s *stubLeaf) Retries() int64        { return 0 }
+func (s *stubLeaf) Close() error          { return nil }
+
+// lazyDo is a stub endpoint's GoBatch: each call runs do on its request
+// when it is waited for.
+func lazyDo(ctx context.Context, name string, do func(context.Context, []byte) ([]byte, error), reqs [][]byte) []*client.Call {
+	calls := make([]*client.Call, len(reqs))
+	for i, req := range reqs {
+		calls[i] = client.NewLazyCall(name, func() ([]byte, error) { return do(ctx, req) })
+	}
+	return calls
+}
 
 // TestTreeMatchesFlatRouter drives every query type through a depth-2
 // and depth-3 tree and a flat router over identical fleets, asserting

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/client"
@@ -94,7 +93,6 @@ type Server struct {
 	cfg    ServerConfig
 	fleet  *fleet.Fleet
 	ledger *netsim.Ledger
-	sched  *client.Scheduler
 
 	mu      sync.Mutex
 	tenants map[TenantID]*tenantState
@@ -137,7 +135,7 @@ func newServer(cfg ServerConfig, wrap fleet.Wrap) (*Server, error) {
 		return nil, fmt.Errorf("repro: %w", err)
 	}
 	srv := &Server{
-		cfg: cfg, fleet: f, ledger: ledger, sched: sched,
+		cfg: cfg, fleet: f, ledger: ledger,
 		tenants: make(map[TenantID]*tenantState, len(cfg.Tenants)),
 	}
 	for id, tc := range cfg.Tenants {
@@ -150,24 +148,6 @@ func newServer(cfg ServerConfig, wrap fleet.Wrap) (*Server, error) {
 	}
 	return srv, nil
 }
-
-// Tenants returns the configured tenant names, sorted.
-func (s *Server) Tenants() []TenantID {
-	ids := make([]TenantID, 0, len(s.tenants))
-	for id := range s.tenants {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// Ledger exposes the fleet's quota ledger (spend inspection, runtime
-// quota adjustment).
-func (s *Server) Ledger() *netsim.Ledger { return s.ledger }
-
-// Scheduler exposes the fleet's probe scheduler (runtime policy
-// adjustment).
-func (s *Server) Scheduler() *client.Scheduler { return s.sched }
 
 // Spent returns the tenant's accumulated fleet-wide wire-byte spend.
 func (s *Server) Spent(id TenantID) int64 { return s.ledger.Spent(id) }

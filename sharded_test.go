@@ -302,8 +302,9 @@ func (t *loggedRT) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
 // frames each link carries and their order may not. Two runs of the same
 // join (no breakers, no hedging) must send every server link the
 // identical frame sequence — over replica sets whose probe groups are
-// batched, over plain shard remotes whose groups are not, and through an
-// aggregation tree.
+// batched and replica sets whose groups are not (each request's replica
+// is picked when it is submitted, not when it is sent), over plain shard
+// remotes, and through an aggregation tree.
 func TestShardedLinkOrderIndependentOfTiming(t *testing.T) {
 	robjs := GaussianClusters(400, 4, 600, World, 93)
 	sobjs := GaussianClusters(400, 4, 600, World, 94)
@@ -323,6 +324,7 @@ func TestShardedLinkOrderIndependentOfTiming(t *testing.T) {
 	}
 	fleets := map[string]fleet.Config{
 		"2x2-batch8": {Shards: 2, Replicas: 2, BatchSize: 8},
+		"2x2":        {Shards: 2, Replicas: 2},
 		"2x1":        {Shards: 2},
 		"4-tree2":    {Shards: 4, TreeFanout: 2},
 	}
