@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,6 +37,18 @@ func goldenShardSession(t *testing.T, name string, shards int) (*Session, Algori
 
 func goldenReplicaSession(t *testing.T, name string, shards, replicas int) (*Session, Algorithm, Spec) {
 	t.Helper()
+	cfg, alg, spec := goldenConfig(name)
+	cfg.Shards, cfg.Replicas = shards, replicas
+	sess, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess, alg, spec
+}
+
+// goldenConfig is the golden workload named alg/spec[/bucket]: its
+// unsharded session configuration, algorithm and spec.
+func goldenConfig(name string) (SessionConfig, Algorithm, Spec) {
 	robjs := GaussianClusters(600, 4, 250, World, 101)
 	sobjs := GaussianClusters(600, 4, 250, World, 102)
 	specs := map[string]Spec{
@@ -52,15 +66,11 @@ func goldenReplicaSession(t *testing.T, name string, shards, replicas int) (*Ses
 	}
 	parts := strings.Split(name, "/") // alg/spec[/bucket]
 	bucket := len(parts) == 3 && parts[2] == "bucket"
-	sess, err := NewSession(SessionConfig{
+	cfg := SessionConfig{
 		R: robjs, S: sobjs, Buffer: 500, Window: World,
 		Seed: 7, Bucket: bucket, PublishIndexes: true,
-		Shards: shards, Replicas: replicas,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return sess, algs[parts[0]], specs[parts[1]]
+	return cfg, algs[parts[0]], specs[parts[1]]
 }
 
 // TestGoldenShardedByteAccounting pins the sharded wire exchange:
@@ -180,4 +190,96 @@ func TestGoldenReplicatedByteAccounting(t *testing.T) {
 			}
 		})
 	}
+}
+
+// goldenTreeBytes pins the metered wire bytes of every level of an
+// aggregation tree, root link first ({R levels, S levels}), for the
+// golden workload run sequentially at Shards 4 and 8 under TreeFanout 2,
+// unbatched and at BatchSize 8. Level 0 is what crossed the root's
+// links, the last level the leaf links: a drift in how an interior node
+// meters its uplink — a frame charged twice, a reply not at all — moves
+// an inner level while the leaf goldens above stay put.
+var goldenTreeBytes = map[string][2][]int{
+	"grid/distance/shards4/batch1":          {{4142, 3832}, {13672, 13668}},
+	"grid/distance/shards4/batch8":          {{4142, 3472}, {13672, 13560}},
+	"grid/distance/shards8/batch1":          {{4142, 3832, 4530}, {13672, 13668, 14420}},
+	"grid/distance/shards8/batch8":          {{4142, 3832, 4062}, {13672, 13668, 14312}},
+	"mobiJoin/distance/shards4/batch1":      {{5102, 5004}, {4136, 4242}},
+	"mobiJoin/distance/shards4/batch8":      {{5102, 4842}, {4136, 4134}},
+	"mobiJoin/distance/shards8/batch1":      {{5102, 5004, 5954}, {4136, 4242, 5192}},
+	"mobiJoin/distance/shards8/batch8":      {{5102, 5004, 5792}, {4136, 4242, 5084}},
+	"naive/intersection/shards4/batch1":     {{14784, 14894}, {14160, 14270}},
+	"naive/intersection/shards4/batch8":     {{14784, 14894}, {14160, 14270}},
+	"naive/intersection/shards8/batch1":     {{14784, 14894, 16048}, {14160, 14270, 15804}},
+	"naive/intersection/shards8/batch8":     {{14784, 14894, 16048}, {14160, 14270, 15804}},
+	"semiJoin/distance/shards4/batch1":      {{150, 150}, {378, 558}},
+	"semiJoin/distance/shards4/batch8":      {{150, 150}, {378, 558}},
+	"semiJoin/distance/shards8/batch1":      {{150, 150, 150}, {442, 622, 982}},
+	"semiJoin/distance/shards8/batch8":      {{150, 150, 150}, {442, 622, 982}},
+	"srJoin/distance/shards4/batch1":        {{3468, 3048}, {3118, 2906}},
+	"srJoin/distance/shards4/batch8":        {{3468, 2760}, {3118, 2438}},
+	"srJoin/distance/shards8/batch1":        {{3468, 3048, 4634}, {3118, 2906, 4708}},
+	"srJoin/distance/shards8/batch8":        {{3468, 3048, 4292}, {3118, 2906, 4132}},
+	"upJoin/distance/bucket/shards4/batch1": {{3906, 3596}, {4404, 2768}},
+	"upJoin/distance/bucket/shards4/batch8": {{3906, 3596}, {4404, 2300}},
+	"upJoin/distance/bucket/shards8/batch1": {{3906, 3596, 4824}, {4404, 2768, 4676}},
+	"upJoin/distance/bucket/shards8/batch8": {{3906, 3596, 4824}, {4404, 2768, 4100}},
+	"upJoin/distance/shards4/batch1":        {{1778, 1566}, {5358, 4828}},
+	"upJoin/distance/shards4/batch8":        {{1778, 1440}, {5358, 4000}},
+	"upJoin/distance/shards8/batch1":        {{1778, 1566, 2732}, {5358, 4828, 7262}},
+	"upJoin/distance/shards8/batch8":        {{1778, 1566, 2606}, {5358, 4828, 6272}},
+	"upJoin/iceberg/shards4/batch1":         {{1778, 1566}, {5358, 4828}},
+	"upJoin/iceberg/shards4/batch8":         {{1778, 1440}, {5358, 4000}},
+	"upJoin/iceberg/shards8/batch1":         {{1778, 1566, 2732}, {5358, 4828, 7262}},
+	"upJoin/iceberg/shards8/batch8":         {{1778, 1566, 2606}, {5358, 4828, 6272}},
+	"upJoin/intersection/shards4/batch1":    {{3566, 3248}, {4834, 4198}},
+	"upJoin/intersection/shards4/batch8":    {{3566, 3248}, {4834, 3478}},
+	"upJoin/intersection/shards8/batch1":    {{3566, 3248, 4264}, {4834, 4198, 6208}},
+	"upJoin/intersection/shards8/batch8":    {{3566, 3248, 4264}, {4834, 4198, 5380}},
+}
+
+func TestGoldenTreeByteAccounting(t *testing.T) {
+	var missing []string
+	for name := range goldenShardBytes {
+		for _, shards := range []int{4, 8} {
+			for _, batch := range []int{1, 8} {
+				key := fmt.Sprintf("%s/shards%d/batch%d", name, shards, batch)
+				t.Run(key, func(t *testing.T) {
+					sess, alg, spec := goldenTreeSession(t, name, shards, batch)
+					defer sess.Close()
+					res, err := sess.Run(alg, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := [2][]int{res.Stats.RLevels, res.Stats.SLevels}
+					want, ok := goldenTreeBytes[key]
+					if !ok {
+						missing = append(missing, fmt.Sprintf("%q: {%#v, %#v},", key, got[0], got[1]))
+						t.Errorf("no golden for %s: got R %v S %v", key, got[0], got[1])
+						return
+					}
+					if !slices.Equal(got[0], want[0]) || !slices.Equal(got[1], want[1]) {
+						t.Errorf("%s: per-level bytes R %v S %v, golden R %v S %v",
+							key, got[0], got[1], want[0], want[1])
+					}
+				})
+			}
+		}
+	}
+	if len(missing) > 0 {
+		slices.Sort(missing)
+		t.Logf("golden entries:\n%s", strings.Join(missing, "\n"))
+	}
+}
+
+// goldenTreeSession boots the golden workload behind a fanout-2 tree.
+func goldenTreeSession(t *testing.T, name string, shards, batch int) (*Session, Algorithm, Spec) {
+	t.Helper()
+	cfg, alg, spec := goldenConfig(name)
+	cfg.Shards, cfg.TreeFanout, cfg.Parallelism, cfg.BatchSize = shards, 2, 1, batch
+	sess, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess, alg, spec
 }
