@@ -150,7 +150,10 @@ vet:
 # no options and bounds no scatter. A
 # routed list crosses the router as bytes: outside tests and Assign's
 # boot-time k-d split (shard.go), internal/shard decodes no object, pair
-# or rect reply and sorts nothing.
+# or rect reply and sorts nothing. An aggregation-tree node is a Router
+# with a metered uplink, not a layer around one: outside tests
+# internal/shard declares no Aggregator struct, no NewAggregator, no
+# method on *Aggregator and no leafGapper (Aggregator is an alias).
 lint-seams:
 	@if grep -nE 'time\.(AfterFunc|NewTimer|Sleep)' internal/client/batch.go; then \
 	  echo "lint: internal/client/batch.go must not wait on a clock"; exit 1; fi
@@ -190,6 +193,9 @@ lint-seams:
 	  echo "lint: a routed list crosses the router as bytes: no object, pair or rect decode and no sort in internal/shard (wire.AppendList, wire.BucketGroups)"; exit 1; fi
 	@if grep -HnE '^(type|func)[[:space:]]+(RouterOption|WithParallelism)\b' $$(ls internal/shard/*.go | grep -v '_test\.go$$'); then \
 	  echo "lint: the shard router takes no options and bounds no scatter (no RouterOption, no WithParallelism)"; exit 1; fi
+	@if grep -HnE 'type[[:space:]]+Aggregator[[:space:]]+struct|NewAggregator|^func[[:space:]]*\([[:alnum:]_]*[[:space:]]*\*Aggregator\)|leafGapper' \
+	      $$(ls internal/shard/*.go | grep -v '_test\.go$$'); then \
+	  echo "lint: an aggregation-tree node is a Router with a metered uplink (no Aggregator struct, NewAggregator, *Aggregator method or leafGapper)"; exit 1; fi
 
 # lint runs the static analyzers CI enforces (staticcheck, govulncheck).
 # Locally the tools may be absent — this target never installs anything;

@@ -226,7 +226,7 @@ func runStarted() {
 
 // Frame waits for completion and returns the raw response frame;
 // ownership passes to the caller, which must release it with
-// bufpool.Put once decoded. Aggregators that re-route replies (a
+// bufpool.Put once decoded. Layers that re-route replies (a
 // replica set failing a batched probe over to a sibling replica, a
 // router completing a detached call with a sub-reply) consume calls at
 // the frame level; typed callers use the decoding accessors instead. A

@@ -561,8 +561,8 @@ func TestGroupSpawnsNothing(t *testing.T) {
 
 // TestGroupCallsAreTheCallers: the calls slice a group returns belongs to
 // the caller, element by element — a layer above may overwrite each call
-// with one of its own, as Aggregator.GoBatch and Router.GoBatch's
-// lone-request path do — and the group, carved in one allocation with
+// with one of its own, as Router.GoBatch's lone-request path does — and
+// the group, carved in one allocation with
 // that slice at every size up to a chunk's depth, still answers each
 // request exactly once: a second consumption of a call fails. Waiters
 // race for the run from as many goroutines as there are calls, over

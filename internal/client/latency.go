@@ -23,17 +23,13 @@ type LatencyTracker struct {
 	full    bool
 }
 
-// defaultLatencyWindow bounds the ring when NewLatencyTracker is given a
-// non-positive size.
-const defaultLatencyWindow = 256
+// latencyWindow bounds the ring.
+const latencyWindow = 256
 
-// NewLatencyTracker returns a tracker windowed to the given number of
-// samples (<= 0 selects the default of 256).
-func NewLatencyTracker(window int) *LatencyTracker {
-	if window <= 0 {
-		window = defaultLatencyWindow
-	}
-	return &LatencyTracker{samples: make([]time.Duration, 0, window)}
+// NewLatencyTracker returns a tracker windowed to the last latencyWindow
+// samples.
+func NewLatencyTracker() *LatencyTracker {
+	return &LatencyTracker{samples: make([]time.Duration, 0, latencyWindow)}
 }
 
 // Add records one attempt duration.

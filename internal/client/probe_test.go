@@ -154,44 +154,40 @@ func TestDetachedCall(t *testing.T) {
 // TestLatencyTracker pins the ring semantics and the quantile gate the
 // hedge threshold is built on.
 func TestLatencyTracker(t *testing.T) {
-	lt := NewLatencyTracker(4)
+	lt := NewLatencyTracker()
 	if _, ok := lt.Quantile(99, 1); ok {
 		t.Fatal("empty tracker answered a quantile")
 	}
-	for i := 1; i <= 4; i++ {
+	const n = latencyWindow
+	for i := 1; i <= n; i++ {
 		lt.Add(time.Duration(i) * time.Millisecond)
 	}
-	if n := len(lt.samples); n != 4 {
-		t.Fatalf("%d samples, want 4", n)
+	if got := len(lt.samples); got != n {
+		t.Fatalf("%d samples, want %d", got, n)
 	}
-	if _, ok := lt.Quantile(99, 5); ok {
+	if _, ok := lt.Quantile(99, n+1); ok {
 		t.Fatal("quantile answered below the MinSamples gate")
 	}
-	if d, ok := lt.Quantile(50, 4); !ok || d != 2*time.Millisecond {
-		t.Fatalf("p50 = (%v, %v), want (2ms, true)", d, ok)
+	if d, ok := lt.Quantile(50, n); !ok || d != n/2*time.Millisecond {
+		t.Fatalf("p50 = (%v, %v), want (%v, true)", d, ok, n/2*time.Millisecond)
 	}
-	if d, ok := lt.Quantile(100, 4); !ok || d != 4*time.Millisecond {
-		t.Fatalf("p100 = (%v, %v), want (4ms, true)", d, ok)
+	if d, ok := lt.Quantile(100, n); !ok || d != n*time.Millisecond {
+		t.Fatalf("p100 = (%v, %v), want (%v, true)", d, ok, n*time.Millisecond)
 	}
 	if d, ok := lt.Quantile(0, 1); !ok || d != 1*time.Millisecond {
 		t.Fatalf("p0 = (%v, %v), want (1ms, true)", d, ok)
 	}
-	if d, ok := lt.Quantile(200, 1); !ok || d != 4*time.Millisecond {
-		t.Fatalf("clamped pct = (%v, %v), want (4ms, true)", d, ok)
+	if d, ok := lt.Quantile(200, 1); !ok || d != n*time.Millisecond {
+		t.Fatalf("clamped pct = (%v, %v), want (%v, true)", d, ok, n*time.Millisecond)
 	}
 
-	// The window is a ring: a fifth sample evicts the oldest, so the
+	// The window is a ring: one sample more evicts the oldest, so the
 	// minimum shifts from 1ms to 2ms.
-	lt.Add(10 * time.Millisecond)
-	if n := len(lt.samples); n != 4 {
-		t.Fatalf("%d samples after wrap, want 4", n)
+	lt.Add(10 * n * time.Millisecond)
+	if got := len(lt.samples); got != n {
+		t.Fatalf("%d samples after wrap, want %d", got, n)
 	}
 	if d, _ := lt.Quantile(0, 1); d != 2*time.Millisecond {
 		t.Fatalf("post-wrap minimum %v, want 2ms (oldest sample evicted)", d)
-	}
-
-	// The default window applies to non-positive sizes.
-	if cap(NewLatencyTracker(0).samples) != defaultLatencyWindow {
-		t.Fatal("zero window did not select the default")
 	}
 }

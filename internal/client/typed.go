@@ -16,10 +16,10 @@ import (
 // error, never as a frame.
 //
 // *Remote is the leaf implementation (one metered link). The shard
-// layers — replica set, router, aggregator — and the tenant wrapper each
-// implement Do to add their one concern (pick/hedge/failover,
-// scatter–merge, uplink metering, tenant stamp) and embed Typed for the
-// query surface.
+// layers — replica set, router (an aggregation-tree node is a router
+// that also meters its uplink) — and the tenant wrapper each implement
+// Do to add their one concern (pick/hedge/failover, scatter–merge,
+// tenant stamp) and embed Typed for the query surface.
 type Doer interface {
 	Do(ctx context.Context, req []byte) ([]byte, error)
 }

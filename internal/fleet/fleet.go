@@ -95,10 +95,10 @@ type Config struct {
 	Shards int
 	// TreeFanout, when >= 2 (and smaller than Shards), routes each
 	// relation through a hierarchical aggregation tree instead of the
-	// flat scatter: interior Aggregator nodes front groups of TreeFanout
-	// consecutive shards, partially merging COUNT sums and concatenating
-	// object lists level by level, so the root link carries O(TreeFanout)
-	// replies per query regardless of the fleet size. Results are
+	// flat scatter: interior routers with metered uplinks front groups
+	// of TreeFanout consecutive shards, partially merging COUNT sums and
+	// concatenating object lists level by level, so the root link carries
+	// O(TreeFanout) replies per query regardless of the fleet size. Results are
 	// bit-identical to the flat router's; byte totals additionally
 	// account the interior uplinks (Stats.RLevels/SLevels break wire
 	// bytes out per tree level). 0 keeps the flat scatter.

@@ -175,8 +175,8 @@ func TestAssignIgnoresInputOrder(t *testing.T) {
 // of 2^k consecutive shards is one k-d cell — its centre bounds and its
 // sibling block's are separated along the cut axis (touching at most on
 // the cut coordinate, where ties are broken by ID). NewTree groups
-// consecutive leaves under one Aggregator, so this is the property that
-// gives interior nodes compact bounds to prune on.
+// consecutive leaves under one interior node, so this is the property
+// that gives interior nodes compact bounds to prune on.
 func TestAssignBlocksAreKDCells(t *testing.T) {
 	for name, objs := range assignInputs(512) {
 		for _, n := range []int{2, 4, 16, 64} {

@@ -261,7 +261,7 @@ func TestServeLocalReplicaWiring(t *testing.T) {
 
 // TestReplicaHedgeDelayResolution covers the threshold policy table of
 // hedgeDelay: fixed override, unconditional hedge, disabled, and the
-// percentile path gated on MinSamples.
+// percentile path gated on hedgeMinSamples.
 func TestReplicaHedgeDelayResolution(t *testing.T) {
 	objs := dataset.GaussianClusters(50, 2, 300, dataset.World, 29)
 	boot := func(cfg ReplicaConfig) *ReplicaSet {
@@ -293,14 +293,16 @@ func TestReplicaHedgeDelayResolution(t *testing.T) {
 		t.Error("hedging disabled, yet hedgeDelay armed")
 	}
 
-	pctl := boot(ReplicaConfig{HedgePct: 90, MinSamples: 4})
+	pctl := boot(ReplicaConfig{HedgePct: 90})
+	for i := 1; i < hedgeMinSamples; i++ {
+		pctl.lat.Add(time.Duration(i) * time.Millisecond)
+	}
 	if _, ok := pctl.hedgeDelay(); ok {
-		t.Error("percentile threshold armed before MinSamples observations")
+		t.Errorf("percentile threshold armed at %d observations, before hedgeMinSamples", hedgeMinSamples-1)
 	}
-	for i := 0; i < 4; i++ {
-		pctl.lat.Add(time.Duration(i+1) * time.Millisecond)
-	}
-	if d, ok := pctl.hedgeDelay(); !ok || d != 4*time.Millisecond {
-		t.Errorf("percentile threshold (%v, %v), want (4ms, true)", d, ok)
+	pctl.lat.Add(hedgeMinSamples * time.Millisecond)
+	// p90 by nearest rank over 1..16 ms: rank ⌊16 × 0.9 + 0.5⌋ = 14.
+	if d, ok := pctl.hedgeDelay(); !ok || d != 14*time.Millisecond {
+		t.Errorf("percentile threshold (%v, %v), want (14ms, true)", d, ok)
 	}
 }

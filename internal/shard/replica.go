@@ -62,10 +62,6 @@ type ReplicaConfig struct {
 	// with no timer — deterministic total speculation, for tests and
 	// goldens that pin the hedged-bytes column.
 	HedgeAfter time.Duration
-	// MinSamples gates percentile hedging until the latency window has
-	// at least this many observations (default 16): a threshold derived
-	// from a handful of samples is noise.
-	MinSamples int
 	// Seed offsets the round-robin rotation, so the primary-selection
 	// schedule is a pure function of (Seed, probe sequence).
 	Seed int64
@@ -137,7 +133,7 @@ func NewReplicaSet(name string, replicas []*client.Remote, cfg ReplicaConfig) (*
 		}
 	}
 	rs := &ReplicaSet{name: name, replicas: replicas, cfg: cfg,
-		lat: client.NewLatencyTracker(0)}
+		lat: client.NewLatencyTracker()}
 	rs.Typed = client.NewTyped(rs)
 	n := int64(len(replicas))
 	rs.next.Store(uint64(((cfg.Seed % n) + n) % n))
@@ -274,12 +270,13 @@ func (rs *ReplicaSet) hedgeDelay() (time.Duration, bool) {
 	if rs.cfg.HedgePct <= 0 {
 		return 0, false
 	}
-	min := rs.cfg.MinSamples
-	if min <= 0 {
-		min = 16
-	}
-	return rs.lat.Quantile(rs.cfg.HedgePct, min)
+	return rs.lat.Quantile(rs.cfg.HedgePct, hedgeMinSamples)
 }
+
+// hedgeMinSamples gates percentile hedging until the latency window
+// holds this many observations: a threshold derived from a handful of
+// samples is noise.
+const hedgeMinSamples = 16
 
 // failoverable reports whether a failed attempt may move to a sibling
 // replica: transient transport faults are; a transport we closed

@@ -8,6 +8,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/geom"
 	"repro/internal/health"
+	"repro/internal/netsim"
 	"repro/internal/wire"
 )
 
@@ -428,7 +429,8 @@ func (r *Router) absorb(ctx context.Context, rep *health.Report, i int, err erro
 }
 
 // finish folds a plan's gathered replies into the reply frame and
-// recycles them.
+// recycles them. Every merged reply passes here, so this is where an
+// interior node charges it to its uplink.
 func (r *Router) finish(pl plan, replies [][]byte) ([]byte, error) {
 	out, err := pl.merge(bufpool.Get(), replies)
 	release(replies)
@@ -436,6 +438,7 @@ func (r *Router) finish(pl plan, replies [][]byte) ([]byte, error) {
 		bufpool.Put(out)
 		return nil, fmt.Errorf("shard: %s: %w", r.name, err)
 	}
+	r.charge(out, netsim.Down)
 	return out, nil
 }
 
@@ -457,6 +460,7 @@ func release(frames [][]byte) {
 // 1-sharded relation is bit-identical on the wire to the unsharded
 // protocol (the golden tests pin this).
 func (r *Router) Do(ctx context.Context, req []byte) ([]byte, error) {
+	r.charge(req, netsim.Up)
 	rep := health.ReportFrom(ctx)
 	if r.solo() && rep == nil {
 		return r.shards[0].Do(ctx, req)
@@ -514,6 +518,9 @@ func (r *Router) submit(ctx context.Context, rep *health.Report, plans []plan, b
 // is answered locally, costing zero bytes. Under partial mode a failed
 // sub-call becomes its shard's gap.
 func (r *Router) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
+	for _, req := range reqs {
+		r.charge(req, netsim.Up)
+	}
 	rep := health.ReportFrom(ctx)
 	if r.solo() && rep == nil {
 		return r.shards[0].GoBatch(ctx, reqs)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bufpool"
@@ -22,9 +23,10 @@ import (
 // client.NewTyped to the endpoint. Three implementations exist:
 // *client.Remote (one shard behind one metered link), *ReplicaSet (one
 // shard behind N replica links with load balancing, hedging, and
-// failover) and *Aggregator (a subtree behind a metered uplink). The
-// router is indifferent: scatter–gather, routing pruning, and batched
-// multiplexing compose identically over any of them.
+// failover) and *Router (an aggregation-tree node: a subtree behind a
+// metered uplink, see NewTree). The router is indifferent:
+// scatter–gather, routing pruning, and batched multiplexing compose
+// identically over any of them.
 type Endpoint interface {
 	Name() string
 	client.Doer
@@ -51,11 +53,19 @@ type Router struct {
 
 	name string
 	// relation names the logical relation gaps are reported under: the
-	// router's own name, or for an interior tree node (NewAggregator) the
+	// router's own name, or for an interior tree node (NewTree) the
 	// tree's, since a gap means "<relation> is missing shard X" whichever
 	// level discovered it.
 	relation string
 	shards   []Endpoint
+
+	// uplink meters the link between an interior tree node and its
+	// parent (nil at the root): Do and GoBatch charge each request frame
+	// Up, finish each merged reply Down — the parent is this link's
+	// client, as on a leaf link. skips counts the parent's route-arounds
+	// of this subtree (RoutedAround).
+	uplink *netsim.Meter
+	skips  atomic.Int64
 
 	// Shard metadata for routing, fetched once (one INFO per shard link,
 	// metered like any query) on first use. Guarded by mu rather than a
@@ -80,10 +90,12 @@ type Router struct {
 const infoRetryCooldown = 250 * time.Millisecond
 
 // healthChecked is implemented by endpoints that track their own
-// liveness (*ReplicaSet with breakers armed). Under partial mode the
-// router consults Healthy before scattering to a shard, so a shard whose
-// every replica is open-circuit is routed around — gap recorded, probe
-// saved — instead of re-discovered by a doomed attempt.
+// liveness (*ReplicaSet with breakers armed, and *Router, which folds
+// its children's). Under partial mode the router consults Healthy before
+// scattering to a shard, so a shard whose every replica is open-circuit
+// — or a subtree none of whose children admits traffic — is routed
+// around, gap recorded, probe saved, instead of re-discovered by a
+// doomed attempt.
 type healthChecked interface {
 	Healthy() bool
 	RoutedAround()
@@ -128,7 +140,7 @@ func (r *Router) Shards() []Endpoint { return r.shards }
 func (r *Router) NumShards() int {
 	n := 0
 	for _, s := range r.shards {
-		if sub, ok := s.(interface{ NumShards() int }); ok {
+		if sub, ok := s.(*Router); ok {
 			n += sub.NumShards()
 		} else {
 			n++
@@ -142,9 +154,9 @@ func (r *Router) NumShards() int {
 // device (this router's direct children), index 1 the links one hop
 // below, and so on. A flat router yields one level — identical to
 // Usage(). An aggregation tree yields one entry per level: interior
-// children contribute their uplink meter (the bytes that actually
-// crossed the link into the level above) and recurse, leaves contribute
-// their full link usage. The scaling benchmarks and Explain read level 0
+// nodes contribute their uplink meter (the bytes that actually crossed
+// the link into the level above) and recurse, leaves contribute their
+// full link usage. The scaling benchmarks and Explain read level 0
 // to show the root fan-in staying ~flat while leaf traffic grows with N.
 func (r *Router) LevelUsages() []netsim.Usage {
 	var levels []netsim.Usage
@@ -153,9 +165,9 @@ func (r *Router) LevelUsages() []netsim.Usage {
 		var sum netsim.Usage
 		var next []Endpoint
 		for _, s := range frontier {
-			if agg, ok := s.(*Aggregator); ok {
-				sum = sum.Add(agg.UplinkUsage())
-				next = append(next, agg.Router.shards...)
+			if sub, ok := s.(*Router); ok {
+				sum = sum.Add(sub.uplinkUsage())
+				next = append(next, sub.shards...)
 				continue
 			}
 			sum = sum.Add(s.Usage())
@@ -167,14 +179,52 @@ func (r *Router) LevelUsages() []netsim.Usage {
 }
 
 // Usage returns the relation's accumulated traffic: the sum over all
-// shard links (every netsim.Usage field is an additive total).
+// shard links (every netsim.Usage field is an additive total) plus, for
+// an interior tree node, its uplink — so the root's Usage, and with it
+// Stats.TotalBytes and the Eq. 1 money cost, accounts every hop a byte
+// crossed. A parent's route-arounds of the subtree fold into
+// BreakerSkips like a replica set's.
 func (r *Router) Usage() netsim.Usage {
-	var sum netsim.Usage
+	sum := r.uplinkUsage()
 	for _, s := range r.shards {
 		sum = sum.Add(s.Usage())
 	}
+	sum.BreakerSkips += int(r.skips.Load())
 	return sum
 }
+
+// uplinkUsage returns the traffic an interior node exchanged with its
+// parent, the partially-merged view; the root has no uplink.
+func (r *Router) uplinkUsage() netsim.Usage {
+	if r.uplink == nil {
+		return netsim.Usage{}
+	}
+	return r.uplink.Usage()
+}
+
+// charge meters one frame crossing an interior node's uplink.
+func (r *Router) charge(frame []byte, dir netsim.Direction) {
+	if r.uplink != nil {
+		r.uplink.Charge(len(frame), dir)
+	}
+}
+
+// Healthy reports whether the subtree can serve: at least one child
+// admits traffic (children without their own health tracking count as
+// healthy). The fold is live and recursive — a child node folds its own
+// children — and stops at the first healthy child.
+func (r *Router) Healthy() bool {
+	for _, s := range r.shards {
+		if h, tracked := s.(healthChecked); !tracked || h.Healthy() {
+			return true
+		}
+	}
+	return false
+}
+
+// RoutedAround records that a parent skipped this subtree because no
+// child admits traffic.
+func (r *Router) RoutedAround() { r.skips.Add(1) }
 
 // PricePerByte returns the shared per-byte tariff of the shard links.
 func (r *Router) PricePerByte() float64 { return r.shards[0].PricePerByte() }
@@ -321,10 +371,10 @@ func (r *Router) recordInfoGapsLocked(rep *health.Report) {
 		if ok {
 			continue
 		}
-		if lg, isTree := r.shards[i].(leafGapper); isTree {
+		if sub, isTree := r.shards[i].(*Router); isTree {
 			// A dead interior node stands for its whole subtree: expand
 			// the gap to the leaf shard names the caller knows.
-			lg.recordLeafGaps(rep, r.relation, r.infoErr[i])
+			sub.recordLeafGaps(rep, r.relation, r.infoErr[i])
 			continue
 		}
 		reason := "info unavailable"
@@ -345,8 +395,8 @@ func (r *Router) gap(rep *health.Report, i int, err error) { r.gapAs(rep, r.rela
 // gap expands to the leaf shard names behind it — the report is always
 // in leaf units, whatever the topology.
 func (r *Router) gapAs(rep *health.Report, relation string, i int, err error) {
-	if lg, isTree := r.shards[i].(leafGapper); isTree {
-		lg.recordLeafGaps(rep, relation, err)
+	if sub, isTree := r.shards[i].(*Router); isTree {
+		sub.recordLeafGaps(rep, relation, err)
 		return
 	}
 	var bounds geom.Rect
@@ -363,16 +413,10 @@ func (r *Router) gapAs(rep *health.Report, relation string, i int, err error) {
 	rep.Record(relation, r.shards[i].Name(), bounds, count, reason)
 }
 
-// leafGapper is implemented by interior tree nodes: recordLeafGaps
-// reports the unreachable node's missing contribution as one gap per
-// leaf shard in its subtree, under the caller's relation name.
-type leafGapper interface {
-	recordLeafGaps(rep *health.Report, relation string, err error)
-}
-
-// recordLeafGaps reports every leaf shard behind this router as a gap —
-// invoked when a parent routed around this whole subtree. Leaves that
-// are themselves interior nodes recurse.
+// recordLeafGaps reports every leaf shard behind this interior node as a
+// gap under the caller's relation — invoked when a parent lost or routed
+// around this whole subtree. Children that are themselves interior nodes
+// recurse.
 func (r *Router) recordLeafGaps(rep *health.Report, relation string, err error) {
 	for i := range r.shards {
 		r.gapAs(rep, relation, i, err)

@@ -200,8 +200,6 @@ func leafEndpoints(e Endpoint) []Endpoint {
 	switch v := e.(type) {
 	case *Router:
 		shards = v.Shards()
-	case *Aggregator:
-		shards = v.Shards()
 	default:
 		return []Endpoint{e}
 	}
@@ -371,27 +369,99 @@ func TestSoloRouterBatchedPartialAbsorbsGap(t *testing.T) {
 	oneGap("batched", rep)
 }
 
-// TestAggregatorTypedCallsCrossUplink guards the embedding: an
-// Aggregator's typed surface is bound to its own Do, not to the embedded
-// Router's, so a typed call charges the uplink one request and one reply
-// frame like any other frame crossing the node.
+// TestAggregatorTypedCallsCrossUplink pins how an interior tree node
+// meters its uplink on every path a frame takes through it — a typed
+// call (client.Typed bound to the node's own Do), GoBatch of one, GoBatch
+// of several, and a partial-mode request one of whose children is dead:
+// each request frame is charged Up exactly once and each merged reply
+// Down exactly once, no more, no less.
 func TestAggregatorTypedCallsCrossUplink(t *testing.T) {
 	objs := dataset.GaussianClusters(300, 4, 700, dataset.World, 44)
-	tree, _ := newTestTree(t, objs, 8, 2)
-	agg := tree.Shards()[0].(*Aggregator)
+	var dead atomic.Bool
+	var deadCalls atomic.Int64
+	tree, err := ServeLocal("D", objs, LocalConfig{
+		Shards: 4, TreeFanout: 2, Link: netsim.DefaultLink(), Price: 1,
+		WrapTransport: func(name string, rt netsim.RoundTripper) netsim.RoundTripper {
+			if name == "D2/4" {
+				return &gateDeadRT{inner: rt, dead: &dead, calls: &deadCalls}
+			}
+			return rt
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	node := tree.Shards()[0].(*Router) // interior: leaves D1/4 and D2/4
 	ctx := context.Background()
-	if _, err := agg.Info(ctx); err != nil {
+	if _, err := node.Info(ctx); err != nil {
 		t.Fatal(err)
 	}
-	before := agg.UplinkUsage()
-	if _, err := agg.Count(ctx, dataset.World); err != nil {
-		t.Fatal(err)
+
+	// An exchange sends request frames into the node and returns the
+	// length of each request frame and of each merged reply.
+	type exchange func(ctx context.Context) (reqs, replies []int)
+	batch := func(frames ...[]byte) exchange {
+		return func(ctx context.Context) (reqs, replies []int) {
+			for _, f := range frames {
+				reqs = append(reqs, len(f))
+			}
+			for _, c := range node.GoBatch(ctx, frames) {
+				f, err := c.Frame()
+				if err != nil {
+					t.Fatal(err)
+				}
+				replies = append(replies, len(f))
+				bufpool.Put(f)
+			}
+			return reqs, replies
+		}
 	}
-	after := agg.UplinkUsage()
-	want := len(wire.AppendCount(nil, dataset.World)) + len(wire.AppendCountReply(nil, 0))
-	if after.Messages-before.Messages != 2 || after.PayloadBytes-before.PayloadBytes != want {
-		t.Fatalf("typed Count moved the uplink by %d messages / %d payload bytes, want 2 / %d",
-			after.Messages-before.Messages, after.PayloadBytes-before.PayloadBytes, want)
+	count := func() []byte { return wire.AppendCount(bufpool.Get(), dataset.World) }
+	for _, tc := range []struct {
+		name    string
+		partial bool // D2/4 is dead and the request runs in partial mode
+		run     exchange
+	}{
+		{"typed-count", false, func(ctx context.Context) ([]int, []int) {
+			if _, err := node.Count(ctx, dataset.World); err != nil {
+				t.Fatal(err)
+			}
+			return []int{len(count())}, []int{len(wire.AppendCountReply(nil, 0))}
+		}},
+		{"gobatch-one", false, batch(wire.AppendWindow(bufpool.Get(), dataset.World))},
+		{"gobatch-several", false, batch(count(), wire.AppendWindow(bufpool.Get(), geom.R(0, 0, 5000, 5000)),
+			wire.AppendRangeCount(bufpool.Get(), geom.Pt(5000, 5000), 3000))},
+		{"partial-dead-child", true, batch(wire.AppendWindow(bufpool.Get(), dataset.World))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, rep := ctx, health.NewReport()
+			if tc.partial {
+				dead.Store(true)
+				defer dead.Store(false)
+				ctx = health.WithReport(ctx, rep)
+			}
+			calls0 := deadCalls.Load()
+			before := node.uplink.Usage()
+			reqs, replies := tc.run(ctx)
+			want, err := netsim.NewMeter(netsim.DefaultLink(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range reqs {
+				want.Charge(n, netsim.Up)
+			}
+			for _, n := range replies {
+				want.Charge(n, netsim.Down)
+			}
+			if got, want := node.uplink.Usage(), before.Add(want.Usage()); got != want {
+				t.Fatalf("uplink usage %+v, want %+v (one Up per request frame %v, one Down per reply %v)",
+					got, want, reqs, replies)
+			}
+			if tc.partial && (len(rep.Gaps()) != 1 || deadCalls.Load() == calls0) {
+				t.Fatalf("the dead child was not tried and absorbed: gaps %+v", rep.Gaps())
+			}
+		})
 	}
 }
 

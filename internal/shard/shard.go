@@ -18,7 +18,8 @@
 //     of an aggregation tree — prune on advertised bounds.
 //
 //   - Routing (router.go, route.go): a scatter–gather Router over the
-//     shard links. Every layer here — Router, ReplicaSet, Aggregator —
+//     shard links, which NewTree (tree.go) also stacks into an
+//     aggregation tree. Every layer here — Router, ReplicaSet —
 //     implements the one request/reply seam (client.Doer: a frame in, a
 //     frame out) and gets the typed query surface core.Probe demands by
 //     embedding client.Typed; the router's routing table says, per

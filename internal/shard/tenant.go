@@ -6,9 +6,10 @@ import "repro/internal/netsim"
 // each is an additive sum over the endpoint's links, so a tenant's slice
 // of a router (or tree, or replica set) sums column by column with every
 // other tenant's to the endpoint's own Usage(). Endpoints without the
-// seam — anything that is not a *client.Remote, *ReplicaSet, or
-// *Aggregator — contribute zero, matching the optional-interface pattern
-// LinkStats uses.
+// seam — anything that is not a *client.Remote, *ReplicaSet, or *Router
+// — contribute zero, matching the optional-interface pattern LinkStats
+// uses. An interior tree node's uplink is charged outside any tenant
+// context, so a subtree's tenant slice is its leaf links' alone.
 
 // endpointTenantUsage reads an endpoint's per-tenant attribution when it
 // exposes one.
@@ -39,12 +40,4 @@ func (rs *ReplicaSet) TenantUsage(id netsim.TenantID) netsim.Usage {
 		sum = sum.Add(r.TenantUsage(id))
 	}
 	return sum
-}
-
-// TenantUsage returns the tenant's attributed slice of the subtree's
-// traffic: every leaf and interior link below this node. The synthetic
-// uplink meter is charged outside any tenant context, so it contributes
-// only through the subtree's own links.
-func (a *Aggregator) TenantUsage(id netsim.TenantID) netsim.Usage {
-	return a.Router.TenantUsage(id)
 }
