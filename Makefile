@@ -125,7 +125,7 @@ vet:
 # timer and never sleeps), the engine sizes its pools from configuration
 # and never from a clock (parallel.go does not so much as import time),
 # no probe-stack seam grows a Flush back — a queued probe is sent by
-# whoever waits for it — an unbatched GoBatch spawns nothing: its
+# whoever sends or waits for it — an unbatched GoBatch spawns nothing: its
 # group (group.go) runs on its waiter's stack — and core has one probe
 # path: it never picks a framing (no batching()), and reads Env.BatchSize
 # in the pool rule (parallel.go) alone. The field's declarations and a
@@ -143,8 +143,11 @@ vet:
 # DedupPairs and builds no memjoin.Options{} literal — result assembly
 # only sorts. Each fleet layer has one executor, GoBatch, whose one-
 # request case is Do: outside tests internal/shard holds exactly one go
-# statement, the hedge race of ReplicaSet.race, and the gostack.Grow that
-# opens it; nothing there asks a remote whether it batches (no
+# statement, the hedge race of ReplicaSet.race. A scatter sends every
+# sub-call and then receives them on its caller's stack: internal/client
+# declares no Call.Start, starting or runStarted, and no product file
+# imports internal/gostack. Nothing in internal/shard asks a remote
+# whether it batches (no
 # BatchEnabled), no Router.fan or Router.send sends a plan a second way,
 # and no RouterOption or WithParallelism is declared — the router takes
 # no options and bounds no scatter. A
@@ -184,9 +187,12 @@ lint-seams:
 	@if awk '/^func Oracle\(/ { o = 1 } !o && /DedupPairs\(|memjoin\.Options\{\}/ { print FILENAME ":" FNR ": " $$0; f = 1 } o && /^}/ { o = 0 } END { exit !f }' \
 	      $$(ls internal/core/*.go | grep -v '_test\.go$$'); then \
 	  echo "lint: pairs are born unique in core: every device join names its cell (no memjoin.Options{}), result assembly only sorts (no DedupPairs)"; exit 1; fi
-	@if awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[[:space:]]+go[[:space:]]/ { n++ } (/^[[:space:]]+go[[:space:]]/ || /gostack\.Grow\(/) && fn !~ /^func \(rs \*ReplicaSet\) race\(/ { print FILENAME ":" FNR ": " $$0; f = 1 } END { if (n != 1) { print "internal/shard: " n + 0 " go statements"; f = 1 } exit !f }' \
+	@if awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /^[[:space:]]+go[[:space:]]/ { n++ } /^[[:space:]]+go[[:space:]]/ && fn !~ /^func \(rs \*ReplicaSet\) race\(/ { print FILENAME ":" FNR ": " $$0; f = 1 } END { if (n != 1) { print "internal/shard: " n + 0 " go statements"; f = 1 } exit !f }' \
 	      $$(ls internal/shard/*.go | grep -v '_test\.go$$'); then \
-	  echo "lint: one executor per fleet layer: internal/shard's one go statement (and its gostack.Grow) is ReplicaSet.race's hedge race"; exit 1; fi
+	  echo "lint: one executor per fleet layer: internal/shard's one go statement is ReplicaSet.race's hedge race"; exit 1; fi
+	@if grep -HnE '^func \(c \*Call\) Start\(|^(var|func)[[:space:]]+(starting|runStarted)\b' $$(ls internal/client/*.go | grep -v '_test\.go$$') || \
+	    grep -rHnF --include='*.go' --exclude='*_test.go' '"repro/internal/gostack"' *.go bench cmd examples internal; then \
+	  echo "lint: a scatter sends its sub-calls on its caller's stack (Call.Send): no Call.Start, starting, runStarted or internal/gostack"; exit 1; fi
 	@if grep -HnE 'BatchEnabled|^func \(r \*Router\) (fan|send)\(' $$(ls internal/shard/*.go | grep -v '_test\.go$$'); then \
 	  echo "lint: one executor per fleet layer: no path picked by BatchEnabled, no Router.fan or Router.send"; exit 1; fi
 	@if grep -HnE 'wire\.Decode(Objects|BucketObjects|Pairs|Rects)|slices\.Sort' $$(ls internal/shard/*.go | grep -vE '_test\.go$$|/shard\.go$$'); then \

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/geom"
-	"repro/internal/gostack"
 	"repro/internal/netsim"
 	"repro/internal/wire"
 )
@@ -24,8 +23,9 @@ import (
 // cut an envelope, both inside one in-flight window per link:
 //
 //   - size: the queue reaching MaxBatch dispatches immediately;
-//   - waiter: a queued probe is sent by the first goroutine that waits
-//     for it, on that goroutine's own stack (see batcher.drive).
+//   - waiter: a queued probe is sent by the first goroutine that sends
+//     or waits for it, on that goroutine's own stack (see batcher.send
+//     and batcher.drive).
 //
 // At most inflightWindow (4) envelopes are in flight on a link. While the
 // window is full submissions queue and waiters park, and each completing
@@ -88,11 +88,13 @@ type Call struct {
 	settled atomic.Bool
 	// b is the batcher the call was submitted to, if any. Under b.mu:
 	// queued while the call sits in b's lanes, parked once its waiter has
-	// found the window full.
+	// found the window full, env once Send sent it in an envelope.
 	b              *batcher
 	queued, parked bool
-	eval           func() ([]byte, error) // set on a lazy call until evaluated
-	g              *group                 // set on a call of an unbatched group
+	env            *envelope
+	lazy           Lazy   // set on a lazy call until evaluated
+	sent           bool   // a lazy call's Send has run
+	g              *group // set on a call of an unbatched group
 }
 
 // NewDetachedCall returns a Call bound to no Remote: an aggregator that
@@ -104,11 +106,18 @@ func NewDetachedCall(name string) *Call {
 	return &Call{name: name, done: make(chan struct{})}
 }
 
-// NewLazyCall returns a Call whose reply eval computes from other calls,
-// on the stack of the goroutine that waits for it: a reply that only
+// Lazy is the work behind a lazy call: Eval computes the call's reply
+// from the calls it folds, and Send sends them (Call.Send).
+type Lazy interface {
+	Send()
+	Eval() ([]byte, error)
+}
+
+// NewLazyCall returns a Call whose reply l computes from other calls, on
+// the stack of the goroutine that waits for it: a reply that only
 // merges, meters or retries other replies costs no goroutine or channel.
-func NewLazyCall(name string, eval func() ([]byte, error)) *Call {
-	return &Call{name: name, eval: eval}
+func NewLazyCall(name string, l Lazy) *Call {
+	return &Call{name: name, lazy: l}
 }
 
 // CompleteFrame finishes a detached call with a response frame (ownership
@@ -142,10 +151,10 @@ func (c *Call) complete(resp []byte, err error) {
 func (c *Call) frame() ([]byte, error) {
 	if c.g != nil {
 		c.g.once.Do(c.g.run)
-	} else if c.eval != nil && c.done == nil {
-		eval := c.eval
-		c.eval = nil
-		c.resp, c.err = eval()
+	} else if c.lazy != nil {
+		l := c.lazy
+		c.lazy = nil
+		c.resp, c.err = l.Eval()
 	} else if c.done != nil {
 		if c.b != nil {
 			c.b.drive(c)
@@ -180,47 +189,21 @@ func (c *Call) frame() ([]byte, error) {
 	return resp, nil
 }
 
-// Start gets the call under way on a goroutine of its own instead of
-// its eventual waiter's stack. A caller about to wait on several calls
-// in turn starts all but the first, so their round trips overlap. The
-// goroutine may run a whole nested gather (a router's lazy call), so
-// its stack is grown up front.
-func (c *Call) Start() {
+// Send puts the call's request on the wire from the caller's stack
+// without waiting for the reply, which its waiter receives: a caller
+// about to wait on several calls sends them all first, so their round
+// trips overlap. A request that cannot leave without waiting (a full
+// window, a group that crosses whole) leaves when waited for. A lazy
+// call sends the calls it folds. A second Send is a no-op.
+func (c *Call) Send() {
 	switch {
 	case c.g != nil:
-		if c.g.started.Swap(true) {
-			return
-		}
-	case c.eval != nil && c.done == nil:
-		c.done = make(chan struct{})
-	case c.b == nil:
-		return
-	}
-	go runStarted()
-	starting <- c
-}
-
-// starting hands each started call to the goroutine Start spawned for
-// it: a closure carrying the call would cost an allocation per start,
-// a goroutine that receives it costs none. Every Start spawns one
-// goroutine and sends one call, so each call runs exactly once, on
-// whichever of them receives it. The channel is unbuffered: the sender
-// waits for the goroutine it just spawned, which runs next on its
-// processor, and a call never queues behind another's.
-var starting = make(chan *Call)
-
-// runStarted is the goroutine of one Start. The call may run a whole
-// nested gather (a router's lazy call), so the stack is grown first.
-func runStarted() {
-	c := <-starting
-	gostack.Grow()
-	switch {
-	case c.g != nil:
-		c.g.once.Do(c.g.run)
+		c.g.send()
+	case c.lazy != nil && !c.sent:
+		c.sent = true
+		c.lazy.Send()
 	case c.b != nil:
-		c.b.drive(c)
-	default:
-		c.complete(c.eval())
+		c.b.send(c)
 	}
 }
 
@@ -279,6 +262,7 @@ type batcher struct {
 	rr     int               // DRR round-robin start index into order
 	npend  int               // total queued across lanes
 	parked int               // queued calls whose waiter found the window full
+	held   int               // envelopes sent by Call.Send and not yet received
 
 	frames atomic.Int64 // dispatched frames, envelopes and stragglers alike (read by tests)
 }
@@ -344,6 +328,11 @@ func (b *batcher) enqueue(calls []*Call) {
 func (b *batcher) drive(c *Call) {
 	for {
 		b.mu.Lock()
+		if e := c.env; e != nil {
+			b.mu.Unlock()
+			e.land()
+			return
+		}
 		if c.queued && b.full() && !c.parked {
 			c.parked = true
 			b.parked++
@@ -364,6 +353,35 @@ func (b *batcher) drive(c *Call) {
 			go b.run(next) // the waiter has its reply; it does not stay to serve others
 		}
 	}
+}
+
+// send is Call.Send of a queued call: what is queued leaves as the
+// envelope c's waiter would send (drive), to be received by whoever
+// first waits for one of its calls. It holds its window slot until then,
+// so at most cap-1 slots are held: in a full window one envelope is a
+// dispatcher's, which finishes on its own and serves a parked waiter.
+func (b *batcher) send(c *Call) {
+	b.mu.Lock()
+	if !c.queued || b.full() || b.held >= cap(b.sem)-1 {
+		b.mu.Unlock()
+		return
+	}
+	batch := b.pick(true)
+	b.sem <- struct{}{}
+	if !sharedBy(batch, c.ctx) {
+		b.mu.Unlock()
+		go b.run(batch)
+		return
+	}
+	e := &envelope{b: b, batch: batch}
+	e.mu.Lock() // a mate's waiter lands it once sent
+	for _, m := range batch {
+		m.env = e
+	}
+	b.held++
+	b.mu.Unlock()
+	e.send()
+	e.mu.Unlock()
 }
 
 // sharedBy reports whether every call of the batch runs under ctx.
@@ -581,9 +599,10 @@ func (b *batcher) taken(c *Call) {
 	}
 }
 
-// dispatch sends one batch as a single frame (bare for a batch of one —
-// a straggler costs exactly what an unbatched request costs) and
-// demultiplexes the reply to the waiting calls.
+// envelope is one batch crossing the link as a single frame (bare for a
+// batch of one — a straggler costs exactly what an unbatched request
+// costs): send puts it on the wire, receive demultiplexes the reply to
+// the batch's calls.
 //
 // The round trip is detached from any single caller: when all calls
 // share one context (the single-session pattern — all probes of a join
@@ -592,39 +611,65 @@ func (b *batcher) taken(c *Call) {
 // batched context is done. One caller's cancellation therefore never
 // fails its batch-mates; the cancelled caller itself returns promptly
 // through Call.frame's own-context watch.
+type envelope struct {
+	b     *batcher
+	batch []*Call // nil once received
+	subs  [][]byte
+	stop  func()
+	f     flight
+
+	mu sync.Mutex // held while it is sent, and while it lands
+}
+
+// dispatch sends one batch and receives its reply on the caller's stack.
 func (b *batcher) dispatch(batch []*Call) {
+	e := envelope{b: b, batch: batch}
+	e.send()
+	e.receive()
+}
+
+func (e *envelope) send() {
+	b, batch := e.b, e.batch
 	b.frames.Add(1)
 	ctx, stop := dispatchContext(batch)
-	defer stop()
+	e.stop = stop
 	if len(batch) == 1 {
 		c := batch[0]
-		resp, err := b.rem.Do(ctx, c.req)
-		c.req = nil
-		c.complete(resp, err)
+		e.f, c.req = b.rem.send(ctx, c.req), nil
 		return
 	}
-	subs := make([][]byte, len(batch))
+	e.subs = make([][]byte, len(batch))
 	for i, c := range batch {
-		subs[i] = c.req
+		e.subs[i] = c.req
 	}
 	if b.sched != nil {
 		// Multi-tenant envelope: stamp the per-tenant byte shares so the
 		// meter attributes (and the ledger bills) the frame exactly.
 		ctx = b.sched.withShares(ctx, batch)
 	}
-	frame := wire.AppendBatch(bufpool.Get(), subs)
+	frame := wire.AppendBatch(bufpool.Get(), e.subs)
 	for _, c := range batch {
 		bufpool.Put(c.req)
 		c.req = nil
 	}
-	resp, err := b.rem.Do(ctx, frame)
+	e.f = b.rem.send(ctx, frame)
+}
+
+func (e *envelope) receive() {
+	defer e.stop()
+	b, batch := e.b, e.batch
+	resp, err := e.f.recv()
+	if len(batch) == 1 {
+		batch[0].complete(resp, err)
+		return
+	}
 	if err != nil {
 		for _, c := range batch {
 			c.complete(nil, err)
 		}
 		return
 	}
-	subs, err = wire.DecodeBatchAppend(resp, wire.MsgBatchReply, subs[:0])
+	subs, err := wire.DecodeBatchAppend(resp, wire.MsgBatchReply, e.subs[:0])
 	if err == nil && len(subs) != len(batch) {
 		err = fmt.Errorf("batch reply carries %d sub-frames, want %d", len(subs), len(batch))
 	}
@@ -644,6 +689,25 @@ func (b *batcher) dispatch(batch []*Call) {
 		c.complete(append(buf, subs[i]...), nil)
 	}
 	bufpool.Put(resp)
+}
+
+// land receives an envelope Call.Send sent, unless a mate's waiter did,
+// and hands its slot on as drive does.
+func (e *envelope) land() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.batch == nil {
+		return
+	}
+	e.receive()
+	e.batch = nil
+	b := e.b
+	b.mu.Lock()
+	b.held--
+	b.mu.Unlock()
+	if next := b.next(); next != nil {
+		go b.run(next)
+	}
 }
 
 // dispatchContext returns the context an envelope's round trip runs

@@ -220,19 +220,53 @@ func (r *Remote) admit(ctx context.Context) error {
 // aliasing guard makes sure the shared backing is then released exactly
 // once (as the response), never double-Put.
 func (r *Remote) Do(ctx context.Context, req []byte) ([]byte, error) {
-	if err := r.admit(ctx); err != nil {
-		// The frame was never sent, so it goes straight back to the pool.
-		bufpool.Put(req)
-		return nil, err
+	f := r.send(ctx, req)
+	return f.recv()
+}
+
+// flight is Do in two halves: send passes the quota gate and puts the
+// first attempt on the wire (netsim.Metered.Send), recv receives it and
+// goes on as Do's attempt loop. A policy that times its attempts
+// (PerTryTimeout, Budget) sends nothing: its clock starts in recv.
+type flight struct {
+	r   *Remote
+	ctx context.Context
+	req []byte
+	netsim.Flight
+	sent bool
+	err  error // the quota gate's
+}
+
+func (r *Remote) send(ctx context.Context, req []byte) flight {
+	f := flight{r: r, ctx: ctx, req: req}
+	if f.err = r.admit(ctx); f.err != nil {
+		bufpool.Put(req) // never sent
+	} else if r.retry.PerTryTimeout == 0 && r.retry.Budget == 0 {
+		f.Flight, f.sent = r.conn.Send(ctx, req), true
 	}
-	if r.retry.Budget > 0 {
+	return f
+}
+
+// recv ends the flight; the caller owns the returned frame.
+func (f *flight) recv() ([]byte, error) {
+	r, ctx := f.r, f.ctx
+	switch {
+	case f.err != nil:
+		return nil, f.err
+	case f.sent:
+		resp, err := f.Flight.Recv()
+		if err == nil {
+			return r.accept(f.req, resp, false)
+		}
+		return r.attempts(ctx, f.req, 1, err, errors.Is(err, netsim.ErrFrameRetained))
+	case r.retry.Budget > 0:
 		// One deadline for the whole attempt loop: retries and backoffs
 		// spend from it rather than stacking their own timeouts.
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.retry.Budget)
 		defer cancel()
 	}
-	return r.attempts(ctx, req, 0, nil, false)
+	return r.attempts(ctx, f.req, 0, nil, false)
 }
 
 // attempts is Do's attempt loop. last is the previous attempt's error
@@ -272,15 +306,7 @@ func (r *Remote) attempts(ctx context.Context, req []byte, spent int, last error
 		resp, err := r.conn.RoundTrip(tryCtx, req)
 		cancel()
 		if err == nil {
-			if !retained && !bufpool.SameBacking(req, resp) {
-				bufpool.Put(req)
-			}
-			if wire.Type(resp) == wire.MsgError {
-				serr := fmt.Errorf("%s: %w", r.name, wire.DecodeError(resp))
-				bufpool.Put(resp)
-				return nil, serr
-			}
-			return resp, nil
+			return r.accept(req, resp, retained)
 		}
 		last = err
 		if errors.Is(err, netsim.ErrFrameRetained) {
@@ -294,4 +320,19 @@ func (r *Remote) attempts(ctx context.Context, req []byte, spent int, last error
 		bufpool.Put(req)
 	}
 	return nil, fmt.Errorf("%s: %w", r.name, last)
+}
+
+// accept finishes a query whose attempt was answered with resp: the
+// request frame is recycled unless an earlier attempt may still read it,
+// and a MsgError reply becomes the query's error.
+func (r *Remote) accept(req, resp []byte, retained bool) ([]byte, error) {
+	if !retained && !bufpool.SameBacking(req, resp) {
+		bufpool.Put(req)
+	}
+	if wire.Type(resp) == wire.MsgError {
+		err := fmt.Errorf("%s: %w", r.name, wire.DecodeError(resp))
+		bufpool.Put(resp)
+		return nil, err
+	}
+	return resp, nil
 }

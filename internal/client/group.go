@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bufpool"
 	"repro/internal/netsim"
@@ -20,19 +19,20 @@ import (
 // once, whether the transport writes it back to back or not — so n probes
 // cost about n/depth waits instead of n. A lone request, and a group
 // under a retry policy that times each request (PerTryTimeout, Budget),
-// is Do per request.
+// is Do per request. Call.Send sends a lone request ahead of its waiter.
 type group struct {
-	r       *Remote
-	ctx     context.Context
-	calls   []Call
-	frames  [][]byte // request and reply frames of a pipelined run, len(calls) each
-	once    sync.Once
-	started atomic.Bool // a Call.Start has put the run on a goroutine
+	r      *Remote
+	ctx    context.Context
+	calls  []Call
+	frames [][]byte // request and reply frames of a pipelined run, len(calls) each
+	once   sync.Once
+	lone   *flight // a lone request's, sent once its request moves in
 }
 
 // inlineGroup is a group with everything its submission and its run
 // need in one allocation: C, P and F are arrays of Call, *Call and
-// []byte, of one length and of twice it. A group of up to a pipelined
+// []byte, of one length and of twice it — a lone request's F is its
+// flight instead. A group of up to a pipelined
 // chunk's depth takes the smallest of three that fits — a lone request
 // (each sub-request of a router's scatter is one) the one, a quadrant
 // group the four, an NLSJ probe group the chunk. The returned
@@ -52,8 +52,8 @@ func (r *Remote) group(ctx context.Context, reqs [][]byte) []*Call {
 	var calls []*Call
 	switch n := len(reqs); {
 	case n == 1:
-		s := new(inlineGroup[[1]Call, [1]*Call, [2][]byte])
-		g, calls, s.group.calls, s.group.frames = &s.group, s.ptrs[:], s.calls[:], s.frames[:]
+		s := new(inlineGroup[[1]Call, [1]*Call, flight])
+		g, calls, s.group.calls, s.group.lone = &s.group, s.ptrs[:], s.calls[:], &s.frames
 	case n <= 4:
 		s := new(inlineGroup[[4]Call, [4]*Call, [8][]byte])
 		g, calls, s.group.calls, s.group.frames = &s.group, s.ptrs[:n], s.calls[:n], s.frames[:2*n]
@@ -77,7 +77,13 @@ func (r *Remote) group(ctx context.Context, reqs [][]byte) []*Call {
 // or error in the call itself.
 func (g *group) run() {
 	r, n := g.r, len(g.calls)
-	if n == 1 || r.retry.PerTryTimeout > 0 || r.retry.Budget > 0 {
+	if n == 1 {
+		g.send()
+		c := &g.calls[0]
+		c.resp, c.err = g.lone.recv()
+		return
+	}
+	if r.retry.PerTryTimeout > 0 || r.retry.Budget > 0 {
 		for i := range g.calls {
 			c := &g.calls[i]
 			c.resp, c.err = r.Do(g.ctx, c.req)
@@ -96,6 +102,14 @@ func (g *group) run() {
 		hi := lo + netsim.PipelineChunk(reqs[lo:])
 		r.pipeline(g.ctx, g.calls[lo:hi], reqs[lo:hi], resps[lo:hi])
 		lo = hi
+	}
+}
+
+// send is Call.Send: a lone request (whose one call has one owner, so
+// this races with no run) leaves now; a larger group, when waited for.
+func (g *group) send() {
+	if c := &g.calls[0]; g.lone != nil && c.req != nil {
+		*g.lone, c.req = g.r.send(g.ctx, c.req), nil
 	}
 }
 

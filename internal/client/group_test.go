@@ -559,6 +559,12 @@ func TestGroupSpawnsNothing(t *testing.T) {
 	}
 }
 
+// frameOf is a lazy call's work that waits for another call.
+type frameOf struct{ c *Call }
+
+func (frameOf) Send()                   {}
+func (f frameOf) Eval() ([]byte, error) { return f.c.Frame() }
+
 // TestGroupCallsAreTheCallers: the calls slice a group returns belongs to
 // the caller, element by element — a layer above may overwrite each call
 // with one of its own, as Router.GoBatch's lone-request path does — and
@@ -587,7 +593,7 @@ func TestGroupCallsAreTheCallers(t *testing.T) {
 			calls := r.GoBatch(context.Background(), reqs)
 			inner := append([]*Call(nil), calls...)
 			for i, in := range inner {
-				calls[i] = NewLazyCall("wrapper", in.Frame)
+				calls[i] = NewLazyCall("wrapper", frameOf{in})
 			}
 			var wg sync.WaitGroup
 			for i := n - 1; i >= 0; i-- {

@@ -57,18 +57,29 @@ var ErrClosed = errors.New("netsim: transport closed")
 // RoundTrip is safe for concurrent use: each call carries its own reply
 // channel, so responses can never be delivered to the wrong caller. With
 // a single worker (Serve) concurrent requests queue and are answered one
-// at a time; ServeParallel keeps several requests in service at once.
+// at a time; ServeParallel keeps several requests in service at once. It
+// is a Sender: a request an idle worker takes at once is sent, and its
+// reply collected later.
 type ChannelTransport struct {
-	reqs chan chanReq
+	reqs chan *chanFlight
 
 	closeOnce sync.Once
 	closed    chan struct{}
 	done      chan struct{} // all server goroutines exited
 }
 
-type chanReq struct {
+// chanFlight is one request on its way to a worker, with the channel its
+// reply comes back on. It is pooled: the last per-round-trip allocation
+// of the in-process transport.
+type chanFlight struct {
+	t     *ChannelTransport
+	ctx   context.Context
 	frame []byte
 	reply chan []byte
+}
+
+var chanFlightPool = sync.Pool{
+	New: func() any { return &chanFlight{reply: make(chan []byte, 1)} },
 }
 
 // Serve starts a single goroutine running h as a server peer and returns
@@ -87,7 +98,7 @@ func ServeParallel(h Handler, workers int) *ChannelTransport {
 	}
 	ah := appending(h)
 	t := &ChannelTransport{
-		reqs:   make(chan chanReq),
+		reqs:   make(chan *chanFlight),
 		closed: make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -98,8 +109,10 @@ func ServeParallel(h Handler, workers int) *ChannelTransport {
 			defer wg.Done()
 			for {
 				select {
-				case r := <-t.reqs:
-					r.reply <- ah.HandleAppend(r.frame, bufpool.Get())
+				case f := <-t.reqs:
+					// The reply is the worker's last touch of f: its
+					// receiver may recycle it at once.
+					f.reply <- ah.HandleAppend(f.frame, bufpool.Get())
 				case <-t.closed:
 					return
 				}
@@ -113,61 +126,95 @@ func ServeParallel(h Handler, workers int) *ChannelTransport {
 	return t
 }
 
-// replyChanPool recycles the per-request reply channels, the last
-// per-round-trip allocation of the in-process transport.
-var replyChanPool = sync.Pool{
-	New: func() any { return make(chan []byte, 1) },
+func (t *ChannelTransport) flight(ctx context.Context, req []byte) *chanFlight {
+	f := chanFlightPool.Get().(*chanFlight)
+	f.t, f.ctx, f.frame = t, ctx, req
+	return f
+}
+
+func (f *chanFlight) free() {
+	f.t, f.ctx, f.frame = nil, nil, nil
+	chanFlightPool.Put(f)
 }
 
 // RoundTrip implements RoundTripper. The returned frame is backed by the
 // shared buffer pool; the caller may bufpool.Put it after consuming its
-// bytes. A canceled
-// context abandons the round trip immediately, even when every server
-// worker is hung inside a handler.
+// bytes. A canceled context abandons the round trip immediately, even
+// when every server worker is hung inside a handler. Each half tries the
+// plain channel operation first and selects on shutdown and
+// cancellation only when it would block.
 func (t *ChannelTransport) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
-	reply := replyChanPool.Get().(chan []byte)
-	r := chanReq{frame: req, reply: reply}
+	f := t.flight(ctx, req)
 	select {
-	case t.reqs <- r:
-	case <-t.closed:
-		replyChanPool.Put(reply)
-		return nil, ErrClosed
-	case <-ctx.Done():
-		replyChanPool.Put(reply)
-		return nil, ctx.Err()
+	case t.reqs <- f:
+	default:
+		select {
+		case t.reqs <- f:
+		case <-t.closed:
+			f.free()
+			return nil, ErrClosed
+		case <-ctx.Done():
+			f.free()
+			return nil, ctx.Err()
+		}
+	}
+	return f.Recv()
+}
+
+// Send implements Sender: the request is sent when a worker is idle to
+// take it at once, and otherwise left to a round trip at receive.
+func (t *ChannelTransport) Send(ctx context.Context, req []byte) Receiver {
+	f := t.flight(ctx, req)
+	select {
+	case t.reqs <- f:
+		return f
+	default:
+		f.free()
+		return nil
+	}
+}
+
+// Recv implements Receiver.
+func (f *chanFlight) Recv() ([]byte, error) {
+	select {
+	case resp := <-f.reply:
+		f.free()
+		return resp, nil
+	default:
 	}
 	select {
-	case resp := <-r.reply:
-		replyChanPool.Put(reply)
+	case resp := <-f.reply:
+		f.free()
 		return resp, nil
-	case <-t.closed:
+	case <-f.t.closed:
 		// The request is in service (reqs is unbuffered, so a worker holds
 		// it) and its late reply will land in this channel: a reaper waits
-		// for it so the reply frame and the channel return to their pools
+		// for it so the reply frame and the flight return to their pools
 		// instead of leaking, while the error is marked retained — the
 		// worker may still be reading the request buffer.
-		go reapAbandoned(req, reply)
+		go reapAbandoned(f)
 		return nil, RetainFrame(ErrClosed)
-	case <-ctx.Done():
+	case <-f.ctx.Done():
 		// Same: the in-flight request's late reply may still land here.
-		go reapAbandoned(req, reply)
-		return nil, RetainFrame(ctx.Err())
+		err := f.ctx.Err()
+		go reapAbandoned(f)
+		return nil, RetainFrame(err)
 	}
 }
 
 // reapAbandoned drains the late reply of an abandoned round trip,
-// recycling the reply frame and the reply channel. Workers always answer
+// recycling the reply frame and the flight. Workers always answer
 // exactly once (they finish the request in hand even during shutdown),
 // so the reaper is guaranteed to terminate. The request frame is NOT
 // recycled here: the abandoning caller may be retrying with the same
 // buffer, so its ownership stays with the caller (which must leave it to
 // the garbage collector, per ErrFrameRetained).
-func reapAbandoned(req []byte, reply chan []byte) {
-	resp := <-reply
-	if !bufpool.SameBacking(req, resp) {
+func reapAbandoned(f *chanFlight) {
+	resp := <-f.reply
+	if !bufpool.SameBacking(f.frame, resp) {
 		bufpool.Put(resp)
 	}
-	replyChanPool.Put(reply)
+	f.free()
 }
 
 // Close implements RoundTripper; it stops the server goroutines.

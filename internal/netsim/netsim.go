@@ -31,6 +31,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/bufpool"
 )
 
 // LinkConfig describes the physical link parameters of Eq. (1).
@@ -232,9 +234,10 @@ func (m *Meter) PricePerByte() float64 { return m.price }
 func (m *Meter) Link() LinkConfig { return m.link }
 
 // Charge records the transfer of one frame of the given payload size in
-// the given direction and returns the wire bytes charged.
-func (m *Meter) Charge(payload int, dir Direction) int {
-	return m.charge(context.Background(), payload, dir, false, false)
+// the given direction, for ctx as a Metered round trip would (hedged and
+// tenant columns), and returns the wire bytes charged.
+func (m *Meter) Charge(ctx context.Context, payload int, dir Direction) int {
+	return m.charge(ctx, payload, dir, IsHedged(ctx), m.tenantMode.Load())
 }
 
 // charge books one frame: the link totals, the hedged column when hedged,
@@ -305,6 +308,19 @@ type Pipeliner interface {
 	Pipeline(ctx context.Context, reqs, resps [][]byte) (answered int, err error)
 }
 
+// Sender is the optional capability of a RoundTripper that splits a
+// round trip: Send puts req on the wire and returns at once, and Recv
+// collects the reply under Send's context. A send never blocks on the
+// peer: a frame that cannot leave at once (no idle worker or connection)
+// is not sent, Send returns nil, and the caller makes the whole round
+// trip when it receives.
+type Sender interface {
+	Send(ctx context.Context, req []byte) Receiver
+}
+
+// Receiver is a request a Sender put on the wire; Recv is called once.
+type Receiver interface{ Recv() ([]byte, error) }
+
 // Pipeline sends one chunk over rt: a Pipeliner writes it back to back;
 // any other transport — Faulty, Switch, the channel transport, a
 // decorator hiding the capability — gets one round trip after another,
@@ -369,25 +385,69 @@ func NewMetered(rt RoundTripper, meter *Meter) *Metered {
 	return &Metered{rt: rt, m: meter}
 }
 
-// RoundTrip implements RoundTripper. Every attempt that reaches this
-// wrapper charges its request frame to the meter, so when a caller
-// re-issues a query after a fault, the retransmission is accounted like
-// any other uplink frame (Eq. 1). Responses are charged only when they
-// actually arrive.
+// RoundTrip implements RoundTripper: a Send and its Recv. Every attempt
+// that reaches this wrapper charges its request frame, so a re-issued
+// query is accounted like any other uplink frame (Eq. 1); responses are
+// charged only when they actually arrive.
 func (c *Metered) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
-	hedged := IsHedged(ctx)
-	tenanted := c.m.tenantMode.Load()
-	c.m.charge(ctx, len(req), Up, hedged, tenanted)
+	f := c.Send(ctx, req)
+	return f.Recv()
+}
+
+// Send charges the request Up, stamps its reply due one RTT from now and
+// hands it to the transport when that is a Sender. It never waits.
+func (c *Metered) Send(ctx context.Context, req []byte) Flight {
+	f := Flight{c: c, ctx: ctx, req: req, hedged: IsHedged(ctx), tenanted: c.m.tenantMode.Load()}
+	c.m.charge(ctx, len(req), Up, f.hedged, f.tenanted)
 	if rtt := c.m.link.RTT; rtt > 0 {
-		if err := sleepCtx(ctx, rtt); err != nil {
-			return nil, err
-		}
+		f.due = time.Now().Add(rtt)
 	}
-	resp, err := c.rt.RoundTrip(ctx, req)
+	if s, ok := c.rt.(Sender); ok {
+		f.sent = s.Send(ctx, req)
+	}
+	return f
+}
+
+// Flight is a request sent over a Metered link. Its latency runs from the
+// send, so flights sent back to back pay their RTTs at once.
+type Flight struct {
+	c                *Metered
+	ctx              context.Context
+	req              []byte
+	due              time.Time // zero without latency
+	sent             Receiver  // nil: Recv makes the whole round trip
+	hedged, tenanted bool
+}
+
+// Recv waits out the rest of the RTT, collects the reply (or makes the
+// round trip) and charges it Down. Abandoned by the send's context, it
+// leaks neither reply nor goroutine, and marks ErrFrameRetained when the
+// peer may still read the request.
+func (f *Flight) Recv() ([]byte, error) {
+	var err error
+	if !f.due.IsZero() {
+		err = sleepCtx(f.ctx, time.Until(f.due))
+	}
+	var resp []byte
+	switch {
+	case f.sent != nil:
+		var rerr error // returned at once under a context that ended
+		resp, rerr = f.sent.Recv()
+		switch {
+		case err == nil:
+			err = rerr
+		case rerr == nil && !bufpool.SameBacking(f.req, resp):
+			bufpool.Put(resp)
+		case rerr == nil || errors.Is(rerr, ErrFrameRetained):
+			err = RetainFrame(err)
+		}
+	case err == nil:
+		resp, err = f.c.rt.RoundTrip(f.ctx, f.req)
+	}
 	if err != nil {
 		return nil, err
 	}
-	c.m.charge(ctx, len(resp), Down, hedged, tenanted)
+	f.c.m.charge(f.ctx, len(resp), Down, f.hedged, f.tenanted)
 	return resp, nil
 }
 

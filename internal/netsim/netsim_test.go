@@ -88,8 +88,8 @@ func TestQuickTBMonotoneAndSuperlinear(t *testing.T) {
 
 func TestMeterAccumulates(t *testing.T) {
 	m := mustMeter(t, DefaultLink(), 2.0)
-	m.Charge(10, Up)
-	m.Charge(3000, Down)
+	m.Charge(context.Background(), 10, Up)
+	m.Charge(context.Background(), 3000, Down)
 	u := m.Usage()
 	if u.Messages != 2 {
 		t.Errorf("Messages = %d, want 2", u.Messages)
@@ -121,7 +121,7 @@ func TestMeterConcurrentCharges(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				m.Charge(100, Up)
+				m.Charge(context.Background(), 100, Up)
 			}
 		}()
 	}

@@ -158,7 +158,7 @@ func TestMeterConcurrentChargesBothDirections(t *testing.T) {
 				dir = Down
 			}
 			for i := 0; i < perG; i++ {
-				m.Charge(payload, dir)
+				m.Charge(context.Background(), payload, dir)
 			}
 		}(g)
 	}

@@ -358,6 +358,12 @@ type TCPTransport struct {
 type tcpConn struct {
 	net.Conn
 	br *bufio.Reader
+
+	// The exchange between begin and end, and a Send's write error.
+	t    *TCPTransport
+	ctx  context.Context
+	stop func() bool
+	err  error
 }
 
 func newTCPConn(conn net.Conn) *tcpConn {
@@ -463,6 +469,40 @@ func (t *TCPTransport) RoundTrip(ctx context.Context, req []byte) ([]byte, error
 	return resp[0], err
 }
 
+// Send implements Sender: it writes req on a pooled connection idle
+// right now, unless that would take the pool's last free slot, which a
+// caller holding flights may need for a round trip.
+func (t *TCPTransport) Send(ctx context.Context, req []byte) Receiver {
+	select {
+	case t.slots <- struct{}{}:
+	default:
+		return nil
+	}
+	t.mu.Lock()
+	n := len(t.free)
+	if n == 0 || t.closed || len(t.slots) == cap(t.slots) {
+		t.mu.Unlock()
+		<-t.slots
+		return nil
+	}
+	conn := t.free[n-1]
+	t.free = t.free[:n-1]
+	t.mu.Unlock()
+	conn.begin(ctx, t)
+	conn.err = writeFrame(conn.Conn, req)
+	return conn
+}
+
+// Recv implements Receiver: it reads the reply of the request Send wrote.
+func (c *tcpConn) Recv() ([]byte, error) {
+	var resp []byte
+	err := c.err
+	if err == nil {
+		resp, err = readFrame(c.br)
+	}
+	return resp, c.end(err)
+}
+
 // Pipeline implements Pipeliner on one pooled connection: the chunk's
 // frames leave back to back (writeFrames) and the replies are read in
 // order — the server answers a connection strictly in order, so reply i
@@ -474,10 +514,7 @@ func (t *TCPTransport) Pipeline(ctx context.Context, reqs, resps [][]byte) (int,
 	if err != nil {
 		return 0, err
 	}
-	deadline, hasDeadline := ctx.Deadline()
-	conn.SetDeadline(deadline) // zero deadline clears any previous one
-	// Interrupt the socket when ctx is canceled mid-flight.
-	stop := context.AfterFunc(ctx, func() { conn.SetDeadline(aLongTimeAgo) })
+	conn.begin(ctx, t)
 	err = writeFrames(conn.Conn, reqs) // the bare socket: gathered writes need *net.TCPConn itself
 	answered := 0
 	for err == nil && answered < len(reqs) {
@@ -485,14 +522,34 @@ func (t *TCPTransport) Pipeline(ctx context.Context, reqs, resps [][]byte) (int,
 			answered++
 		}
 	}
+	return answered, conn.end(err)
+}
+
+// begin opens an exchange on a connection claimed from t, under ctx:
+// its deadline bounds the socket and its cancellation interrupts it.
+func (c *tcpConn) begin(ctx context.Context, t *TCPTransport) {
+	c.t, c.ctx, c.err = t, ctx, nil
+	deadline, _ := ctx.Deadline()
+	c.SetDeadline(deadline) // zero deadline clears any previous one
+	c.stop = context.AfterFunc(ctx, func() { c.SetDeadline(aLongTimeAgo) })
+}
+
+// end returns the connection to t — discarded unless the exchange
+// succeeded uninterrupted — and err, as the context's error where the
+// context caused it.
+func (c *tcpConn) end(err error) error {
+	ctx := c.ctx
 	healthy := err == nil
-	if !stop() {
+	if !c.stop() {
 		// The cancel hook ran (or is running): the connection's deadline
 		// state is poisoned, so never return it to the pool.
 		healthy = false
 	}
-	t.release(conn, healthy)
+	t := c.t
+	c.t, c.ctx, c.stop, c.err = nil, nil, nil, nil
+	t.release(c, healthy)
 	if err != nil {
+		_, hasDeadline := ctx.Deadline()
 		if cerr := ctx.Err(); cerr != nil {
 			// Surface the cancellation/deadline as such, not as the socket
 			// error it manifested as.
@@ -503,7 +560,7 @@ func (t *TCPTransport) Pipeline(ctx context.Context, reqs, resps [][]byte) (int,
 			err = context.DeadlineExceeded
 		}
 	}
-	return answered, err
+	return err
 }
 
 // Close implements RoundTripper: it closes every pooled connection.

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/client"
-	"repro/internal/gostack"
 	"repro/internal/health"
 	"repro/internal/netsim"
 )
@@ -345,14 +344,26 @@ func (rs *ReplicaSet) Do(ctx context.Context, req []byte) ([]byte, error) {
 }
 
 // probe is one submitted request: its walk past the primary, the
-// primary's sub-call, a private frame copy for failovers and hedges,
-// and on a hedging set the chunk it crosses in.
+// primary's sub-call, a private frame copy for failovers and hedges, on
+// a hedging set the chunk it crosses in, and its submission's context
+// and release. It is the work of the set's call for it (client.Lazy).
 type probe struct {
 	w     walk
 	idx   int
 	call  *client.Call
 	spare []byte
 	chunk *chunk
+	ctx   context.Context
+	done  func()
+}
+
+// Send implements client.Lazy: a probe's send is its primary's.
+func (p *probe) Send() { p.call.Send() }
+
+// Eval implements client.Lazy: the probe settles on its waiter's stack.
+func (p *probe) Eval() ([]byte, error) {
+	defer p.done()
+	return p.w.rs.settle(p.ctx, p)
 }
 
 // chunk is one replica's share of a hedging set's submission. Its
@@ -414,10 +425,8 @@ func (rs *ReplicaSet) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call
 	}
 	for i := range probes {
 		p := &probes[i]
-		calls[i] = client.NewLazyCall(rs.name, func() ([]byte, error) {
-			defer done()
-			return rs.settle(ctx, p)
-		})
+		p.ctx, p.done = ctx, done
+		calls[i] = client.NewLazyCall(rs.name, p)
 	}
 	return calls
 }
@@ -507,7 +516,6 @@ func (rs *ReplicaSet) race(ctx context.Context, p *probe, d time.Duration) ([]by
 	}
 	primary := make(chan outcome, 1)
 	go func() {
-		gostack.Grow()
 		resp, err := p.call.Frame()
 		rs.land(p.chunk, err == nil && hctx.Err() == nil)
 		rs.score(p.idx, err, ctx)

@@ -431,14 +431,14 @@ func (r *Router) absorb(ctx context.Context, rep *health.Report, i int, err erro
 // finish folds a plan's gathered replies into the reply frame and
 // recycles them. Every merged reply passes here, so this is where an
 // interior node charges it to its uplink.
-func (r *Router) finish(pl plan, replies [][]byte) ([]byte, error) {
+func (r *Router) finish(ctx context.Context, pl plan, replies [][]byte) ([]byte, error) {
 	out, err := pl.merge(bufpool.Get(), replies)
 	release(replies)
 	if err != nil {
 		bufpool.Put(out)
 		return nil, fmt.Errorf("shard: %s: %w", r.name, err)
 	}
-	r.charge(out, netsim.Down)
+	r.charge(ctx, out, netsim.Down)
 	return out, nil
 }
 
@@ -460,7 +460,7 @@ func release(frames [][]byte) {
 // 1-sharded relation is bit-identical on the wire to the unsharded
 // protocol (the golden tests pin this).
 func (r *Router) Do(ctx context.Context, req []byte) ([]byte, error) {
-	r.charge(req, netsim.Up)
+	r.charge(ctx, req, netsim.Up)
 	rep := health.ReportFrom(ctx)
 	if r.solo() && rep == nil {
 		return r.shards[0].Do(ctx, req)
@@ -519,7 +519,7 @@ func (r *Router) submit(ctx context.Context, rep *health.Report, plans []plan, b
 // sub-call becomes its shard's gap.
 func (r *Router) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
 	for _, req := range reqs {
-		r.charge(req, netsim.Up)
+		r.charge(ctx, req, netsim.Up)
 	}
 	rep := health.ReportFrom(ctx)
 	if r.solo() && rep == nil {
@@ -528,8 +528,8 @@ func (r *Router) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
 	if len(reqs) == 1 {
 		// A lone request (most COUNTs of a parallel run) is submitted
 		// through reqs itself, and a child's result carries this
-		// router's call back. It is not started: its caller waits for it
-		// next, or — a parent router — starts it along with its siblings.
+		// router's call back. It is not sent: its caller waits for it
+		// next, or — a parent router — sends it along with its siblings.
 		pl, err := r.plan(ctx, reqs[0])
 		if err != nil {
 			return []*client.Call{failed(r.name, err)}
@@ -549,7 +549,7 @@ func (r *Router) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
 	for q, pl := range plans {
 		if calls[q] == nil {
 			if calls[q] = r.answer(ctx, rep, pl); len(pl.subs) > 1 {
-				calls[q].Start()
+				calls[q].Send()
 			}
 		}
 	}
@@ -558,18 +558,33 @@ func (r *Router) GoBatch(ctx context.Context, reqs [][]byte) []*client.Call {
 
 // failed returns the call of a request that could not be planned.
 func failed(name string, err error) *client.Call {
-	return client.NewLazyCall(name, func() ([]byte, error) { return nil, err })
+	c := client.NewDetachedCall(name)
+	c.CompleteFrame(nil, err)
+	return c
 }
 
 // answer returns the call that yields one submitted plan's merged reply,
 // gathered on the stack of whoever waits for it, so a probe that routes
-// to one child crosses this router without a goroutine. GoBatch starts
-// the call of a plan with several sub-requests among several requests
-// at once, so its round trips overlap whatever else the caller
-// submitted rather than beginning when the caller gets round to it.
+// to one child crosses this router without a goroutine. Sending the call
+// sends the plan's sub-calls: GoBatch sends a plan with several
+// sub-requests among several requests at once, so its round trips
+// overlap whatever else the caller submitted rather than beginning when
+// the caller gets round to it.
 func (r *Router) answer(ctx context.Context, rep *health.Report, pl plan) *client.Call {
-	return client.NewLazyCall(r.name, func() ([]byte, error) { return r.gather(ctx, rep, pl) })
+	return client.NewLazyCall(r.name, &answer{r, ctx, rep, pl})
 }
+
+// answer is the work of one plan's call (client.Lazy).
+type answer struct {
+	r   *Router
+	ctx context.Context
+	rep *health.Report
+	pl  plan
+}
+
+func (a *answer) Send() { send(a.pl.subs) }
+
+func (a *answer) Eval() ([]byte, error) { return a.r.gather(a.ctx, a.rep, a.pl) }
 
 // gather waits on one request's sub-calls and folds their replies into
 // the merged reply frame.
@@ -578,18 +593,23 @@ func (r *Router) gather(ctx context.Context, rep *health.Report, pl plan) ([]byt
 	return r.fold(ctx, rep, pl)
 }
 
-// wait lands every submitted sub-call's reply or error in its sub.
-// Waiting is what sends a queued probe, so the first sub-call of every
-// shard's run after the first is started before any is awaited; the
-// rest of a run crosses its shard's link behind it, in plan order.
-// Every sub-call is drained even after a failure so its pooled reply
-// frame is recycled.
-func wait(subs []sub) {
-	for k, s := range subs {
-		if k > 0 && s.call != nil && s.shard != subs[k-1].shard {
-			s.call.Start()
+// send sends every submitted sub-call, in plan order. No send waits on a
+// peer, and the first send on a shard's link carries whatever of the
+// plan is queued there with it.
+func send(subs []sub) {
+	for _, s := range subs {
+		if s.call != nil {
+			s.call.Send()
 		}
 	}
+}
+
+// wait lands every submitted sub-call's reply or error in its sub: it
+// sends every sub-call, then receives them in plan order, so the
+// shards' round trips overlap on the caller's stack. Every sub-call is
+// drained even after a failure so its pooled reply frame is recycled.
+func wait(subs []sub) {
+	send(subs)
 	for k := range subs {
 		if s := &subs[k]; s.call != nil {
 			s.frame, s.err = s.call.Frame()
@@ -618,5 +638,5 @@ func (r *Router) fold(ctx context.Context, rep *health.Report, pl plan) ([]byte,
 		release(replies)
 		return nil, first
 	}
-	return r.finish(pl, replies)
+	return r.finish(ctx, pl, replies)
 }

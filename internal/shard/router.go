@@ -202,10 +202,28 @@ func (r *Router) uplinkUsage() netsim.Usage {
 	return r.uplink.Usage()
 }
 
-// charge meters one frame crossing an interior node's uplink.
-func (r *Router) charge(frame []byte, dir netsim.Direction) {
+// charge meters one frame of a request made under ctx crossing an
+// interior node's uplink: the hedged column, and in tenant mode (see
+// SetLedger) the tenant ctx names and its ledger account, are booked as
+// on a leaf link.
+func (r *Router) charge(ctx context.Context, frame []byte, dir netsim.Direction) {
 	if r.uplink != nil {
-		r.uplink.Charge(len(frame), dir)
+		r.uplink.Charge(ctx, len(frame), dir)
+	}
+}
+
+// SetLedger arms tenant accounting on every interior uplink of the tree
+// below r, as client.WithLedger arms it on the leaf links: each frame is
+// attributed to the tenant its request names and charged to l, so a
+// tenant pays, and its quota counts, every hop its bytes crossed.
+func (r *Router) SetLedger(l *netsim.Ledger) {
+	if r.uplink != nil {
+		r.uplink.SetLedger(l)
+	}
+	for _, s := range r.shards {
+		if sub, ok := s.(*Router); ok {
+			sub.SetLedger(l)
+		}
 	}
 }
 

@@ -449,10 +449,10 @@ func TestAggregatorTypedCallsCrossUplink(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, n := range reqs {
-				want.Charge(n, netsim.Up)
+				want.Charge(context.Background(), n, netsim.Up)
 			}
 			for _, n := range replies {
-				want.Charge(n, netsim.Down)
+				want.Charge(context.Background(), n, netsim.Down)
 			}
 			if got, want := node.uplink.Usage(), before.Add(want.Usage()); got != want {
 				t.Fatalf("uplink usage %+v, want %+v (one Up per request frame %v, one Down per reply %v)",

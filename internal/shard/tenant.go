@@ -8,8 +8,8 @@ import "repro/internal/netsim"
 // other tenant's to the endpoint's own Usage(). Endpoints without the
 // seam — anything that is not a *client.Remote, *ReplicaSet, or *Router
 // — contribute zero, matching the optional-interface pattern LinkStats
-// uses. An interior tree node's uplink is charged outside any tenant
-// context, so a subtree's tenant slice is its leaf links' alone.
+// uses. An interior tree node's uplink is one of its links (see
+// Router.SetLedger).
 
 // endpointTenantUsage reads an endpoint's per-tenant attribution when it
 // exposes one.
@@ -23,9 +23,13 @@ func endpointTenantUsage(e Endpoint, id netsim.TenantID) netsim.Usage {
 }
 
 // TenantUsage returns the tenant's attributed slice of the relation's
-// traffic, summed over all shard links.
+// traffic, summed over all shard links and, for an interior tree node,
+// its uplink.
 func (r *Router) TenantUsage(id netsim.TenantID) netsim.Usage {
 	var sum netsim.Usage
+	if r.uplink != nil {
+		sum = r.uplink.TenantUsage(id)
+	}
 	for _, s := range r.shards {
 		sum = sum.Add(endpointTenantUsage(s, id))
 	}

@@ -147,10 +147,16 @@ func (s *stubLeaf) Close() error          { return nil }
 func lazyDo(ctx context.Context, name string, do func(context.Context, []byte) ([]byte, error), reqs [][]byte) []*client.Call {
 	calls := make([]*client.Call, len(reqs))
 	for i, req := range reqs {
-		calls[i] = client.NewLazyCall(name, func() ([]byte, error) { return do(ctx, req) })
+		calls[i] = client.NewLazyCall(name, evalFunc(func() ([]byte, error) { return do(ctx, req) }))
 	}
 	return calls
 }
+
+// evalFunc is a client.Lazy with nothing to send.
+type evalFunc func() ([]byte, error)
+
+func (evalFunc) Send()                   {}
+func (f evalFunc) Eval() ([]byte, error) { return f() }
 
 // TestTreeMatchesFlatRouter drives every query type through a depth-2
 // and depth-3 tree and a flat router over identical fleets, asserting
@@ -682,13 +688,13 @@ func TestTreeRoutingLocality(t *testing.T) {
 }
 
 // leafTrips records the round trips reaching a fleet's leaf servers: how
-// many, and for the last one whether it ran below the function named
-// caller — on that function's goroutine — and how many goroutines existed
-// while it did.
+// many, how many ran off the stack of the function named caller, and for
+// the last one whether it ran below that function — on its goroutine —
+// and how many goroutines existed while it did.
 type leafTrips struct {
-	caller        string
-	n, goroutines atomic.Int64
-	onStack       atomic.Bool
+	caller                  string
+	n, offStack, goroutines atomic.Int64
+	onStack                 atomic.Bool
 }
 
 type tripRT struct {
@@ -699,7 +705,11 @@ type tripRT struct {
 func (rt tripRT) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
 	stack := make([]byte, 1<<16)
 	rt.trips.n.Add(1)
-	rt.trips.onStack.Store(bytes.Contains(stack[:runtime.Stack(stack, false)], []byte(rt.trips.caller)))
+	on := bytes.Contains(stack[:runtime.Stack(stack, false)], []byte(rt.trips.caller))
+	if !on {
+		rt.trips.offStack.Add(1)
+	}
+	rt.trips.onStack.Store(on)
 	rt.trips.goroutines.Store(int64(runtime.NumGoroutine()))
 	return rt.RoundTripper.RoundTrip(ctx, req)
 }
@@ -814,5 +824,44 @@ func TestTreeMultiLeafCountOverlapsLinks(t *testing.T) {
 	}
 	if best >= 2*rtt {
 		t.Errorf("three-leaf COUNT took %v over %v links: the round trips ran one after another", best, rtt)
+	}
+}
+
+// TestTreeMultiLeafCountStaysOnCallersStack: a batched COUNT whose plan
+// spans three leaves crosses the tree on the stack of the goroutine that
+// waits for it — every sub-call sent, then received in plan order — with
+// every leaf round trip on that stack and no goroutine started. (Its
+// overlap over links with an RTT is TestTreeMultiLeafCountOverlapsLinks.)
+func TestTreeMultiLeafCountStaysOnCallersStack(t *testing.T) {
+	objs := dataset.GaussianClusters(4000, 8, 250, dataset.World, 46)
+	tree, trips := newBatchedTree16(t, objs, netsim.DefaultLink())
+	oracle := newLocalOracle(t, objs)
+	ctx := context.Background()
+	threeLeaves := 0
+	for _, o := range objs[:400] {
+		c := o.MBR.Center()
+		w := geom.R(c.X-150, c.Y-150, c.X+150, c.Y+150)
+		before, off, goroutines := trips.n.Load(), trips.offStack.Load(), int64(runtime.NumGoroutine())
+		got, err := tree.GoBatch(ctx, [][]byte{wire.AppendCount(bufpool.Get(), w)})[0].Count()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := oracle.Count(ctx, w); got != want {
+			t.Fatalf("COUNT %v = %d, unsharded %d", w, got, want)
+		}
+		if trips.n.Load()-before != 3 {
+			continue
+		}
+		threeLeaves++
+		if n := trips.offStack.Load() - off; n > 0 {
+			t.Fatalf("COUNT %v: %d of its 3 leaf round trips ran off its waiter's stack", w, n)
+		}
+		// (Fewer is fine: an earlier test's fleet may still be winding down.)
+		if n := trips.goroutines.Load(); n > goroutines {
+			t.Fatalf("COUNT %v: %d goroutines during the leaf round trips, %d before the probe", w, n, goroutines)
+		}
+	}
+	if threeLeaves < 8 {
+		t.Fatalf("only %d of 400 probes spanned three leaves: the windows do not test the scatter", threeLeaves)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/netsim"
+	"repro/internal/shard"
 )
 
 // This file is the multi-tenant join service: one shared serving fleet
@@ -133,6 +134,11 @@ func newServer(cfg ServerConfig, wrap fleet.Wrap) (*Server, error) {
 	f, err := fleet.Serve(cfg.Fleet, wrap, client.WithLedger(ledger), client.WithScheduler(sched))
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
+	}
+	for _, e := range []fleet.Endpoint{f.R, f.S} {
+		if tree, ok := e.(*shard.Router); ok {
+			tree.SetLedger(ledger) // a tree's uplinks bill tenants as its leaf links do
+		}
 	}
 	srv := &Server{
 		cfg: cfg, fleet: f, ledger: ledger,

@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -73,5 +75,54 @@ func TestTreeSessionMatchesFlatAndOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTreeUplinksBillTheTenant: a tenant of a Server on an
+// aggregation-tree fleet pays for every hop its bytes cross, as a Session
+// does. Its run reports the Session's bytes, its ledger spend includes
+// the interior uplinks, and a quota between the flat fleet's bill and
+// the tree's rejects it.
+func TestTreeUplinksBillTheTenant(t *testing.T) {
+	r := GaussianClusters(3000, 4, 250, World, 41)
+	s := GaussianClusters(3000, 4, 250, World, 42)
+	spec := Spec{Kind: Distance, Eps: 75}
+	cfg := SessionConfig{R: r, S: s, Buffer: 800, Shards: 4, BatchSize: 8, TreeFanout: 2}
+	bill := func(cfg SessionConfig) int {
+		sess, err := NewSession(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		res, err := sess.Run(UpJoin{}, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats.TotalBytes()
+	}
+	tree := bill(cfg)
+	flat := cfg
+	flat.TreeFanout = 0
+	leaves := bill(flat)
+	if tree <= leaves {
+		t.Fatalf("the tree's bill %d does not exceed the flat fleet's %d: no uplink was charged", tree, leaves)
+	}
+
+	srv := newTestServer(t, ServerConfig{Fleet: cfg, Tenants: map[TenantID]TenantConfig{"t": {}}})
+	res, err := srv.Run(context.Background(), "t", UpJoin{}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Stats.TotalBytes(); got != tree {
+		t.Errorf("tenant run reports %d bytes, the Session %d (flat fleet %d)", got, tree, leaves)
+	}
+	if spent := srv.Spent("t"); spent < int64(tree) {
+		t.Errorf("ledger spend %d is below the run's %d bytes: the uplinks bill nobody", spent, tree)
+	}
+
+	quota := int64(leaves+tree) / 2
+	srv = newTestServer(t, ServerConfig{Fleet: cfg, Tenants: map[TenantID]TenantConfig{"t": {ByteQuota: quota}}})
+	if _, err := srv.Run(context.Background(), "t", UpJoin{}, spec); !errors.Is(err, ErrOverQuota) {
+		t.Errorf("a run billed %d bytes under a %d-byte quota: err = %v, want ErrOverQuota", tree, quota, err)
 	}
 }
