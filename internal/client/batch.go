@@ -81,20 +81,22 @@ type Call struct {
 	resp []byte
 	err  error
 	done chan struct{}
+	// work is the call's deferred work, done on its waiter's stack: the
+	// *group of a call of an unbatched group, or a lazy call's Lazy until
+	// evaluated.
+	work interface{ Send() }
+	// b is the batcher the call was submitted to, if any. Under b.mu:
+	// queued while the call sits in b's lanes, parked once its waiter has
+	// found the window full, env once Send sent it in an envelope.
+	b   *batcher
+	env *envelope
 	// settled arbitrates between completion and abandonment: whichever of
 	// complete (the dispatcher) and frame (a waiter whose own context is
 	// done) flips it first owns the call's outcome. A late completion
 	// recycles its response instead of writing fields nobody reads.
-	settled atomic.Bool
-	// b is the batcher the call was submitted to, if any. Under b.mu:
-	// queued while the call sits in b's lanes, parked once its waiter has
-	// found the window full, env once Send sent it in an envelope.
-	b              *batcher
+	settled        atomic.Bool
 	queued, parked bool
-	env            *envelope
-	lazy           Lazy   // set on a lazy call until evaluated
-	sent           bool   // a lazy call's Send has run
-	g              *group // set on a call of an unbatched group
+	sent           bool // Send has run its work
 }
 
 // NewDetachedCall returns a Call bound to no Remote: an aggregator that
@@ -117,7 +119,7 @@ type Lazy interface {
 // the stack of the goroutine that waits for it: a reply that only
 // merges, meters or retries other replies costs no goroutine or channel.
 func NewLazyCall(name string, l Lazy) *Call {
-	return &Call{name: name, lazy: l}
+	return &Call{name: name, work: l}
 }
 
 // CompleteFrame finishes a detached call with a response frame (ownership
@@ -149,11 +151,11 @@ func (c *Call) complete(resp []byte, err error) {
 // flight, so one caller's cancellation neither waits for nor poisons its
 // batch-mates.
 func (c *Call) frame() ([]byte, error) {
-	if c.g != nil {
-		c.g.once.Do(c.g.run)
-	} else if c.lazy != nil {
-		l := c.lazy
-		c.lazy = nil
+	if g, ok := c.work.(*group); ok {
+		g.once.Do(g.run)
+	} else if c.work != nil {
+		l := c.work.(Lazy)
+		c.work = nil
 		c.resp, c.err = l.Eval()
 	} else if c.done != nil {
 		if c.b != nil {
@@ -197,11 +199,9 @@ func (c *Call) frame() ([]byte, error) {
 // call sends the calls it folds. A second Send is a no-op.
 func (c *Call) Send() {
 	switch {
-	case c.g != nil:
-		c.g.send()
-	case c.lazy != nil && !c.sent:
+	case c.work != nil && !c.sent:
 		c.sent = true
-		c.lazy.Send()
+		c.work.Send()
 	case c.b != nil:
 		c.b.send(c)
 	}
@@ -616,7 +616,12 @@ type envelope struct {
 	batch []*Call // nil once received
 	subs  [][]byte
 	stop  func()
-	f     flight
+	f     netsim.Flight
+	err   error // the quota gate's
+	// held is the frame under a timed retry policy, sent by Do under ctx
+	// when the envelope is received.
+	held []byte
+	ctx  context.Context
 
 	mu sync.Mutex // held while it is sent, and while it lands
 }
@@ -633,32 +638,44 @@ func (e *envelope) send() {
 	b.frames.Add(1)
 	ctx, stop := dispatchContext(batch)
 	e.stop = stop
+	var frame []byte
 	if len(batch) == 1 {
-		c := batch[0]
-		e.f, c.req = b.rem.send(ctx, c.req), nil
+		frame, batch[0].req = batch[0].req, nil
+	} else {
+		e.subs = make([][]byte, len(batch))
+		for i, c := range batch {
+			e.subs[i] = c.req
+		}
+		if b.sched != nil {
+			// Multi-tenant envelope: stamp the per-tenant byte shares so
+			// the meter attributes (and the ledger bills) the frame
+			// exactly.
+			ctx = b.sched.withShares(ctx, batch)
+		}
+		frame = wire.AppendBatch(bufpool.Get(), e.subs)
+		for _, c := range batch {
+			bufpool.Put(c.req)
+			c.req = nil
+		}
+	}
+	if b.rem.timed() {
+		e.held, e.ctx = frame, ctx
 		return
 	}
-	e.subs = make([][]byte, len(batch))
-	for i, c := range batch {
-		e.subs[i] = c.req
-	}
-	if b.sched != nil {
-		// Multi-tenant envelope: stamp the per-tenant byte shares so the
-		// meter attributes (and the ledger bills) the frame exactly.
-		ctx = b.sched.withShares(ctx, batch)
-	}
-	frame := wire.AppendBatch(bufpool.Get(), e.subs)
-	for _, c := range batch {
-		bufpool.Put(c.req)
-		c.req = nil
-	}
-	e.f = b.rem.send(ctx, frame)
+	e.f, e.err = b.rem.send(ctx, frame)
 }
 
 func (e *envelope) receive() {
 	defer e.stop()
 	b, batch := e.b, e.batch
-	resp, err := e.f.recv()
+	var resp []byte
+	err := e.err
+	switch {
+	case e.held != nil:
+		resp, err = b.rem.Do(e.ctx, e.held)
+	case err == nil:
+		resp, err = b.rem.recv(&e.f)
+	}
 	if len(batch) == 1 {
 		batch[0].complete(resp, err)
 		return

@@ -220,53 +220,50 @@ func (r *Remote) admit(ctx context.Context) error {
 // aliasing guard makes sure the shared backing is then released exactly
 // once (as the response), never double-Put.
 func (r *Remote) Do(ctx context.Context, req []byte) ([]byte, error) {
-	f := r.send(ctx, req)
-	return f.recv()
-}
-
-// flight is Do in two halves: send passes the quota gate and puts the
-// first attempt on the wire (netsim.Metered.Send), recv receives it and
-// goes on as Do's attempt loop. A policy that times its attempts
-// (PerTryTimeout, Budget) sends nothing: its clock starts in recv.
-type flight struct {
-	r   *Remote
-	ctx context.Context
-	req []byte
-	netsim.Flight
-	sent bool
-	err  error // the quota gate's
-}
-
-func (r *Remote) send(ctx context.Context, req []byte) flight {
-	f := flight{r: r, ctx: ctx, req: req}
-	if f.err = r.admit(ctx); f.err != nil {
-		bufpool.Put(req) // never sent
-	} else if r.retry.PerTryTimeout == 0 && r.retry.Budget == 0 {
-		f.Flight, f.sent = r.conn.Send(ctx, req), true
-	}
-	return f
-}
-
-// recv ends the flight; the caller owns the returned frame.
-func (f *flight) recv() ([]byte, error) {
-	r, ctx := f.r, f.ctx
-	switch {
-	case f.err != nil:
-		return nil, f.err
-	case f.sent:
-		resp, err := f.Flight.Recv()
-		if err == nil {
-			return r.accept(f.req, resp, false)
+	if !r.timed() {
+		f, err := r.send(ctx, req)
+		if err != nil {
+			return nil, err
 		}
-		return r.attempts(ctx, f.req, 1, err, errors.Is(err, netsim.ErrFrameRetained))
-	case r.retry.Budget > 0:
+		return r.recv(&f)
+	}
+	if err := r.admit(ctx); err != nil {
+		bufpool.Put(req) // never sent
+		return nil, err
+	}
+	if r.retry.Budget > 0 {
 		// One deadline for the whole attempt loop: retries and backoffs
 		// spend from it rather than stacking their own timeouts.
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.retry.Budget)
 		defer cancel()
 	}
-	return r.attempts(ctx, f.req, 0, nil, false)
+	return r.attempts(ctx, req, 0, nil, false)
+}
+
+// timed reports whether the retry policy times its attempts
+// (PerTryTimeout, Budget). Such a request is sent by Do, whose clock
+// starts with the attempt, and never ahead of its waiter.
+func (r *Remote) timed() bool { return r.retry.PerTryTimeout > 0 || r.retry.Budget > 0 }
+
+// send and recv are an untimed Do in two halves: send passes the quota
+// gate (a refused request is recycled, never sent) and puts the first
+// attempt on the wire (netsim.Metered.Send); recv receives it and goes
+// on as Do's attempt loop. The caller owns the returned frame.
+func (r *Remote) send(ctx context.Context, req []byte) (netsim.Flight, error) {
+	if err := r.admit(ctx); err != nil {
+		bufpool.Put(req)
+		return netsim.Flight{}, err
+	}
+	return r.conn.Send(ctx, req), nil
+}
+
+func (r *Remote) recv(f *netsim.Flight) ([]byte, error) {
+	resp, err := f.Recv()
+	if err == nil {
+		return r.accept(f.Request(), resp, false)
+	}
+	return r.attempts(f.Context(), f.Request(), 1, err, errors.Is(err, netsim.ErrFrameRetained))
 }
 
 // attempts is Do's attempt loop. last is the previous attempt's error

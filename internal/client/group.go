@@ -17,27 +17,23 @@ import (
 // chunk of requests (netsim.PipelineChunk) crosses the link as one
 // netsim.Metered.Pipeline, charged up front and paying the link's RTT
 // once, whether the transport writes it back to back or not — so n probes
-// cost about n/depth waits instead of n. A lone request, and a group
-// under a retry policy that times each request (PerTryTimeout, Budget),
-// is Do per request. Call.Send sends a lone request ahead of its waiter.
+// cost about n/depth waits instead of n. A group under a retry policy
+// that times each request (PerTryTimeout, Budget) is Do per request. A
+// lone request is a lone, not a group.
 type group struct {
 	r      *Remote
-	ctx    context.Context
-	calls  []Call
+	calls  []Call   // each under the group's context
 	frames [][]byte // request and reply frames of a pipelined run, len(calls) each
 	once   sync.Once
-	lone   *flight // a lone request's, sent once its request moves in
 }
 
 // inlineGroup is a group with everything its submission and its run
 // need in one allocation: C, P and F are arrays of Call, *Call and
-// []byte, of one length and of twice it — a lone request's F is its
-// flight instead. A group of up to a pipelined
-// chunk's depth takes the smallest of three that fits — a lone request
-// (each sub-request of a router's scatter is one) the one, a quadrant
-// group the four, an NLSJ probe group the chunk. The returned
-// calls slice is carved from it too, and is the caller's: the run never
-// reads it, so layers above may overwrite its elements.
+// []byte, of one length and of twice it. A group of up to a pipelined
+// chunk's depth takes the smaller of two that fits — a quadrant group
+// the four, an NLSJ probe group the chunk. The returned calls slice is
+// carved from it too, and is the caller's: the run never reads it, so
+// layers above may overwrite its elements.
 type inlineGroup[C, P, F any] struct {
 	group
 	calls  C
@@ -52,8 +48,10 @@ func (r *Remote) group(ctx context.Context, reqs [][]byte) []*Call {
 	var calls []*Call
 	switch n := len(reqs); {
 	case n == 1:
-		s := new(inlineGroup[[1]Call, [1]*Call, flight])
-		g, calls, s.group.calls, s.group.lone = &s.group, s.ptrs[:], s.calls[:], &s.frames
+		l := &lone{r: r}
+		l.call = Call{name: r.name, ctx: ctx, req: reqs[0], work: l}
+		l.ptr[0] = &l.call
+		return l.ptr[:]
 	case n <= 4:
 		s := new(inlineGroup[[4]Call, [4]*Call, [8][]byte])
 		g, calls, s.group.calls, s.group.frames = &s.group, s.ptrs[:n], s.calls[:n], s.frames[:2*n]
@@ -64,10 +62,10 @@ func (r *Remote) group(ctx context.Context, reqs [][]byte) []*Call {
 		g, calls = new(group), make([]*Call, n)
 		g.calls = make([]Call, n)
 	}
-	g.r, g.ctx = r, ctx
+	g.r = r
 	for i, req := range reqs {
 		c := &g.calls[i]
-		c.name, c.req, c.g = r.name, req, g
+		c.name, c.ctx, c.req, c.work = r.name, ctx, req, g
 		calls[i] = c
 	}
 	return calls
@@ -76,17 +74,11 @@ func (r *Remote) group(ctx context.Context, reqs [][]byte) []*Call {
 // run answers every call of the group, leaving each call's reply frame
 // or error in the call itself.
 func (g *group) run() {
-	r, n := g.r, len(g.calls)
-	if n == 1 {
-		g.send()
-		c := &g.calls[0]
-		c.resp, c.err = g.lone.recv()
-		return
-	}
-	if r.retry.PerTryTimeout > 0 || r.retry.Budget > 0 {
+	r, n, ctx := g.r, len(g.calls), g.calls[0].ctx
+	if r.timed() {
 		for i := range g.calls {
 			c := &g.calls[i]
-			c.resp, c.err = r.Do(g.ctx, c.req)
+			c.resp, c.err = r.Do(ctx, c.req)
 			c.req = nil
 		}
 		return
@@ -100,17 +92,44 @@ func (g *group) run() {
 	}
 	for lo := 0; lo < n; {
 		hi := lo + netsim.PipelineChunk(reqs[lo:])
-		r.pipeline(g.ctx, g.calls[lo:hi], reqs[lo:hi], resps[lo:hi])
+		r.pipeline(ctx, g.calls[lo:hi], reqs[lo:hi], resps[lo:hi])
 		lo = hi
 	}
 }
 
-// send is Call.Send: a lone request (whose one call has one owner, so
-// this races with no run) leaves now; a larger group, when waited for.
-func (g *group) send() {
-	if c := &g.calls[0]; g.lone != nil && c.req != nil {
-		*g.lone, c.req = g.r.send(g.ctx, c.req), nil
+// Send is Call.Send: a group crosses whole, when waited for.
+func (g *group) Send() {}
+
+// lone is a lone request (each sub-request of a router's scatter is one)
+// as a lazy call on itself, in one allocation: Send puts it on the wire
+// ahead of its waiter, unless its policy is timed, and Eval receives it.
+// Its one call has one owner, so neither races with the other.
+type lone struct {
+	r    *Remote
+	f    netsim.Flight
+	call Call
+	ptr  [1]*Call // the returned calls slice
+}
+
+func (l *lone) Send() {
+	if c := &l.call; c.req != nil && !l.r.timed() {
+		l.f, c.err = l.r.send(c.ctx, c.req)
+		c.req = nil
 	}
+}
+
+func (l *lone) Eval() ([]byte, error) {
+	l.Send()
+	c := &l.call
+	switch {
+	case c.req != nil: // a timed policy's: Do sends it
+		req := c.req
+		c.req = nil
+		return l.r.Do(c.ctx, req)
+	case c.err != nil: // the quota gate refused it
+		return nil, c.err
+	}
+	return l.r.recv(&l.f)
 }
 
 // pipeline sends one chunk as one pipelined attempt, guarding what Do

@@ -54,9 +54,9 @@ type Config struct {
 	// Parallelism partitions hold downloaded objects at once. COUNT
 	// statistics in flight are bounded by each link's batcher window, and
 	// the number of live partitions by core's pool rule (see
-	// core.Env.Parallelism). The in-process servers are given one worker
-	// goroutine, and each TCP link one pooled connection, per unit of
-	// parallelism.
+	// core.Env.Parallelism). Each TCP link is given one pooled
+	// connection per unit of parallelism; the in-process servers answer
+	// on their callers' goroutines and need no workers.
 	Parallelism int
 	// BatchSize, when > 1, multiplexes independent probes into MsgBatch
 	// envelopes of up to this many sub-requests per link, amortizing
@@ -171,8 +171,8 @@ type Fleet struct {
 // here, so a request that dies at a killed endpoint was still charged.
 type Wrap func(name string, rt netsim.RoundTripper) netsim.RoundTripper
 
-// Serve boots cfg.R and cfg.S on in-process goroutine servers (one per
-// replica of each shard, cfg.Parallelism workers each) and wires the
+// Serve boots cfg.R and cfg.S on in-process servers (one per replica of
+// each shard), each answered on its caller's goroutine, and wires the
 // metered client side to them. wrap may be nil; extra client options (a
 // multi-tenant server's ledger and scheduler) apply to every remote
 // after the ones cfg implies.

@@ -26,6 +26,14 @@ type AppendHandler interface {
 	HandleAppend(req, dst []byte) []byte
 }
 
+// NonBlocking is the optional capability of a Handler whose HandleAppend
+// (or Handle) returns without waiting on another goroutine, on a lock
+// held across I/O, on a timer or on the network: its cost is CPU alone.
+// The channel transport runs such a handler on its caller's goroutine
+// instead of handing each frame to a worker. The method itself is
+// never called; declaring it is the promise.
+type NonBlocking interface{ NonBlocking() }
+
 // HandlerFunc adapts a function to the Handler interface.
 type HandlerFunc func(req []byte) []byte
 
@@ -48,20 +56,26 @@ func (a appendAdapter) HandleAppend(req, dst []byte) []byte { return append(dst,
 // ErrClosed is returned by transports after Close.
 var ErrClosed = errors.New("netsim: transport closed")
 
-// ChannelTransport is an in-process RoundTripper in which the server runs
-// as one or more goroutine peers, receiving request frames over a channel
-// and answering over per-request reply channels. This models the paper's
-// device↔server message exchange without sockets while preserving exact
-// frame sizes for metering.
+// ChannelTransport is an in-process RoundTripper: the device↔server
+// message exchange without sockets, with exact frame sizes for
+// metering. A NonBlocking handler (the dataset server) is answered on
+// the caller's goroutine: RoundTrip runs it in place and the transport
+// starts no goroutine. Any other handler runs as one or more goroutine
+// workers, receiving request frames over a channel and answering over
+// per-request reply channels, so a canceled round trip is abandoned
+// promptly even when every worker is hung inside the handler.
 //
 // RoundTrip is safe for concurrent use: each call carries its own reply
-// channel, so responses can never be delivered to the wrong caller. With
-// a single worker (Serve) concurrent requests queue and are answered one
-// at a time; ServeParallel keeps several requests in service at once. It
-// is a Sender: a request an idle worker takes at once is sent, and its
-// reply collected later.
+// channel (or is its own server), so responses can never be delivered
+// to the wrong caller. With a single worker (Serve) concurrent requests
+// queue and are answered one at a time; ServeParallel keeps several
+// requests in service at once. It is a Sender: a request an idle worker
+// takes at once is sent, and its reply collected later; an inline
+// handler takes nothing at send, so its service time follows the
+// link's latency as on a real link.
 type ChannelTransport struct {
-	reqs chan *chanFlight
+	inline AppendHandler // a NonBlocking handler; nil: workers serve reqs
+	reqs   chan *chanFlight
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -82,26 +96,32 @@ var chanFlightPool = sync.Pool{
 	New: func() any { return &chanFlight{reply: make(chan []byte, 1)} },
 }
 
-// Serve starts a single goroutine running h as a server peer and returns
-// the client's transport to it. The goroutine exits when the transport is
-// closed.
+// Serve returns the client's transport to h served by a single worker
+// goroutine, or on the caller's goroutine when h is NonBlocking. The
+// worker exits when the transport is closed.
 func Serve(h Handler) *ChannelTransport { return ServeParallel(h, 1) }
 
-// ServeParallel starts workers goroutines running h as a server peer, so
-// up to workers requests are serviced concurrently (h must tolerate
-// concurrent Handle calls; the dataset server does — its index is
-// immutable). workers < 1 is treated as 1. All goroutines exit when the
-// transport is closed.
+// ServeParallel returns the client's transport to h. A NonBlocking h is
+// answered on each caller's goroutine, as many at once as there are
+// callers, and workers is unused. Any other h runs in workers
+// goroutines, so up to workers requests are serviced concurrently (h
+// must tolerate concurrent Handle calls). workers < 1 is treated as 1.
+// All goroutines exit when the transport is closed.
 func ServeParallel(h Handler, workers int) *ChannelTransport {
-	if workers < 1 {
-		workers = 1
-	}
 	ah := appending(h)
 	t := &ChannelTransport{
-		reqs:   make(chan *chanFlight),
 		closed: make(chan struct{}),
 		done:   make(chan struct{}),
 	}
+	if _, ok := h.(NonBlocking); ok {
+		t.inline = ah
+		close(t.done)
+		return t
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	t.reqs = make(chan *chanFlight)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -139,11 +159,23 @@ func (f *chanFlight) free() {
 
 // RoundTrip implements RoundTripper. The returned frame is backed by the
 // shared buffer pool; the caller may bufpool.Put it after consuming its
-// bytes. A canceled context abandons the round trip immediately, even
-// when every server worker is hung inside a handler. Each half tries the
-// plain channel operation first and selects on shutdown and
-// cancellation only when it would block.
+// bytes. A NonBlocking handler answers in place, unless the transport
+// is closed or ctx already done. Otherwise a canceled context abandons
+// the round trip immediately, even when every server worker is hung
+// inside a handler; each half tries the plain channel operation first
+// and selects on shutdown and cancellation only when it would block.
 func (t *ChannelTransport) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
+	if t.inline != nil {
+		select {
+		case <-t.closed:
+			return nil, ErrClosed
+		default:
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return t.inline.HandleAppend(req, bufpool.Get()), nil
+	}
 	f := t.flight(ctx, req)
 	select {
 	case t.reqs <- f:
@@ -162,8 +194,12 @@ func (t *ChannelTransport) RoundTrip(ctx context.Context, req []byte) ([]byte, e
 }
 
 // Send implements Sender: the request is sent when a worker is idle to
-// take it at once, and otherwise left to a round trip at receive.
+// take it at once, and otherwise left to a round trip at receive. An
+// inline handler takes nothing at send: its round trip runs at receive.
 func (t *ChannelTransport) Send(ctx context.Context, req []byte) Receiver {
+	if t.inline != nil {
+		return nil
+	}
 	f := t.flight(ctx, req)
 	select {
 	case t.reqs <- f:
@@ -217,7 +253,7 @@ func reapAbandoned(f *chanFlight) {
 	f.free()
 }
 
-// Close implements RoundTripper; it stops the server goroutines.
+// Close implements RoundTripper; it stops the server goroutines, if any.
 func (t *ChannelTransport) Close() error {
 	t.closeOnce.Do(func() { close(t.closed) })
 	<-t.done

@@ -12,10 +12,11 @@
 // is charged according to this formula through a Meter; experiment results
 // report metered totals, never estimates.
 //
-// Two transports implement the same RoundTripper interface: a
-// channel-based in-process transport in which each server is a goroutine
-// peer, and a TCP transport over real sockets (package net). Algorithms
-// are transport-agnostic.
+// Two transports implement the same RoundTripper interface: an
+// in-process transport, which answers a NonBlocking handler (the dataset
+// server) on the caller's goroutine and any other handler from goroutine
+// workers over channels, and a TCP transport over real sockets (package
+// net). Algorithms are transport-agnostic.
 //
 // Both transports and the Meter are safe for concurrent use, so a device
 // may keep several requests in flight at once — to both servers, or even
@@ -418,6 +419,12 @@ type Flight struct {
 	sent             Receiver  // nil: Recv makes the whole round trip
 	hedged, tenanted bool
 }
+
+// Context returns the context the flight was sent under.
+func (f *Flight) Context() context.Context { return f.ctx }
+
+// Request returns the request frame the flight carries.
+func (f *Flight) Request() []byte { return f.req }
 
 // Recv waits out the rest of the RTT, collects the reply (or makes the
 // round trip) and charges it Down. Abandoned by the send's context, it

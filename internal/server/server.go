@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/memjoin"
+	"repro/internal/netsim"
 	"repro/internal/rtree"
 	"repro/internal/wire"
 )
@@ -34,7 +35,9 @@ import (
 // Server answers wire-protocol requests for one spatial dataset.
 // It implements netsim.Handler and netsim.AppendHandler and is safe for
 // concurrent requests (the tree is immutable after construction; mutable
-// per-request state lives in pooled scratch).
+// per-request state lives in pooled scratch). It is netsim.NonBlocking:
+// a request costs CPU and nothing else, so an in-process transport
+// answers it on the caller's goroutine.
 type Server struct {
 	name         string
 	tree         *rtree.Tree
@@ -71,6 +74,12 @@ type handlerScratch struct {
 	subs    [][]byte        // decoded MsgBatch sub-frame views
 	joiner  *memjoin.Joiner
 }
+
+var _ netsim.NonBlocking = (*Server)(nil)
+
+// NonBlocking implements netsim.NonBlocking: HandleAppend waits on no
+// goroutine, lock, timer or network.
+func (s *Server) NonBlocking() {}
 
 // Option configures a Server.
 type Option func(*Server)

@@ -12,9 +12,9 @@ import (
 )
 
 // LocalConfig parameterizes one relation's fleet. Local reads the
-// serving half (Shards, Replicas, Workers, Link, Price, ServerOpts,
-// ClientOpts, WrapTransport), Assemble the wiring half (HedgePct,
-// TreeFanout, Link, Health, Budget); ServeLocal is the two together.
+// serving half (Shards, Replicas, Link, Price, ServerOpts, ClientOpts,
+// WrapTransport), Assemble the wiring half (HedgePct, TreeFanout, Link,
+// Health, Budget); ServeLocal is the two together.
 type LocalConfig struct {
 	// Shards is the partition count (< 1 means 1: unsharded).
 	Shards int
@@ -22,7 +22,9 @@ type LocalConfig struct {
 	// 1: no replication). With more than one, each shard is wired behind
 	// a ReplicaSet instead of a bare Remote.
 	Replicas int
-	// Workers sizes each server's goroutine pool (< 1 means 1).
+	// Workers sizes a dialled fleet's TCP pool per link (internal/fleet;
+	// < 1 means 1). Local's servers need none: the dataset server is
+	// netsim.NonBlocking, answered on its caller's goroutine.
 	Workers int
 	// HedgePct enables percentile-triggered hedged reads on each
 	// replica set when > 0 (ignored with a single replica).
@@ -57,9 +59,10 @@ type LocalConfig struct {
 
 // ServeLocal boots one relation's in-process sharded serving stack: the
 // dataset is partitioned with Assign, each partition gets cfg.Replicas
-// identical servers (cfg.Workers goroutines each) with a metered remote
-// over cfg.Link at cfg.Price, and the endpoints are wired behind a
-// Router — Local opens the remotes, Assemble names and wires them.
+// identical servers with a metered remote over cfg.Link at cfg.Price,
+// and the endpoints are wired behind a Router — Local opens the
+// remotes, Assemble names and wires them. The servers answer on their
+// callers' goroutines, so booting them starts none.
 func ServeLocal(name string, objs []geom.Object, cfg LocalConfig) (*Router, error) {
 	sizes, open := Local(objs, cfg)
 	return Assemble(name, sizes, open, cfg)
@@ -71,8 +74,9 @@ type OpenFunc func(label string, shard, replica int) (*client.Remote, error)
 
 // Local partitions objs with Assign and returns the fleet shape
 // (cfg.Replicas per partition) plus the opener that boots one in-process
-// server per replica — cfg.Workers goroutines, cfg.ServerOpts, its
-// transport passed through cfg.WrapTransport — behind a metered remote
+// server per replica — cfg.ServerOpts, answered on its caller's
+// goroutine (netsim.Serve of a NonBlocking handler), its transport
+// passed through cfg.WrapTransport — behind a metered remote
 // over cfg.Link at cfg.Price with cfg.ClientOpts.
 func Local(objs []geom.Object, cfg LocalConfig) ([]int, OpenFunc) {
 	parts := Assign(objs, max(cfg.Shards, 1))
@@ -81,7 +85,7 @@ func Local(objs []geom.Object, cfg LocalConfig) ([]int, OpenFunc) {
 		sizes[i] = max(cfg.Replicas, 1)
 	}
 	return sizes, func(label string, i, _ int) (*client.Remote, error) {
-		var rt netsim.RoundTripper = netsim.ServeParallel(server.New(label, parts[i], cfg.ServerOpts...), max(cfg.Workers, 1))
+		var rt netsim.RoundTripper = netsim.Serve(server.New(label, parts[i], cfg.ServerOpts...))
 		if cfg.WrapTransport != nil {
 			rt = cfg.WrapTransport(label, rt)
 		}

@@ -4,11 +4,14 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/netsim"
@@ -304,5 +307,41 @@ func TestReplicaHedgeDelayResolution(t *testing.T) {
 	// p90 by nearest rank over 1..16 ms: rank ⌊16 × 0.9 + 0.5⌋ = 14.
 	if d, ok := pctl.hedgeDelay(); !ok || d != 14*time.Millisecond {
 		t.Errorf("percentile threshold (%v, %v), want (14ms, true)", d, ok)
+	}
+}
+
+// TestServeLocalJoinLeavesNoGoroutines boots two 4-shard × 2-replica
+// in-process fleets and runs a join: the dataset servers are answered on
+// their callers' goroutines, so neither the boot nor the join leaves a
+// goroutine behind while the fleets are still up.
+func TestServeLocalJoinLeavesNoGoroutines(t *testing.T) {
+	robjs := dataset.GaussianClusters(600, 4, 300, dataset.World, 31)
+	sobjs := dataset.GaussianClusters(600, 4, 300, dataset.World, 32)
+	base := runtime.NumGoroutine()
+	cfg := LocalConfig{Shards: 4, Replicas: 2, Workers: 4, Link: netsim.DefaultLink(), Price: 1}
+	r, err := ServeLocal("R", robjs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	s, err := ServeLocal("S", sobjs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	env := core.NewEnv(r, s, client.Device{BufferObjects: 200}, costmodel.Default(), dataset.World)
+	res, err := core.UpJoin{}.Run(context.Background(), env, core.Spec{Kind: core.Distance, Eps: 75})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Pairs) == 0 {
+		t.Fatal("the join found no pairs")
+	}
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines before the boot, %d after the join", base, n)
 	}
 }

@@ -184,7 +184,7 @@ type Completeness = health.Completeness
 type Gap = health.Gap
 
 // Session is a ready-to-run device↔servers assembly using in-process
-// goroutine servers. Create one per joined dataset pair; run as many
+// servers. Create one per joined dataset pair; run as many
 // algorithms as desired (each Run sees only its own traffic).
 type Session struct {
 	env        *core.Env
@@ -233,7 +233,7 @@ func (s *Session) RunContext(ctx context.Context, alg Algorithm, spec Spec) (*Re
 // algorithms, inspecting meters).
 func (s *Session) Env() *Env { return s.env }
 
-// Close shuts down the server goroutines. The breaker registry's
+// Close shuts the fleet down. The breaker registry's
 // recovery probers are stopped first — and waited for — so no background
 // INFO probe outlives the session or races a closing transport.
 func (s *Session) Close() error { return s.fleet.Close() }

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Paired A/B gate for one benchmark workload: the working tree (the
-# change) against a parent commit, both run with the same benchmark
-# command (bash benchmark/run.sh --workload W --seed N --seconds S
-# --trace 0), one pair per seed, the order rotated per seed so neither
+# Paired A/B gate for benchmark workloads: the working tree (the change)
+# against a parent commit, both run with the same benchmark command
+# (bash benchmark/run.sh --workload W --seed N --seconds S --trace 0),
+# one pair per workload and seed, the order rotated per pair so neither
 # side always runs first on a warm or a cold machine.
 #
-#   scripts/abgate.sh [--parent-dir DIR] WORKLOAD SEEDS SECONDS PARENT_REF
+#   scripts/abgate.sh [--parent-dir DIR] WORKLOADS SEEDS SECONDS PARENT_REF
 #
-# SEEDS is a comma-separated list of seeds or ranges, e.g. 1-10 or
+# WORKLOADS is a comma-separated list of workload names, or all for
+# every workload BENCHMARK.json declares; the report has one block per
+# workload. SEEDS is a comma-separated list of seeds or ranges, e.g. 1-10 or
 # 1,2,5-7. The parent is checked out with git worktree add in a
 # temporary directory that is removed on exit; --parent-dir runs an
 # existing checkout of the parent instead. For every end-to-end metric
@@ -21,7 +23,7 @@
 set -euo pipefail
 
 usage() {
-  echo "usage: $0 [--parent-dir DIR] WORKLOAD SEEDS SECONDS PARENT_REF" >&2
+  echo "usage: $0 [--parent-dir DIR] WORKLOADS SEEDS SECONDS PARENT_REF" >&2
   exit 2
 }
 
@@ -32,7 +34,7 @@ if [ "${1:-}" = "--parent-dir" ]; then
   shift 2
 fi
 [ $# -eq 4 ] || usage
-workload=$1 seedspec=$2 seconds=$3 ref=$4
+workloadspec=$1 seedspec=$2 seconds=$3 ref=$4
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 sha=$(git -C "$root" rev-parse --verify "$ref^{commit}")
@@ -67,42 +69,59 @@ for p in "${parts[@]}"; do
 done
 [ ${#seeds[@]} -gt 0 ] || usage
 
-# run SIDE DIR SEED appends "side seed metric value" lines to the
-# readings, from the JSON line the benchmark prints last.
-readings="$work/readings"
-: >"$readings"
+if [ "$workloadspec" = all ]; then
+  # The names of BENCHMARK.json's "workloads" array, one a line.
+  mapfile -t workloads < <(awk '
+    /"workloads"[[:space:]]*:/ { on = 1; next }
+    on && /^[[:space:]]*\]/ { exit }
+    on && match($0, /"name"[[:space:]]*:[[:space:]]*"[^"]+"/) {
+      s = substr($0, RSTART, RLENGTH); sub(/^"name"[[:space:]]*:[[:space:]]*"/, "", s); sub(/"$/, "", s); print s
+    }' "$root/BENCHMARK.json")
+else
+  IFS=, read -ra workloads <<<"$workloadspec"
+fi
+[ ${#workloads[@]} -gt 0 ] || usage
+
+# run WORKLOAD SIDE DIR SEED appends "side seed metric value" lines to
+# the workload's readings, from the JSON line the benchmark prints last.
 run() {
   local line
-  line=$(cd "$2" && bash benchmark/run.sh --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 2>"$work/log" | grep '^{' | tail -n 1) || true
+  line=$(cd "$3" && bash benchmark/run.sh --workload "$1" --seed "$4" --seconds "$seconds" --trace 0 2>"$work/log" | grep '^{' | tail -n 1) || true
   if [ -z "$line" ]; then
     cat "$work/log" >&2
-    echo "abgate: the $1 run of seed $3 printed no result" >&2
+    echo "abgate: the $2 run of $1 seed $4 printed no result" >&2
     exit 1
   fi
   echo "$line" | grep -oE '"[a-z0-9_]+":\{"value":[-0-9.eE+]+' |
     sed -E 's/^"([a-z0-9_]+)":\{"value":(.*)$/\1 \2/' |
-    while read -r metric value; do echo "$1 $3 $metric $value"; done >>"$readings"
-  echo "$1 $3 failed $(echo "$line" | grep -oE '"failed":[0-9]+' | cut -d: -f2)" >>"$readings"
+    while read -r metric value; do echo "$2 $4 $metric $value"; done >>"$work/readings.$1"
+  echo "$2 $4 failed $(echo "$line" | grep -oE '"failed":[0-9]+' | cut -d: -f2)" >>"$work/readings.$1"
 }
 
 cpu=$(grep -m1 'model name' /proc/cpuinfo 2>/dev/null | cut -d: -f2- | sed 's/^ *//' || true)
-echo "# abgate: $workload, seeds $seedspec, ${seconds} s a run"
+echo "# abgate: ${workloads[*]}; seeds $seedspec, ${seconds} s a run"
 echo "# parent $ref ($(git -C "$root" rev-parse --short "$sha")) vs change: the working tree at $(git -C "$root" rev-parse --short HEAD)"
 echo "# cpu: ${cpu:-unknown}; nproc $(nproc); $(go version)"
 echo
 
-for i in "${!seeds[@]}"; do
-  s=${seeds[$i]}
-  if ((i % 2 == 0)); then
-    run parent "$parent_dir" "$s"
-    run change "$root" "$s"
-  else
-    run change "$root" "$s"
-    run parent "$parent_dir" "$s"
-  fi
-  echo "pair $((i + 1))/${#seeds[@]} (seed $s) done" >&2
+pair=0
+for w in "${workloads[@]}"; do
+  : >"$work/readings.$w"
+  for s in "${seeds[@]}"; do
+    if ((pair % 2 == 0)); then
+      run "$w" parent "$parent_dir" "$s"
+      run "$w" change "$root" "$s"
+    else
+      run "$w" change "$root" "$s"
+      run "$w" parent "$parent_dir" "$s"
+    fi
+    pair=$((pair + 1))
+    echo "pair $pair/$((${#workloads[@]} * ${#seeds[@]})) ($w seed $s) done" >&2
+  done
 done
 
+# report WORKLOAD prints the workload's block from its readings.
+report() {
 awk -v seeds="${seeds[*]}" '
 function num(x) { return (x >= 1000 || x <= -1000) ? sprintf("%.0f", x) : sprintf("%.4g", x) }
 function sortn(a, n,    i, j, t) {
@@ -160,4 +179,11 @@ END {
     for (k = 1; k <= ns; k++) f += v[name, S[k], "failed"]
     printf "failed joins, %s: %d\n", name, f
   }
-}' "$readings"
+  printf "\n"
+}' "$work/readings.$1"
+}
+
+for w in "${workloads[@]}"; do
+  printf '## %s\n\n' "$w"
+  report "$w"
+done
