@@ -54,8 +54,6 @@ type Server struct {
 	// bitset.
 	maxID    uint32
 	denseIDs bool
-
-	scratch sync.Pool
 }
 
 // handlerScratch is the reusable per-request state of one in-flight
@@ -74,6 +72,12 @@ type handlerScratch struct {
 	subs    [][]byte        // decoded MsgBatch sub-frame views
 	joiner  *memjoin.Joiner
 }
+
+// scratchPool is every server's: a scratch is sized by its requests, not
+// by its server, and one goroutine that answers many servers in turn (an
+// inline scatter) keeps hitting one shared pool where a pool per server
+// would miss whenever the goroutine changes P.
+var scratchPool = sync.Pool{New: func() any { return &handlerScratch{joiner: memjoin.NewJoiner()} }}
 
 var _ netsim.NonBlocking = (*Server)(nil)
 
@@ -106,9 +110,6 @@ func New(name string, objs []geom.Object, opts ...Option) *Server {
 	// The bitset costs maxID/64 words per scratch, which is only a win
 	// while ids stay within a small multiple of the cardinality.
 	s.denseIDs = int64(s.maxID) <= 4*int64(len(objs))+1024
-	s.scratch.New = func() any {
-		return &handlerScratch{joiner: memjoin.NewJoiner()}
-	}
 	for _, o := range opts {
 		o(s)
 	}
@@ -138,8 +139,8 @@ func (s *Server) Handle(req []byte) []byte {
 // request frame is not retained, and with a capacious dst the call does
 // not allocate.
 func (s *Server) HandleAppend(req, dst []byte) []byte {
-	sc := s.scratch.Get().(*handlerScratch)
-	defer s.scratch.Put(sc)
+	sc := scratchPool.Get().(*handlerScratch)
+	defer scratchPool.Put(sc)
 
 	if wire.Type(req) == wire.MsgBatch {
 		return s.handleBatch(req, dst, sc)
