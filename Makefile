@@ -61,8 +61,10 @@ bench-compare:
 # fuzz runs every fuzz target briefly — the hardening pass CI runs on
 # each push over the surfaces that parse bytes from outside: the wire
 # codec with the server handler, the TCP serving loop's frame stream, and
-# the daemon's JSON-lines protocol in the root package. Longer local
-# campaigns: go test -fuzz <Target> -fuzztime 5m.
+# the daemon's JSON-lines protocol in the root package — plus the meter's
+# tenant split (its columns must sum to the link totals whatever shares a
+# context names). Longer local campaigns: go test -fuzz <Target>
+# -fuzztime 5m.
 fuzz:
 	@for pkg in ./internal/wire ./internal/server ./internal/netsim .; do \
 	  for f in $$($(GO) test -list 'Fuzz.*' $$pkg | grep '^Fuzz'); do \
@@ -156,7 +158,11 @@ vet:
 # or rect reply and sorts nothing. An aggregation-tree node is a Router
 # with a metered uplink, not a layer around one: outside tests
 # internal/shard declares no Aggregator struct, no NewAggregator, no
-# method on *Aggregator and no leafGapper (Aggregator is an alias).
+# method on *Aggregator and no leafGapper (Aggregator is an alias). The
+# in-process link is a function call: internal/netsim/channel.go holds no
+# go statement and no chan — the handler runs on its caller's goroutine —
+# and outside tests no code line names NonBlocking, ErrFrameRetained or
+# RetainFrame: no transport reads a frame once its round trip returned.
 lint-seams:
 	@if grep -nE 'time\.(AfterFunc|NewTimer|Sleep)' internal/client/batch.go; then \
 	  echo "lint: internal/client/batch.go must not wait on a clock"; exit 1; fi
@@ -202,6 +208,10 @@ lint-seams:
 	@if grep -HnE 'type[[:space:]]+Aggregator[[:space:]]+struct|NewAggregator|^func[[:space:]]*\([[:alnum:]_]*[[:space:]]*\*Aggregator\)|leafGapper' \
 	      $$(ls internal/shard/*.go | grep -v '_test\.go$$'); then \
 	  echo "lint: an aggregation-tree node is a Router with a metered uplink (no Aggregator struct, NewAggregator, *Aggregator method or leafGapper)"; exit 1; fi
+	@if grep -nE '^[[:space:]]*go[[:space:]]|\bchan\b' internal/netsim/channel.go || \
+	    grep -rHnwE --include='*.go' --exclude='*_test.go' 'NonBlocking|ErrFrameRetained|RetainFrame' *.go bench cmd examples internal \
+	      | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then \
+	  echo "lint: the in-process link is a function call (no go statement or chan in internal/netsim/channel.go, no NonBlocking, ErrFrameRetained or RetainFrame)"; exit 1; fi
 
 # lint runs the static analyzers CI enforces (staticcheck, govulncheck).
 # Locally the tools may be absent — this target never installs anything;

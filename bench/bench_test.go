@@ -256,8 +256,8 @@ func benchSessionRTT(b *testing.B, alg core.Algorithm, batch, parallelism int) {
 	sobjs := dataset.GaussianClusters(1500, 6, 300, dataset.World, 32)
 	link := netsim.DefaultLink()
 	link.RTT = 300 * time.Microsecond
-	trR := netsim.ServeParallel(server.New("R", robjs), parallelism)
-	trS := netsim.ServeParallel(server.New("S", sobjs), parallelism)
+	trR := netsim.Serve(server.New("R", robjs))
+	trS := netsim.Serve(server.New("S", sobjs))
 	defer trR.Close()
 	defer trS.Close()
 	var copts []client.Option

@@ -285,15 +285,11 @@ func benchParallel(b *testing.B, alg core.Algorithm, spec core.Spec, parallelism
 	srvS := server.New("S", sobjs)
 	link := netsim.DefaultLink()
 	link.RTT = 300 * time.Microsecond
-	workers := parallelism
-	if workers < 1 {
-		workers = 1
-	}
 	var bytes int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		trR := netsim.ServeParallel(srvR, workers)
-		trS := netsim.ServeParallel(srvS, workers)
+		trR := netsim.Serve(srvR)
+		trS := netsim.Serve(srvS)
 		r := mustRemote(b, "R", trR, link, 1)
 		s := mustRemote(b, "S", trS, link, 1)
 		env := core.NewEnv(r, s, client.Device{BufferObjects: 400}, costmodel.Default(), World)

@@ -29,9 +29,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func newBatched(t *testing.T, objs []geom.Object, cfg BatchConfig, workers int) *Remote {
+func newBatched(t *testing.T, objs []geom.Object, cfg BatchConfig) *Remote {
 	t.Helper()
-	tr := netsim.ServeParallel(server.New("B", objs), workers)
+	tr := netsim.Serve(server.New("B", objs))
 	r, err := NewRemote("B", tr, netsim.DefaultLink(), 1, WithBatch(cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func newBatched(t *testing.T, objs []geom.Object, cfg BatchConfig, workers int) 
 // one GoBatch yields exactly one wire frame carrying all of them.
 func TestGoBatchSizeTriggerOneFrame(t *testing.T) {
 	objs := dataset.Uniform(200, dataset.World, 3)
-	r := newBatched(t, objs, BatchConfig{MaxBatch: 8}, 1)
+	r := newBatched(t, objs, BatchConfig{MaxBatch: 8})
 	w := dataset.Bounds(objs).Expand(1)
 
 	reqs := make([][]byte, 8)
@@ -74,7 +74,7 @@ func TestGoBatchSizeTriggerOneFrame(t *testing.T) {
 // its submitter waits for it, then leaves as one envelope.
 func TestGoBatchWaiterDispatchesPartial(t *testing.T) {
 	objs := dataset.Uniform(50, dataset.World, 4)
-	r := newBatched(t, objs, BatchConfig{MaxBatch: 16}, 1)
+	r := newBatched(t, objs, BatchConfig{MaxBatch: 16})
 	w := dataset.Bounds(objs).Expand(1)
 
 	reqs := [][]byte{
@@ -105,7 +105,7 @@ func TestGoBatchWaiterDispatchesPartial(t *testing.T) {
 // an unbatched request costs.
 func TestBatchWaiterSendsStraggler(t *testing.T) {
 	objs := dataset.Uniform(10, dataset.World, 5)
-	r := newBatched(t, objs, BatchConfig{MaxBatch: 64}, 1)
+	r := newBatched(t, objs, BatchConfig{MaxBatch: 64})
 	w := dataset.Bounds(objs).Expand(1)
 
 	c := r.GoBatch(context.Background(), [][]byte{wire.AppendCount(bufpool.Get(), w)})[0]
@@ -166,7 +166,7 @@ func TestBatchIdleProbeRunsOnWaiter(t *testing.T) {
 // succeed. (Transport-level failures, by contrast, fail the whole batch.)
 func TestBatchPerSubRequestErrors(t *testing.T) {
 	objs := dataset.Uniform(30, dataset.World, 6)
-	r := newBatched(t, objs, BatchConfig{MaxBatch: 3}, 1)
+	r := newBatched(t, objs, BatchConfig{MaxBatch: 3})
 	w := dataset.Bounds(objs).Expand(1)
 
 	reqs := [][]byte{
@@ -201,7 +201,7 @@ func TestBatchConcurrentCallersDemux(t *testing.T) {
 		}
 	}
 	const maxBatch, n = 8, 60
-	gate := &gateRT{inner: netsim.ServeParallel(server.New("B", objs), 4), gate: make(chan struct{})}
+	gate := &gateRT{inner: netsim.Serve(server.New("B", objs)), gate: make(chan struct{})}
 	r, err := NewRemote("B", gate, netsim.DefaultLink(), 1,
 		WithBatch(BatchConfig{MaxBatch: maxBatch}))
 	if err != nil {
@@ -253,7 +253,7 @@ func TestBatchConcurrentCallersDemux(t *testing.T) {
 // re-issued as a unit by the retry policy and every call still completes.
 func TestBatchTransportFaultRetriesWholeEnvelope(t *testing.T) {
 	objs := dataset.Uniform(40, dataset.World, 8)
-	tr := netsim.NewFaulty(netsim.ServeParallel(server.New("B", objs), 2), netsim.FaultConfig{
+	tr := netsim.NewFaulty(netsim.Serve(server.New("B", objs)), netsim.FaultConfig{
 		Seed: 9, DropProb: 0.5, MaxConsecutive: 3,
 	})
 	r, err := NewRemote("B", tr, netsim.DefaultLink(), 1,
@@ -284,7 +284,7 @@ func TestBatchTransportFaultRetriesWholeEnvelope(t *testing.T) {
 // pipelined crossing of a real connection).
 func TestGoBatchWithoutBatcher(t *testing.T) {
 	objs := dataset.Uniform(20, dataset.World, 11)
-	tr := netsim.ServeParallel(server.New("B", objs), 2)
+	tr := netsim.Serve(server.New("B", objs))
 	r, err := NewRemote("B", tr, netsim.DefaultLink(), 1)
 	if err != nil {
 		t.Fatal(err)

@@ -23,9 +23,8 @@ import (
 // goroutine spawn.
 
 // gateRT parks every round trip until the gate opens, honoring the
-// caller's context while parked (a parked trip abandoned by its context
-// marks the frame retained, like a real transport would). It lets a test
-// hold an envelope in flight at a precise point.
+// caller's context while parked. It lets a test hold an envelope in
+// flight at a precise point.
 type gateRT struct {
 	inner netsim.RoundTripper
 	gate  chan struct{}
@@ -35,15 +34,15 @@ func (g *gateRT) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
 	select {
 	case <-g.gate:
 	case <-ctx.Done():
-		return nil, netsim.RetainFrame(ctx.Err())
+		return nil, ctx.Err()
 	}
 	return g.inner.RoundTrip(ctx, req)
 }
 
 func (g *gateRT) Close() error { return g.inner.Close() }
 
-// failRT fails every round trip to completion: the transport is done with
-// the frame (nothing retained), the query just didn't get an answer.
+// failRT fails every round trip to completion: the query just didn't get
+// an answer.
 type failRT struct{}
 
 func (failRT) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
@@ -60,7 +59,7 @@ func (failRT) Close() error { return nil }
 // promptly with its own context error, and the mate completes normally.
 func TestBatchCancelledCallerDoesNotPoisonBatchMates(t *testing.T) {
 	objs := dataset.Uniform(40, dataset.World, 11)
-	gate := &gateRT{inner: netsim.ServeParallel(server.New("B", objs), 2), gate: make(chan struct{})}
+	gate := &gateRT{inner: netsim.Serve(server.New("B", objs)), gate: make(chan struct{})}
 	r, err := NewRemote("B", gate, netsim.DefaultLink(), 1,
 		WithBatch(BatchConfig{MaxBatch: 2}))
 	if err != nil {
@@ -111,7 +110,7 @@ func TestBatchCancelledCallerDoesNotPoisonBatchMates(t *testing.T) {
 // derived trip context must cancel so the transport is released.
 func TestBatchAllCancelledAbandonsEnvelope(t *testing.T) {
 	objs := dataset.Uniform(10, dataset.World, 12)
-	gate := &gateRT{inner: netsim.ServeParallel(server.New("B", objs), 2), gate: make(chan struct{})}
+	gate := &gateRT{inner: netsim.Serve(server.New("B", objs)), gate: make(chan struct{})}
 	defer close(gate.gate)
 	r, err := NewRemote("B", gate, netsim.DefaultLink(), 1,
 		WithBatch(BatchConfig{MaxBatch: 2}))
@@ -246,7 +245,7 @@ func (p *peakRT) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
 func TestBatchDispatchBounded(t *testing.T) {
 	objs := dataset.Uniform(25, dataset.World, 13)
 	const submitters = 8
-	gate := &gateRT{inner: netsim.ServeParallel(server.New("B", objs), inflightWindow), gate: make(chan struct{})}
+	gate := &gateRT{inner: netsim.Serve(server.New("B", objs)), gate: make(chan struct{})}
 	link := &peakRT{RoundTripper: gate}
 	r, err := NewRemote("B", link, netsim.DefaultLink(), 1,
 		WithBatch(BatchConfig{MaxBatch: 2}))

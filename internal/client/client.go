@@ -203,17 +203,10 @@ func (r *Remote) admit(ctx context.Context) error {
 // Do is the seam call (see Doer): it sends a pooled request frame and
 // returns the response frame, re-issuing the request per the retry policy
 // on transient transport failures. Ownership of the request buffer ends
-// here: it is recycled on success and on every failure whose attempts
-// all ran to completion. An
-// abandoned attempt — one whose error carries the netsim.ErrFrameRetained
-// mark (per-try timeout, cancellation, a transport shutdown mid-service)
-// — may leave the frame referenced by an in-flight server worker that is
-// still decoding it; once any attempt was abandoned the buffer is left
-// to the garbage collector, even if a later retry succeeds or fails
-// cleanly — recycling it would hand a buffer that is still being read to
-// the next encoder. Retries themselves are safe: both the retry and the
-// abandoned worker only read the frame. The caller owns the returned
-// response frame and must release it with bufpool.Put after decoding.
+// here: it is recycled on success and failure alike, since no transport
+// reads a frame once its round trip has returned. The caller owns the
+// returned response frame and must release it with bufpool.Put after
+// decoding.
 //
 // The dataset server always encodes responses into fresh buffers, but a
 // custom in-process Handler could echo the request frame back; the
@@ -238,7 +231,7 @@ func (r *Remote) Do(ctx context.Context, req []byte) ([]byte, error) {
 		ctx, cancel = context.WithTimeout(ctx, r.retry.Budget)
 		defer cancel()
 	}
-	return r.attempts(ctx, req, 0, nil, false)
+	return r.attempts(ctx, req, 0, nil)
 }
 
 // timed reports whether the retry policy times its attempts
@@ -261,18 +254,17 @@ func (r *Remote) send(ctx context.Context, req []byte) (netsim.Flight, error) {
 func (r *Remote) recv(f *netsim.Flight) ([]byte, error) {
 	resp, err := f.Recv()
 	if err == nil {
-		return r.accept(f.Request(), resp, false)
+		return r.accept(f.Request(), resp)
 	}
-	return r.attempts(f.Context(), f.Request(), 1, err, errors.Is(err, netsim.ErrFrameRetained))
+	return r.attempts(f.Context(), f.Request(), 1, err)
 }
 
 // attempts is Do's attempt loop. last is the previous attempt's error
 // (nil when none was made) and spent the attempts req has used up. Do
 // enters with neither; a failed pipelined chunk enters each request it
 // left unanswered with its error and spent 1 or 0 (see Remote.pipeline),
-// so each is re-sent, or fails, exactly as a Do retry would. retained
-// reports whether an earlier attempt may still reference req.
-func (r *Remote) attempts(ctx context.Context, req []byte, spent int, last error, retained bool) ([]byte, error) {
+// so each is re-sent, or fails, exactly as a Do retry would.
+func (r *Remote) attempts(ctx context.Context, req []byte, spent int, last error) ([]byte, error) {
 	attempts := max(r.retry.MaxAttempts, 1)
 	for try := spent; try < attempts; try++ {
 		if last != nil {
@@ -303,27 +295,19 @@ func (r *Remote) attempts(ctx context.Context, req []byte, spent int, last error
 		resp, err := r.conn.RoundTrip(tryCtx, req)
 		cancel()
 		if err == nil {
-			return r.accept(req, resp, retained)
+			return r.accept(req, resp)
 		}
 		last = err
-		if errors.Is(err, netsim.ErrFrameRetained) {
-			retained = true
-		}
 	}
-	if !retained {
-		// Every attempt ran to completion (the transport no longer holds
-		// the frame), so the request buffer can be recycled even though
-		// the query failed.
-		bufpool.Put(req)
-	}
+	bufpool.Put(req)
 	return nil, fmt.Errorf("%s: %w", r.name, last)
 }
 
 // accept finishes a query whose attempt was answered with resp: the
-// request frame is recycled unless an earlier attempt may still read it,
-// and a MsgError reply becomes the query's error.
-func (r *Remote) accept(req, resp []byte, retained bool) ([]byte, error) {
-	if !retained && !bufpool.SameBacking(req, resp) {
+// request frame is recycled (unless the reply aliases it), and a
+// MsgError reply becomes the query's error.
+func (r *Remote) accept(req, resp []byte) ([]byte, error) {
+	if !bufpool.SameBacking(req, resp) {
 		bufpool.Put(req)
 	}
 	if wire.Type(resp) == wire.MsgError {

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"errors"
 	"sync"
 
 	"repro/internal/bufpool"
@@ -134,13 +133,13 @@ func (l *lone) Eval() ([]byte, error) {
 
 // pipeline sends one chunk as one pipelined attempt, guarding what Do
 // guards: the quota gate closes before any frame of the chunk is
-// charged, each request frame is recycled exactly once (or left to the
-// collector under netsim.ErrFrameRetained), and a MsgError reply fails
-// its own call alone (Call.frame converts it). A request the attempt left
-// unanswered goes on through Do's attempt loop, having spent one attempt
-// if its frame is the one that failed and none if it sat behind it: the
-// chunk stopped there, so it never met the fault. A MaxAttempts that
-// outlasts a transport's longest run of faults lands it as it lands Do.
+// charged, each request frame is recycled exactly once, and a MsgError
+// reply fails its own call alone (Call.frame converts it). A request the
+// attempt left unanswered goes on through Do's attempt loop, having
+// spent one attempt if its frame is the one that failed and none if it
+// sat behind it: the chunk stopped there, so it never met the fault. A
+// MaxAttempts that outlasts a transport's longest run of faults lands it
+// as it lands Do.
 func (r *Remote) pipeline(ctx context.Context, calls []Call, reqs, resps [][]byte) {
 	if err := r.admit(ctx); err != nil {
 		for i := range calls {
@@ -159,12 +158,11 @@ func (r *Remote) pipeline(ctx context.Context, calls []Call, reqs, resps [][]byt
 	if err == nil {
 		return
 	}
-	retained := errors.Is(err, netsim.ErrFrameRetained)
 	for i := answered; i < len(calls); i++ {
 		spent := 1
 		if i > answered && r.retry.MaxAttempts > 1 {
 			spent = 0
 		}
-		calls[i].resp, calls[i].err = r.attempts(ctx, reqs[i], spent, err, retained)
+		calls[i].resp, calls[i].err = r.attempts(ctx, reqs[i], spent, err)
 	}
 }

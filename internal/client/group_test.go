@@ -388,11 +388,12 @@ func TestGroupSeveredMidChunk(t *testing.T) {
 	})
 }
 
-// TestGroupCancelMidChunk (b): the context ends while the server is
-// inside the chunk, over TCP and in-process. The waiter returns promptly
-// with the context's error for every unanswered call, the link serves
-// the next group — over TCP the poisoned connection is not reused, a
-// second group dials a fresh one — and no goroutine is left behind.
+// TestGroupCancelMidChunk (b): the context ends while the chunk's third
+// request is parked, inside the server over TCP and on the link
+// in-process. The waiter returns promptly with the context's error for
+// every unanswered call, the link serves the next group — over TCP the
+// poisoned connection is not reused, a second group dials a fresh one —
+// and no goroutine is left behind.
 func TestGroupCancelMidChunk(t *testing.T) {
 	objs := dataset.Uniform(100, dataset.World, 3)
 	w := dataset.Bounds(objs).Expand(1)
@@ -412,12 +413,21 @@ func TestGroupCancelMidChunk(t *testing.T) {
 				p = newPeer(t, &peer{handler: server.New("G", objs), hold: hold})
 				r = tcpRemote(t, p.ln.Addr().String())
 			} else {
-				var served atomic.Int32
-				h := server.New("G", objs)
-				r = inProcRemote(t, netsim.Serve(netsim.HandlerFunc(func(req []byte) []byte {
-					hold(int(served.Add(1)) - 1)
-					return h.Handle(req)
-				})))
+				// In-process the server is a function call: the third
+				// request parks on its link, which honours the context.
+				var sent atomic.Int32
+				inner := netsim.Serve(server.New("G", objs))
+				r = inProcRemote(t, rtFunc(func(ctx context.Context, req []byte) ([]byte, error) {
+					if sent.Add(1) == 3 {
+						close(entered)
+						select {
+						case <-release:
+						case <-ctx.Done():
+							return nil, ctx.Err()
+						}
+					}
+					return inner.RoundTrip(ctx, req)
+				}))
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			go func() {
@@ -434,7 +444,7 @@ func TestGroupCancelMidChunk(t *testing.T) {
 				}
 			}
 			if answered > 2 {
-				t.Errorf("%d calls answered though the server was parked inside the third", answered)
+				t.Errorf("%d calls answered though the third was parked", answered)
 			}
 			close(release)
 			for i, c := range r.GoBatch(context.Background(), countReqs(6, w)) {

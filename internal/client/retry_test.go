@@ -145,20 +145,12 @@ func TestRetryServerErrorIsTerminal(t *testing.T) {
 	}
 }
 
-// slowFirstHandler stalls its first call long enough for a per-try
-// timeout to abandon it, then answers instantly.
-type slowFirstHandler struct {
-	calls atomic.Int32
-	resp  []byte
-}
+// readingHandler answers a count, touching the request bytes the whole
+// way through so the race detector patrols the frame: if the retry loop
+// recycled the buffer while an attempt still read it, -race fails.
+type readingHandler struct{ resp []byte }
 
-func (h *slowFirstHandler) Handle(req []byte) []byte {
-	if h.calls.Add(1) == 1 {
-		time.Sleep(30 * time.Millisecond)
-	}
-	// Touch the request bytes the whole way through, so the race
-	// detector patrols the abandoned attempt's frame: if the retry loop
-	// recycled the buffer while this worker still reads it, -race fails.
+func (h readingHandler) Handle(req []byte) []byte {
 	sum := byte(0)
 	for _, b := range req {
 		sum += b
@@ -167,14 +159,26 @@ func (h *slowFirstHandler) Handle(req []byte) []byte {
 	return h.resp
 }
 
-// TestRetryAbandonedAttemptDoesNotRecycleFrame reproduces the pooled-
-// frame hazard: attempt 1 is abandoned by the per-try timeout while the
-// single server worker is still decoding its request; the retry must
-// succeed without ever returning that frame to the pool (the worker may
-// still be reading it).
+// stallFirstLink stalls its first round trip until the attempt's context
+// ends, and passes every later one through.
+type stallFirstLink struct {
+	netsim.RoundTripper
+	calls atomic.Int32
+}
+
+func (l *stallFirstLink) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
+	if l.calls.Add(1) == 1 {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	return l.RoundTripper.RoundTrip(ctx, req)
+}
+
+// TestRetryAbandonedAttemptDoesNotRecycleFrame: attempt 1 stalls on the
+// link until the per-try timeout abandons it; the retry must succeed over
+// the same request frame, which the abandoned attempt no longer reads.
 func TestRetryAbandonedAttemptDoesNotRecycleFrame(t *testing.T) {
-	h := &slowFirstHandler{resp: wire.AppendCountReply(nil, 5)}
-	tr := netsim.Serve(h) // one worker: attempt 1 occupies it, then attempt 2 lands
+	tr := &stallFirstLink{RoundTripper: netsim.Serve(readingHandler{resp: wire.AppendCountReply(nil, 5)})}
 	r, err := NewRemote("slowstart", tr, netsim.DefaultLink(), 1,
 		WithRetry(RetryPolicy{MaxAttempts: 4, PerTryTimeout: 5 * time.Millisecond, Backoff: 20 * time.Millisecond}))
 	if err != nil {

@@ -269,7 +269,7 @@ func TestSchedulerQuotaAdmission(t *testing.T) {
 	ledger := netsim.NewLedger()
 	ledger.SetQuota("poor", 100)
 	ledger.Charge("poor", 150) // already exhausted
-	r := newTenantRemote(t, NewScheduler(), ledger, 4, 1)
+	r := newTenantRemote(t, NewScheduler(), ledger, 4)
 	w := dataset.World
 
 	poor := netsim.WithTenant(context.Background(), "poor")
@@ -297,10 +297,10 @@ func TestSchedulerQuotaAdmission(t *testing.T) {
 
 // --- end-to-end multi-tenant batching --------------------------------------
 
-func newTenantRemote(t *testing.T, sched *Scheduler, ledger *netsim.Ledger, maxBatch, workers int) *Remote {
+func newTenantRemote(t *testing.T, sched *Scheduler, ledger *netsim.Ledger, maxBatch int) *Remote {
 	t.Helper()
 	objs := dataset.Uniform(300, dataset.World, 11)
-	tr := netsim.ServeParallel(server.New("T", objs), workers)
+	tr := netsim.Serve(server.New("T", objs))
 	opts := []Option{WithBatch(BatchConfig{MaxBatch: maxBatch}), WithScheduler(sched)}
 	if ledger != nil {
 		opts = append(opts, WithLedger(ledger))
@@ -319,7 +319,7 @@ func newTenantRemote(t *testing.T, sched *Scheduler, ledger *netsim.Ledger, maxB
 func TestTenantAttributionExact(t *testing.T) {
 	ledger := netsim.NewLedger()
 	sched := NewScheduler()
-	r := newTenantRemote(t, sched, ledger, 4, 2)
+	r := newTenantRemote(t, sched, ledger, 4)
 	w := dataset.World
 
 	ctxA := netsim.WithTenant(context.Background(), "alice")
@@ -362,7 +362,7 @@ func TestTenantQuotaRejectsMidStream(t *testing.T) {
 	ledger := netsim.NewLedger()
 	ledger.SetQuota("poor", 2000)
 	sched := NewScheduler()
-	r := newTenantRemote(t, sched, ledger, 4, 2)
+	r := newTenantRemote(t, sched, ledger, 4)
 	w := dataset.World
 
 	ctxPoor := netsim.WithTenant(context.Background(), "poor")
@@ -395,11 +395,11 @@ func TestTenantQuotaRejectsMidStream(t *testing.T) {
 
 // TestMixedTenantEnvelopeSharesDeterministic: splitByShares-driven
 // attribution of a shared envelope is deterministic across identical
-// runs (sequential submissions, one worker).
+// runs (sequential submissions).
 func TestMixedTenantEnvelopeSharesDeterministic(t *testing.T) {
 	run := func() (netsim.Usage, netsim.Usage) {
 		sched := NewScheduler()
-		r := newTenantRemote(t, sched, nil, 4, 1)
+		r := newTenantRemote(t, sched, nil, 4)
 		w := dataset.World
 		ctxA := netsim.WithTenant(context.Background(), "a")
 		ctxB := netsim.WithTenant(context.Background(), "b")
@@ -515,7 +515,7 @@ func TestSchedulerConcurrentSubmitters(t *testing.T) {
 	sched.SetPolicy("t0", TenantPolicy{Priority: 1, Weight: 2})
 	sched.SetPolicy("t1", TenantPolicy{Priority: 0, Weight: 1})
 	sched.SetPolicy("t2", TenantPolicy{Priority: 0, Weight: 3})
-	r := newTenantRemote(t, sched, ledger, 8, 4)
+	r := newTenantRemote(t, sched, ledger, 8)
 	w := dataset.World
 
 	var wg sync.WaitGroup

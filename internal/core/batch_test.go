@@ -18,16 +18,12 @@ import (
 // links.
 func testEnvBatch(t *testing.T, robjs, sobjs []geom.Object, buffer, parallelism, batch int, opts ...server.Option) *Env {
 	t.Helper()
-	workers := parallelism
-	if workers < 1 {
-		workers = 1
-	}
 	var copts []client.Option
 	if batch > 1 {
 		copts = append(copts, client.WithBatch(client.BatchConfig{MaxBatch: batch}))
 	}
-	trR := netsim.ServeParallel(server.New("R", robjs, opts...), workers)
-	trS := netsim.ServeParallel(server.New("S", sobjs, opts...), workers)
+	trR := netsim.Serve(server.New("R", robjs, opts...))
+	trS := netsim.Serve(server.New("S", sobjs, opts...))
 	r := mustRemote(t, "R", trR, netsim.DefaultLink(), 1, copts...)
 	s := mustRemote(t, "S", trS, netsim.DefaultLink(), 1, copts...)
 	t.Cleanup(func() { r.Close(); s.Close() })

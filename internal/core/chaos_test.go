@@ -25,10 +25,6 @@ import (
 // the engine's pool of live partitions.
 func chaosEnv(t *testing.T, robjs, sobjs []geom.Object, buffer, parallelism, batch int, seed int64, opts ...server.Option) (*Env, *netsim.Faulty, *netsim.Faulty) {
 	t.Helper()
-	workers := parallelism
-	if workers < 1 {
-		workers = 1
-	}
 	cfg := netsim.FaultConfig{
 		Seed:           seed,
 		DropProb:       0.12,
@@ -37,9 +33,9 @@ func chaosEnv(t *testing.T, robjs, sobjs []geom.Object, buffer, parallelism, bat
 		Delay:          100 * time.Microsecond,
 		MaxConsecutive: 3,
 	}
-	ftR := netsim.NewFaulty(netsim.ServeParallel(server.New("R", robjs, opts...), workers), cfg)
+	ftR := netsim.NewFaulty(netsim.Serve(server.New("R", robjs, opts...)), cfg)
 	cfg.Seed = seed + 1
-	ftS := netsim.NewFaulty(netsim.ServeParallel(server.New("S", sobjs, opts...), workers), cfg)
+	ftS := netsim.NewFaulty(netsim.Serve(server.New("S", sobjs, opts...)), cfg)
 	var rtt time.Duration
 	if batch > 1 {
 		rtt = 100 * time.Microsecond
@@ -143,25 +139,27 @@ func TestChaosRetransmissionsAreMetered(t *testing.T) {
 	}
 }
 
-// blockingHandler answers through the wrapped handler for the first
-// `after` requests, then blocks every further call until release is
-// closed — a model of a server that hangs mid-join. reached is closed
-// when the first call blocks, so tests know the join is provably stuck.
-type blockingHandler struct {
-	inner   netsim.Handler
+// hangAfter passes its first `after` round trips through a Switch and
+// then hangs it — a model of a server that hangs mid-join, on its link:
+// every further round trip blocks until its context ends or the Switch
+// revives. reached is closed when the Switch hangs, so tests know the
+// join is provably stuck.
+type hangAfter struct {
+	*netsim.Switch
 	after   int32
 	served  atomic.Int32
 	once    sync.Once
 	reached chan struct{}
-	release chan struct{}
 }
 
-func (h *blockingHandler) Handle(req []byte) []byte {
+func (h *hangAfter) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
 	if h.served.Add(1) > h.after {
-		h.once.Do(func() { close(h.reached) })
-		<-h.release
+		h.once.Do(func() {
+			h.Hang()
+			close(h.reached)
+		})
 	}
-	return h.inner.Handle(req)
+	return h.Switch.RoundTrip(ctx, req)
 }
 
 // waitGoroutines polls until the goroutine count settles back to at most
@@ -195,7 +193,7 @@ func poolEnv(t *testing.T, trR, trS netsim.RoundTripper, par, batch int) *Env {
 	return envOver(t, trR, trS, 200, par, batch, 0, rtt)
 }
 
-// TestCancelMidJoinReturnsPromptly hangs the R server after a few
+// TestCancelMidJoinReturnsPromptly hangs the R link after a few
 // requests, cancels the context mid-join, and requires (a) a prompt
 // return with context.Canceled, and (b) zero leaked goroutines once the
 // transports close — the executor must join every worker even though the
@@ -206,15 +204,12 @@ func TestCancelMidJoinReturnsPromptly(t *testing.T) {
 		baseline := runtime.NumGoroutine()
 		robjs := dataset.GaussianClusters(400, 4, 300, dataset.World, 61)
 		sobjs := dataset.GaussianClusters(400, 4, 300, dataset.World, 62)
-		hang := &blockingHandler{
-			inner:   server.New("R", robjs),
+		hang := &hangAfter{
+			Switch:  netsim.NewSwitch(netsim.Serve(server.New("R", robjs))),
 			after:   4,
 			reached: make(chan struct{}),
-			release: make(chan struct{}),
 		}
-		trR := netsim.ServeParallel(hang, par)
-		trS := netsim.ServeParallel(server.New("S", sobjs), par)
-		env := poolEnv(t, trR, trS, par, pool.batch)
+		env := poolEnv(t, hang, netsim.Serve(server.New("S", sobjs)), par, pool.batch)
 		if want := max(par, 1) * max(pool.batch, 1); liveTasks(env) != want {
 			t.Fatalf("p=%d batch=%d: pool of %d live partitions, want %d", par, pool.batch, liveTasks(env), want)
 		}
@@ -225,8 +220,7 @@ func TestCancelMidJoinReturnsPromptly(t *testing.T) {
 			_, err := UpJoin{}.Run(ctx, env, Spec{Kind: Distance, Eps: 120})
 			done <- err
 		}()
-		// Wait until a request is provably blocked inside the hung server,
-		// then cancel.
+		// Wait until the link is provably hung, then cancel.
 		select {
 		case <-hang.reached:
 		case <-time.After(2 * time.Second):
@@ -245,9 +239,8 @@ func TestCancelMidJoinReturnsPromptly(t *testing.T) {
 		if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 			t.Fatalf("p=%d: cancellation took %v, want prompt return", par, elapsed)
 		}
-		// Release the hung handler so the server workers can exit, then
-		// close everything and verify no goroutine outlives the run.
-		close(hang.release)
+		// Close everything (the Switch revives on Close) and verify no
+		// goroutine outlives the run.
 		env.R.Close()
 		env.S.Close()
 		waitGoroutines(t, baseline)
@@ -314,8 +307,8 @@ func TestFirstErrorCancelsSiblings(t *testing.T) {
 	for _, pool := range enginePools {
 		par := pool.par
 		baseline := runtime.NumGoroutine()
-		trR := netsim.ServeParallel(server.New("R", robjs), par)
-		trS := &failAfter{rt: netsim.ServeParallel(server.New("S", sobjs), par), after: 4}
+		trR := netsim.Serve(server.New("R", robjs))
+		trS := &failAfter{rt: netsim.Serve(server.New("S", sobjs)), after: 4}
 		env := poolEnv(t, trR, trS, par, pool.batch)
 
 		_, err := UpJoin{}.Run(context.Background(), env, Spec{Kind: Distance, Eps: 120})

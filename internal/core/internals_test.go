@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/client"
@@ -227,16 +228,15 @@ func TestShardSkewReadsDensity(t *testing.T) {
 // --- failure injection ------------------------------------------------------
 
 // faultyHandler answers the first okUntil requests normally, then returns
-// protocol garbage.
+// protocol garbage. Like every handler it may be called concurrently.
 type faultyHandler struct {
 	inner   netsim.Handler
-	okUntil int
-	n       int
+	okUntil int32
+	n       atomic.Int32
 }
 
 func (f *faultyHandler) Handle(req []byte) []byte {
-	f.n++
-	if f.n > f.okUntil {
+	if f.n.Add(1) > f.okUntil {
 		return []byte{0xFF, 0x01, 0x02} // not a valid frame type
 	}
 	return f.inner.Handle(req)

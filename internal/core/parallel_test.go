@@ -29,16 +29,11 @@ func newTestExec(par *gate) *exec {
 }
 
 // testEnvParallel is testEnv with the concurrent engine enabled: the
-// in-process servers get one worker per unit of parallelism and the
 // environment carries the knob.
 func testEnvParallel(t *testing.T, robjs, sobjs []geom.Object, buffer, parallelism int, opts ...server.Option) *Env {
 	t.Helper()
-	workers := parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	trR := netsim.ServeParallel(server.New("R", robjs, opts...), workers)
-	trS := netsim.ServeParallel(server.New("S", sobjs, opts...), workers)
+	trR := netsim.Serve(server.New("R", robjs, opts...))
+	trS := netsim.Serve(server.New("S", sobjs, opts...))
 	r := mustRemote(t, "R", trR, netsim.DefaultLink(), 1)
 	s := mustRemote(t, "S", trS, netsim.DefaultLink(), 1)
 	t.Cleanup(func() { r.Close(); s.Close() })
@@ -178,8 +173,8 @@ func arrived(order []string) *requestLog {
 func (c engineConfig) run(t *testing.T, alg Algorithm, spec Spec, robjs, sobjs []geom.Object, buffer int, bucket bool) (*Result, [2]*requestLog) {
 	t.Helper()
 	logs := [2]*requestLog{
-		{RoundTripper: netsim.ServeParallel(server.New("R", robjs), c.parallelism), t: t, seen: map[string]int{}},
-		{RoundTripper: netsim.ServeParallel(server.New("S", sobjs), c.parallelism), t: t, seen: map[string]int{}},
+		{RoundTripper: netsim.Serve(server.New("R", robjs)), t: t, seen: map[string]int{}},
+		{RoundTripper: netsim.Serve(server.New("S", sobjs)), t: t, seen: map[string]int{}},
 	}
 	env := envOver(t, logs[0], logs[1], buffer, c.parallelism, c.batch, c.rtt, c.rtt)
 	defer env.R.Close()

@@ -56,7 +56,7 @@ func (g *stepGate) RoundTrip(ctx context.Context, req []byte) ([]byte, error) {
 		select {
 		case <-p.release:
 		case <-ctx.Done():
-			return nil, netsim.RetainFrame(ctx.Err())
+			return nil, ctx.Err()
 		}
 	}
 	return g.inner.RoundTrip(ctx, req)
@@ -197,8 +197,8 @@ func envOver(t testing.TB, trR, trS netsim.RoundTripper, buffer, parallelism, ba
 // gatedEnv is envOver over stepGates in front of in-process servers.
 func gatedEnv(t *testing.T, robjs, sobjs []geom.Object, buffer, parallelism, batch int, rtt time.Duration, hold func([]byte) bool) (*Env, *stepGate, *stepGate) {
 	t.Helper()
-	gr := &stepGate{inner: netsim.ServeParallel(server.New("R", robjs), parallelism), hold: hold}
-	gs := &stepGate{inner: netsim.ServeParallel(server.New("S", sobjs), parallelism), hold: hold}
+	gr := &stepGate{inner: netsim.Serve(server.New("R", robjs)), hold: hold}
+	gs := &stepGate{inner: netsim.Serve(server.New("S", sobjs)), hold: hold}
 	env := envOver(t, gr, gs, buffer, parallelism, batch, 0, rtt)
 	t.Cleanup(func() { env.R.Close(); env.S.Close() })
 	return env, gr, gs

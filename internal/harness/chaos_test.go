@@ -11,8 +11,7 @@ import (
 
 // goroutineCount counts live goroutines after giving stragglers a short
 // grace period to unwind (retried because shutdown is asynchronous: the
-// registry's probers and the servers' worker pools exit after Close
-// returns their wait).
+// registry's probers exit after Close returns their wait).
 func stableGoroutines(t *testing.T, want int) int {
 	t.Helper()
 	n := runtime.NumGoroutine()

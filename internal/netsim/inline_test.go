@@ -12,31 +12,19 @@ import (
 	"repro/internal/bufpool"
 )
 
-// inlineEcho is a NonBlocking appendEcho: the channel transport answers
-// it on the caller's goroutine.
-type inlineEcho struct{ appendEcho }
-
-func (*inlineEcho) NonBlocking() {}
-
-// inlineMirror is a NonBlocking mirrorHandler: stateless, so any number
-// of callers may run it at once.
-type inlineMirror struct{ mirrorHandler }
-
-func (inlineMirror) NonBlocking() {}
-
-// TestNonBlockingHandlerServedInline checks that a NonBlocking handler
-// starts no goroutine, whatever the worker count, that its frames are
-// the worker path's, and that Send takes nothing: the round trip runs
-// at receive.
+// TestNonBlockingHandlerServedInline checks that the in-process
+// transport starts no goroutine, whatever the worker count, that it
+// calls HandleAppend alone, and that it is no Sender: the round trip
+// runs at receive.
 func TestNonBlockingHandlerServedInline(t *testing.T) {
 	base := runtime.NumGoroutine()
-	h := &inlineEcho{}
+	h := &appendEcho{}
 	tr := ServeParallel(h, 4)
 	if n := runtime.NumGoroutine(); n > base {
-		t.Fatalf("serving an inline handler started %d goroutines", n-base)
+		t.Fatalf("serving a handler started %d goroutines", n-base)
 	}
-	if f := tr.Send(context.Background(), []byte{9}); f != nil {
-		t.Fatalf("Send = %v, want nil (nothing taken at send)", f)
+	if _, ok := RoundTripper(tr).(Sender); ok {
+		t.Fatal("the in-process transport is a Sender; nothing is taken at send")
 	}
 	m := mustMeter(t, DefaultLink(), 1)
 	resp, err := NewMetered(tr, m).RoundTrip(context.Background(), []byte{1, 2, 3})
@@ -63,15 +51,14 @@ func TestNonBlockingHandlerServedInline(t *testing.T) {
 
 // TestNonBlockingRoundTripRefusesClosedAndCanceled checks the inline
 // round trip's two refusals: ErrClosed after Close and the context's
-// error under a done context, neither calling the handler nor marking
-// the request frame retained.
+// error under a done context, neither calling the handler.
 func TestNonBlockingRoundTripRefusesClosedAndCanceled(t *testing.T) {
-	h := &inlineEcho{}
+	h := &appendEcho{}
 	tr := Serve(h)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tr.RoundTrip(ctx, []byte{1}); !errors.Is(err, context.Canceled) || errors.Is(err, ErrFrameRetained) {
-		t.Fatalf("canceled: err = %v, want context.Canceled, unretained", err)
+	if _, err := tr.RoundTrip(ctx, []byte{1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled: err = %v, want context.Canceled", err)
 	}
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
@@ -87,11 +74,12 @@ func TestNonBlockingRoundTripRefusesClosedAndCanceled(t *testing.T) {
 	}
 }
 
-// TestNonBlockingConcurrentRoundTrips serves one inline handler to many
-// goroutines at once over a metered link: every caller runs the handler
-// itself and gets its own reply, and the meter counts every frame.
+// TestNonBlockingConcurrentRoundTrips serves one stateless handler to
+// many goroutines at once over a metered link: every caller runs the
+// handler itself and gets its own reply, and the meter counts every
+// frame.
 func TestNonBlockingConcurrentRoundTrips(t *testing.T) {
-	tr := Serve(inlineMirror{})
+	tr := Serve(mirrorHandler{})
 	defer tr.Close()
 	m := mustMeter(t, DefaultLink(), 1)
 	c := NewMetered(tr, m)

@@ -13,9 +13,8 @@
 // report metered totals, never estimates.
 //
 // Two transports implement the same RoundTripper interface: an
-// in-process transport, which answers a NonBlocking handler (the dataset
-// server) on the caller's goroutine and any other handler from goroutine
-// workers over channels, and a TCP transport over real sockets (package
+// in-process transport, which runs the handler (the dataset server) on
+// the caller's goroutine, and a TCP transport over real sockets (package
 // net). Algorithms are transport-agnostic.
 //
 // Both transports and the Meter are safe for concurrent use, so a device
@@ -27,7 +26,6 @@ package netsim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -255,29 +253,6 @@ func (m *Meter) charge(ctx context.Context, payload int, dir Direction, hedged, 
 // Usage returns a snapshot of the accumulated accounting.
 func (m *Meter) Usage() Usage { return m.total.usage() }
 
-// ErrFrameRetained marks (via errors.Is) transport errors after which
-// the request frame may still be referenced by an in-flight peer — a
-// round trip abandoned mid-service leaves a server worker that is still
-// decoding the buffer. Callers that recycle request frames on failure
-// must leave retained frames to the garbage collector; errors without
-// the mark guarantee the transport holds no reference, so the frame may
-// go straight back to the pool. Transports wrap the abandonment paths
-// with RetainFrame; completed failures (a dropped frame that was never
-// sent, a severed response after the server finished) stay unmarked.
-var ErrFrameRetained = errors.New("netsim: request frame may still be referenced")
-
-type retainedError struct{ err error }
-
-func (e retainedError) Error() string { return e.err.Error() }
-
-// Unwrap exposes both the underlying error and the retention mark, so
-// errors.Is sees ErrClosed/context errors and ErrFrameRetained alike.
-func (e retainedError) Unwrap() []error { return []error{e.err, ErrFrameRetained} }
-
-// RetainFrame marks err as an abandonment: the request frame backing the
-// failed round trip may still be read by the peer.
-func RetainFrame(err error) error { return retainedError{err: err} }
-
 // RoundTripper is the client's view of a server connection: send one
 // request frame, receive one response frame. Implementations must be safe
 // for concurrent round trips from multiple goroutines; the concurrent
@@ -312,9 +287,9 @@ type Pipeliner interface {
 // Sender is the optional capability of a RoundTripper that splits a
 // round trip: Send puts req on the wire and returns at once, and Recv
 // collects the reply under Send's context. A send never blocks on the
-// peer: a frame that cannot leave at once (no idle worker or connection)
-// is not sent, Send returns nil, and the caller makes the whole round
-// trip when it receives.
+// peer: a frame that cannot leave at once (no idle connection) is not
+// sent, Send returns nil, and the caller makes the whole round trip when
+// it receives.
 type Sender interface {
 	Send(ctx context.Context, req []byte) Receiver
 }
@@ -428,8 +403,7 @@ func (f *Flight) Request() []byte { return f.req }
 
 // Recv waits out the rest of the RTT, collects the reply (or makes the
 // round trip) and charges it Down. Abandoned by the send's context, it
-// leaks neither reply nor goroutine, and marks ErrFrameRetained when the
-// peer may still read the request.
+// leaks neither reply nor goroutine.
 func (f *Flight) Recv() ([]byte, error) {
 	var err error
 	if !f.due.IsZero() {
@@ -445,8 +419,6 @@ func (f *Flight) Recv() ([]byte, error) {
 			err = rerr
 		case rerr == nil && !bufpool.SameBacking(f.req, resp):
 			bufpool.Put(resp)
-		case rerr == nil || errors.Is(rerr, ErrFrameRetained):
-			err = RetainFrame(err)
 		}
 	case err == nil:
 		resp, err = f.c.rt.RoundTrip(f.ctx, f.req)

@@ -29,44 +29,33 @@ func frameFor(i int) []byte {
 	return b[:]
 }
 
-// TestChannelTransportConcurrentRoundTrips hammers a single-worker and a
-// multi-worker channel transport from many goroutines and checks every
-// caller gets its own response back.
+// TestChannelTransportConcurrentRoundTrips hammers a channel transport
+// from many goroutines and checks every caller gets its own response
+// back.
 func TestChannelTransportConcurrentRoundTrips(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		tr := ServeParallel(mirrorHandler{}, workers)
-		var wg sync.WaitGroup
-		errs := make(chan error, 64)
-		for i := 0; i < 64; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				req := frameFor(i)
-				resp, err := tr.RoundTrip(context.Background(), req)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if !bytes.Equal(resp, req) {
-					t.Errorf("workers=%d: response %x for request %x", workers, resp, req)
-				}
-			}(i)
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Fatal(err)
-		}
-		tr.Close()
+	tr := Serve(mirrorHandler{})
+	defer tr.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 64; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := frameFor(i)
+			resp, err := tr.RoundTrip(context.Background(), req)
+			if err != nil || !bytes.Equal(resp, req) {
+				t.Errorf("response %x, %v for request %x", resp, err, req)
+			}
+		}(i)
 	}
+	wg.Wait()
 }
 
-// TestChannelTransportParallelServiceOverlaps shows multiple workers
-// actually service requests concurrently: 8 requests of 10ms each finish
-// far sooner than 80ms on a 8-worker transport.
+// TestChannelTransportParallelServiceOverlaps shows concurrent callers
+// are served concurrently: 8 requests of 10ms each finish far sooner
+// than 80ms, each caller running the handler on its own goroutine.
 func TestChannelTransportParallelServiceOverlaps(t *testing.T) {
 	const d = 10 * time.Millisecond
-	tr := ServeParallel(mirrorHandler{delay: d}, 8)
+	tr := Serve(mirrorHandler{delay: d})
 	defer tr.Close()
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -81,7 +70,7 @@ func TestChannelTransportParallelServiceOverlaps(t *testing.T) {
 	}
 	wg.Wait()
 	if elapsed := time.Since(start); elapsed > 6*d {
-		t.Fatalf("8 overlapping 10ms requests took %v; workers are not concurrent", elapsed)
+		t.Fatalf("8 overlapping 10ms requests took %v; callers are not served concurrently", elapsed)
 	}
 }
 

@@ -3,6 +3,7 @@ package netsim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -263,24 +264,49 @@ func TestTCPRoundTripHonorsDeadline(t *testing.T) {
 	}
 }
 
-// TestChannelRoundTripHonorsCancellation covers the in-process transport:
-// a hung single worker must not block a canceled caller.
-func TestChannelRoundTripHonorsCancellation(t *testing.T) {
-	block := make(chan struct{})
-	tr := Serve(HandlerFunc(func(req []byte) []byte {
-		<-block
-		return req
-	}))
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	if _, err := tr.RoundTrip(ctx, []byte("x")); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+// TestSwitchHangHonorsCancellation: a round trip over a hung Switch
+// blocks until its context ends, then returns context.Canceled promptly;
+// one blocked until Revive is answered by the server.
+func TestSwitchHangHonorsCancellation(t *testing.T) {
+	sw := NewSwitch(Serve(echoHandler{}))
+	defer sw.Close()
+	sw.Hang()
+	hung := func(ctx context.Context) <-chan error {
+		errc := make(chan error, 1)
+		go func() {
+			resp, err := sw.RoundTrip(ctx, []byte("x"))
+			if err == nil && string(resp) != "echo:x" {
+				err = fmt.Errorf("resp = %q", resp)
+			}
+			errc <- err
+		}()
+		select {
+		case err := <-errc:
+			t.Fatalf("round trip over a hung Switch returned %v", err)
+		case <-time.After(10 * time.Millisecond):
+		}
+		return errc
 	}
-	close(block)
-	tr.Close()
+	wait := func(errc <-chan error) error {
+		select {
+		case err := <-errc:
+			return err
+		case <-time.After(time.Second):
+			t.Fatal("round trip still blocked a second later")
+			return nil
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := hung(ctx)
+	cancel()
+	if err := wait(errc); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled: err = %v, want context.Canceled", err)
+	}
+	errc = hung(context.Background())
+	sw.Revive()
+	if err := wait(errc); err != nil {
+		t.Fatalf("revived: %v", err)
+	}
 }
 
 // TestFaultyInjectsDeterministically pins the seeded fault schedule and

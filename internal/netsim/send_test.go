@@ -23,8 +23,8 @@ func settleGoroutines(t *testing.T, base int) {
 
 // TestMeteredSendsOverlap: three sends and then three receives over a
 // 10 ms link pay the RTT once, not three times, whether the transport
-// sends at once (a free worker, an idle connection) or leaves the round
-// trip to the receive — and they charge, column by column, exactly what
+// sends at once (an idle connection) or leaves the round trip to the
+// receive (in-process) — and they charge, column by column, exactly what
 // three round trips charge.
 func TestMeteredSendsOverlap(t *testing.T) {
 	const rtt = 10 * time.Millisecond
@@ -84,9 +84,7 @@ func TestMeteredSendsOverlap(t *testing.T) {
 }
 
 // TestMeteredRecvAbandoned: a flight received under a context that ended
-// returns the context's error at once, and leaves no goroutine behind once
-// the peer has answered — whether the reply was already in, or the peer
-// was still serving the request (then the frame is marked retained).
+// returns the context's error at once, and leaves no goroutine behind.
 func TestMeteredRecvAbandoned(t *testing.T) {
 	t.Run("reply in", func(t *testing.T) {
 		link := DefaultLink()
@@ -101,30 +99,6 @@ func TestMeteredRecvAbandoned(t *testing.T) {
 		if _, err := f.Recv(); !errors.Is(err, context.Canceled) {
 			t.Fatalf("Recv = %v, want context.Canceled", err)
 		}
-		settleGoroutines(t, base)
-	})
-	t.Run("in service", func(t *testing.T) {
-		release := make(chan struct{})
-		tr := Serve(HandlerFunc(func(req []byte) []byte {
-			<-release
-			return append([]byte(nil), req...)
-		}))
-		defer tr.Close()
-		m := NewMetered(tr, mustMeter(t, DefaultLink(), 1))
-		base := runtime.NumGoroutine()
-		// Until the worker is idle the frame is not sent, and the
-		// abandoned round trip at receive leaves nothing in service.
-		for retained := false; !retained; {
-			ctx, cancel := context.WithCancel(context.Background())
-			f := m.Send(ctx, frameFor(1))
-			cancel()
-			_, err := f.Recv()
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("Recv = %v, want context.Canceled", err)
-			}
-			retained = errors.Is(err, ErrFrameRetained)
-		}
-		close(release)
 		settleGoroutines(t, base)
 	})
 }

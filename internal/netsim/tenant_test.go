@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -211,6 +212,74 @@ func TestMeterTenantColumnsSumToTotals(t *testing.T) {
 	if m.TenantUsage("") == (Usage{}) {
 		t.Error("anonymous tenant has no attributed traffic")
 	}
+}
+
+// FuzzMeterSharesConserve charges a fuzzed sequence of up to eight
+// frames to a meter in tenant mode and checks, after every charge, that
+// the tenant columns sum to the link totals field by field, that the
+// ledger holds the same wire bytes, and that no hedged column exceeds
+// its totals. A charge is a flag byte — direction, hedge mark, tenant of
+// four, share count — and a three-byte payload size, then five bytes a
+// share: a tenant and an int32 weight, zero and negative ones included.
+// A charge without shares bills the flag byte's tenant. Eight charges
+// keep an interesting input short enough to minimize.
+func FuzzMeterSharesConserve(f *testing.F) {
+	f.Add([]byte{0x00, 100, 0, 0})
+	f.Add([]byte{0x26, 0, 4, 0, 1, 70, 0, 0, 0, 2, 30, 0, 0, 0})
+	f.Add([]byte{0x31, 57, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{0x12, 0xff, 0xff, 0x0f, 3, 0, 0, 0, 0x80})
+	tenants := []TenantID{"", "a", "b", "c"}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := NewMeter(DefaultLink(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ledger := NewLedger()
+		m.SetLedger(ledger)
+		for n := 0; n < 8 && len(data) >= 4; n++ {
+			flags, payload := data[0], int(data[1])|int(data[2])<<8|int(data[3])<<16
+			data = data[4:]
+			ctx := WithTenant(context.Background(), tenants[flags>>2&3])
+			var shares []TenantShare
+			for k := flags >> 4 & 7; k > 0 && len(data) >= 5; k-- {
+				w := int32(binary.LittleEndian.Uint32(data[1:]))
+				shares = append(shares, TenantShare{ID: tenants[data[0]&3], Bytes: int(w)})
+				data = data[5:]
+			}
+			if shares != nil {
+				ctx = WithShares(ctx, shares)
+			}
+			if flags&2 != 0 {
+				ctx = WithHedged(ctx)
+			}
+			dir := Up
+			if flags&1 != 0 {
+				dir = Down
+			}
+			m.Charge(ctx, payload, dir)
+
+			total := m.Usage()
+			if total.HedgedMessages > total.Messages || total.HedgedWireBytes > total.WireBytes {
+				t.Fatalf("charge %d: hedged column above the totals: %+v", n, total)
+			}
+			var sum Usage
+			var spent int64
+			for _, id := range tenants {
+				u := m.TenantUsage(id)
+				if u.HedgedMessages > u.Messages || u.HedgedWireBytes > u.WireBytes {
+					t.Fatalf("charge %d: tenant %q hedged column above its totals: %+v", n, id, u)
+				}
+				sum = sum.Add(u)
+				spent += ledger.Spent(id)
+			}
+			if sum != total {
+				t.Fatalf("charge %d (shares %+v): tenant columns do not sum to link totals:\n sum   %+v\n total %+v", n, shares, sum, total)
+			}
+			if spent != int64(total.WireBytes) {
+				t.Fatalf("charge %d: ledger spend %d, link wire bytes %d", n, spent, total.WireBytes)
+			}
+		}
+	})
 }
 
 // TestMeterTenantModeOffIsUntouched: without EnableTenants the

@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/memjoin"
-	"repro/internal/netsim"
 	"repro/internal/rtree"
 	"repro/internal/wire"
 )
@@ -35,9 +34,7 @@ import (
 // Server answers wire-protocol requests for one spatial dataset.
 // It implements netsim.Handler and netsim.AppendHandler and is safe for
 // concurrent requests (the tree is immutable after construction; mutable
-// per-request state lives in pooled scratch). It is netsim.NonBlocking:
-// a request costs CPU and nothing else, so an in-process transport
-// answers it on the caller's goroutine.
+// per-request state lives in pooled scratch).
 type Server struct {
 	name         string
 	tree         *rtree.Tree
@@ -78,12 +75,6 @@ type handlerScratch struct {
 // inline scatter) keeps hitting one shared pool where a pool per server
 // would miss whenever the goroutine changes P.
 var scratchPool = sync.Pool{New: func() any { return &handlerScratch{joiner: memjoin.NewJoiner()} }}
-
-var _ netsim.NonBlocking = (*Server)(nil)
-
-// NonBlocking implements netsim.NonBlocking: HandleAppend waits on no
-// goroutine, lock, timer or network.
-func (s *Server) NonBlocking() {}
 
 // Option configures a Server.
 type Option func(*Server)

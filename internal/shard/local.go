@@ -23,8 +23,8 @@ type LocalConfig struct {
 	// a ReplicaSet instead of a bare Remote.
 	Replicas int
 	// Workers sizes a dialled fleet's TCP pool per link (internal/fleet;
-	// < 1 means 1). Local's servers need none: the dataset server is
-	// netsim.NonBlocking, answered on its caller's goroutine.
+	// < 1 means 1). Local's servers need none: an in-process server is
+	// answered on its caller's goroutine.
 	Workers int
 	// HedgePct enables percentile-triggered hedged reads on each
 	// replica set when > 0 (ignored with a single replica).
@@ -75,9 +75,9 @@ type OpenFunc func(label string, shard, replica int) (*client.Remote, error)
 // Local partitions objs with Assign and returns the fleet shape
 // (cfg.Replicas per partition) plus the opener that boots one in-process
 // server per replica — cfg.ServerOpts, answered on its caller's
-// goroutine (netsim.Serve of a NonBlocking handler), its transport
-// passed through cfg.WrapTransport — behind a metered remote
-// over cfg.Link at cfg.Price with cfg.ClientOpts.
+// goroutine (netsim.Serve), its transport passed through
+// cfg.WrapTransport — behind a metered remote over cfg.Link at cfg.Price
+// with cfg.ClientOpts.
 func Local(objs []geom.Object, cfg LocalConfig) ([]int, OpenFunc) {
 	parts := Assign(objs, max(cfg.Shards, 1))
 	sizes := make([]int, len(parts))

@@ -95,7 +95,7 @@ func (k *killAfterRT) Close() error { return k.inner.Close() }
 // The per-link retry policy is deliberately tight (2 attempts), so the
 // dead replica exhausts its retries fast and recovery must come from the
 // replica set's failover — the layer under test.
-func replicatedChaosFleet(t *testing.T, name string, objs []Object, workers int, seed int64) (*shard.Router, []*shard.ReplicaSet) {
+func replicatedChaosFleet(t *testing.T, name string, objs []Object, seed int64) (*shard.Router, []*shard.ReplicaSet) {
 	t.Helper()
 	retry := client.RetryPolicy{MaxAttempts: 2, Backoff: 50 * time.Microsecond}
 	parts := shard.Assign(objs, 2)
@@ -106,8 +106,7 @@ func replicatedChaosFleet(t *testing.T, name string, objs []Object, workers int,
 		rems := make([]*client.Remote, 2)
 		for j := range rems {
 			rname := fmt.Sprintf("%s-r%d", sname, j+1)
-			var rt netsim.RoundTripper = netsim.ServeParallel(
-				server.New(rname, part, server.PublishIndex()), workers)
+			var rt netsim.RoundTripper = netsim.Serve(server.New(rname, part, server.PublishIndex()))
 			if j == 1 {
 				rt = newKillAfterRT(rt, 1, seed+int64(i))
 			}
@@ -158,13 +157,9 @@ func TestReplicatedKillReplicaMidJoin(t *testing.T) {
 				name := fmt.Sprintf("%s/%s/par%d", kindName, algName, par)
 				t.Run(name, func(t *testing.T) {
 					baseline := runtime.NumGoroutine()
-					workers := par
-					if workers < 1 {
-						workers = 1
-					}
 					seed := int64(len(algName))*100 + int64(par)
-					routerR, setsR := replicatedChaosFleet(t, "R", robjs, workers, seed)
-					routerS, setsS := replicatedChaosFleet(t, "S", sobjs, workers, seed+10)
+					routerR, setsR := replicatedChaosFleet(t, "R", robjs, seed)
+					routerS, setsS := replicatedChaosFleet(t, "S", sobjs, seed+10)
 					env := core.NewEnv(routerR, routerS,
 						client.Device{BufferObjects: 300}, costmodel.Default(), World)
 					env.Seed = 5

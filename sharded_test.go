@@ -184,10 +184,6 @@ func assertShardedResult(t *testing.T, name string, spec Spec, got, want *core.R
 // retry policy generous enough that every query eventually lands.
 func shardedChaosEnv(t *testing.T, robjs, sobjs []Object, par int, seed int64) *core.Env {
 	t.Helper()
-	workers := par
-	if workers < 1 {
-		workers = 1
-	}
 	retry := client.RetryPolicy{MaxAttempts: 12, Backoff: 50 * time.Microsecond}
 	build := func(name string, objs []Object, seed int64) *shard.Router {
 		parts := shard.Assign(objs, 2)
@@ -202,7 +198,7 @@ func shardedChaosEnv(t *testing.T, robjs, sobjs []Object, par int, seed int64) *
 				Delay:          100 * time.Microsecond,
 				MaxConsecutive: 3,
 			}
-			ft := netsim.NewFaulty(netsim.ServeParallel(server.New(sname, part), workers), cfg)
+			ft := netsim.NewFaulty(netsim.Serve(server.New(sname, part)), cfg)
 			rem, err := client.NewRemote(sname, ft, netsim.DefaultLink(), 1, client.WithRetry(retry))
 			if err != nil {
 				t.Fatal(err)
@@ -363,10 +359,6 @@ func TestShardedKillOneServerMidJoin(t *testing.T) {
 		baseline := runtime.NumGoroutine()
 		robjs := GaussianClusters(400, 4, 300, World, 93)
 		sobjs := GaussianClusters(400, 4, 300, World, 94)
-		workers := par
-		if workers < 1 {
-			workers = 1
-		}
 		// A simulated RTT keeps the join in flight long enough to kill the
 		// shard mid-run on any scheduler.
 		link := netsim.DefaultLink()
@@ -377,7 +369,7 @@ func TestShardedKillOneServerMidJoin(t *testing.T) {
 			rems := make([]shard.Endpoint, len(parts))
 			for i, part := range parts {
 				sname := fmt.Sprintf("%s%d/2", name, i+1)
-				var rt netsim.RoundTripper = netsim.ServeParallel(server.New(sname, part), workers)
+				var rt netsim.RoundTripper = netsim.Serve(server.New(sname, part))
 				if killable && i == 1 {
 					kill = &killableRT{inner: rt}
 					rt = kill

@@ -16,13 +16,12 @@ import (
 // have no caller in non-test code, each with the reason; it holds at most
 // 8. Keys are "pkg.Func" or "pkg.Recv.Method".
 var surfaceAllowlist = map[string]string{
-	"memjoin.NestedLoop":          "the oracle the device-side join tests compare against",
-	"memjoin.PlaneSweep":          "the second oracle the device-side join tests compare against",
-	"harness.LoadScenario":        "make chaos drives the scenario files through it",
-	"harness.RunScenario":         "make chaos drives the scenario files through it",
-	"harness.ScenarioFiles":       "make chaos lists the scenario files through it",
-	"netsim.DialTCP":              "the tests' one-line TCP constructor",
-	"netsim.retainedError.Unwrap": "reached through errors.Is, never by name",
+	"memjoin.NestedLoop":    "the oracle the device-side join tests compare against",
+	"memjoin.PlaneSweep":    "the second oracle the device-side join tests compare against",
+	"harness.LoadScenario":  "make chaos drives the scenario files through it",
+	"harness.RunScenario":   "make chaos drives the scenario files through it",
+	"harness.ScenarioFiles": "make chaos lists the scenario files through it",
+	"netsim.DialTCP":        "the tests' one-line TCP constructor",
 }
 
 // TestNoTestOnlySurface fails on an exported function or method that
