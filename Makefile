@@ -63,10 +63,11 @@ bench-compare:
 # codec with the server handler, the TCP serving loop's frame stream, and
 # the daemon's JSON-lines protocol in the root package — plus the meter's
 # tenant split (its columns must sum to the link totals whatever shares a
-# context names). Longer local campaigns: go test -fuzz <Target>
-# -fuzztime 5m.
+# context names) and the device's join kernels (GridCount must count
+# exactly the pairs GridJoin lists). Longer local campaigns: go test
+# -fuzz <Target> -fuzztime 5m.
 fuzz:
-	@for pkg in ./internal/wire ./internal/server ./internal/netsim .; do \
+	@for pkg in ./internal/wire ./internal/server ./internal/netsim ./internal/memjoin .; do \
 	  for f in $$($(GO) test -list 'Fuzz.*' $$pkg | grep '^Fuzz'); do \
 	    echo "== $$pkg $$f"; \
 	    $(GO) test -run '^$$' -fuzz "^$$f$$" -fuzztime 10s $$pkg || exit 1; \

@@ -169,19 +169,24 @@ func ledgerClusters(n int, centres []geom.Point, seed int64) []geom.Object {
 	return objs
 }
 
-// BenchmarkGridJoinClustered is the device-side join of the device-bulk
-// workload in isolation: 12000 × 12000 clustered points, ε = 75, some
-// 47 000 result pairs.
-func BenchmarkGridJoinClustered(b *testing.B) {
-	r := ledgerClusters(12000, []geom.Point{
+// clusteredJoin is the device-side join of the device-bulk workload in
+// isolation: 12000 × 12000 clustered points, ε = 75, some 47 000 result
+// pairs.
+func clusteredJoin() (r, s []geom.Object, pred memjoin.Pred) {
+	r = ledgerClusters(12000, []geom.Point{
 		{X: 1800, Y: 2100}, {X: 7600, Y: 1500}, {X: 4700, Y: 5200}, {X: 1500, Y: 7900},
 		{X: 8300, Y: 8200}, {X: 6100, Y: 3400}, {X: 3300, Y: 3900}, {X: 5600, Y: 8800},
 	}, 1)
-	s := ledgerClusters(12000, []geom.Point{
+	s = ledgerClusters(12000, []geom.Point{
 		{X: 1568, Y: 1851}, {X: 7962, Y: 1049}, {X: 3999, Y: 4653}, {X: 2900, Y: 6500},
 		{X: 8800, Y: 5600}, {X: 6500, Y: 6900}, {X: 3600, Y: 900}, {X: 400, Y: 4700},
 	}, 2)
-	pred := memjoin.WithinDist(75)
+	return r, s, memjoin.WithinDist(75)
+}
+
+// BenchmarkGridJoinClustered lists the pairs of clusteredJoin.
+func BenchmarkGridJoinClustered(b *testing.B) {
+	r, s, pred := clusteredJoin()
 	var dst []geom.Pair
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -190,6 +195,20 @@ func BenchmarkGridJoinClustered(b *testing.B) {
 		sink += len(dst)
 	}
 	b.ReportMetric(float64(len(dst)), "pairs/op")
+}
+
+// BenchmarkGridCountClustered counts the pairs of clusteredJoin, as a
+// count-only join does (core.Spec.CountOnly).
+func BenchmarkGridCountClustered(b *testing.B) {
+	r, s, pred := clusteredJoin()
+	n := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n = memjoin.GridCount(r, s, pred, memjoin.Options{})
+		sink += n
+	}
+	b.ReportMetric(float64(n), "pairs/op")
 }
 
 // BenchmarkDedupPairs measures sorting and compacting a pair list — the

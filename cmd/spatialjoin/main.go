@@ -143,6 +143,7 @@ func main() {
 	fatal(err)
 	spec, err := core.ParseSpec(*kind, *eps, *m)
 	fatal(err)
+	spec.CountOnly = !*pairs
 
 	// The flags fill the one fleet configuration; fleet.Dial turns the
 	// address lists ("a+b,c+d": shards of replica groups) into the same
@@ -195,7 +196,7 @@ func main() {
 			}
 		}
 	} else {
-		fmt.Printf("%s: %d pairs\n", a.Name(), len(res.Pairs))
+		fmt.Printf("%s: %d pairs\n", a.Name(), res.Count)
 		if *pairs {
 			for _, p := range res.Pairs {
 				fmt.Printf("  (%d, %d)\n", p.RID, p.SID)

@@ -31,7 +31,10 @@ type JoinRequest struct {
 	Kind       string  `json:"kind"`
 	Eps        float64 `json:"eps"`
 	MinMatches int     `json:"min_matches,omitempty"`
-	Pairs      bool    `json:"pairs,omitempty"`
+	// Pairs asks for the result list (pair_list, object_list) beside the
+	// counts. Without it the daemon runs an Intersection or Distance
+	// join count-only (core.Spec.CountOnly): same plan and bill, no list.
+	Pairs bool `json:"pairs,omitempty"`
 }
 
 // JoinReply is the daemon's answer: result counts and the tenant's
@@ -134,6 +137,7 @@ func (s *Server) runJoin(ctx context.Context, req JoinRequest) JoinReply {
 	if err != nil {
 		return JoinReply{Err: err.Error(), ErrKind: "bad-request"}
 	}
+	spec.CountOnly = !req.Pairs
 	res, err := s.Run(ctx, id, alg, spec)
 	if err != nil {
 		rep := JoinReply{Alg: alg.Name(), Err: err.Error(), ErrKind: "run", Spent: s.Spent(id)}
@@ -150,13 +154,15 @@ func (s *Server) runJoin(ctx context.Context, req JoinRequest) JoinReply {
 	st := res.Stats
 	rep := JoinReply{
 		Alg:        alg.Name(),
-		Pairs:      len(res.Pairs),
 		Objects:    len(res.Objects),
 		WireR:      st.R.WireBytes,
 		WireS:      st.S.WireBytes,
 		TotalBytes: st.TotalBytes(),
 		Money:      st.MoneyCost,
 		Spent:      s.Spent(id),
+	}
+	if spec.Kind != core.IcebergSemi {
+		rep.Pairs = res.Count
 	}
 	if req.Pairs {
 		if len(res.Pairs) > 0 {

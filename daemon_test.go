@@ -56,10 +56,13 @@ func converse(t testing.TB, srv *Server, input []byte) []JoinReply {
 // TestServeConnProtocol walks the protocol's outcomes over one
 // connection: each non-empty line gets exactly one reply, of the right
 // error kind, and a pairs:true join round-trips the oracle's pair list.
+// The same join with pairs:false (run count-only) answers the same count
+// and bill, without the list.
 func TestServeConnProtocol(t *testing.T) {
 	srv, r, s := protoServer(t)
 	reps := converse(t, srv, []byte(strings.Join([]string{
 		`{"tenant":"open","alg":"upjoin","kind":"distance","eps":120,"pairs":true}`,
+		`{"tenant":"open","alg":"upjoin","kind":"distance","eps":120,"pairs":false}`,
 		``,
 		`{"tenant":`,
 		`{"tenant":"open","alg":"quantum"}`,
@@ -68,7 +71,7 @@ func TestServeConnProtocol(t *testing.T) {
 		`{"tenant":"capped","eps":120}`,
 		`{"tenant":"open","alg":"naive","kind":"iceberg","eps":120,"min_matches":1000,"pairs":true}`,
 	}, "\n")))
-	wantKinds := []string{"", "bad-request", "bad-request", "bad-request", "unknown-tenant", "quota", ""}
+	wantKinds := []string{"", "", "bad-request", "bad-request", "bad-request", "unknown-tenant", "quota", ""}
 	if len(reps) != len(wantKinds) {
 		t.Fatalf("%d replies to %d non-empty lines", len(reps), len(wantKinds))
 	}
@@ -89,10 +92,18 @@ func TestServeConnProtocol(t *testing.T) {
 	if reps[0].TotalBytes <= 0 || reps[0].TotalBytes != reps[0].WireR+reps[0].WireS || reps[0].Spent < int64(reps[0].TotalBytes) {
 		t.Errorf("bill: total %d, R %d + S %d, spent %d", reps[0].TotalBytes, reps[0].WireR, reps[0].WireS, reps[0].Spent)
 	}
-	if q := reps[5]; q.Quota != 100 || q.Spent < q.Quota {
+	// The tenant's first join also pays its one-time INFO set-up, so the
+	// pairs:true line spends its total bytes and more; the pairs:false
+	// line must spend exactly the total bytes the pairs:true join moved.
+	if l, c := reps[0], reps[1]; c.Pairs != l.Pairs || c.WireR != l.WireR || c.WireS != l.WireS ||
+		c.TotalBytes != l.TotalBytes || c.Spent-l.Spent != int64(l.TotalBytes) || c.PairList != nil {
+		t.Errorf("pairs:false reply %+v (%d bytes spent) differs from the pairs:true one (%d pairs, R %d, S %d, total %d)",
+			c, c.Spent-l.Spent, l.Pairs, l.WireR, l.WireS, l.TotalBytes)
+	}
+	if q := reps[6]; q.Quota != 100 || q.Spent < q.Quota {
 		t.Errorf("quota rejection carries spent %d of quota %d", q.Spent, q.Quota)
 	}
-	if ice := reps[6]; ice.Pairs != 0 || ice.Objects != 0 || ice.Alg != "naive" {
+	if ice := reps[7]; ice.Pairs != 0 || ice.Objects != 0 || ice.Alg != "naive" {
 		t.Errorf("empty iceberg reply: %+v", ice)
 	}
 }

@@ -71,6 +71,12 @@ type Spec struct {
 	Eps float64
 	// MinMatches is the iceberg threshold m (IcebergSemi only).
 	MinMatches int
+	// CountOnly asks an Intersection or Distance join for its size
+	// alone: the Result carries Count and no Pairs, and the device counts
+	// its matches instead of listing and sorting them. The plan, the
+	// frames and so the Stats are the listing run's. IcebergSemi ignores
+	// it.
+	CountOnly bool
 }
 
 // Validate reports configuration errors.
@@ -131,11 +137,14 @@ func (st Stats) TotalQueries() int { return st.R.Queries + st.S.Queries }
 // Result is the outcome of one join execution.
 type Result struct {
 	// Pairs holds the qualifying (R, S) pairs, each once, sorted
-	// (Intersection and Distance kinds).
+	// (Intersection and Distance kinds); nil under Spec.CountOnly.
 	Pairs []geom.Pair
 	// Objects holds the qualifying R objects for IcebergSemi, sorted by ID.
 	Objects []geom.Object
-	Stats   Stats
+	// Count is the result's size whether or not it is listed: the number
+	// of pairs, or of Objects for IcebergSemi.
+	Count int
+	Stats Stats
 	// Completeness describes which shards contributed, set only on runs
 	// with Env.AllowPartial. Complete() reports a full answer; with gaps
 	// the pairs are a lower bound (every reported pair is real; pairs
@@ -234,9 +243,10 @@ func Oracle(r, s []geom.Object, spec Spec, window geom.Rect) *Result {
 		for _, p := range pairs {
 			counts[p.RID]++
 		}
-		return &Result{Objects: icebergFilter(counts, robjs, spec.MinMatches)}
+		objs := icebergFilter(counts, robjs, spec.MinMatches)
+		return &Result{Objects: objs, Count: len(objs)}
 	}
-	return &Result{Pairs: pairs}
+	return &Result{Pairs: pairs, Count: len(pairs)}
 }
 
 // icebergFilter keeps the R objects with at least m matches, sorted by

@@ -80,9 +80,16 @@ type exec struct {
 	failMu  sync.Mutex
 	failErr error
 
+	// counting is set for a count-only run (Spec.CountOnly, not iceberg):
+	// the device counts its matches. listing is set when the sink keeps
+	// the pairs: every other run, and every run of a race-enabled build,
+	// which checks the count against the list.
+	counting, listing bool
+
 	// sink (all fields below are guarded by mu)
 	mu     sync.Mutex
-	pairs  []geom.Pair
+	n      int                    // pairs recorded
+	pairs  []geom.Pair            // the pairs themselves, when listing
 	robjs  map[uint32]geom.Object // iceberg: R geometry seen (the output is objects)
 	counts map[uint32]int         // iceberg: exact global match count per R id
 	probed map[uint32]bool        // iceberg: R ids already count-probed
@@ -105,13 +112,16 @@ func newExec(ctx context.Context, env *Env, spec Spec, alg string) (*exec, error
 	if err := env.prepare(ctx); err != nil {
 		return nil, err
 	}
+	counting := spec.CountOnly && spec.Kind != IcebergSemi
 	x := &exec{
-		env:  env,
-		spec: spec,
-		pred: spec.pred(),
-		par:  newGate(env.Parallelism, liveTasks(env)),
-		alg:  alg,
-		rep:  rep,
+		env:      env,
+		spec:     spec,
+		pred:     spec.pred(),
+		counting: counting,
+		listing:  !counting || testenv.Race,
+		par:      newGate(env.Parallelism, liveTasks(env)),
+		alg:      alg,
+		rep:      rep,
 	}
 	// Snapshot the meters after prepare: INFO traffic belongs to the
 	// environment, not to any one run, exactly as when the algorithms
@@ -383,18 +393,22 @@ func (x *exec) quadrantCounts(d side, w geom.Rect, parent cnt) ([4]cnt, error) {
 
 // --- result sink ---------------------------------------------------------
 
-// addPairs records join pairs. robjs are R objects the pairs may refer
-// to; their geometry is remembered only by iceberg runs, whose output is
-// objects — every other kind reports ids and never reads it. Safe for
-// concurrent workers; every pair arrives once (geom.Rect.Owned) and
-// result assembly sorts, so insertion order does not matter. The sink is
-// a pair list drawn from the free list, which result hands back.
-func (x *exec) addPairs(ps []geom.Pair, robjs []geom.Object) {
+// addPairs records n join pairs, listed in ps when the run lists them
+// (a counting run may pass ps nil). robjs are R objects the pairs may
+// refer to; their geometry is remembered only by iceberg runs, whose
+// output is objects — every other kind reports ids and never reads it.
+// Safe for concurrent workers; every pair arrives once (geom.Rect.Owned)
+// and result assembly sorts, so insertion order does not matter. The
+// list is drawn from the free list, which result hands back.
+func (x *exec) addPairs(n int, ps []geom.Pair, robjs []geom.Object) {
 	x.mu.Lock()
-	if x.pairs == nil && len(ps) > 0 {
-		x.pairs = bufpool.Pairs.GetCap(len(ps))
+	x.n += n
+	if x.listing {
+		if x.pairs == nil && len(ps) > 0 {
+			x.pairs = bufpool.Pairs.GetCap(len(ps))
+		}
+		x.pairs = append(x.pairs, ps...)
 	}
-	x.pairs = append(x.pairs, ps...)
 	if x.spec.Kind == IcebergSemi {
 		for _, o := range robjs {
 			x.robjs[o.ID] = o
@@ -403,13 +417,15 @@ func (x *exec) addPairs(ps []geom.Pair, robjs []geom.Object) {
 	x.mu.Unlock()
 }
 
-// result assembles the Result, sorting the pairs in the sink and copying
-// them out of it, so the sink goes back to the free list. The pairs are
-// unique as they arrive — each is reported by the one partition that owns
-// its reference point — which race-enabled builds check. It must be
-// called only after every worker of the run has joined.
+// result assembles the Result, sorting the listed pairs and copying them
+// out of the sink, so the sink goes back to the free list; a counting
+// run has no list to sort or copy. The pairs are unique as they arrive —
+// each is reported by the one partition that owns its reference point —
+// which race-enabled builds check, counting runs included, along with
+// the count against the list. It must be called only after every worker
+// of the run has joined.
 func (x *exec) result() *Result {
-	pairs := x.pairs
+	pairs := x.pairs // nil in a counting run of a race-free build
 	memjoin.SortPairs(pairs)
 	if testenv.Race {
 		for i := 1; i < len(pairs); i++ {
@@ -417,10 +433,13 @@ func (x *exec) result() *Result {
 				panic(fmt.Sprintf("core: %s reported pair %v twice", x.alg, pairs[i]))
 			}
 		}
+		if x.n != len(pairs) {
+			panic(fmt.Sprintf("core: %s counted %d pairs and listed %d", x.alg, x.n, len(pairs)))
+		}
 	}
-	res := &Result{}
-	switch x.spec.Kind {
-	case IcebergSemi:
+	res := &Result{Count: x.n}
+	switch {
+	case x.spec.Kind == IcebergSemi:
 		// Add the pair-derived counts to the probe-derived ones. An R id
 		// is counted either via probes (exact global count, recorded
 		// once) or via its pairs — never both, enforced by probed[].
@@ -430,10 +449,9 @@ func (x *exec) result() *Result {
 			}
 		}
 		res.Objects = icebergFilter(x.counts, x.robjs, x.spec.MinMatches)
-	default:
-		if len(pairs) > 0 {
-			res.Pairs = slices.Clone(pairs) // not zeroed first, unlike make
-		}
+		res.Count = len(res.Objects)
+	case !x.counting && len(pairs) > 0:
+		res.Pairs = slices.Clone(pairs) // not zeroed first, unlike make
 	}
 	bufpool.Pairs.Put(x.pairs)
 	x.pairs = nil

@@ -98,11 +98,21 @@ func (x *exec) downloadJoin(w geom.Rect) error {
 // joinLocal joins the objects fetched for partition w on the device and
 // records the pairs whose reference points w owns among the cells tiling
 // the run's window (geom.Rect.Owned): each pair in the window is reported
-// by exactly one cell, and a pair outside it by none. addPairs copies out
-// of the pooled pair buffer, so it goes back to the free list at once.
+// by exactly one cell, and a pair outside it by none. A counting run
+// counts them (memjoin.GridCount); a listing one lists them, and
+// addPairs copies out of the pooled pair buffer, so it goes back to the
+// free list at once. A race-enabled counting run does both.
 func (x *exec) joinLocal(w geom.Rect, robjs, sobjs []geom.Object) {
-	pairs := memjoin.GridJoin(robjs, sobjs, x.pred, memjoin.Options{Window: w.Owned(x.window)}, bufpool.Pairs.Get())
-	x.addPairs(pairs, robjs)
+	opt := memjoin.Options{Window: w.Owned(x.window)}
+	var pairs []geom.Pair
+	if x.listing {
+		pairs = memjoin.GridJoin(robjs, sobjs, x.pred, opt, bufpool.Pairs.Get())
+	}
+	n := len(pairs)
+	if x.counting {
+		n = memjoin.GridCount(robjs, sobjs, x.pred, opt)
+	}
+	x.addPairs(n, pairs, robjs)
 	bufpool.Pairs.Put(pairs)
 }
 
@@ -288,9 +298,9 @@ func (x *exec) collectProbe(w geom.Rect, outer side, o geom.Object, matches []ge
 	// The R objects offered to the sink may exceed the ones paired: it
 	// only ever looks up ids that occur in pairs.
 	if outer == sideR {
-		x.addPairs(pairs, []geom.Object{o})
+		x.addPairs(len(pairs), pairs, []geom.Object{o})
 	} else {
-		x.addPairs(pairs, matches)
+		x.addPairs(len(pairs), pairs, matches)
 	}
 	bufpool.Pairs.Put(pairs)
 }

@@ -114,6 +114,6 @@ func semiJoinRun(x *exec) error {
 	}
 
 	// No R geometry to hand over: the semi-join never serves iceberg runs.
-	x.addPairs(norm, nil)
+	x.addPairs(len(norm), norm, nil)
 	return nil
 }

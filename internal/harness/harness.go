@@ -145,22 +145,19 @@ func (cfg Config) fleet(robjs, sobjs []geom.Object, seed int64) fleet.Config {
 }
 
 // runOnce executes one algorithm over freshly served datasets and returns
-// its stats and result size.
+// its stats and result size, counting the result rather than listing it.
 func runOnce(alg core.Algorithm, fc fleet.Config, spec core.Spec) (core.Stats, int, error) {
 	f, err := fleet.Serve(fc, nil)
 	if err != nil {
 		return core.Stats{}, 0, err
 	}
 	defer f.Close()
+	spec.CountOnly = true
 	res, err := alg.Run(context.Background(), f.NewEnv(f.R, f.S), spec)
 	if err != nil {
 		return core.Stats{}, 0, fmt.Errorf("%s: %w", alg.Name(), err)
 	}
-	n := len(res.Pairs)
-	if spec.Kind == core.IcebergSemi {
-		n = len(res.Objects)
-	}
-	return res.Stats, n, nil
+	return res.Stats, res.Count, nil
 }
 
 // synthPair generates the run's two synthetic datasets with independent

@@ -10,9 +10,10 @@ import (
 )
 
 // checkGridJoin compares GridJoin with NestedLoop pair for pair — sorted
-// but not deduplicated, so a pair emitted twice fails too — both ways
-// round, so each input serves as build side and as probe side whenever
-// the lengths differ, owning the whole plane and owning window.
+// but not deduplicated, so a pair emitted twice fails too — and GridCount
+// with GridJoin's length, both ways round, so each input serves as build
+// side and as probe side whenever the lengths differ, owning the whole
+// plane and owning window.
 func checkGridJoin(t *testing.T, name string, r, s []geom.Object, pred Pred, window geom.Rect) int {
 	t.Helper()
 	total := 0
@@ -20,6 +21,10 @@ func checkGridJoin(t *testing.T, name string, r, s []geom.Object, pred Pred, win
 		for _, in := range [][2][]geom.Object{{r, s}, {s, r}} {
 			got := GridJoin(in[0], in[1], pred, opt, nil)
 			want := NestedLoop(in[0], in[1], pred, opt, nil)
+			if n := GridCount(in[0], in[1], pred, opt); n != len(got) {
+				t.Fatalf("%s (window %v, |R|=%d, |S|=%d): grid count %d, grid join %d pairs",
+					name, opt.Window, len(in[0]), len(in[1]), n, len(got))
+			}
 			SortPairs(got)
 			SortPairs(want)
 			if !slices.Equal(got, want) {
@@ -304,4 +309,48 @@ func TestGridJoinRoundingAcrossCellBorder(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Fatalf("grid join %v, nested loop %v", got, want)
 	}
+}
+
+// FuzzGridCountMatchesGridJoin: GridCount is GridJoin without the pair
+// list, so it must count exactly the pairs GridJoin writes. Each three
+// bytes of data are one object on an integer lattice, where pairs at
+// exactly ε (3-4-5 triangles) are common; with extents set, a third of
+// them get a width and a height. Objects alternate between the sides, so
+// either may be the build side, and every join runs both ways round,
+// owning the whole plane and owning a 16 × 16 window that cuts the data —
+// which puts some probes inside Pred.interior and others outside it.
+func FuzzGridCountMatchesGridJoin(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 3, 4, 0, 6, 8, 0, 9, 12, 0, 20, 20, 0, 23, 24, 0}, uint8(3), false, uint8(0x33))
+	f.Add([]byte{1, 2, 5, 4, 6, 9, 10, 11, 1, 12, 15, 30, 17, 18, 7, 29, 30, 13}, uint8(0), true, uint8(0x55))
+	f.Add([]byte{5, 5, 0, 5, 10, 0, 8, 9, 0, 16, 16, 0, 16, 21, 0, 31, 0, 0}, uint8(1), true, uint8(0xa1))
+	epss := []float64{0, 1, 2.5, 5, 13}
+	f.Fuzz(func(t *testing.T, data []byte, epsSel uint8, extents bool, cut uint8) {
+		if len(data) > 3*512 {
+			data = data[:3*512]
+		}
+		var r, s []geom.Object
+		for i := 0; i+3 <= len(data); i += 3 {
+			x, y, shape := float64(data[i]%32), float64(data[i+1]%32), data[i+2]
+			o := geom.PointObject(uint32(i/3), geom.Pt(x, y))
+			if extents && shape%3 == 0 {
+				o.MBR = geom.R(x, y, x+float64(shape>>2&3), y+float64(shape>>4&3))
+			}
+			if i/3%2 == 0 {
+				r = append(r, o)
+			} else {
+				s = append(s, o)
+			}
+		}
+		pred := WithinDist(epss[int(epsSel)%len(epss)])
+		x0, y0 := float64(cut&15), float64(cut>>4)
+		for _, opt := range []Options{{}, {Window: geom.R(x0, y0, x0+16, y0+16)}} {
+			for _, in := range [][2][]geom.Object{{r, s}, {s, r}} {
+				want := len(GridJoin(in[0], in[1], pred, opt, nil))
+				if got := GridCount(in[0], in[1], pred, opt); got != want {
+					t.Fatalf("ε %v, window %v, |R|=%d, |S|=%d: grid count %d, grid join %d pairs",
+						pred.Eps, opt.Window, len(in[0]), len(in[1]), got, want)
+				}
+			}
+		}
+	})
 }

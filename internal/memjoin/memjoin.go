@@ -6,7 +6,8 @@
 // cells are sized from the predicate and the build side (about ε wide,
 // at most a constant number of cells and bucket entries per build
 // object), so the join is linear in its input plus its candidates; the
-// result pair list is sorted by an LSD radix sort (SortPairs).
+// result pair list is sorted by an LSD radix sort (SortPairs). GridCount
+// is the grid join of a caller that wants only the number of pairs.
 //
 // Join predicates are expressed as a Pred: MBR intersection (the filter
 // step of an intersection join) or within-ε distance (distance joins).
@@ -223,37 +224,68 @@ func (g *grid) reach(m *geom.Rect) (x0, y0, x1, y1 int) {
 		cell((m.MaxX+g.eps-g.minX)*g.inv+cellSlack, g.kx), cell((m.MaxY+g.eps-g.minY)*g.inv+cellSlack, g.ky)
 }
 
+// GridCount returns the number of pairs GridJoin would append for the
+// same arguments, without writing them: the join of a caller that wants
+// only the result's size. It is backed by the same pooled Joiners.
+func GridCount(r, s []geom.Object, pred Pred, opt Options) int {
+	if len(r) == 0 || len(s) == 0 {
+		return 0
+	}
+	j := joinerPool.Get().(*Joiner)
+	g, build, probe, swapped, points := j.bucket(r, s, pred)
+	w := opt.window()
+	in := pred.interior(w)
+	var n int
+	if points {
+		n = j.countPoints(&g, probe, pred, w, in)
+	} else {
+		ps := j.probeExtents(&g, build, probe, swapped, pred, w, in, bufpool.Pairs.Get())
+		n = len(ps)
+		bufpool.Pairs.Put(ps)
+	}
+	joinerPool.Put(j)
+	return n
+}
+
 // GridJoin is the Joiner-owned form of the package-level GridJoin; it
 // emits exactly the same pairs in the same order.
 func (j *Joiner) GridJoin(r, s []geom.Object, pred Pred, opt Options, dst []geom.Pair) []geom.Pair {
 	if len(r) == 0 || len(s) == 0 {
 		return dst
 	}
-	// Hash the smaller side; probe with the larger.
-	swapped := false
-	build, probe := r, s
+	g, build, probe, swapped, points := j.bucket(r, s, pred)
+	w := opt.window()
+	in := pred.interior(w)
+	if points {
+		return j.probePoints(&g, probe, swapped, pred, w, in, dst)
+	}
+	return j.probeExtents(&g, build, probe, swapped, pred, w, in, dst)
+}
+
+// bucket hashes the smaller of two non-empty sides, the build side, into
+// j's grid for pred and returns the grid, both sides, whether the build
+// side is S (swapped) and whether it is all points.
+func (j *Joiner) bucket(r, s []geom.Object, pred Pred) (g grid, build, probe []geom.Object, swapped, points bool) {
+	build, probe = r, s
 	if len(s) < len(r) {
 		build, probe = s, r
 		swapped = true
 	}
-
 	extent := build[0].MBR
-	points := true
+	points = true
 	for i := range build {
 		m := &build[i].MBR
 		extent.MinX, extent.MinY = min(extent.MinX, m.MinX), min(extent.MinY, m.MinY)
 		extent.MaxX, extent.MaxY = max(extent.MaxX, m.MaxX), max(extent.MaxY, m.MaxY)
 		points = points && build[i].IsPoint()
 	}
-	g := newGrid(extent, len(build), max(pred.Eps, 0))
-	w := opt.window()
-	in := pred.interior(w)
+	g = newGrid(extent, len(build), max(pred.Eps, 0))
 	if points {
 		j.bucketPoints(&g, build)
-		return j.probePoints(&g, probe, swapped, pred, w, in, dst)
+	} else {
+		j.bucketExtents(&g, extent, build)
 	}
-	j.bucketExtents(&g, extent, build)
-	return j.probeExtents(&g, build, probe, swapped, pred, w, in, dst)
+	return g, build, probe, swapped, points
 }
 
 // resetCells sizes and zeroes the offsets array for g.
@@ -364,6 +396,57 @@ func (j *Joiner) probeBorder(g *grid, po *geom.Object, swapped bool, eps2 float6
 		dst = dst[:at]
 	}
 	return dst
+}
+
+// countPoints is probePoints counting its pairs instead of writing them:
+// the same reach, the same decisions, a match adding one to the count.
+func (j *Joiner) countPoints(g *grid, probe []geom.Object, pred Pred, w, in geom.Rect) int {
+	eps2 := pred.Eps * pred.Eps
+	n := 0
+	for pi := range probe {
+		po := &probe[pi]
+		px, py := po.MBR.MinX, po.MBR.MinY
+		direct := pred.Eps > 0 && po.IsPoint()
+		if direct && !in.Contains(po.MBR) {
+			n += j.countBorder(g, po, eps2, w)
+			continue
+		}
+		x0, y0, x1, y1 := g.reach(&po.MBR)
+		for cy := y0; cy <= y1; cy++ {
+			span := j.points[j.cellStart[cy*g.kx+x0]:j.cellStart[cy*g.kx+x1+1]]
+			if direct {
+				for i := range span {
+					c := &span[i]
+					dx, dy := px-c.x, py-c.y
+					n += b2i(dx*dx+dy*dy <= eps2)
+				}
+				continue
+			}
+			for i := range span {
+				c := &span[i]
+				n += b2i(pred.refMatch(geom.Rect{MinX: c.x, MinY: c.y, MaxX: c.x, MaxY: c.y}, po.MBR, w))
+			}
+		}
+	}
+	return n
+}
+
+// countBorder is probeBorder counting its pairs instead of writing them.
+func (j *Joiner) countBorder(g *grid, po *geom.Object, eps2 float64, w geom.Rect) int {
+	px, py, h := po.MBR.MinX, po.MBR.MinY, g.eps/2
+	n := 0
+	x0, y0, x1, y1 := g.reach(&po.MBR)
+	for cy := y0; cy <= y1; cy++ {
+		span := j.points[j.cellStart[cy*g.kx+x0]:j.cellStart[cy*g.kx+x1+1]]
+		for i := range span {
+			c := &span[i]
+			dx, dy := px-c.x, py-c.y
+			rx, ry := max(px, c.x)-h, max(py, c.y)-h
+			n += b2i(dx*dx+dy*dy <= eps2) & b2i(rx >= w.MinX) & b2i(rx <= w.MaxX) &
+				b2i(ry >= w.MinY) & b2i(ry <= w.MaxY)
+		}
+	}
+	return n
 }
 
 // pairOf is the pair of a build and a probe object, R side first.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -148,6 +149,93 @@ func TestShardedBucketAndBatchMatchOracle(t *testing.T) {
 					}
 					assertShardedResult(t, name, spec, got, want)
 				})
+			}
+		}
+	}
+}
+
+// TestCountOnlyMatchesListAndOracle: a count-only run (Spec.CountOnly)
+// is the listing run without the list. For every algorithm name
+// ParseAlgorithm knows × {intersection, distance} × {unsharded, 4
+// shards, 4 shards under a fanout-2 tree} × parallelism {1, 4} × batch
+// size {1, 8} it returns no pairs, the listing run's and the oracle's
+// count, and the listing run's Stats field for field — the same bytes,
+// queries and decisions, so the same frames. At parallelism 4 × batch 8
+// two listing runs already differ in frames (envelope membership follows
+// timing), so there the decision counters alone must agree. Under -race
+// the engine also lists a counting run's pairs and checks the count
+// against them.
+func TestCountOnlyMatchesListAndOracle(t *testing.T) {
+	ds := shardedDatasets(t)
+	// Intersection joins railway segments (extents) with points, distance
+	// joins two point sets: the device's extent and point loops both count.
+	specs := map[string]struct {
+		spec Spec
+		data [2][]Object
+	}{
+		"intersection": {Spec{Kind: Intersection}, ds["railway"]},
+		"distance":     {Spec{Kind: Distance, Eps: 200}, ds["clusters"]},
+	}
+	topologies := []struct {
+		name           string
+		shards, fanout int
+	}{{"unsharded", 0, 0}, {"shards4", 4, 0}, {"shards4/tree2", 4, 2}}
+	for specName, c := range specs {
+		spec, robjs, sobjs := c.spec, c.data[0], c.data[1]
+		want := Oracle(robjs, sobjs, spec, World).Count
+		if want == 0 {
+			t.Fatalf("%s: empty oracle makes the matrix vacuous", specName)
+		}
+		for _, algName := range []string{"upjoin", "naive", "grid", "mobijoin", "srjoin", "semijoin", "auto"} {
+			alg, err := core.ParseAlgorithm(algName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, topo := range topologies {
+				for _, par := range []int{1, 4} {
+					for _, batch := range []int{1, 8} {
+						name := fmt.Sprintf("%s/%s/%s/par%d/batch%d", specName, algName, topo.name, par, batch)
+						t.Run(name, func(t *testing.T) {
+							run := func(countOnly bool) *Result {
+								sess, err := NewSession(SessionConfig{
+									R: robjs, S: sobjs, Buffer: 300, Window: World, Seed: 5,
+									Shards: topo.shards, TreeFanout: topo.fanout,
+									Parallelism: par, BatchSize: batch, PublishIndexes: true,
+								})
+								if err != nil {
+									t.Fatal(err)
+								}
+								defer sess.Close()
+								sp := spec
+								sp.CountOnly = countOnly
+								res, err := sess.Run(alg, sp)
+								if err != nil {
+									t.Fatal(err)
+								}
+								return res
+							}
+							list, count := run(false), run(true)
+							if count.Pairs != nil {
+								t.Errorf("count-only run returned %d pairs", len(count.Pairs))
+							}
+							if count.Count != len(list.Pairs) || list.Count != len(list.Pairs) || count.Count != want {
+								t.Errorf("count-only run counts %d, listing run lists %d (Count %d), oracle %d",
+									count.Count, len(list.Pairs), list.Count, want)
+							}
+							cs, ls := count.Stats, list.Stats
+							if par > 1 && batch > 1 {
+								// Which probes share an envelope depends on
+								// timing here, so two listing runs differ in
+								// frames too: compare what the plan decided.
+								cs = Stats{AggQueries: cs.AggQueries, HBSJ: cs.HBSJ, NLSJ: cs.NLSJ, Repartitions: cs.Repartitions, Pruned: cs.Pruned}
+								ls = Stats{AggQueries: ls.AggQueries, HBSJ: ls.HBSJ, NLSJ: ls.NLSJ, Repartitions: ls.Repartitions, Pruned: ls.Pruned}
+							}
+							if !reflect.DeepEqual(cs, ls) {
+								t.Errorf("count-only stats differ:\n count %+v\n list  %+v", cs, ls)
+							}
+						})
+					}
+				}
 			}
 		}
 	}
