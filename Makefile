@@ -24,9 +24,8 @@ bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # bench runs the tracked hot-path benchmarks (bench/) with -benchmem and
-# records the medians as BENCH_<date>.json. Compare two runs with
-# benchstat, or diff the JSON against BENCH_baseline.json — see
-# docs/PERFORMANCE.md.
+# records the medians as BENCH_<date>.json, a point of the performance
+# trajectory (docs/PERFORMANCE.md). It gates nothing: bench-compare does.
 # Two steps, not a pipeline: a failing benchmark run must fail make
 # instead of feeding partial output to benchjson.
 bench:
@@ -40,23 +39,20 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# bench-compare is the regression gate: run a quick fresh pass of the
-# tracked benchmarks and diff the medians against BENCH_baseline.json.
-# Exits 1 when any time or allocation median regresses beyond
-# BENCH_THRESHOLD percent (default 30 — generous on purpose: shared CI
-# runners are noisy, and the gate exists to catch order-of-magnitude
-# mistakes, not 5% drift). The hedged-replica benchmarks race real
-# wall-clock timers, so their medians move with machine load: they are
-# reported but excluded from the gate (-skip Hedged). CI runs this as a
-# blocking job; locally it is the fastest "did I slow something down"
-# check.
-BENCH_THRESHOLD ?= 30
+# bench-compare is the regression gate CI runs: the benchmarks of bench/
+# of the working tree against those of the commit PARENT, both built and
+# run on this machine, in ten alternated pairs of 0.2 s passes. It is
+# scripts/abgate.sh's paired rule, the one every end-to-end claim is
+# judged by: a benchmark's ns/op or allocs/op reads worse when the
+# change lost at least 9 of the 10 pairs and its median gap exceeds the
+# parent's interquartile range, and the target exits 1 when such a gap
+# is above 10 % of the parent median, or rises from a median of 0 (a
+# zero-allocation benchmark that starts allocating). No baseline file,
+# no threshold knob, no exemption: hedged benchmarks are judged against
+# their own parent run like the rest. About 4.5 minutes on a 2-CPU box.
+PARENT ?= HEAD~1
 bench-compare:
-	$(GO) test -run '^$$' -bench . -benchmem -count 3 -benchtime 0.2s ./bench > bench.cmp.tmp
-	$(GO) run ./cmd/benchjson < bench.cmp.tmp > bench.cmp.json
-	@rm -f bench.cmp.tmp
-	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) -skip Hedged BENCH_baseline.json bench.cmp.json; \
-	  status=$$?; rm -f bench.cmp.json; exit $$status
+	bash scripts/abgate.sh bench 1-10 0.2 $(PARENT)
 
 # fuzz runs every fuzz target briefly — the hardening pass CI runs on
 # each push over the surfaces that parse bytes from outside: the wire

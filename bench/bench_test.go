@@ -1,12 +1,14 @@
 // Package bench holds the repository's micro and macro benchmarks for the
 // request→index→reply hot path: the wire codec, the server's query
-// handlers, the device-side grid join, and a full UpJoin session. These
-// are the benchmarks tracked in BENCH_baseline.json (see make bench and
-// docs/PERFORMANCE.md); run them with
+// handlers, the device-side grid join, and a full UpJoin session. make
+// bench records their medians as BENCH_<date>.json, and make
+// bench-compare gates them: the working tree's binary against the parent
+// commit's, in ten alternated pairs on one machine (scripts/abgate.sh,
+// docs/PERFORMANCE.md). Run them with
 //
 //	go test -run '^$' -bench . -benchmem ./bench
 //
-// and compare runs with benchstat.
+// and compare two runs with benchstat.
 package bench
 
 import (

@@ -2,26 +2,16 @@
 // into a stable JSON document on stdout, aggregating repeated -count
 // samples per benchmark by median. It backs `make bench`, which records
 // the repository's performance trajectory as BENCH_<date>.json files
-// (BENCH_baseline.json is the committed seed point; see
-// docs/PERFORMANCE.md).
+// (see docs/PERFORMANCE.md). It takes no flags and gates nothing: the
+// regression gate is `make bench-compare`, a paired A/B run against the
+// parent commit (scripts/abgate.sh).
 //
 //	go test -run '^$' -bench . -benchmem -count 6 ./bench | benchjson
-//
-// With -compare it instead diffs two such documents and reports per-
-// benchmark deltas, exiting 1 when any time or allocation regression
-// exceeds the threshold — the blocking regression gate behind
-// `make bench-compare`. Benchmarks matching -skip are still printed but
-// never gate: use it for timing-dependent benchmarks (hedging races
-// real timers, so their medians — and even their allocation counts —
-// swing with machine load):
-//
-//	benchjson -compare -threshold 25 -skip Hedged BENCH_baseline.json BENCH_new.json
 package main
 
 import (
 	"bufio"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"regexp"
@@ -55,108 +45,6 @@ type Report struct {
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
-// readReport loads one benchjson document from disk.
-func readReport(path string) (Report, error) {
-	var r Report
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, nil
-}
-
-// compare diffs new against old and returns the number of regressions
-// beyond threshold percent — in time, or in allocations (allocation
-// medians are stable for compute-bound benchmarks but not perfectly so
-// for scheduling-driven ones, hence the same percentage tolerance
-// rather than an any-increase rule). Benchmarks present on only one
-// side are reported but never counted as regressions (new benchmarks
-// appear legitimately as the suite grows), and benchmarks matching skip
-// are informational only.
-func compare(old, cur Report, threshold float64, skip *regexp.Regexp, w *bufio.Writer) int {
-	defer w.Flush()
-	oldBy := map[string]Result{}
-	for _, r := range old.Benchmarks {
-		oldBy[r.Name] = r
-	}
-	newNames := map[string]bool{}
-	regressions := 0
-	fmt.Fprintf(w, "%-40s %14s %14s %9s\n", "benchmark", "old ns/op", "new ns/op", "delta")
-	for _, nr := range cur.Benchmarks {
-		newNames[nr.Name] = true
-		or, ok := oldBy[nr.Name]
-		if !ok {
-			fmt.Fprintf(w, "%-40s %14s %14.0f %9s\n", nr.Name, "-", nr.NsPerOp, "new")
-			continue
-		}
-		gated := skip == nil || !skip.MatchString(nr.Name)
-		delta := 0.0
-		if or.NsPerOp > 0 {
-			delta = (nr.NsPerOp - or.NsPerOp) / or.NsPerOp * 100
-		}
-		mark := ""
-		switch {
-		case delta > threshold && gated:
-			mark = "  REGRESSION"
-			regressions++
-		case delta > threshold:
-			mark = "  (skipped)"
-		case delta < -threshold:
-			mark = "  improved"
-		}
-		fmt.Fprintf(w, "%-40s %14.0f %14.0f %+8.1f%%%s\n", nr.Name, or.NsPerOp, nr.NsPerOp, delta, mark)
-		if or.AllocsPerOp != nil && nr.AllocsPerOp != nil && *or.AllocsPerOp > 0 {
-			if d := (*nr.AllocsPerOp - *or.AllocsPerOp) / *or.AllocsPerOp * 100; d > threshold {
-				mark := "  REGRESSION (allocs)"
-				if gated {
-					regressions++
-				} else {
-					mark = "  (skipped allocs)"
-				}
-				fmt.Fprintf(w, "%-40s %14.0f %14.0f %+8.1f%%%s\n",
-					nr.Name+" [allocs]", *or.AllocsPerOp, *nr.AllocsPerOp, d, mark)
-			}
-		}
-	}
-	for _, or := range old.Benchmarks {
-		if !newNames[or.Name] {
-			fmt.Fprintf(w, "%-40s %14.0f %14s %9s\n", or.Name, or.NsPerOp, "-", "gone")
-		}
-	}
-	if regressions > 0 {
-		fmt.Fprintf(w, "\n%d regression(s) beyond %.0f%%\n", regressions, threshold)
-	}
-	return regressions
-}
-
-func runCompare(oldPath, newPath string, threshold float64, skipPat string) int {
-	var skip *regexp.Regexp
-	if skipPat != "" {
-		var err error
-		if skip, err = regexp.Compile(skipPat); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: bad -skip pattern: %v\n", err)
-			return 2
-		}
-	}
-	old, err := readReport(oldPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		return 2
-	}
-	cur, err := readReport(newPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		return 2
-	}
-	if compare(old, cur, threshold, skip, bufio.NewWriter(os.Stdout)) > 0 {
-		return 1
-	}
-	return 0
-}
-
 func median(xs []float64) float64 {
 	sort.Float64s(xs)
 	n := len(xs)
@@ -170,20 +58,10 @@ func median(xs []float64) float64 {
 }
 
 func main() {
-	var (
-		comparePair = flag.Bool("compare", false, "compare two benchjson files: benchjson -compare old.json new.json")
-		threshold   = flag.Float64("threshold", 25, "regression threshold in percent for -compare")
-		skipPat     = flag.String("skip", "", "regexp of benchmarks reported but not gated by -compare")
-	)
-	flag.Parse()
-	if *comparePair {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two files: old.json new.json")
-			os.Exit(2)
-		}
-		os.Exit(runCompare(flag.Arg(0), flag.Arg(1), *threshold, *skipPat))
+	if len(os.Args) > 1 {
+		fmt.Fprintln(os.Stderr, "usage: benchjson < go-test-bench-output > report.json")
+		os.Exit(2)
 	}
-
 	report := Report{Date: time.Now().UTC().Format("2006-01-02")}
 	samples := map[string]map[string][]float64{} // name -> unit -> values
 	var order []string

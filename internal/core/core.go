@@ -122,8 +122,9 @@ type Stats struct {
 	// hierarchical-aggregation-tree level, root outward: index 0 is the
 	// links into the root device (the fan-in the partial merges keep
 	// ~flat), deeper indexes the interior and leaf levels whose traffic
-	// grows with the fleet. Nil for flat or unsharded relations; R/S
-	// above already include every level's bytes.
+	// grows with the fleet. Nil for flat or unsharded relations, and for
+	// a multi-tenant server's runs, whose level meters are not split by
+	// tenant; R/S above already include every level's bytes.
 	RLevels, SLevels []int
 }
 

@@ -132,12 +132,6 @@ type Env struct {
 	// execution the framing is deterministic: chunks are cut before any
 	// request is issued.
 	BatchSize int
-	// Trace, when non-nil, receives one line per algorithm decision
-	// (window visited, operator chosen, counts). Intended for debugging
-	// and for the decision-log ablations; not part of the cost model.
-	// Under Parallelism > 1 the callback may fire from several goroutines
-	// at once and must be safe for concurrent calls.
-	Trace func(format string, args ...any)
 	// Observer, when non-nil, receives one PhaseEvent at every phase
 	// boundary of a run: observation phases (COUNT statistics), plan
 	// decisions, transfers, and re-plans, each carrying the cost model's

@@ -175,13 +175,6 @@ func (x *exec) cause(err error) error {
 	return err
 }
 
-// trace emits a decision-log line when the environment requests it.
-func (x *exec) trace(format string, args ...any) {
-	if x.env.Trace != nil {
-		x.env.Trace(format, args...)
-	}
-}
-
 // remote returns the probe endpoint for one side.
 func (x *exec) remote(d side) Probe {
 	if d == sideR {

@@ -283,16 +283,41 @@ func TestAlgorithmsSurfaceServerRefusal(t *testing.T) {
 	}
 }
 
-func TestTraceHookReceivesDecisions(t *testing.T) {
+// TestUpJoinEmitsDecisionsAsPlanEvents: every operator decision UpJoin
+// takes on a window (HBSJ, NLSJ or recurse) reaches Env.Observer as one
+// PhasePlan event carrying the window, its counts and the costs it was
+// taken on.
+func TestUpJoinEmitsDecisionsAsPlanEvents(t *testing.T) {
 	robjs := dataset.GaussianClusters(200, 2, 250, dataset.World, 51)
 	sobjs := dataset.GaussianClusters(200, 2, 250, dataset.World, 51)
 	env := testEnv(t, robjs, sobjs, 300)
-	lines := 0
-	env.Trace = func(format string, args ...any) { lines++ }
-	if _, err := (UpJoin{}).Run(context.Background(), env, Spec{Kind: Distance, Eps: 100}); err != nil {
+	var plans []PhaseEvent
+	env.Observer = func(ev PhaseEvent) {
+		if ev.Kind == PhasePlan {
+			plans = append(plans, ev)
+		}
+	}
+	res, err := (UpJoin{}).Run(context.Background(), env, Spec{Kind: Distance, Eps: 100})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if lines == 0 {
-		t.Fatal("trace hook never fired")
+	if len(plans) == 0 {
+		t.Fatal("UpJoin emitted no PhasePlan event")
 	}
+	ops := map[string]int{}
+	for _, ev := range plans {
+		if ev.Algorithm != "upJoin" || ev.Name != "plan/upjoin" || ev.Window.Area() <= 0 ||
+			!strings.Contains(ev.Note, "c1=") || !strings.Contains(ev.Note, "cNL=") || !strings.Contains(ev.Note, "la=") {
+			t.Fatalf("malformed decision event %+v", ev)
+		}
+		ops[ev.Note[strings.LastIndex(ev.Note, "-> ")+3:]]++
+	}
+	// Every decision event runs its operator at least once; the run's
+	// counters also count what no decision chose (forced operators,
+	// buffer splits).
+	if st := res.Stats; ops["recurse"] > st.Repartitions || ops["hbsj"] > st.HBSJ || ops["nlsj"] > st.NLSJ ||
+		ops["recurse"]+ops["hbsj"]+ops["nlsj"] != len(plans) {
+		t.Fatalf("decision events %v against run counters hbsj=%d nlsj=%d repart=%d", ops, st.HBSJ, st.NLSJ, st.Repartitions)
+	}
+	t.Logf("decision events %v", ops)
 }

@@ -127,9 +127,6 @@ func (x *exec) release() {
 	}
 }
 
-// parallel reports whether this run uses the concurrent engine.
-func (x *exec) parallel() bool { return x.par != nil }
-
 // both runs two independent operations, overlapping them when the engine
 // is parallel and a pool place is free; otherwise f then g sequentially.
 // It returns f's error first (matching the sequential call order), then

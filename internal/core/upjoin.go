@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"repro/internal/geom"
@@ -262,30 +263,26 @@ func (u *upState) join(w geom.Rect, rst, sst dsState, depth int) error {
 		lookahead += ci
 	}
 
-	// A decision line's arguments are boxed at the call, so they are
-	// built only when someone reads the log.
-	tracing := u.env.Trace != nil
+	op := "recurse"
 	if c1 < cNL {
-		bothUniform := rst.uniform && sst.uniform
-		if (bothUniform || lookahead >= c1) && u.env.Device.CanHold(rst.n.n+sst.n.n) {
-			if tracing {
-				u.trace("upJoin %v d=%d nr=%d ns=%d uniform(R=%v,S=%v) -> HBSJ", w, depth, rst.n.n, sst.n.n, rst.uniform, sst.uniform)
-			}
-			return u.doHBSJ(w, rst.n, sst.n, depth)
+		if (rst.uniform && sst.uniform || lookahead >= c1) && u.env.Device.CanHold(rst.n.n+sst.n.n) {
+			op = "hbsj"
 		}
-		if tracing {
-			u.trace("upJoin %v d=%d nr=%d ns=%d uniform(R=%v,S=%v) c1=%.0f cNL=%.0f la=%.0f -> recurse", w, depth, rst.n.n, sst.n.n, rst.uniform, sst.uniform, c1, cNL, lookahead)
-		}
-		return u.recurse(w, rst, sst, depth)
+	} else if innerUniform || lookahead >= cNL {
+		op = "nlsj"
 	}
-	if innerUniform || lookahead >= cNL {
-		if tracing {
-			u.trace("upJoin %v d=%d nr=%d ns=%d -> NLSJ outer=%d", w, depth, rst.n.n, sst.n.n, outer)
-		}
+	// The note's arguments are boxed at the call, so it is built only
+	// when someone observes the run.
+	if u.observing() {
+		u.emit(PhasePlan, "plan/upjoin", w, rst.n.n, sst.n.n, 0,
+			fmt.Sprintf("d=%d uniform(R=%v,S=%v) c1=%.0f cNL=%.0f la=%.0f outer=%s -> %s",
+				depth, rst.uniform, sst.uniform, c1, cNL, lookahead, "RS"[outer:outer+1], op))
+	}
+	switch op {
+	case "hbsj":
+		return u.doHBSJ(w, rst.n, sst.n, depth)
+	case "nlsj":
 		return u.doNLSJ(w, outer, rst.n, sst.n)
-	}
-	if tracing {
-		u.trace("upJoin %v d=%d nr=%d ns=%d c1=%.0f cNL=%.0f la=%.0f inner skewed -> recurse", w, depth, rst.n.n, sst.n.n, c1, cNL, lookahead)
 	}
 	return u.recurse(w, rst, sst, depth)
 }

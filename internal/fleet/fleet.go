@@ -77,10 +77,6 @@ type Config struct {
 	// costs real bytes — failure-free runs meter identically with any
 	// policy.
 	Retry client.RetryPolicy
-	// RunTimeout, when positive, bounds every Run/RunContext call with a
-	// deadline. Canceling the deadline (or the caller's context) aborts
-	// the join promptly and joins all worker goroutines.
-	RunTimeout time.Duration
 	// Shards, when > 1, splits each relation across this many in-process
 	// servers (shard.Assign's k-d split by count; every object lands on
 	// exactly one shard) and routes all queries through a scatter–gather
@@ -148,11 +144,13 @@ type Config struct {
 }
 
 // Endpoint is one relation of a fleet: the typed view the algorithms
-// call (core.Probe) plus the frame seam under it, which a tenant wrapper
-// stamps. A bare *client.Remote or a *shard.Router.
+// call (core.Probe), the frame seam under it, which a tenant wrapper
+// stamps, and the link the planner prices. A bare *client.Remote or a
+// *shard.Router.
 type Endpoint interface {
 	core.Probe
 	client.Doer
+	Link() netsim.LinkConfig
 }
 
 // Fleet is an assembled serving side plus the resolved parameters the

@@ -38,7 +38,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/core"
@@ -187,9 +186,8 @@ type Gap = health.Gap
 // servers. Create one per joined dataset pair; run as many
 // algorithms as desired (each Run sees only its own traffic).
 type Session struct {
-	env        *core.Env
-	fleet      *fleet.Fleet
-	runTimeout time.Duration
+	env   *core.Env
+	fleet *fleet.Fleet
 }
 
 // NewSession starts in-process servers for cfg.R and cfg.S (one per
@@ -201,7 +199,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}
-	return &Session{env: f.NewEnv(f.R, f.S), fleet: f, runTimeout: cfg.RunTimeout}, nil
+	return &Session{env: f.NewEnv(f.R, f.S), fleet: f}, nil
 }
 
 // Run executes one algorithm. Stats cover only this run's traffic.
@@ -209,22 +207,16 @@ func (s *Session) Run(alg Algorithm, spec Spec) (*Result, error) {
 	return s.RunContext(context.Background(), alg, spec)
 }
 
-// RunContext executes one algorithm under ctx: canceling it (or exceeding
-// the session's RunTimeout, when configured) aborts the join promptly —
-// in-flight round trips are interrupted, all worker goroutines join
-// before the call returns, and the context's error is reported. Stats
-// cover only this run's traffic.
+// RunContext executes one algorithm under ctx: canceling it, or passing
+// its deadline, aborts the join promptly — in-flight round trips are
+// interrupted, all worker goroutines join before the call returns, and
+// the context's error is reported. Stats cover only this run's traffic.
 func (s *Session) RunContext(ctx context.Context, alg Algorithm, spec Spec) (*Result, error) {
 	if alg == nil {
 		return nil, fmt.Errorf("repro: nil algorithm")
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if s.runTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.runTimeout)
-		defer cancel()
 	}
 	return alg.Run(ctx, s.env, spec)
 }

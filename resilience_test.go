@@ -58,23 +58,24 @@ func TestRunContextCancellation(t *testing.T) {
 
 func TestSessionRunTimeout(t *testing.T) {
 	sess, err := NewSession(SessionConfig{
-		R:          GaussianClusters(500, 4, 250, World, 3),
-		S:          GaussianClusters(500, 4, 250, World, 4),
-		Buffer:     400,
-		Link:       LinkConfig{MTU: 1500, HeaderBytes: 40, RTT: 10 * time.Millisecond},
-		RunTimeout: 25 * time.Millisecond,
+		R:      GaussianClusters(500, 4, 250, World, 3),
+		S:      GaussianClusters(500, 4, 250, World, 4),
+		Buffer: 400,
+		Link:   LinkConfig{MTU: 1500, HeaderBytes: 40, RTT: 10 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
 	start := time.Now()
-	_, err = sess.Run(UpJoin{}, Spec{Kind: Distance, Eps: 75})
+	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
+	defer cancel()
+	_, err = sess.RunContext(ctx, UpJoin{}, Spec{Kind: Distance, Eps: 75})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("RunTimeout fired after %v", elapsed)
+		t.Fatalf("the run deadline fired after %v", elapsed)
 	}
 }
 

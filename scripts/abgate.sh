@@ -1,26 +1,44 @@
 #!/usr/bin/env bash
-# Paired A/B gate for benchmark workloads: the working tree (the change)
-# against a parent commit, both run with the same benchmark command
-# (bash benchmark/run.sh --workload W --seed N --seconds S --trace 0),
-# one pair per workload and seed, the order rotated per pair so neither
-# side always runs first on a warm or a cold machine.
+# Paired A/B gate: the working tree (the change) against a parent
+# commit, both measured by the same command, one pair per workload and
+# seed, the order rotated per pair so neither side always runs first on
+# a warm or a cold machine.
 #
 #   scripts/abgate.sh [--parent-dir DIR] WORKLOADS SEEDS SECONDS PARENT_REF
 #
 # WORKLOADS is a comma-separated list of workload names, or all for
 # every workload BENCHMARK.json declares; the report has one block per
-# workload. SEEDS is a comma-separated list of seeds or ranges, e.g. 1-10 or
-# 1,2,5-7. The parent is checked out with git worktree add in a
-# temporary directory that is removed on exit; --parent-dir runs an
-# existing checkout of the parent instead. For every end-to-end metric
-# the benchmark prints, the script reports each side's per-seed
-# readings, median and interquartile range, the pairs the change won
-# (ties count for neither side) and a verdict: better only when the
-# change won at least nine tenths of at least ten pairs and the medians
-# differ by more than the parent's IQR; worse by the same rule the other
-# way round; identical when every pair tied; unresolved otherwise. The
+# workload. A BENCHMARK.json workload runs bash benchmark/run.sh
+# --workload W --seed N --seconds SECONDS --trace 0. The workload bench
+# runs the micro-benchmarks of bench/: each tree's go test -c binary,
+# built once, makes one -benchtime SECONDS s pass a pair from its own
+# tree's bench/ directory, and every benchmark's ns/op and allocs/op is
+# a metric (the seed only numbers the pair). SEEDS is a comma-separated
+# list of seeds or ranges, e.g. 1-10 or 1,2,5-7. The parent is
+# extracted with git archive into a temporary directory removed on
+# exit; --parent-dir runs an existing checkout of the parent instead.
+#
+# For every metric the script reports each side's per-seed readings,
+# median and interquartile range, the pairs the change won (ties count
+# for neither side) and a verdict: better only when the change won at
+# least nine tenths of at least ten pairs and the medians differ by more
+# than the parent's IQR; worse by the same rule the other way round;
+# identical when every pair tied; unresolved otherwise. A metric read on
+# one side only is listed as new or gone and takes no verdict. The
 # output is markdown.
+#
+# Exit status: 1 when a bench metric reads worse by more than gate_pct
+# percent of the parent's median, or reads worse up from a parent
+# median of 0 (a zero-allocation benchmark that starts allocating);
+# 2 when a run fails or the arguments are wrong; 0 otherwise. The
+# end-to-end workloads only report.
 set -euo pipefail
+
+# gate_pct is the smallest median gap a worse bench metric fails on:
+# the tightest bound BENCHMARK.json sets on an end-to-end metric
+# (wire_bytes_per_join, 0.1). A few percent of drift that survives the
+# pair rule does not fail; a slowdown a change would have to defend does.
+gate_pct=10
 
 usage() {
   echo "usage: $0 [--parent-dir DIR] WORKLOADS SEEDS SECONDS PARENT_REF" >&2
@@ -39,20 +57,13 @@ workloadspec=$1 seedspec=$2 seconds=$3 ref=$4
 root=$(cd "$(dirname "$0")/.." && pwd)
 sha=$(git -C "$root" rev-parse --verify "$ref^{commit}")
 work=$(mktemp -d)
-worktree=""
-cleanup() {
-  if [ -n "$worktree" ]; then
-    git -C "$root" worktree remove --force "$worktree" >/dev/null 2>&1 || true
-  fi
-  rm -rf "$work"
-}
-trap cleanup EXIT
+trap 'rm -rf "$work"' EXIT
 trap 'exit 130' INT TERM
 
 if [ -z "$parent_dir" ]; then
-  worktree="$work/parent"
-  git -C "$root" worktree add --detach "$worktree" "$sha" >/dev/null
-  parent_dir=$worktree
+  parent_dir="$work/parent"
+  mkdir "$parent_dir"
+  git -C "$root" archive "$sha" | tar -x -C "$parent_dir"
 fi
 parent_dir=$(cd "$parent_dir" && pwd)
 
@@ -83,14 +94,30 @@ fi
 [ ${#workloads[@]} -gt 0 ] || usage
 
 # run WORKLOAD SIDE DIR SEED appends "side seed metric value" lines to
-# the workload's readings, from the JSON line the benchmark prints last.
+# the workload's readings: for bench, every benchmark's ns/op and
+# allocs/op (the GOMAXPROCS suffix cut off its name); otherwise the
+# end-to-end metrics and the failed-join count of the JSON line the
+# benchmark prints last.
 run() {
+  if [ "$1" = bench ]; then
+    if ! (cd "$3/bench" && "$work/$2.bench.test" -test.run '^$' -test.bench . -test.benchmem \
+      -test.count 1 -test.benchtime "${seconds}s" -test.timeout 10m) >"$work/log" 2>&1; then
+      cat "$work/log" >&2
+      echo "abgate: the $2 bench pass of pair $4 failed" >&2
+      exit 2
+    fi
+    awk -v side="$2" -v seed="$4" '/^Benchmark/ {
+      name = $1; sub(/-[0-9]+$/, "", name)
+      for (i = 3; i < NF; i += 2) if ($(i+1) == "ns/op" || $(i+1) == "allocs/op") print side, seed, name ":" $(i+1), $i
+    }' "$work/log" >>"$work/readings.$1"
+    return
+  fi
   local line
   line=$(cd "$3" && bash benchmark/run.sh --workload "$1" --seed "$4" --seconds "$seconds" --trace 0 2>"$work/log" | grep '^{' | tail -n 1) || true
   if [ -z "$line" ]; then
     cat "$work/log" >&2
     echo "abgate: the $2 run of $1 seed $4 printed no result" >&2
-    exit 1
+    exit 2
   fi
   echo "$line" | grep -oE '"[a-z0-9_]+":\{"value":[-0-9.eE+]+' |
     sed -E 's/^"([a-z0-9_]+)":\{"value":(.*)$/\1 \2/' |
@@ -104,9 +131,22 @@ echo "# parent $ref ($(git -C "$root" rev-parse --short "$sha")) vs change: the 
 echo "# cpu: ${cpu:-unknown}; nproc $(nproc); $(go version)"
 echo
 
+# build_bench SIDE DIR compiles DIR's bench/ into the side's test binary.
+build_bench() {
+  if ! (cd "$2" && go test -c -o "$work/$1.bench.test" ./bench) >"$work/log" 2>&1; then
+    cat "$work/log" >&2
+    echo "abgate: building the $1 tree's bench/ failed" >&2
+    exit 2
+  fi
+}
+
 pair=0
 for w in "${workloads[@]}"; do
   : >"$work/readings.$w"
+  if [ "$w" = bench ]; then
+    build_bench parent "$parent_dir"
+    build_bench change "$root"
+  fi
   for s in "${seeds[@]}"; do
     if ((pair % 2 == 0)); then
       run "$w" parent "$parent_dir" "$s"
@@ -120,9 +160,10 @@ for w in "${workloads[@]}"; do
   done
 done
 
-# report WORKLOAD prints the workload's block from its readings.
+# report WORKLOAD prints the workload's block from its readings and, for
+# bench, exits 1 when a metric fails the gate.
 report() {
-awk -v seeds="${seeds[*]}" '
+awk -v seeds="${seeds[*]}" -v bench="$([ "$1" = bench ] && echo 1 || echo 0)" -v gate_pct="$gate_pct" '
 function num(x) { return (x >= 1000 || x <= -1000) ? sprintf("%.0f", x) : sprintf("%.4g", x) }
 function sortn(a, n,    i, j, t) {
   for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j-1] > a[j]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
@@ -138,12 +179,16 @@ function stats(side, m,    a, k, n) {
   sortn(a, n)
   med[side] = q(a, n, 0.5); iqr[side] = q(a, n, 0.75) - q(a, n, 0.25)
 }
-{ v[$1, $2, $3] = $4; if (!($3 in seen)) { seen[$3] = 1; order[++nm] = $3 } }
+{ v[$1, $2, $3] = $4; on[$1, $3] = 1; if (!($3 in seen)) { seen[$3] = 1; order[++nm] = $3 } }
 END {
   ns = split(seeds, S, " ")
   for (x = 1; x <= nm; x++) {
     m = order[x]
     if (m == "failed") continue
+    if (!(("parent", m) in on) || !(("change", m) in on)) {
+      printf "### %s: %s\n\n", m, (("change", m) in on) ? "new (the change alone reads it)" : "gone (the parent alone reads it)"
+      continue
+    }
     higher = (m ~ /_per_s$/)
     printf "### %s (%s is better)\n\n| side |", m, higher ? "higher" : "lower"
     for (k = 1; k <= ns; k++) printf " s%s |", S[k]
@@ -170,9 +215,18 @@ END {
       if (good && won * 10 >= 9 * ns) verdict = "better"
       else if (!good && lost * 10 >= 9 * ns) verdict = "worse"
     }
-    pct = med["parent"] != 0 ? 100 * gap / med["parent"] : 0
-    printf "\npairs won by the change: %d of %d (%d lost, %d tied); median gap %s (%+.2f %%) against the parent IQR %s: **%s**\n\n", \
-      won, ns, lost, ns - won - lost, (gap > 0 ? "+" : "") num(gap), pct, num(iqr["parent"]), verdict
+    pct = med["parent"] != 0 ? sprintf("%+.2f %%", 100 * gap / med["parent"]) : "from 0"
+    gated = ""
+    if (bench && verdict == "worse" && (med["parent"] == 0 || mag * 100 > gate_pct * med["parent"])) {
+      gated = med["parent"] == 0 ? ", up from 0: fails the gate" : ", past " gate_pct " %: fails the gate"
+      fails++
+    }
+    printf "\npairs won by the change: %d of %d (%d lost, %d tied); median gap %s (%s) against the parent IQR %s: **%s**%s\n\n", \
+      won, ns, lost, ns - won - lost, (gap > 0 ? "+" : "") num(gap), pct, num(iqr["parent"]), verdict, gated
+  }
+  if (bench) {
+    printf "bench gate: %d metric(s) worse past %d %% of the parent median (or up from 0)\n\n", fails, gate_pct
+    exit (fails > 0)
   }
   for (side = 0; side < 2; side++) {
     name = side ? "change" : "parent"; f = 0
@@ -183,7 +237,9 @@ END {
 }' "$work/readings.$1"
 }
 
+status=0
 for w in "${workloads[@]}"; do
   printf '## %s\n\n' "$w"
-  report "$w"
+  report "$w" || status=1
 done
+exit $status

@@ -11,6 +11,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/netsim"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 // This file is the multi-tenant join service: one shared serving fleet
@@ -215,11 +216,6 @@ func (s *Server) Run(ctx context.Context, id TenantID, alg Algorithm, spec Spec)
 			return nil, fmt.Errorf("repro: tenant %q: %w", string(id), ctx.Err())
 		}
 	}
-	if s.cfg.Fleet.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Fleet.RunTimeout)
-		defer cancel()
-	}
 	// First run of a tenant prepares its environment exactly once;
 	// concurrent first runs serialize here (prepare mutates the env).
 	st.prepMu.Lock()
@@ -268,7 +264,11 @@ func (s *Server) Close() error {
 // meters attribute and the ledger bills it), Usage reports the tenant's
 // attributed slice (so Stats of a run cover the tenant's own traffic,
 // not the fleet's), and Close is a no-op (the fleet outlives any one
-// tenant's environment). The typed calls are client.Typed over Do.
+// tenant's environment). The typed calls are client.Typed over Do. The
+// fleet's shape — shard count, per-shard metadata, link — is the
+// wrapped endpoint's, so a tenant's planner and completeness report see
+// the fleet a Session sees; per-level usage is not forwarded, because
+// the level meters are not split by tenant.
 type tenantProbe struct {
 	client.Typed
 	p  fleet.Endpoint
@@ -312,6 +312,22 @@ func (t *tenantProbe) Usage() netsim.Usage {
 }
 
 func (t *tenantProbe) PricePerByte() float64 { return t.p.PricePerByte() }
+
+func (t *tenantProbe) Link() netsim.LinkConfig { return t.p.Link() }
+
+func (t *tenantProbe) NumShards() int {
+	if r, ok := t.p.(*shard.Router); ok {
+		return r.NumShards()
+	}
+	return 1
+}
+
+func (t *tenantProbe) ShardInfos(ctx context.Context) ([]wire.Info, error) {
+	if r, ok := t.p.(*shard.Router); ok {
+		return r.ShardInfos(t.stamp(ctx))
+	}
+	return nil, nil
+}
 
 func (t *tenantProbe) Retries() int64 { return t.p.Retries() }
 

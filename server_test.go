@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -13,7 +14,9 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/netsim"
+	"repro/internal/shard"
 	"repro/internal/testenv"
 	"repro/internal/wire"
 )
@@ -522,3 +525,134 @@ type rtFunc func(ctx context.Context, req []byte) ([]byte, error)
 
 func (f rtFunc) RoundTrip(ctx context.Context, req []byte) ([]byte, error) { return f(ctx, req) }
 func (rtFunc) Close() error                                                { return nil }
+
+// TestServerTenantPlansOnItsFleet: a tenant's environment sees the
+// fleet a Session over the same configuration sees — its shard count,
+// per-shard metadata and link — so a Server run reports the same
+// completeness and Auto scores the same candidate table as a Session
+// run of the same join.
+func TestServerTenantPlansOnItsFleet(t *testing.T) {
+	base := SessionConfig{
+		R:      GaussianClusters(3000, 4, 250, World, 41),
+		S:      GaussianClusters(3000, 4, 250, World, 42),
+		Buffer: 800, Shards: 4, TreeFanout: 2, AllowPartial: true, BatchSize: 8,
+	}
+	dialup := base
+	dialup.Link = DialupLink()
+	spec := Spec{Kind: Distance, Eps: 75}
+	for _, tc := range []struct {
+		name string
+		cfg  SessionConfig
+		alg  Algorithm
+	}{{"upjoin", base, UpJoin{}}, {"auto-dialup", dialup, Auto{}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, err := NewSession(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			want, err := sess.Run(tc.alg, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := newTestServer(t, ServerConfig{Fleet: tc.cfg, Tenants: map[TenantID]TenantConfig{"solo": {}}})
+			got, err := srv.Run(context.Background(), "solo", tc.alg, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Pairs) != len(want.Pairs) || got.Stats.R.WireBytes+got.Stats.S.WireBytes != want.Stats.R.WireBytes+want.Stats.S.WireBytes {
+				t.Fatalf("server found %d pairs in %d B, session %d in %d B", len(got.Pairs),
+					got.Stats.R.WireBytes+got.Stats.S.WireBytes, len(want.Pairs), want.Stats.R.WireBytes+want.Stats.S.WireBytes)
+			}
+			gc, wc := got.Completeness, want.Completeness
+			if gc == nil || wc == nil || gc.ShardsTotal != wc.ShardsTotal || gc.ShardsAnswered != wc.ShardsAnswered {
+				t.Errorf("server completeness %#v, session %#v", gc, wc)
+			}
+			if tc.alg == (Auto{}) {
+				if got.Explain == nil || want.Explain == nil {
+					t.Fatal("auto run without an explain report")
+				}
+				g, w := got.Explain.Candidates, want.Explain.Candidates
+				if len(g) == 0 || !slices.Equal(g, w) {
+					t.Errorf("server candidates %+v\nsession candidates %+v", g, w)
+				}
+			}
+		})
+	}
+}
+
+// TestServerTenantUsageOverReplicaSets: over replicated shards, two
+// tenants running concurrently are billed exactly what their runs
+// report — each tenant's TenantUsage is its metadata fetch plus the sum
+// of its runs' Stats —
+// and the tenant columns plus the anonymous column sum to the fleet's
+// Usage, column by column, on both relations.
+func TestServerTenantUsageOverReplicaSets(t *testing.T) {
+	srv := newTestServer(t, ServerConfig{
+		Fleet: SessionConfig{
+			R:      GaussianClusters(600, 4, 250, World, 31),
+			S:      GaussianClusters(600, 4, 250, World, 32),
+			Buffer: 400, Shards: 2, Replicas: 2,
+		},
+		Tenants: map[TenantID]TenantConfig{"a": {}, "b": {Weight: 2}},
+	})
+	tenants := []TenantID{"a", "b"}
+	algs := []Algorithm{UpJoin{}, SrJoin{}, Grid{K: 8}}
+	// A tenant's first run fetches its dataset metadata before the run's
+	// Stats start counting; prepared here, that traffic is each tenant's
+	// opening balance.
+	sums := make([][2]Usage, len(tenants))
+	for i, id := range tenants {
+		env, err := srv.Env(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := env.Prepare(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		sums[i][0], sums[i][1] = srv.TenantUsage(id)
+	}
+	errs := make([]error, len(tenants))
+	var wg sync.WaitGroup
+	for i, id := range tenants {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// A tenant's runs are sequential, so each run's Stats diff
+			// covers that run alone.
+			for _, alg := range algs {
+				res, err := srv.Run(context.Background(), id, alg, Spec{Kind: Distance, Eps: 100})
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				sums[i][0] = sums[i][0].Add(res.Stats.R)
+				sums[i][1] = sums[i][1].Add(res.Stats.S)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, id := range tenants {
+		if errs[i] != nil {
+			t.Fatalf("tenant %s: %v", id, errs[i])
+		}
+	}
+
+	var cols [2]Usage
+	for i, id := range tenants {
+		ru, su := srv.TenantUsage(id)
+		if ru != sums[i][0] || su != sums[i][1] {
+			t.Errorf("tenant %s billed R %+v S %+v, its opening balance and runs' Stats sum to R %+v S %+v", id, ru, su, sums[i][0], sums[i][1])
+		}
+		cols[0], cols[1] = cols[0].Add(ru), cols[1].Add(su)
+	}
+	for i, e := range []fleet.Endpoint{srv.fleet.R, srv.fleet.S} {
+		rt := e.(*shard.Router)
+		if _, ok := rt.Shards()[0].(*shard.ReplicaSet); !ok {
+			t.Fatalf("shard 0 is a %T, want a replica set", rt.Shards()[0])
+		}
+		if got, want := cols[i].Add(rt.TenantUsage("")), rt.Usage(); got != want {
+			t.Errorf("relation %d: tenant and anonymous columns sum to %+v, fleet usage %+v", i, got, want)
+		}
+	}
+}
